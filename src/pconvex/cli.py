@@ -1,13 +1,19 @@
 """Command-line front end.
 
-JSON descriptors in, CSV/JSON/SVG reports out; no interactive mode.  Every
-run is seeded (--seed, default 42) and identical inputs plus seed produce
-byte-identical artifacts, so reports are diff-able in CI.
+JSON descriptors in, CSV/JSON/SVG reports out; no interactive mode.  Runs
+that draw random numbers are seeded (--seed, default 42) and identical
+inputs plus seed produce byte-identical artifacts, so reports are diff-able
+in CI.
 
 Exit codes: 0 for success (a certification run that *reports* verdict=fail
 is still a successful run), 2 when a bound is invoked with a certificate
 that fails (scripts can pipeline certification before bounding), and 1 for
-malformed input or numeric failures.
+malformed input, usage errors included, or numeric failures.
+
+Every task is one entry of a table that declares its flags, its
+certification step (if any), how it computes its report and how it renders
+it; the parser, the canonical problem files and the runner are all built
+from that table.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from . import convexity, hermite, jensen, mgf, risk
 from .distributions import (
@@ -42,8 +48,7 @@ EXIT_ERROR = 1
 EXIT_CERT_FAILED = 2
 
 PROBLEM_VERSION = 1
-_TASKS = ("certify", "bound", "risk-measure", "risk-compare", "mgf", "amgm",
-          "em-demo", "hh", "hh-fractional", "rl", "sweep")
+SWEEP_GRID = 512
 
 
 def _fmt(x: Any) -> str:
@@ -60,6 +65,10 @@ def _write_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     for row in rows:
         writer.writerow([_fmt(cell) for cell in row])
     return buf.getvalue()
+
+
+def _json_text(payload: Mapping[str, Any]) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -79,16 +88,6 @@ def _load_json(path: str) -> Any:
     except json.JSONDecodeError as exc:
         raise InputFormatError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
-
-
-def _tolerances_from(raw: Mapping[str, Any] | None) -> ToleranceProfile:
-    if not raw:
-        return DEFAULT_TOLERANCES
-    allowed = {"eq_abs", "eq_rel", "certify_slack", "fd_step"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise InputFormatError(f"tolerance profile: unknown fields {sorted(unknown)}")
-    return ToleranceProfile(**{k: float(v) for k, v in raw.items()})
 
 
 @dataclass
@@ -144,46 +143,48 @@ class Problem:
             raise InputFormatError(f"task {self.task}: missing distribution (-d)")
         return distribution_from_descriptor(self.distribution)
 
-    def need(self, key: str) -> Any:
-        if key not in self.params or self.params[key] is None:
-            raise InputFormatError(f"task {self.task}: missing parameter {key!r}")
-        return self.params[key]
+    def tolerance_profile(self) -> ToleranceProfile:
+        if not self.tolerances:
+            return DEFAULT_TOLERANCES
+        unknown = set(self.tolerances) - {"eq_abs", "eq_rel", "certify_slack", "fd_step"}
+        if unknown:
+            raise InputFormatError(f"tolerance profile: unknown fields {sorted(unknown)}")
+        return ToleranceProfile(**{k: float(v) for k, v in self.tolerances.items()})
 
 
-def _interval(problem: Problem, f: FunctionSpec) -> tuple[float, float]:
-    a = problem.params.get("a")
-    b = problem.params.get("b")
+def _interval(params: Mapping[str, Any], f: FunctionSpec) -> tuple[float, float]:
+    a = params.get("a")
+    b = params.get("b")
     a = f.domain[0] if a is None else float(a)
     b = f.upper_cap if b is None else float(b)
     return a, b
 
 
 # ---------------------------------------------------------------------------
-# Task handlers
+# Certification and the certified tasks
 # ---------------------------------------------------------------------------
 
 
-def _run_certify(problem: Problem, out: str | None) -> int:
-    f = problem.function_spec()
-    klass = problem.need("class")
-    p = int(problem.need("p"))
-    grid = int(problem.params.get("grid", convexity.DEFAULT_GRID))
-    tol = _tolerances_from(problem.tolerances)
+def _certify(problem: Problem, args: argparse.Namespace, f: FunctionSpec,
+             klass: str, p: int) -> convexity.ConvexityCertificate:
+    tol = problem.tolerance_profile()
+    if klass == "Lp":
+        horizon = float(args.horizon or args.b or 10.0)
+        return convexity.certify_loss_class(f, p, horizon, args.grid, tol)
+    a, b = _interval(vars(args), f)
     if klass == "I":
-        a, b = _interval(problem, f)
-        cert = convexity.certify_p_convex(f, p, a, b, grid, tol)
-    elif klass == "D":
-        a, b = _interval(problem, f)
-        cert = convexity.certify_p_concave(f, p, a, b, grid, tol)
-    elif klass == "Lp":
-        horizon = float(problem.params.get("horizon")
-                        or problem.params.get("b") or 10.0)
-        cert = convexity.certify_loss_class(f, p, horizon, grid, tol)
-    else:
-        raise InputFormatError(f"--class must be I, D or Lp, got {klass!r}")
-    _emit(json.dumps(convexity.certificate_to_dict(cert), indent=2, sort_keys=True)
-          + "\n", out)
-    return EXIT_OK
+        return convexity.certify_p_convex(f, p, a, b, args.grid, tol)
+    return convexity.certify_p_concave(f, p, a, b, args.grid, tol)
+
+
+_BOUNDS = {"lower": "jensen_lower", "upper": "jensen_upper",
+           "lower-decreasing": "jensen_lower_decreasing"}
+
+
+def _bound(problem: Problem, args: argparse.Namespace, f: FunctionSpec,
+           cert) -> jensen.BoundReport:
+    bound = getattr(jensen, _BOUNDS[args.kind])
+    return bound(f, cert, problem.rv(), tolerances=problem.tolerance_profile())
 
 
 _BOUND_HEADER = ("kind", "p", "a", "b", "value", "oracle", "classical",
@@ -193,122 +194,6 @@ _BOUND_HEADER = ("kind", "p", "a", "b", "value", "oracle", "classical",
 def _bound_row(rep: jensen.BoundReport) -> tuple:
     return (rep.kind, rep.p, rep.interval[0], rep.interval[1], rep.value,
             rep.oracle, rep.classical, rep.gap_to_oracle, rep.gap_to_classical)
-
-
-def _run_bound(problem: Problem, out: str | None) -> int:
-    f = problem.function_spec()
-    X = problem.rv()
-    p = int(problem.need("p"))
-    kind = problem.params.get("kind", "lower")
-    grid = int(problem.params.get("grid", convexity.DEFAULT_GRID))
-    tol = _tolerances_from(problem.tolerances)
-    a, b = _interval(problem, f)
-    if kind in ("lower", "upper"):
-        cert = convexity.certify_p_convex(f, p, a, b, grid, tol)
-    elif kind == "lower-decreasing":
-        cert = convexity.certify_p_concave(f, p, a, b, grid, tol)
-    else:
-        raise InputFormatError(f"--kind must be lower, upper or lower-decreasing, got {kind!r}")
-    try:
-        if kind == "lower":
-            rep = jensen.jensen_lower(f, cert, X, tolerances=tol)
-        elif kind == "upper":
-            rep = jensen.jensen_upper(f, cert, X, tolerances=tol)
-        else:
-            rep = jensen.jensen_lower_decreasing(f, cert, X, tolerances=tol)
-    except CertificateError as exc:
-        sys.stderr.write(f"certificate failed: {exc}\n")
-        return EXIT_CERT_FAILED
-    _emit(_write_csv(_BOUND_HEADER, [_bound_row(rep)]), out)
-    return EXIT_OK
-
-
-def _run_risk_measure(problem: Problem, out: str | None) -> int:
-    X = problem.rv()
-    p = int(problem.need("p"))
-    tol = _tolerances_from(problem.tolerances)
-    rep = risk.risk_measure(X, p, tolerances=tol)
-    payload = {"task": "risk-measure", "p": rep.p,
-               "distribution": rep.distribution,
-               "closed_form": rep.closed_form,
-               "sweep_infimum": rep.sweep_infimum,
-               "achiever": rep.achiever,
-               "candidates": list(rep.candidates)}
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
-    return EXIT_OK
-
-
-def _run_risk_compare(problem: Problem, out: str | None) -> int:
-    l = problem.function_spec()
-    baseline_desc = problem.params.get("baseline")
-    if baseline_desc is None:
-        raise InputFormatError("risk-compare: missing baseline function (--baseline)")
-    f = function_from_descriptor(baseline_desc)
-    p = int(problem.need("p"))
-    horizon = float(problem.params.get("horizon", 10.0))
-    trials = int(problem.params.get("trials", 10_000))
-    seed = int(problem.params.get("seed", 42))
-    tol = _tolerances_from(problem.tolerances)
-    comp = risk.certify_p_more_risk_averse(l, f, p, horizon, tolerances=tol)
-    directed = comp.certificate.witness.point if comp.certificate.witness else None
-    hit = risk.falsify_p_more_risk_averse(l, f, p, trials, seed, horizon,
-                                          directed_from=directed, tolerances=tol)
-    payload: dict[str, Any] = {
-        "task": "risk-compare", "p": p,
-        "loss": l.label, "baseline": f.label,
-        "holds": comp.holds,
-        "certificate": convexity.certificate_to_dict(comp.certificate),
-    }
-    if hit is not None:
-        payload["falsifier"] = {
-            "lottery": distribution_to_descriptor(hit.lottery),
-            "threshold": hit.threshold,
-            "margin": hit.margin,
-        }
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
-    return EXIT_OK
-
-
-def _run_mgf(problem: Problem, out: str | None) -> int:
-    X = problem.rv()
-    s = float(problem.need("s"))
-    p = int(problem.need("p"))
-    kind = problem.params.get("kind", "both")
-    tol = _tolerances_from(problem.tolerances)
-    rows = []
-    if kind in ("lower", "both"):
-        rep = mgf.mgf_lower(X, s, p, tol)
-        rows.append(("lower", s, p, rep.lower, rep.exact, rep.exact - rep.lower))
-    if kind in ("upper", "both"):
-        rep = mgf.mgf_upper(X, s, p, tol)
-        rows.append(("upper", s, p, rep.upper, rep.exact, rep.upper - rep.exact))
-    if not rows:
-        raise InputFormatError(f"mgf: --kind must be lower, upper or both, got {kind!r}")
-    _emit(_write_csv(("kind", "s", "p", "value", "exact", "gap"), rows), out)
-    return EXIT_OK
-
-
-def _run_amgm(problem: Problem, out: str | None) -> int:
-    X = problem.rv()
-    p = int(problem.need("p"))
-    tol = _tolerances_from(problem.tolerances)
-    value = mgf.am_gm_lower(X, p, tol)
-    mean = X.mean()
-    _emit(_write_csv(("p", "value", "mean", "gap"),
-                     [(p, value, mean, mean - value)]), out)
-    return EXIT_OK
-
-
-def _run_em_demo(problem: Problem, out: str | None) -> int:
-    samples = int(problem.params.get("samples", 60))
-    dims = int(problem.params.get("dims", 6))
-    iters = int(problem.params.get("iters", 15))
-    seed = int(problem.params.get("seed", 42))
-    data = mgf.generate_mixture_data(samples, dims, seed)
-    trace = mgf.em_demo(data, iters, seed)
-    _emit(_write_csv(("iter", "loglik", "elbo_classical", "elbo_tight"),
-                     list(trace.rows)), out)
-    return EXIT_OK
 
 
 _HH_HEADER = ("p", "alpha", "a", "b", "lower", "mid", "upper",
@@ -322,52 +207,78 @@ def _hh_row(rep: hermite.HHReport) -> tuple:
             rep.mid - rep.lower, rep.upper - rep.mid)
 
 
-def _run_hh(problem: Problem, out: str | None) -> int:
-    f = problem.function_spec()
-    p = int(problem.need("p"))
-    grid = int(problem.params.get("grid", convexity.DEFAULT_GRID))
-    tol = _tolerances_from(problem.tolerances)
-    a, b = _interval(problem, f)
-    cert = convexity.certify_p_convex(f, p - 1, a, b, grid, tol)
-    try:
-        rep = hermite.hh_bounds(f, cert, p)
-    except CertificateError as exc:
-        sys.stderr.write(f"certificate failed: {exc}\n")
-        return EXIT_CERT_FAILED
-    _emit(_write_csv(_HH_HEADER, [_hh_row(rep)]), out)
-    return EXIT_OK
+# ---------------------------------------------------------------------------
+# Uncertified tasks
+# ---------------------------------------------------------------------------
 
 
-def _run_hh_fractional(problem: Problem, out: str | None) -> int:
-    f = problem.function_spec()
-    p = int(problem.need("p"))
-    alpha = float(problem.need("alpha"))
-    grid = int(problem.params.get("grid", convexity.DEFAULT_GRID))
-    tol = _tolerances_from(problem.tolerances)
-    a, b = _interval(problem, f)
-    cert = convexity.certify_p_convex(f, p - 1, a, b, grid, tol)
-    try:
-        rep = hermite.fractional_hh_bounds(f, cert, p, alpha)
-    except CertificateError as exc:
-        sys.stderr.write(f"certificate failed: {exc}\n")
-        return EXIT_CERT_FAILED
-    _emit(_write_csv(_HH_HEADER, [_hh_row(rep)]), out)
-    return EXIT_OK
+def _risk_measure(problem: Problem, args: argparse.Namespace) -> dict:
+    rep = risk.risk_measure(problem.rv(), args.p, tolerances=problem.tolerance_profile())
+    return {"task": "risk-measure", "p": rep.p,
+            "distribution": rep.distribution,
+            "closed_form": rep.closed_form,
+            "sweep_infimum": rep.sweep_infimum,
+            "achiever": rep.achiever,
+            "candidates": list(rep.candidates)}
 
 
-def _run_rl(problem: Problem, out: str | None) -> int:
-    f = problem.function_spec()
-    alpha = float(problem.need("alpha"))
-    side = problem.params.get("side", "left")
-    x = float(problem.need("x"))
-    a = problem.params.get("a")
-    b = problem.params.get("b")
+def _risk_compare(problem: Problem, args: argparse.Namespace) -> dict:
+    l = problem.function_spec()
+    f = function_from_descriptor(args.baseline)
+    tol = problem.tolerance_profile()
+    comp = risk.certify_p_more_risk_averse(l, f, args.p, args.horizon, tolerances=tol)
+    directed = comp.certificate.witness.point if comp.certificate.witness else None
+    hit = risk.falsify_p_more_risk_averse(l, f, args.p, args.trials, args.seed,
+                                          args.horizon, directed_from=directed,
+                                          tolerances=tol)
+    payload: dict[str, Any] = {
+        "task": "risk-compare", "p": args.p,
+        "loss": l.label, "baseline": f.label,
+        "holds": comp.holds,
+        "certificate": convexity.certificate_to_dict(comp.certificate),
+    }
+    if hit is not None:
+        payload["falsifier"] = {
+            "lottery": distribution_to_descriptor(hit.lottery),
+            "threshold": hit.threshold,
+            "margin": hit.margin,
+        }
+    return payload
+
+
+def _mgf(problem: Problem, args: argparse.Namespace) -> list[tuple]:
+    X = problem.rv()
+    s, p = args.s, args.p
+    tol = problem.tolerance_profile()
+    rows = []
+    if args.kind in ("lower", "both"):
+        rep = mgf.mgf_lower(X, s, p, tol)
+        rows.append(("lower", s, p, rep.lower, rep.exact, rep.exact - rep.lower))
+    if args.kind in ("upper", "both"):
+        rep = mgf.mgf_upper(X, s, p, tol)
+        rows.append(("upper", s, p, rep.upper, rep.exact, rep.upper - rep.exact))
+    return rows
+
+
+def _amgm(problem: Problem, args: argparse.Namespace) -> list[tuple]:
+    X = problem.rv()
+    value = mgf.am_gm_lower(X, args.p, problem.tolerance_profile())
+    mean = X.mean()
+    return [(args.p, value, mean, mean - value)]
+
+
+def _em_demo(problem: Problem, args: argparse.Namespace) -> list[tuple]:
+    data = mgf.generate_mixture_data(args.samples, args.dims, args.seed)
+    return list(mgf.em_demo(data, args.iters, args.seed).rows)
+
+
+def _rl(problem: Problem, args: argparse.Namespace) -> list[tuple]:
     interval = None
-    if a is not None and b is not None:
-        interval = (float(a), float(b))
-    value = hermite.rl_integral(f, alpha, side, x, interval)
-    _emit(_write_csv(("alpha", "side", "x", "value"), [(alpha, side, x, value)]), out)
-    return EXIT_OK
+    if args.a is not None and args.b is not None:
+        interval = (args.a, args.b)
+    value = hermite.rl_integral(problem.function_spec(), args.alpha, args.side,
+                                args.x, interval)
+    return [(args.alpha, args.side, args.x, value)]
 
 
 # ---------------------------------------------------------------------------
@@ -391,93 +302,250 @@ def _map_cells(fn, cells):
         return list(pool.map(fn, cells))  # ordering fixed by input order
 
 
-def _sweep_hh(problem: Problem) -> tuple[tuple[str, ...], list[tuple]]:
+def _sweep_hh(problem: Problem, args: argparse.Namespace) -> list[tuple]:
     desc = problem.function or {"family": "shifted-power",
                                 "params": {"q": 8.0, "a": 0.0}, "domain": [0.0, 1.0]}
     f = function_from_descriptor(desc)
-    tol = _tolerances_from(problem.tolerances)
-    a, b = _interval(problem, f)
-    ps = range(1, int(problem.params.get("p_max", 6)) + 1)
+    tol = problem.tolerance_profile()
+    a, b = _interval(problem.params, f)
 
     def cell(p: int) -> tuple:
-        cert = convexity.certify_p_convex(f, p - 1, a, b, 512, tol)
+        cert = convexity.certify_p_convex(f, p - 1, a, b, SWEEP_GRID, tol)
         rep = hermite.hh_bounds(f, cert, p)
         return (p, rep.mid - rep.lower, rep.upper - rep.mid)
 
-    return ("p", "lower_gap", "upper_gap"), _map_cells(cell, list(ps))
+    return _map_cells(cell, list(range(1, (args.p_max or 6) + 1)))
 
 
-def _sweep_jensen(problem: Problem) -> tuple[tuple[str, ...], list[tuple]]:
+def _sweep_jensen(problem: Problem, args: argparse.Namespace) -> list[tuple]:
     desc = problem.function or {"family": "shifted-power",
                                 "params": {"q": 6.0, "a": 0.0}, "domain": [0.0, 1.0]}
     f = function_from_descriptor(desc)
     dist = problem.distribution or {"kind": "discrete", "atoms": [0.0, 0.5, 1.0],
                                     "probs": [0.25, 0.5, 0.25]}
     X = distribution_from_descriptor(dist)
-    tol = _tolerances_from(problem.tolerances)
-    a, b = _interval(problem, f)
-    ps = range(1, int(problem.params.get("p_max", 4)) + 1)
+    tol = problem.tolerance_profile()
+    a, b = _interval(problem.params, f)
 
     def cell(p: int) -> tuple:
-        cert = convexity.certify_p_convex(f, p, a, b, 512, tol)
+        cert = convexity.certify_p_convex(f, p, a, b, SWEEP_GRID, tol)
         lo = jensen.jensen_lower(f, cert, X, tolerances=tol)
         hi = jensen.jensen_upper(f, cert, X, tolerances=tol)
         return (p, lo.gap_to_oracle, hi.gap_to_oracle)
 
-    return ("p", "lower_gap", "upper_gap"), _map_cells(cell, list(ps))
+    return _map_cells(cell, list(range(1, (args.p_max or 4) + 1)))
 
 
-def _sweep_mgf(problem: Problem) -> tuple[tuple[str, ...], list[tuple]]:
+def _sweep_mgf(problem: Problem, args: argparse.Namespace) -> list[tuple]:
     dist = problem.distribution or {"kind": "discrete", "atoms": [0.0, 1.0],
                                     "probs": [0.5, 0.5]}
     X = distribution_from_descriptor(dist)
-    p = int(problem.params.get("p", 2))
-    tol = _tolerances_from(problem.tolerances)
-    ss = [0.25 * k for k in range(13)]
+    p = 2 if args.p is None else args.p
+    tol = problem.tolerance_profile()
 
     def cell(s: float) -> tuple:
         lo = mgf.mgf_lower(X, s, p, tol)
         hi = mgf.mgf_upper(X, s, p, tol)
         return (s, lo.exact - lo.lower, hi.upper - hi.exact)
 
-    return ("s", "lower_gap", "upper_gap"), _map_cells(cell, ss)
+    return _map_cells(cell, [0.25 * k for k in range(13)])
 
 
-_SUITES = {"hh": _sweep_hh, "jensen": _sweep_jensen, "mgf": _sweep_mgf}
+# suite -> (its first column, its rows)
+_SUITES = {"hh": ("p", _sweep_hh), "jensen": ("p", _sweep_jensen),
+           "mgf": ("s", _sweep_mgf)}
 
 
-def _run_sweep(problem: Problem, out: str | None) -> int:
-    suite = problem.params.get("suite", "hh")
-    if suite not in _SUITES:
-        raise InputFormatError(f"--suite must be one of {sorted(_SUITES)}, got {suite!r}")
-    header, rows = _SUITES[suite](problem)
-    csv_text = _write_csv(header, rows)
-    _emit(csv_text, out)
-    plot = problem.params.get("plot")
-    if plot:
-        svg = render_gap_plot(csv_text, title=f"{suite} sweep")
-        with open(plot, "w", newline="") as fh:
+def _sweep(problem: Problem, args: argparse.Namespace) -> str:
+    column, rows = _SUITES[args.suite]
+    csv_text = _write_csv((column, "lower_gap", "upper_gap"), rows(problem, args))
+    if args.plot:
+        svg = render_gap_plot(csv_text, title=f"{args.suite} sweep")
+        with open(args.plot, "w", newline="") as fh:
             fh.write(svg)
-    return EXIT_OK
+    return csv_text
 
 
-_HANDLERS = {
-    "certify": _run_certify,
-    "bound": _run_bound,
-    "risk-measure": _run_risk_measure,
-    "risk-compare": _run_risk_compare,
-    "mgf": _run_mgf,
-    "amgm": _run_amgm,
-    "em-demo": _run_em_demo,
-    "hh": _run_hh,
-    "hh-fractional": _run_hh_fractional,
-    "rl": _run_rl,
-    "sweep": _run_sweep,
+# ---------------------------------------------------------------------------
+# The task table
+# ---------------------------------------------------------------------------
+
+
+class _Flag(NamedTuple):
+    """One task flag: argparse names and options, and the params key its
+    value is stored under (the dest unless given), read through `load`."""
+
+    names: tuple[str, ...]
+    options: dict
+    param: str | None = None
+    load: Callable[[Any], Any] | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.options.get("dest") or self.names[-1].lstrip("-").replace("-", "_")
+
+    @property
+    def key(self) -> str:
+        return self.param or self.dest
+
+
+def _flag(*names: str, param: str | None = None, load=None, **options) -> _Flag:
+    return _Flag(names, options, param, load)
+
+
+def _csv(header: Sequence[str], row: Callable[[Any], tuple] | None = None):
+    """Formatter for a fixed CSV header: one report through `row`, or rows."""
+    return lambda result: _write_csv(header, [row(result)] if row else result)
+
+
+@dataclass(frozen=True)
+class _Task:
+    """One subcommand.  `run(problem, args)` computes the report and
+    `format` renders it.  With `certify`, which maps the args to the
+    (class, order) to certify, `run(problem, args, f, certificate)` follows
+    the certification and a CertificateError from it exits 2."""
+
+    command: tuple[str, ...]
+    help: str
+    inputs: str  # descriptor flags it takes: "f" (-f) and/or "d" (-d)
+    flags: tuple[_Flag, ...]
+    run: Callable[..., Any]
+    format: Callable[[Any], str]
+    certify: Callable[[argparse.Namespace], tuple[str, int]] | None = None
+
+    def arguments(self, problem: Problem) -> argparse.Namespace:
+        """The problem's params as the parser would deliver them: typed,
+        defaulted and checked against their choices (problem files do not
+        pass through the parser)."""
+        args = argparse.Namespace()
+        for flag in self.flags:
+            value = problem.params.get(flag.key)
+            opts = flag.options
+            if value is None:
+                if opts.get("required"):
+                    raise InputFormatError(
+                        f"task {problem.task}: missing parameter {flag.key!r}")
+                value = opts.get("default")
+            elif "choices" in opts and value not in opts["choices"]:
+                raise InputFormatError(
+                    f"task {problem.task}: {flag.key} must be one of "
+                    f"{list(opts['choices'])}, got {value!r}")
+            elif "type" in opts:
+                try:
+                    value = opts["type"](value)
+                except (TypeError, ValueError):
+                    raise InputFormatError(
+                        f"task {problem.task}: bad value {value!r} for {flag.key!r}")
+            setattr(args, flag.dest, value)
+        return args
+
+
+_P = _flag("-p", type=int, required=True)
+_A = _flag("-a", type=float)
+_B = _flag("-b", type=float)
+_GRID = _flag("--grid", type=int, default=convexity.DEFAULT_GRID)
+_ALPHA = _flag("--alpha", type=float, required=True)
+_SEED = _flag("--seed", type=int, default=42)
+
+_TASKS: dict[str, _Task] = {
+    "certify": _Task(
+        ("certify",), "numerically certify class membership "
+                      "(left-anchored I, right-anchored D, loss class Lp)", "f",
+        (_flag("--class", dest="klass", required=True, choices=("I", "D", "Lp"),
+               param="class"),
+         _flag("-p", type=int, required=True, help="certification order"),
+         _flag("-a", type=float, help="interval start (default: domain)"),
+         _flag("-b", type=float, help="interval end (default: domain)"),
+         _flag("--horizon", type=float, help="loss-class horizon (Lp only)"),
+         _GRID),
+        lambda problem, args, f, cert: convexity.certificate_to_dict(cert),
+        _json_text, certify=lambda args: (args.klass, args.p)),
+    "bound": _Task(
+        ("bound",), "tightened Jensen bound on E f(X): the norm-shifted lower "
+                    "bound, the moment-weighted endpoint upper bound, or the "
+                    "concave-direction variant", "fd",
+        (_P, _flag("--kind", choices=tuple(_BOUNDS), default="lower"), _A, _B, _GRID),
+        _bound, _csv(_BOUND_HEADER, _bound_row),
+        certify=lambda args: ("D" if args.kind == "lower-decreasing" else "I", args.p)),
+    "risk-measure": _Task(
+        ("risk", "measure"), "worst-case certainty equivalent: "
+                             "the (p+1)-norm with a certified sweep", "d",
+        (_P,), _risk_measure, _json_text),
+    "risk-compare": _Task(
+        ("risk", "compare"), "certify/falsify that one loss function "
+                             "is p-more risk averse than another", "f",
+        (_flag("--baseline", metavar="FILE", required=True, load=_load_json,
+               help="JSON descriptor of the less risk-averse loss function"),
+         _P, _flag("--horizon", type=float, default=10.0),
+         _flag("--trials", type=int, default=10_000), _SEED),
+        _risk_compare, _json_text),
+    "mgf": _Task(
+        ("mgf",), "moment-based lower/upper bounds on the "
+                  "moment generating function E exp(sX)", "d",
+        (_flag("-s", type=float, required=True), _P,
+         _flag("--kind", choices=("lower", "upper", "both"), default="both")),
+        _mgf, _csv(("kind", "s", "p", "value", "exact", "gap"))),
+    "amgm": _Task(
+        ("amgm",), "generalized arithmetic-geometric-mean lower "
+                   "bound on E X from moments of ln X", "d",
+        (_P,), _amgm, _csv(("p", "value", "mean", "gap"))),
+    "em-demo": _Task(
+        ("em-demo",), "Bernoulli-mixture EM logging the exact "
+                      "log-likelihood, the classical ELBO and the "
+                      "tightened minorant per iteration", "",
+        (_flag("--samples", type=int, default=60), _flag("--dims", type=int, default=6),
+         _flag("--iters", type=int, default=15), _SEED),
+        _em_demo, _csv(("iter", "loglik", "elbo_classical", "elbo_tight"))),
+    "hh": _Task(
+        ("hh",), "generalized integral-average (Hermite-Hadamard "
+                 "type) sandwich for certified functions", "f",
+        (_P, _A, _B, _GRID),
+        lambda problem, args, f, cert: hermite.hh_bounds(f, cert, args.p),
+        _csv(_HH_HEADER, _hh_row), certify=lambda args: ("I", args.p - 1)),
+    "hh-fractional": _Task(
+        ("hh-fractional",), "fractional-integral version of the "
+                            "integral-average sandwich with the "
+                            "gamma-ratio endpoint weight", "f",
+        (_P, _ALPHA, _A, _B, _GRID),
+        lambda problem, args, f, cert: hermite.fractional_hh_bounds(
+            f, cert, args.p, args.alpha),
+        _csv(_HH_HEADER, _hh_row), certify=lambda args: ("I", args.p - 1)),
+    "rl": _Task(
+        ("rl",), "Riemann-Liouville fractional integral of a "
+                 "catalog function at a point", "f",
+        (_ALPHA, _flag("--side", choices=("left", "right"), default="left"),
+         _flag("-x", type=float, required=True), _A, _B),
+        _rl, _csv(("alpha", "side", "x", "value"))),
+    "sweep": _Task(
+        ("sweep",), "run a bound suite over its parameter grid "
+                    "and emit gap curves (CSV, optional SVG)", "fd",
+        (_flag("--suite", choices=sorted(_SUITES), default="hh"),
+         _flag("-p", type=int, help="fixed order for the mgf suite"),
+         _flag("--p-max", type=int, help="top order for hh/jensen suites"),
+         _flag("--plot", metavar="FILE", help="also render the gap curves to SVG"),
+         _SEED),
+        _sweep, str),
 }
+
+_GROUP_HELP = {"risk": "worst-case certainty equivalent over the "
+                       "loss class, or graded more-risk-averse comparison"}
 
 
 def run_problem(problem: Problem, out: str | None = None) -> int:
-    return _HANDLERS[problem.task](problem, out)
+    task = _TASKS[problem.task]
+    args = task.arguments(problem)
+    if task.certify is None:
+        result = task.run(problem, args)
+    else:
+        f = problem.function_spec()
+        cert = _certify(problem, args, f, *task.certify(args))
+        try:
+            result = task.run(problem, args, f, cert)
+        except CertificateError as exc:
+            sys.stderr.write(f"certificate failed: {exc}\n")
+            return EXIT_CERT_FAILED
+    _emit(task.format(result), out)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -485,12 +553,20 @@ def run_problem(problem: Problem, out: str | None = None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, *, function: bool = False,
-                distribution: bool = False) -> None:
-    if function:
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InputFormatError (exit 1) instead of exiting 2,
+    which is reserved for failing certificates."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise InputFormatError(f"{self.prog}: {message}")
+
+
+def _add_common(sub: argparse.ArgumentParser, inputs: str) -> None:
+    if "f" in inputs:
         sub.add_argument("-f", "--function", metavar="FILE",
                          help="JSON function descriptor")
-    if distribution:
+    if "d" in inputs:
         sub.add_argument("-d", "--distribution", metavar="FILE",
                          help="JSON distribution descriptor")
     sub.add_argument("--out", metavar="FILE", help="write the report here (default stdout)")
@@ -501,160 +577,60 @@ def _add_common(sub: argparse.ArgumentParser, *, function: bool = False,
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pconvex",
         description="Certify membership in higher-order convexity classes and "
                     "compute the tightened Jensen, risk, MGF, log-likelihood "
                     "and integral-average bounds they induce.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("certify", help="numerically certify class membership "
-                                        "(left-anchored I, right-anchored D, loss class Lp)")
-    _add_common(s, function=True)
-    s.add_argument("--class", dest="klass", required=True, choices=("I", "D", "Lp"))
-    s.add_argument("-p", type=int, required=True, help="certification order")
-    s.add_argument("-a", type=float, help="interval start (default: domain)")
-    s.add_argument("-b", type=float, help="interval end (default: domain)")
-    s.add_argument("--horizon", type=float, help="loss-class horizon (Lp only)")
-    s.add_argument("--grid", type=int, default=convexity.DEFAULT_GRID)
-
-    s = subs.add_parser("bound", help="tightened Jensen bound on E f(X): the "
-                                      "norm-shifted lower bound, the moment-weighted "
-                                      "endpoint upper bound, or the concave-direction variant")
-    _add_common(s, function=True, distribution=True)
-    s.add_argument("-p", type=int, required=True)
-    s.add_argument("--kind", choices=("lower", "upper", "lower-decreasing"),
-                   default="lower")
-    s.add_argument("-a", type=float)
-    s.add_argument("-b", type=float)
-    s.add_argument("--grid", type=int, default=convexity.DEFAULT_GRID)
-
-    s = subs.add_parser("risk", help="worst-case certainty equivalent over the "
-                                     "loss class, or graded more-risk-averse comparison")
-    risk_subs = s.add_subparsers(dest="risk_command", required=True)
-    sm = risk_subs.add_parser("measure", help="worst-case certainty equivalent: "
-                                              "the (p+1)-norm with a certified sweep")
-    _add_common(sm, distribution=True)
-    sm.add_argument("-p", type=int, required=True)
-    sc = risk_subs.add_parser("compare", help="certify/falsify that one loss function "
-                                              "is p-more risk averse than another")
-    _add_common(sc, function=True)
-    sc.add_argument("--baseline", metavar="FILE", required=True,
-                    help="JSON descriptor of the less risk-averse loss function")
-    sc.add_argument("-p", type=int, required=True)
-    sc.add_argument("--horizon", type=float, default=10.0)
-    sc.add_argument("--trials", type=int, default=10_000)
-    sc.add_argument("--seed", type=int, default=42)
-
-    s = subs.add_parser("mgf", help="moment-based lower/upper bounds on the "
-                                    "moment generating function E exp(sX)")
-    _add_common(s, distribution=True)
-    s.add_argument("-s", type=float, required=True)
-    s.add_argument("-p", type=int, required=True)
-    s.add_argument("--kind", choices=("lower", "upper", "both"), default="both")
-
-    s = subs.add_parser("amgm", help="generalized arithmetic-geometric-mean lower "
-                                     "bound on E X from moments of ln X")
-    _add_common(s, distribution=True)
-    s.add_argument("-p", type=int, required=True)
-
-    s = subs.add_parser("em-demo", help="Bernoulli-mixture EM logging the exact "
-                                        "log-likelihood, the classical ELBO and the "
-                                        "tightened minorant per iteration")
-    _add_common(s)
-    s.add_argument("--samples", type=int, default=60)
-    s.add_argument("--dims", type=int, default=6)
-    s.add_argument("--iters", type=int, default=15)
-    s.add_argument("--seed", type=int, default=42)
-
-    s = subs.add_parser("hh", help="generalized integral-average (Hermite-Hadamard "
-                                   "type) sandwich for certified functions")
-    _add_common(s, function=True)
-    s.add_argument("-p", type=int, required=True)
-    s.add_argument("-a", type=float)
-    s.add_argument("-b", type=float)
-    s.add_argument("--grid", type=int, default=convexity.DEFAULT_GRID)
-
-    s = subs.add_parser("hh-fractional", help="fractional-integral version of the "
-                                              "integral-average sandwich with the "
-                                              "gamma-ratio endpoint weight")
-    _add_common(s, function=True)
-    s.add_argument("-p", type=int, required=True)
-    s.add_argument("--alpha", type=float, required=True)
-    s.add_argument("-a", type=float)
-    s.add_argument("-b", type=float)
-    s.add_argument("--grid", type=int, default=convexity.DEFAULT_GRID)
-
-    s = subs.add_parser("rl", help="Riemann-Liouville fractional integral of a "
-                                   "catalog function at a point")
-    _add_common(s, function=True)
-    s.add_argument("--alpha", type=float, required=True)
-    s.add_argument("--side", choices=("left", "right"), default="left")
-    s.add_argument("-x", type=float, required=True)
-    s.add_argument("-a", type=float)
-    s.add_argument("-b", type=float)
-
-    s = subs.add_parser("sweep", help="run a bound suite over its parameter grid "
-                                      "and emit gap curves (CSV, optional SVG)")
-    _add_common(s, function=True, distribution=True)
-    s.add_argument("--suite", choices=sorted(_SUITES), default="hh")
-    s.add_argument("-p", type=int, help="fixed order for the mgf suite")
-    s.add_argument("--p-max", type=int, help="top order for hh/jensen suites")
-    s.add_argument("--plot", metavar="FILE", help="also render the gap curves to SVG")
-    s.add_argument("--seed", type=int, default=42)
+    groups: dict[str, Any] = {}
+    for name, task in _TASKS.items():
+        where = subs
+        if len(task.command) == 2:
+            group = task.command[0]
+            if group not in groups:
+                groups[group] = subs.add_parser(group, help=_GROUP_HELP[group]) \
+                    .add_subparsers(dest=f"{group}_command", required=True)
+            where = groups[group]
+        sub = where.add_parser(task.command[-1], help=task.help)
+        _add_common(sub, task.inputs)
+        for flag in task.flags:
+            sub.add_argument(*flag.names, **flag.options)
+        sub.set_defaults(task=name)
 
     s = subs.add_parser("run", help="execute a canonical problem file")
     s.add_argument("problem", metavar="PROBLEM.json")
     s.add_argument("--out", metavar="FILE")
     s.add_argument("--plot", metavar="FILE")
-
     return parser
 
 
 def _problem_from_args(args: argparse.Namespace) -> Problem:
-    command = args.command
-    task = command
     params: dict[str, Any] = {}
-    if command == "risk":
-        task = f"risk-{args.risk_command}"
-
-    for key in ("p", "a", "b", "s", "alpha", "x", "grid", "horizon", "trials",
-                "seed", "iters", "samples", "dims", "suite", "plot"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            params[key] = getattr(args, key)
-    if hasattr(args, "klass"):
-        params["class"] = args.klass
-    if hasattr(args, "kind") and args.kind is not None:
-        params["kind"] = args.kind
-    if hasattr(args, "side") and args.side is not None:
-        params["side"] = args.side
-    if getattr(args, "p_max", None) is not None:
-        params["p_max"] = args.p_max
-    if getattr(args, "baseline", None):
-        params["baseline"] = _load_json(args.baseline)
-
+    for flag in _TASKS[args.task].flags:
+        value = getattr(args, flag.dest)
+        if value is not None:
+            params[flag.key] = flag.load(value) if flag.load else value
     function = _load_json(args.function) if getattr(args, "function", None) else None
     distribution = (_load_json(args.distribution)
                     if getattr(args, "distribution", None) else None)
-    tolerances = (_load_json(args.tolerance_profile)
-                  if getattr(args, "tolerance_profile", None) else None)
-    return Problem(task=task, function=function, distribution=distribution,
+    tolerances = _load_json(args.tolerance_profile) if args.tolerance_profile else None
+    return Problem(task=args.task, function=function, distribution=distribution,
                    params=params, tolerances=tolerances)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "run":
             problem = Problem.load(_load_json(args.problem))
-            if getattr(args, "plot", None):
+            if args.plot:
                 problem.params["plot"] = args.plot
             return run_problem(problem, args.out)
         problem = _problem_from_args(args)
-        if getattr(args, "dump_canonical", None):
+        if args.dump_canonical:
             problem.dump(args.dump_canonical)
-        return run_problem(problem, getattr(args, "out", None))
+        return run_problem(problem, args.out)
     except InputFormatError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_ERROR

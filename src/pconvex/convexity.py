@@ -24,9 +24,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CertificateError, DomainError
 from .functions import FunctionSpec
-from .numerics import DEFAULT_TOLERANCES, ToleranceProfile
+from .numerics import DEFAULT_TOLERANCES, ToleranceProfile, _order
 
 __all__ = [
     "ConvexityCertificate",
@@ -95,33 +95,58 @@ def certificate_to_dict(cert: ConvexityCertificate) -> dict:
     return out
 
 
-class _Evidence:
-    """Accumulates per-condition margins and the worst violation."""
+def _certify(klass: str, p: int, interval: tuple[float, float], grid_size: int,
+             slack: float, provenance: str, label: str,
+             checks: list[tuple[str, np.ndarray, np.ndarray]]) -> ConvexityCertificate:
+    """Decide the verdict from an ordered list of (condition, values, points).
 
-    def __init__(self, slack: float):
-        self.slack = slack
-        self.margins: dict[str, float] = {}
-        self.worst: Witness | None = None
-
-    def record(self, condition: str, margin: float, point: float) -> None:
-        margin = float(margin)
-        if condition not in self.margins or margin < self.margins[condition]:
-            self.margins[condition] = margin
-        if margin < -self.slack and (self.worst is None or margin < self.worst.margin):
-            self.worst = Witness(point=float(point), condition=condition, margin=margin)
-
-    def record_grid(self, condition: str, values: np.ndarray, points: np.ndarray) -> None:
+    Each condition's margin is its minimum value (the first NaN, if any, and
+    the first point on ties).  A condition fails when its margin is below
+    -slack or is not finite; the witness is the first failure with the
+    lowest margin, a non-finite margin ranking lowest.
+    """
+    margins: dict[str, float] = {}
+    worst: Witness | None = None
+    for condition, values, points in checks:
         idx = int(np.argmin(values))
-        self.record(condition, float(values[idx]), float(points[idx]))
+        margin = float(values[idx])
+        margins[condition] = margin
+        if math.isfinite(margin) and margin >= -slack:
+            continue
+        if worst is None or _rank(margin) < _rank(worst.margin):
+            worst = Witness(point=float(points[idx]), condition=condition, margin=margin)
+    return ConvexityCertificate(
+        klass=klass, p=p, interval=interval, grid_size=grid_size,
+        verdict="pass" if worst is None else "fail", witness=worst,
+        derivative_provenance=provenance, slack_used=slack,
+        margins=margins, label=label)
 
-    def verdict(self) -> str:
-        return "fail" if self.worst is not None else "pass"
+
+def _rank(margin: float) -> float:
+    return margin if math.isfinite(margin) else -math.inf
 
 
 def _slack_for(f: FunctionSpec, tolerances: ToleranceProfile) -> tuple[float, str]:
     if f.provenance == "analytic":
         return tolerances.certify_slack, "analytic"
     return tolerances.certify_slack * NUMERIC_SLACK_FACTOR, f.provenance
+
+
+def _grid(lo: float, hi: float, grid_size: int) -> tuple[np.ndarray, float]:
+    if grid_size < 2:
+        raise DomainError(f"grid_size must be >= 2, got {grid_size}")
+    return np.linspace(lo, hi, grid_size + 1), (hi - lo) / grid_size
+
+
+def _interval(a: float, b: float) -> tuple[float, float]:
+    a, b = float(a), float(b)
+    if not a < b:
+        raise DomainError(f"need a < b, got [{a}, {b}]")
+    return a, b
+
+
+def _point(condition: str, margin: float, x: float) -> tuple[str, np.ndarray, np.ndarray]:
+    return condition, np.array([margin]), np.array([x])
 
 
 def _second_differences(values: np.ndarray, h: float) -> np.ndarray:
@@ -146,47 +171,32 @@ def certify_p_convex(f: FunctionSpec, p: int, a: float, b: float,
 
     For p = 0 only plain convexity is checked.
     """
-    p = int(p)
-    if p < 0:
-        raise DomainError(f"order p must be >= 0, got {p}")
-    a, b = float(a), float(b)
-    if not a < b:
-        raise DomainError(f"need a < b, got [{a}, {b}]")
-    slack, provenance = _slack_for(f, tolerances)
-    ev = _Evidence(slack)
-    xs = np.linspace(a, b, grid_size + 1)
-    h = (b - a) / grid_size
-
+    p = _order(p, 0)
+    a, b = _interval(a, b)
+    xs, h = _grid(a, b, grid_size)
     analytic = f.analytic_depth
 
-    for k in range(1, p + 1):
-        val = float(f.derivative(k)(a))
-        ev.record(f"boundary f^({k})(a)=0", -abs(val), a)
-
+    checks = [_point(f"boundary f^({k})(a)=0", -abs(float(f.derivative(k)(a))), a)
+              for k in range(1, p + 1)]
     if p == 0:
         if analytic >= 2:
-            ev.record_grid("convexity f^(2)>=0", f.eval_on(xs, 2), xs)
+            checks.append(("convexity f^(2)>=0", f.eval_on(xs, 2), xs))
         else:
-            d2 = _second_differences(f.eval_on(xs, 0), h)
-            ev.record_grid("convexity d2f>=0", d2, xs[1:-1])
+            checks.append(("convexity d2f>=0",
+                           _second_differences(f.eval_on(xs, 0), h), xs[1:-1]))
     else:
         if analytic >= p + 1:
-            ev.record_grid(f"increasing f^({p + 1})>=0", f.eval_on(xs, p + 1), xs)
+            checks.append((f"increasing f^({p + 1})>=0", f.eval_on(xs, p + 1), xs))
         else:
-            d1 = _first_differences(f.eval_on(xs, p), h)
-            ev.record_grid(f"increasing df^({p})>=0", d1, xs[:-1])
+            checks.append((f"increasing df^({p})>=0",
+                           _first_differences(f.eval_on(xs, p), h), xs[:-1]))
         if analytic >= p + 2 or (f.provenance != "analytic" and f.max_order >= p + 2
                                  and p + 2 <= analytic + 2):
-            ev.record_grid(f"convexity f^({p + 2})>=0", f.eval_on(xs, p + 2), xs)
+            checks.append((f"convexity f^({p + 2})>=0", f.eval_on(xs, p + 2), xs))
         else:
-            d2 = _second_differences(f.eval_on(xs, p), h)
-            ev.record_grid(f"convexity d2f^({p})>=0", d2, xs[1:-1])
-
-    return ConvexityCertificate(
-        klass="I", p=p, interval=(a, b), grid_size=grid_size,
-        verdict=ev.verdict(), witness=ev.worst,
-        derivative_provenance=provenance, slack_used=slack,
-        margins=ev.margins, label=f.label)
+            checks.append((f"convexity d2f^({p})>=0",
+                           _second_differences(f.eval_on(xs, p), h), xs[1:-1]))
+    return _certify("I", p, (a, b), grid_size, *_slack_for(f, tolerances), f.label, checks)
 
 
 def certify_p_concave(f: FunctionSpec, p: int, a: float, b: float,
@@ -199,43 +209,26 @@ def certify_p_concave(f: FunctionSpec, p: int, a: float, b: float,
     This is the sign convention the downstream likelihood bound actually
     uses; the mirrored all-decreasing convention is not implemented.
     """
-    p = int(p)
-    if p < 1:
-        raise DomainError(f"order p must be >= 1, got {p}")
-    a, b = float(a), float(b)
-    if not a < b:
-        raise DomainError(f"need a < b, got [{a}, {b}]")
-    slack, provenance = _slack_for(f, tolerances)
-    ev = _Evidence(slack)
-    xs = np.linspace(a, b, grid_size + 1)
-    h = (b - a) / grid_size
+    p = _order(p, 1)
+    a, b = _interval(a, b)
+    xs, h = _grid(a, b, grid_size)
 
-    for k in range(1, p + 1):
-        val = float(f.derivative(k)(b))
-        ev.record(f"boundary f^({k})(b)=0", -abs(val), b)
-
+    checks = [_point(f"boundary f^({k})(b)=0", -abs(float(f.derivative(k)(b))), b)
+              for k in range(1, p + 1)]
     for k in range(1, p + 3):
         sign = 1.0 if k % 2 == 1 else -1.0
         cond = f"sign (-1)^({k}+1) f^({k})>=0"
         if k <= f.analytic_depth:
-            ev.record_grid(cond, sign * f.eval_on(xs, k), xs)
-        elif k - 1 <= f.analytic_depth:
-            d1 = sign * _first_differences(f.eval_on(xs, k - 1), h)
-            ev.record_grid(cond + " (differenced)", d1, xs[:-1])
-        else:
-            base = min(k - 2, f.analytic_depth)
-            diffs = f.eval_on(xs, base)
-            step = k - base
-            for _ in range(step - 1):
-                diffs = _first_differences(diffs, h)
-            d1 = sign * _first_differences(diffs, h)
-            ev.record_grid(cond + f" ({step}x differenced)", d1, xs[: len(d1)])
-
-    return ConvexityCertificate(
-        klass="D", p=p, interval=(a, b), grid_size=grid_size,
-        verdict=ev.verdict(), witness=ev.worst,
-        derivative_provenance=provenance, slack_used=slack,
-        margins=ev.margins, label=f.label)
+            checks.append((cond, sign * f.eval_on(xs, k), xs))
+            continue
+        # past the analytic stack: repeated first differences of its top entry
+        step = k - f.analytic_depth
+        diffs = f.eval_on(xs, f.analytic_depth)
+        for _ in range(step):
+            diffs = _first_differences(diffs, h)
+        how = " (differenced)" if step == 1 else f" ({step}x differenced)"
+        checks.append((cond + how, sign * diffs, xs[: len(diffs)]))
+    return _certify("D", p, (a, b), grid_size, *_slack_for(f, tolerances), f.label, checks)
 
 
 def certify_loss_class(l: FunctionSpec, p: int, horizon: float,
@@ -249,37 +242,43 @@ def certify_loss_class(l: FunctionSpec, p: int, horizon: float,
     positivity; the default strictness 0 admits pure powers whose top
     derivatives vanish identically, which the closed-form achiever needs.
     """
-    p = int(p)
-    if p < 1:
-        raise DomainError(f"order p must be >= 1, got {p}")
+    p = _order(p, 1)
     horizon = float(horizon)
     lo = max(l.domain[0], 0.0)
     if not horizon > lo:
         raise DomainError(f"horizon {horizon} must exceed domain start {lo}")
-    slack, provenance = _slack_for(l, tolerances)
-    ev = _Evidence(slack)
-    xs = np.linspace(lo, horizon, grid_size + 1)
+    xs, _ = _grid(lo, horizon, grid_size)
 
     d1 = l.eval_on(xs, 1)
     d2 = l.eval_on(xs, 2)
-    ev.record_grid("curvature l''(x)x - p l'(x)>=0", d2 * xs - p * d1, xs)
-
+    checks = [("curvature l''(x)x - p l'(x)>=0", d2 * xs - p * d1, xs)]
     interior = xs > 1e-6
     xi = xs[interior]
     for k in range(1, p + 3):
         vals = l.eval_on(xi, k) if k > 2 else (d1[interior] if k == 1 else d2[interior])
-        ev.record_grid(f"positivity l^({k})>={strictness:g}", vals - strictness, xi)
-
-    return ConvexityCertificate(
-        klass="Lp", p=p, interval=(lo, horizon), grid_size=grid_size,
-        verdict=ev.verdict(), witness=ev.worst,
-        derivative_provenance=provenance, slack_used=slack,
-        margins=ev.margins, label=l.label)
+        checks.append((f"positivity l^({k})>={strictness:g}", vals - strictness, xi))
+    return _certify("Lp", p, (lo, horizon), grid_size, *_slack_for(l, tolerances),
+                    l.label, checks)
 
 
 def _require_passing_i(cert: ConvexityCertificate, where: str) -> None:
     if cert.klass != "I" or not cert.passed:
         raise DomainError(f"{where} needs a passing left-anchored certificate")
+
+
+def _require_certificate(cert: ConvexityCertificate, klass: str, where: str,
+                         p: int | None = None) -> None:
+    """The hypothesis check of every bound: a passing class-`klass`
+    certificate, at order p when one is given."""
+    if cert.klass != klass:
+        raise CertificateError(
+            f"{where} needs a class-{klass} certificate, got class {cert.klass}")
+    if not cert.passed:
+        w = cert.witness
+        detail = f" (witness: {w.condition} at x={w.point:.6g})" if w else ""
+        raise CertificateError(f"{where} invoked with a failing certificate{detail}")
+    if p is not None and cert.p != p:
+        raise CertificateError(f"{where} needs certification order {p}, got {cert.p}")
 
 
 def check_power_transform_convex(f: FunctionSpec, cert: ConvexityCertificate,
@@ -297,20 +296,12 @@ def check_power_transform_convex(f: FunctionSpec, cert: ConvexityCertificate,
     a, b = cert.interval
     p = cert.p
     slack, provenance = _slack_for(f, tolerances)
-    y_hi = (b - a) ** (p + 1)
-    ys = np.linspace(0.0, y_hi, grid_size + 1)
-    xs = a + ys ** (1.0 / (p + 1))
-    vals = f.eval_on(xs, 0)
-    h = y_hi / grid_size
-    d2 = _second_differences(vals, h)
+    ys, h = _grid(0.0, (b - a) ** (p + 1), grid_size)
+    vals = f.eval_on(a + ys ** (1.0 / (p + 1)), 0)
     scale = max(1.0, float(np.max(np.abs(vals))))
-    ev = _Evidence(slack * scale)
-    ev.record_grid("power-transform convexity d2>=0", d2, ys[1:-1])
-    return ConvexityCertificate(
-        klass="I", p=p, interval=(a, b), grid_size=grid_size,
-        verdict=ev.verdict(), witness=ev.worst,
-        derivative_provenance=provenance, slack_used=slack * scale,
-        margins=ev.margins, label=f"power-transform[{f.label}]")
+    checks = [("power-transform convexity d2>=0", _second_differences(vals, h), ys[1:-1])]
+    return _certify("I", p, (a, b), grid_size, slack * scale, provenance,
+                    f"power-transform[{f.label}]", checks)
 
 
 def check_ratio_monotone(f: FunctionSpec, cert: ConvexityCertificate,
@@ -328,11 +319,11 @@ def check_ratio_monotone(f: FunctionSpec, cert: ConvexityCertificate,
     a, b = cert.interval
     p = cert.p
     slack, provenance = _slack_for(f, tolerances)
+    xs = _grid(a, b, grid_size)[0][1:]
     fa = float(f(a))
-    if abs(fa) > slack:
+    if not abs(fa) <= slack:
         raise DomainError(f"ratio check needs f(a)=0, got f({a}) = {fa}")
 
-    xs = np.linspace(a, b, grid_size + 1)[1:]
     near = (xs - a) < 1e-4 * (b - a)
     g = np.empty_like(xs)
 
@@ -347,12 +338,7 @@ def check_ratio_monotone(f: FunctionSpec, cert: ConvexityCertificate,
             g = g[far]
             xs = xs[far]
 
-    ev = _Evidence(slack)
     diffs = np.diff(g) / np.maximum(1.0, np.abs(g[:-1]))
-    if diffs.size:
-        ev.record_grid("ratio nondecreasing", diffs, xs[:-1])
-    return ConvexityCertificate(
-        klass="I", p=p, interval=(a, b), grid_size=grid_size,
-        verdict=ev.verdict(), witness=ev.worst,
-        derivative_provenance=provenance, slack_used=slack,
-        margins=ev.margins, label=f"ratio[{f.label}]")
+    checks = [("ratio nondecreasing", diffs, xs[:-1])] if diffs.size else []
+    return _certify("I", p, (a, b), grid_size, slack, provenance, f"ratio[{f.label}]",
+                    checks)

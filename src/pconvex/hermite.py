@@ -19,13 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexity import ConvexityCertificate
+from .convexity import ConvexityCertificate, _require_certificate
 from .distributions import expect, fractional_hh_density
-from .errors import CertificateError, DomainError, MonotonicityError
+from .errors import DomainError, MonotonicityError
 from .functions import FunctionSpec, derivative_function, exp_taylor_remainder
 from .numerics import (
     DEFAULT_PLAN,
     QuadraturePlan,
+    _order,
     gamma,
     integrate,
     integrate_jacobi,
@@ -34,6 +35,7 @@ from .numerics import (
 
 __all__ = [
     "HHReport",
+    "abs_derivative",
     "derivative_hh_bound",
     "fractional_hh_bounds",
     "fractional_mid_via_density",
@@ -59,17 +61,6 @@ class HHReport:
     mid_error: float = 0.0
 
 
-def _require_cert(cert: ConvexityCertificate, p: int, where: str) -> None:
-    if cert.klass != "I":
-        raise CertificateError(f"{where} needs a left-anchored (class I) certificate")
-    if not cert.passed:
-        raise CertificateError(f"{where} invoked with a failing certificate")
-    if cert.p != p - 1:
-        raise CertificateError(
-            f"{where} at order p={p} needs certification order p-1={p - 1}, "
-            f"got {cert.p}")
-
-
 def _interior_point(a: float, b: float, weight: float, p: int) -> float:
     """a + weight^(1/p) (b - a), with the root taken in log space."""
     if weight <= 0.0:
@@ -89,10 +80,8 @@ def hh_bounds(f: FunctionSpec, cert: ConvexityCertificate, p: int,
 
     reported next to the classical midpoint/secant pair (the p = 1 case).
     """
-    p = int(p)
-    if p < 1:
-        raise DomainError(f"p must be >= 1, got {p}")
-    _require_cert(cert, p, "hh_bounds")
+    p = _order(p)
+    _require_certificate(cert, "I", "hh_bounds", p - 1)
     a, b = cert.interval
     res = integrate(f.eval_fn, a, b, plan)
     mid = res.value / (b - a)
@@ -113,9 +102,7 @@ def taylor_hh(p: int, b: float) -> tuple[float, float, float]:
 
     where T_k is the exponential's Taylor tail of order k.
     """
-    p = int(p)
-    if p < 1:
-        raise DomainError(f"p must be >= 1, got {p}")
+    p = _order(p)
     b = float(b)
     if not b > 0.0:
         raise DomainError(f"b must be > 0, got {b}")
@@ -140,10 +127,8 @@ def derivative_hh_bound(f: FunctionSpec, cert: ConvexityCertificate, p: int,
     The certificate must cover |f'|; build it with abs_derivative(f), which
     requires f' to be sign-definite on the interval.
     """
-    p = int(p)
-    if p < 1:
-        raise DomainError(f"p must be >= 1, got {p}")
-    _require_cert(cert, p, "derivative_hh_bound")
+    p = _order(p)
+    _require_certificate(cert, "I", "derivative_hh_bound", p - 1)
     a, b = cert.interval
     avg = integrate(f.eval_fn, a, b, plan).value / (b - a)
     lhs = abs(0.5 * (float(f(a)) + float(f(b))) - avg)
@@ -183,9 +168,6 @@ def abs_derivative(f: FunctionSpec, grid_size: int = 512) -> FunctionSpec:
         vectorized=f.vectorized,
         eval_horizon=f.eval_horizon,
     )
-
-
-__all__.append("abs_derivative")
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +214,7 @@ def gamma_coefficient(p: int, alpha: float) -> float:
 
     always in (0, 1]; equals 1/2 for p = 1 at every alpha.
     """
-    p = int(p)
-    if p < 1:
-        raise DomainError(f"p must be >= 1, got {p}")
+    p = _order(p)
     alpha = float(alpha)
     if not alpha > 0.0:
         raise DomainError(f"alpha must be > 0, got {alpha}")
@@ -261,10 +241,8 @@ def fractional_hh_bounds(f: FunctionSpec, cert: ConvexityCertificate, p: int,
 
     alpha = 1 reproduces hh_bounds in all three slots.
     """
-    p = int(p)
-    if p < 1:
-        raise DomainError(f"p must be >= 1, got {p}")
-    _require_cert(cert, p, "fractional_hh_bounds")
+    p = _order(p)
+    _require_certificate(cert, "I", "fractional_hh_bounds", p - 1)
     a, b = cert.interval
     if a < -1e-12:
         raise DomainError(f"the fractional setting needs 0 <= a, got a={a}")

@@ -23,8 +23,9 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable
 
-from .convexity import ConvexityCertificate
+from .convexity import ConvexityCertificate, _require_certificate
 from .distributions import RandomVariable, expect, reflected, shifted_moment
 from .errors import CertificateError, UnboundedSupportError
 from .functions import FunctionSpec
@@ -36,10 +37,6 @@ __all__ = [
     "jensen_lower_decreasing",
     "jensen_upper",
 ]
-
-_KINDS = ("jensen-lower-I", "jensen-upper-I", "jensen-lower-D",
-          "classical-jensen-lower", "classical-secant-upper")
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -84,28 +81,69 @@ def _digest(f: FunctionSpec, X: RandomVariable, p: int, kind: str) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _require(cert: ConvexityCertificate, klass: str, where: str) -> None:
-    if cert.klass != klass:
-        raise CertificateError(
-            f"{where} needs a class-{klass} certificate, got class {cert.klass}")
-    if not cert.passed:
-        w = cert.witness
-        detail = f" (witness: {w.condition} at x={w.point:.6g})" if w else ""
-        raise CertificateError(f"{where} invoked with a failing certificate{detail}")
+def _report(where: str, kind: str, direction: str, klass: str,
+            estimate: Callable[..., tuple[float, float, float]],
+            f: FunctionSpec, cert: ConvexityCertificate, X: RandomVariable,
+            compute_oracle: bool, tolerances: ToleranceProfile) -> BoundReport:
+    """The skeleton shared by every Jensen bound: certificate requirement,
+    support check, mean, estimate, oracle and gaps oriented by direction.
+    The estimate maps (f, X, a, b, p, mean, tolerances) to the bound's value,
+    its classical comparator and the moment error propagated to the value.
 
-
-def _check_support(X: RandomVariable, a: float, b: float, f: FunctionSpec,
-                   tolerances: ToleranceProfile, where: str,
-                   require_bounded: bool = False) -> None:
+    Only the lower bound extends to [a, inf); the others evaluate at the
+    right endpoint and need bounded support.
+    """
+    _require_certificate(cert, klass, where)
+    if cert.p < 1:
+        raise CertificateError(f"{where} needs certification order p >= 1")
+    a, b = cert.interval
+    bounded = direction == "upper"
+    if bounded and not (math.isfinite(b) and X.bounded):
+        raise UnboundedSupportError(f"{where} needs a bounded interval and support")
     eps = tolerances.eq_abs + tolerances.eq_rel * max(1.0, abs(a), abs(b))
     if X.inf < a - eps:
         raise UnboundedSupportError(
             f"{where}: mass below the certified interval ({X.inf} < {a})")
-    if not require_bounded and math.isinf(f.domain[1]):
-        return  # [a, inf) case: only the moment needs to exist
-    if X.sup > b + eps:
+    # on [a, inf) (the lower bound only) just the moment needs to exist
+    if (bounded or not math.isinf(f.domain[1])) and X.sup > b + eps:
         raise UnboundedSupportError(
             f"{where}: mass above the certified interval ({X.sup} > {b})")
+    p = cert.p
+    mean = expect(X, lambda x: x)[0]
+    value, classical, value_error = estimate(f, X, a, b, p, mean, tolerances)
+    oracle = oracle_err = gap = None
+    if compute_oracle:
+        oracle, oracle_err = expect(X, f)
+        gap = oracle - value if direction == "lower" else value - oracle
+    return BoundReport(
+        kind=kind, direction=direction, p=p, interval=(a, b),
+        value=value, oracle=oracle, oracle_error=oracle_err or 0.0,
+        classical=classical, gap_to_oracle=gap,
+        gap_to_classical=value - classical if direction == "lower" else classical - value,
+        inputs_digest=_digest(f, X, p, kind), value_error=value_error)
+
+
+def _shifted_norm(f, X, a, b, p, mean, tolerances):
+    moment = shifted_moment(X, a, p + 1, tolerances)
+    point = a + moment.norm
+    return (float(f(point)), float(f(mean)),
+            _value_error(f, point, moment.error_estimate))
+
+
+def _moment_secant(f, X, a, b, p, mean, tolerances):
+    moment = shifted_moment(X, a, p + 1, tolerances)
+    m = (moment.norm / (b - a)) ** (p + 1)
+    fa, fb = float(f(a)), float(f(b))
+    m1 = min(max((mean - a) / (b - a), 0.0), 1.0)
+    return ((1.0 - m) * fa + m * fb, (1.0 - m1) * fa + m1 * fb,
+            abs(fb - fa) * moment.error_estimate / max((b - a) ** (p + 1), 1e-300))
+
+
+def _reflected_norm(f, X, a, b, p, mean, tolerances):
+    moment = shifted_moment(reflected(X, b), 0.0, p + 1, tolerances)
+    point = b - moment.norm
+    return (float(f(point)), float(f(mean)),
+            _value_error(f, point, moment.error_estimate))
 
 
 def jensen_lower(f: FunctionSpec, cert: ConvexityCertificate, X: RandomVariable,
@@ -117,29 +155,8 @@ def jensen_lower(f: FunctionSpec, cert: ConvexityCertificate, X: RandomVariable,
     unbounded and the order-(p+1) moment exists; any moment quadrature or
     truncation error is propagated into the report's value_error.
     """
-    _require(cert, "I", "jensen_lower")
-    if cert.p < 1:
-        raise CertificateError("jensen_lower needs certification order p >= 1")
-    a, b = cert.interval
-    _check_support(X, a, b, f, tolerances, "jensen_lower")
-    p = cert.p
-    moment = shifted_moment(X, a, p + 1, tolerances)
-    point = a + moment.norm
-    value = float(f(point))
-    mean = expect(X, lambda x: x)[0]
-    classical = float(f(mean))
-    oracle = oracle_err = None
-    gap = None
-    if compute_oracle:
-        oracle, oracle_err = expect(X, f)
-        gap = oracle - value
-    return BoundReport(
-        kind="jensen-lower-I", direction="lower", p=p, interval=(a, b),
-        value=value, oracle=oracle, oracle_error=oracle_err or 0.0,
-        classical=classical, gap_to_oracle=gap,
-        gap_to_classical=value - classical,
-        inputs_digest=_digest(f, X, p, "jensen-lower-I"),
-        value_error=_value_error(f, point, moment.error_estimate))
+    return _report("jensen_lower", "jensen-lower-I", "lower", "I", _shifted_norm,
+                   f, cert, X, compute_oracle, tolerances)
 
 
 def jensen_upper(f: FunctionSpec, cert: ConvexityCertificate, X: RandomVariable,
@@ -149,33 +166,8 @@ def jensen_upper(f: FunctionSpec, cert: ConvexityCertificate, X: RandomVariable,
     m = E (X-a)^{p+1} / (b-a)^{p+1}; tightens the classical secant, whose
     weight is the normalized first moment.
     """
-    _require(cert, "I", "jensen_upper")
-    if cert.p < 1:
-        raise CertificateError("jensen_upper needs certification order p >= 1")
-    a, b = cert.interval
-    if not (math.isfinite(b) and X.bounded):
-        raise UnboundedSupportError("jensen_upper needs a bounded interval and support")
-    _check_support(X, a, b, f, tolerances, "jensen_upper", require_bounded=True)
-    p = cert.p
-    moment = shifted_moment(X, a, p + 1, tolerances)
-    m = (moment.norm / (b - a)) ** (p + 1)
-    fa, fb = float(f(a)), float(f(b))
-    value = (1.0 - m) * fa + m * fb
-    mean = expect(X, lambda x: x)[0]
-    m1 = min(max((mean - a) / (b - a), 0.0), 1.0)
-    classical = (1.0 - m1) * fa + m1 * fb
-    oracle = oracle_err = None
-    gap = None
-    if compute_oracle:
-        oracle, oracle_err = expect(X, f)
-        gap = value - oracle
-    return BoundReport(
-        kind="jensen-upper-I", direction="upper", p=p, interval=(a, b),
-        value=value, oracle=oracle, oracle_error=oracle_err or 0.0,
-        classical=classical, gap_to_oracle=gap,
-        gap_to_classical=classical - value,
-        inputs_digest=_digest(f, X, p, "jensen-upper-I"),
-        value_error=abs(fb - fa) * moment.error_estimate / max((b - a) ** (p + 1), 1e-300))
+    return _report("jensen_upper", "jensen-upper-I", "upper", "I", _moment_secant,
+                   f, cert, X, compute_oracle, tolerances)
 
 
 def jensen_lower_decreasing(f: FunctionSpec, cert: ConvexityCertificate,
@@ -189,26 +181,5 @@ def jensen_lower_decreasing(f: FunctionSpec, cert: ConvexityCertificate,
     tightened bound and the engine behind the likelihood minorant; the
     report carries direction="upper" accordingly.
     """
-    _require(cert, "D", "jensen_lower_decreasing")
-    a, b = cert.interval
-    if not X.bounded:
-        raise UnboundedSupportError("the right-anchored bound needs bounded support")
-    _check_support(X, a, b, f, tolerances, "jensen_lower_decreasing", require_bounded=True)
-    p = cert.p
-    moment = shifted_moment(reflected(X, b), 0.0, p + 1, tolerances)
-    point = b - moment.norm
-    value = float(f(point))
-    mean = expect(X, lambda x: x)[0]
-    classical = float(f(mean))
-    oracle = oracle_err = None
-    gap = None
-    if compute_oracle:
-        oracle, oracle_err = expect(X, f)
-        gap = value - oracle
-    return BoundReport(
-        kind="jensen-lower-D", direction="upper", p=p, interval=(a, b),
-        value=value, oracle=oracle, oracle_error=oracle_err or 0.0,
-        classical=classical, gap_to_oracle=gap,
-        gap_to_classical=classical - value,
-        inputs_digest=_digest(f, X, p, "jensen-lower-D"),
-        value_error=_value_error(f, point, moment.error_estimate))
+    return _report("jensen_lower_decreasing", "jensen-lower-D", "upper", "D",
+                   _reflected_norm, f, cert, X, compute_oracle, tolerances)

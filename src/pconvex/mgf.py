@@ -35,7 +35,7 @@ from .errors import (
     SupportViolationError,
     UnboundedSupportError,
 )
-from .numerics import DEFAULT_TOLERANCES, ToleranceProfile
+from .numerics import DEFAULT_TOLERANCES, ToleranceProfile, _order
 
 __all__ = [
     "EMTrace",
@@ -90,11 +90,9 @@ def mgf_lower(X: RandomVariable, s: float, p: int,
         exp(s ||X||_p) - sum_{j<p} s^j ||X||_p^j / j! + E sum_{j<p} s^j X^j / j!
     """
     s = float(s)
-    p = int(p)
+    p = _order(p)
     if s < 0.0:
         raise DomainError(f"s must be >= 0, got {s}")
-    if p < 1:
-        raise DomainError(f"p must be >= 1, got {p}")
     if X.inf < -tolerances.eq_abs:
         raise SupportViolationError("mgf_lower needs X on [0, inf)")
     norm = shifted_moment(X, 0.0, p, tolerances).norm
@@ -123,11 +121,9 @@ def mgf_upper(X: RandomVariable, s: float, p: int,
         (E X^p / b^p) (exp(s b) - sum_{j<p} s^j b^j / j!) + E sum_{j<p} s^j X^j / j!
     """
     s = float(s)
-    p = int(p)
+    p = _order(p)
     if s < 0.0:
         raise DomainError(f"s must be >= 0, got {s}")
-    if p < 1:
-        raise DomainError(f"p must be >= 1, got {p}")
     if X.inf < -tolerances.eq_abs:
         raise SupportViolationError("mgf_upper needs X on [0, b]")
     if not X.bounded:
@@ -153,9 +149,7 @@ def am_gm_lower(X: RandomVariable, p: int,
     At p = 1 this is exp(E ln X), the geometric mean, recovering classical
     AM-GM; higher p sharpens it using moments of ln X.
     """
-    p = int(p)
-    if p < 1:
-        raise DomainError(f"p must be >= 1, got {p}")
+    p = _order(p)
     if X.inf < 1.0 - tolerances.eq_abs:
         raise SupportViolationError("am_gm_lower needs X on [1, inf)")
     if X.kind == "discrete":

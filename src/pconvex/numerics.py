@@ -64,8 +64,8 @@ class ToleranceProfile:
 
     def __post_init__(self) -> None:
         for name in ("eq_abs", "eq_rel", "certify_slack", "fd_step"):
-            if not getattr(self, name) > 0.0:
-                raise DomainError(f"ToleranceProfile.{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(f"ToleranceProfile.{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,14 @@ class QuadratureResult:
 
 DEFAULT_TOLERANCES = ToleranceProfile()
 DEFAULT_PLAN = QuadraturePlan()
+
+
+def _order(p: int, least: int = 1) -> int:
+    """An integer order p >= least (the order arguments of every bound)."""
+    p = int(p)
+    if p < least:
+        raise DomainError(f"order p must be >= {least}, got {p}")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +317,12 @@ def integrate(f: Callable, a: float, b: float,
     return QuadratureResult(best, err, refinements)
 
 
+# Relative floor of the Gauss-Jacobi stopping rule: the rounding error of
+# the nodes and weights grows with the node count, so for integrals much
+# larger than one a purely absolute tolerance is never met.
+JACOBI_RTOL = 1e-10
+
+
 def integrate_jacobi(g: Callable, a: float, b: float, alpha: float, side: str,
                      plan: QuadraturePlan = DEFAULT_PLAN) -> QuadratureResult:
     """Integrate a power-law-weighted integrand without sampling the weight.
@@ -318,7 +332,8 @@ def integrate_jacobi(g: Callable, a: float, b: float, alpha: float, side: str,
 
     The singular factor is absorbed into Gauss-Jacobi nodes, so g itself is
     only ever evaluated at interior points.  Convergence is assessed by node
-    doubling.
+    doubling, against the plan's absolute tolerance or JACOBI_RTOL relative
+    to the estimate, whichever is looser.
     """
     a, b = float(a), float(b)
     alpha = float(alpha)
@@ -351,12 +366,10 @@ def integrate_jacobi(g: Callable, a: float, b: float, alpha: float, side: str,
         nxt = estimate(n)
         err = abs(nxt - best)
         best = nxt
-        if err <= max(tol, 1e-15):
+        if err <= max(tol, JACOBI_RTOL * abs(best), 1e-15):
             return QuadratureResult(best, err, refinements)
-    if err > max(tol, 1e-15):
-        raise ConvergenceError(
-            f"gauss-jacobi did not converge (last step {err:.3e})", best, err)
-    return QuadratureResult(best, err, refinements)
+    raise ConvergenceError(
+        f"gauss-jacobi did not converge (last step {err:.3e})", best, err)
 
 
 # ---------------------------------------------------------------------------

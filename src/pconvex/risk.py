@@ -30,11 +30,12 @@ from .distributions import RandomVariable, expect, shifted_moment, two_point
 from .errors import DomainError
 from .functions import (
     FunctionSpec,
+    _falling_factorial,
     compose_inverse,
     polynomial,
     shifted_power,
 )
-from .numerics import DEFAULT_TOLERANCES, ToleranceProfile, invert_monotone
+from .numerics import DEFAULT_TOLERANCES, ToleranceProfile, _order, invert_monotone
 
 __all__ = [
     "Falsifier",
@@ -102,9 +103,7 @@ def certify_p_more_risk_averse(l: FunctionSpec, f: FunctionSpec, p: int,
     convex of order p-1 on the transformed range, so the comparison reduces
     to one certification of the composed map.
     """
-    p = int(p)
-    if p < 1:
-        raise DomainError(f"p must be >= 1, got {p}")
+    p = _order(p)
     comp = compose_inverse(l, f, tolerances)
     y_lo, y_hi = comp.domain
     cap = min(y_hi, float(f(horizon)))
@@ -145,9 +144,7 @@ def falsify_p_more_risk_averse(l: FunctionSpec, f: FunctionSpec, p: int,
     witness), lotteries straddle its preimage; otherwise they are drawn
     across (0, horizon].
     """
-    p = int(p)
-    if p < 1:
-        raise DomainError(f"p must be >= 1, got {p}")
+    p = _order(p)
     rng = np.random.default_rng(int(seed))
     slack = 1e-6
 
@@ -188,7 +185,7 @@ def _power_exp(m: int, beta: float, horizon: float) -> FunctionSpec:
     def make(k: int):
         terms = []
         for j in range(0, k + 1):
-            c = math.comb(k, j) * _ff(m, j) * beta ** (k - j)
+            c = math.comb(k, j) * _falling_factorial(m, j) * beta ** (k - j)
             if c != 0.0:
                 terms.append((c, m - j))
 
@@ -209,13 +206,6 @@ def _power_exp(m: int, beta: float, horizon: float) -> FunctionSpec:
         max_order=m + 4,
         eval_horizon=max(10.0 * horizon, 10.0),
     )
-
-
-def _ff(m: int, j: int) -> float:
-    c = 1.0
-    for i in range(j):
-        c *= m - i
-    return c
 
 
 def _power_times_affine(m: int, beta: float, gamma: int,
@@ -251,9 +241,7 @@ def risk_measure(X: RandomVariable, p: int,
     for class membership before inclusion (uncertified candidates are
     skipped so the sweep stays sound).  The pure power attains the norm.
     """
-    p = int(p)
-    if p < 1:
-        raise DomainError(f"p must be >= 1, got {p}")
+    p = _order(p)
     if X.inf < -tolerances.eq_abs:
         raise DomainError("risk_measure needs a loss lottery on [0, inf)")
     closed_form = shifted_moment(X, 0.0, p + 1, tolerances).norm

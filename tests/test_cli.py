@@ -81,6 +81,24 @@ class TestCertify:
         assert main(["certify", "-f", "/nonexistent.json", "--class", "I",
                      "-p", "1", "-a", "0", "-b", "1"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--seed", "3"],
+        ["certify", "--class", "Q", "-p", "1"],
+        ["bound", "-p", "one"],
+        ["no-such-command"],
+        [],
+    ], ids=["undeclared-flag", "bad-choice", "bad-type", "bad-command", "empty"])
+    def test_usage_error_is_exit_one(self, argv, capsys):
+        # exit 2 is reserved for failing certificates
+        assert main(argv) == 1
+        assert "input error" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--help"])
+        assert exc.value.code == 0
+        assert "--class" in capsys.readouterr().out
+
 
 class TestBound:
     def test_lower_csv_row(self, fn_file, dist_file, capsys):
@@ -271,6 +289,16 @@ class TestProblemFiles:
         reloaded = Problem.load(payload)
         reloaded.dump(str(tmp_path / "problem2.json"))
         assert canon.read_bytes() == (tmp_path / "problem2.json").read_bytes()
+
+    def test_run_rejects_mistyped_parameter(self, fn_file, tmp_path, capsys):
+        # problem files bypass argparse; their params get the same typing
+        problem = {"version": 1, "task": "hh",
+                   "function": json.loads(open(fn_file).read()),
+                   "params": {"p": "two"}}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(problem))
+        assert main(["run", str(path)]) == 1
+        assert "'p'" in capsys.readouterr().err
 
     def test_run_rejects_bad_version(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from pconvex.convexity import (
@@ -21,6 +23,7 @@ from pconvex.functions import (
     shifted_power,
     taylor_remainder,
 )
+from pconvex.numerics import ToleranceProfile
 
 from conftest import certified_members
 
@@ -193,3 +196,65 @@ class TestRatioMonotone:
         for f, a, b in certified_members(p):
             cert = certify_p_convex(f, p, a, b)
             assert check_ratio_monotone(f, cert).passed, f.label
+
+
+def _half_nan(x):
+    return x ** 3 if x < 0.5 else math.nan
+
+
+_SQUARE_CERT = certify_p_convex(shifted_power(2.0, domain=(0.0, 1.0)), 1, 0.0, 1.0)
+
+# producer -> (call, failing input); every producer certifies on [0, 1]
+_PRODUCERS = {
+    "p_convex": (lambda f, **kw: certify_p_convex(f, 1, 0.0, 1.0, **kw),
+                 polynomial([0.0, 1.0, -1.0], domain=(0.0, 1.0))),
+    "p_concave": (lambda f, **kw: certify_p_concave(f, 1, 0.0, 1.0, **kw),
+                  shifted_power(2.0, domain=(0.0, 1.0))),
+    "loss_class": (lambda f, **kw: certify_loss_class(f, 1, 1.0, **kw),
+                   shifted_power(1.0, domain=(0.0, 1.0))),
+    "power_transform": (lambda f, **kw: check_power_transform_convex(f, _SQUARE_CERT, **kw),
+                        polynomial([0.0, 1.0, -1.0], domain=(0.0, 1.0))),
+    "ratio": (lambda f, **kw: check_ratio_monotone(f, _SQUARE_CERT, **kw),
+              polynomial([0.0, 1.0, -1.0], domain=(0.0, 1.0))),
+}
+
+
+class TestFailClosed:
+    """Every producer shares one verdict rule: NaN or a non-finite margin
+    fails, an infinite slack is rejected, and grids need two cells."""
+
+    @pytest.mark.parametrize("name", sorted(_PRODUCERS))
+    @pytest.mark.parametrize("f", [
+        polynomial([0.0, 0.0, math.nan], domain=(0.0, 1.0)),
+        numeric_function(_half_nan, (0.0, 1.0), label="half-nan"),
+    ], ids=["nan-coefficient", "nan-on-half"])
+    def test_nan_fails_with_witness(self, name, f):
+        producer, _ = _PRODUCERS[name]
+        try:
+            cert = producer(f, grid_size=64)
+        except DomainError:
+            assert name == "ratio"  # f(a) = 0 is its precondition
+            return
+        assert not cert.passed
+        assert not math.isfinite(cert.witness.margin)
+        assert not math.isfinite(cert.margins[cert.witness.condition])
+
+    @pytest.mark.parametrize("name", sorted(_PRODUCERS))
+    def test_infinite_slack_rejected(self, name):
+        producer, failing = _PRODUCERS[name]
+        assert not producer(failing, grid_size=64).passed
+        with pytest.raises(DomainError):
+            producer(failing, grid_size=64,
+                     tolerances=ToleranceProfile(certify_slack=math.inf))
+
+    @pytest.mark.parametrize("name", sorted(_PRODUCERS))
+    @pytest.mark.parametrize("grid_size", [0, 1])
+    def test_grid_needs_two_cells(self, name, grid_size):
+        producer, failing = _PRODUCERS[name]
+        with pytest.raises(DomainError):
+            producer(failing, grid_size=grid_size)
+
+    def test_inf_at_a_grid_point_stays_admissible(self):
+        # f^(3) of x^2.5 is +inf at the anchor; the minimum margin is finite
+        cert = certify_p_convex(shifted_power(2.5, domain=(0.0, 1.0)), 1, 0.0, 1.0)
+        assert cert.passed

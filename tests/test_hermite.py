@@ -25,7 +25,7 @@ from pconvex.hermite import (
     rl_integral,
     taylor_hh,
 )
-from pconvex.numerics import gamma
+from pconvex.numerics import QuadraturePlan, gamma
 
 from conftest import certified_members
 
@@ -302,3 +302,17 @@ class TestFractionalHH:
         assert cert.passed
         with pytest.raises(DomainError):
             fractional_hh_bounds(f, cert, 1, 0.5)
+
+
+def test_rl_integral_converges_for_small_alpha_and_large_integrand():
+    # |integral| ~ 100: Gauss-Jacobi weight rounding keeps the node-doubling
+    # step above any fixed 1e-10 absolute bar, so convergence is relative
+    b, alpha = 2.49, 0.2
+    f = shifted_power(4.0, domain=(0.0, b))
+    plan = QuadraturePlan(max_refinements=5)
+    left = rl_integral(f, alpha, "left", b, (0.0, b), plan)
+    right = rl_integral(f, alpha, "right", 0.0, (0.0, b), plan)
+    assert left == pytest.approx(
+        math.gamma(5) * b ** (4 + alpha) / math.gamma(5 + alpha), rel=1e-10)
+    assert right == pytest.approx(
+        b ** (4 + alpha) / ((4 + alpha) * math.gamma(alpha)), rel=1e-10)
