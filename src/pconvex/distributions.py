@@ -8,7 +8,7 @@ samples or quantile-truncated densities).
 
 expect() is the brute-force oracle every bound in the package is tested
 against, so it stays deliberately simple: exact weighted sums, plain
-averages, or verified quadrature.
+averages, or doubled Gauss quadrature that raises unless it converges.
 """
 
 from __future__ import annotations
@@ -92,6 +92,8 @@ class RandomVariable:
         if self.kind == "discrete":
             if len(self.atoms) != len(self.probs) or not self.atoms:
                 raise ConstructionError("discrete needs matching nonempty atoms/probs")
+            if not all(map(math.isfinite, self.atoms + self.probs)):
+                raise ConstructionError("atoms and probabilities must be finite")
             if any(p < 0.0 for p in self.probs):
                 raise ConstructionError("probabilities must be nonnegative")
             total = math.fsum(self.probs)
@@ -102,6 +104,8 @@ class RandomVariable:
         elif self.kind == "sample":
             if not self.values:
                 raise ConstructionError("sample representation needs at least one value")
+            if not all(map(math.isfinite, self.values)):
+                raise ConstructionError("sample values must be finite")
             if min(self.values) < lo - 1e-12 or max(self.values) > hi + 1e-12:
                 raise ConstructionError("sample values outside declared support")
         elif self.kind == "density":
@@ -381,8 +385,10 @@ def _density_expect(X: RandomVariable, fn: Callable) -> tuple[float, float]:
 def expect(X: RandomVariable, f) -> tuple[float, float]:
     """E f(X) and an error estimate; the oracle for every bound test.
 
-    Exact weighted sum for discrete, plain average for samples, verified
-    quadrature for densities (Gauss-Jacobi under singular endpoint weights).
+    Exact weighted sum for discrete, plain average for samples; for
+    densities, panel-doubled Gauss-Legendre (node-doubled Gauss-Jacobi under
+    singular endpoint weights), whose error estimate is the last doubling
+    step.  Quadrature that does not converge raises MomentDivergenceError.
     """
     _check_domain(X, f)
     fn = _as_fn(f)

@@ -164,6 +164,12 @@ class CatalogEntry:
 # ---------------------------------------------------------------------------
 
 
+def _finite(what: str, *values: float) -> None:
+    """Reject NaN or infinite parameters; domains may still be unbounded."""
+    if not all(map(math.isfinite, values)):
+        raise ConstructionError(f"{what} must be finite, got {values}")
+
+
 def _falling_factorial(q: float, k: int) -> float:
     c = 1.0
     for j in range(k):
@@ -175,6 +181,7 @@ def shifted_power(q: float, shift: float = 0.0,
                   domain: tuple[float, float] | None = None,
                   depth: int = 8) -> FunctionSpec:
     """(x - shift)^q with q >= 1; domain defaults to [shift, inf)."""
+    _finite("shifted-power q and shift", q, shift)
     if q < 1.0:
         raise ConstructionError(f"shifted-power needs exponent q >= 1, got {q}")
     dom = (shift, math.inf) if domain is None else (float(domain[0]), float(domain[1]))
@@ -211,6 +218,7 @@ def exponential(s: float = 1.0,
                 domain: tuple[float, float] = (0.0, math.inf),
                 depth: int = 8) -> FunctionSpec:
     """e^(s x); all derivatives are s^k e^(s x)."""
+    _finite("exponential rate s", s)
 
     def make(k: int) -> Callable:
         c = float(s) ** k
@@ -293,6 +301,7 @@ def exp_taylor_remainder(p: int,
 def log_affine(b: float, domain: tuple[float, float] | None = None,
                depth: int = 8) -> FunctionSpec:
     """ln(x) - x/b on (0, b]; increasing and concave with slope 0 at b."""
+    _finite("log-affine b", b)
     if not b > 0.0:
         raise ConstructionError(f"log-affine needs b > 0, got {b}")
     dom = (1e-6 * b, b) if domain is None else (float(domain[0]), float(domain[1]))
@@ -325,6 +334,7 @@ def polynomial(coeffs: Sequence[float],
     coeffs = tuple(float(c) for c in coeffs)
     if not coeffs:
         raise ConstructionError("polynomial needs at least one coefficient")
+    _finite("polynomial coefficients", *coeffs)
     degree = len(coeffs) - 1
     depth = degree + 4
 
@@ -361,6 +371,7 @@ def affine_precompose(inner: FunctionSpec, scale: float, offset: float,
     """g(x) = inner(scale * x + offset); stack via the chain rule."""
     scale = float(scale)
     offset = float(offset)
+    _finite("affine-precompose scale and offset", scale, offset)
     if scale == 0.0:
         raise ConstructionError("affine-precompose needs scale != 0")
     ilo, ihi = inner.domain
@@ -409,6 +420,7 @@ def nonneg_weighted_sum(terms: Sequence[tuple[float, FunctionSpec]],
     if not terms:
         raise ConstructionError("weighted sum needs at least one term")
     weights = [float(w) for w, _ in terms]
+    _finite("weighted-sum weights", *weights)
     if any(w < 0.0 for w in weights):
         raise ConstructionError("weights must be nonnegative")
     fns = [f for _, f in terms]

@@ -1,8 +1,14 @@
 """Shared numerical kernels.
 
-Gamma function (Lanczos), Gauss-Legendre / Gauss-Jacobi / adaptive-Simpson
+Gamma function (math.gamma / math.lgamma behind domain and overflow
+checks), panel-doubled Gauss-Legendre and node-doubled Gauss-Jacobi
 quadrature, stable shifted p-norm arithmetic, safeguarded monotone
 inversion, and Richardson-extrapolated finite differences.
+
+Both quadrature rules share one stopping rule: the estimate is refined by
+doubling until one doubling step changes it by no more than the rule's
+threshold; otherwise ConvergenceError carries the best estimate and the
+last step.
 
 Everything here is a pure function of its inputs; plan and tolerance
 objects are immutable, so concurrent use needs no locking.
@@ -40,9 +46,6 @@ __all__ = [
     "pnorm_shifted",
 ]
 
-_RULES = ("gauss-legendre", "gauss-jacobi", "adaptive-simpson")
-
-
 @dataclass(frozen=True)
 class ToleranceProfile:
     """Package-wide numeric tolerances.
@@ -72,39 +75,27 @@ class ToleranceProfile:
 class QuadraturePlan:
     """How to evaluate an integral.
 
-    rule:
-        "gauss-legendre" (default; panel-doubling refinement verified by one
-        adaptive-Simpson pass), "gauss-jacobi" (endpoint power-law weight
-        absorbed into the rule), or "adaptive-simpson".
     node_count:
-        nodes per panel (Gauss rules) or initial subdivision hint.
+        Gauss-Legendre nodes per panel, or the initial Gauss-Jacobi node
+        count.
     abs_tolerance:
         requested absolute error.
     max_refinements:
-        panel/node doublings (or recursion depth) before giving up.
-    weight_exponent:
-        for gauss-jacobi: the weight is (t - a)^(weight_exponent - 1) or
-        (b - t)^(weight_exponent - 1); must be > 0.
+        panel (Gauss-Legendre) or node (Gauss-Jacobi) doublings before
+        giving up; with 0 every integral raises ConvergenceError.
     """
 
-    rule: str = "gauss-legendre"
     node_count: int = 64
     abs_tolerance: float = 1e-10
     max_refinements: int = 12
-    weight_exponent: float | None = None
 
     def __post_init__(self) -> None:
-        if self.rule not in _RULES:
-            raise DomainError(f"unknown quadrature rule {self.rule!r}; allowed: {_RULES}")
         if self.node_count < 2:
             raise DomainError("node_count must be >= 2")
         if self.abs_tolerance < 0.0:
             raise DomainError("abs_tolerance must be >= 0")
         if self.max_refinements < 0:
             raise DomainError("max_refinements must be >= 0")
-        if self.rule == "gauss-jacobi":
-            if self.weight_exponent is None or not self.weight_exponent > 0.0:
-                raise DomainError("gauss-jacobi plans need weight_exponent > 0")
 
 
 @dataclass(frozen=True)
@@ -137,20 +128,6 @@ def _order(p: int, least: int = 1) -> int:
 # Gamma function
 # ---------------------------------------------------------------------------
 
-# Lanczos approximation, g = 7, 9 coefficients.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 GAMMA_MAX_ARG = 170.0
 
 
@@ -165,20 +142,7 @@ def gamma(x: float) -> float:
         raise DomainError(f"gamma requires x > 0, got {x}")
     if x > GAMMA_MAX_ARG:
         raise RangeOverflowError(f"gamma({x}) exceeds double range (x > {GAMMA_MAX_ARG})")
-    if x < 0.5:
-        # Reflection keeps the Lanczos series in its accurate region.
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    log_pow = (z + 0.5) * math.log(t)
-    if log_pow < 650.0:
-        return math.sqrt(2.0 * math.pi) * (t ** (z + 0.5)) * math.exp(-t) * acc
-    # Large arguments: combine the exponents before exponentiating so the
-    # intermediate power cannot overflow while the result still fits.
-    return math.sqrt(2.0 * math.pi) * math.exp(log_pow - t) * acc
+    return math.gamma(x)
 
 
 def log_gamma(x: float) -> float:
@@ -190,14 +154,7 @@ def log_gamma(x: float) -> float:
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(x)
 
 
 # ---------------------------------------------------------------------------
@@ -238,83 +195,41 @@ def _gl_panels(f: Callable, a: float, b: float, n: int, panels: int) -> float:
     return total
 
 
-def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
-    return h / 6.0 * (fa + 4.0 * fm + fb)
+def _doubled(estimate: Callable[[int], float], threshold: Callable[[float], float],
+             max_refinements: int, rule: str) -> QuadratureResult:
+    """The stopping rule of both quadratures.
 
-
-def _adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                      tol: float, max_depth: int) -> tuple[float, float, bool]:
-    """Classic adaptive Simpson with Richardson correction.
-
-    Returns (value, error_estimate, converged).
+    estimate(k) is the rule's value after k doublings; the first k whose
+    step |estimate(k) - estimate(k-1)| is at most threshold(estimate(k))
+    is accepted.  A NaN step never is, so the check fails closed.
     """
-    fa, fb = float(f(a)), float(f(b))
-    m = 0.5 * (a + b)
-    fm = float(f(m))
-    whole = _simpson(fa, fm, fb, b - a)
-
-    def recurse(lo, flo, hi, fhi, mid, fmid, s, eps, depth):
-        lm = 0.5 * (lo + mid)
-        rm = 0.5 * (mid + hi)
-        flm, frm = float(f(lm)), float(f(rm))
-        left = _simpson(flo, flm, fmid, mid - lo)
-        right = _simpson(fmid, frm, fhi, hi - mid)
-        delta = left + right - s
-        if depth <= 0:
-            return left + right + delta / 15.0, abs(delta) / 15.0, abs(delta) <= 15.0 * eps
-        if abs(delta) <= 15.0 * eps:
-            return left + right + delta / 15.0, abs(delta) / 15.0, True
-        lv, le, lok = recurse(lo, flo, mid, fmid, lm, flm, left, eps / 2.0, depth - 1)
-        rv, re, rok = recurse(mid, fmid, hi, fhi, rm, frm, right, eps / 2.0, depth - 1)
-        return lv + rv, le + re, lok and rok
-
-    return recurse(a, fa, b, fb, m, fm, whole, max(tol, 1e-15), max_depth)
+    best = estimate(0)
+    step = math.inf
+    for k in range(1, max_refinements + 1):
+        nxt = estimate(k)
+        step = abs(nxt - best)
+        best = nxt
+        if step <= threshold(best):
+            return QuadratureResult(best, step, k)
+    raise ConvergenceError(f"{rule} did not converge (last step {step:.3e})", best, step)
 
 
 def integrate(f: Callable, a: float, b: float,
               plan: QuadraturePlan = DEFAULT_PLAN) -> QuadratureResult:
-    """Integrate f over [a, b] to the plan's absolute tolerance.
+    """Integrate f over [a, b] by Gauss-Legendre with panel doubling.
 
-    The default rule runs panel-doubled Gauss-Legendre and verifies against
-    one adaptive-Simpson pass; a persistent mismatch raises ConvergenceError
-    carrying the best estimate.  f must be finite on the closed interval
-    (use integrate_jacobi when an endpoint carries a power-law singularity).
+    The estimate on 2^k equal panels is accepted once one doubling changes
+    it by at most a quarter of the plan's absolute tolerance; error_estimate
+    is that last step.  Otherwise ConvergenceError carries the best
+    estimate.  f must be finite on the closed interval (use
+    integrate_jacobi when an endpoint carries a power-law singularity).
     """
     a, b = float(a), float(b)
     if not a < b:
         raise DomainError(f"integrate requires a < b, got [{a}, {b}]")
-    if plan.rule == "gauss-jacobi":
-        if plan.weight_exponent is None:
-            raise DomainError("gauss-jacobi plan without weight_exponent")
-        return integrate_jacobi(f, a, b, plan.weight_exponent, "left", plan)
-
-    tol = plan.abs_tolerance
-    if plan.rule == "adaptive-simpson":
-        value, err, ok = _adaptive_simpson(f, a, b, tol, max(plan.max_refinements, 1) + 40)
-        if not ok and err > tol:
-            raise ConvergenceError("adaptive Simpson did not converge", value, err)
-        return QuadratureResult(value, err)
-
-    # gauss-legendre with adaptive-simpson verification
-    best = _gl_panels(f, a, b, plan.node_count, 1)
-    step = math.inf
-    refinements = 0
-    panels = 1
-    while refinements < plan.max_refinements:
-        panels *= 2
-        refinements += 1
-        nxt = _gl_panels(f, a, b, plan.node_count, panels)
-        step = abs(nxt - best)
-        best = nxt
-        if step <= 0.25 * max(tol, 1e-15):
-            break
-    verify, verify_err, _ = _adaptive_simpson(f, a, b, max(tol, 1e-12), 48)
-    err = min(abs(best - verify) + verify_err, step if math.isfinite(step) else math.inf)
-    if err > max(tol, 1e-15) and abs(best - verify) > max(tol, 1e-15):
-        raise ConvergenceError(
-            f"quadrature mismatch {abs(best - verify):.3e} exceeds tolerance {tol:.1e}",
-            best, err)
-    return QuadratureResult(best, err, refinements)
+    limit = 0.25 * max(plan.abs_tolerance, 1e-15)
+    return _doubled(lambda k: _gl_panels(f, a, b, plan.node_count, 2 ** k),
+                    lambda best: limit, plan.max_refinements, "gauss-legendre")
 
 
 # Relative floor of the Gauss-Jacobi stopping rule: the rounding error of
@@ -350,26 +265,14 @@ def integrate_jacobi(g: Callable, a: float, b: float, alpha: float, side: str,
     mid = 0.5 * (a + b)
     scale = h ** alpha
 
-    def estimate(n: int) -> float:
-        nodes, weights = _jacgauss(n, aj, bj)
+    def estimate(k: int) -> float:
+        nodes, weights = _jacgauss(plan.node_count * 2 ** k, aj, bj)
         xs = mid + h * nodes
         return scale * float(np.sum(weights * _eval_nodes(g, xs)))
 
     tol = plan.abs_tolerance
-    n = max(plan.node_count, 2)
-    best = estimate(n)
-    err = math.inf
-    refinements = 0
-    while refinements < plan.max_refinements:
-        n *= 2
-        refinements += 1
-        nxt = estimate(n)
-        err = abs(nxt - best)
-        best = nxt
-        if err <= max(tol, JACOBI_RTOL * abs(best), 1e-15):
-            return QuadratureResult(best, err, refinements)
-    raise ConvergenceError(
-        f"gauss-jacobi did not converge (last step {err:.3e})", best, err)
+    return _doubled(estimate, lambda best: max(tol, JACOBI_RTOL * abs(best), 1e-15),
+                    plan.max_refinements, "gauss-jacobi")
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,14 @@ class TestBound:
         row = capsys.readouterr().out.strip().split("\r\n")[1].split(",")
         assert float(row[4]) >= float(row[5]) - 1e-12
 
+    def test_nan_atom_is_exit_one(self, fn_file, tmp_path, capsys):
+        d = tmp_path / "nan.json"
+        d.write_text(json.dumps({"kind": "discrete", "atoms": [0.0, math.nan],
+                                 "probs": [0.5, 0.5]}))
+        assert main(["bound", "-f", fn_file, "-d", str(d),
+                     "-p", "1", "--kind", "lower"]) == 1
+        assert "finite" in capsys.readouterr().err
+
     def test_density_distribution(self, fn_file, tmp_path, capsys):
         d = tmp_path / "unif.json"
         d.write_text(json.dumps({"kind": "density", "family": "uniform",

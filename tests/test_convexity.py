@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from pconvex.convexity import (
@@ -202,6 +204,16 @@ def _half_nan(x):
     return x ** 3 if x < 0.5 else math.nan
 
 
+def _nan_coefficient():
+    """The stack polynomial([0, 0, nan]) had before constructors rejected
+    non-finite parameters: NaN through f'', zero beyond."""
+    base = polynomial([0.0, 0.0, 1.0], domain=(0.0, 1.0))
+    nan = lambda g: (lambda x: np.asarray(g(x)) * math.nan)
+    return dataclasses.replace(
+        base, eval_fn=nan(base.eval_fn),
+        derivatives=tuple(map(nan, base.derivatives[:2])) + base.derivatives[2:])
+
+
 _SQUARE_CERT = certify_p_convex(shifted_power(2.0, domain=(0.0, 1.0)), 1, 0.0, 1.0)
 
 # producer -> (call, failing input); every producer certifies on [0, 1]
@@ -225,7 +237,7 @@ class TestFailClosed:
 
     @pytest.mark.parametrize("name", sorted(_PRODUCERS))
     @pytest.mark.parametrize("f", [
-        polynomial([0.0, 0.0, math.nan], domain=(0.0, 1.0)),
+        _nan_coefficient(),
         numeric_function(_half_nan, (0.0, 1.0), label="half-nan"),
     ], ids=["nan-coefficient", "nan-on-half"])
     def test_nan_fails_with_witness(self, name, f):

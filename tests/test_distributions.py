@@ -18,6 +18,7 @@ from pconvex.errors import (
     DomainError,
     DomainMismatchError,
     InputFormatError,
+    MomentDivergenceError,
     SupportViolationError,
 )
 from pconvex.distributions import (
@@ -35,7 +36,14 @@ from pconvex.distributions import (
     two_point,
     uniform,
 )
-from pconvex.functions import shifted_power
+from pconvex.functions import (
+    affine_precompose,
+    exponential,
+    log_affine,
+    nonneg_weighted_sum,
+    polynomial,
+    shifted_power,
+)
 
 
 class TestShiftedMoment:
@@ -134,6 +142,40 @@ class TestExpect:
         X = from_sample([1.0, 2.0, 3.0, 6.0])
         value, _ = expect(X, lambda x: x)
         assert value == pytest.approx(3.0, abs=1e-15)
+
+
+def _expect_or_diverge(X, pdf):
+    """For x^3 and exp, expect either raises MomentDivergenceError or lands
+    within its own error estimate (plus 1e-12) of mpmath.quad at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    lo, hi = X.declared_support
+    for fn, mp_fn in ((lambda x: x ** 3, lambda x: x ** 3), (np.exp, mpmath.exp)):
+        try:
+            value, err = expect(X, fn)
+        except MomentDivergenceError:
+            continue
+        with mpmath.workdps(30):
+            want = float(mpmath.quad(lambda x: mp_fn(x) * pdf(x), [lo, hi]))
+        assert abs(value - want) <= err + 1e-12, (X.density_params, value, want, err)
+
+
+class TestExpectAgainstMpmath:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.floats(min_value=1.0, max_value=3.5), st.floats(min_value=1.0, max_value=3.5))
+    def test_beta_like(self, c, d):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            norm = mpmath.beta(c, d)
+        _expect_or_diverge(beta_like(0.0, 1.0, c, d),
+                           lambda x: x ** (c - 1) * (1 - x) ** (d - 1) / norm)
+
+    def test_uniform(self):
+        _expect_or_diverge(uniform(0.0, 1.0), lambda x: 1)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5])
+    def test_fractional_hh(self, alpha):
+        _expect_or_diverge(fractional_hh_density(0.0, 1.0, alpha),
+                           lambda x: alpha / 2 * (x ** (alpha - 1) + (1 - x) ** (alpha - 1)))
 
 
 class TestTwoPoint:
@@ -255,3 +297,28 @@ class TestValidation:
     def test_beta_like_shape_floor(self):
         with pytest.raises(ConstructionError):
             beta_like(0.0, 1.0, 0.5, 2.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: discrete([0.0, math.nan], [0.5, 0.5]),
+        lambda: discrete([0.0, 1.0], [math.nan, 0.5]),
+        lambda: from_sample([1.0, math.inf]),
+        lambda: from_sample([1.0, math.nan]),
+        lambda: shifted_power(math.nan),
+        lambda: shifted_power(math.inf),
+        lambda: exponential(math.nan),
+        lambda: exponential(math.inf, domain=(0.0, 1.0)),
+        lambda: log_affine(math.inf, domain=(1.0, 2.0)),
+        lambda: polynomial([0.0, 0.0, math.nan]),
+        lambda: polynomial([math.inf]),
+        lambda: affine_precompose(shifted_power(2.0), math.nan, 0.0, domain=(0.0, 1.0)),
+        lambda: affine_precompose(shifted_power(2.0), 1.0, math.inf, domain=(0.0, 1.0)),
+        lambda: nonneg_weighted_sum([(math.nan, shifted_power(2.0))]),
+        lambda: nonneg_weighted_sum([(math.inf, shifted_power(2.0))]),
+    ], ids=["nan-atom", "nan-prob", "inf-sample", "nan-sample", "power-nan-q",
+            "power-inf-q", "exp-nan-rate", "exp-inf-rate", "log-affine-inf-b",
+            "poly-nan-coeff", "poly-inf-coeff", "affine-nan-scale", "affine-inf-offset",
+            "sum-nan-weight", "sum-inf-weight"])
+    def test_non_finite_inputs_rejected(self, build):
+        # an unbounded domain or support stays legal; non-finite values do not
+        with pytest.raises(ConstructionError):
+            build()
