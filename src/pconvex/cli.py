@@ -22,9 +22,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
@@ -286,22 +284,6 @@ def _rl(problem: Problem, args: argparse.Namespace) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("PCONVEX_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise InputFormatError(f"PCONVEX_THREADS must be an integer, got {raw!r}")
-
-
-def _map_cells(fn, cells):
-    workers = _max_workers()
-    if workers == 1:
-        return [fn(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, cells))  # ordering fixed by input order
-
-
 def _sweep_hh(problem: Problem, args: argparse.Namespace) -> list[tuple]:
     desc = problem.function or {"family": "shifted-power",
                                 "params": {"q": 8.0, "a": 0.0}, "domain": [0.0, 1.0]}
@@ -314,7 +296,7 @@ def _sweep_hh(problem: Problem, args: argparse.Namespace) -> list[tuple]:
         rep = hermite.hh_bounds(f, cert, p)
         return (p, rep.mid - rep.lower, rep.upper - rep.mid)
 
-    return _map_cells(cell, list(range(1, (args.p_max or 6) + 1)))
+    return [cell(p) for p in range(1, (args.p_max or 6) + 1)]
 
 
 def _sweep_jensen(problem: Problem, args: argparse.Namespace) -> list[tuple]:
@@ -333,7 +315,7 @@ def _sweep_jensen(problem: Problem, args: argparse.Namespace) -> list[tuple]:
         hi = jensen.jensen_upper(f, cert, X, tolerances=tol)
         return (p, lo.gap_to_oracle, hi.gap_to_oracle)
 
-    return _map_cells(cell, list(range(1, (args.p_max or 4) + 1)))
+    return [cell(p) for p in range(1, (args.p_max or 4) + 1)]
 
 
 def _sweep_mgf(problem: Problem, args: argparse.Namespace) -> list[tuple]:
@@ -348,7 +330,7 @@ def _sweep_mgf(problem: Problem, args: argparse.Namespace) -> list[tuple]:
         hi = mgf.mgf_upper(X, s, p, tol)
         return (s, lo.exact - lo.lower, hi.upper - hi.exact)
 
-    return _map_cells(cell, [0.25 * k for k in range(13)])
+    return [cell(0.25 * k) for k in range(13)]
 
 
 # suite -> (its first column, its rows)

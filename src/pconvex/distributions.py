@@ -14,7 +14,7 @@ averages, or doubled Gauss quadrature that raises unless it converges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -118,19 +118,15 @@ class RandomVariable:
 
     @property
     def inf(self) -> float:
-        if self.kind == "discrete":
-            return min(self.atoms)
-        if self.kind == "sample":
-            return min(self.values)
-        return self.declared_support[0]
+        if self.kind == "density":
+            return self.declared_support[0]
+        return min(self.atoms or self.values)
 
     @property
     def sup(self) -> float:
-        if self.kind == "discrete":
-            return max(self.atoms)
-        if self.kind == "sample":
-            return max(self.values)
-        return self.declared_support[1]
+        if self.kind == "density":
+            return self.declared_support[1]
+        return max(self.atoms or self.values)
 
     @property
     def bounded(self) -> bool:
@@ -307,12 +303,10 @@ def reflected(X: RandomVariable, center: float) -> RandomVariable:
     if not math.isfinite(hi):
         raise DomainError("cannot reflect an unbounded-above random variable")
     support = (center - hi, center - lo)
-    if X.kind == "discrete":
-        return RandomVariable(kind="discrete", declared_support=support,
-                              atoms=tuple(center - a for a in X.atoms), probs=X.probs)
-    if X.kind == "sample":
-        return RandomVariable(kind="sample", declared_support=support,
-                              values=tuple(center - v for v in X.values))
+    if X.kind != "density":
+        return replace(X, declared_support=support,
+                       atoms=tuple(center - a for a in X.atoms),
+                       values=tuple(center - v for v in X.values))
     base_pdf = X.pdf
 
     def pdf(y):
@@ -336,8 +330,16 @@ def reflected(X: RandomVariable, center: float) -> RandomVariable:
 # ---------------------------------------------------------------------------
 
 
-def _as_fn(f) -> Callable:
-    return f.eval_fn if isinstance(f, FunctionSpec) else f
+def _points(X: RandomVariable) -> np.ndarray:
+    """The atoms of a discrete variable or the values of a sample."""
+    return np.asarray(X.atoms if X.kind == "discrete" else X.values, dtype=float)
+
+
+def _finite_mean(X: RandomVariable, vals: np.ndarray) -> float:
+    """E over a discrete or sample variable of values given at its points."""
+    if X.kind == "discrete":
+        return math.fsum(np.asarray(X.probs) * vals)
+    return math.fsum(vals) / len(vals)
 
 
 def _check_domain(X: RandomVariable, f) -> None:
@@ -391,13 +393,12 @@ def expect(X: RandomVariable, f) -> tuple[float, float]:
     step.  Quadrature that does not converge raises MomentDivergenceError.
     """
     _check_domain(X, f)
-    fn = _as_fn(f)
-    if X.kind == "discrete":
-        return math.fsum(p * float(fn(a)) for a, p in zip(X.atoms, X.probs)), 0.0
-    if X.kind == "sample":
-        return math.fsum(float(fn(v)) for v in X.values) / len(X.values), 0.0
+    if X.kind != "density":
+        xs = _points(X)
+        vals = f.eval_on(xs) if isinstance(f, FunctionSpec) else _eval_nodes(f, xs)
+        return _finite_mean(X, vals), 0.0
     try:
-        return _density_expect(X, fn)
+        return _density_expect(X, f.eval_fn if isinstance(f, FunctionSpec) else f)
     except ConvergenceError as exc:
         raise MomentDivergenceError(
             f"expectation quadrature diverged: {exc}") from exc
@@ -426,21 +427,11 @@ def shifted_moment(X: RandomVariable, shift: float, order: int,
         raise SupportViolationError(
             f"mass below shift: inf X = {X.inf} < shift = {shift}")
 
-    if X.kind == "discrete":
+    if X.kind != "density":
         scale = max(X.sup - shift, 0.0)
         if scale == 0.0:
             return MomentReport(order, shift, 0.0, 0.0, "exact-sum")
-        scaled = math.fsum(p * (max(a - shift, 0.0) / scale) ** order
-                           for a, p in zip(X.atoms, X.probs))
-        norm = pnorm_shifted(scaled, order, scale)
-        return MomentReport(order, shift, _unscaled(scaled, scale, order), norm, "exact-sum")
-
-    if X.kind == "sample":
-        scale = max(X.sup - shift, 0.0)
-        if scale == 0.0:
-            return MomentReport(order, shift, 0.0, 0.0, "exact-sum")
-        scaled = math.fsum((max(v - shift, 0.0) / scale) ** order
-                           for v in X.values) / len(X.values)
+        scaled = _finite_mean(X, (np.maximum(_points(X) - shift, 0.0) / scale) ** order)
         norm = pnorm_shifted(scaled, order, scale)
         return MomentReport(order, shift, _unscaled(scaled, scale, order), norm, "exact-sum")
 
@@ -483,7 +474,7 @@ def sample_mc(X: RandomVariable, n: int, seed: int) -> RandomVariable:
     """Draw n values, bit-for-bit reproducible for a given seed (PCG64).
 
     Discrete and empirical kinds sample by inverse CDF over the atom table;
-    densities invert a numerically built CDF by vectorized bisection.
+    densities invert a numerically built CDF by bisection on all draws at once.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")

@@ -6,8 +6,10 @@ order) plus combinators that propagate stacks by chain/linearity rules.
 A "numeric" escape hatch exists for arbitrary callables; certificates record
 the degraded provenance and widen their slack accordingly.
 
-Evaluation callables accept floats or numpy arrays (combinators that go
-through root finding are scalar-only and say so via .vectorized).
+Every evaluation callable accepts floats or numpy arrays: numeric_function
+wraps a scalar-only callable so that it loops over arrays itself, and the
+combinators that solve or integrate per point (inverse composition,
+antiderivative) map their scalar closures over the points.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .errors import (
 from .numerics import (
     DEFAULT_TOLERANCES,
     ToleranceProfile,
+    _eval_nodes,
     fd_derivative,
     integrate,
     invert_monotone,
@@ -84,7 +87,6 @@ class FunctionSpec:
     max_order: int = 4
     provenance: str = "analytic"  # analytic | numeric | mixed
     descriptor: Mapping[str, Any] | None = None
-    vectorized: bool = True
     eval_horizon: float = DEFAULT_EVAL_HORIZON
 
     def __post_init__(self) -> None:
@@ -127,17 +129,13 @@ class FunctionSpec:
         base = self.derivatives[-1] if self.derivatives else self.eval_fn
 
         def numeric_deriv(x, _base=base, _extra=extra):
-            return fd_derivative(_base, float(x), _extra)
+            return fd_derivative(_base, x, _extra)
 
         return numeric_deriv
 
     def eval_on(self, xs: np.ndarray, order: int = 0) -> np.ndarray:
-        """Evaluate a derivative on a grid, looping when not vectorized."""
-        fn = self.derivative(order)
-        xs = np.asarray(xs, dtype=float)
-        if self.vectorized and order <= len(self.derivatives):
-            return np.asarray(fn(xs), dtype=float)
-        return np.asarray([float(fn(x)) for x in xs.ravel()], dtype=float).reshape(xs.shape)
+        """Evaluate a derivative on a grid in one array call."""
+        return np.asarray(self.derivative(order)(np.asarray(xs, dtype=float)), dtype=float)
 
     def grid(self, n: int, lo: float | None = None, hi: float | None = None) -> np.ndarray:
         a = self.domain[0] if lo is None else lo
@@ -409,7 +407,6 @@ def affine_precompose(inner: FunctionSpec, scale: float, offset: float,
         max_order=inner.max_order,
         provenance=inner.provenance,
         descriptor=desc,
-        vectorized=inner.vectorized,
         eval_horizon=inner.eval_horizon,
     )
 
@@ -460,7 +457,6 @@ def nonneg_weighted_sum(terms: Sequence[tuple[float, FunctionSpec]],
         max_order=max_order,
         provenance=prov,
         descriptor=desc,
-        vectorized=all(f.vectorized for f in fns),
     )
 
 
@@ -477,7 +473,6 @@ def derivative_function(f: FunctionSpec, k: int = 1) -> FunctionSpec:
         derivatives=f.derivatives[k:],
         max_order=f.max_order - k,
         provenance=f.provenance,
-        vectorized=f.vectorized,
         eval_horizon=f.eval_horizon,
     )
 
@@ -492,16 +487,10 @@ def antiderivative_from(g: FunctionSpec, base: float | None = None) -> FunctionS
     a = g.domain[0] if base is None else float(base)
     ga = float(g(a))
 
-    def ev(x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty_like(xs)
-        for i, xi in enumerate(xs):
-            if xi <= a:
-                out[i] = 0.0
-            else:
-                out[i] = integrate(lambda t: np.asarray(g(t), dtype=float) - ga,
-                                   a, float(xi)).value
-        return out if np.ndim(x) else float(out[0])
+    def ev(x: float) -> float:
+        if x <= a:
+            return 0.0
+        return integrate(lambda t: np.asarray(g(t), dtype=float) - ga, a, float(x)).value
 
     def first(x):
         return np.asarray(g(x), dtype=float) - ga
@@ -510,26 +499,28 @@ def antiderivative_from(g: FunctionSpec, base: float | None = None) -> FunctionS
     return FunctionSpec(
         label=f"int[{g.label}]",
         domain=g.domain,
-        eval_fn=ev,
+        eval_fn=np.vectorize(ev, otypes=[float]),
         derivatives=derivs,
         max_order=g.max_order + 1,
         provenance=g.provenance,
-        vectorized=True,
         eval_horizon=g.eval_horizon,
     )
 
 
 def numeric_function(fn: Callable, domain: tuple[float, float], label: str = "numeric",
-                     max_order: int = 4, vectorized: bool = False) -> FunctionSpec:
-    """Escape hatch: a bare callable with finite-difference derivatives only."""
+                     max_order: int = 4) -> FunctionSpec:
+    """Escape hatch: a bare callable with finite-difference derivatives only.
+
+    fn may be scalar-only; it is called on whole arrays when it accepts them
+    and looped over the points otherwise.
+    """
     return FunctionSpec(
         label=label,
         domain=(float(domain[0]), float(domain[1])),
-        eval_fn=fn,
+        eval_fn=lambda x: _eval_nodes(fn, x),
         derivatives=(),
         max_order=max_order,
         provenance="numeric",
-        vectorized=vectorized,
     )
 
 
@@ -579,7 +570,6 @@ def taylor_remainder(f: FunctionSpec, p: int) -> FunctionSpec:
         derivatives=tuple(make(k) for k in range(1, depth + 1)),
         max_order=depth,
         provenance=f.provenance,
-        vectorized=f.vectorized,
         eval_horizon=f.eval_horizon,
     )
 
@@ -612,13 +602,13 @@ def compose_inverse(l: FunctionSpec, f: FunctionSpec,
     # Interior clamp dodges 0/0 in l'(x)/f'(x) when f'(lo) = 0.
     y_eps = 1e-9 * span
 
+    # Each point is solved on its own and combined in Python floats: the
+    # order-3 finite difference of d2_fn amplifies any last-bit change.
     def x_of(y: float) -> float:
         y = min(max(float(y), y_lo + y_eps), y_hi)
         return invert_monotone(f.eval_fn, y, (lo, hi), tolerances)
 
     def ev(y):
-        if np.ndim(y):
-            return np.asarray([float(l(x_of(t))) for t in np.asarray(y, dtype=float)])
         return float(l(x_of(y)))
 
     def d1_fn(y):
@@ -634,11 +624,10 @@ def compose_inverse(l: FunctionSpec, f: FunctionSpec,
     return FunctionSpec(
         label=f"{l.label} o inv[{f.label}]",
         domain=(y_lo, y_hi),
-        eval_fn=ev,
-        derivatives=(d1_fn, d2_fn),
+        eval_fn=np.vectorize(ev, otypes=[float]),
+        derivatives=tuple(np.vectorize(d, otypes=[float]) for d in (d1_fn, d2_fn)),
         max_order=4,
         provenance="mixed",
-        vectorized=False,
     )
 
 

@@ -165,7 +165,6 @@ def abs_derivative(f: FunctionSpec, grid_size: int = 512) -> FunctionSpec:
         derivatives=tuple(make(k) for k in range(1, base.analytic_depth + 1)),
         max_order=base.max_order,
         provenance=f.provenance,
-        vectorized=f.vectorized,
         eval_horizon=f.eval_horizon,
     )
 

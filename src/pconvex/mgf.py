@@ -24,9 +24,10 @@ import numpy as np
 
 from .distributions import (
     RandomVariable,
+    _points,
     discrete,
     expect,
-    reflected,
+    from_sample,
     shifted_moment,
 )
 from .errors import (
@@ -68,16 +69,6 @@ class MgfBoundReport:
     moments_used: tuple[float, ...]  # E X^j for j = 1..p-1
 
 
-def _taylor_head(s: float, x: float, p: int) -> float:
-    """sum_{j=0}^{p-1} (s x)^j / j!"""
-    acc = 1.0
-    term = 1.0
-    for j in range(1, p):
-        term *= s * x / j
-        acc += term
-    return acc
-
-
 def _moments(X: RandomVariable, p: int) -> list[float]:
     return [expect(X, lambda x, _j=j: np.asarray(x, dtype=float) ** _j)[0]
             for j in range(1, p)]
@@ -96,7 +87,7 @@ def mgf_lower(X: RandomVariable, s: float, p: int,
     if X.inf < -tolerances.eq_abs:
         raise SupportViolationError("mgf_lower needs X on [0, inf)")
     norm = shifted_moment(X, 0.0, p, tolerances).norm
-    head_at_norm = _taylor_head(s, norm, p)
+    head_at_norm = float(_head_vec(s, norm, p))
     mean_head = expect(X, lambda x: _head_vec(s, x, p))[0]
     lower = math.exp(s * norm) - head_at_norm + mean_head
     exact, err = expect(X, lambda x: np.exp(s * np.asarray(x, dtype=float)))
@@ -105,6 +96,7 @@ def mgf_lower(X: RandomVariable, s: float, p: int,
 
 
 def _head_vec(s: float, x, p: int):
+    """sum_{j=0}^{p-1} (s x)^j / j!, elementwise over an array x."""
     x = np.asarray(x, dtype=float)
     acc = np.ones_like(x)
     term = np.ones_like(x)
@@ -134,7 +126,7 @@ def mgf_upper(X: RandomVariable, s: float, p: int,
         return MgfBoundReport(s=s, p=p, lower=None, upper=1.0, exact=1.0,
                               exact_error=0.0, moments_used=tuple(_moments(X, p)))
     weight = (shifted_moment(X, 0.0, p, tolerances).norm / b) ** p
-    tail_at_b = math.exp(s * b) - _taylor_head(s, b, p)
+    tail_at_b = math.exp(s * b) - float(_head_vec(s, b, p))
     mean_head = expect(X, lambda x: _head_vec(s, x, p))[0]
     upper = weight * tail_at_b + mean_head
     exact, err = expect(X, lambda x: np.exp(s * np.asarray(x, dtype=float)))
@@ -152,16 +144,13 @@ def am_gm_lower(X: RandomVariable, p: int,
     p = _order(p)
     if X.inf < 1.0 - tolerances.eq_abs:
         raise SupportViolationError("am_gm_lower needs X on [1, inf)")
-    if X.kind == "discrete":
-        Y = discrete([math.log(a) for a in X.atoms], X.probs)
-    elif X.kind == "sample":
-        from .distributions import from_sample
-        Y = from_sample([math.log(v) for v in X.values])
-    else:
+    if X.kind == "density":
         raise DomainError("am_gm_lower supports discrete and sample lotteries")
+    logs = np.log(_points(X))
+    Y = discrete(logs, X.probs) if X.kind == "discrete" else from_sample(logs)
     norm = shifted_moment(Y, 0.0, p, tolerances).norm
     mean_head = expect(Y, lambda y: _head_vec(1.0, y, p))[0]
-    return math.exp(norm) - _taylor_head(1.0, norm, p) + mean_head
+    return math.exp(norm) - float(_head_vec(1.0, norm, p)) + mean_head
 
 
 # ---------------------------------------------------------------------------
@@ -169,83 +158,77 @@ def am_gm_lower(X: RandomVariable, p: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LikelihoodInstance:
     """Per-datum latent likelihood tables with responsibilities.
 
-    likelihoods[i][z] = p(x_i, z | theta) > 0,
-    responsibilities[i][z] = q_i(z) > 0, each row summing to 1.
-    The induced ratio variable X_i takes p(x_i, z | theta) / q_i(z) with
-    probability q_i(z); its ceiling b_i is the largest ratio.
+    Both fields are read-only n x K float arrays:
+    likelihoods[i, z] = p(x_i, z | theta) > 0,
+    responsibilities[i, z] = q_i(z) > 0, each row summing to 1.
+    Row i induces the ratio variable X_i, which takes
+    p(x_i, z | theta) / q_i(z) with probability q_i(z); its ceiling b_i is
+    the largest ratio.
     """
 
-    likelihoods: tuple[tuple[float, ...], ...]
-    responsibilities: tuple[tuple[float, ...], ...]
+    likelihoods: np.ndarray
+    responsibilities: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.likelihoods) != len(self.responsibilities) or not self.likelihoods:
-            raise ConstructionError("instance needs matching nonempty rows")
-        for i, (ps, qs) in enumerate(zip(self.likelihoods, self.responsibilities)):
-            if len(ps) != len(qs) or not ps:
-                raise ConstructionError(f"row {i}: mismatched latent tables")
-            if any(v <= 0.0 for v in ps):
-                raise ConstructionError(f"row {i}: likelihood values must be > 0")
-            if any(q <= 0.0 for q in qs):
-                raise ConstructionError(f"row {i}: responsibilities must be > 0")
-            if abs(math.fsum(qs) - 1.0) > 1e-9:
-                raise ConstructionError(f"row {i}: responsibilities must sum to 1")
+        try:
+            like = np.array(self.likelihoods, dtype=float)
+            resp = np.array(self.responsibilities, dtype=float)
+        except ValueError as exc:
+            raise ConstructionError(f"latent tables must be rectangular: {exc}") from exc
+        if like.ndim != 2 or like.shape != resp.shape or like.size == 0:
+            raise ConstructionError(
+                f"instance needs matching nonempty n x K tables, got shapes "
+                f"{like.shape} and {resp.shape}")
+        for what, bad in (
+                ("likelihood values must be finite and > 0",
+                 ~np.all(np.isfinite(like) & (like > 0.0), axis=1)),
+                ("responsibilities must be > 0", ~np.all(resp > 0.0, axis=1)),
+                ("responsibilities must sum to 1",
+                 ~(np.abs(resp.sum(axis=1) - 1.0) <= 1e-9))):
+            if np.any(bad):
+                raise ConstructionError(f"row {int(np.argmax(bad))}: {what}")
+        for name, table in (("likelihoods", like), ("responsibilities", resp)):
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
     @property
     def n(self) -> int:
-        return len(self.likelihoods)
+        return self.likelihoods.shape[0]
 
-    def ratio_variable(self, i: int) -> RandomVariable:
-        ps, qs = self.likelihoods[i], self.responsibilities[i]
-        ratios = [p / q for p, q in zip(ps, qs)]
-        # collapse duplicate atoms so degenerate posteriors give point masses
-        table: dict[float, float] = {}
-        for r, q in zip(ratios, qs):
-            table[r] = table.get(r, 0.0) + q
-        atoms = sorted(table)
-        return discrete(atoms, [table[a] for a in atoms])
-
-    def ratio_ceiling(self, i: int) -> float:
-        ps, qs = self.likelihoods[i], self.responsibilities[i]
-        return max(p / q for p, q in zip(ps, qs))
+    def _ratios(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ratio atoms r[i, z], each row's ceiling b_i and mean E X_i."""
+        r = self.likelihoods / self.responsibilities
+        return r, r.max(axis=1), np.sum(self.responsibilities * r, axis=1)
 
 
 def likelihood_instance(likelihoods: Sequence[Sequence[float]],
                         responsibilities: Sequence[Sequence[float]]) -> LikelihoodInstance:
-    inst = LikelihoodInstance(
-        likelihoods=tuple(tuple(float(v) for v in row) for row in likelihoods),
-        responsibilities=tuple(tuple(float(v) for v in row) for row in responsibilities))
-    for i in range(inst.n):
-        X = inst.ratio_variable(i)
-        b = inst.ratio_ceiling(i)
-        mean = X.mean()
-        if mean > 0.0 and b / mean > _CONDITIONING_RATIO:
-            warnings.warn(
-                f"row {i}: ceiling/mean ratio {b / mean:.2e} dominates the bound "
-                f"numerically; the tight minorant will be loose here",
-                RuntimeWarning, stacklevel=2)
+    inst = LikelihoodInstance(likelihoods, responsibilities)
+    _, b, mean = inst._ratios()
+    for i in np.flatnonzero(b > _CONDITIONING_RATIO * mean):
+        warnings.warn(
+            f"row {i}: ceiling/mean ratio {b[i] / mean[i]:.2e} dominates the bound "
+            f"numerically; the tight minorant will be loose here",
+            RuntimeWarning, stacklevel=2)
     return inst
 
 
 def loglik_exact(inst: LikelihoodInstance) -> float:
     """sum_i ln sum_z p(x_i, z | theta), i.e. sum_i ln E X_i."""
-    return math.fsum(math.log(math.fsum(row)) for row in inst.likelihoods)
+    return math.fsum(np.log(inst.likelihoods.sum(axis=1)))
 
 
 def elbo_classical(inst: LikelihoodInstance) -> float:
     """The Jensen minorant sum_i E ln X_i (the standard EM lower bound)."""
-    total = 0.0
-    for ps, qs in zip(inst.likelihoods, inst.responsibilities):
-        total += math.fsum(q * math.log(p / q) for p, q in zip(ps, qs))
-    return total
+    q = inst.responsibilities
+    return math.fsum((q * np.log(inst.likelihoods / q)).ravel())
 
 
-def elbo_tight(inst: LikelihoodInstance, norm_order: int = 2,
-               tolerances: ToleranceProfile = DEFAULT_TOLERANCES) -> float:
+def elbo_tight(inst: LikelihoodInstance, norm_order: int = 2) -> float:
     """The tightened minorant
 
         sum_i [ ln(b_i - ||b_i - X_i||_2) - (b_i - ||b_i - X_i||_2 - E X_i)/b_i ],
@@ -259,15 +242,16 @@ def elbo_tight(inst: LikelihoodInstance, norm_order: int = 2,
     if norm_order != 2:
         warnings.warn("norm orders above 2 are experimental and unsupported",
                       RuntimeWarning, stacklevel=2)
-    total = 0.0
-    for i in range(inst.n):
-        X = inst.ratio_variable(i)
-        b = inst.ratio_ceiling(i)
-        dev = shifted_moment(reflected(X, b), 0.0, int(norm_order), tolerances).norm
-        m = b - dev
-        mean = X.mean()
-        total += math.log(m) - (m - mean) / b
-    return total
+    order = int(norm_order)
+    r, b, mean = inst._ratios()
+    # ||b_i - X_i|| in the scaled form of shifted_moment: the deviations are
+    # divided by their largest value b_i - min r_i, and a zero scale is norm 0
+    scale = b - r.min(axis=1)
+    dev = np.divide(b[:, None] - r, scale[:, None], out=np.zeros_like(r),
+                    where=scale[:, None] > 0.0)
+    norm = scale * np.sum(inst.responsibilities * dev ** order, axis=1) ** (1.0 / order)
+    m = b - norm
+    return math.fsum(np.log(m) - (m - mean) / b)
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +301,6 @@ def _joint_likelihood(data: np.ndarray, weights: np.ndarray,
     return np.maximum(like, 1e-300)
 
 
-def _instance(joint: np.ndarray, resp: np.ndarray) -> LikelihoodInstance:
-    return LikelihoodInstance(
-        likelihoods=tuple(tuple(row) for row in joint),
-        responsibilities=tuple(tuple(row) for row in resp))
-
-
 def em_demo(data: np.ndarray, iters: int, seed: int) -> EMTrace:
     """Textbook EM on a two-component Bernoulli mixture, with the classical
     and tightened minorants logged each iteration.
@@ -346,7 +324,7 @@ def em_demo(data: np.ndarray, iters: int, seed: int) -> EMTrace:
     rows = []
     joint = _joint_likelihood(data, weights, means)
     uniform = np.full_like(joint, 1.0 / joint.shape[1])
-    inst0 = _instance(joint, uniform)
+    inst0 = LikelihoodInstance(joint, uniform)
     rows.append((0, loglik_exact(inst0), elbo_classical(inst0), elbo_tight(inst0)))
 
     for it in range(1, int(iters) + 1):
@@ -359,7 +337,7 @@ def em_demo(data: np.ndarray, iters: int, seed: int) -> EMTrace:
         weights = nk / n
         means = np.clip((resp.T @ data) / nk[:, None], _PROB_FLOOR, 1.0 - _PROB_FLOOR)
         joint = _joint_likelihood(data, weights, means)
-        inst = _instance(joint, resp)
+        inst = LikelihoodInstance(joint, resp)
         rows.append((it, loglik_exact(inst), elbo_classical(inst), elbo_tight(inst)))
 
     return EMTrace(rows=tuple(rows), weights=tuple(weights),

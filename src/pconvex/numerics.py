@@ -173,26 +173,33 @@ def _jacgauss(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray
     return np.asarray(nodes), np.asarray(weights)
 
 
-def _eval_nodes(f: Callable, xs: np.ndarray) -> np.ndarray:
-    """Evaluate f on a node array, looping when f is scalar-only."""
-    try:
-        vals = np.asarray(f(xs), dtype=float)
-    except (TypeError, ValueError):
-        vals = np.asarray([float(f(float(x))) for x in xs])
-    if vals.shape != xs.shape:
-        vals = np.asarray([float(f(float(x))) for x in xs])
-    return vals
+def _eval_nodes(f: Callable, xs) -> np.ndarray:
+    """f at every point of xs, as a float array of the same shape.
+
+    f gets one call on the whole array when it accepts arrays.  A
+    scalar-only f (it raises on an array or returns the wrong shape) is
+    called once per point with a float, and so is any f at a single point,
+    since scalar-only code can still accept a one-element array.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.size > 1:
+        try:
+            vals = np.asarray(f(xs), dtype=float)
+            if vals.shape == xs.shape:
+                return vals
+        except (TypeError, ValueError):
+            pass
+    return np.asarray([float(f(float(x))) for x in xs.ravel()]).reshape(xs.shape)
 
 
 def _gl_panels(f: Callable, a: float, b: float, n: int, panels: int) -> float:
     nodes, weights = _leggauss(n)
     edges = np.linspace(a, b, panels + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        h = 0.5 * (hi - lo)
-        xs = 0.5 * (hi + lo) + h * nodes
-        total += h * float(np.sum(weights * _eval_nodes(f, xs)))
-    return total
+    h = 0.5 * (edges[1:] - edges[:-1])
+    xs = 0.5 * (edges[1:] + edges[:-1])[:, None] + h[:, None] * nodes
+    sums = np.sum(weights * _eval_nodes(f, xs.ravel()).reshape(xs.shape), axis=1)
+    # panel totals are added left to right (cumsum), not pairwise
+    return float(np.cumsum(h * sums)[-1])
 
 
 def _doubled(estimate: Callable[[int], float], threshold: Callable[[float], float],
@@ -379,26 +386,31 @@ _CENTRAL_STENCILS = {
 }
 
 
-def _central_diff(f: Callable[[float], float], x: float, k: int, h: float) -> float:
+def _central_diff(f: Callable, x: np.ndarray, k: int, h: np.ndarray) -> np.ndarray:
     acc = 0.0
     for offset, coeff in _CENTRAL_STENCILS[k]:
-        acc += coeff * float(f(x + offset * h))
+        acc = acc + coeff * _eval_nodes(f, x + offset * h)
     return acc / h ** k
 
 
-def fd_derivative(f: Callable[[float], float], x: float, k: int,
-                  base_step: float = DEFAULT_TOLERANCES.fd_step) -> float:
+def fd_derivative(f: Callable, x, k: int,
+                  base_step: float = DEFAULT_TOLERANCES.fd_step):
     """k-th derivative (k in 1..4) by central differences plus one
     Richardson extrapolation step, giving O(h^4) truncation in the
     (order-scaled) base step.
 
-    The step grows with k to balance truncation against rounding noise;
-    accuracy degrades gracefully rather than raising.
+    x may be a float or an array; f is called once per stencil offset on
+    the whole array (a scalar-only f is looped over it).  The step grows
+    with k to balance truncation against rounding noise; accuracy degrades
+    gracefully rather than raising.
     """
     if k not in _CENTRAL_STENCILS:
         raise DomainError(f"fd_derivative supports orders 1..4, got {k}")
-    x = float(x)
-    h = base_step ** (4.0 / (k + 4.0)) * (1.0 + abs(x))
-    coarse = _central_diff(f, x, k, h)
-    fine = _central_diff(f, x, k, 0.5 * h)
-    return (4.0 * fine - coarse) / 3.0
+    # a float runs as a one-point array, so scalar and array calls agree bit
+    # for bit (numpy scalars would take another power routine)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    h = base_step ** (4.0 / (k + 4.0)) * (1.0 + np.abs(xs))
+    coarse = _central_diff(f, xs, k, h)
+    fine = _central_diff(f, xs, k, 0.5 * h)
+    out = (4.0 * fine - coarse) / 3.0
+    return out if np.ndim(x) else float(out[0])

@@ -15,6 +15,7 @@ from pconvex.convexity import (
     check_power_transform_convex,
     check_ratio_monotone,
 )
+from pconvex.distributions import discrete, expect, from_sample
 from pconvex.errors import DomainError
 from pconvex.functions import (
     exp_taylor_remainder,
@@ -270,3 +271,28 @@ class TestFailClosed:
         # f^(3) of x^2.5 is +inf at the anchor; the minimum margin is finite
         cert = certify_p_convex(shifted_power(2.5, domain=(0.0, 1.0)), 1, 0.0, 1.0)
         assert cert.passed
+
+
+@pytest.mark.parametrize("fn", [lambda x: math.log(x) - x, _half_nan],
+                         ids=["math-log", "half-nan"])
+def test_scalar_only_numeric_function_matches_per_point_calls(fn):
+    """A callable that rejects arrays is looped by the adapter, so every
+    array path gives what per-point calls give, bit for bit."""
+    f = numeric_function(fn, (0.1, 1.0))
+    xs = np.linspace(0.1, 1.0, 17)
+    for k in range(3):
+        want = [float(fn(x)) for x in xs] if k == 0 else \
+            [f.derivative(k)(float(x)) for x in xs]
+        np.testing.assert_array_equal(f.eval_on(xs, k), want)
+    probs = np.full(xs.size, 1.0 / xs.size)
+    discrete_want = math.fsum(p * fn(x) for x, p in zip(xs, probs))
+    sample_want = math.fsum(fn(x) for x in xs) / xs.size
+    np.testing.assert_array_equal(
+        [expect(discrete(xs, probs), f)[0], expect(from_sample(xs), f)[0]],
+        [discrete_want, sample_want])
+    looped = numeric_function(
+        lambda x: np.asarray([fn(float(t)) for t in np.ravel(x)]).reshape(np.shape(x)),
+        (0.1, 1.0))
+    got, ref = (certify_p_convex(g, 1, 0.1, 1.0, 64) for g in (f, looped))
+    assert got.passed == ref.passed
+    np.testing.assert_array_equal(list(got.margins.values()), list(ref.margins.values()))

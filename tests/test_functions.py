@@ -188,6 +188,14 @@ class TestComposeInverse:
         # orders 3, 4 exist via finite differences of the composed map
         assert abs(float(comp.derivative(3)(1.0))) < 1e-4
 
+    def test_array_evaluation_matches_scalar_calls(self):
+        comp = compose_inverse(shifted_power(4.0, domain=(0.0, 4.0)),
+                               shifted_power(2.0, domain=(0.0, 4.0)))
+        ys = np.linspace(0.1, 16.0, 9)
+        for k in range(4):
+            want = [float(comp.derivative(k)(float(y))) for y in ys]
+            assert comp.eval_on(ys, k).tolist() == want, k
+
     def test_decreasing_rejected(self):
         g = polynomial([1.0, -1.0], domain=(0.0, 1.0))  # 1 - x
         with pytest.raises(MonotonicityError):

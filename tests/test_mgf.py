@@ -13,7 +13,14 @@ import math
 import numpy as np
 import pytest
 
-from pconvex.distributions import discrete, point_mass, uniform
+from pconvex.distributions import (
+    discrete,
+    expect,
+    point_mass,
+    reflected,
+    shifted_moment,
+    uniform,
+)
 from pconvex.errors import (
     ConstructionError,
     SupportViolationError,
@@ -194,9 +201,39 @@ class TestLikelihoodInstance:
             hi = loglik_exact(inst)
             assert lo - 1e-10 <= mid <= hi + 1e-10
 
+    def test_tight_matches_per_row_moments(self, rng):
+        """The n x K array form against one ratio variable per row."""
+        ps = rng.uniform(0.05, 1.0, size=(40, 4))
+        qs = rng.dirichlet(np.ones(4), size=40)
+        ps[0], qs[0] = [0.2, 0.3, 0.1, 0.4], [0.2, 0.3, 0.1, 0.4]  # point mass
+        inst = likelihood_instance(ps, qs)
+        want = 0.0
+        for p_row, q_row in zip(ps, qs):
+            X = discrete(p_row / q_row, q_row)
+            b = X.sup
+            m = b - shifted_moment(reflected(X, b), 0.0, 2).norm
+            want += math.log(m) - (m - expect(X, lambda x: x)[0]) / b
+        assert elbo_tight(inst) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_tables_are_read_only_arrays(self):
+        inst = self.golden()
+        assert inst.likelihoods.shape == inst.responsibilities.shape == (1, 2)
+        with pytest.raises(ValueError):
+            inst.likelihoods[0, 0] = 1.0
+
     def test_zero_likelihood_rejected(self):
         with pytest.raises(ConstructionError):
             likelihood_instance([[0.0, 0.3]], [[0.5, 0.5]])
+
+    @pytest.mark.parametrize("ps,qs", [
+        ([[math.nan, 0.3]], [[0.5, 0.5]]),
+        ([[math.inf, 0.3]], [[0.5, 0.5]]),
+        ([[0.2, 0.3]], [[0.5, math.nan]]),
+        ([[0.2, 0.3], [0.2]], [[0.5, 0.5], [1.0]]),
+    ], ids=["nan-likelihood", "inf-likelihood", "nan-responsibility", "ragged"])
+    def test_non_finite_and_ragged_tables_rejected(self, ps, qs):
+        with pytest.raises(ConstructionError):
+            likelihood_instance(ps, qs)
 
     def test_conditioning_warning(self):
         with pytest.warns(RuntimeWarning):

@@ -151,6 +151,14 @@ class TestStoppingRule:
         assert res.error_estimate == abs(res.value - err.value.best_estimate)
 
 
+# name -> mpmath module -> (numpy integrand, mpmath integrand)
+_JACOBI_INTEGRANDS = {
+    "cube": lambda mp: (lambda t: t ** 3, lambda t: t ** 3),
+    "exp": lambda mp: (np.exp, mp.exp),
+    "cos": lambda mp: (np.cos, mp.cos),
+}
+
+
 class TestIntegrateJacobi:
     def test_weight_one(self):
         res = integrate_jacobi(lambda t: np.ones_like(t), 0.0, 1.0, 1.0, "left")
@@ -176,6 +184,35 @@ class TestIntegrateJacobi:
             weighted = integrate_jacobi(f, 0.0, 2.0, alpha, "left").value
             plain = integrate(lambda t: (t - 0.0) ** (alpha - 1.0) * np.cos(t), 0.0, 2.0).value
             assert weighted == pytest.approx(plain, abs=1e-8)
+
+    @pytest.mark.parametrize("name", sorted(_JACOBI_INTEGRANDS))
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 2.5])
+    def test_against_mpmath(self, alpha, side, name, request):
+        """Each weighted integral on [0, 2] either raises ConvergenceError or
+        lands within its own error estimate (plus 1e-12) of mpmath.quad at
+        30 digits.
+
+        The oracle integrates after substituting u = t^alpha (left) or
+        u = (2 - t)^alpha (right), which absorbs the weight into a smooth
+        integrand; tanh-sinh on the singular form loses digits to the
+        cancellation in 2 - t (1.7e-9 at alpha = 0.3).
+        """
+        if (alpha, side, name) == (0.3, "right", "cube"):
+            request.applymarker(pytest.mark.xfail(strict=True, reason=(
+                "the estimate understates the error: 8.6e-12 vs 9.9e-12, "
+                "since scipy's Jacobi weights lose accuracy as nodes double")))
+        mpmath = pytest.importorskip("mpmath")
+        fn, mp_fn = _JACOBI_INTEGRANDS[name](mpmath)
+        try:
+            res = integrate_jacobi(fn, 0.0, 2.0, alpha, side)
+        except ConvergenceError:
+            return
+        with mpmath.workdps(30):
+            a = mpmath.mpf(alpha)
+            t_of = (lambda u: u ** (1 / a)) if side == "left" else (lambda u: 2 - u ** (1 / a))
+            want = float(mpmath.quad(lambda u: mp_fn(t_of(u)), [0, 2 ** a]) / a)
+        assert abs(res.value - want) <= res.error_estimate + 1e-12, (res, want)
 
     def test_alpha_validation(self):
         with pytest.raises(DomainError):
@@ -246,6 +283,15 @@ class TestFdDerivative:
     def test_order_validation(self):
         with pytest.raises(DomainError):
             fd_derivative(math.exp, 0.0, 5)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_array_equals_per_point_calls(self, k):
+        xs = np.random.default_rng(5).uniform(0.1, 3.0, size=(7, 3))
+        for f in (lambda x: np.asarray(x) ** 3.4, math.exp):
+            got = fd_derivative(f, xs, k)
+            want = [fd_derivative(f, float(x), k) for x in xs.ravel()]
+            assert got.shape == xs.shape
+            assert got.ravel().tolist() == want
 
 
 class TestProfiles:
