@@ -38,6 +38,7 @@ from .numerics import (
     gamma,
     integrate,
     integrate_jacobi,
+    invert_monotone,
     pnorm_shifted,
 )
 
@@ -474,7 +475,8 @@ def sample_mc(X: RandomVariable, n: int, seed: int) -> RandomVariable:
     """Draw n values, bit-for-bit reproducible for a given seed (PCG64).
 
     Discrete and empirical kinds sample by inverse CDF over the atom table;
-    densities invert a numerically built CDF by bisection on all draws at once.
+    uniform draws are lo + (hi - lo) u, and other densities solve cdf(x) = u
+    for all draws in one invert_monotone run.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -503,7 +505,6 @@ def sample_mc(X: RandomVariable, n: int, seed: int) -> RandomVariable:
         a, b, alpha = params["a"], params["b"], params["alpha"]
 
         def cdf(x):
-            x = np.asarray(x, dtype=float)
             return ((x - a) ** alpha + (b - a) ** alpha - (b - x) ** alpha) / \
                 (2.0 * (b - a) ** alpha)
     else:
@@ -514,16 +515,9 @@ def sample_mc(X: RandomVariable, n: int, seed: int) -> RandomVariable:
         cum /= cum[-1]
 
         def cdf(x):
-            return np.interp(np.asarray(x, dtype=float), grid, cum)
+            return np.interp(x, grid, cum)
 
-    los = np.full_like(u, lo)
-    his = np.full_like(u, hi)
-    for _ in range(60):
-        mid = 0.5 * (los + his)
-        below = cdf(mid) < u
-        los = np.where(below, mid, los)
-        his = np.where(below, his, mid)
-    return from_sample(0.5 * (los + his), X.declared_support)
+    return from_sample(invert_monotone(cdf, u, (lo, hi)), X.declared_support)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ A "numeric" escape hatch exists for arbitrary callables; certificates record
 the degraded provenance and widen their slack accordingly.
 
 Every evaluation callable accepts floats or numpy arrays: numeric_function
-wraps a scalar-only callable so that it loops over arrays itself, and the
-combinators that solve or integrate per point (inverse composition,
-antiderivative) map their scalar closures over the points.
+wraps a scalar-only callable so that it loops over arrays itself, the
+inverse composition solves all points of a call at once, and the
+antiderivative maps its per-point integral over the points.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ __all__ = [
 ]
 
 DEFAULT_EVAL_HORIZON = 1e6
+_MONOTONICITY_GRID = 256  # points compose_inverse checks f' > 0 on
 
 _FAMILIES = (
     "shifted-power",
@@ -194,10 +195,10 @@ def shifted_power(q: float, shift: float = 0.0,
             if _c == 0.0:
                 return np.zeros_like(np.asarray(x, dtype=float)) + 0.0
             base = np.asarray(x, dtype=float) - shift
+            if _e >= 0:
+                return _c * np.where(base > 0.0, base, 0.0) ** _e
             with np.errstate(divide="ignore", invalid="ignore"):
-                out = _c * np.where(base > 0.0, base, 0.0) ** _e if _e >= 0 else \
-                    _c * base ** _e
-            return out
+                return _c * base ** _e
 
         return deriv
 
@@ -575,18 +576,17 @@ def taylor_remainder(f: FunctionSpec, p: int) -> FunctionSpec:
 
 
 def compose_inverse(l: FunctionSpec, f: FunctionSpec,
-                    tolerances: ToleranceProfile = DEFAULT_TOLERANCES,
-                    monotonicity_grid: int = 256) -> FunctionSpec:
+                    tolerances: ToleranceProfile = DEFAULT_TOLERANCES) -> FunctionSpec:
     """y -> l(f^{-1}(y)) on [f(lo), f(cap)] for strictly increasing f.
 
-    Orders 1 and 2 come from the inverse-function chain rule on the analytic
-    stacks; orders 3 and 4 fall back to finite differences of the composed
-    map (closed-form higher inverse derivatives are too error-prone), so the
-    result carries "mixed" provenance.
+    One invert_monotone run solves all points of a call.  Orders 1-2 come
+    from the inverse-function chain rule on the analytic stacks; orders 3-4
+    are finite differences of the composed map (closed-form higher inverse
+    derivatives are too error-prone), so the result has "mixed" provenance.
     """
     lo = f.domain[0]
     hi = f.upper_cap
-    xs = np.linspace(lo, hi, monotonicity_grid + 1)
+    xs = np.linspace(lo, hi, _MONOTONICITY_GRID + 1)
     d1 = f.eval_on(xs, 1)
     if np.any(d1 < 0.0) or np.any(d1[1:-1] <= 0.0):
         bad = float(xs[int(np.argmin(d1))])
@@ -596,36 +596,29 @@ def compose_inverse(l: FunctionSpec, f: FunctionSpec,
     if np.any(np.diff(vals) <= 0.0):
         raise MonotonicityError(f"{f.label} values do not strictly increase on the grid")
 
-    y_lo = float(f(lo))
-    y_hi = float(f(hi))
-    span = y_hi - y_lo
+    y_lo, y_hi = float(vals[0]), float(vals[-1])
     # Interior clamp dodges 0/0 in l'(x)/f'(x) when f'(lo) = 0.
-    y_eps = 1e-9 * span
+    y_eps = 1e-9 * (y_hi - y_lo)
 
-    # Each point is solved on its own and combined in Python floats: the
-    # order-3 finite difference of d2_fn amplifies any last-bit change.
-    def x_of(y: float) -> float:
-        y = min(max(float(y), y_lo + y_eps), y_hi)
-        return invert_monotone(f.eval_fn, y, (lo, hi), tolerances)
-
-    def ev(y):
-        return float(l(x_of(y)))
+    def x_of(y):
+        return invert_monotone(f.eval_fn, np.clip(y, y_lo + y_eps, y_hi), (lo, hi), tolerances)
 
     def d1_fn(y):
         x = x_of(y)
-        return float(l.derivative(1)(x)) / float(f.derivative(1)(x))
+        return l.derivative(1)(x) / f.derivative(1)(x)
 
     def d2_fn(y):
         x = x_of(y)
-        lp, lpp = float(l.derivative(1)(x)), float(l.derivative(2)(x))
-        fp, fpp = float(f.derivative(1)(x)), float(f.derivative(2)(x))
-        return (lpp * fp - lp * fpp) / fp ** 3
+        lp, lpp = l.derivative(1)(x), l.derivative(2)(x)
+        fp, fpp = f.derivative(1)(x), f.derivative(2)(x)
+        # not fp ** 3: numpy's scalar and array powers differ in last bits
+        return (lpp * fp - lp * fpp) / (fp * fp * fp)
 
     return FunctionSpec(
         label=f"{l.label} o inv[{f.label}]",
         domain=(y_lo, y_hi),
-        eval_fn=np.vectorize(ev, otypes=[float]),
-        derivatives=tuple(np.vectorize(d, otypes=[float]) for d in (d1_fn, d2_fn)),
+        eval_fn=lambda y: l(x_of(y)),
+        derivatives=(d1_fn, d2_fn),
         max_order=4,
         provenance="mixed",
     )

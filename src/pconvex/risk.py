@@ -27,7 +27,7 @@ from .convexity import (
     certify_p_convex,
 )
 from .distributions import RandomVariable, expect, shifted_moment, two_point
-from .errors import DomainError
+from .errors import DomainError, DomainMismatchError
 from .functions import (
     FunctionSpec,
     _falling_factorial,
@@ -84,12 +84,9 @@ class RiskMeasureReport:
 
 def certainty_equivalent(l: FunctionSpec, X: RandomVariable,
                          tolerances: ToleranceProfile = DEFAULT_TOLERANCES) -> float:
-    """The sure amount traded for the lottery: l^{-1}(E l(X))."""
+    """The sure amount traded for the lottery: l^{-1}(E l(X)) in [inf X, sup X]."""
     target, _ = expect(X, l)
-    lo = max(l.domain[0], X.inf if X.inf < X.sup else X.inf - 1.0)
-    hi = min(l.upper_cap, max(X.sup, lo + 1.0))
-    lo = min(lo, X.inf)
-    return invert_monotone(l.eval_fn, target, (lo, hi), tolerances)
+    return invert_monotone(l.eval_fn, target, (X.inf, X.sup), tolerances)
 
 
 def certify_p_more_risk_averse(l: FunctionSpec, f: FunctionSpec, p: int,
@@ -112,23 +109,6 @@ def certify_p_more_risk_averse(l: FunctionSpec, f: FunctionSpec, p: int,
                           certificate=cert, falsifier=None)
 
 
-def _two_point_violation(l: FunctionSpec, f: FunctionSpec, p: int,
-                         x1: float, x2: float, lam: float,
-                         tolerances: ToleranceProfile,
-                         slack: float) -> Falsifier | None:
-    X = two_point(min(x1, x2), max(x1, x2), lam)
-    c = certainty_equivalent(l, X, tolerances)
-    lhs_p = lam * float(f(min(x1, x2))) ** p + (1.0 - lam) * float(f(max(x1, x2))) ** p
-    lhs = lhs_p ** (1.0 / p)
-    rhs = float(f(c))
-    margin = lhs - rhs
-    # relative threshold: inversion noise is ~1e-9 relative, violations of a
-    # genuinely non-member pair are percent-scale relative
-    if margin > slack * max(abs(lhs), abs(rhs), 1e-300):
-        return Falsifier(lottery=X, threshold=c, margin=margin)
-    return None
-
-
 def falsify_p_more_risk_averse(l: FunctionSpec, f: FunctionSpec, p: int,
                                trials: int, seed: int,
                                horizon: float = 10.0,
@@ -142,7 +122,9 @@ def falsify_p_more_risk_averse(l: FunctionSpec, f: FunctionSpec, p: int,
     holds by construction and only the norm comparison is searched.  When
     directed_from is given (a point in f's range, e.g. a certificate
     witness), lotteries straddle its preimage; otherwise they are drawn
-    across (0, horizon].
+    across (0, horizon].  All trials are drawn first, in seeded order; their
+    certainty equivalents are solved in one batch, and the first violating
+    lottery is returned.
     """
     p = _order(p)
     rng = np.random.default_rng(int(seed))
@@ -152,24 +134,37 @@ def falsify_p_more_risk_averse(l: FunctionSpec, f: FunctionSpec, p: int,
     if directed_from is not None:
         lo, hi = f.domain[0], min(f.upper_cap, horizon)
         y = min(max(directed_from, float(f(lo + 1e-9 * (hi - lo)))), float(f(hi)))
-        center = invert_monotone(f.eval_fn, y, (lo, hi), tolerances)
-        center = max(center, 1e-3 * horizon)
+        center = max(invert_monotone(f.eval_fn, y, (lo, hi), tolerances), 1e-3 * horizon)
 
+    draws = []
     for _ in range(int(trials)):
         if center is None:
             x1, x2 = np.sort(rng.uniform(1e-6 * horizon, horizon, size=2))
         else:
             x1 = center * rng.uniform(0.25, 1.0)
-            x2 = center * rng.uniform(1.0, 4.0)
-            x2 = min(x2, horizon)
-        if not x1 < x2:
-            continue
-        lam = rng.uniform(0.05, 0.95)
-        hit = _two_point_violation(l, f, p, float(x1), float(x2), float(lam),
-                                   tolerances, slack)
-        if hit is not None:
-            return hit
-    return None
+            x2 = min(center * rng.uniform(1.0, 4.0), horizon)
+        if x1 < x2:
+            draws.append((x1, x2, rng.uniform(0.05, 0.95)))
+    if not draws:
+        return None
+    x1, x2, lam = np.array(draws, dtype=float).T
+    if x1.min() < l.domain[0] - 1e-9 or x2.max() > l.domain[1] + 1e-9:
+        raise DomainMismatchError(f"a lottery leaves the domain of {l.label}")
+
+    # every certainty equivalent in one solve; each lies between its atoms
+    budget = lam * l.eval_on(x1) + (1.0 - lam) * l.eval_on(x2)
+    c = invert_monotone(l.eval_fn, budget, (x1, x2), tolerances)
+    lhs = (lam * f.eval_on(x1) ** p + (1.0 - lam) * f.eval_on(x2) ** p) ** (1.0 / p)
+    rhs = f.eval_on(c)
+    margin = lhs - rhs
+    # relative threshold: inversion noise is ~1e-9 relative, violations of a
+    # genuinely non-member pair are percent-scale relative
+    hits = np.flatnonzero(margin > slack * np.maximum(np.maximum(abs(lhs), abs(rhs)), 1e-300))
+    if hits.size == 0:
+        return None
+    i = hits[0]
+    return Falsifier(lottery=two_point(x1[i], x2[i], lam[i]), threshold=float(c[i]),
+                     margin=float(margin[i]))
 
 
 # ---------------------------------------------------------------------------

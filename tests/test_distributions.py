@@ -253,6 +253,24 @@ class TestSampleMc:
         exact = expect(X, lambda x: x)[0]
         assert expect(s, lambda x: x)[0] == pytest.approx(exact, abs=0.02)
 
+    @pytest.mark.parametrize("X,cdf", [
+        (fractional_hh_density(0.0, 2.0, 0.5),
+         lambda x: (x ** 0.5 + 2.0 ** 0.5 - (2.0 - x) ** 0.5) / (2.0 * 2.0 ** 0.5)),
+        (fractional_hh_density(1.0, 3.0, 2.5),
+         lambda x: ((x - 1.0) ** 2.5 + 2.0 ** 2.5 - (3.0 - x) ** 2.5) / (2.0 * 2.0 ** 2.5)),
+        (beta_like(0.0, 2.0, 2.0, 3.0), None),
+        (beta_like(-1.0, 1.0, 3.5, 2.5), None),
+    ], ids=["frac-0.5", "frac-2.5", "beta-2-3", "beta-3.5-2.5"])
+    def test_density_draws_invert_the_cdf(self, X, cdf):
+        if cdf is None:  # the trapezoid-rule CDF sampled densities are drawn from
+            grid = np.linspace(*X.declared_support, 4097)
+            pdf = X.pdf(grid)
+            cum = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))])
+            cdf = lambda x: np.interp(x, grid, cum / cum[-1])
+        u = np.random.default_rng(3).random(500)
+        draws = np.asarray(sample_mc(X, 500, seed=3).values)
+        np.testing.assert_allclose(cdf(draws), u, rtol=0.0, atol=1e-12)
+
 
 class TestDescriptors:
     @pytest.mark.parametrize("raw", [

@@ -8,6 +8,10 @@ identities for the rest.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,13 @@ from pconvex.errors import (
     ConvergenceError,
     DomainError,
     RangeOverflowError,
+)
+from pconvex.functions import (
+    exp_taylor_remainder,
+    exponential,
+    log_affine,
+    polynomial,
+    shifted_power,
 )
 from pconvex.numerics import (
     QuadraturePlan,
@@ -32,6 +43,16 @@ from pconvex.numerics import (
     pnorm_shifted,
 )
 
+
+# Strictly increasing catalog members with a bracket inside their domains.
+_MONOTONE_MEMBERS = [
+    (shifted_power(2.0, domain=(0.0, 4.0)), 0.0, 4.0),
+    (shifted_power(3.5, shift=1.0, domain=(1.0, 5.0)), 1.0, 5.0),
+    (exponential(1.0, domain=(0.0, 3.0)), 0.0, 3.0),
+    (exp_taylor_remainder(2, domain=(0.0, 3.0)), 0.2, 3.0),
+    (log_affine(0.6), 0.01, 0.55),
+    (polynomial([0.0, 1.0, 1.0, 1.0], domain=(0.0, 2.0)), 0.0, 2.0),
+]
 
 _GAMMA_GRID = np.concatenate([
     np.linspace(0.05, 1.0, 39),
@@ -265,6 +286,94 @@ class TestInvertMonotone:
         f = lambda t: t ** q
         recovered = invert_monotone(f, f(x), (0.0, 64.0))
         assert recovered == pytest.approx(x, rel=1e-10, abs=1e-10)
+
+    def test_float_in_float_out(self):
+        assert type(invert_monotone(lambda x: x * x, 4.0, (0.0, 10.0))) is float
+        out = invert_monotone(lambda x: x * x, [4.0], (0.0, 10.0))
+        assert isinstance(out, np.ndarray) and out.shape == (1,)
+
+    @pytest.mark.parametrize("f,g,lo,hi", [
+        (lambda x: x * x, np.sqrt, 0.0, 10.0),
+        (lambda x: x ** 5, lambda y: y ** 0.2, 0.0, 10.0),
+        (lambda x: x ** 7, lambda y: y ** (1.0 / 7.0), 0.0, 3.0),
+        (np.exp, np.log, -5.0, 5.0),
+    ], ids=["sqrt", "fifth-root", "seventh-root", "log"])
+    def test_closed_form_inverses(self, f, g, lo, hi):
+        xs = np.linspace(lo + 0.1 * (hi - lo), hi, 33)
+        ys = f(xs)
+        want = g(ys)
+        for got in (invert_monotone(f, ys, (lo, hi)),
+                    [invert_monotone(f, float(y), (lo, hi)) for y in ys]):
+            np.testing.assert_allclose(got, want, rtol=1e-13)
+
+    def test_array_and_broadcast_brackets(self):
+        square = lambda x: x * x
+        ys = np.array([1.0, 4.0, 9.0])
+        np.testing.assert_allclose(invert_monotone(square, ys, (0.0, [2.0, 3.0, 4.0])),
+                                   [1.0, 2.0, 3.0], rtol=1e-14)
+        np.testing.assert_allclose(invert_monotone(square, 4.0, ([0.0, 1.0, 1.5], 5.0)),
+                                   [2.0, 2.0, 2.0], rtol=1e-14)
+        # (3, 1) targets against (4,) upper ends: a (3, 4) solve
+        out = invert_monotone(square, ys[:, None], (0.0, np.array([3.0, 4.0, 5.0, 6.0])))
+        assert out.shape == (3, 4)
+        np.testing.assert_allclose(out, np.broadcast_to([[1.0], [2.0], [3.0]], (3, 4)),
+                                   rtol=1e-14)
+        with pytest.raises(BracketError):
+            invert_monotone(square, ys, (0.0, [2.0, 1.0, 4.0]))
+        with pytest.raises(BracketError):
+            invert_monotone(square, ys, ([0.0, 3.0, 0.0], [2.0, 2.5, 4.0]))
+
+    def test_array_bracket_expansion_covers_every_target(self):
+        ys = np.array([-30.0, 0.5, 10.0, 1e4])
+        xs = invert_monotone(lambda x: x ** 3 + x, ys)
+        np.testing.assert_allclose(xs ** 3 + xs, ys, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(min_value=0, max_value=5),
+           st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=40))
+    def test_float_and_array_runs_agree_bit_for_bit(self, member, fractions):
+        f, lo, hi = _MONOTONE_MEMBERS[member]
+        ylo, yhi = float(f(lo)), float(f(hi))
+        ys = ylo + np.asarray(fractions) * (yhi - ylo)
+        batch = invert_monotone(f.eval_fn, ys, (lo, hi))
+        assert batch.tolist() == [invert_monotone(f.eval_fn, float(y), (lo, hi)) for y in ys]
+
+
+_NAN_ABOVE_HALF = lambda x: math.nan if x > 0.5 else x
+_NAN_INSIDE = lambda x: math.nan if 0.4 < x < 0.6 else x
+
+
+class TestInvertMonotoneFailsClosed:
+    """Non-finite input, or f NaN where evaluated, raises instead of returning."""
+
+    @pytest.mark.parametrize("f,y,bracket,error", [
+        (lambda x: x * x, math.nan, (0.0, 10.0), BracketError),
+        (lambda x: x, 0.7, (0.0, math.inf), BracketError),
+        (_NAN_ABOVE_HALF, 0.7, (0.0, 1.0), BracketError),
+        (_NAN_INSIDE, 0.7, (0.0, 1.0), ConvergenceError),
+    ], ids=["nan-target", "infinite-bracket", "nan-at-bracket-end", "nan-inside"])
+    def test_float(self, f, y, bracket, error):
+        with pytest.raises(error):
+            invert_monotone(f, y, bracket)
+
+    @pytest.mark.parametrize("f,y,bracket,error", [
+        (lambda x: x * x, [1.0, math.nan], (0.0, 10.0), BracketError),
+        (lambda x: x, [0.2, 0.7], (0.0, [1.0, math.inf]), BracketError),
+        (_NAN_ABOVE_HALF, [0.2, 0.7], (0.0, [0.4, 1.0]), BracketError),
+        (_NAN_INSIDE, [0.2, 0.7], (0.0, [0.3, 1.0]), ConvergenceError),
+    ], ids=["nan-target", "infinite-bracket", "nan-at-bracket-end", "nan-inside"])
+    def test_array(self, f, y, bracket, error):
+        with pytest.raises(error):
+            invert_monotone(f, np.asarray(y), bracket)
+
+
+def test_import_leaves_scipy_optimize_out():
+    # the solver is hand-written so that `import pconvex` stays fast and small
+    code = "import sys, pconvex; print('scipy.optimize' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestFdDerivative:

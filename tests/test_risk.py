@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pconvex.distributions import discrete, point_mass, two_point
-from pconvex.errors import DomainError
+from pconvex.errors import DomainError, DomainMismatchError
 from pconvex.functions import shifted_power
 from pconvex.risk import (
     certainty_equivalent,
@@ -16,6 +16,7 @@ from pconvex.risk import (
     falsify_p_more_risk_averse,
     risk_measure,
 )
+from pconvex.numerics import invert_monotone
 
 
 class TestCertaintyEquivalent:
@@ -91,6 +92,58 @@ class TestFalsifier:
     def test_equality_pair_never_falsified(self):
         f = shifted_power(2.0, domain=(0.0, 50.0))
         assert falsify_p_more_risk_averse(f, f, 1, trials=1000, seed=7) is None
+
+    def test_lottery_outside_the_loss_domain_rejected(self):
+        l = shifted_power(2.0, domain=(0.0, 5.0))
+        f = shifted_power(2.0, domain=(0.0, 50.0))
+        with pytest.raises(DomainMismatchError):
+            falsify_p_more_risk_averse(l, f, 1, trials=50, seed=7, horizon=10.0)
+
+
+def _falsify_per_trial(l, f, p, trials, seed, horizon=10.0, directed_from=None):
+    """Reference: one certainty equivalent per trial, in the seeded draw order."""
+    rng = np.random.default_rng(seed)
+    center = None
+    if directed_from is not None:
+        lo, hi = f.domain[0], min(f.upper_cap, horizon)
+        y = min(max(directed_from, float(f(lo + 1e-9 * (hi - lo)))), float(f(hi)))
+        center = max(invert_monotone(f.eval_fn, y, (lo, hi)), 1e-3 * horizon)
+    for _ in range(trials):
+        if center is None:
+            x1, x2 = np.sort(rng.uniform(1e-6 * horizon, horizon, size=2))
+        else:
+            x1 = center * rng.uniform(0.25, 1.0)
+            x2 = min(center * rng.uniform(1.0, 4.0), horizon)
+        if not x1 < x2:
+            continue
+        lam = float(rng.uniform(0.05, 0.95))
+        X = two_point(x1, x2, lam)
+        c = certainty_equivalent(l, X)
+        lhs = (lam * float(f(x1)) ** p + (1.0 - lam) * float(f(x2)) ** p) ** (1.0 / p)
+        rhs = float(f(c))
+        if lhs - rhs > 1e-6 * max(abs(lhs), abs(rhs), 1e-300):
+            return X, c
+    return None
+
+
+class TestBatchedFalsifier:
+    """The one-solve falsifier finds what a per-trial loop finds."""
+
+    @pytest.mark.parametrize("pair", ["member", "non-member"])
+    @pytest.mark.parametrize("directed_from", [None, 4.0, 30.0])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_trial_loop(self, pair, directed_from, seed):
+        quartic = shifted_power(4.0, domain=(0.0, 50.0))
+        square = shifted_power(2.0, domain=(0.0, 50.0))
+        l, f, p = (quartic, square, 2) if pair == "member" else (square, quartic, 1)
+        want = _falsify_per_trial(l, f, p, 300, seed, directed_from=directed_from)
+        hit = falsify_p_more_risk_averse(l, f, p, trials=300, seed=seed,
+                                         directed_from=directed_from)
+        assert (hit is None) == (want is None)
+        if hit is not None:
+            X, c = want
+            assert hit.lottery == X
+            assert hit.threshold == pytest.approx(c, rel=1e-12)
 
 
 class TestRiskMeasure:
