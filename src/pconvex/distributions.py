@@ -14,7 +14,7 @@ averages, or doubled Gauss quadrature that raises unless it converges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -68,66 +68,94 @@ _TRUNCATION_MASS = 1e-10
 class RandomVariable:
     """A distribution in one of three representations.
 
-    kind "discrete": atoms + probs (probs sum to 1 within 1e-12).
-    kind "sample":   a nonempty list of observed values, weighted equally.
+    kind "discrete": atoms + probs, tuples of floats (probs sum to 1 within
+                     1e-12).
+    kind "sample":   values, a nonempty read-only 1-D float64 array of
+                     observations, weighted equally.
     kind "density":  pdf + support + quadrature plan; named families carry
                      params so they serialize and so singular endpoint
                      weights can be integrated by Gauss-Jacobi instead of
                      being sampled pointwise.
+
+    A finite (discrete or sample) variable converts and validates its
+    points once, here: any non-numeric, non-1-D, empty or non-finite input
+    raises ConstructionError.  Its point and weight arrays and inf/sup are
+    computed at construction, and its mean on first use; a declared support
+    of None means the span of the points (widened by 1 for a single point).
+    Variables compare by value; sample variables are not hashable.
     """
 
     kind: str
-    declared_support: tuple[float, float]
+    declared_support: tuple[float, float] | None
     atoms: tuple[float, ...] = ()
     probs: tuple[float, ...] = ()
-    values: tuple[float, ...] = ()
+    values: np.ndarray = ()
     pdf: Callable | None = None
     plan: QuadraturePlan = DEFAULT_PLAN
     density_family: str | None = None
     density_params: Mapping[str, Any] | None = None
+    inf: float = field(init=False, repr=False, compare=False)
+    sup: float = field(init=False, repr=False, compare=False)
+    _points: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
+    _weights: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
+    _mean: float | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
-        lo, hi = self.declared_support
-        if not (math.isfinite(lo) and lo < hi):
-            raise ConstructionError(f"invalid declared support {self.declared_support}")
         if self.kind == "discrete":
-            if len(self.atoms) != len(self.probs) or not self.atoms:
+            pts = _float_points(self.atoms, "atoms")
+            wts = _float_points(self.probs, "probabilities")
+            if len(pts) != len(wts) or not len(pts):
                 raise ConstructionError("discrete needs matching nonempty atoms/probs")
-            if not all(map(math.isfinite, self.atoms + self.probs)):
+            if not (np.isfinite(pts).all() and np.isfinite(wts).all()):
                 raise ConstructionError("atoms and probabilities must be finite")
-            if any(p < 0.0 for p in self.probs):
+            if (wts < 0.0).any():
                 raise ConstructionError("probabilities must be nonnegative")
-            total = math.fsum(self.probs)
+            total = math.fsum(wts.tolist())
             if abs(total - 1.0) > 1e-12:
                 raise ConstructionError(f"probabilities sum to {total!r}, not 1")
-            if any(a < lo - 1e-12 or a > hi + 1e-12 for a in self.atoms):
-                raise ConstructionError("atoms outside declared support")
+            object.__setattr__(self, "atoms", tuple(pts.tolist()))
+            object.__setattr__(self, "probs", tuple(wts.tolist()))
+            object.__setattr__(self, "_weights", wts)
         elif self.kind == "sample":
-            if not self.values:
+            pts = _float_points(self.values, "sample values")
+            if not len(pts):
                 raise ConstructionError("sample representation needs at least one value")
-            if not all(map(math.isfinite, self.values)):
+            if not np.isfinite(pts).all():
                 raise ConstructionError("sample values must be finite")
-            if min(self.values) < lo - 1e-12 or max(self.values) > hi + 1e-12:
-                raise ConstructionError("sample values outside declared support")
+            object.__setattr__(self, "values", pts)
         elif self.kind == "density":
             if self.pdf is None:
                 raise ConstructionError("density representation needs a pdf")
+            pts = None
         else:
             raise ConstructionError(f"unknown kind {self.kind!r}")
+        if pts is not None:
+            inf, sup = float(pts.min()), float(pts.max())
+            if self.declared_support is None:
+                object.__setattr__(self, "declared_support",
+                                   (inf, sup if sup > inf else inf + 1.0))
+        lo, hi = self.declared_support
+        if not (math.isfinite(lo) and lo < hi):
+            raise ConstructionError(f"invalid declared support {self.declared_support}")
+        if pts is None:
+            inf, sup = lo, hi
+        elif inf < lo - 1e-12 or sup > hi + 1e-12:
+            what = "atoms" if self.kind == "discrete" else "sample values"
+            raise ConstructionError(f"{what} outside declared support")
+        object.__setattr__(self, "inf", inf)
+        object.__setattr__(self, "sup", sup)
+        object.__setattr__(self, "_points", pts)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RandomVariable):
+            return NotImplemented
+        for f in fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if f.compare and not (np.array_equal(a, b) if f.name == "values" else a == b):
+                return False
+        return True
 
     # -- support helpers ----------------------------------------------------
-
-    @property
-    def inf(self) -> float:
-        if self.kind == "density":
-            return self.declared_support[0]
-        return min(self.atoms or self.values)
-
-    @property
-    def sup(self) -> float:
-        if self.kind == "density":
-            return self.declared_support[1]
-        return max(self.atoms or self.values)
 
     @property
     def bounded(self) -> bool:
@@ -138,12 +166,32 @@ class RandomVariable:
             inner = ",".join(f"{a:.12g}:{p:.12g}" for a, p in zip(self.atoms, self.probs))
             return f"discrete[{inner}]"
         if self.kind == "sample":
-            return f"sample[n={len(self.values)},mean={math.fsum(self.values)/len(self.values):.12g}]"
+            return f"sample[n={len(self.values)},mean={self.mean():.12g}]"
         fam = self.density_family or "custom"
         return f"density[{fam},{self.declared_support}]"
 
     def mean(self) -> float:
-        return expect(self, lambda x: x)[0]
+        """E X, computed on first use and then reused."""
+        if self._mean is None:
+            object.__setattr__(self, "_mean", expect(self, lambda x: x)[0])
+        return self._mean
+
+
+def _float_points(points, what: str) -> np.ndarray:
+    """A fresh read-only 1-D float64 copy of numeric points."""
+    try:
+        arr = np.asarray(points if isinstance(points, (np.ndarray, list, tuple))
+                         else list(points))
+        if arr.dtype.kind not in "biuf":
+            raise TypeError(f"dtype {arr.dtype}")
+    except (TypeError, ValueError) as exc:
+        raise ConstructionError(f"{what} must be numeric: {exc}") from exc
+    if arr.ndim != 1:
+        raise ConstructionError(f"{what} must be one-dimensional, got shape {arr.shape}")
+    # copy the caller's own array, so its later writes cannot reach the variable
+    arr = arr.astype(float, copy=arr is points)
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -179,10 +227,8 @@ def _unscaled(scaled: float, scale: float, order: int) -> float:
 
 
 def discrete(atoms, probs, support: tuple[float, float] | None = None) -> RandomVariable:
-    atoms = tuple(float(a) for a in atoms)
-    probs = tuple(float(p) for p in probs)
-    if support is None:
-        support = (min(atoms), max(atoms) if max(atoms) > min(atoms) else min(atoms) + 1.0)
+    """The lottery paying atoms[i] with probability probs[i]; both are kept as
+    tuples of floats.  The support defaults to the span of the atoms."""
     return RandomVariable(kind="discrete", declared_support=support,
                           atoms=atoms, probs=probs)
 
@@ -209,13 +255,8 @@ def two_point(a: float, b: float, t: float) -> RandomVariable:
 
 
 def from_sample(values, support: tuple[float, float] | None = None) -> RandomVariable:
-    values = tuple(float(v) for v in values)
-    if not values:
-        raise ConstructionError("sample representation needs at least one value")
-    if support is None:
-        lo = min(values)
-        hi = max(values)
-        support = (lo, hi if hi > lo else lo + 1.0)
+    """The empirical law of values, copied once into a read-only float64
+    array; inf, sup and the default support (their span) are computed then."""
     return RandomVariable(kind="sample", declared_support=support, values=values)
 
 
@@ -305,9 +346,8 @@ def reflected(X: RandomVariable, center: float) -> RandomVariable:
         raise DomainError("cannot reflect an unbounded-above random variable")
     support = (center - hi, center - lo)
     if X.kind != "density":
-        return replace(X, declared_support=support,
-                       atoms=tuple(center - a for a in X.atoms),
-                       values=tuple(center - v for v in X.values))
+        points = "atoms" if X.kind == "discrete" else "values"
+        return replace(X, declared_support=support, **{points: center - X._points})
     base_pdf = X.pdf
 
     def pdf(y):
@@ -331,16 +371,12 @@ def reflected(X: RandomVariable, center: float) -> RandomVariable:
 # ---------------------------------------------------------------------------
 
 
-def _points(X: RandomVariable) -> np.ndarray:
-    """The atoms of a discrete variable or the values of a sample."""
-    return np.asarray(X.atoms if X.kind == "discrete" else X.values, dtype=float)
-
-
 def _finite_mean(X: RandomVariable, vals: np.ndarray) -> float:
-    """E over a discrete or sample variable of values given at its points."""
+    """E over a discrete or sample variable of values given at its points,
+    correctly rounded (fsum over Python floats beats fsum over an array)."""
     if X.kind == "discrete":
-        return math.fsum(np.asarray(X.probs) * vals)
-    return math.fsum(vals) / len(vals)
+        return math.fsum((X._weights * vals).tolist())
+    return math.fsum(vals.tolist()) / len(vals)
 
 
 def _check_domain(X: RandomVariable, f) -> None:
@@ -388,14 +424,15 @@ def _density_expect(X: RandomVariable, fn: Callable) -> tuple[float, float]:
 def expect(X: RandomVariable, f) -> tuple[float, float]:
     """E f(X) and an error estimate; the oracle for every bound test.
 
-    Exact weighted sum for discrete, plain average for samples; for
+    Exact weighted sum for discrete, plain average for samples, both
+    summed by math.fsum (correctly rounded) with no error term; for
     densities, panel-doubled Gauss-Legendre (node-doubled Gauss-Jacobi under
     singular endpoint weights), whose error estimate is the last doubling
     step.  Quadrature that does not converge raises MomentDivergenceError.
     """
     _check_domain(X, f)
     if X.kind != "density":
-        xs = _points(X)
+        xs = X._points
         vals = f.eval_on(xs) if isinstance(f, FunctionSpec) else _eval_nodes(f, xs)
         return _finite_mean(X, vals), 0.0
     try:
@@ -432,7 +469,7 @@ def shifted_moment(X: RandomVariable, shift: float, order: int,
         scale = max(X.sup - shift, 0.0)
         if scale == 0.0:
             return MomentReport(order, shift, 0.0, 0.0, "exact-sum")
-        scaled = _finite_mean(X, (np.maximum(_points(X) - shift, 0.0) / scale) ** order)
+        scaled = _finite_mean(X, (np.maximum(X._points - shift, 0.0) / scale) ** order)
         norm = pnorm_shifted(scaled, order, scale)
         return MomentReport(order, shift, _unscaled(scaled, scale, order), norm, "exact-sum")
 
@@ -484,14 +521,14 @@ def sample_mc(X: RandomVariable, n: int, seed: int) -> RandomVariable:
     u = rng.random(int(n))
 
     if X.kind == "discrete":
-        cum = np.cumsum(np.asarray(X.probs))
+        cum = np.cumsum(X._weights)
         cum[-1] = 1.0
         idx = np.searchsorted(cum, u, side="left")
-        vals = np.asarray(X.atoms)[idx]
+        vals = X._points[idx]
         return from_sample(vals, X.declared_support)
 
     if X.kind == "sample":
-        vals = rng.choice(np.asarray(X.values), size=int(n), replace=True)
+        vals = rng.choice(X.values, size=int(n), replace=True)
         return from_sample(vals, X.declared_support)
 
     lo, hi = X.declared_support
@@ -565,7 +602,7 @@ def distribution_to_descriptor(X: RandomVariable) -> dict:
         return {"kind": "discrete", "atoms": list(X.atoms), "probs": list(X.probs),
                 "support": list(X.declared_support)}
     if X.kind == "sample":
-        return {"kind": "sample", "values": list(X.values),
+        return {"kind": "sample", "values": X.values.tolist(),
                 "support": list(X.declared_support)}
     if X.density_family is None:
         raise ConstructionError("custom pdf densities have no JSON form")

@@ -109,7 +109,7 @@ def _report(where: str, kind: str, direction: str, klass: str,
         raise UnboundedSupportError(
             f"{where}: mass above the certified interval ({X.sup} > {b})")
     p = cert.p
-    mean = expect(X, lambda x: x)[0]
+    mean = X.mean()
     value, classical, value_error = estimate(f, X, a, b, p, mean, tolerances)
     oracle = oracle_err = gap = None
     if compute_oracle:

@@ -24,7 +24,6 @@ import numpy as np
 
 from .distributions import (
     RandomVariable,
-    _points,
     discrete,
     expect,
     from_sample,
@@ -146,7 +145,7 @@ def am_gm_lower(X: RandomVariable, p: int,
         raise SupportViolationError("am_gm_lower needs X on [1, inf)")
     if X.kind == "density":
         raise DomainError("am_gm_lower supports discrete and sample lotteries")
-    logs = np.log(_points(X))
+    logs = np.log(X._points)
     Y = discrete(logs, X.probs) if X.kind == "discrete" else from_sample(logs)
     norm = shifted_moment(Y, 0.0, p, tolerances).norm
     mean_head = expect(Y, lambda y: _head_vec(1.0, y, p))[0]

@@ -65,7 +65,6 @@ class RiskComparison:
     f_label: str
     p: int
     certificate: ConvexityCertificate
-    falsifier: Falsifier | None
 
     @property
     def holds(self) -> bool:
@@ -105,8 +104,7 @@ def certify_p_more_risk_averse(l: FunctionSpec, f: FunctionSpec, p: int,
     y_lo, y_hi = comp.domain
     cap = min(y_hi, float(f(horizon)))
     cert = certify_p_convex(comp, p - 1, y_lo, cap, grid_size, tolerances)
-    return RiskComparison(l_label=l.label, f_label=f.label, p=p,
-                          certificate=cert, falsifier=None)
+    return RiskComparison(l_label=l.label, f_label=f.label, p=p, certificate=cert)
 
 
 def falsify_p_more_risk_averse(l: FunctionSpec, f: FunctionSpec, p: int,

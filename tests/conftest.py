@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from pconvex.distributions import discrete, from_sample, uniform
 from pconvex.functions import (
@@ -54,6 +57,24 @@ def random_bounded_rv(rng: np.random.Generator, a: float, b: float):
     lo = rng.uniform(a, a + 0.25 * (b - a))
     hi = rng.uniform(lo + 0.25 * (b - a), b)
     return uniform(lo, hi)
+
+
+# Entries a finite variable must refuse: non-finite or non-numeric.
+_BAD_ENTRIES = st.sampled_from([math.nan, math.inf, -math.inf, "x", None, [1.0], {"a": 1.0}])
+
+
+@st.composite
+def bad_points(draw):
+    """A list of points that no discrete or sample variable may accept: empty,
+    2-D, or valid floats with one bad entry inserted."""
+    good = draw(st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=1, max_size=5))
+    how = draw(st.sampled_from(["entry", "empty", "2-D"]))
+    if how == "empty":
+        return []
+    if how == "2-D":
+        return [good, good]
+    i = draw(st.integers(min_value=0, max_value=len(good)))
+    return good[:i] + [draw(_BAD_ENTRIES)] + good[i:]
 
 
 @pytest.fixture

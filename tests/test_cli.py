@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from conftest import bad_points
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pconvex.cli import main
 from pconvex.errors import InputFormatError
@@ -98,6 +105,25 @@ class TestCertify:
             main(["certify", "--help"])
         assert exc.value.code == 0
         assert "--class" in capsys.readouterr().out
+
+
+class TestBadDistributionFiles:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(bad_points(), st.sampled_from(["sample", "atoms", "probs"]))
+    def test_exit_one_without_traceback(self, bad, where):
+        n = max(len(bad), 1)
+        raw = ({"kind": "sample", "values": bad} if where == "sample" else
+               {"kind": "discrete", "atoms": bad, "probs": [1.0 / n] * n} if where == "atoms"
+               else {"kind": "discrete", "atoms": list(range(n)), "probs": bad})
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+            path = os.path.join(tmp, "bad.json")
+            with open(path, "w") as fh:
+                json.dump(raw, fh)
+            # an exception escaping main would fail the test with its traceback
+            assert main(["mgf", "-d", path, "-s", "0.5", "-p", "2"]) == 1
+        assert err.getvalue().startswith(("input error: ", "error: "))
+        assert "Traceback" not in err.getvalue()
 
 
 class TestBound:

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import bad_points
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from pconvex.errors import (
     DomainMismatchError,
     InputFormatError,
     MomentDivergenceError,
+    PconvexError,
     SupportViolationError,
 )
 from pconvex.distributions import (
@@ -220,9 +222,9 @@ class TestSampleMc:
         X = discrete([0.0, 1.0, 2.0], [0.3, 0.4, 0.3])
         a = sample_mc(X, 500, seed=42)
         b = sample_mc(X, 500, seed=42)
-        assert a.values == b.values
+        np.testing.assert_array_equal(a.values, b.values)
         c = sample_mc(X, 500, seed=43)
-        assert a.values != c.values
+        assert not np.array_equal(a.values, c.values)
 
     def test_binomial_concentration(self):
         # 5 sigma band around the mean at n = 1e5
@@ -340,3 +342,100 @@ class TestValidation:
         # an unbounded domain or support stays legal; non-finite values do not
         with pytest.raises(ConstructionError):
             build()
+
+
+# Magnitudes over 1e-300...1e300, subnormals included, plus exact cancellation.
+_MAGNITUDES = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.floats(min_value=-2.2e-308, max_value=2.2e-308),
+)
+
+
+@st.composite
+def _finite_points(draw):
+    points = draw(st.lists(_MAGNITUDES, min_size=1, max_size=30))
+    if draw(st.booleans()):  # heavy cancellation: every value with its negation
+        points = points + [-x for x in points] + draw(st.lists(_MAGNITUDES, max_size=3))
+    return points
+
+
+def _bits(x: float) -> str:
+    return float(x).hex()
+
+
+class TestFiniteOracleBits:
+    """expect and shifted_moment on finite variables against pure-Python
+    math.fsum references over Python floats, bit for bit.  The powers inside
+    a moment are numpy's elementwise ones, as in the program (numpy's power
+    and Python's pow can differ in the last bit)."""
+
+    @staticmethod
+    def _variable(points, weights):
+        support = (min(points), math.inf)
+        if weights is None:
+            return from_sample(points, support)
+        probs = [w / math.fsum(weights) for w in weights]
+        return discrete(points, probs, support)
+
+    @staticmethod
+    def _reference_mean(X, terms):
+        if X.kind == "discrete":
+            return math.fsum(p * t for p, t in zip(X.probs, terms))
+        return math.fsum(terms) / len(terms)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_finite_points(), st.booleans(), st.integers(min_value=1, max_value=64),
+           st.floats(min_value=0.0, max_value=1e300), st.data())
+    def test_expect_and_moment(self, points, is_sample, k, below, data):
+        weights = None if is_sample else data.draw(
+            st.lists(st.integers(min_value=1, max_value=1000),
+                     min_size=len(points), max_size=len(points)))
+        X = self._variable(points, weights)
+        assert X.inf == min(points) and X.sup == max(points)
+        pts = list(X.atoms) if X.kind == "discrete" else points
+        assert _bits(expect(X, lambda x: x)[0]) == _bits(self._reference_mean(X, pts))
+        assert X.mean() == expect(X, lambda x: x)[0]
+
+        a = min(points) - below
+        scale = max(max(points) - a, 0.0)
+        if scale == 0.0:
+            want = 0.0
+        else:
+            terms = np.power([max(x - a, 0.0) / scale for x in pts], k).tolist()
+            try:
+                want = self._reference_mean(X, terms) * scale ** k
+            except OverflowError:
+                want = math.inf
+        assert _bits(shifted_moment(X, a, k).raw) == _bits(want)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(_finite_points())
+    def test_sample_values_read_only_and_compared_by_value(self, points):
+        X = from_sample(points)
+        assert X.values.dtype == np.float64 and X.values.ndim == 1
+        with pytest.raises(ValueError):
+            X.values[0] = 1.0
+        assert X.values.tolist() == points
+        # variables compare by value, sample values elementwise
+        assert X == from_sample(points) and X != from_sample(points + [0.0])
+
+
+class TestFailClosedConstruction:
+    """An empty, 2-D, NaN, infinite or non-numeric input never constructs a
+    finite variable; every refusal is a PconvexError."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(bad_points(), st.sampled_from(["sample", "atoms", "probs"]), st.booleans())
+    def test_bad_points_raise(self, bad, where, as_descriptor):
+        n = max(len(bad), 1)
+        if where == "sample":
+            raw = {"kind": "sample", "values": bad}
+            build = lambda: from_sample(bad)
+        else:
+            atoms, probs = (bad, [1.0 / n] * n) if where == "atoms" else \
+                (list(range(n)), bad)
+            raw = {"kind": "discrete", "atoms": atoms, "probs": probs}
+            build = lambda: discrete(atoms, probs)
+        with pytest.raises(PconvexError):
+            distribution_from_descriptor(raw) if as_descriptor else build()
