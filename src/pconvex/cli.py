@@ -504,8 +504,7 @@ _TASKS: dict[str, _Task] = {
         (_flag("--suite", choices=sorted(_SUITES), default="hh"),
          _flag("-p", type=int, help="fixed order for the mgf suite"),
          _flag("--p-max", type=int, help="top order for hh/jensen suites"),
-         _flag("--plot", metavar="FILE", help="also render the gap curves to SVG"),
-         _SEED),
+         _flag("--plot", metavar="FILE", help="also render the gap curves to SVG")),
         _sweep, str),
 }
 

@@ -9,6 +9,8 @@ samples or quantile-truncated densities).
 expect() is the brute-force oracle every bound in the package is tested
 against, so it stays deliberately simple: exact weighted sums, plain
 averages, or doubled Gauss quadrature that raises unless it converges.
+Named density families are integrated through their end exponents (the
+quadrature's weights), never by evaluating their pdf pointwise.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .numerics import (
     _eval_nodes,
     gamma,
     integrate,
-    integrate_jacobi,
     invert_monotone,
     pnorm_shifted,
 )
@@ -73,8 +74,8 @@ class RandomVariable:
     kind "sample":   values, a nonempty read-only 1-D float64 array of
                      observations, weighted equally.
     kind "density":  pdf + support + quadrature plan; named families carry
-                     params so they serialize and so singular endpoint
-                     weights can be integrated by Gauss-Jacobi instead of
+                     params so they serialize and so their algebraic end
+                     weights go into the quadrature weights instead of
                      being sampled pointwise.
 
     A finite (discrete or sample) variable converts and validates its
@@ -279,14 +280,7 @@ def uniform(a: float, b: float, plan: QuadraturePlan = DEFAULT_PLAN) -> RandomVa
     a, b = float(a), float(b)
     if not a < b:
         raise ConstructionError(f"uniform needs a < b, got {a}, {b}")
-    h = 1.0 / (b - a)
-
-    def pdf(x):
-        x = np.asarray(x, dtype=float)
-        return np.where((x >= a) & (x <= b), h, 0.0)
-
-    return density(pdf, (a, b), plan, family="uniform", params={"a": a, "b": b},
-                   validate=False)
+    return _family_density("uniform", {"a": a, "b": b}, plan)
 
 
 def beta_like(a: float, b: float, c: float, d: float,
@@ -301,17 +295,7 @@ def beta_like(a: float, b: float, c: float, d: float,
         raise ConstructionError("beta-like needs a < b")
     if c < 1.0 or d < 1.0:
         raise ConstructionError("beta-like needs shape parameters c, d >= 1")
-    norm = gamma(c) * gamma(d) / gamma(c + d) * (b - a) ** (c + d - 1.0)
-
-    def pdf(x):
-        x = np.asarray(x, dtype=float)
-        inside = (x >= a) & (x <= b)
-        xa = np.where(inside, x - a, 0.0)
-        bx = np.where(inside, b - x, 0.0)
-        return xa ** (c - 1.0) * bx ** (d - 1.0) / norm
-
-    return density(pdf, (a, b), plan, family="beta-like",
-                   params={"a": a, "b": b, "c": c, "d": d}, validate=False)
+    return _family_density("beta-like", {"a": a, "b": b, "c": c, "d": d}, plan)
 
 
 def fractional_hh_density(a: float, b: float, alpha: float,
@@ -320,22 +304,49 @@ def fractional_hh_density(a: float, b: float, alpha: float,
     g(x) = alpha / (2 (b-a)^alpha) * ((x-a)^(alpha-1) + (b-x)^(alpha-1)).
 
     For alpha < 1 the pdf is singular at both endpoints; expectations are
-    therefore evaluated through Gauss-Jacobi, never by sampling g pointwise.
+    therefore integrated with the end exponents in the quadrature weights,
+    never by sampling g pointwise.
     """
     a, b, alpha = float(a), float(b), float(alpha)
     if not a < b:
         raise ConstructionError("fractional density needs a < b")
     if not alpha > 0.0:
         raise ConstructionError("fractional density needs alpha > 0")
-    c = alpha / (2.0 * (b - a) ** alpha)
+    return _family_density("fractional-hh", {"a": a, "b": b, "alpha": alpha}, plan)
+
+
+def _family_terms(family: str | None, p: Mapping[str, Any] | None) -> tuple | None:
+    """A named family's pdf on [a, b] as terms (scale, left, right) that sum
+    scale (x-a)^(left-1) (b-x)^(right-1); None for a custom pdf."""
+    if not p:
+        return None
+    if family == "uniform":
+        return ((1.0 / (p["b"] - p["a"]), 1.0, 1.0),)
+    if family == "beta-like":
+        c, d = p["c"], p["d"]
+        norm = gamma(c) * gamma(d) / gamma(c + d) * (p["b"] - p["a"]) ** (c + d - 1.0)
+        return ((1.0 / norm, c, d),)
+    if family == "fractional-hh":
+        scale = p["alpha"] / (2.0 * (p["b"] - p["a"]) ** p["alpha"])
+        return ((scale, p["alpha"], 1.0), (scale, 1.0, p["alpha"]))
+    return None
+
+
+def _family_density(family: str, params: dict, plan: QuadraturePlan) -> RandomVariable:
+    """A named family's variable, whose pdf (its terms on [a, b], 0 outside)
+    serves sampling and callers; expectations integrate the terms."""
+    a, b = params["a"], params["b"]
+    terms = _family_terms(family, params)
 
     def pdf(x):
         x = np.asarray(x, dtype=float)
+        inside = (x >= a) & (x <= b)
+        xa, bx = np.where(inside, x - a, 0.0), np.where(inside, b - x, 0.0)
         with np.errstate(divide="ignore"):
-            return c * ((x - a) ** (alpha - 1.0) + (b - x) ** (alpha - 1.0))
+            total = sum(s * xa ** (left - 1.0) * bx ** (right - 1.0) for s, left, right in terms)
+        return np.where(inside, total, 0.0)
 
-    return density(pdf, (a, b), plan, family="fractional-hh",
-                   params={"a": a, "b": b, "alpha": alpha}, validate=False)
+    return density(pdf, (a, b), plan, family=family, params=params, validate=False)
 
 
 def reflected(X: RandomVariable, center: float) -> RandomVariable:
@@ -348,22 +359,18 @@ def reflected(X: RandomVariable, center: float) -> RandomVariable:
     if X.kind != "density":
         points = "atoms" if X.kind == "discrete" else "values"
         return replace(X, declared_support=support, **{points: center - X._points})
+    fam, params = X.density_family, X.density_params
+    if _family_terms(fam, params) is not None:
+        params = {**params, "a": center - params["b"], "b": center - params["a"]}
+        if fam == "beta-like":
+            params["c"], params["d"] = params["d"], params["c"]
+        return _family_density(fam, params, X.plan)
     base_pdf = X.pdf
 
     def pdf(y):
         return base_pdf(center - np.asarray(y, dtype=float))
 
-    fam = X.density_family
-    params = dict(X.density_params) if X.density_params else None
-    if fam == "uniform" and params:
-        params = {"a": center - params["b"], "b": center - params["a"]}
-    elif fam == "fractional-hh" and params:
-        params = {"a": center - params["b"], "b": center - params["a"],
-                  "alpha": params["alpha"]}
-    else:
-        fam, params = None, None
-    return RandomVariable(kind="density", declared_support=support, pdf=pdf,
-                          plan=X.plan, density_family=fam, density_params=params)
+    return RandomVariable(kind="density", declared_support=support, pdf=pdf, plan=X.plan)
 
 
 # ---------------------------------------------------------------------------
@@ -402,23 +409,22 @@ def _truncation_horizon(X: RandomVariable) -> float:
 
 def _density_expect(X: RandomVariable, fn: Callable) -> tuple[float, float]:
     lo, hi = X.declared_support
+    terms = _family_terms(X.density_family, X.density_params)
+    if terms is not None:
+        value = err = 0.0
+        for scale, left, right in terms:
+            res = integrate(fn, lo, hi, X.plan, left, right)
+            value += scale * res.value
+            err += scale * res.error_estimate
+        return value, err
+    tail = 0.0
     if not math.isfinite(hi):
         hi = _truncation_horizon(X)
-        res = integrate(lambda x: np.asarray(fn(x), dtype=float) * np.asarray(X.pdf(x), dtype=float),
-                        lo, hi, X.plan)
         # Tail mass times the boundary magnitude is the cheap truncation term.
-        tail = _TRUNCATION_MASS * abs(float(fn(hi)))
-        return res.value, res.error_estimate + tail + _TRUNCATION_MASS
-    if X.density_family == "fractional-hh":
-        params = X.density_params
-        a, b, alpha = params["a"], params["b"], params["alpha"]
-        c = alpha / (2.0 * (b - a) ** alpha)
-        left = integrate_jacobi(fn, a, b, alpha, "left", X.plan)
-        right = integrate_jacobi(fn, a, b, alpha, "right", X.plan)
-        return c * (left.value + right.value), c * (left.error_estimate + right.error_estimate)
+        tail = _TRUNCATION_MASS * abs(float(fn(hi))) + _TRUNCATION_MASS
     res = integrate(lambda x: np.asarray(fn(x), dtype=float) * np.asarray(X.pdf(x), dtype=float),
                     lo, hi, X.plan)
-    return res.value, res.error_estimate
+    return res.value, res.error_estimate + tail
 
 
 def expect(X: RandomVariable, f) -> tuple[float, float]:
@@ -426,9 +432,10 @@ def expect(X: RandomVariable, f) -> tuple[float, float]:
 
     Exact weighted sum for discrete, plain average for samples, both
     summed by math.fsum (correctly rounded) with no error term; for
-    densities, panel-doubled Gauss-Legendre (node-doubled Gauss-Jacobi under
-    singular endpoint weights), whose error estimate is the last doubling
-    step.  Quadrature that does not converge raises MomentDivergenceError.
+    densities, panel-doubled Gauss-Legendre, graded towards the ends of
+    named families whose pdf carries an end exponent other than 1, with the
+    last doubling step as error estimate.  Quadrature that does not
+    converge raises MomentDivergenceError.
     """
     _check_domain(X, f)
     if X.kind != "density":
@@ -489,12 +496,7 @@ def shifted_moment(X: RandomVariable, shift: float, order: int,
 
     try:
         scaled, err = _density_expect(
-            RandomVariable(kind="density",
-                           declared_support=(X.declared_support[0], hi),
-                           pdf=X.pdf, plan=X.plan,
-                           density_family=X.density_family,
-                           density_params=X.density_params),
-            integrand)
+            replace(X, declared_support=(X.declared_support[0], hi)), integrand)
     except ConvergenceError as exc:
         raise MomentDivergenceError(f"moment quadrature diverged: {exc}") from exc
     scaled = max(scaled, 0.0)
@@ -593,7 +595,7 @@ def distribution_from_descriptor(raw: Mapping[str, Any]) -> RandomVariable:
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, InputFormatError):
             raise
-        raise InputFormatError(f"distribution descriptor field error: {exc!r}") from exc
+        raise InputFormatError(f"distribution descriptor field error: {exc}") from exc
     raise InputFormatError(f"distribution: unknown kind {kind!r}")
 
 

@@ -8,8 +8,9 @@ average with the symmetric Riemann-Liouville functional and the weight
 1/(p+1) with gamma_coefficient(p, alpha); alpha = 1 collapses back to the
 plain statement.
 
-Endpoint singularities of the fractional kernels (alpha < 1) are always
-absorbed by Gauss-Jacobi quadrature, never sampled pointwise.
+The fractional kernels (t - a)^(alpha-1) are never sampled pointwise: their
+exponent goes into the weights of the endpoint-graded quadrature, which
+handles the singular alpha < 1 the same way.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .numerics import (
     _order,
     gamma,
     integrate,
-    integrate_jacobi,
     log_gamma,
 )
 
@@ -197,11 +197,11 @@ def rl_integral(f: FunctionSpec, alpha: float, side: str, x: float,
     if side == "left":
         if not a < x <= b + 1e-12:
             raise DomainError(f"left integral needs x in (a, b], got x={x}")
-        res = integrate_jacobi(f.eval_fn, a, x, alpha, "right", plan)
+        res = integrate(f.eval_fn, a, x, plan, right=alpha)
     else:
         if not a - 1e-12 <= x < b:
             raise DomainError(f"right integral needs x in [a, b), got x={x}")
-        res = integrate_jacobi(f.eval_fn, x, b, alpha, "left", plan)
+        res = integrate(f.eval_fn, x, b, plan, left=alpha)
     return res.value / gamma(alpha)
 
 

@@ -1,14 +1,14 @@
 """Shared numerical kernels.
 
 Gamma function (math.gamma / math.lgamma behind domain and overflow
-checks), panel-doubled Gauss-Legendre and node-doubled Gauss-Jacobi
-quadrature, stable shifted p-norm arithmetic, fail-closed monotone inversion
-of float or array targets, and Richardson-extrapolated finite differences.
+checks), one endpoint-graded Gauss-Legendre quadrature for integrands with
+algebraic end weights (t - a)^(left-1) (b - t)^(right-1), stable shifted
+p-norm arithmetic, fail-closed monotone inversion of float or array
+targets, and Richardson-extrapolated finite differences.
 
-Both quadrature rules share one stopping rule: the estimate is refined by
-doubling until one doubling step changes it by no more than the rule's
-threshold; otherwise ConvergenceError carries the best estimate and the
-last step.
+The quadrature refines by doubling until one doubling step changes its
+estimate by no more than the plan's threshold; otherwise ConvergenceError
+carries the best estimate and the last step.
 
 Everything here is a pure function of its inputs; plan and tolerance
 objects are immutable, so concurrent use needs no locking.
@@ -22,7 +22,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import (
     BracketError,
@@ -76,16 +75,15 @@ class QuadraturePlan:
     """How to evaluate an integral.
 
     node_count:
-        Gauss-Legendre nodes per panel, or the initial Gauss-Jacobi node
-        count.
+        Gauss-Legendre nodes per panel.
     abs_tolerance:
         requested absolute error.
     max_refinements:
-        panel (Gauss-Legendre) or node (Gauss-Jacobi) doublings before
-        giving up; with 0 every integral raises ConvergenceError.
+        panel doublings before giving up; with 0 every integral raises
+        ConvergenceError.
     """
 
-    node_count: int = 64
+    node_count: int = 16
     abs_tolerance: float = 1e-10
     max_refinements: int = 12
 
@@ -162,15 +160,14 @@ def log_gamma(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+# Levels of geometric panels at a weighted end: the end panel is 2^-20 of
+# the end's span, so g varies by O(2^-20) across it.
+GRADED_LEVELS = 20
+
+
 @lru_cache(maxsize=64)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
-
-
-@lru_cache(maxsize=256)
-def _jacgauss(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = roots_jacobi(n, alpha, beta)
-    return np.asarray(nodes), np.asarray(weights)
 
 
 def _eval_nodes(f: Callable, xs) -> np.ndarray:
@@ -192,23 +189,45 @@ def _eval_nodes(f: Callable, xs) -> np.ndarray:
     return np.asarray([float(f(float(x))) for x in xs.ravel()]).reshape(xs.shape)
 
 
-def _gl_panels(f: Callable, a: float, b: float, n: int, panels: int) -> float:
-    nodes, weights = _leggauss(n)
-    edges = np.linspace(a, b, panels + 1)
-    h = 0.5 * (edges[1:] - edges[:-1])
-    xs = 0.5 * (edges[1:] + edges[:-1])[:, None] + h[:, None] * nodes
-    sums = np.sum(weights * _eval_nodes(f, xs.ravel()).reshape(xs.shape), axis=1)
-    # panel totals are added left to right (cumsum), not pairwise
-    return float(np.cumsum(h * sums)[-1])
+def _graded_rule(a: float, b: float, left: float, right: float, n: int,
+                 parts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t and weights of integrate()'s rule, each base panel cut into
+    `parts` Gauss-Legendre panels of n nodes.
+
+    An end with exponent e != 1 gets panels [s 2^-j, s 2^(1-j)], j = 1..20,
+    over its span s (half of b - a when both ends are weighted); its end
+    panel [0, r0] is taken after r = r0 v^(1/e), which turns r^(e-1) dr into
+    (r0^e / e) dv.  Panels are laid out by the distance r from their own
+    end, and the far end's factor is taken at (b - a) - r, so no weight is
+    computed from t.
+    """
+    x, w = _leggauss(n)
+    u = ((np.arange(parts)[:, None] + 0.5 * (x + 1.0)) / parts).ravel()
+    du = np.tile(w / (2.0 * parts), parts)  # u and du cover [0, 1]
+    length = b - a
+    # (own exponent, far exponent, end point, direction into [a, b])
+    graded = [g for g in ((left, right, a, 1.0), (right, left, b, -1.0)) if g[0] != 1.0]
+    if not graded:
+        return a + length * u, length * du
+    span = length / len(graded)
+    r0 = span * 2.0 ** -GRADED_LEVELS
+    lo = span * 2.0 ** -np.arange(GRADED_LEVELS, 0.0, -1.0)[:, None]  # panel [lo, 2 lo]
+    ts, ws = [], []
+    for e, other, end, inward in graded:
+        r = np.concatenate([r0 * u ** (1.0 / e), (lo * (1.0 + u)).ravel()])
+        wt = np.concatenate([r0 ** e / e * du, (lo * du).ravel() * r[u.size:] ** (e - 1.0)])
+        ts.append(end + inward * r)
+        ws.append(wt * (length - r) ** (other - 1.0))
+    return np.concatenate(ts), np.concatenate(ws)
 
 
-def _doubled(estimate: Callable[[int], float], threshold: Callable[[float], float],
-             max_refinements: int, rule: str) -> QuadratureResult:
-    """The stopping rule of both quadratures.
+def _doubled(estimate: Callable[[int], float], limit: float,
+             max_refinements: int) -> QuadratureResult:
+    """The stopping rule of the quadrature.
 
     estimate(k) is the rule's value after k doublings; the first k whose
-    step |estimate(k) - estimate(k-1)| is at most threshold(estimate(k))
-    is accepted.  A NaN step never is, so the check fails closed.
+    step |estimate(k) - estimate(k-1)| is at most limit is accepted.  A NaN
+    step never is, so the check fails closed.
     """
     best = estimate(0)
     step = math.inf
@@ -216,70 +235,43 @@ def _doubled(estimate: Callable[[int], float], threshold: Callable[[float], floa
         nxt = estimate(k)
         step = abs(nxt - best)
         best = nxt
-        if step <= threshold(best):
+        if step <= limit:
             return QuadratureResult(best, step, k)
-    raise ConvergenceError(f"{rule} did not converge (last step {step:.3e})", best, step)
+    raise ConvergenceError(f"quadrature did not converge (last step {step:.3e})", best, step)
 
 
-def integrate(f: Callable, a: float, b: float,
-              plan: QuadraturePlan = DEFAULT_PLAN) -> QuadratureResult:
-    """Integrate f over [a, b] by Gauss-Legendre with panel doubling.
+def integrate(f: Callable, a: float, b: float, plan: QuadraturePlan = DEFAULT_PLAN,
+              left: float = 1.0, right: float = 1.0) -> QuadratureResult:
+    """Integral over [a, b] of (t - a)^(left-1) (b - t)^(right-1) f(t) dt.
 
-    The estimate on 2^k equal panels is accepted once one doubling changes
-    it by at most a quarter of the plan's absolute tolerance; error_estimate
-    is that last step.  Otherwise ConvergenceError carries the best
-    estimate.  f must be finite on the closed interval (use
-    integrate_jacobi when an endpoint carries a power-law singularity).
+    The exponents, positive, go into the weights of Gauss-Legendre nodes
+    inside (a, b); an end whose exponent is not 1 gets panels graded
+    towards it, so (1, 1) is Gauss-Legendre on 2^k equal panels.  Each
+    doubling halves every panel, and the estimate is accepted once one
+    doubling changes it by at most a quarter of the plan's absolute
+    tolerance; error_estimate is that last step.  Otherwise
+    ConvergenceError carries the best estimate.
     """
-    a, b = float(a), float(b)
+    a, b, left, right = float(a), float(b), float(left), float(right)
     if not a < b:
         raise DomainError(f"integrate requires a < b, got [{a}, {b}]")
-    limit = 0.25 * max(plan.abs_tolerance, 1e-15)
-    return _doubled(lambda k: _gl_panels(f, a, b, plan.node_count, 2 ** k),
-                    lambda best: limit, plan.max_refinements, "gauss-legendre")
+    if not (0.0 < left < math.inf and 0.0 < right < math.inf):
+        raise DomainError(f"weight exponents must be positive, got {left}, {right}")
 
+    def estimate(k: int) -> float:
+        t, w = _graded_rule(a, b, left, right, plan.node_count, 2 ** k)
+        return float(np.sum(w * _eval_nodes(f, t)))
 
-# Relative floor of the Gauss-Jacobi stopping rule: the rounding error of
-# the nodes and weights grows with the node count, so for integrals much
-# larger than one a purely absolute tolerance is never met.
-JACOBI_RTOL = 1e-10
+    return _doubled(estimate, 0.25 * max(plan.abs_tolerance, 1e-15), plan.max_refinements)
 
 
 def integrate_jacobi(g: Callable, a: float, b: float, alpha: float, side: str,
                      plan: QuadraturePlan = DEFAULT_PLAN) -> QuadratureResult:
-    """Integrate a power-law-weighted integrand without sampling the weight.
-
-    side="left"  computes  integral of (t - a)^(alpha-1) * g(t) dt over [a, b];
-    side="right" computes  integral of (b - t)^(alpha-1) * g(t) dt over [a, b].
-
-    The singular factor is absorbed into Gauss-Jacobi nodes, so g itself is
-    only ever evaluated at interior points.  Convergence is assessed by node
-    doubling, against the plan's absolute tolerance or JACOBI_RTOL relative
-    to the estimate, whichever is looser.
-    """
-    a, b = float(a), float(b)
-    alpha = float(alpha)
-    if not a < b:
-        raise DomainError(f"integrate_jacobi requires a < b, got [{a}, {b}]")
-    if not alpha > 0.0:
-        raise DomainError(f"weight exponent alpha must be > 0, got {alpha}")
+    """integrate() with the exponent alpha at one end: side="left" weights g
+    by (t - a)^(alpha-1), side="right" by (b - t)^(alpha-1)."""
     if side not in ("left", "right"):
         raise DomainError(f"side must be 'left' or 'right', got {side!r}")
-
-    # scipy weight convention: (1-x)^aj (1+x)^bj on [-1, 1].
-    aj, bj = (0.0, alpha - 1.0) if side == "left" else (alpha - 1.0, 0.0)
-    h = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    scale = h ** alpha
-
-    def estimate(k: int) -> float:
-        nodes, weights = _jacgauss(plan.node_count * 2 ** k, aj, bj)
-        xs = mid + h * nodes
-        return scale * float(np.sum(weights * _eval_nodes(g, xs)))
-
-    tol = plan.abs_tolerance
-    return _doubled(estimate, lambda best: max(tol, JACOBI_RTOL * abs(best), 1e-15),
-                    plan.max_refinements, "gauss-jacobi")
+    return integrate(g, a, b, plan, **{side: alpha})
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +305,7 @@ def pnorm_shifted(moment_p1: float, order: int, scale: float = 1.0) -> float:
 
 _BRACKET_SPAN_LIMIT = 2.0 ** 40
 _MAX_ITER = 200
+_TINY = np.finfo(float).tiny
 
 
 # scipy.optimize is not used: importing it adds ~0.35 s and ~21 MB to
@@ -330,7 +323,8 @@ def invert_monotone(f: Callable, y, bracket=None,
     NaN where evaluated raises ConvergenceError.  Chandrupatla's steps
     (inverse quadratic interpolation when safe, else bisection; Adv. Eng.
     Software 28(3), 1997) run until the residual is zero or the bracket is
-    below 1e-14 max(1, |x|); the end with the smaller residual is returned.
+    below 1e-14 |x| (at least the smallest normal float); the end with the
+    smaller residual is returned.
     """
     if bracket is None:
         lo, hi, span = 0.0, 1.0, 1.0
@@ -366,7 +360,7 @@ def invert_monotone(f: Callable, y, bracket=None,
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_MAX_ITER):
             dx = abs(x2 - x1)
-            tol = 1e-14 * np.maximum(1.0, np.maximum(abs(x1), abs(x2)))
+            tol = np.maximum(1e-14 * np.maximum(abs(x1), abs(x2)), _TINY)
             stop = (dx <= tol) | (r1 == 0.0) | (r2 == 0.0) | np.isnan(r1)
             if done(stop):
                 break

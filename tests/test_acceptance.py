@@ -310,7 +310,7 @@ class TestAcceptance:
         for tag in ("first", "second"):
             csv_path = tmp_path / f"{tag}.csv"
             svg_path = tmp_path / f"{tag}.svg"
-            assert cli_main(["sweep", "--suite", "hh", "--seed", "42",
+            assert cli_main(["sweep", "--suite", "hh",
                              "--out", str(csv_path), "--plot", str(svg_path)]) == 0
             artifacts.append((csv_path.read_bytes(), svg_path.read_bytes()))
         assert artifacts[0] == artifacts[1]

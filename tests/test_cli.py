@@ -124,6 +124,7 @@ class TestBadDistributionFiles:
             assert main(["mgf", "-d", path, "-s", "0.5", "-p", "2"]) == 1
         assert err.getvalue().startswith(("input error: ", "error: "))
         assert "Traceback" not in err.getvalue()
+        assert "ConstructionError(" not in err.getvalue()
 
 
 class TestBound:
@@ -274,12 +275,24 @@ class TestSweepAndDeterminism:
         for tag in ("a", "b"):
             csv_path = tmp_path / f"gaps_{tag}.csv"
             svg_path = tmp_path / f"gaps_{tag}.svg"
-            assert main(["sweep", "--suite", "hh", "--seed", "42",
+            assert main(["sweep", "--suite", "hh",
                          "--out", str(csv_path), "--plot", str(svg_path)]) == 0
             outs.append(csv_path.read_bytes())
             svgs.append(svg_path.read_bytes())
         assert outs[0] == outs[1]
         assert svgs[0] == svgs[1]
+
+    def test_problem_file_with_seed_param_runs_unchanged(self, tmp_path):
+        # sweep has no --seed any more; files written when it had one still run
+        canon, want, got = (tmp_path / n for n in ("canon.json", "want.csv", "got.csv"))
+        assert main(["sweep", "--suite", "hh", "--p-max", "2", "--dump-canonical",
+                     str(canon), "--out", str(want)]) == 0
+        problem = json.loads(canon.read_text())
+        assert "seed" not in problem["params"]
+        problem["params"]["seed"] = 42
+        canon.write_text(json.dumps(problem))
+        assert main(["run", str(canon), "--out", str(got)]) == 0
+        assert got.read_bytes() == want.read_bytes()
 
     def test_hh_sweep_gap_structure(self, tmp_path):
         csv_path = tmp_path / "gaps.csv"

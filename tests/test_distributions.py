@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 from conftest import bad_points
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pconvex.errors import (
@@ -19,7 +19,6 @@ from pconvex.errors import (
     DomainError,
     DomainMismatchError,
     InputFormatError,
-    MomentDivergenceError,
     PconvexError,
     SupportViolationError,
 )
@@ -146,16 +145,13 @@ class TestExpect:
         assert value == pytest.approx(3.0, abs=1e-15)
 
 
-def _expect_or_diverge(X, pdf):
-    """For x^3 and exp, expect either raises MomentDivergenceError or lands
-    within its own error estimate (plus 1e-12) of mpmath.quad at 30 digits."""
+def _expect_matches_mpmath(X, pdf):
+    """For x^3 and exp, expect converges and lands within its own error
+    estimate (plus 1e-12) of mpmath.quad at 30 digits."""
     mpmath = pytest.importorskip("mpmath")
     lo, hi = X.declared_support
     for fn, mp_fn in ((lambda x: x ** 3, lambda x: x ** 3), (np.exp, mpmath.exp)):
-        try:
-            value, err = expect(X, fn)
-        except MomentDivergenceError:
-            continue
+        value, err = expect(X, fn)
         with mpmath.workdps(30):
             want = float(mpmath.quad(lambda x: mp_fn(x) * pdf(x), [lo, hi]))
         assert abs(value - want) <= err + 1e-12, (X.density_params, value, want, err)
@@ -164,19 +160,21 @@ def _expect_or_diverge(X, pdf):
 class TestExpectAgainstMpmath:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.floats(min_value=1.0, max_value=3.5), st.floats(min_value=1.0, max_value=3.5))
+    @example(1.2, 2.0)
+    @example(1.5, 1.3)
     def test_beta_like(self, c, d):
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(30):
             norm = mpmath.beta(c, d)
-        _expect_or_diverge(beta_like(0.0, 1.0, c, d),
+        _expect_matches_mpmath(beta_like(0.0, 1.0, c, d),
                            lambda x: x ** (c - 1) * (1 - x) ** (d - 1) / norm)
 
     def test_uniform(self):
-        _expect_or_diverge(uniform(0.0, 1.0), lambda x: 1)
+        _expect_matches_mpmath(uniform(0.0, 1.0), lambda x: 1)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5])
     def test_fractional_hh(self, alpha):
-        _expect_or_diverge(fractional_hh_density(0.0, 1.0, alpha),
+        _expect_matches_mpmath(fractional_hh_density(0.0, 1.0, alpha),
                            lambda x: alpha / 2 * (x ** (alpha - 1) + (1 - x) ** (alpha - 1)))
 
 
@@ -211,6 +209,16 @@ class TestReflected:
     def test_uniform(self):
         Y = reflected(uniform(0.0, 1.0), 1.0)
         assert expect(Y, lambda x: x)[0] == pytest.approx(0.5, abs=1e-9)
+
+    def test_beta_like_keeps_family_with_shapes_swapped(self):
+        # the kink (x-a)^0.2 moves to the right end; as a custom pdf it would
+        # go through ungraded quadrature
+        Y = reflected(beta_like(0.0, 1.0, 1.2, 2.0), 1.0)
+        assert (Y.density_family, Y.density_params) == (
+            "beta-like", {"a": 0.0, "b": 1.0, "c": 2.0, "d": 1.2})
+        assert expect(Y, lambda x: x)[0] == pytest.approx(2.0 / 3.2, rel=1e-14)
+        # E exp(1 - X) under beta(1.2, 2) is e 1F1(1.2; 3.2; -1) (mpmath)
+        assert expect(Y, np.exp)[0] == pytest.approx(1.9192228922734009, rel=1e-13)
 
 
 class TestSampleMc:
