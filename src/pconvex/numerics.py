@@ -6,9 +6,9 @@ algebraic end weights (t - a)^(left-1) (b - t)^(right-1), stable shifted
 p-norm arithmetic, fail-closed monotone inversion of float or array
 targets, and Richardson-extrapolated finite differences.
 
-The quadrature refines by doubling until one doubling step changes its
-estimate by no more than the plan's threshold; otherwise ConvergenceError
-carries the best estimate and the last step.
+The quadrature doubles until one step changes its estimate by no more than
+the plan's threshold or the rounding of its sums; otherwise
+ConvergenceError carries the best estimate and the last step.
 
 Everything here is a pure function of its inputs; plan and tolerance
 objects are immutable, so concurrent use needs no locking.
@@ -164,6 +164,9 @@ def log_gamma(x: float) -> float:
 # the end's span, so g varies by O(2^-20) across it.
 GRADED_LEVELS = 20
 
+# Rounding floor of the stopping rule: 64 ulps of the sum of |terms|.
+_ROUNDING = 64.0 * float(np.finfo(float).eps)
+
 
 @lru_cache(maxsize=64)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -221,21 +224,22 @@ def _graded_rule(a: float, b: float, left: float, right: float, n: int,
     return np.concatenate(ts), np.concatenate(ws)
 
 
-def _doubled(estimate: Callable[[int], float], limit: float,
+def _doubled(estimate: Callable[[int], tuple[float, float]], limit: float,
              max_refinements: int) -> QuadratureResult:
     """The stopping rule of the quadrature.
 
-    estimate(k) is the rule's value after k doublings; the first k whose
-    step |estimate(k) - estimate(k-1)| is at most limit is accepted.  A NaN
-    step never is, so the check fails closed.
+    estimate(k) is the rule's value after k doublings and the sum of the
+    magnitudes of its terms; the first k whose step from estimate(k-1) is
+    at most limit, or within the rounding of that sum (which no doubling
+    removes), is accepted.  A NaN step never is, so the check fails closed.
     """
-    best = estimate(0)
+    best, _ = estimate(0)
     step = math.inf
     for k in range(1, max_refinements + 1):
-        nxt = estimate(k)
+        nxt, magnitude = estimate(k)
         step = abs(nxt - best)
         best = nxt
-        if step <= limit:
+        if step <= max(limit, _ROUNDING * magnitude):
             return QuadratureResult(best, step, k)
     raise ConvergenceError(f"quadrature did not converge (last step {step:.3e})", best, step)
 
@@ -247,10 +251,9 @@ def integrate(f: Callable, a: float, b: float, plan: QuadraturePlan = DEFAULT_PL
     The exponents, positive, go into the weights of Gauss-Legendre nodes
     inside (a, b); an end whose exponent is not 1 gets panels graded
     towards it, so (1, 1) is Gauss-Legendre on 2^k equal panels.  Each
-    doubling halves every panel, and the estimate is accepted once one
-    doubling changes it by at most a quarter of the plan's absolute
-    tolerance; error_estimate is that last step.  Otherwise
-    ConvergenceError carries the best estimate.
+    doubling halves every panel until one changes the estimate by at most a
+    quarter of the plan's absolute tolerance or by the rounding of its sums
+    (_doubled); error_estimate is that last step.
     """
     a, b, left, right = float(a), float(b), float(left), float(right)
     if not a < b:
@@ -258,11 +261,12 @@ def integrate(f: Callable, a: float, b: float, plan: QuadraturePlan = DEFAULT_PL
     if not (0.0 < left < math.inf and 0.0 < right < math.inf):
         raise DomainError(f"weight exponents must be positive, got {left}, {right}")
 
-    def estimate(k: int) -> float:
+    def estimate(k: int) -> tuple[float, float]:
         t, w = _graded_rule(a, b, left, right, plan.node_count, 2 ** k)
-        return float(np.sum(w * _eval_nodes(f, t)))
+        terms = w * _eval_nodes(f, t)
+        return float(np.sum(terms)), float(np.sum(np.abs(terms)))
 
-    return _doubled(estimate, 0.25 * max(plan.abs_tolerance, 1e-15), plan.max_refinements)
+    return _doubled(estimate, 0.25 * plan.abs_tolerance, plan.max_refinements)
 
 
 def integrate_jacobi(g: Callable, a: float, b: float, alpha: float, side: str,
@@ -304,7 +308,9 @@ def pnorm_shifted(moment_p1: float, order: int, scale: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 
 _BRACKET_SPAN_LIMIT = 2.0 ** 40
-_MAX_ITER = 200
+# 2047 halvings take the widest finite bracket (2^1025) below the smallest
+# normal float (2^-1022): the floor is reached even where the steps bisect.
+_MAX_ITER = 2100
 _TINY = np.finfo(float).tiny
 
 
@@ -324,7 +330,8 @@ def invert_monotone(f: Callable, y, bracket=None,
     (inverse quadratic interpolation when safe, else bisection; Adv. Eng.
     Software 28(3), 1997) run until the residual is zero or the bracket is
     below 1e-14 |x| (at least the smallest normal float); the end with the
-    smaller residual is returned.
+    smaller residual is returned.  A solve that has not stopped after 2100
+    steps raises ConvergenceError carrying that end.
     """
     if bracket is None:
         lo, hi, span = 0.0, 1.0, 1.0
@@ -358,11 +365,11 @@ def invert_monotone(f: Callable, y, bracket=None,
     # target is evaluated at x1 again, which leaves its bracket unchanged.
     x1, r1, x2, r2, t = lo, flo - y, hi, fhi - y, 0.5
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_MAX_ITER):
+        for step in range(_MAX_ITER + 1):
             dx = abs(x2 - x1)
             tol = np.maximum(1e-14 * np.maximum(abs(x1), abs(x2)), _TINY)
             stop = (dx <= tol) | (r1 == 0.0) | (r2 == 0.0) | np.isnan(r1)
-            if done(stop):
+            if done(stop) or step == _MAX_ITER:
                 break
             tl = 0.5 * tol / dx
             t = np.minimum(np.maximum(t, tl), 1.0 - tl)
@@ -382,6 +389,9 @@ def invert_monotone(f: Callable, y, bracket=None,
         raise ConvergenceError(f"f is NaN at x = {np.extract(np.isnan(r1), x1)}",
                                math.nan, math.inf)
     x = where(abs(r2) < abs(r1), x2, x1)
+    if not done(stop):
+        raise ConvergenceError(f"no convergence in {_MAX_ITER} steps for targets "
+                               f"{np.extract(~stop, y)}", x, dx)
     return float(x) if np.ndim(x) == 0 else x
 
 

@@ -145,6 +145,42 @@ class TestExpect:
         assert value == pytest.approx(3.0, abs=1e-15)
 
 
+class TestExpectTolerance:
+    """The plan's absolute tolerance bounds the error of E f(X) itself,
+    whatever the width of the support (the density's normalisation is part
+    of the integrand)."""
+
+    def test_wide_supports_converge(self):
+        cases = [(uniform(0.0, 100.0), lambda x: x ** 2, 1e4 / 3),
+                 (beta_like(0.0, 20.0, 3.0, 3.0), lambda x: x ** 2, 400.0 * (0.25 + 1.0 / 28)),
+                 (uniform(0.0, 1000.0), np.cos, math.sin(1000.0) / 1000.0)]
+        for X, fn, want in cases:
+            value, err = expect(X, fn)
+            assert abs(value - want) <= err + 1e-12 * abs(want), (X.density_params, value, want)
+
+    @pytest.mark.parametrize("c,d", [(3.0, 3.0), (1.5, 2.5)])
+    def test_wide_beta_like_oscillation(self, c, d):
+        mpmath = pytest.importorskip("mpmath")
+        # E cos X under beta(c, d) on [0, L] is Re 1F1(c; c+d; iL)
+        value, err = expect(beta_like(0.0, 1000.0, c, d), np.cos)
+        with mpmath.workdps(30):
+            want = float(mpmath.re(mpmath.hyp1f1(c, c + d, 1000j)))
+        assert abs(value - want) <= err + 1e-12
+
+    @pytest.mark.parametrize("omega", [3e4, 1e5])
+    def test_narrow_support_meets_the_tolerance(self, omega):
+        mpmath = pytest.importorskip("mpmath")
+        # the pdf of beta(3.5, 3.5) on [0, 0.01] peaks near 2e2, and the
+        # integrand E cos(omega X) needs several doublings to resolve
+        X = beta_like(0.0, 0.01, 3.5, 3.5)
+        value, err = expect(X, lambda x: np.cos(omega * x))
+        with mpmath.workdps(30):
+            want = float(mpmath.re(mpmath.hyp1f1(3.5, 7.0, 0.01j * omega)))
+        assert err <= X.plan.abs_tolerance
+        assert abs(value - want) <= X.plan.abs_tolerance
+        assert expect(X, lambda x: x ** 2)[0] == pytest.approx(0.28125e-4, rel=1e-13)
+
+
 def _expect_matches_mpmath(X, pdf):
     """For x^3 and exp, expect converges and lands within its own error
     estimate (plus 1e-12) of mpmath.quad at 30 digits."""

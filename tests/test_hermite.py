@@ -14,7 +14,7 @@ import pytest
 
 from pconvex.convexity import certify_p_convex
 from pconvex.errors import CertificateError, DomainError, MonotonicityError
-from pconvex.functions import polynomial, shifted_power
+from pconvex.functions import exponential, polynomial, shifted_power
 from pconvex.hermite import (
     abs_derivative,
     derivative_hh_bound,
@@ -317,3 +317,29 @@ def test_rl_integral_converges_for_small_alpha_and_large_integrand():
             math.gamma(5) * b ** (4 + alpha) / math.gamma(5 + alpha), rel=1e-10)
         assert right == pytest.approx(
             b ** (4 + alpha) / ((4 + alpha) * math.gamma(alpha)), rel=1e-10)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_rl_integral_converges_for_integrals_far_above_one(side):
+    # |integral| above 1e6: two sums of that size differ by their
+    # rounding, above the 1e-10 absolute bar, so only the stopping rule's
+    # rounding floor accepts them
+    mpmath = pytest.importorskip("mpmath")
+    for b, alpha in ((40.0, 0.5), (40.0, 0.05)):
+        f = shifted_power(4.0, domain=(0.0, b))
+        want = (math.gamma(5) * b ** (4 + alpha) / math.gamma(5 + alpha) if side == "left"
+                else b ** (4 + alpha) / ((4 + alpha) * math.gamma(alpha)))
+        got = (rl_integral(f, alpha, "left", b, (0.0, b)) if side == "left"
+               else rl_integral(f, alpha, "right", 0.0, (0.0, b)))
+        assert got == pytest.approx(want, rel=1e-13)
+    b, alpha = 30.0, 2.5
+    f = exponential(0.7, domain=(0.0, b))
+    with mpmath.workdps(30):
+        if side == "left":
+            got = rl_integral(f, alpha, "left", b, (0.0, b))
+            want = mpmath.quad(lambda t: (b - t) ** (alpha - 1) * mpmath.exp(0.7 * t), [0, b])
+        else:
+            got = rl_integral(f, alpha, "right", 0.0, (0.0, b))
+            want = mpmath.quad(lambda t: t ** (alpha - 1) * mpmath.exp(0.7 * t), [0, b])
+        want = float(want / mpmath.gamma(alpha))
+    assert got == pytest.approx(want, rel=1e-13)

@@ -18,6 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pconvex import numerics
+
 from pconvex.errors import (
     BracketError,
     ConvergenceError,
@@ -327,6 +329,22 @@ class TestInvertMonotone:
         assert abs(x - 1e-10) <= 1e-13 * 1e-10
         assert invert_monotone(lambda x: x * x, np.array([1e-20]), (0.0, 10.0)).tolist() == [x]
 
+    def test_small_root_of_rough_f_is_reached(self):
+        # sign-sqrt defeats interpolation near its root 1e-200, so the steps
+        # bisect across some 660 binades before the relative floor is met
+        ssqrt = lambda x: np.sign(x) * np.sqrt(np.abs(x))
+        x = invert_monotone(ssqrt, 1e-100, (-1.0, 2.0))
+        assert abs(x - 1e-200) <= 1e-13 * 1e-200
+        assert invert_monotone(ssqrt, np.array([1e-100, 0.5]), (-1.0, 2.0))[0] == x
+
+    def test_root_at_zero_inside_the_bracket(self):
+        # no relative floor can be met across 0: the bracket closes below
+        # the smallest normal float, or f reaches the target exactly
+        for f in (lambda x: x ** 3, lambda x: np.sign(x) * np.sqrt(np.abs(x))):
+            x = invert_monotone(f, 0.0, (-1.0, 2.0))
+            assert abs(x) <= 1e-100
+            assert invert_monotone(f, np.array([0.0, 0.5]), (-1.0, 2.0))[0] == x
+
     def test_float_in_float_out(self):
         assert type(invert_monotone(lambda x: x * x, 4.0, (0.0, 10.0))) is float
         out = invert_monotone(lambda x: x * x, [4.0], (0.0, 10.0))
@@ -405,6 +423,15 @@ class TestInvertMonotoneFailsClosed:
     def test_array(self, f, y, bracket, error):
         with pytest.raises(error):
             invert_monotone(f, np.asarray(y), bracket)
+
+    @pytest.mark.parametrize("y", [1e-100, np.array([1e-100, 0.5])], ids=["float", "array"])
+    def test_step_limit(self, monkeypatch, y):
+        # a solve still open at the step limit raises with its best end
+        monkeypatch.setattr(numerics, "_MAX_ITER", 40)
+        ssqrt = lambda x: np.sign(x) * np.sqrt(np.abs(x))
+        with pytest.raises(ConvergenceError) as exc:
+            invert_monotone(ssqrt, y, (-1.0, 2.0))
+        assert -1.0 <= np.ravel(exc.value.best_estimate)[0] <= 2.0
 
 
 def test_import_leaves_scipy_optimize_out():
