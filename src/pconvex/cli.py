@@ -8,7 +8,8 @@ in CI.
 Exit codes: 0 for success (a certification run that *reports* verdict=fail
 is still a successful run), 2 when a bound is invoked with a certificate
 that fails (scripts can pipeline certification before bounding), and 1 for
-malformed input, usage errors included, or numeric failures.
+malformed input, usage errors and non-finite numbers included, or numeric
+failures.
 
 Every task is one entry of a table that declares its flags, its
 certification step (if any), how it computes its report and how it renders
@@ -20,8 +21,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
@@ -36,7 +39,7 @@ from .functions import (
     FunctionSpec,
     function_from_descriptor,
 )
-from .numerics import DEFAULT_TOLERANCES, ToleranceProfile
+from .numerics import DEFAULT_TOLERANCES, ToleranceProfile, _order
 from .svgplot import render_gap_plot
 
 __all__ = ["main", "run_problem"]
@@ -418,6 +421,9 @@ class _Task:
                 except (TypeError, ValueError):
                     raise InputFormatError(
                         f"task {problem.task}: bad value {value!r} for {flag.key!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InputFormatError(
+                    f"task {problem.task}: {flag.key} must be finite, got {value}")
             setattr(args, flag.dest, value)
         return args
 
@@ -483,7 +489,7 @@ _TASKS: dict[str, _Task] = {
                  "type) sandwich for certified functions", "f",
         (_P, _A, _B, _GRID),
         lambda problem, args, f, cert: hermite.hh_bounds(f, cert, args.p),
-        _csv(_HH_HEADER, _hh_row), certify=lambda args: ("I", args.p - 1)),
+        _csv(_HH_HEADER, _hh_row), certify=lambda args: ("I", _order(args.p) - 1)),
     "hh-fractional": _Task(
         ("hh-fractional",), "fractional-integral version of the "
                             "integral-average sandwich with the "
@@ -491,7 +497,7 @@ _TASKS: dict[str, _Task] = {
         (_P, _ALPHA, _A, _B, _GRID),
         lambda problem, args, f, cert: hermite.fractional_hh_bounds(
             f, cert, args.p, args.alpha),
-        _csv(_HH_HEADER, _hh_row), certify=lambda args: ("I", args.p - 1)),
+        _csv(_HH_HEADER, _hh_row), certify=lambda args: ("I", _order(args.p) - 1)),
     "rl": _Task(
         ("rl",), "Riemann-Liouville fractional integral of a "
                  "catalog function at a point", "f",
@@ -557,7 +563,11 @@ def _add_common(sub: argparse.ArgumentParser, inputs: str) -> None:
                      help="also write the canonical problem file for this invocation")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser tree, built on first use and then shared by every call:
+    parsing leaves no state on it (no mutable defaults or append actions,
+    and usage and help go to the streams current at call time)."""
     parser = _Parser(
         prog="pconvex",
         description="Certify membership in higher-order convexity classes and "

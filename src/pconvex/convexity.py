@@ -138,10 +138,14 @@ def _grid(lo: float, hi: float, grid_size: int) -> tuple[np.ndarray, float]:
     return np.linspace(lo, hi, grid_size + 1), (hi - lo) / grid_size
 
 
-def _interval(a: float, b: float) -> tuple[float, float]:
+def _interval(f: FunctionSpec, a: float, b: float) -> tuple[float, float]:
+    """A finite [a, b] with a < b inside f's domain."""
     a, b = float(a), float(b)
-    if not a < b:
-        raise DomainError(f"need a < b, got [{a}, {b}]")
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise DomainError(f"need finite a < b, got [{a}, {b}]")
+    lo, hi = f.domain
+    if a < lo or b > hi:
+        raise DomainError(f"[{a}, {b}] leaves the domain [{lo}, {hi}] of {f.label}")
     return a, b
 
 
@@ -172,7 +176,7 @@ def certify_p_convex(f: FunctionSpec, p: int, a: float, b: float,
     For p = 0 only plain convexity is checked.
     """
     p = _order(p, 0)
-    a, b = _interval(a, b)
+    a, b = _interval(f, a, b)
     xs, h = _grid(a, b, grid_size)
     analytic = f.analytic_depth
 
@@ -210,7 +214,7 @@ def certify_p_concave(f: FunctionSpec, p: int, a: float, b: float,
     uses; the mirrored all-decreasing convention is not implemented.
     """
     p = _order(p, 1)
-    a, b = _interval(a, b)
+    a, b = _interval(f, a, b)
     xs, h = _grid(a, b, grid_size)
 
     checks = [_point(f"boundary f^({k})(b)=0", -abs(float(f.derivative(k)(b))), b)
@@ -245,8 +249,8 @@ def certify_loss_class(l: FunctionSpec, p: int, horizon: float,
     p = _order(p, 1)
     horizon = float(horizon)
     lo = max(l.domain[0], 0.0)
-    if not horizon > lo:
-        raise DomainError(f"horizon {horizon} must exceed domain start {lo}")
+    if not lo < horizon < math.inf:
+        raise DomainError(f"horizon {horizon} must be finite and exceed domain start {lo}")
     xs, _ = _grid(lo, horizon, grid_size)
 
     d1 = l.eval_on(xs, 1)

@@ -83,7 +83,8 @@ class RandomVariable:
     raises ConstructionError.  Its point and weight arrays and inf/sup are
     computed at construction, and its mean on first use; a declared support
     of None means the span of the points (widened by 1 for a single point).
-    Variables compare by value; sample variables are not hashable.
+    Variables compare by value; sample variables are not hashable.  Pickle
+    and deepcopy rebuild a variable through the constructor.
     """
 
     kind: str
@@ -146,6 +147,11 @@ class RandomVariable:
         object.__setattr__(self, "inf", inf)
         object.__setattr__(self, "sup", sup)
         object.__setattr__(self, "_points", pts)
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so pickle and deepcopy keep the
+        # arrays read-only (numpy does not carry the flag through a pickle)
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RandomVariable):

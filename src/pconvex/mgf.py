@@ -73,16 +73,22 @@ def _moments(X: RandomVariable, p: int) -> list[float]:
             for j in range(1, p)]
 
 
+def _rate(s: float) -> float:
+    """The MGF argument: a finite s >= 0."""
+    s = float(s)
+    if not 0.0 <= s < math.inf:
+        raise DomainError(f"s must be finite and >= 0, got {s}")
+    return s
+
+
 def mgf_lower(X: RandomVariable, s: float, p: int,
               tolerances: ToleranceProfile = DEFAULT_TOLERANCES) -> MgfBoundReport:
     """Lower bound on E exp(sX) for X on [0, inf) from its first p moments:
 
         exp(s ||X||_p) - sum_{j<p} s^j ||X||_p^j / j! + E sum_{j<p} s^j X^j / j!
     """
-    s = float(s)
+    s = _rate(s)
     p = _order(p)
-    if s < 0.0:
-        raise DomainError(f"s must be >= 0, got {s}")
     if X.inf < -tolerances.eq_abs:
         raise SupportViolationError("mgf_lower needs X on [0, inf)")
     norm = shifted_moment(X, 0.0, p, tolerances).norm
@@ -111,10 +117,8 @@ def mgf_upper(X: RandomVariable, s: float, p: int,
 
         (E X^p / b^p) (exp(s b) - sum_{j<p} s^j b^j / j!) + E sum_{j<p} s^j X^j / j!
     """
-    s = float(s)
+    s = _rate(s)
     p = _order(p)
-    if s < 0.0:
-        raise DomainError(f"s must be >= 0, got {s}")
     if X.inf < -tolerances.eq_abs:
         raise SupportViolationError("mgf_upper needs X on [0, b]")
     if not X.bounded:
@@ -193,6 +197,10 @@ class LikelihoodInstance:
         for name, table in (("likelihoods", like), ("responsibilities", resp)):
             table.flags.writeable = False
             object.__setattr__(self, name, table)
+
+    def __reduce__(self):
+        # through the constructor, so copies keep their tables read-only
+        return type(self), (self.likelihoods, self.responsibilities)
 
     @property
     def n(self) -> int:
@@ -310,8 +318,9 @@ def em_demo(data: np.ndarray, iters: int, seed: int) -> EMTrace:
     the new parameters with the previous responsibilities.
     """
     data = np.asarray(data, dtype=float)
-    if data.ndim != 2 or data.shape[0] == 0:
-        raise ConstructionError("em_demo needs a nonempty n x d binary matrix")
+    if data.ndim != 2 or data.size == 0:
+        raise ConstructionError(
+            f"em_demo needs a nonempty n x d binary matrix, got shape {data.shape}")
     if iters < 1:
         raise DomainError("iters must be >= 1")
     n, _d = data.shape

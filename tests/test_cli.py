@@ -7,14 +7,17 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from conftest import bad_points
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pconvex.cli import main
+from pconvex.cli import _build_parser, main
 from pconvex.errors import InputFormatError
 from pconvex.svgplot import render_gap_plot
 
@@ -394,3 +397,158 @@ class TestGapPlot:
     def test_deterministic_bytes(self):
         csv_text = "p,lo,hi\r\n1,0.1,0.4\r\n2,0.05,0.3\r\n3,0.02,0.2\r\n"
         assert render_gap_plot(csv_text) == render_gap_plot(csv_text)
+
+
+class TestFailClosedInputs:
+    """Inputs that ran to exit 0 with NaN output, a NaN grid or an interval
+    outside the descriptor's domain now exit 1 with a message."""
+
+    @pytest.mark.parametrize("tail, words", [
+        (["certify", "--class", "I", "-p", "1", "-b", "inf"], "b must be finite"),
+        (["certify", "--class", "D", "-p", "1", "-b", "inf"], "b must be finite"),
+        (["certify", "--class", "I", "-p", "1", "-a", "0", "-b", "2"], "leaves the domain"),
+        (["certify", "--class", "D", "-p", "1", "-a", "-1", "-b", "1"], "leaves the domain"),
+        (["certify", "--class", "Lp", "-p", "1", "--horizon", "inf"], "horizon must be finite"),
+        (["certify", "--class", "Lp", "-p", "1", "-a", "nan"], "a must be finite"),
+        (["rl", "--alpha", "0.5", "-x", "0.5", "-a", "0", "-b", "inf"], "b must be finite"),
+        (["hh", "-p", "0"], "order p must be >= 1, got 0"),
+        (["hh-fractional", "-p", "0", "--alpha", "0.5"], "order p must be >= 1, got 0"),
+    ], ids=["I-b-inf", "D-b-inf", "I-outside-domain", "D-outside-domain",
+            "Lp-horizon-inf", "Lp-a-nan", "rl-b-inf", "hh-p0", "hh-fractional-p0"])
+    def test_function_tasks(self, fn_file, tail, words, capsys):
+        assert main(tail + ["-f", fn_file]) == 1
+        assert words in capsys.readouterr().err
+
+    @pytest.mark.parametrize("s", ["nan", "inf"])
+    def test_mgf_rate(self, dist_file, s, capsys):
+        assert main(["mgf", "-d", dist_file, "-s", s, "-p", "2"]) == 1
+        assert "s must be finite" in capsys.readouterr().err
+
+    def test_em_demo_without_columns(self, capsys):
+        assert main(["em-demo", "--samples", "5", "--dims", "0"]) == 1
+        assert "nonempty n x d" in capsys.readouterr().err
+
+    def test_problem_file_with_infinite_parameter(self, fn_file, tmp_path, capsys):
+        # problem files do not pass through the parser; their params are checked too
+        problem = {"version": 1, "task": "certify",
+                   "function": json.loads(open(fn_file).read()),
+                   "params": {"class": "I", "p": 1, "b": "Infinity"}}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(problem))
+        assert main(["run", str(path)]) == 1
+        assert "b must be finite" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_lazily():
+    assert _build_parser() is _build_parser()
+    code = "import pconvex.cli as c; print(c._build_parser.cache_info().currsize)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "0"
+
+
+# -- the exit-code contract over sequences of in-process calls ----------------
+
+_NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"])
+# (argv before the descriptors, descriptors, flags that take a float)
+_FLOAT_TASKS = [
+    (["certify", "--class", "I", "-p", "1", "--grid", "64"], "f", ["-a", "-b"]),
+    (["certify", "--class", "D", "-p", "1", "--grid", "64"], "f", ["-a", "-b"]),
+    (["certify", "--class", "Lp", "-p", "1", "--grid", "64"], "l", ["-a", "-b", "--horizon"]),
+    (["bound", "-p", "1", "--grid", "64"], "fd", ["-a", "-b"]),
+    (["hh", "-p", "2", "--grid", "64"], "f", ["-a", "-b"]),
+    (["hh-fractional", "-p", "2", "--alpha", "0.5", "--grid", "64"], "f",
+     ["-a", "-b", "--alpha"]),
+    (["mgf", "-p", "2", "-s", "0.5"], "d", ["-s"]),
+    (["rl", "--alpha", "0.5", "-x", "0.5"], "f", ["-a", "-b", "--alpha", "-x"]),
+]
+_USAGE_ERRORS = [["certify", "--seed", "3"], ["certify", "--class", "Q", "-p", "1"],
+                 ["bound", "-p", "one"], ["no-such-command"], [], ["mgf", "-p", "2"],
+                 ["risk"], ["rl", "-x"]]
+_HELP = [["--help"], ["certify", "--help"], ["mgf", "-h"], ["risk", "compare", "-h"]]
+
+
+def _number(lo: float, hi: float):
+    return st.floats(min_value=lo, max_value=hi).map(repr)
+
+
+@st.composite
+def _cli_call(draw):
+    """One call as (kind, argv with descriptor placeholders, exit code it must
+    give).
+    "f" is x^3 on [0, 1], "i" the identity on [0, 1] (it fails the
+    certificates of bound and hh: exit 2), "l" x^2 on [0, inf) and "d" a
+    lottery on {0, 1}."""
+    kind = draw(st.sampled_from(["valid", "usage", "help", "non-finite"]))
+    if kind == "usage":
+        return kind, draw(st.sampled_from(_USAGE_ERRORS)), 1
+    if kind == "help":
+        return kind, draw(st.sampled_from(_HELP)), 0
+    if kind == "non-finite":
+        head, inputs, floats = draw(st.sampled_from(_FLOAT_TASKS))
+        flag = draw(st.sampled_from(floats))
+        descriptors = [x for c in inputs for x in ("-d" if c == "d" else "-f", "{" + c + "}")]
+        return kind, head + descriptors + [f"{flag}={draw(_NON_FINITE)}"], 1
+    fn = draw(st.sampled_from(["f", "i"]))
+    b = ["-b", draw(_number(0.25, 1.0))]
+    return (kind,) + draw(st.sampled_from([
+        (["certify", "-f", "{" + fn + "}", "--class", "I", "-p", "1", "--grid", "64"] + b, 0),
+        (["certify", "-f", "{l}", "--class", "Lp", "-p", "1", "--grid", "64",
+          "--horizon", draw(_number(0.5, 20.0))], 0),
+        (["bound", "-f", "{" + fn + "}", "-d", "{d}", "-p", "1", "--grid", "64",
+          "--kind", draw(st.sampled_from(["lower", "upper"]))], 2 if fn == "i" else 0),
+        (["hh", "-f", "{" + fn + "}", "-p", "2", "--grid", "64"] + b, 2 if fn == "i" else 0),
+        (["hh-fractional", "-f", "{f}", "-p", "2", "--grid", "64",
+          "--alpha", draw(_number(0.25, 3.0))], 0),
+        (["mgf", "-d", "{d}", "-p", "2", "-s", draw(_number(0.0, 3.0))], 0),
+        (["rl", "-f", "{f}", "--alpha", draw(_number(0.25, 3.0)),
+          "-x", draw(_number(0.125, 1.0))], 0),
+        (["em-demo", "--samples", "8", "--dims", "3", "--iters", "2"], 0),
+    ]))
+
+
+def _call(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def descriptors(tmp_path_factory):
+    root = tmp_path_factory.mktemp("descriptors")
+    files = {"f": {"family": "shifted-power", "params": {"q": 3.0, "a": 0.0},
+                   "domain": [0.0, 1.0]},
+             "i": {"family": "shifted-power", "params": {"q": 1.0, "a": 0.0},
+                   "domain": [0.0, 1.0]},
+             "l": {"family": "shifted-power", "params": {"q": 2.0, "a": 0.0},
+                   "domain": [0.0, "inf"]},
+             "d": {"kind": "discrete", "atoms": [0.0, 1.0], "probs": [0.5, 0.5]}}
+    for name, payload in files.items():
+        (root / f"{name}.json").write_text(json.dumps(payload))
+    return {"{" + name + "}": str(root / f"{name}.json") for name in files}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(_cli_call(), min_size=1, max_size=6))
+def test_exit_codes_and_bytes_on_one_cached_parser(descriptors, calls):
+    """A sequence of calls on one shared parser gives the exit codes and
+    output bytes each call gives on a parser of its own; exit 2 is only a
+    failing certificate, and every usage error or non-finite number is 1.
+    Usage and help text go to the streams current at the call."""
+    argvs = [[descriptors.get(tok, tok) for tok in argv] for _, argv, _ in calls]
+    _build_parser.cache_clear()
+    shared = [_call(argv) for argv in argvs]
+    assert _build_parser.cache_info().misses == 1
+    for argv, (kind, _, want), got in zip(argvs, calls, shared):
+        code, out, err = got
+        assert code == want, (argv, err)
+        assert (code == 2) == err.startswith("certificate failed"), (argv, err)
+        if kind in ("usage", "help"):
+            assert (out if kind == "help" else err).startswith("usage: pconvex"), argv
+        _build_parser.cache_clear()
+        assert _call(argv) == got, argv

@@ -272,6 +272,28 @@ class TestFailClosed:
         cert = certify_p_convex(shifted_power(2.5, domain=(0.0, 1.0)), 1, 0.0, 1.0)
         assert cert.passed
 
+    @pytest.mark.parametrize("certify", [certify_p_convex, certify_p_concave],
+                             ids=["I", "D"])
+    @pytest.mark.parametrize("a, b", [(0.0, math.inf), (math.nan, 1.0), (0.0, math.nan),
+                                      (-math.inf, 1.0)])
+    def test_non_finite_interval_rejected(self, certify, a, b):
+        # linspace over an infinite end is a NaN grid, which passed as a verdict
+        f = shifted_power(3.0, domain=(0.0, math.inf))
+        with pytest.raises(DomainError, match="finite"):
+            certify(f, 1, a, b)
+
+    @pytest.mark.parametrize("certify", [certify_p_convex, certify_p_concave],
+                             ids=["I", "D"])
+    @pytest.mark.parametrize("a, b", [(0.0, 2.0), (-0.5, 1.0), (-1.0, -0.5)])
+    def test_interval_outside_the_domain_rejected(self, certify, a, b):
+        with pytest.raises(DomainError, match="leaves the domain"):
+            certify(shifted_power(3.0, domain=(0.0, 1.0)), 1, a, b)
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_non_finite_horizon_rejected(self, horizon):
+        with pytest.raises(DomainError, match="horizon"):
+            certify_loss_class(shifted_power(2.0, domain=(0.0, math.inf)), 1, horizon)
+
 
 @pytest.mark.parametrize("fn", [lambda x: math.log(x) - x, _half_nan],
                          ids=["math-log", "half-nan"])

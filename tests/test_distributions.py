@@ -6,7 +6,9 @@ makes the tightened bounds tighter than classical Jensen downstream.
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -463,6 +465,19 @@ class TestFiniteOracleBits:
         assert X.values.tolist() == points
         # variables compare by value, sample values elementwise
         assert X == from_sample(points) and X != from_sample(points + [0.0])
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(_finite_points(), st.booleans(),
+           st.sampled_from([copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))]))
+    def test_copies_stay_read_only_and_equal(self, points, is_sample, copier):
+        # numpy drops the read-only flag through pickle; the copy is rebuilt
+        X = from_sample(points) if is_sample else \
+            discrete(points, [1.0 / len(points)] * len(points))
+        Y = copier(X)
+        assert Y == X
+        assert (Y.inf, Y.sup, Y.mean()) == (X.inf, X.sup, X.mean())
+        for arr in (Y.values, Y._points) if is_sample else (Y._points, Y._weights):
+            assert not arr.flags.writeable
 
 
 class TestFailClosedConstruction:

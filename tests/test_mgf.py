@@ -8,7 +8,9 @@ MGF is (1 + e)/2 = 1.8591409142295225.
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from pconvex.distributions import (
 )
 from pconvex.errors import (
     ConstructionError,
+    DomainError,
     SupportViolationError,
     UnboundedSupportError,
 )
@@ -120,6 +123,14 @@ class TestMgfUpper:
                                    pdf=lambda x: np.exp(-np.asarray(x, dtype=float)))
         with pytest.raises(UnboundedSupportError):
             mgf_upper(unbounded, 1.0, 1)
+
+
+@pytest.mark.parametrize("bound", [mgf_lower, mgf_upper])
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, -0.5])
+def test_s_must_be_finite_and_nonnegative(bound, s):
+    # NaN and inf passed the old s < 0 test and returned NaN bounds
+    with pytest.raises(DomainError, match="s must be finite"):
+        bound(FAIR_COIN, s, 2)
 
 
 class TestAmGm:
@@ -221,6 +232,17 @@ class TestLikelihoodInstance:
         with pytest.raises(ValueError):
             inst.likelihoods[0, 0] = 1.0
 
+    @pytest.mark.parametrize("copier", [copy.deepcopy,
+                                        lambda x: pickle.loads(pickle.dumps(x))],
+                             ids=["deepcopy", "pickle"])
+    def test_copies_keep_tables_read_only(self, copier):
+        inst = self.golden()
+        twin = copier(inst)
+        for name in ("likelihoods", "responsibilities"):
+            assert not getattr(twin, name).flags.writeable
+            np.testing.assert_array_equal(getattr(twin, name), getattr(inst, name))
+        assert elbo_tight(twin) == elbo_tight(inst)
+
     def test_zero_likelihood_rejected(self):
         with pytest.raises(ConstructionError):
             likelihood_instance([[0.0, 0.3]], [[0.5, 0.5]])
@@ -263,9 +285,10 @@ class TestEmDemo:
         trace = em_demo(data, iters=12, seed=2)
         assert trace.logliks()[-1] >= trace.logliks()[0]
 
-    def test_empty_data_rejected(self):
+    @pytest.mark.parametrize("shape", [(0, 3), (5, 0)])
+    def test_empty_data_rejected(self, shape):
         with pytest.raises(ConstructionError):
-            em_demo(np.zeros((0, 3)), iters=3, seed=1)
+            em_demo(np.zeros(shape), iters=3, seed=1)
 
     def test_deterministic_given_seed(self):
         data = generate_mixture_data(30, 5, seed=9)
