@@ -147,7 +147,7 @@ class Problem:
     def tolerance_profile(self) -> ToleranceProfile:
         if not self.tolerances:
             return DEFAULT_TOLERANCES
-        unknown = set(self.tolerances) - {"eq_abs", "eq_rel", "certify_slack", "fd_step"}
+        unknown = set(self.tolerances) - {"eq_abs", "eq_rel", "certify_slack"}
         if unknown:
             raise InputFormatError(f"tolerance profile: unknown fields {sorted(unknown)}")
         return ToleranceProfile(**{k: float(v) for k, v in self.tolerances.items()})
@@ -170,12 +170,24 @@ def _certify(problem: Problem, args: argparse.Namespace, f: FunctionSpec,
              klass: str, p: int) -> convexity.ConvexityCertificate:
     tol = problem.tolerance_profile()
     if klass == "Lp":
-        horizon = float(args.horizon or args.b or 10.0)
+        horizon = 10.0 if args.horizon is None else args.horizon
         return convexity.certify_loss_class(f, p, horizon, args.grid, tol)
     a, b = _interval(vars(args), f)
     if klass == "I":
         return convexity.certify_p_convex(f, p, a, b, args.grid, tol)
     return convexity.certify_p_concave(f, p, a, b, args.grid, tol)
+
+
+def _certify_class(args: argparse.Namespace) -> tuple[str, int]:
+    """The certify task's class and order.  Classes I and D take the
+    interval (-a, -b) and Lp takes --horizon; a flag of the other kind is
+    an input error, not ignored."""
+    given = {"-a": args.a, "-b": args.b} if args.klass == "Lp" else {"--horizon": args.horizon}
+    stray = [name for name, value in given.items() if value is not None]
+    if stray:
+        raise InputFormatError(
+            f"certify --class {args.klass} does not take {', '.join(stray)}")
+    return args.klass, args.p
 
 
 _BOUNDS = {"lower": "jensen_lower", "upper": "jensen_upper",
@@ -274,11 +286,9 @@ def _em_demo(problem: Problem, args: argparse.Namespace) -> list[tuple]:
 
 
 def _rl(problem: Problem, args: argparse.Namespace) -> list[tuple]:
-    interval = None
-    if args.a is not None and args.b is not None:
-        interval = (args.a, args.b)
-    value = hermite.rl_integral(problem.function_spec(), args.alpha, args.side,
-                                args.x, interval)
+    f = problem.function_spec()
+    value = hermite.rl_integral(f, args.alpha, args.side, args.x,
+                                _interval(vars(args), f))
     return [(args.alpha, args.side, args.x, value)]
 
 
@@ -447,7 +457,7 @@ _TASKS: dict[str, _Task] = {
          _flag("--horizon", type=float, help="loss-class horizon (Lp only)"),
          _GRID),
         lambda problem, args, f, cert: convexity.certificate_to_dict(cert),
-        _json_text, certify=lambda args: (args.klass, args.p)),
+        _json_text, certify=_certify_class),
     "bound": _Task(
         ("bound",), "tightened Jensen bound on E f(X): the norm-shifted lower "
                     "bound, the moment-weighted endpoint upper bound, or the "
@@ -558,7 +568,7 @@ def _add_common(sub: argparse.ArgumentParser, inputs: str) -> None:
                          help="JSON distribution descriptor")
     sub.add_argument("--out", metavar="FILE", help="write the report here (default stdout)")
     sub.add_argument("--tolerance-profile", metavar="FILE",
-                     help="JSON tolerance overrides (eq_abs, eq_rel, certify_slack, fd_step)")
+                     help="JSON tolerance overrides (eq_abs, eq_rel, certify_slack)")
     sub.add_argument("--dump-canonical", metavar="FILE",
                      help="also write the canonical problem file for this invocation")
 

@@ -12,8 +12,12 @@ Three classes are certified on evaluation grids:
 
 A certificate is a numerical verdict over a finite grid with explicit slack,
 not a proof; failures always carry a witness (point, condition, margin).
-Certificates for functions without analytic derivatives widen the slack by
-1e3 and record the provenance.
+A grid condition on a derivative past the function's analytic stack is
+checked on forward differences of the deepest analytic entry, and its
+condition name says so; anchor conditions at a single point use the
+function's own finite-difference derivatives.  Certificates for functions
+without analytic derivatives widen the slack by 1e3 and record the
+provenance.
 """
 
 from __future__ import annotations
@@ -157,8 +161,23 @@ def _second_differences(values: np.ndarray, h: float) -> np.ndarray:
     return (values[2:] - 2.0 * values[1:-1] + values[:-2]) / (h * h)
 
 
-def _first_differences(values: np.ndarray, h: float) -> np.ndarray:
-    return (values[1:] - values[:-1]) / h
+def _grid_derivative(f: FunctionSpec, xs: np.ndarray, h: float,
+                     k: int) -> tuple[np.ndarray, np.ndarray, str]:
+    """f^(k) on the grid xs of step h: (values, their points, label suffix).
+
+    Within the analytic stack it is the analytic entry on every point; past
+    it, the deepest analytic entry differenced forward k - depth times, on
+    the leading grid points.
+    """
+    depth = f.analytic_depth
+    if k <= depth:
+        return f.eval_on(xs, k), xs, ""
+    step = k - depth
+    values = f.eval_on(xs, depth)
+    for _ in range(step):
+        values = (values[1:] - values[:-1]) / h
+    how = " (differenced)" if step == 1 else f" ({step}x differenced)"
+    return values, xs[: len(values)], how
 
 
 def certify_p_convex(f: FunctionSpec, p: int, a: float, b: float,
@@ -168,38 +187,22 @@ def certify_p_convex(f: FunctionSpec, p: int, a: float, b: float,
 
     Conditions checked (each to within the slack):
       1. f^(k)(a) = 0 for k = 1..p,
-      2. f^(p+1) >= 0 on the grid (f^(p) increasing); when the analytic
-         stack is too shallow, first differences of f^(p) stand in,
-      3. f^(p+2) >= 0 on the grid (f^(p) convex); fallback: second
-         differences of f^(p), normalized by the squared step.
+      2. f^(p+1) >= 0 on the grid (f^(p) increasing),
+      3. f^(p+2) >= 0 on the grid (f^(p) convex).
 
-    For p = 0 only plain convexity is checked.
+    For p = 0 only plain convexity is checked.  A grid order past the
+    analytic stack is the deepest analytic entry differenced on the grid.
     """
     p = _order(p, 0)
     a, b = _interval(f, a, b)
     xs, h = _grid(a, b, grid_size)
-    analytic = f.analytic_depth
 
     checks = [_point(f"boundary f^({k})(a)=0", -abs(float(f.derivative(k)(a))), a)
               for k in range(1, p + 1)]
-    if p == 0:
-        if analytic >= 2:
-            checks.append(("convexity f^(2)>=0", f.eval_on(xs, 2), xs))
-        else:
-            checks.append(("convexity d2f>=0",
-                           _second_differences(f.eval_on(xs, 0), h), xs[1:-1]))
-    else:
-        if analytic >= p + 1:
-            checks.append((f"increasing f^({p + 1})>=0", f.eval_on(xs, p + 1), xs))
-        else:
-            checks.append((f"increasing df^({p})>=0",
-                           _first_differences(f.eval_on(xs, p), h), xs[:-1]))
-        if analytic >= p + 2 or (f.provenance != "analytic" and f.max_order >= p + 2
-                                 and p + 2 <= analytic + 2):
-            checks.append((f"convexity f^({p + 2})>=0", f.eval_on(xs, p + 2), xs))
-        else:
-            checks.append((f"convexity d2f^({p})>=0",
-                           _second_differences(f.eval_on(xs, p), h), xs[1:-1]))
+    orders = [("convexity", 2)] if p == 0 else [("increasing", p + 1), ("convexity", p + 2)]
+    for name, k in orders:
+        values, points, how = _grid_derivative(f, xs, h, k)
+        checks.append((f"{name} f^({k})>=0{how}", values, points))
     return _certify("I", p, (a, b), grid_size, *_slack_for(f, tolerances), f.label, checks)
 
 
@@ -221,17 +224,8 @@ def certify_p_concave(f: FunctionSpec, p: int, a: float, b: float,
               for k in range(1, p + 1)]
     for k in range(1, p + 3):
         sign = 1.0 if k % 2 == 1 else -1.0
-        cond = f"sign (-1)^({k}+1) f^({k})>=0"
-        if k <= f.analytic_depth:
-            checks.append((cond, sign * f.eval_on(xs, k), xs))
-            continue
-        # past the analytic stack: repeated first differences of its top entry
-        step = k - f.analytic_depth
-        diffs = f.eval_on(xs, f.analytic_depth)
-        for _ in range(step):
-            diffs = _first_differences(diffs, h)
-        how = " (differenced)" if step == 1 else f" ({step}x differenced)"
-        checks.append((cond + how, sign * diffs, xs[: len(diffs)]))
+        values, points, how = _grid_derivative(f, xs, h, k)
+        checks.append((f"sign (-1)^({k}+1) f^({k})>=0{how}", sign * values, points))
     return _certify("D", p, (a, b), grid_size, *_slack_for(f, tolerances), f.label, checks)
 
 
@@ -245,6 +239,7 @@ def certify_loss_class(l: FunctionSpec, p: int, horizon: float,
     for k = 1..p+2 at grid points x > 1e-6.  The literal class uses strict
     positivity; the default strictness 0 admits pure powers whose top
     derivatives vanish identically, which the closed-form achiever needs.
+    A horizon that leaves no grid point above 1e-6 raises DomainError.
     """
     p = _order(p, 1)
     horizon = float(horizon)
@@ -257,6 +252,8 @@ def certify_loss_class(l: FunctionSpec, p: int, horizon: float,
     d2 = l.eval_on(xs, 2)
     checks = [("curvature l''(x)x - p l'(x)>=0", d2 * xs - p * d1, xs)]
     interior = xs > 1e-6
+    if not np.any(interior):
+        raise DomainError(f"horizon {horizon} leaves no grid point above 1e-6")
     xi = xs[interior]
     for k in range(1, p + 3):
         vals = l.eval_on(xi, k) if k > 2 else (d1[interior] if k == 1 else d2[interior])

@@ -58,6 +58,7 @@ __all__ = [
 
 DEFAULT_EVAL_HORIZON = 1e6
 _MONOTONICITY_GRID = 256  # points compose_inverse checks f' > 0 on
+_CATALOG_DEPTH = 8  # analytic orders of shifted-power, exponential, log-affine
 
 _FAMILIES = (
     "shifted-power",
@@ -76,16 +77,16 @@ class FunctionSpec:
 
     domain is (lo, hi) with hi possibly +inf; unbounded domains are only
     ever evaluated up to eval_horizon.  derivatives holds analytic callables
-    for orders 1..len(derivatives); orders beyond that (up to max_order) fall
-    back to finite differences of the deepest analytic entry, which flips
-    provenance away from "analytic".
+    for orders 1..len(derivatives).  An "analytic" spec has no orders past
+    its stack; a "numeric" or "mixed" one reaches up to 4 orders further by
+    finite differences of the deepest analytic entry (of the function itself
+    when the stack is empty).
     """
 
     label: str
     domain: tuple[float, float]
     eval_fn: Callable
     derivatives: tuple[Callable, ...] = ()
-    max_order: int = 4
     provenance: str = "analytic"  # analytic | numeric | mixed
     descriptor: Mapping[str, Any] | None = None
     eval_horizon: float = DEFAULT_EVAL_HORIZON
@@ -96,8 +97,6 @@ class FunctionSpec:
             raise ConstructionError(f"invalid domain {self.domain}")
         if self.provenance not in ("analytic", "numeric", "mixed"):
             raise ConstructionError(f"invalid provenance {self.provenance!r}")
-        if self.provenance == "analytic" and self.max_order > len(self.derivatives):
-            object.__setattr__(self, "max_order", len(self.derivatives))
 
     def __call__(self, x):
         return self.eval_fn(x)
@@ -120,9 +119,10 @@ class FunctionSpec:
             return self.eval_fn
         if k <= len(self.derivatives):
             return self.derivatives[k - 1]
-        if k > self.max_order:
+        if self.provenance == "analytic":
             raise DerivativeOrderError(
-                f"{self.label}: derivative order {k} exceeds max_order {self.max_order}")
+                f"{self.label}: derivative order {k} exceeds the analytic stack "
+                f"({len(self.derivatives)})")
         extra = k - len(self.derivatives)
         if extra > 4:
             raise DerivativeOrderError(
@@ -177,8 +177,7 @@ def _falling_factorial(q: float, k: int) -> float:
 
 
 def shifted_power(q: float, shift: float = 0.0,
-                  domain: tuple[float, float] | None = None,
-                  depth: int = 8) -> FunctionSpec:
+                  domain: tuple[float, float] | None = None) -> FunctionSpec:
     """(x - shift)^q with q >= 1; domain defaults to [shift, inf)."""
     _finite("shifted-power q and shift", q, shift)
     if q < 1.0:
@@ -202,20 +201,17 @@ def shifted_power(q: float, shift: float = 0.0,
 
         return deriv
 
-    derivs = tuple(make(k) for k in range(1, depth + 1))
     return FunctionSpec(
         label=f"(x-{shift:g})^{q:g}" if shift else f"x^{q:g}",
         domain=dom,
         eval_fn=make(0),
-        derivatives=derivs,
-        max_order=depth,
+        derivatives=tuple(make(k) for k in range(1, _CATALOG_DEPTH + 1)),
         descriptor={"family": "shifted-power", "params": {"q": q, "a": shift}},
     )
 
 
 def exponential(s: float = 1.0,
-                domain: tuple[float, float] = (0.0, math.inf),
-                depth: int = 8) -> FunctionSpec:
+                domain: tuple[float, float] = (0.0, math.inf)) -> FunctionSpec:
     """e^(s x); all derivatives are s^k e^(s x)."""
     _finite("exponential rate s", s)
 
@@ -231,8 +227,7 @@ def exponential(s: float = 1.0,
         label=f"exp({s:g}x)" if s != 1.0 else "exp(x)",
         domain=(float(domain[0]), float(domain[1])),
         eval_fn=make(0),
-        derivatives=tuple(make(k) for k in range(1, depth + 1)),
-        max_order=depth,
+        derivatives=tuple(make(k) for k in range(1, _CATALOG_DEPTH + 1)),
         descriptor={"family": "exponential", "params": {"s": float(s)}},
     )
 
@@ -292,13 +287,11 @@ def exp_taylor_remainder(p: int,
         domain=(float(domain[0]), float(domain[1])),
         eval_fn=make(0),
         derivatives=tuple(make(k) for k in range(1, depth + 1)),
-        max_order=depth,
         descriptor={"family": "exp-taylor-remainder", "params": {"p": p}},
     )
 
 
-def log_affine(b: float, domain: tuple[float, float] | None = None,
-               depth: int = 8) -> FunctionSpec:
+def log_affine(b: float, domain: tuple[float, float] | None = None) -> FunctionSpec:
     """ln(x) - x/b on (0, b]; increasing and concave with slope 0 at b."""
     _finite("log-affine b", b)
     if not b > 0.0:
@@ -321,8 +314,7 @@ def log_affine(b: float, domain: tuple[float, float] | None = None,
         label=f"log(x)-x/{b:g}",
         domain=dom,
         eval_fn=ev,
-        derivatives=tuple(make(k) for k in range(1, depth + 1)),
-        max_order=depth,
+        derivatives=tuple(make(k) for k in range(1, _CATALOG_DEPTH + 1)),
         descriptor={"family": "log-affine", "params": {"b": float(b)}},
     )
 
@@ -355,7 +347,6 @@ def polynomial(coeffs: Sequence[float],
         domain=(float(domain[0]), float(domain[1])),
         eval_fn=make(0),
         derivatives=tuple(make(k) for k in range(1, depth + 1)),
-        max_order=depth,
         descriptor={"family": "polynomial", "params": {"coeffs": list(coeffs)}},
     )
 
@@ -405,7 +396,6 @@ def affine_precompose(inner: FunctionSpec, scale: float, offset: float,
         domain=dom,
         eval_fn=make(0),
         derivatives=tuple(make(k) for k in range(1, inner.analytic_depth + 1)),
-        max_order=inner.max_order,
         provenance=inner.provenance,
         descriptor=desc,
         eval_horizon=inner.eval_horizon,
@@ -428,7 +418,6 @@ def nonneg_weighted_sum(terms: Sequence[tuple[float, FunctionSpec]],
     if not dom[0] < dom[1]:
         raise ConstructionError("weighted-sum domains do not overlap")
     depth = min(f.analytic_depth for f in fns)
-    max_order = min(f.max_order for f in fns)
     prov = "analytic"
     if any(f.provenance != "analytic" for f in fns):
         prov = "mixed" if any(f.provenance == "analytic" for f in fns) else "numeric"
@@ -455,7 +444,6 @@ def nonneg_weighted_sum(terms: Sequence[tuple[float, FunctionSpec]],
         domain=dom,
         eval_fn=make(0),
         derivatives=tuple(make(k) for k in range(1, depth + 1)),
-        max_order=max_order,
         provenance=prov,
         descriptor=desc,
     )
@@ -472,7 +460,6 @@ def derivative_function(f: FunctionSpec, k: int = 1) -> FunctionSpec:
         domain=f.domain,
         eval_fn=f.derivatives[k - 1],
         derivatives=f.derivatives[k:],
-        max_order=f.max_order - k,
         provenance=f.provenance,
         eval_horizon=f.eval_horizon,
     )
@@ -502,14 +489,13 @@ def antiderivative_from(g: FunctionSpec, base: float | None = None) -> FunctionS
         domain=g.domain,
         eval_fn=np.vectorize(ev, otypes=[float]),
         derivatives=derivs,
-        max_order=g.max_order + 1,
         provenance=g.provenance,
         eval_horizon=g.eval_horizon,
     )
 
 
-def numeric_function(fn: Callable, domain: tuple[float, float], label: str = "numeric",
-                     max_order: int = 4) -> FunctionSpec:
+def numeric_function(fn: Callable, domain: tuple[float, float],
+                     label: str = "numeric") -> FunctionSpec:
     """Escape hatch: a bare callable with finite-difference derivatives only.
 
     fn may be scalar-only; it is called on whole arrays when it accepts them
@@ -520,7 +506,6 @@ def numeric_function(fn: Callable, domain: tuple[float, float], label: str = "nu
         domain=(float(domain[0]), float(domain[1])),
         eval_fn=lambda x: _eval_nodes(fn, x),
         derivatives=(),
-        max_order=max_order,
         provenance="numeric",
     )
 
@@ -569,7 +554,6 @@ def taylor_remainder(f: FunctionSpec, p: int) -> FunctionSpec:
         domain=f.domain,
         eval_fn=make(0),
         derivatives=tuple(make(k) for k in range(1, depth + 1)),
-        max_order=depth,
         provenance=f.provenance,
         eval_horizon=f.eval_horizon,
     )
@@ -580,9 +564,11 @@ def compose_inverse(l: FunctionSpec, f: FunctionSpec,
     """y -> l(f^{-1}(y)) on [f(lo), f(cap)] for strictly increasing f.
 
     One invert_monotone run solves all points of a call.  Orders 1-2 come
-    from the inverse-function chain rule on the analytic stacks; orders 3-4
-    are finite differences of the composed map (closed-form higher inverse
-    derivatives are too error-prone), so the result has "mixed" provenance.
+    from the inverse-function chain rule on the analytic stacks (closed-form
+    higher inverse derivatives are too error-prone), so the result has
+    "mixed" provenance: certifiers difference the order-2 entry on their
+    grids, and an order >= 3 asked for at a point is a finite difference of
+    it, each stencil point a fresh inversion.
     """
     lo = f.domain[0]
     hi = f.upper_cap
@@ -619,7 +605,6 @@ def compose_inverse(l: FunctionSpec, f: FunctionSpec,
         domain=(y_lo, y_hi),
         eval_fn=lambda y: l(x_of(y)),
         derivatives=(d1_fn, d2_fn),
-        max_order=4,
         provenance="mixed",
     )
 

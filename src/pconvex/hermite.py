@@ -163,7 +163,6 @@ def abs_derivative(f: FunctionSpec, grid_size: int = 512) -> FunctionSpec:
         domain=f.domain,
         eval_fn=make(0),
         derivatives=tuple(make(k) for k in range(1, base.analytic_depth + 1)),
-        max_order=base.max_order,
         provenance=f.provenance,
         eval_horizon=f.eval_horizon,
     )
@@ -182,8 +181,9 @@ def rl_integral(f: FunctionSpec, alpha: float, side: str, x: float,
     side="left":  (1/Gamma(alpha)) integral_a^x (x - t)^(alpha-1) f(t) dt,
     side="right": (1/Gamma(alpha)) integral_x^b (t - x)^(alpha-1) f(t) dt,
 
-    where [a, b] defaults to f's domain.  alpha = 0 returns f(x) (the
-    identity-operator convention).
+    where the finite interval [a, b], a < b, defaults to f's domain (up to
+    its evaluation cap).  alpha = 0 returns f(x) (the identity-operator
+    convention).
     """
     alpha = float(alpha)
     if alpha < 0.0:
@@ -191,6 +191,9 @@ def rl_integral(f: FunctionSpec, alpha: float, side: str, x: float,
     if side not in ("left", "right"):
         raise DomainError(f"side must be 'left' or 'right', got {side!r}")
     a, b = interval if interval is not None else (f.domain[0], f.upper_cap)
+    a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise DomainError(f"need finite a < b, got [{a}, {b}]")
     x = float(x)
     if alpha == 0.0:
         return float(f(x))

@@ -55,17 +55,14 @@ class ToleranceProfile:
     certify_slack:
         slack granted when testing ">= 0" conditions on grids; multiplied
         by 1e3 when a function only has finite-difference derivatives.
-    fd_step:
-        base step for finite differences (scaled per derivative order).
     """
 
     eq_abs: float = 1e-10
     eq_rel: float = 1e-9
     certify_slack: float = 1e-8
-    fd_step: float = 1e-5
 
     def __post_init__(self) -> None:
-        for name in ("eq_abs", "eq_rel", "certify_slack", "fd_step"):
+        for name in ("eq_abs", "eq_rel", "certify_slack"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise DomainError(f"ToleranceProfile.{name} must be positive and finite")
 
@@ -414,8 +411,7 @@ def _central_diff(f: Callable, x: np.ndarray, k: int, h: np.ndarray) -> np.ndarr
     return acc / h ** k
 
 
-def fd_derivative(f: Callable, x, k: int,
-                  base_step: float = DEFAULT_TOLERANCES.fd_step):
+def fd_derivative(f: Callable, x, k: int, base_step: float = 1e-5):
     """k-th derivative (k in 1..4) by central differences plus one
     Richardson extrapolation step, giving O(h^4) truncation in the
     (order-scaled) base step.

@@ -196,7 +196,6 @@ def _power_exp(m: int, beta: float, horizon: float) -> FunctionSpec:
         domain=(0.0, math.inf),
         eval_fn=make(0),
         derivatives=tuple(make(k) for k in range(1, m + 5)),
-        max_order=m + 4,
         eval_horizon=max(10.0 * horizon, 10.0),
     )
 

@@ -253,6 +253,18 @@ class TestHHAndRl:
         row = capsys.readouterr().out.strip().split("\r\n")[1].split(",")
         assert float(row[3]) == pytest.approx(0.25, abs=1e-9)
 
+    @pytest.mark.parametrize("side, lone, pair", [
+        ("left", ["-a", "0.4"], ["-a", "0.4", "-b", "1"]),
+        ("right", ["-b", "0.8"], ["-a", "0", "-b", "0.8"]),
+    ], ids=["lone-a", "lone-b"])
+    def test_rl_takes_a_lone_interval_end(self, fn_file, side, lone, pair, capsys):
+        # a lone -a or -b was dropped and the whole domain integrated
+        def value(tail):
+            argv = ["rl", "-f", fn_file, "--alpha", "0.5", "-x", "0.5", "--side", side]
+            assert main(argv + tail) == 0
+            return capsys.readouterr().out.strip().split("\r\n")[1].split(",")[3]
+        assert value(lone) == value(pair) != value([])
+
     def test_hh_failing_certificate_is_exit_two(self, identity_file, capsys):
         # x at order p=2 needs certification at order 1, which the identity fails
         assert main(["hh", "-f", identity_file, "-p", "2"]) == 2
@@ -410,11 +422,19 @@ class TestFailClosedInputs:
         (["certify", "--class", "D", "-p", "1", "-a", "-1", "-b", "1"], "leaves the domain"),
         (["certify", "--class", "Lp", "-p", "1", "--horizon", "inf"], "horizon must be finite"),
         (["certify", "--class", "Lp", "-p", "1", "-a", "nan"], "a must be finite"),
+        (["certify", "--class", "Lp", "-p", "1", "--horizon", "0"], "exceed domain start"),
+        (["certify", "--class", "Lp", "-p", "1", "--horizon", "1e-300"],
+         "no grid point above"),
+        (["certify", "--class", "Lp", "-p", "1", "-a", "5"], "does not take -a"),
+        (["certify", "--class", "Lp", "-p", "1", "-b", "5"], "does not take -b"),
+        (["certify", "--class", "D", "-p", "1", "--horizon", "5"],
+         "does not take --horizon"),
         (["rl", "--alpha", "0.5", "-x", "0.5", "-a", "0", "-b", "inf"], "b must be finite"),
         (["hh", "-p", "0"], "order p must be >= 1, got 0"),
         (["hh-fractional", "-p", "0", "--alpha", "0.5"], "order p must be >= 1, got 0"),
     ], ids=["I-b-inf", "D-b-inf", "I-outside-domain", "D-outside-domain",
-            "Lp-horizon-inf", "Lp-a-nan", "rl-b-inf", "hh-p0", "hh-fractional-p0"])
+            "Lp-horizon-inf", "Lp-a-nan", "Lp-horizon-0", "Lp-no-interior-point",
+            "Lp-with-a", "Lp-with-b", "D-with-horizon", "rl-b-inf", "hh-p0", "hh-fractional-p0"])
     def test_function_tasks(self, fn_file, tail, words, capsys):
         assert main(tail + ["-f", fn_file]) == 1
         assert words in capsys.readouterr().err
@@ -427,6 +447,14 @@ class TestFailClosedInputs:
     def test_em_demo_without_columns(self, capsys):
         assert main(["em-demo", "--samples", "5", "--dims", "0"]) == 1
         assert "nonempty n x d" in capsys.readouterr().err
+
+    def test_tolerance_profile_field_nothing_reads(self, fn_file, tmp_path, capsys):
+        # fd_step was accepted and ignored
+        path = tmp_path / "tol.json"
+        path.write_text(json.dumps({"fd_step": 1e-3}))
+        assert main(["certify", "-f", fn_file, "--class", "I", "-p", "1",
+                     "--tolerance-profile", str(path)]) == 1
+        assert "unknown fields ['fd_step']" in capsys.readouterr().err
 
     def test_problem_file_with_infinite_parameter(self, fn_file, tmp_path, capsys):
         # problem files do not pass through the parser; their params are checked too

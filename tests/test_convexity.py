@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from pconvex import functions
 from pconvex.convexity import (
     certify_loss_class,
     certify_p_concave,
@@ -27,6 +28,7 @@ from pconvex.functions import (
     taylor_remainder,
 )
 from pconvex.numerics import ToleranceProfile
+from pconvex.risk import certify_p_more_risk_averse
 
 from conftest import certified_members
 
@@ -124,6 +126,41 @@ class TestRightAnchoredClass:
         assert cert.passed, cert.witness
         g = numeric_function(lambda x: x * x, (0.0, 1.0), label="numeric-square")
         assert not certify_p_concave(g, 1, 0.0, 1.0, grid_size=128).passed
+
+
+class TestPastTheAnalyticStack:
+    """A grid order past the analytic stack is the top analytic entry
+    differenced on the grid; only an anchor condition at one point takes a
+    finite-difference derivative."""
+
+    @staticmethod
+    def _fd_calls(monkeypatch) -> list:
+        calls = []
+        real = functions.fd_derivative
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(functions, "fd_derivative", counting)
+        return calls
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_risk_comparison_takes_no_finite_differences(self, monkeypatch, p):
+        # each such call differenced a map whose every point is an inversion
+        calls = self._fd_calls(monkeypatch)
+        certify_p_more_risk_averse(shifted_power(4.0, domain=(0.0, 50.0)),
+                                   shifted_power(2.0, domain=(0.0, 50.0)), p, 10.0, 256)
+        assert len(calls) == 0
+
+    def test_numeric_function_differences_only_its_anchor(self, monkeypatch):
+        calls = self._fd_calls(monkeypatch)
+        f = numeric_function(lambda x: x * x, (0.0, 1.0), label="sq")
+        cert = certify_p_convex(f, 1, 0.0, 1.0, 64)
+        assert len(calls) == 1
+        assert cert.margins == {"boundary f^(1)(a)=0": -0.0,
+                                "increasing f^(2)>=0 (2x differenced)": 2.0,
+                                "convexity f^(3)>=0 (3x differenced)": 0.0}
 
 
 class TestLossClass:
@@ -288,6 +325,11 @@ class TestFailClosed:
     def test_interval_outside_the_domain_rejected(self, certify, a, b):
         with pytest.raises(DomainError, match="leaves the domain"):
             certify(shifted_power(3.0, domain=(0.0, 1.0)), 1, a, b)
+
+    def test_horizon_without_a_point_above_the_cutoff_rejected(self):
+        # the positivity checks had no points, and argmin raised ValueError
+        with pytest.raises(DomainError, match="no grid point above"):
+            certify_loss_class(shifted_power(2.0, domain=(0.0, math.inf)), 1, 1e-300)
 
     @pytest.mark.parametrize("horizon", [math.inf, math.nan])
     def test_non_finite_horizon_rejected(self, horizon):

@@ -208,6 +208,14 @@ class TestRLIntegral:
         with pytest.raises(DomainError):
             rl_integral(f, -0.5, "left", 1.0)
 
+    @pytest.mark.parametrize("interval", [(0.0, math.inf), (-math.inf, 1.0),
+                                          (0.0, math.nan), (1.0, 0.5)])
+    def test_interval_must_be_finite_and_ordered(self, interval):
+        # b = inf used to pass: the left integral only compared x <= b
+        f = shifted_power(3.0, domain=(0.0, math.inf))
+        with pytest.raises(DomainError, match="finite a < b"):
+            rl_integral(f, 0.5, "left", 0.5, interval)
+
 
 class TestGammaCoefficient:
     def test_order_one_is_half(self):
