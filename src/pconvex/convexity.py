@@ -161,23 +161,27 @@ def _second_differences(values: np.ndarray, h: float) -> np.ndarray:
     return (values[2:] - 2.0 * values[1:-1] + values[:-2]) / (h * h)
 
 
-def _grid_derivative(f: FunctionSpec, xs: np.ndarray, h: float,
-                     k: int) -> tuple[np.ndarray, np.ndarray, str]:
-    """f^(k) on the grid xs of step h: (values, their points, label suffix).
+def _grid_derivatives(f: FunctionSpec, xs: np.ndarray, h: float,
+                      orders: list[int]) -> list[tuple[np.ndarray, np.ndarray, str]]:
+    """f^(k) on the grid xs of step h for each k in orders: (values, their
+    points, label suffix).
 
     Within the analytic stack it is the analytic entry on every point; past
     it, the deepest analytic entry differenced forward k - depth times, on
-    the leading grid points.
+    the leading grid points.  Each order from the least asked for (or the
+    deepest analytic one) up is found once, however many orders need it.
     """
     depth = f.analytic_depth
-    if k <= depth:
-        return f.eval_on(xs, k), xs, ""
-    step = k - depth
-    values = f.eval_on(xs, depth)
-    for _ in range(step):
-        values = (values[1:] - values[:-1]) / h
-    how = " (differenced)" if step == 1 else f" ({step}x differenced)"
-    return values, xs[: len(values)], how
+    levels: dict[int, np.ndarray] = {}
+    for k in range(min(min(orders), depth), max(orders) + 1):
+        levels[k] = (f.eval_on(xs, k) if k <= depth
+                     else (levels[k - 1][1:] - levels[k - 1][:-1]) / h)
+    out = []
+    for k in orders:
+        step = k - depth
+        how = "" if step <= 0 else " (differenced)" if step == 1 else f" ({step}x differenced)"
+        out.append((levels[k], xs[: len(levels[k])], how))
+    return out
 
 
 def certify_p_convex(f: FunctionSpec, p: int, a: float, b: float,
@@ -200,8 +204,8 @@ def certify_p_convex(f: FunctionSpec, p: int, a: float, b: float,
     checks = [_point(f"boundary f^({k})(a)=0", -abs(float(f.derivative(k)(a))), a)
               for k in range(1, p + 1)]
     orders = [("convexity", 2)] if p == 0 else [("increasing", p + 1), ("convexity", p + 2)]
-    for name, k in orders:
-        values, points, how = _grid_derivative(f, xs, h, k)
+    grid = _grid_derivatives(f, xs, h, [k for _, k in orders])
+    for (name, k), (values, points, how) in zip(orders, grid):
         checks.append((f"{name} f^({k})>=0{how}", values, points))
     return _certify("I", p, (a, b), grid_size, *_slack_for(f, tolerances), f.label, checks)
 
@@ -222,9 +226,9 @@ def certify_p_concave(f: FunctionSpec, p: int, a: float, b: float,
 
     checks = [_point(f"boundary f^({k})(b)=0", -abs(float(f.derivative(k)(b))), b)
               for k in range(1, p + 1)]
-    for k in range(1, p + 3):
+    orders = list(range(1, p + 3))
+    for k, (values, points, how) in zip(orders, _grid_derivatives(f, xs, h, orders)):
         sign = 1.0 if k % 2 == 1 else -1.0
-        values, points, how = _grid_derivative(f, xs, h, k)
         checks.append((f"sign (-1)^({k}+1) f^({k})>=0{how}", sign * values, points))
     return _certify("D", p, (a, b), grid_size, *_slack_for(f, tolerances), f.label, checks)
 

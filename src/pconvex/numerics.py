@@ -17,6 +17,7 @@ objects are immutable, so concurrent use needs no locking.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -27,6 +28,7 @@ from .errors import (
     BracketError,
     ConvergenceError,
     DomainError,
+    PconvexError,
     RangeOverflowError,
 )
 
@@ -320,10 +322,14 @@ def invert_monotone(f: Callable, y, bracket=None,
     bracket is (lo, hi), floats or arrays that broadcast to y, or None to
     widen [0, 1] by doubling (up to 2^40) until it covers every y.  Floats
     give a float; arrays give an array equal to the float runs bit for bit,
-    with f called once per step on all points.  Targets within eq_abs +
-    eq_rel |y| of [f(lo), f(hi)] are clamped into it; any other target, a
-    non-finite target or bracket end, or lo > hi raises BracketError, and f
-    NaN where evaluated raises ConvergenceError.  Chandrupatla's steps
+    with f called once per step on all points, in their order and shape (a
+    solved point at its bracket end, a single point as a float through
+    _eval_nodes).  Callers rely on this: given a bracket, an f that takes
+    point i through its own function solves one equation per point in one
+    run.  Targets within eq_abs + eq_rel |y| of [f(lo), f(hi)] are clamped
+    into it; any other target, a non-finite target or bracket end, or
+    lo > hi raises BracketError, and f NaN where evaluated raises
+    ConvergenceError.  Chandrupatla's steps
     (inverse quadratic interpolation when safe, else bisection; Adv. Eng.
     Software 28(3), 1997) run until the residual is zero or the bracket is
     below 1e-14 |x| (at least the smallest normal float); the end with the
@@ -404,10 +410,29 @@ _CENTRAL_STENCILS = {
 }
 
 
+def _stencil_values(f: Callable, xs: np.ndarray) -> np.ndarray:
+    """f at stencil points xs, which may lie outside f's domain.
+
+    f raising there or giving a value that is not real (complex) raises
+    DomainError naming the points; a PconvexError from f passes through.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            return _eval_nodes(f, xs)
+    except PconvexError:
+        raise
+    except Exception as exc:
+        at = (f"point x = {float(xs[0])!r}" if xs.size == 1 else
+              f"points ({xs.size} in [{float(xs.min())!r}, {float(xs.max())!r}])")
+        raise DomainError(f"f has no real value at the finite-difference stencil {at}: "
+                          f"{type(exc).__name__}: {exc}") from exc
+
+
 def _central_diff(f: Callable, x: np.ndarray, k: int, h: np.ndarray) -> np.ndarray:
     acc = 0.0
     for offset, coeff in _CENTRAL_STENCILS[k]:
-        acc = acc + coeff * _eval_nodes(f, x + offset * h)
+        acc = acc + coeff * _stencil_values(f, x + offset * h)
     return acc / h ** k
 
 
@@ -419,7 +444,9 @@ def fd_derivative(f: Callable, x, k: int, base_step: float = 1e-5):
     x may be a float or an array; f is called once per stencil offset on
     the whole array (a scalar-only f is looped over it).  The step grows
     with k to balance truncation against rounding noise; accuracy degrades
-    gracefully rather than raising.
+    gracefully rather than raising.  The stencil reaches past x, so f
+    raising or turning complex at a stencil point raises DomainError; a NaN
+    there is returned in the result.
     """
     if k not in _CENTRAL_STENCILS:
         raise DomainError(f"fd_derivative supports orders 1..4, got {k}")

@@ -120,9 +120,11 @@ def falsify_p_more_risk_averse(l: FunctionSpec, f: FunctionSpec, p: int,
     holds by construction and only the norm comparison is searched.  When
     directed_from is given (a point in f's range, e.g. a certificate
     witness), lotteries straddle its preimage; otherwise they are drawn
-    across (0, horizon].  All trials are drawn first, in seeded order; their
-    certainty equivalents are solved in one batch, and the first violating
-    lottery is returned.
+    across (0, horizon].  All trials are drawn in one call, three values
+    each in seeded order, mapped as numpy's uniform maps them; a trial whose
+    two atoms tie is dropped, and its lambda value with it.  Their certainty
+    equivalents are solved in one batch, and the first violating lottery is
+    returned.
     """
     p = _order(p)
     rng = np.random.default_rng(int(seed))
@@ -134,18 +136,21 @@ def falsify_p_more_risk_averse(l: FunctionSpec, f: FunctionSpec, p: int,
         y = min(max(directed_from, float(f(lo + 1e-9 * (hi - lo)))), float(f(hi)))
         center = max(invert_monotone(f.eval_fn, y, (lo, hi), tolerances), 1e-3 * horizon)
 
-    draws = []
-    for _ in range(int(trials)):
-        if center is None:
-            x1, x2 = np.sort(rng.uniform(1e-6 * horizon, horizon, size=2))
-        else:
-            x1 = center * rng.uniform(0.25, 1.0)
-            x2 = min(center * rng.uniform(1.0, 4.0), horizon)
-        if x1 < x2:
-            draws.append((x1, x2, rng.uniform(0.05, 0.95)))
-    if not draws:
+    # trial i draws the row u[i]; lo + (hi - lo) * u is rng.uniform(lo, hi) bit
+    # for bit, with the span hi - lo computed as numpy computes it
+    u = rng.random((max(int(trials), 0), 3))
+    if center is None:
+        lo = 1e-6 * horizon
+        a1, a2 = lo + (horizon - lo) * u[:, :2].T
+        x1, x2 = np.minimum(a1, a2), np.maximum(a1, a2)
+    else:
+        x1 = center * (0.25 + (1.0 - 0.25) * u[:, 0])
+        x2 = np.minimum(center * (1.0 + (4.0 - 1.0) * u[:, 1]), horizon)
+    lam = 0.05 + (0.95 - 0.05) * u[:, 2]
+    keep = x1 < x2
+    if not np.any(keep):
         return None
-    x1, x2, lam = np.array(draws, dtype=float).T
+    x1, x2, lam = x1[keep], x2[keep], lam[keep]
     if x1.min() < l.domain[0] - 1e-9 or x2.max() > l.domain[1] + 1e-9:
         raise DomainMismatchError(f"a lottery leaves the domain of {l.label}")
 
@@ -232,6 +237,8 @@ def risk_measure(X: RandomVariable, p: int,
     certainty equivalent over a parametric family, each member certified
     for class membership before inclusion (uncertified candidates are
     skipped so the sweep stays sound).  The pure power attains the norm.
+    The included candidates' certainty equivalents are one invert_monotone
+    run, each equal to certainty_equivalent's bit for bit.
     """
     p = _order(p)
     if X.inf < -tolerances.eq_abs:
@@ -239,18 +246,31 @@ def risk_measure(X: RandomVariable, p: int,
     closed_form = shifted_moment(X, 0.0, p + 1, tolerances).norm
     horizon = max(10.0 * X.sup, 10.0)
 
-    best = math.inf
-    achiever = ""
-    included: list[str] = []
-    for label, candidate in _sweep_candidates(p, horizon):
-        cert = certify_loss_class(candidate, p, horizon, grid_size, tolerances)
-        if not cert.passed:
-            continue
-        included.append(label)
-        ce = certainty_equivalent(candidate, X, tolerances)
-        if ce < best:
-            best = ce
-            achiever = label
+    included = [(label, candidate) for label, candidate in _sweep_candidates(p, horizon)
+                if certify_loss_class(candidate, p, horizon, grid_size, tolerances).passed]
+    labels = tuple(label for label, _ in included)
+    ces = _certainty_equivalents([candidate for _, candidate in included], X, tolerances)
+    # the first candidate with the least certainty equivalent, as a strict < scan finds it
+    best, achiever = min(zip(ces.tolist(), labels), key=lambda pair: pair[0],
+                         default=(math.inf, ""))
     return RiskMeasureReport(distribution=X.digest(), p=p,
                              closed_form=closed_form, sweep_infimum=best,
-                             achiever=achiever, candidates=tuple(included))
+                             achiever=achiever, candidates=labels)
+
+
+def _certainty_equivalents(losses: list[FunctionSpec], X: RandomVariable,
+                           tolerances: ToleranceProfile) -> np.ndarray:
+    """certainty_equivalent of each loss, in one array solve on (inf X, sup X).
+
+    Point i of the solve is loss i's, evaluated at a float as the scalar
+    solve evaluates it, so every element equals certainty_equivalent's bit
+    for bit (a one-point solve reaches the map with a float).
+    """
+    targets = [expect(X, l)[0] for l in losses]
+
+    def each_at_its_point(x):
+        vals = [float(l.eval_fn(float(xi))) for l, xi in zip(losses, np.ravel(x))]
+        return np.reshape(vals, np.shape(x))
+
+    return invert_monotone(each_at_its_point, np.array(targets, dtype=float),
+                           (X.inf, X.sup), tolerances)

@@ -162,6 +162,52 @@ class TestPastTheAnalyticStack:
                                 "increasing f^(2)>=0 (2x differenced)": 2.0,
                                 "convexity f^(3)>=0 (3x differenced)": 0.0}
 
+    def test_risk_comparison_solves_its_grid_once(self, monkeypatch):
+        # the anchor f^(1)(a) at one point, then f^(2) on the 257-point grid;
+        # f^(3) is differenced from that solve, not from a second one
+        sizes = []
+        real = functions.invert_monotone
+
+        def counting(f, y, *args, **kwargs):
+            sizes.append(np.size(y))
+            return real(f, y, *args, **kwargs)
+
+        monkeypatch.setattr(functions, "invert_monotone", counting)
+        comp = certify_p_more_risk_averse(shifted_power(4.0, domain=(0.0, 50.0)),
+                                          shifted_power(2.0, domain=(0.0, 50.0)), 2, 10.0, 256)
+        assert comp.holds
+        assert sizes == [1, 257]
+
+    @pytest.mark.parametrize("certify, p, orders", [
+        (certify_p_convex, 0, 1), (certify_p_convex, 1, 2), (certify_p_convex, 2, 2),
+        (certify_p_concave, 1, 3), (certify_p_concave, 2, 4)])
+    def test_differenced_orders_share_one_grid_evaluation(self, certify, p, orders):
+        sizes = []
+
+        def square(x):
+            sizes.append(np.size(x))
+            return np.asarray(x, dtype=float) ** 2
+
+        cert = certify(numeric_function(square, (0.0, 1.0)), p, 0.0, 1.0, 64)
+        assert len(cert.margins) == p + orders
+        assert sizes.count(65) == 1  # anchors reach f one point at a time
+
+    def test_differenced_orders_share_their_analytic_entry(self):
+        # orders 2 and 3 of a spec with only f' on its stack difference one f' grid
+        sizes = []
+
+        def d1(x):
+            sizes.append(np.size(x))
+            return 3.0 * np.asarray(x, dtype=float) ** 2
+
+        f = dataclasses.replace(shifted_power(3.0, domain=(0.0, 1.0)), derivatives=(d1,),
+                                provenance="mixed")
+        cert = certify_p_convex(f, 1, 0.0, 1.0, 64)
+        assert list(cert.margins) == ["boundary f^(1)(a)=0",
+                                      "increasing f^(2)>=0 (differenced)",
+                                      "convexity f^(3)>=0 (2x differenced)"]
+        assert sizes == [1, 65]
+
 
 class TestLossClass:
     def test_power_achiever_is_tight(self):
@@ -303,6 +349,12 @@ class TestFailClosed:
         producer, failing = _PRODUCERS[name]
         with pytest.raises(DomainError):
             producer(failing, grid_size=grid_size)
+
+    def test_stencil_outside_a_numeric_domain_rejected(self):
+        # the anchor's central stencil reaches -h, where x ** 2.5 is complex
+        f = numeric_function(lambda x: x ** 2.5, (0.0, 1.0))
+        with pytest.raises(DomainError, match=r"stencil point x = -[0-9.e-]+: TypeError"):
+            certify_p_convex(f, 1, 0.0, 1.0, 64)
 
     def test_inf_at_a_grid_point_stays_admissible(self):
         # f^(3) of x^2.5 is +inf at the anchor; the minimum margin is finite

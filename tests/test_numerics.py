@@ -470,6 +470,28 @@ class TestFdDerivative:
             assert got.shape == xs.shape
             assert got.ravel().tolist() == want
 
+    @pytest.mark.parametrize("f, x", [
+        (lambda x: x ** 2.5, 0.0),  # a Python float power of a negative base is complex
+        (lambda x: np.emath.power(x, 2.5), np.array([0.0, 0.5])),  # a complex array
+        (math.log, 0.0),  # math domain error (ValueError)
+        (lambda x: 1.0 / x, 0.0),  # ZeroDivisionError at the centre of the stencil
+    ], ids=["complex-float", "complex-array", "math-log", "zero-division"])
+    def test_no_real_value_at_a_stencil_point_is_a_domain_error(self, f, x):
+        with pytest.raises(DomainError, match="stencil point"):
+            fd_derivative(f, x, 2)
+
+    def test_library_errors_from_f_pass_through(self):
+        def f(x):
+            raise BracketError("from f")
+
+        with pytest.raises(BracketError, match="from f"):
+            fd_derivative(f, 1.0, 1)
+
+    def test_nan_at_a_stencil_point_is_returned(self):
+        with np.errstate(invalid="ignore"):
+            got = fd_derivative(lambda x: np.sqrt(x), np.array([0.0, 1.0]), 1)
+        assert math.isnan(got[0]) and got[1] == pytest.approx(0.5, abs=1e-8)
+
 
 class TestProfiles:
     def test_tolerance_positivity(self):

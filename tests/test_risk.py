@@ -6,17 +6,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pconvex.distributions import discrete, point_mass, two_point
+from pconvex.convexity import certify_loss_class
+from pconvex.distributions import discrete, point_mass, shifted_moment, two_point
 from pconvex.errors import DomainError, DomainMismatchError
 from pconvex.functions import shifted_power
+from pconvex.numerics import DEFAULT_TOLERANCES, invert_monotone
 from pconvex.risk import (
+    _certainty_equivalents,
+    _sweep_candidates,
     certainty_equivalent,
     certify_p_more_risk_averse,
     falsify_p_more_risk_averse,
     risk_measure,
 )
-from pconvex.numerics import invert_monotone
 
 
 class TestCertaintyEquivalent:
@@ -101,7 +106,8 @@ class TestFalsifier:
 
 
 def _falsify_per_trial(l, f, p, trials, seed, horizon=10.0, directed_from=None):
-    """Reference: one certainty equivalent per trial, in the seeded draw order."""
+    """Reference: one certainty equivalent per trial, in the seeded draw order
+    (each trial draws its two atoms, then lambda, even when the atoms tie)."""
     rng = np.random.default_rng(seed)
     center = None
     if directed_from is not None:
@@ -114,9 +120,9 @@ def _falsify_per_trial(l, f, p, trials, seed, horizon=10.0, directed_from=None):
         else:
             x1 = center * rng.uniform(0.25, 1.0)
             x2 = min(center * rng.uniform(1.0, 4.0), horizon)
+        lam = float(rng.uniform(0.05, 0.95))
         if not x1 < x2:
             continue
-        lam = float(rng.uniform(0.05, 0.95))
         X = two_point(x1, x2, lam)
         c = certainty_equivalent(l, X)
         lhs = (lam * float(f(x1)) ** p + (1.0 - lam) * float(f(x2)) ** p) ** (1.0 / p)
@@ -126,24 +132,94 @@ def _falsify_per_trial(l, f, p, trials, seed, horizon=10.0, directed_from=None):
     return None
 
 
+_QUARTIC = shifted_power(4.0, domain=(0.0, 50.0))
+_SQUARE = shifted_power(2.0, domain=(0.0, 50.0))
+_PAIRS = {"member": (_QUARTIC, _SQUARE, 2), "non-member": (_SQUARE, _QUARTIC, 1)}
+
+
 class TestBatchedFalsifier:
     """The one-solve falsifier finds what a per-trial loop finds."""
 
-    @pytest.mark.parametrize("pair", ["member", "non-member"])
-    @pytest.mark.parametrize("directed_from", [None, 4.0, 30.0])
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_per_trial_loop(self, pair, directed_from, seed):
-        quartic = shifted_power(4.0, domain=(0.0, 50.0))
-        square = shifted_power(2.0, domain=(0.0, 50.0))
-        l, f, p = (quartic, square, 2) if pair == "member" else (square, quartic, 1)
-        want = _falsify_per_trial(l, f, p, 300, seed, directed_from=directed_from)
-        hit = falsify_p_more_risk_averse(l, f, p, trials=300, seed=seed,
+    @staticmethod
+    def _check(pair, directed_from, seed, trials):
+        l, f, p = _PAIRS[pair]
+        want = _falsify_per_trial(l, f, p, trials, seed, directed_from=directed_from)
+        hit = falsify_p_more_risk_averse(l, f, p, trials=trials, seed=seed,
                                          directed_from=directed_from)
         assert (hit is None) == (want is None)
         if hit is not None:
             X, c = want
             assert hit.lottery == X
             assert hit.threshold == pytest.approx(c, rel=1e-12)
+
+    @pytest.mark.parametrize("pair", ["member", "non-member"])
+    @pytest.mark.parametrize("directed_from", [None, 4.0, 30.0])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_trial_loop(self, pair, directed_from, seed):
+        self._check(pair, directed_from, seed, 300)
+
+    @pytest.mark.parametrize("pair", ["member", "non-member"])
+    @pytest.mark.parametrize("directed_from", [None, 4.0, 30.0])
+    @pytest.mark.parametrize("trials", [0, 1, 2])
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_few_trials_match_per_trial_loop(self, pair, directed_from, trials, seed):
+        self._check(pair, directed_from, seed, trials)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           trials=st.integers(min_value=0, max_value=20),
+           horizon=st.floats(min_value=1e-3, max_value=1e3),
+           center=st.floats(min_value=1e-3, max_value=1e3))
+    def test_one_draw_call_reproduces_uniform(self, seed, trials, horizon, center):
+        # lo + (hi - lo) * u on rng.random values is rng.uniform(lo, hi), bit for bit
+        lo = 1e-6 * horizon
+        spans = [(lo, horizon), (lo, horizon), (0.25, 1.0), (1.0, 4.0), (0.05, 0.95)]
+        per_call = np.random.default_rng(seed)
+        want = [[per_call.uniform(a, b) for a, b in spans] for _ in range(trials)]
+        u = np.random.default_rng(seed).random((trials, len(spans)))
+        got = [[a + (b - a) * ui for (a, b), ui in zip(spans, row)] for row in u]
+        assert got == want
+        scaled = center * (0.25 + (1.0 - 0.25) * u[:, 2])
+        assert scaled.tolist() == [center * row[2] for row in want]
+
+
+class TestRiskMeasureIsOneSolve:
+    """The batched sweep equals a per-candidate certify-then-solve loop."""
+
+    @staticmethod
+    def _per_candidate(X, p, grid_size=256):
+        horizon = max(10.0 * X.sup, 10.0)
+        best, achiever, included = math.inf, "", []
+        for label, candidate in _sweep_candidates(p, horizon):
+            if not certify_loss_class(candidate, p, horizon, grid_size).passed:
+                continue
+            included.append(label)
+            ce = certainty_equivalent(candidate, X)
+            if ce < best:
+                best, achiever = ce, label
+        return shifted_moment(X, 0.0, p + 1).norm, best, achiever, tuple(included)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(atoms=st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=1, max_size=5),
+           weights=st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=5, max_size=5),
+           p=st.integers(min_value=1, max_value=3))
+    def test_equals_per_candidate_loop(self, atoms, weights, p):
+        probs = np.array(weights[: len(atoms)]) / sum(weights[: len(atoms)])
+        X = point_mass(atoms[0]) if len(atoms) == 1 else discrete(atoms, probs)
+        rep = risk_measure(X, p)
+        assert (rep.closed_form, rep.sweep_infimum, rep.achiever,
+                rep.candidates) == self._per_candidate(X, p)
+
+    @pytest.mark.parametrize("X", [point_mass(0.0), point_mass(2.0),
+                                   discrete([0.5, 1.5, 4.0], [0.25, 0.5, 0.25])],
+                             ids=["zero", "point-mass", "three-atoms"])
+    @pytest.mark.parametrize("count", [0, 1, 2, 10])
+    def test_any_number_of_candidates(self, X, count):
+        losses = [c for _, c in _sweep_candidates(2, 40.0)][:count]
+        got = _certainty_equivalents(losses, X, DEFAULT_TOLERANCES)
+        assert isinstance(got, np.ndarray) and got.shape == (count,)
+        assert got.tolist() == [certainty_equivalent(l, X) for l in losses]
 
 
 class TestRiskMeasure:
