@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import CertificateError, DomainError
 from .functions import FunctionSpec
-from .numerics import DEFAULT_TOLERANCES, ToleranceProfile, _order
+from .numerics import DEFAULT_TOLERANCES, ToleranceProfile, _integer, _order
 
 __all__ = [
     "ConvexityCertificate",
@@ -105,22 +105,24 @@ def _certify(klass: str, p: int, interval: tuple[float, float], grid_size: int,
     """Decide the verdict from an ordered list of (condition, values, points).
 
     Each condition's margin is its minimum value (the first NaN, if any, and
-    the first point on ties).  A condition fails when its margin is below
-    -slack or is not finite; the witness is the first failure with the
-    lowest margin, a non-finite margin ranking lowest.
+    the first point on ties); values may carry leading axes (one row per
+    member of a stacked family) over the points.  A condition fails when
+    its margin is below -slack or is not finite; the witness is the first
+    failure with the lowest margin, a non-finite margin ranking lowest.
     """
     margins: dict[str, float] = {}
     worst: Witness | None = None
     for condition, values, points in checks:
         idx = int(np.argmin(values))
-        margin = float(values[idx])
+        margin = float(values.flat[idx])
         margins[condition] = margin
         if math.isfinite(margin) and margin >= -slack:
             continue
         if worst is None or _rank(margin) < _rank(worst.margin):
-            worst = Witness(point=float(points[idx]), condition=condition, margin=margin)
+            worst = Witness(point=float(points[idx % points.size]), condition=condition,
+                            margin=margin)
     return ConvexityCertificate(
-        klass=klass, p=p, interval=interval, grid_size=grid_size,
+        klass=klass, p=p, interval=interval, grid_size=int(grid_size),
         verdict="pass" if worst is None else "fail", witness=worst,
         derivative_provenance=provenance, slack_used=slack,
         margins=margins, label=label)
@@ -136,9 +138,13 @@ def _slack_for(f: FunctionSpec, tolerances: ToleranceProfile) -> tuple[float, st
     return tolerances.certify_slack * NUMERIC_SLACK_FACTOR, f.provenance
 
 
+def _grid_size(grid_size: int) -> int:
+    """An integer grid_size >= 2; anything else raises DomainError."""
+    return _integer(grid_size, 2, "grid_size")
+
+
 def _grid(lo: float, hi: float, grid_size: int) -> tuple[np.ndarray, float]:
-    if grid_size < 2:
-        raise DomainError(f"grid_size must be >= 2, got {grid_size}")
+    grid_size = _grid_size(grid_size)
     return np.linspace(lo, hi, grid_size + 1), (hi - lo) / grid_size
 
 
@@ -244,6 +250,8 @@ def certify_loss_class(l: FunctionSpec, p: int, horizon: float,
     positivity; the default strictness 0 admits pure powers whose top
     derivatives vanish identically, which the closed-form achiever needs.
     A horizon that leaves no grid point above 1e-6 raises DomainError.
+    l may be a stacked family, whose evaluations carry one row per member
+    over the grid: it passes when every member does.
     """
     p = _order(p, 1)
     horizon = float(horizon)
@@ -260,7 +268,7 @@ def certify_loss_class(l: FunctionSpec, p: int, horizon: float,
         raise DomainError(f"horizon {horizon} leaves no grid point above 1e-6")
     xi = xs[interior]
     for k in range(1, p + 3):
-        vals = l.eval_on(xi, k) if k > 2 else (d1[interior] if k == 1 else d2[interior])
+        vals = l.eval_on(xi, k) if k > 2 else (d1 if k == 1 else d2)[..., interior]
         checks.append((f"positivity l^({k})>={strictness:g}", vals - strictness, xi))
     return _certify("Lp", p, (lo, horizon), grid_size, *_slack_for(l, tolerances),
                     l.label, checks)

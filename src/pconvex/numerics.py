@@ -17,7 +17,6 @@ objects are immutable, so concurrent use needs no locking.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -113,12 +112,23 @@ DEFAULT_TOLERANCES = ToleranceProfile()
 DEFAULT_PLAN = QuadraturePlan()
 
 
+def _integer(value, least: int, name: str) -> int:
+    """value as an int >= least; a non-finite, non-integral or non-numeric
+    value raises DomainError (an integral float such as 2.0 is accepted)."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if n < least:
+        raise DomainError(f"{name} must be >= {least}, got {n}")
+    return n
+
+
 def _order(p: int, least: int = 1) -> int:
     """An integer order p >= least (the order arguments of every bound)."""
-    p = int(p)
-    if p < least:
-        raise DomainError(f"order p must be >= {least}, got {p}")
-    return p
+    return _integer(p, least, "order p")
 
 
 # ---------------------------------------------------------------------------
@@ -172,23 +182,41 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _eval_nodes(f: Callable, xs) -> np.ndarray:
+def _points(xs: np.ndarray) -> str:
+    """The points of xs, for an error message."""
+    if xs.size == 1:
+        return f"point x = {float(xs.flat[0])!r}"
+    return f"points ({xs.size} in [{float(xs.min())!r}, {float(xs.max())!r}])"
+
+
+def _eval_nodes(f: Callable, xs, where: str = "") -> np.ndarray:
     """f at every point of xs, as a float array of the same shape.
 
     f gets one call on the whole array when it accepts arrays.  A
     scalar-only f (it raises on an array or returns the wrong shape) is
     called once per point with a float, and so is any f at a single point,
-    since scalar-only code can still accept a one-element array.
+    since scalar-only code can still accept a one-element array.  A complex
+    array or numpy complex scalar raises DomainError naming the points (at
+    the caller's `where`); a Python complex fails float() with TypeError.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.size > 1:
         try:
-            vals = np.asarray(f(xs), dtype=float)
-            if vals.shape == xs.shape:
-                return vals
+            vals = np.asarray(f(xs))
         except (TypeError, ValueError):
-            pass
-    return np.asarray([float(f(float(x))) for x in xs.ravel()]).reshape(xs.shape)
+            vals = None
+        if vals is not None and vals.shape == xs.shape:
+            if vals.dtype.kind == "c":
+                raise DomainError(f"f has no real value at the {where}{_points(xs)}")
+            return vals.astype(float, copy=False)
+    return np.asarray([_real(f(float(x)), x, where) for x in xs.ravel()]).reshape(xs.shape)
+
+
+def _real(v, x: np.ndarray, where: str) -> float:
+    """f's value v at the point x as a float (float() casts a numpy complex)."""
+    if isinstance(v, np.complexfloating):
+        raise DomainError(f"f has no real value at the {where}{_points(x)}")
+    return float(v)
 
 
 def _graded_rule(a: float, b: float, left: float, right: float, n: int,
@@ -416,16 +444,13 @@ def _stencil_values(f: Callable, xs: np.ndarray) -> np.ndarray:
     f raising there or giving a value that is not real (complex) raises
     DomainError naming the points; a PconvexError from f passes through.
     """
+    where = "finite-difference stencil "
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", np.exceptions.ComplexWarning)
-            return _eval_nodes(f, xs)
+        return _eval_nodes(f, xs, where)
     except PconvexError:
         raise
     except Exception as exc:
-        at = (f"point x = {float(xs[0])!r}" if xs.size == 1 else
-              f"points ({xs.size} in [{float(xs.min())!r}, {float(xs.max())!r}])")
-        raise DomainError(f"f has no real value at the finite-difference stencil {at}: "
+        raise DomainError(f"f has no real value at the {where}{_points(xs)}: "
                           f"{type(exc).__name__}: {exc}") from exc
 
 

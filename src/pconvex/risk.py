@@ -11,30 +11,32 @@ increasing on [0, horizon].  Two instruments live here:
 
 * the worst-case certainty equivalent over the relative-curvature loss
   class, whose closed form is the (p+1)-norm; a certified sweep over a
-  parametric sub-family demonstrates attainment by the pure power.
+  parametric sub-family demonstrates attainment by the pure power.  The
+  sweep members x^a (1 + b x)^g e^(e x) are scale covariant: at horizon H
+  each is H^d times a unit-scale member at x / H, so every class condition
+  at H is a positive multiple of the same condition on [0, 1].  Membership
+  is certified once at unit scale per order, grid size and tolerance
+  profile (a memo cache), and the members are solved as one stacked array
+  kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .convexity import (
     ConvexityCertificate,
+    _grid_size,
     certify_loss_class,
     certify_p_convex,
 )
 from .distributions import RandomVariable, expect, shifted_moment, two_point
 from .errors import DomainError, DomainMismatchError
-from .functions import (
-    FunctionSpec,
-    _falling_factorial,
-    compose_inverse,
-    polynomial,
-    shifted_power,
-)
+from .functions import FunctionSpec, _falling_factorial, compose_inverse
 from .numerics import DEFAULT_TOLERANCES, ToleranceProfile, _order, invert_monotone
 
 __all__ = [
@@ -175,57 +177,97 @@ def falsify_p_more_risk_averse(l: FunctionSpec, f: FunctionSpec, p: int,
 # ---------------------------------------------------------------------------
 
 
-def _power_exp(m: int, beta: float, horizon: float) -> FunctionSpec:
-    """x^m e^(beta x) with the Leibniz derivative stack."""
-    if beta < 0.0:
-        raise DomainError("beta must be >= 0")
-
-    def make(k: int):
-        terms = []
-        for j in range(0, k + 1):
-            c = math.comb(k, j) * _falling_factorial(m, j) * beta ** (k - j)
-            if c != 0.0:
-                terms.append((c, m - j))
-
-        def deriv(x, _terms=tuple(terms)):
-            x = np.asarray(x, dtype=float)
-            acc = np.zeros_like(x)
-            for c, e in _terms:
-                acc = acc + c * x ** e
-            return acc * np.exp(beta * x)
-
-        return deriv
-
-    return FunctionSpec(
-        label=f"x^{m}*exp({beta:g}x)",
-        domain=(0.0, math.inf),
-        eval_fn=make(0),
-        derivatives=tuple(make(k) for k in range(1, m + 5)),
-        eval_horizon=max(10.0 * horizon, 10.0),
-    )
+# beta = rate / horizon in the affine and exponential sweep members
+_SWEEP_RATES = (0.25, 1.0)
 
 
-def _power_times_affine(m: int, beta: float, gamma: int,
-                        horizon: float) -> FunctionSpec:
-    """x^m (1 + beta x)^gamma for small integer gamma, expanded to a polynomial."""
-    coeffs = [0.0] * (m + gamma + 1)
-    for j in range(gamma + 1):
-        coeffs[m + j] = math.comb(gamma, j) * beta ** j
-    f = polynomial(coeffs, domain=(0.0, max(10.0 * horizon, 10.0)))
-    return f
+def _sweep(p: int, horizon: float) -> tuple[tuple[str, ...], np.ndarray]:
+    """Labels and parameters (rows a, b, g, e) of the order-p sweep members
+    x^a (1 + b x)^g e^(e x) at a horizon: x^q for q = p+1..p+4, then
+    x^(p+1) (1 + beta x), x^(p+1) (1 + beta x)^2 and x^(p+1) e^(beta x) for
+    each beta = rate / horizon."""
+    m = p + 1
+    labels = [f"x^{q}" for q in range(m, m + 4)]
+    params = [(q, 0.0, 0, 0.0) for q in range(m, m + 4)]
+    for rate in _SWEEP_RATES:
+        beta = rate / horizon
+        labels += [f"x^{m}(1+{beta:.3g}x)", f"x^{m}(1+{beta:.3g}x)^2", f"x^{m}e^({beta:.3g}x)"]
+        params += [(m, beta, 1, 0.0), (m, beta, 2, 0.0), (m, 0.0, 0, beta)]
+    return tuple(labels), np.array(params, dtype=float).T
+
+
+def _sweep_kernel(k: int, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The k-th derivative of x^a (1 + b x)^g e^(e x) for params (a, b, g, e),
+    elementwise over broadcast arrays; x below 0 counts as 0.
+
+    Leibniz's rule over the three factors.  a and g are nonnegative
+    integers, so a factor differentiated past its degree has a zero
+    coefficient; x's exponent is floored at 0 there to keep x = 0 finite.
+    """
+    a, b, g, e = params
+    x = np.maximum(x, 0.0)
+    y = 1.0 + b * x
+    if k == 0:
+        return x ** a * y ** g * np.exp(e * x)
+    out = 0.0
+    for i in range(k + 1):
+        for j in range(k - i + 1):
+            c = math.comb(k, i) * math.comb(k - i, j)
+            out = out + (c * _falling_factorial(a, i) * x ** np.maximum(a - i, 0.0)
+                         * _falling_factorial(g, j) * b ** j * y ** (g - j)
+                         * e ** (k - i - j))
+    return out * np.exp(e * x)
+
+
+class _Sweep:
+    """Sweep members x^a (1 + b x)^g e^(e x), one per column of params
+    (rows a, b, g, e), evaluated by one array kernel.
+
+    Called on one point per member, it evaluates member i at point i; a
+    one-member sweep evaluates at every point, and parameters with a
+    trailing axis of length 1 evaluate every member at every point, one row
+    each.  The kernel runs on 1-d points (a float as one point), so a member
+    has the same value, bit for bit, alone and stacked.
+    """
+
+    def __init__(self, params: np.ndarray) -> None:
+        self.params = params
+
+    def __call__(self, x, k: int = 0):
+        x = np.asarray(x, dtype=float)
+        out = _sweep_kernel(k, self.params, np.atleast_1d(x).ravel())
+        return out.reshape(out.shape[:-1] + x.shape)
+
+    def member(self, i: int) -> "_Sweep":
+        return _Sweep(self.params[:, i:i + 1])
+
+    def spec(self, label: str, depth: int) -> FunctionSpec:
+        """The sweep as a FunctionSpec with derivatives to order depth."""
+        return FunctionSpec(label=label, domain=(0.0, math.inf), eval_fn=self,
+                            derivatives=tuple(partial(self, k=k) for k in range(1, depth + 1)))
 
 
 def _sweep_candidates(p: int, horizon: float) -> list[tuple[str, FunctionSpec]]:
-    m = p + 1
-    out: list[tuple[str, FunctionSpec]] = [
-        (f"x^{q}", shifted_power(float(q), domain=(0.0, math.inf)))
-        for q in range(m, m + 4)
-    ]
-    for beta in (0.25 / horizon, 1.0 / horizon):
-        out.append((f"x^{m}(1+{beta:.3g}x)", _power_times_affine(m, beta, 1, horizon)))
-        out.append((f"x^{m}(1+{beta:.3g}x)^2", _power_times_affine(m, beta, 2, horizon)))
-        out.append((f"x^{m}e^({beta:.3g}x)", _power_exp(m, beta, horizon)))
-    return out
+    """Each order-p sweep member at a horizon, as a labelled FunctionSpec."""
+    labels, params = _sweep(p, horizon)
+    sweep = _Sweep(params)
+    return [(label, sweep.member(i).spec(label, p + 2)) for i, label in enumerate(labels)]
+
+
+@lru_cache(maxsize=64)
+def _unit_members(p: int, grid_size: int, tolerances: ToleranceProfile) -> tuple[int, ...]:
+    """Positions of the order-p sweep members in the loss class, certified at
+    unit scale (risk_measure says why that holds at every horizon).
+
+    One certificate covers the stacked sweep on [0, 1]; only if it fails is
+    each member certified alone.
+    """
+    labels, params = _sweep(p, 1.0)
+    family = _Sweep(params[:, :, None]).spec(f"order-{p} sweep at unit scale", p + 2)
+    if certify_loss_class(family, p, 1.0, grid_size, tolerances).passed:
+        return tuple(range(len(labels)))
+    return tuple(i for i, (_, l) in enumerate(_sweep_candidates(p, 1.0))
+                 if certify_loss_class(l, p, 1.0, grid_size, tolerances).passed)
 
 
 def risk_measure(X: RandomVariable, p: int,
@@ -237,19 +279,30 @@ def risk_measure(X: RandomVariable, p: int,
     certainty equivalent over a parametric family, each member certified
     for class membership before inclusion (uncertified candidates are
     skipped so the sweep stays sound).  The pure power attains the norm.
-    The included candidates' certainty equivalents are one invert_monotone
-    run, each equal to certainty_equivalent's bit for bit.
+
+    Every member at the horizon H = max(10 sup X, 10) is H^d l(x / H) for a
+    member l of the same sweep at H = 1 (beta scales as 1 / H), and each
+    class condition at H is a positive multiple of l's on [0, 1].  So
+    membership is certified once, at unit scale, per (p, grid_size,
+    tolerances) and kept in a memo cache (_unit_members; cache_clear empties
+    it), with the slack taken relative to unit-scale margins.  The included
+    members' certainty equivalents are one invert_monotone run of the
+    stacked kernel, each equal to certainty_equivalent's bit for bit.
     """
     p = _order(p)
+    grid_size = _grid_size(grid_size)
     if X.inf < -tolerances.eq_abs:
         raise DomainError("risk_measure needs a loss lottery on [0, inf)")
     closed_form = shifted_moment(X, 0.0, p + 1, tolerances).norm
     horizon = max(10.0 * X.sup, 10.0)
+    if not horizon < math.inf:
+        raise DomainError(f"horizon {horizon} must be finite")
 
-    included = [(label, candidate) for label, candidate in _sweep_candidates(p, horizon)
-                if certify_loss_class(candidate, p, horizon, grid_size, tolerances).passed]
-    labels = tuple(label for label, _ in included)
-    ces = _certainty_equivalents([candidate for _, candidate in included], X, tolerances)
+    labels, params = _sweep(p, horizon)
+    included = _unit_members(p, grid_size, tolerances)
+    sweep = _Sweep(params)
+    ces = _certainty_equivalents([sweep.member(i) for i in included], X, tolerances)
+    labels = tuple(labels[i] for i in included)
     # the first candidate with the least certainty equivalent, as a strict < scan finds it
     best, achiever = min(zip(ces.tolist(), labels), key=lambda pair: pair[0],
                          default=(math.inf, ""))
@@ -258,19 +311,17 @@ def risk_measure(X: RandomVariable, p: int,
                              achiever=achiever, candidates=labels)
 
 
-def _certainty_equivalents(losses: list[FunctionSpec], X: RandomVariable,
+def _certainty_equivalents(losses: list, X: RandomVariable,
                            tolerances: ToleranceProfile) -> np.ndarray:
-    """certainty_equivalent of each loss, in one array solve on (inf X, sup X).
+    """certainty_equivalent of each sweep member, in one array solve on
+    (inf X, sup X).
 
-    Point i of the solve is loss i's, evaluated at a float as the scalar
-    solve evaluates it, so every element equals certainty_equivalent's bit
-    for bit (a one-point solve reaches the map with a float).
+    losses are one-member _Sweeps, bare or as the eval_fn of a FunctionSpec
+    (_sweep_candidates).  The solve stacks them, so point i is member i's,
+    and every element equals certainty_equivalent's bit for bit.
     """
-    targets = [expect(X, l)[0] for l in losses]
-
-    def each_at_its_point(x):
-        vals = [float(l.eval_fn(float(xi))) for l, xi in zip(losses, np.ravel(x))]
-        return np.reshape(vals, np.shape(x))
-
-    return invert_monotone(each_at_its_point, np.array(targets, dtype=float),
+    members = [l.eval_fn if isinstance(l, FunctionSpec) else l for l in losses]
+    targets = [expect(X, m)[0] for m in members]
+    params = np.concatenate([np.empty((4, 0))] + [m.params for m in members], axis=1)
+    return invert_monotone(_Sweep(params), np.array(targets, dtype=float),
                            (X.inf, X.sup), tolerances)

@@ -7,9 +7,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pconvex import functions
 from pconvex.convexity import (
+    ConvexityCertificate,
     certify_loss_class,
     certify_p_concave,
     certify_p_convex,
@@ -17,7 +20,7 @@ from pconvex.convexity import (
     check_ratio_monotone,
 )
 from pconvex.distributions import discrete, expect, from_sample
-from pconvex.errors import DomainError
+from pconvex.errors import DomainError, PconvexError
 from pconvex.functions import (
     exp_taylor_remainder,
     exponential,
@@ -28,7 +31,7 @@ from pconvex.functions import (
     taylor_remainder,
 )
 from pconvex.numerics import ToleranceProfile
-from pconvex.risk import certify_p_more_risk_averse
+from pconvex.risk import certify_p_more_risk_averse, risk_measure
 
 from conftest import certified_members
 
@@ -232,6 +235,32 @@ class TestLossClass:
         assert not cert.passed
 
 
+def _stacked(*members):
+    """One FunctionSpec evaluating every member at every point, one row each."""
+    def at(k):
+        return lambda x: np.stack([m.eval_on(x, k) for m in members])
+
+    return dataclasses.replace(members[0], label="stacked", eval_fn=at(0),
+                               derivatives=tuple(at(k) for k in range(1, 6)))
+
+
+class TestStackedLossClass:
+    """A stacked family passes when every member does, on the members' margins."""
+
+    @pytest.mark.parametrize("qs, p", [((3.0, 4.0), 2), ((2.0, 3.0, 5.0), 2),
+                                       ((4.0, 2.0), 2), ((3.0, 1.0), 1)])
+    def test_margins_are_the_members_minima(self, qs, p):
+        members = [shifted_power(q, domain=(0.0, 10.0)) for q in qs]
+        certs = [certify_loss_class(m, p, 10.0, 64) for m in members]
+        family = certify_loss_class(_stacked(*members), p, 10.0, 64)
+        assert family.passed == all(c.passed for c in certs)
+        for condition, margin in family.margins.items():
+            assert margin == min(c.margins[condition] for c in certs)
+        if not family.passed:
+            worst = min((c for c in certs if not c.passed), key=lambda c: c.witness.margin)
+            assert family.witness == worst.witness
+
+
 class TestPowerTransform:
     def test_affine_case(self):
         f = shifted_power(2.0, domain=(0.0, 1.0))
@@ -350,6 +379,26 @@ class TestFailClosed:
         with pytest.raises(DomainError):
             producer(failing, grid_size=grid_size)
 
+    @pytest.mark.parametrize("name", sorted(_PRODUCERS))
+    @pytest.mark.parametrize("grid_size", [math.nan, math.inf, 10.5, "64"])
+    def test_grid_size_must_be_an_integer(self, name, grid_size):
+        # nan, inf and 10.5 reached np.linspace and raised TypeError
+        producer, failing = _PRODUCERS[name]
+        with pytest.raises(DomainError, match="grid_size must be an integer"):
+            producer(failing, grid_size=grid_size)
+
+    @pytest.mark.parametrize("name", sorted(_PRODUCERS))
+    def test_integral_float_grid_size_is_the_integer(self, name):
+        producer, failing = _PRODUCERS[name]
+        cert = producer(failing, grid_size=64.0)
+        assert type(cert.grid_size) is int and cert == producer(failing, grid_size=64)
+
+    def test_complex_values_of_a_numeric_function_rejected(self):
+        # the grid values were cast to their real parts, and the certificate passed
+        f = numeric_function(lambda x: np.emath.sqrt(x - 0.5) ** 3, (0.0, 1.0))
+        with pytest.raises(DomainError, match="no real value"):
+            certify_p_convex(f, 0, 0.0, 1.0, 64)
+
     def test_stencil_outside_a_numeric_domain_rejected(self):
         # the anchor's central stencil reaches -h, where x ** 2.5 is complex
         f = numeric_function(lambda x: x ** 2.5, (0.0, 1.0))
@@ -412,3 +461,53 @@ def test_scalar_only_numeric_function_matches_per_point_calls(fn):
     got, ref = (certify_p_convex(g, 1, 0.1, 1.0, 64) for g in (f, looped))
     assert got.passed == ref.passed
     np.testing.assert_array_equal(list(got.margins.values()), list(ref.margins.values()))
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_NON_INTEGRAL = st.one_of(_NON_FINITE, st.floats(min_value=-1e6, max_value=1e6).filter(
+    lambda v: not v.is_integer()))
+_CUBE = shifted_power(3.0, domain=(0.0, 10.0))
+_LOG = log_affine(0.6)
+_LOTTERY = discrete([0.5, 2.0], [0.5, 0.5])
+# input -> (call with that input replaced by v, strategy for v, a valid v)
+_FAIL_CLOSED = {
+    "I order": (lambda v: certify_p_convex(_CUBE, v, 0.0, 1.0, 64), _NON_INTEGRAL, 1),
+    "I grid": (lambda v: certify_p_convex(_CUBE, 1, 0.0, 1.0, v), _NON_INTEGRAL, 64),
+    "I a": (lambda v: certify_p_convex(_CUBE, 1, v, 1.0, 64), _NON_FINITE, 0.0),
+    "I b": (lambda v: certify_p_convex(_CUBE, 1, 0.0, v, 64), _NON_FINITE, 1.0),
+    "D order": (lambda v: certify_p_concave(_LOG, v, _LOG.domain[0], 0.6, 64),
+                _NON_INTEGRAL, 1),
+    "D grid": (lambda v: certify_p_concave(_LOG, 1, _LOG.domain[0], 0.6, v),
+               _NON_INTEGRAL, 64),
+    "D a": (lambda v: certify_p_concave(_LOG, 1, v, 0.6, 64), _NON_FINITE, _LOG.domain[0]),
+    "D b": (lambda v: certify_p_concave(_LOG, 1, _LOG.domain[0], v, 64), _NON_FINITE, 0.6),
+    "Lp order": (lambda v: certify_loss_class(_CUBE, v, 10.0, 64), _NON_INTEGRAL, 2),
+    "Lp grid": (lambda v: certify_loss_class(_CUBE, 2, 10.0, v), _NON_INTEGRAL, 64),
+    "Lp horizon": (lambda v: certify_loss_class(_CUBE, 2, v, 64), _NON_FINITE, 10.0),
+    "Lp strictness": (lambda v: certify_loss_class(_CUBE, 2, 10.0, 64, strictness=v),
+                      _NON_FINITE, 0.0),
+    "risk order": (lambda v: risk_measure(_LOTTERY, v, 64), _NON_INTEGRAL, 2),
+    "risk grid": (lambda v: risk_measure(_LOTTERY, 2, v), _NON_INTEGRAL, 64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAIL_CLOSED))
+def test_fail_closed_calls_pass_with_a_valid_input(name):
+    call, _, valid = _FAIL_CLOSED[name]
+    out = call(valid)
+    assert out.passed if isinstance(out, ConvexityCertificate) else out.achiever == "x^3"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_FAIL_CLOSED)), data=st.data())
+def test_non_finite_or_non_integral_inputs_fail_closed(name, data):
+    """A non-finite or non-integral order or grid size, or a non-finite
+    horizon, interval end or strictness, raises a PconvexError or gives a
+    failing certificate, in every certifier and in risk_measure."""
+    call, values, _ = _FAIL_CLOSED[name]
+    value = data.draw(values)
+    try:
+        out = call(value)
+    except PconvexError:
+        return
+    assert isinstance(out, ConvexityCertificate) and not out.passed

@@ -36,6 +36,8 @@ from pconvex.functions import (
 from pconvex.numerics import (
     QuadraturePlan,
     ToleranceProfile,
+    _eval_nodes,
+    _order,
     fd_derivative,
     gamma,
     integrate,
@@ -491,6 +493,39 @@ class TestFdDerivative:
         with np.errstate(invalid="ignore"):
             got = fd_derivative(lambda x: np.sqrt(x), np.array([0.0, 1.0]), 1)
         assert math.isnan(got[0]) and got[1] == pytest.approx(0.5, abs=1e-8)
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, 2.5, -0.5, "2", None])
+    def test_order_must_be_an_integer(self, p):
+        # int() truncated 2.5 to 2 and raised ValueError / OverflowError on nan / inf
+        with pytest.raises(DomainError, match="order p must be an integer"):
+            _order(p)
+
+    @pytest.mark.parametrize("p", [2, 2.0, np.int64(2), np.float64(2.0)])
+    def test_integral_orders_accepted(self, p):
+        assert type(_order(p)) is int and _order(p) == 2
+
+    def test_least_order_kept(self):
+        with pytest.raises(DomainError, match="order p must be >= 1, got 0"):
+            _order(0.0)
+
+
+class TestEvalNodesRejectsComplex:
+    def test_complex_array(self):
+        # it was cast to its real parts with a ComplexWarning
+        f = lambda x: np.emath.sqrt(x - 0.5)
+        with pytest.raises(DomainError, match=r"no real value at the points \(3 in"):
+            _eval_nodes(f, np.array([0.0, 0.25, 1.0]))
+
+    def test_numpy_complex_scalar_at_one_point(self):
+        f = lambda x: np.emath.sqrt(x - 0.5)
+        with pytest.raises(DomainError, match="no real value at the point x = 0.25"):
+            _eval_nodes(f, 0.25)
+
+    def test_real_values_become_floats(self):
+        got = _eval_nodes(lambda x: np.asarray(x > 0.5), np.array([0.0, 1.0]))
+        assert got.dtype == float and got.tolist() == [0.0, 1.0]
 
 
 class TestProfiles:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pconvex import risk
 from pconvex.convexity import certify_loss_class
 from pconvex.distributions import discrete, point_mass, shifted_moment, two_point
 from pconvex.errors import DomainError, DomainMismatchError
@@ -16,7 +17,10 @@ from pconvex.functions import shifted_power
 from pconvex.numerics import DEFAULT_TOLERANCES, invert_monotone
 from pconvex.risk import (
     _certainty_equivalents,
+    _Sweep,
+    _sweep,
     _sweep_candidates,
+    _unit_members,
     certainty_equivalent,
     certify_p_more_risk_averse,
     falsify_p_more_risk_averse,
@@ -267,3 +271,121 @@ class TestRiskMeasure:
                 rep = risk_measure(X, p)
                 assert rep.sweep_infimum >= rep.closed_form - 1e-10
                 assert rep.sweep_infimum <= rep.closed_form + 1e-3
+
+
+def _members_at(p, horizon, grid_size):
+    """Positions of the sweep members whose own certificate passes at the horizon."""
+    return tuple(i for i, (_, l) in enumerate(_sweep_candidates(p, horizon))
+                 if certify_loss_class(l, p, horizon, grid_size).passed)
+
+
+class TestUnitScaleMembership:
+    """The sweep is certified once per order, at unit scale."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(horizon=st.floats(min_value=10.0, max_value=100.0),
+           p=st.integers(min_value=1, max_value=3),
+           grid_size=st.sampled_from([64, 256, 512]))
+    def test_equals_per_candidate_certificates(self, horizon, p, grid_size):
+        assert _unit_members(p, grid_size, DEFAULT_TOLERANCES) == \
+            _members_at(p, horizon, grid_size)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(horizon=st.floats(min_value=100.0, max_value=1e3),
+           p=st.integers(min_value=1, max_value=3),
+           grid_size=st.sampled_from([64, 256, 512]))
+    def test_per_candidate_certificates_differ_only_by_rounding(self, horizon, p, grid_size):
+        # at the real horizon the slack is absolute: x^4's curvature margin at
+        # p = 3, 12 x^2 x - 3 (4 x^3), is a rounding residue of terms near
+        # 12 horizon^3, which exceeds 1e-8 from a horizon of about 180 on
+        unit = _unit_members(p, grid_size, DEFAULT_TOLERANCES)
+        at = _members_at(p, horizon, grid_size)
+        assert set(at) <= set(unit)
+        for i in set(unit) - set(at):
+            label, l = _sweep_candidates(p, horizon)[i]
+            w = certify_loss_class(l, p, horizon, grid_size).witness
+            assert label == f"x^{p + 1}" and w.condition.startswith("curvature")
+            assert -w.margin <= 8 * np.finfo(float).eps * p * (p + 1) * horizon ** p
+
+    def test_large_support_keeps_the_pure_power(self):
+        # at horizon 1e5 the per-candidate certificate rejected x^4 on a
+        # curvature margin of -2.0 (rounding), and the sweep missed the norm
+        X = discrete([1e3, 1e4], [0.5, 0.5])
+        rep = risk_measure(X, 3)
+        assert rep.achiever == "x^4" and len(rep.candidates) == 10
+        assert abs(rep.sweep_infimum - rep.closed_form) <= 1e-12 * rep.closed_form
+
+    def test_one_certificate_per_order_until_the_cache_is_cleared(self, monkeypatch):
+        orders = []
+        real = risk.certify_loss_class
+        monkeypatch.setattr(risk, "certify_loss_class",
+                            lambda l, p, *args: orders.append(p) or real(l, p, *args))
+        _unit_members.cache_clear()
+        lotteries = [discrete([0.5, 2.0], [0.5, 0.5]), discrete([3.0, 40.0], [0.9, 0.1])]
+        for X in lotteries:
+            for p in (1, 2, 3):
+                risk_measure(X, p)
+        assert orders == [1, 2, 3]
+        assert _unit_members.cache_info().currsize == 3
+        _unit_members.cache_clear()
+        assert _unit_members.cache_info().currsize == 0
+        risk_measure(lotteries[0], 2)
+        assert orders == [1, 2, 3, 2]
+
+    def test_a_non_member_is_skipped(self, monkeypatch):
+        # x^p has curvature margin -p x^(p-1): the stacked certificate fails,
+        # and the members certified one by one keep every other candidate
+        def with_non_member(p, horizon, _real=risk._sweep):
+            labels, params = _real(p, horizon)
+            return labels + (f"x^{p}",), np.column_stack([params, [p, 0.0, 0.0, 0.0]])
+
+        monkeypatch.setattr(risk, "_sweep", with_non_member)
+        _unit_members.cache_clear()
+        try:
+            assert _unit_members(2, 64, DEFAULT_TOLERANCES) == tuple(range(10))
+            rep = risk_measure(discrete([0.5, 2.0], [0.5, 0.5]), 2, grid_size=64)
+            assert rep.candidates == _sweep(2, 20.0)[0] and rep.achiever == "x^3"
+        finally:
+            _unit_members.cache_clear()
+
+    @pytest.mark.parametrize("value", [2.5, math.nan, math.inf])
+    def test_order_and_grid_fail_closed_before_the_cache(self, value):
+        X = discrete([0.5, 2.0], [0.5, 0.5])
+        _unit_members.cache_clear()
+        with pytest.raises(DomainError, match="must be an integer"):
+            risk_measure(X, value)
+        with pytest.raises(DomainError, match="grid_size must be an integer"):
+            risk_measure(X, 2, grid_size=value)
+        assert _unit_members.cache_info().currsize == 0
+
+
+class TestSweepKernel:
+    """One array kernel evaluates every sweep member and its derivatives."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(p=st.integers(min_value=1, max_value=3),
+           horizon=st.floats(min_value=10.0, max_value=1e3),
+           u=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=10, max_size=10))
+    def test_stacked_member_equals_the_member_alone(self, p, horizon, u):
+        sweep = _Sweep(_sweep(p, horizon)[1])
+        x = horizon * np.array(u)
+        stacked = sweep(x)
+        assert stacked.tolist() == [float(sweep.member(i)(xi)) for i, xi in enumerate(x)]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(p=st.integers(min_value=1, max_value=3), i=st.integers(min_value=0, max_value=9),
+           k=st.integers(min_value=0, max_value=6),
+           x=st.floats(min_value=1e-3, max_value=2.0))
+    def test_derivatives_match_mpmath(self, p, i, k, x):
+        mpmath = pytest.importorskip("mpmath")
+        a, b, g, e = _sweep(p, 1.0)[1][:, i]
+        with mpmath.workdps(40):
+            want = mpmath.diff(lambda t: t ** int(a) * (1 + b * t) ** int(g) * mpmath.exp(e * t),
+                               x, k)
+        got = float(_Sweep(_sweep(p, 1.0)[1]).member(i)(x, k))
+        assert got == pytest.approx(float(want), rel=1e-13, abs=1e-300)
+
+    def test_negative_points_count_as_zero(self):
+        # a lottery may sit eq_abs below 0; the pure power stays flat there
+        sweep = _Sweep(_sweep(2, 10.0)[1])
+        assert sweep(np.full(10, -1e-12)).tolist() == [0.0] * 10
