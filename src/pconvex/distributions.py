@@ -340,7 +340,11 @@ def _family_terms(family: str | None, p: Mapping[str, Any] | None) -> tuple | No
 
 def _family_density(family: str, params: dict, plan: QuadraturePlan) -> RandomVariable:
     """A named family's variable, whose pdf (its terms on [a, b], 0 outside)
-    serves sampling and callers; expectations integrate the terms."""
+    serves sampling and callers; expectations integrate the terms.  A NaN or
+    infinite parameter raises ConstructionError here, before any integral."""
+    bad = {name: v for name, v in params.items() if not math.isfinite(v)}
+    if bad:
+        raise ConstructionError(f"{family} density needs finite parameters, got {bad}")
     a, b = params["a"], params["b"]
     terms = _family_terms(family, params)
 

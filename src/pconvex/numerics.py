@@ -8,10 +8,15 @@ targets, and Richardson-extrapolated finite differences.
 
 The quadrature doubles until one step changes its estimate by no more than
 the plan's threshold or the rounding of its sums; otherwise
-ConvergenceError carries the best estimate and the last step.
+ConvergenceError carries the best estimate and the last step.  Its node
+sets are a pure function of (a, b, end exponents, node count, panels), and
+the small ones (at most 8 panels per base panel) are memoized as read-only
+arrays, so the several expectations of one bound share them; larger ones
+are built per call, so a non-converging integral keeps no memory after it.
 
 Everything here is a pure function of its inputs; plan and tolerance
-objects are immutable, so concurrent use needs no locking.
+objects are immutable and the memo caches are functools' thread-safe
+lru_cache, so concurrent use needs no locking.
 """
 
 from __future__ import annotations
@@ -251,6 +256,26 @@ def _graded_rule(a: float, b: float, left: float, right: float, n: int,
     return np.concatenate(ts), np.concatenate(ws)
 
 
+# Rules of at most this many panels per base panel are shared: the mean,
+# moment and oracle of one bound repeat the first doublings, mostly at 1, 2
+# and 4 panels.  A larger rule is rarely asked for twice and can be large (a
+# graded rule at 4096 panels holds about 44 MB), so caching it would keep
+# that memory after a non-converging integral.
+_SHARED_PARTS = 8
+
+
+# 16 rules hold every shared rule of one bound: the 4 sizes up to
+# _SHARED_PARTS for each end-exponent pair, and a fractional-hh density
+# integrates two such pairs per expectation.
+@lru_cache(maxsize=16)
+def _shared_rule(a: float, b: float, left: float, right: float, n: int,
+                 parts: int) -> tuple[np.ndarray, np.ndarray]:
+    """_graded_rule's pair, made read-only because every caller shares it."""
+    t, w = _graded_rule(a, b, left, right, n, parts)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
 def _doubled(estimate: Callable[[int], tuple[float, float]], limit: float,
              max_refinements: int) -> QuadratureResult:
     """The stopping rule of the quadrature.
@@ -280,7 +305,11 @@ def integrate(f: Callable, a: float, b: float, plan: QuadraturePlan = DEFAULT_PL
     towards it, so (1, 1) is Gauss-Legendre on 2^k equal panels.  Each
     doubling halves every panel until one changes the estimate by at most a
     quarter of the plan's absolute tolerance or by the rounding of its sums
-    (_doubled); error_estimate is that last step.
+    (_doubled); error_estimate is that last step.  The nodes of the first
+    doublings (up to 8 panels per base panel) come from a small memo cache
+    shared by every call and are read-only: an f that writes into its
+    argument is called once per point instead.  Larger rules are built per
+    call and dropped, so their memory does not outlive it.
     """
     a, b, left, right = float(a), float(b), float(left), float(right)
     if not a < b:
@@ -289,7 +318,9 @@ def integrate(f: Callable, a: float, b: float, plan: QuadraturePlan = DEFAULT_PL
         raise DomainError(f"weight exponents must be positive, got {left}, {right}")
 
     def estimate(k: int) -> tuple[float, float]:
-        t, w = _graded_rule(a, b, left, right, plan.node_count, 2 ** k)
+        parts = 2 ** k
+        rule = _shared_rule if parts <= _SHARED_PARTS else _graded_rule
+        t, w = rule(a, b, left, right, plan.node_count, parts)
         terms = w * _eval_nodes(f, t)
         return float(np.sum(terms)), float(np.sum(np.abs(terms)))
 
@@ -356,8 +387,9 @@ def invert_monotone(f: Callable, y, bracket=None,
     point i through its own function solves one equation per point in one
     run.  Targets within eq_abs + eq_rel |y| of [f(lo), f(hi)] are clamped
     into it; any other target, a non-finite target or bracket end, or
-    lo > hi raises BracketError, and f NaN where evaluated raises
-    ConvergenceError.  Chandrupatla's steps
+    lo > hi raises BracketError, f NaN where evaluated raises
+    ConvergenceError, and f complex there raises DomainError naming the
+    point, in the float run as in the array run.  Chandrupatla's steps
     (inverse quadratic interpolation when safe, else bisection; Adv. Eng.
     Software 28(3), 1997) run until the residual is zero or the bracket is
     below 1e-14 |x| (at least the smallest normal float); the end with the
@@ -378,7 +410,8 @@ def invert_monotone(f: Callable, y, bracket=None,
     # the float run and the array run differ in these three only
     where = (lambda c, a, b: a if c else b) if scalar else np.where
     done = bool if scalar else np.all
-    ev = (lambda x: np.float64(f(float(x)))) if scalar else (lambda x: _eval_nodes(f, x))
+    ev = (lambda x: np.float64(_real(f(float(x)), x, ""))) if scalar else \
+        (lambda x: _eval_nodes(f, x))
 
     ok = np.isfinite(y) & np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)
     if not done(ok):

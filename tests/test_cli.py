@@ -444,6 +444,17 @@ class TestFailClosedInputs:
         assert main(["mgf", "-d", dist_file, "-s", s, "-p", "2"]) == 1
         assert "s must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("descriptor", [
+        {"family": "uniform", "params": {"a": 0.0, "b": math.inf}},
+        {"family": "beta-like", "support": [0.0, 1.0], "params": {"c": 2.0, "d": math.nan}},
+        {"family": "fractional-hh", "support": [0.0, 1.0], "params": {"alpha": math.inf}},
+    ], ids=["uniform-b-inf", "beta-like-d-nan", "fractional-hh-alpha-inf"])
+    def test_non_finite_density_parameter(self, fn_file, tmp_path, descriptor, capsys):
+        d = tmp_path / "density.json"
+        d.write_text(json.dumps({"kind": "density", **descriptor}))
+        assert main(["bound", "-f", fn_file, "-d", str(d), "-p", "1", "--kind", "lower"]) == 1
+        assert "needs finite parameters" in capsys.readouterr().err
+
     def test_em_demo_without_columns(self, capsys):
         assert main(["em-demo", "--samples", "5", "--dims", "0"]) == 1
         assert "nonempty n x d" in capsys.readouterr().err

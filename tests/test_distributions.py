@@ -498,3 +498,43 @@ class TestFailClosedConstruction:
             build = lambda: discrete(atoms, probs)
         with pytest.raises(PconvexError):
             distribution_from_descriptor(raw) if as_descriptor else build()
+
+
+# catalog density constructors with valid parameters, each also taken as a
+# descriptor
+_DENSITY_FAMILIES = {
+    "uniform": (uniform, {"a": 0.0, "b": 1.0}),
+    "beta-like": (beta_like, {"a": -1.0, "b": 2.0, "c": 2.0, "d": 3.5}),
+    "fractional-hh": (fractional_hh_density, {"a": 0.0, "b": 1.5, "alpha": 0.5}),
+}
+
+
+class TestNonFiniteDensityParameters:
+    """A NaN or infinite end, shape or alpha raises ConstructionError from a
+    catalog constructor and InputFormatError from a descriptor, before any
+    integral runs (uniform(0, inf).mean() ran 12 NaN doublings first)."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(_DENSITY_FAMILIES)), st.data(),
+           st.sampled_from([math.nan, math.inf, -math.inf]),
+           st.sampled_from(["constructor", "params", "support"]))
+    def test_non_finite_parameter_raises(self, family, data, bad, route):
+        make, valid = _DENSITY_FAMILIES[family]
+        name = data.draw(st.sampled_from(sorted(valid)))
+
+        def build(params):
+            if route == "constructor":
+                return make(**params)
+            raw = {"kind": "density", "family": family, "params": dict(params)}
+            if route == "support":
+                raw["support"] = [raw["params"].pop("a"), raw["params"].pop("b")]
+            return distribution_from_descriptor(raw)
+
+        assert build(valid).density_params == valid
+        error = ConstructionError if route == "constructor" else InputFormatError
+        with pytest.raises(error):
+            build({**valid, name: bad})
+
+    def test_reflection_through_an_infinite_center(self):
+        with pytest.raises(ConstructionError, match="finite parameters"):
+            reflected(uniform(0.0, 1.0), math.inf)

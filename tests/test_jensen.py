@@ -8,15 +8,18 @@ the property-level contract.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pconvex import numerics
 from pconvex.convexity import certify_p_concave, certify_p_convex
 from pconvex.distributions import (
     RandomVariable,
+    beta_like,
     discrete,
     from_sample,
     point_mass,
@@ -223,3 +226,21 @@ class TestSandwichSweep:
                 values.append(jensen_lower(f, cert, X).value)
             for lo, hi in zip(values, values[1:]):
                 assert hi >= lo - 1e-10
+
+
+class TestSharedNodeSets:
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_density_bound_builds_each_rule_once(self, monkeypatch, p):
+        # the mean, the moment and the oracle each ask for the same rules
+        asked, built = Counter(), Counter()
+        shared, build = numerics._shared_rule, numerics._graded_rule
+        monkeypatch.setattr(numerics, "_shared_rule", lambda *k: asked.update([k]) or shared(*k))
+        monkeypatch.setattr(numerics, "_graded_rule", lambda *k: built.update([k]) or build(*k))
+        f = shifted_power(3.5, domain=(0.0, 1.0))
+        cert = _cert(f, p, 0.0, 1.0)
+        shared.cache_clear()
+        rep = jensen_lower(f, cert, beta_like(0.0, 1.0, 2.0, 3.0))
+        assert rep.value <= rep.oracle
+        assert built == Counter(set(asked)) and min(asked.values()) == 3
+        info = shared.cache_info()
+        assert (info.misses, info.hits) == (len(asked), sum(asked.values()) - len(asked))

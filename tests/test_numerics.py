@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -280,6 +281,83 @@ class TestEndpointWeights:
                 integrate(np.exp, 0.0, 1.0, left=left, right=right)
 
 
+# (name, integrand for a drawn constant c); "scalar" takes floats only, so
+# it runs through _eval_nodes' per-point path
+_INTEGRANDS = {
+    "cubic": lambda c: (lambda x: x ** 3 - c * x),
+    "exp": lambda c: (lambda x: np.exp(c * x)),
+    "sin": lambda c: (lambda x: np.sin(3.0 * c * x)),
+    "kink": lambda c: (lambda x: np.abs(x - c)),
+    "scalar": lambda c: (lambda x: math.cos(c * x)),
+}
+
+
+def _outcome(f, a, b, plan, left, right):
+    """integrate()'s result, or the estimate a ConvergenceError carries, as hex."""
+    try:
+        res = integrate(f, a, b, plan, left, right)
+        return res.value.hex(), res.error_estimate.hex(), res.refinements
+    except ConvergenceError as exc:
+        return "diverged", float(exc.best_estimate).hex(), float(exc.error_estimate).hex()
+
+
+class TestSharedNodeSets:
+    """The node sets of the first doublings are memoized, read-only and
+    shared by every integral; each is the rule _graded_rule builds."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(_INTEGRANDS)), st.floats(-2.0, 2.0),
+           st.floats(-3.0, 3.0), st.floats(0.05, 4.0),
+           st.sampled_from([1.0, 0.5, 0.3, 1.5, 2.75]), st.sampled_from([1.0, 0.7, 3.0]),
+           st.sampled_from([4, 16]), st.integers(0, 5))
+    def test_integrals_equal_fresh_builds_bit_for_bit(self, name, c, a, length, left,
+                                                      right, nodes, refinements):
+        f = _INTEGRANDS[name](c)
+        args = (a, a + length, QuadraturePlan(nodes, 1e-10, refinements), left, right)
+        warm = [_outcome(f, *args) for _ in range(2)][1]
+        numerics._shared_rule.cache_clear()
+        cold = _outcome(f, *args)
+        with mock.patch.object(numerics, "_shared_rule", numerics._graded_rule):
+            fresh = _outcome(f, *args)
+        assert warm == cold == fresh
+
+    def test_shared_rules_are_read_only(self):
+        for parts in (1, 2, 4, 8):
+            t, w = numerics._shared_rule(0.0, 1.0, 0.5, 1.0, 16, parts)
+            assert numerics._shared_rule(0.0, 1.0, 0.5, 1.0, 16, parts)[0] is t
+            for arr in (t, w):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
+
+    def test_integrand_writing_into_its_argument(self):
+        kinds = []
+
+        def doubling(x):
+            kinds.append(type(x))
+            x *= 2.0
+            return x
+
+        numerics._shared_rule.cache_clear()
+        got = integrate(doubling, 0.0, 1.0, left=0.5)
+        # the read-only nodes refuse the write, so each point is a float call
+        assert np.ndarray in kinds and float in kinds
+        assert got == integrate(lambda x: 2.0 * x, 0.0, 1.0, left=0.5)
+        for parts in (1, 2):
+            shared = numerics._shared_rule(0.0, 1.0, 0.5, 1.0, 16, parts)
+            fresh = numerics._graded_rule(0.0, 1.0, 0.5, 1.0, 16, parts)
+            assert all(np.array_equal(s, f) for s, f in zip(shared, fresh))
+
+    def test_non_converging_integral_caches_no_rule_above_the_cap(self):
+        numerics._shared_rule.cache_clear()
+        with pytest.raises(ConvergenceError):
+            integrate(lambda t: np.sign(t - 0.3337), 0.0, 1.0,
+                      QuadraturePlan(max_refinements=6), left=0.5, right=0.5)
+        # 1, 2, 4 and 8 panels are kept; 16 to 64 were built and dropped
+        info = numerics._shared_rule.cache_info()
+        assert info.currsize == info.misses == 4 and info.hits == 0
+
+
 class TestPnormShifted:
     def test_sqrt_half(self):
         assert pnorm_shifted(0.5, 2) == pytest.approx(math.sqrt(0.5), abs=1e-12)
@@ -401,6 +479,10 @@ class TestInvertMonotone:
 
 _NAN_ABOVE_HALF = lambda x: math.nan if x > 0.5 else x
 _NAN_INSIDE = lambda x: math.nan if 0.4 < x < 0.6 else x
+# the float run cast a numpy complex value to its real part: the first
+# returned 0.593774225170145
+_COMPLEX_ROOT = lambda x: np.emath.sqrt(x - 0.5) + x
+_COMPLEX_INSIDE = lambda x: np.complex128(x) if 0.4 < x < 0.6 else x
 
 
 class TestInvertMonotoneFailsClosed:
@@ -411,7 +493,10 @@ class TestInvertMonotoneFailsClosed:
         (lambda x: x, 0.7, (0.0, math.inf), BracketError),
         (_NAN_ABOVE_HALF, 0.7, (0.0, 1.0), BracketError),
         (_NAN_INSIDE, 0.7, (0.0, 1.0), ConvergenceError),
-    ], ids=["nan-target", "infinite-bracket", "nan-at-bracket-end", "nan-inside"])
+        (_COMPLEX_ROOT, 0.9, (0.0, 1.0), DomainError),
+        (_COMPLEX_INSIDE, 0.7, (0.0, 1.0), DomainError),
+    ], ids=["nan-target", "infinite-bracket", "nan-at-bracket-end", "nan-inside",
+            "complex-at-bracket-end", "complex-inside"])
     def test_float(self, f, y, bracket, error):
         with pytest.raises(error):
             invert_monotone(f, y, bracket)
@@ -421,7 +506,10 @@ class TestInvertMonotoneFailsClosed:
         (lambda x: x, [0.2, 0.7], (0.0, [1.0, math.inf]), BracketError),
         (_NAN_ABOVE_HALF, [0.2, 0.7], (0.0, [0.4, 1.0]), BracketError),
         (_NAN_INSIDE, [0.2, 0.7], (0.0, [0.3, 1.0]), ConvergenceError),
-    ], ids=["nan-target", "infinite-bracket", "nan-at-bracket-end", "nan-inside"])
+        (_COMPLEX_ROOT, [0.9, 0.8], (0.0, 1.0), DomainError),
+        (_COMPLEX_INSIDE, [0.2, 0.7], (0.0, 1.0), DomainError),
+    ], ids=["nan-target", "infinite-bracket", "nan-at-bracket-end", "nan-inside",
+            "complex-at-bracket-end", "complex-inside"])
     def test_array(self, f, y, bracket, error):
         with pytest.raises(error):
             invert_monotone(f, np.asarray(y), bracket)
@@ -434,6 +522,11 @@ class TestInvertMonotoneFailsClosed:
         with pytest.raises(ConvergenceError) as exc:
             invert_monotone(ssqrt, y, (-1.0, 2.0))
         assert -1.0 <= np.ravel(exc.value.best_estimate)[0] <= 2.0
+
+
+    def test_complex_value_names_the_point(self):
+        with pytest.raises(DomainError, match="no real value at the point x = 0.5"):
+            invert_monotone(_COMPLEX_INSIDE, 0.7, (0.0, 1.0))
 
 
 def test_import_leaves_scipy_optimize_out():
