@@ -27,19 +27,23 @@ from .errors import (
     DomainMismatchError,
     InputFormatError,
     MomentDivergenceError,
+    RangeOverflowError,
     SupportViolationError,
 )
 from .functions import FunctionSpec
 from .numerics import (
     DEFAULT_PLAN,
     DEFAULT_TOLERANCES,
+    GAMMA_MAX_ARG,
     ConvergenceError,
     QuadraturePlan,
     ToleranceProfile,
     _eval_nodes,
+    fsum,
     gamma,
     integrate,
     invert_monotone,
+    log_gamma,
     pnorm_shifted,
 )
 
@@ -112,7 +116,7 @@ class RandomVariable:
                 raise ConstructionError("atoms and probabilities must be finite")
             if (wts < 0.0).any():
                 raise ConstructionError("probabilities must be nonnegative")
-            total = math.fsum(wts.tolist())
+            total = fsum(wts)
             if abs(total - 1.0) > 1e-12:
                 raise ConstructionError(f"probabilities sum to {total!r}, not 1")
             object.__setattr__(self, "atoms", tuple(pts.tolist()))
@@ -329,9 +333,20 @@ def _family_terms(family: str | None, p: Mapping[str, Any] | None) -> tuple | No
     if family == "uniform":
         return ((1.0 / (p["b"] - p["a"]), 1.0, 1.0),)
     if family == "beta-like":
-        c, d = p["c"], p["d"]
-        norm = gamma(c) * gamma(d) / gamma(c + d) * (p["b"] - p["a"]) ** (c + d - 1.0)
-        return ((1.0 / norm, c, d),)
+        c, d, width = p["c"], p["d"], p["b"] - p["a"]
+        try:
+            if c + d <= GAMMA_MAX_ARG:
+                norm = gamma(c) * gamma(d) / gamma(c + d) * width ** (c + d - 1.0)
+            else:  # gamma(c + d) overflows, B(c, d) need not
+                norm = math.exp(log_gamma(c) + log_gamma(d) - log_gamma(c + d)
+                                + (c + d - 1.0) * math.log(width))
+            scale = 1.0 / norm
+        except (OverflowError, ZeroDivisionError):
+            scale = math.inf
+        if scale == math.inf:
+            raise RangeOverflowError(f"beta-like normalisation B({c}, {d}) (b - a)^{c + d - 1.0}"
+                                     f" leaves double range for b - a = {width}")
+        return ((scale, c, d),)
     if family == "fractional-hh":
         scale = p["alpha"] / (2.0 * (p["b"] - p["a"]) ** p["alpha"])
         return ((scale, p["alpha"], 1.0), (scale, 1.0, p["alpha"]))
@@ -389,11 +404,12 @@ def reflected(X: RandomVariable, center: float) -> RandomVariable:
 
 
 def _finite_mean(X: RandomVariable, vals: np.ndarray) -> float:
-    """E over a discrete or sample variable of values given at its points,
-    correctly rounded (fsum over Python floats beats fsum over an array)."""
+    """E over a discrete or sample variable of values given at its points:
+    the weighted terms or the values summed by numerics.fsum, correctly
+    rounded and bit for bit math.fsum's sum."""
     if X.kind == "discrete":
-        return math.fsum((X._weights * vals).tolist())
-    return math.fsum(vals.tolist()) / len(vals)
+        return fsum(X._weights * vals)
+    return fsum(vals) / len(vals)
 
 
 def _check_domain(X: RandomVariable, f) -> None:
@@ -439,11 +455,12 @@ def expect(X: RandomVariable, f) -> tuple[float, float]:
     """E f(X) and an error estimate; the oracle for every bound test.
 
     Exact weighted sum for discrete, plain average for samples, both
-    summed by math.fsum (correctly rounded) with no error term; for
-    densities, panel-doubled Gauss-Legendre, graded towards the ends of
-    named families whose pdf carries an end exponent other than 1, with the
-    last doubling step as error estimate.  Quadrature that does not
-    converge raises MomentDivergenceError.
+    summed by numerics.fsum (correctly rounded, the same bits as
+    math.fsum) with no error term; for densities, panel-doubled
+    Gauss-Legendre, graded towards the ends of named families whose pdf
+    carries an end exponent other than 1, with the last doubling step as
+    error estimate.  Quadrature that does not converge raises
+    MomentDivergenceError.
     """
     _check_domain(X, f)
     if X.kind != "density":

@@ -6,7 +6,9 @@ the lower bound anchors the exponential's Taylor tail at the p-norm, the
 upper bound pins the tail's weight at the support ceiling.  The likelihood
 application evaluates the same mechanics on the per-datum likelihood-ratio
 variables X_i = p(x_i, z | theta) / q_i(z), giving a minorant that sits
-between the classical Jensen ELBO and the exact log-likelihood.
+between the classical Jensen ELBO and the exact log-likelihood.  Each of
+those three sums over the data is correctly rounded by numerics.fsum,
+which gives the same bits as math.fsum.
 
 The EM demo runs a textbook two-component Bernoulli-mixture EM (exact
 posterior E-step, closed-form M-step) and logs all three quantities per
@@ -35,7 +37,7 @@ from .errors import (
     SupportViolationError,
     UnboundedSupportError,
 )
-from .numerics import DEFAULT_TOLERANCES, ToleranceProfile, _order
+from .numerics import DEFAULT_TOLERANCES, ToleranceProfile, _order, fsum
 
 __all__ = [
     "EMTrace",
@@ -226,13 +228,13 @@ def likelihood_instance(likelihoods: Sequence[Sequence[float]],
 
 def loglik_exact(inst: LikelihoodInstance) -> float:
     """sum_i ln sum_z p(x_i, z | theta), i.e. sum_i ln E X_i."""
-    return math.fsum(np.log(inst.likelihoods.sum(axis=1)))
+    return fsum(np.log(inst.likelihoods.sum(axis=1)))
 
 
 def elbo_classical(inst: LikelihoodInstance) -> float:
     """The Jensen minorant sum_i E ln X_i (the standard EM lower bound)."""
     q = inst.responsibilities
-    return math.fsum((q * np.log(inst.likelihoods / q)).ravel())
+    return fsum(q * np.log(inst.likelihoods / q))
 
 
 def elbo_tight(inst: LikelihoodInstance, norm_order: int = 2) -> float:
@@ -258,7 +260,7 @@ def elbo_tight(inst: LikelihoodInstance, norm_order: int = 2) -> float:
                     where=scale[:, None] > 0.0)
     norm = scale * np.sum(inst.responsibilities * dev ** order, axis=1) ** (1.0 / order)
     m = b - norm
-    return math.fsum(np.log(m) - (m - mean) / b)
+    return fsum(np.log(m) - (m - mean) / b)
 
 
 # ---------------------------------------------------------------------------

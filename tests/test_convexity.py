@@ -19,7 +19,7 @@ from pconvex.convexity import (
     check_power_transform_convex,
     check_ratio_monotone,
 )
-from pconvex.distributions import discrete, expect, from_sample
+from pconvex.distributions import discrete, expect, from_sample, uniform
 from pconvex.errors import DomainError, PconvexError
 from pconvex.functions import (
     exp_taylor_remainder,
@@ -30,7 +30,7 @@ from pconvex.functions import (
     shifted_power,
     taylor_remainder,
 )
-from pconvex.numerics import ToleranceProfile
+from pconvex.numerics import QuadraturePlan, ToleranceProfile
 from pconvex.risk import certify_p_more_risk_averse, risk_measure
 
 from conftest import certified_members
@@ -469,6 +469,12 @@ _NON_INTEGRAL = st.one_of(_NON_FINITE, st.floats(min_value=-1e6, max_value=1e6).
 _CUBE = shifted_power(3.0, domain=(0.0, 10.0))
 _LOG = log_affine(0.6)
 _LOTTERY = discrete([0.5, 2.0], [0.5, 0.5])
+
+
+def _uniform_with(**plan):
+    return uniform(0.5, 2.0, QuadraturePlan(**plan))
+
+
 # input -> (call with that input replaced by v, strategy for v, a valid v)
 _FAIL_CLOSED = {
     "I order": (lambda v: certify_p_convex(_CUBE, v, 0.0, 1.0, 64), _NON_INTEGRAL, 1),
@@ -488,6 +494,12 @@ _FAIL_CLOSED = {
                       _NON_FINITE, 0.0),
     "risk order": (lambda v: risk_measure(_LOTTERY, v, 64), _NON_INTEGRAL, 2),
     "risk grid": (lambda v: risk_measure(_LOTTERY, 2, v), _NON_INTEGRAL, 64),
+    "plan nodes": (lambda v: risk_measure(_uniform_with(node_count=v), 2, 64),
+                   _NON_INTEGRAL, 16),
+    "plan tolerance": (lambda v: risk_measure(_uniform_with(abs_tolerance=v), 2, 64),
+                       _NON_FINITE, 1e-10),
+    "plan refinements": (lambda v: risk_measure(_uniform_with(max_refinements=v), 2, 64),
+                         _NON_INTEGRAL, 12),
 }
 
 
@@ -503,7 +515,9 @@ def test_fail_closed_calls_pass_with_a_valid_input(name):
 def test_non_finite_or_non_integral_inputs_fail_closed(name, data):
     """A non-finite or non-integral order or grid size, or a non-finite
     horizon, interval end or strictness, raises a PconvexError or gives a
-    failing certificate, in every certifier and in risk_measure."""
+    failing certificate, in every certifier and in risk_measure; so does a
+    non-integral node count or refinement limit, or a non-finite tolerance,
+    in the quadrature plan of risk_measure's density."""
     call, values, _ = _FAIL_CLOSED[name]
     value = data.draw(values)
     try:

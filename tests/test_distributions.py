@@ -22,6 +22,7 @@ from pconvex.errors import (
     DomainMismatchError,
     InputFormatError,
     PconvexError,
+    RangeOverflowError,
     SupportViolationError,
 )
 from pconvex.distributions import (
@@ -47,6 +48,7 @@ from pconvex.functions import (
     polynomial,
     shifted_power,
 )
+from pconvex.numerics import FSUM_CROSSOVER, gamma
 
 
 class TestShiftedMoment:
@@ -478,6 +480,53 @@ class TestFiniteOracleBits:
         assert (Y.inf, Y.sup, Y.mean()) == (X.inf, X.sup, X.mean())
         for arr in (Y.values, Y._points) if is_sample else (Y._points, Y._weights):
             assert not arr.flags.writeable
+
+
+class TestLargeFiniteVariables:
+    """Finite variables of FSUM_CROSSOVER points or more take numerics.fsum's
+    extraction path; their expectations and moments keep math.fsum's bits."""
+
+    @pytest.mark.parametrize("n", [FSUM_CROSSOVER - 1, FSUM_CROSSOVER, 5000])
+    def test_expect_and_mean_bits(self, n, rng):
+        points = rng.lognormal(0.0, 2.0, n) * rng.choice([1.0, -1.0], n)
+        probs = rng.uniform(0.0, 1.0, n)
+        f = lambda x: x ** 3 - x
+        for X in (from_sample(points), discrete(points, (probs / probs.sum()).tolist())):
+            for g in (f, lambda x: x):
+                terms = g(X._points)
+                want = math.fsum(terms.tolist()) / n if X.kind == "sample" else \
+                    math.fsum((X._weights * terms).tolist())
+                assert _bits(expect(X, g)[0]) == _bits(want)
+            assert X.mean() == expect(X, lambda x: x)[0]
+
+
+class TestLargeBetaShapes:
+    """Shapes with c + d > 170: B(c, d) comes from log-gamma differences,
+    since gamma(c + d) leaves double range (beta_like(0, 1, 100, 100) raised
+    RangeOverflowError)."""
+
+    @pytest.mark.parametrize("a, b, c, d", [
+        (0.0, 1.0, 100.0, 100.0), (0.0, 1.0, 150.0, 40.5), (-1.0, 3.0, 300.0, 500.0),
+    ])
+    def test_mass_and_mean(self, a, b, c, d):
+        X = beta_like(a, b, c, d)
+        mass, _ = expect(X, lambda x: np.ones_like(x))
+        assert mass == pytest.approx(1.0, abs=1e-10)
+        assert (X.mean() - a) / (b - a) == pytest.approx(c / (c + d), abs=1e-10)
+
+    def test_representable_shapes_keep_the_gamma_ratio(self):
+        X = beta_like(-1.0, 2.0, 120.0, 50.0)
+        want = 1.0 / (gamma(120.0) * gamma(50.0) / gamma(170.0) * 3.0 ** 169.0)
+        assert X.pdf(0.5) == want * 1.5 ** 119.0 * 1.5 ** 49.0
+
+    @pytest.mark.parametrize("a, b, c, d", [
+        (0.0, 100.0, 80.0, 80.0), (0.0, 1e-3, 80.0, 70.0), (0.0, 100.0, 200.0, 200.0),
+        (0.0, 1.0, 1e6, 1e6),
+    ])
+    def test_normalisation_out_of_range_raises(self, a, b, c, d):
+        # the first two raised a bare OverflowError and ZeroDivisionError
+        with pytest.raises(RangeOverflowError, match="normalisation"):
+            beta_like(a, b, c, d)
 
 
 class TestFailClosedConstruction:

@@ -212,6 +212,16 @@ class TestLikelihoodInstance:
             hi = loglik_exact(inst)
             assert lo - 1e-10 <= mid <= hi + 1e-10
 
+    @pytest.mark.parametrize("rows", [10, 300])
+    def test_sums_keep_math_fsum_bits(self, rows, rng):
+        """The three sums over the data against math.fsum over Python
+        floats; 300 x 4 terms take numerics.fsum's extraction path."""
+        ps = rng.uniform(0.05, 1.0, size=(rows, 4))
+        qs = rng.dirichlet(np.ones(4), size=rows)
+        inst = likelihood_instance(ps, qs)
+        assert loglik_exact(inst) == math.fsum(np.log(ps.sum(axis=1)).tolist())
+        assert elbo_classical(inst) == math.fsum((qs * np.log(ps / qs)).ravel().tolist())
+
     def test_tight_matches_per_row_moments(self, rng):
         """The n x K array form against one ratio variable per row."""
         ps = rng.uniform(0.05, 1.0, size=(40, 4))

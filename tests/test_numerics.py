@@ -1,16 +1,19 @@
-"""Kernel-level tests: gamma, quadrature, norms, inversion, finite differences.
+"""Kernel-level tests: summation, gamma, quadrature, norms, inversion,
+finite differences.
 
-Golden values are frozen from independent oracles: mpmath at 30 digits for
-the gamma function, closed-form antiderivatives for quadrature, and algebraic
-identities for the rest.
+Golden values are frozen from independent oracles: exact rational sums for
+summation, mpmath at 30 digits for the gamma function, closed-form
+antiderivatives for quadrature, and algebraic identities for the rest.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -629,3 +632,155 @@ class TestProfiles:
     def test_plan_validation(self):
         with pytest.raises(DomainError):
             QuadraturePlan(node_count=1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("abs_tolerance", math.inf), ("abs_tolerance", math.nan), ("abs_tolerance", -1e-12),
+        ("node_count", math.inf), ("node_count", math.nan), ("node_count", 2.5),
+        ("max_refinements", math.inf), ("max_refinements", math.nan), ("max_refinements", 2.5),
+        ("max_refinements", -1),
+    ])
+    def test_plan_fails_closed(self, field, value):
+        # an infinite tolerance accepted the first doubling of an integral
+        # that never converges, and NaN or inf counts passed the old checks
+        with pytest.raises(DomainError, match=field):
+            QuadraturePlan(**{field: value})
+
+    def test_plan_counts_become_ints(self):
+        plan = QuadraturePlan(node_count=np.float64(8.0), max_refinements=np.int64(3))
+        assert (type(plan.node_count), type(plan.max_refinements)) == (int, int)
+        assert QuadraturePlan() == QuadraturePlan(16, 1e-10, 12)
+        assert QuadraturePlan(abs_tolerance=0.0).abs_tolerance == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Correctly rounded summation
+# ---------------------------------------------------------------------------
+
+_SUM_KINDS = ("spread", "narrow", "cancel", "zeros", "negative-zeros", "near-max", "special")
+
+
+@st.composite
+def _sum_arrays(draw) -> np.ndarray:
+    """A float array of 0 to 3000 values, either side of FSUM_CROSSOVER:
+    values from the subnormal range to 1e300 (spread, or all within two
+    binades, which loads the pass sums most), exact cancellation in pairs
+    v, -v, all 0.0 or all -0.0, values of 2^-16 to 1 times the float
+    maximum, or values with inf, -inf and NaN inserted."""
+    n = draw(st.integers(0, 3000))
+    kind = draw(st.sampled_from(_SUM_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind in ("zeros", "negative-zeros"):
+        return np.full(n, 0.0 if kind == "zeros" else -0.0)
+    lo = draw(st.integers(-1080, 996))
+    hi = lo + (draw(st.integers(0, 1)) if kind == "narrow" else draw(st.integers(0, 996 - lo)))
+    signs = draw(st.sampled_from([(1.0,), (-1.0,), (1.0, -1.0)]))
+    v = np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(lo, hi + 1, n)) * rng.choice(signs, n)
+    if kind == "cancel":
+        v = rng.permutation(np.concatenate([v[: n // 2], -v[: n // 2], v[: n % 2]]))
+    elif kind == "near-max":
+        # scaled by up to 2^-14, so sigma's overflow check is met on both sides
+        scale = sys.float_info.max * 2.0 ** -draw(st.integers(0, 14))
+        v = rng.choice(signs, n) * scale * rng.uniform(0.25, 1.0, n)
+    elif kind == "special" and n:
+        bad = draw(st.lists(st.sampled_from([math.inf, -math.inf, math.nan]),
+                            min_size=1, max_size=3))
+        v[rng.integers(0, n, len(bad))] = bad
+    return v
+
+
+def _bits_or_error(total) -> bytes | type:
+    """The bytes of total() as a float, or the type of the error it raises."""
+    try:
+        return np.float64(total()).tobytes()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+class TestFsum:
+    """numerics.fsum is math.fsum over the values as a list, bit for bit."""
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(_sum_arrays())
+    def test_same_bits_or_error_as_math_fsum(self, v):
+        want = _bits_or_error(lambda: math.fsum(v.tolist()))
+        assert _bits_or_error(lambda: numerics.fsum(v)) == want
+        if isinstance(want, bytes) and np.isfinite(v).all():
+            # an independent oracle: the exact rational sum, rounded once
+            assert np.float64(float(sum(map(Fraction, v.tolist())))).tobytes() == want
+
+    def test_both_sides_of_the_crossover(self):
+        rng = np.random.default_rng(3)
+        for n in (numerics.FSUM_CROSSOVER - 1, numerics.FSUM_CROSSOVER, 5000):
+            v = rng.lognormal(0.0, 3.0, n) ** 3
+            assert numerics.fsum(v) == math.fsum(v.tolist()) == float(sum(map(Fraction, v)))
+
+    def test_pass_sums_of_one_sign_and_binade(self):
+        # the pass sums reach n / 2^m of sigma here; a sigma 4 times smaller
+        # rounds them and misses math.fsum in about one array in four
+        rng = np.random.default_rng(6)
+        for _ in range(24):
+            v = rng.uniform(1.0, 2.0, 3000) * rng.choice([1.0, -1.0])
+            assert numerics.fsum(v) == math.fsum(v.tolist())
+
+    @pytest.mark.parametrize("e", [1011, 1012, 1013])
+    def test_largest_sigma(self, e):
+        # 1500 values give 2^m = 2^11: sigma is 2^1023 for max |v| < 2^1012,
+        # and above that it would overflow, so math.fsum takes the array
+        v = np.ldexp(np.random.default_rng(e).uniform(-1.0, 1.0, 1500), e)
+        assert numerics.fsum(v) == math.fsum(v.tolist())
+
+    def test_input_is_left_unchanged(self):
+        v = np.random.default_rng(4).uniform(-1.0, 1.0, 4000)
+        kept = v.copy()
+        numerics.fsum(v)
+        np.testing.assert_array_equal(v, kept)
+
+    @pytest.mark.parametrize("values, error", [
+        ([sys.float_info.max] * 2048, OverflowError),
+        ([math.inf] * 1500 + [-math.inf], ValueError),
+    ])
+    def test_errors_of_math_fsum(self, values, error):
+        with pytest.raises(error):
+            numerics.fsum(np.array(values))
+
+    def test_nan_and_inf_totals(self):
+        v = np.ones(2000)
+        v[7] = math.inf
+        assert numerics.fsum(v) == math.inf
+        v[9] = math.nan
+        assert math.isnan(numerics.fsum(v))
+
+    def test_exact_cancellation_and_signed_zeros(self):
+        v = np.random.default_rng(5).uniform(-1e3, 1e3, 1500)
+        for values in (np.concatenate([v, -v[::-1]]), np.full(2000, -0.0)):
+            assert _bits_or_error(lambda: numerics.fsum(values)) == \
+                _bits_or_error(lambda: math.fsum(values.tolist()))
+
+
+def _math_fsum_references(tree: ast.Module) -> list[ast.expr]:
+    """Every math.fsum reference: an attribute of the math module under any
+    name it is imported as, or a name imported from it."""
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    modules = {alias.asname or alias.name for node in imports if isinstance(node, ast.Import)
+               for alias in node.names if alias.name == "math"}
+    names = {alias.asname or alias.name for node in imports
+             if isinstance(node, ast.ImportFrom) and node.module == "math"
+             for alias in node.names if alias.name == "fsum"}
+    return [node for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id in names)
+            or (isinstance(node, ast.Attribute) and node.attr == "fsum"
+                and isinstance(node.value, ast.Name) and node.value.id in modules)]
+
+
+def test_math_fsum_is_used_only_by_the_kernel():
+    """Every correctly rounded sum in pconvex goes through numerics.fsum:
+    math.fsum appears nowhere else, called or not."""
+    users = set()
+    for path in sorted(Path(numerics.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in _math_fsum_references(tree):
+            while node in parents and not isinstance(node, ast.FunctionDef):
+                node = parents[node]
+            users.add(f"{path.stem}.{getattr(node, 'name', '<module>')}")
+    assert users == {"numerics.fsum"}
