@@ -12,12 +12,13 @@ Three classes are certified on evaluation grids:
 
 A certificate is a numerical verdict over a finite grid with explicit slack,
 not a proof; failures always carry a witness (point, condition, margin).
-A grid condition on a derivative past the function's analytic stack is
-checked on forward differences of the deepest analytic entry, and its
-condition name says so; anchor conditions at a single point use the
-function's own finite-difference derivatives.  Certificates for functions
-without analytic derivatives widen the slack by 1e3 and record the
-provenance.
+Every order a certificate reads on its grid comes from one call of the
+function's jet (FunctionSpec.derivatives_on).  Only an order past the
+analytic stack, which numeric and mixed specs have, is checked on forward
+differences of the deepest analytic entry, and its condition name says so;
+anchor conditions at a single point then use the function's own
+finite-difference derivatives.  Certificates for functions without analytic
+derivatives widen the slack by 1e3 and record the provenance.
 """
 
 from __future__ import annotations
@@ -172,16 +173,17 @@ def _grid_derivatives(f: FunctionSpec, xs: np.ndarray, h: float,
     """f^(k) on the grid xs of step h for each k in orders: (values, their
     points, label suffix).
 
-    Within the analytic stack it is the analytic entry on every point; past
-    it, the deepest analytic entry differenced forward k - depth times, on
-    the leading grid points.  Each order from the least asked for (or the
-    deepest analytic one) up is found once, however many orders need it.
+    Within the analytic stack it is the analytic entry on every point, all
+    such orders from one jet call; past it, the deepest analytic entry
+    differenced forward k - depth times, on the leading grid points.  Each
+    order from the least asked for (or the deepest analytic one) up is found
+    once, however many orders need it.
     """
     depth = f.analytic_depth
-    levels: dict[int, np.ndarray] = {}
-    for k in range(min(min(orders), depth), max(orders) + 1):
-        levels[k] = (f.eval_on(xs, k) if k <= depth
-                     else (levels[k - 1][1:] - levels[k - 1][:-1]) / h)
+    lo, top = min(min(orders), depth), min(max(orders), depth)
+    levels = dict(zip(range(lo, top + 1), f.derivatives_on(xs, lo, top)))
+    for k in range(top + 1, max(orders) + 1):
+        levels[k] = (levels[k - 1][1:] - levels[k - 1][:-1]) / h
     out = []
     for k in orders:
         step = k - depth
@@ -207,8 +209,8 @@ def certify_p_convex(f: FunctionSpec, p: int, a: float, b: float,
     a, b = _interval(f, a, b)
     xs, h = _grid(a, b, grid_size)
 
-    checks = [_point(f"boundary f^({k})(a)=0", -abs(float(f.derivative(k)(a))), a)
-              for k in range(1, p + 1)]
+    checks = [_point(f"boundary f^({k})(a)=0", -abs(float(d)), a)
+              for k, d in zip(range(1, p + 1), f.derivatives_on(a, 1, p))]
     orders = [("convexity", 2)] if p == 0 else [("increasing", p + 1), ("convexity", p + 2)]
     grid = _grid_derivatives(f, xs, h, [k for _, k in orders])
     for (name, k), (values, points, how) in zip(orders, grid):
@@ -230,8 +232,8 @@ def certify_p_concave(f: FunctionSpec, p: int, a: float, b: float,
     a, b = _interval(f, a, b)
     xs, h = _grid(a, b, grid_size)
 
-    checks = [_point(f"boundary f^({k})(b)=0", -abs(float(f.derivative(k)(b))), b)
-              for k in range(1, p + 1)]
+    checks = [_point(f"boundary f^({k})(b)=0", -abs(float(d)), b)
+              for k, d in zip(range(1, p + 1), f.derivatives_on(b, 1, p))]
     orders = list(range(1, p + 3))
     for k, (values, points, how) in zip(orders, _grid_derivatives(f, xs, h, orders)):
         sign = 1.0 if k % 2 == 1 else -1.0
@@ -246,7 +248,11 @@ def certify_loss_class(l: FunctionSpec, p: int, horizon: float,
     """Certify the relative-curvature loss class at order p on [0, horizon].
 
     Conditions: l''(x) x - p l'(x) >= 0 on the grid, and l^(k)(x) >= strictness
-    for k = 1..p+2 at grid points x > 1e-6.  The literal class uses strict
+    for k = 1..p+2 at grid points x > 1e-6.  The curvature margin is taken
+    relative to the size of its two terms, |l''(x) x| + |p l'(x)| (when
+    that exceeds 1): they grow like horizon^(d-1) for a degree-d power, and
+    their rounding alone would otherwise fail true members at large
+    horizons.  The literal class uses strict
     positivity; the default strictness 0 admits pure powers whose top
     derivatives vanish identically, which the closed-form achiever needs.
     A horizon that leaves no grid point above 1e-6 raises DomainError.
@@ -260,16 +266,17 @@ def certify_loss_class(l: FunctionSpec, p: int, horizon: float,
         raise DomainError(f"horizon {horizon} must be finite and exceed domain start {lo}")
     xs, _ = _grid(lo, horizon, grid_size)
 
-    d1 = l.eval_on(xs, 1)
-    d2 = l.eval_on(xs, 2)
-    checks = [("curvature l''(x)x - p l'(x)>=0", d2 * xs - p * d1, xs)]
     interior = xs > 1e-6
     if not np.any(interior):
         raise DomainError(f"horizon {horizon} leaves no grid point above 1e-6")
+    derivs = l.derivatives_on(xs, 1, p + 2)
+    curvature, scale = derivs[1] * xs, p * derivs[0]
+    checks = [("curvature l''(x)x - p l'(x)>=0",
+               (curvature - scale) / np.maximum(1.0, abs(curvature) + abs(scale)), xs)]
     xi = xs[interior]
-    for k in range(1, p + 3):
-        vals = l.eval_on(xi, k) if k > 2 else (d1 if k == 1 else d2)[..., interior]
-        checks.append((f"positivity l^({k})>={strictness:g}", vals - strictness, xi))
+    for k, vals in enumerate(derivs, start=1):
+        checks.append((f"positivity l^({k})>={strictness:g}",
+                       vals[..., interior] - strictness, xi))
     return _certify("Lp", p, (lo, horizon), grid_size, *_slack_for(l, tolerances),
                     l.label, checks)
 
@@ -344,8 +351,7 @@ def check_ratio_monotone(f: FunctionSpec, cert: ConvexityCertificate,
     g[far] = f.eval_on(xs[far], 0) / (xs[far] - a) ** (p + 1)
     if np.any(near):
         if f.analytic_depth >= p + 2:
-            c1 = float(f.derivative(p + 1)(a)) / math.factorial(p + 1)
-            c2 = float(f.derivative(p + 2)(a)) / math.factorial(p + 2)
+            c1, c2 = f.taylor(a, p + 1, p + 2)
             g[near] = c1 + c2 * (xs[near] - a)
         else:
             g = g[far]

@@ -1,21 +1,24 @@
-"""Real functions with trustworthy derivative stacks.
+"""Real functions with trustworthy derivatives, carried as Taylor jets.
 
 Certification needs derivatives it can believe, so functions are built from
-a closed catalog of families (each with analytic derivatives to any stored
-order) plus combinators that propagate stacks by chain/linearity rules.
-A "numeric" escape hatch exists for arbitrary callables; certificates record
-the degraded provenance and widen their slack accordingly.
+a closed catalog of families (closed-form jets: f^(k) for k = lo..hi at a
+set of points, in one kernel call) plus combinators that are jet arithmetic
+(Griewank & Walther, Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 13).
+The inverse composition reverts f's series (Brent & Kung, J. ACM 25(4),
+1978).  A "numeric" escape hatch exists for arbitrary callables;
+certificates record the degraded provenance and widen their slack.
 
 Every evaluation callable accepts floats or numpy arrays: numeric_function
-wraps a scalar-only callable so that it loops over arrays itself, the
-inverse composition solves all points of a call at once, and the
-antiderivative maps its per-point integral over the points.
+wraps a scalar-only callable so that it loops over arrays itself, and the
+inverse composition solves all points of a call at once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from functools import partial
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -26,11 +29,13 @@ from .errors import (
     DomainError,
     InputFormatError,
     MonotonicityError,
+    PconvexError,
 )
 from .numerics import (
     DEFAULT_TOLERANCES,
     ToleranceProfile,
     _eval_nodes,
+    _integer,
     fd_derivative,
     integrate,
     invert_monotone,
@@ -39,6 +44,7 @@ from .numerics import (
 __all__ = [
     "CatalogEntry",
     "FunctionSpec",
+    "Jet",
     "affine_precompose",
     "antiderivative_from",
     "compose_inverse",
@@ -72,31 +78,56 @@ _FAMILIES = (
 
 
 @dataclass(frozen=True)
+class Jet:
+    """A jet kernel: rows(x, lo, hi) gives f^(k)(x) for k = lo..hi <= depth,
+    one array per order, at a float array x of points (a stacked family's
+    rows carry leading member axes).  Row k must not depend on lo or hi, so
+    every view of the jet gives the same bits."""
+
+    rows: Callable[[np.ndarray, int, int], Sequence[np.ndarray]]
+    depth: int
+
+
+def _order(jet: Jet, k: int, x):
+    return jet.rows(np.asarray(x, dtype=float), k, k)[0]
+
+
+@dataclass(frozen=True)
 class FunctionSpec:
     """An evaluable real function on an interval with a derivative stack.
 
     domain is (lo, hi) with hi possibly +inf; unbounded domains are only
-    ever evaluated up to eval_horizon.  derivatives holds analytic callables
-    for orders 1..len(derivatives).  An "analytic" spec has no orders past
-    its stack; a "numeric" or "mixed" one reaches up to 4 orders further by
-    finite differences of the deepest analytic entry (of the function itself
-    when the stack is empty).
+    ever evaluated up to eval_horizon.  A spec is built from a jet, which
+    makes eval_fn and derivatives (orders 1..depth) its views, or from those
+    callables, which it then evaluates through (as a spec that
+    dataclasses.replace rebuilds does).  An "analytic" spec has no orders
+    past its stack; a "numeric" or "mixed" one reaches up to 4 orders
+    further by finite differences of the deepest analytic entry (of the
+    function itself when the stack is empty).
     """
 
     label: str
     domain: tuple[float, float]
-    eval_fn: Callable
+    eval_fn: Callable | None = None
     derivatives: tuple[Callable, ...] = ()
     provenance: str = "analytic"  # analytic | numeric | mixed
     descriptor: Mapping[str, Any] | None = None
     eval_horizon: float = DEFAULT_EVAL_HORIZON
+    jet: InitVar[Jet | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, jet: Jet | None) -> None:
         lo, hi = self.domain
         if not (math.isfinite(lo) and lo < hi):
             raise ConstructionError(f"invalid domain {self.domain}")
         if self.provenance not in ("analytic", "numeric", "mixed"):
             raise ConstructionError(f"invalid provenance {self.provenance!r}")
+        if (jet is None) == (self.eval_fn is None):
+            raise ConstructionError(f"{self.label}: give either a jet or eval_fn")
+        if jet is not None:
+            object.__setattr__(self, "eval_fn", partial(_order, jet, 0))
+            object.__setattr__(self, "derivatives", tuple(
+                partial(_order, jet, k) for k in range(1, jet.depth + 1)))
+        object.__setattr__(self, "_jet", jet)
 
     def __call__(self, x):
         return self.eval_fn(x)
@@ -128,20 +159,23 @@ class FunctionSpec:
             raise DerivativeOrderError(
                 f"{self.label}: order {k} needs {extra} finite-difference levels (max 4)")
         base = self.derivatives[-1] if self.derivatives else self.eval_fn
-
-        def numeric_deriv(x, _base=base, _extra=extra):
-            return fd_derivative(_base, x, _extra)
-
-        return numeric_deriv
+        return partial(fd_derivative, base, k=extra)
 
     def eval_on(self, xs: np.ndarray, order: int = 0) -> np.ndarray:
         """Evaluate a derivative on a grid in one array call."""
         return np.asarray(self.derivative(order)(np.asarray(xs, dtype=float)), dtype=float)
 
-    def grid(self, n: int, lo: float | None = None, hi: float | None = None) -> np.ndarray:
-        a = self.domain[0] if lo is None else lo
-        b = self.upper_cap if hi is None else hi
-        return np.linspace(a, b, n + 1)
+    def derivatives_on(self, xs, lo: int, hi: int) -> list:
+        """f^(k) at xs for k = lo..hi, each as eval_on gives it: the orders
+        on the jet from one kernel call, the others one call each."""
+        top = min(hi, self.analytic_depth) if self._jet is not None else lo - 1
+        out = list(self._jet.rows(np.asarray(xs, dtype=float), lo, top)) if top >= lo else []
+        return out + [self.eval_on(xs, k) for k in range(max(lo, top + 1), hi + 1)]
+
+    def taylor(self, xs, lo: int, hi: int) -> np.ndarray:
+        """The normalised jet at xs: f^(k)(x)/k! for k = lo..hi, orders first."""
+        return np.array([d / math.factorial(k)
+                         for k, d in zip(range(lo, hi + 1), self.derivatives_on(xs, lo, hi))])
 
 
 @dataclass(frozen=True)
@@ -169,11 +203,48 @@ def _finite(what: str, *values: float) -> None:
         raise ConstructionError(f"{what} must be finite, got {values}")
 
 
-def _falling_factorial(q: float, k: int) -> float:
-    c = 1.0
-    for j in range(k):
-        c *= q - j
-    return c
+def _power_rows(base: np.ndarray, q, lo: int, hi: int, scale=1.0) -> list:
+    """Rows lo..hi of the jet of base^q, base = scale x + c >= 0, for a
+    float q >= 0 or an array of integer exponents (one per member):
+    q (q-1)...(q-k+1) scale^k base^(q-k).  A vanishing coefficient (an
+    integer q < k) gives a 0 row, its exponent floored at 0 so that base 0
+    stays finite; only a float q < k meets base 0 with a negative one."""
+    members = isinstance(q, np.ndarray)
+    rows, c = [base ** q] if lo == 0 else [], 1.0
+    for k in range(1, hi + 1):
+        c = c * (q - k + 1)
+        if k >= lo:
+            e = np.where(c == 0.0, 0.0, q - k) if members else q - k if c else 0.0
+            with contextlib.nullcontext() if members or e >= 0.0 else np.errstate(divide="ignore"):
+                rows.append((c + 0.0) * scale ** k * base ** e)  # + 0.0: no -0 rows
+    return rows
+
+
+def _exp_rows(x: np.ndarray, s, lo: int, hi: int) -> list:
+    """Rows lo..hi of the jet of e^(s x): s^k e^(s x)."""
+    e = np.exp(s * x)
+    return [e if k == 0 else s ** k * e for k in range(lo, hi + 1)]
+
+
+def _product(a: Sequence, b: Sequence) -> list:
+    """The jet of a product (rows 0..K) from its factors' jets: the Cauchy
+    product of their Taylor coefficients, which on derivative values is
+    Leibniz's rule."""
+    out = []
+    for n in range(len(a)):
+        acc = a[0] * b[n]
+        for i in range(1, n + 1):
+            acc = acc + math.comb(n, i) * a[i] * b[n - i]
+        out.append(acc)
+    return out
+
+
+def _horner(x: np.ndarray, coeffs: Sequence[float]) -> np.ndarray:
+    """sum_j coeffs[j] x^j by Horner's rule (0 for no coefficients)."""
+    out = np.zeros_like(x)
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
 
 
 def shifted_power(q: float, shift: float = 0.0,
@@ -186,27 +257,15 @@ def shifted_power(q: float, shift: float = 0.0,
     if dom[0] < shift - 1e-12:
         raise ConstructionError("shifted-power domain must start at or above the shift")
 
-    def make(k: int) -> Callable:
-        c = _falling_factorial(q, k)
-        e = q - k
-
-        def deriv(x, _c=c, _e=e):
-            if _c == 0.0:
-                return np.zeros_like(np.asarray(x, dtype=float)) + 0.0
-            base = np.asarray(x, dtype=float) - shift
-            if _e >= 0:
-                return _c * np.where(base > 0.0, base, 0.0) ** _e
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return _c * base ** _e
-
-        return deriv
+    def rows(x, lo, hi):
+        base = x - shift  # below the shift it counts as 0
+        return _power_rows(np.where(base > 0.0, base, 0.0), q, lo, hi)
 
     return FunctionSpec(
         label=f"(x-{shift:g})^{q:g}" if shift else f"x^{q:g}",
         domain=dom,
-        eval_fn=make(0),
-        derivatives=tuple(make(k) for k in range(1, _CATALOG_DEPTH + 1)),
         descriptor={"family": "shifted-power", "params": {"q": q, "a": shift}},
+        jet=Jet(rows, _CATALOG_DEPTH),
     )
 
 
@@ -214,21 +273,11 @@ def exponential(s: float = 1.0,
                 domain: tuple[float, float] = (0.0, math.inf)) -> FunctionSpec:
     """e^(s x); all derivatives are s^k e^(s x)."""
     _finite("exponential rate s", s)
-
-    def make(k: int) -> Callable:
-        c = float(s) ** k
-
-        def deriv(x, _c=c):
-            return _c * np.exp(s * np.asarray(x, dtype=float))
-
-        return deriv
-
     return FunctionSpec(
         label=f"exp({s:g}x)" if s != 1.0 else "exp(x)",
         domain=(float(domain[0]), float(domain[1])),
-        eval_fn=make(0),
-        derivatives=tuple(make(k) for k in range(1, _CATALOG_DEPTH + 1)),
         descriptor={"family": "exponential", "params": {"s": float(s)}},
+        jet=Jet(lambda x, lo, hi: _exp_rows(x, s, lo, hi), _CATALOG_DEPTH),
     )
 
 
@@ -266,28 +315,13 @@ def _exp_tail(x: np.ndarray, p: int) -> np.ndarray:
 def exp_taylor_remainder(p: int,
                          domain: tuple[float, float] = (0.0, math.inf)) -> FunctionSpec:
     """T_p(x) = e^x - sum_{j<=p} x^j/j!; each derivative is the next-lower tail."""
-    if p < 0 or p != int(p):
-        raise ConstructionError(f"exp-taylor-remainder needs integer p >= 0, got {p}")
-    p = int(p)
-    depth = p + 6
-
-    def make(k: int) -> Callable:
-        order = p - k
-
-        def deriv(x, _o=order):
-            x = np.asarray(x, dtype=float)
-            if _o < 0:
-                return np.exp(x)
-            return _exp_tail(x, _o)
-
-        return deriv
-
+    p = _integer(p, 0, "exp-taylor-remainder p")
     return FunctionSpec(
         label=f"exp_tail_{p}",
         domain=(float(domain[0]), float(domain[1])),
-        eval_fn=make(0),
-        derivatives=tuple(make(k) for k in range(1, depth + 1)),
         descriptor={"family": "exp-taylor-remainder", "params": {"p": p}},
+        jet=Jet(lambda x, lo, hi: [_exp_tail(x, p - k) if k <= p else np.exp(x)
+                                   for k in range(lo, hi + 1)], p + 6),
     )
 
 
@@ -300,54 +334,38 @@ def log_affine(b: float, domain: tuple[float, float] | None = None) -> FunctionS
     if dom[0] <= 0.0:
         raise ConstructionError("log-affine domain must stay strictly positive")
 
-    def ev(x):
-        x = np.asarray(x, dtype=float)
-        return np.log(x) - x / b
-
-    def make(k: int) -> Callable:
+    def row(x, k):
+        if k == 0:
+            return np.log(x) - x / b
         if k == 1:
-            return lambda x: 1.0 / np.asarray(x, dtype=float) - 1.0 / b
-        c = float((-1) ** (k - 1) * math.factorial(k - 1))
-        return lambda x, _c=c, _k=k: _c * np.asarray(x, dtype=float) ** (-_k)
+            return 1.0 / x - 1.0 / b
+        return float((-1) ** (k - 1) * math.factorial(k - 1)) * x ** (-k)
 
     return FunctionSpec(
         label=f"log(x)-x/{b:g}",
         domain=dom,
-        eval_fn=ev,
-        derivatives=tuple(make(k) for k in range(1, _CATALOG_DEPTH + 1)),
         descriptor={"family": "log-affine", "params": {"b": float(b)}},
+        jet=Jet(lambda x, lo, hi: [row(x, k) for k in range(lo, hi + 1)], _CATALOG_DEPTH),
     )
 
 
 def polynomial(coeffs: Sequence[float],
                domain: tuple[float, float] = (0.0, 1.0)) -> FunctionSpec:
-    """sum_j coeffs[j] x^j with the full (finite) derivative stack."""
+    """sum_j coeffs[j] x^j; its k-th derivative is again a polynomial."""
     coeffs = tuple(float(c) for c in coeffs)
     if not coeffs:
         raise ConstructionError("polynomial needs at least one coefficient")
     _finite("polynomial coefficients", *coeffs)
-    degree = len(coeffs) - 1
-    depth = degree + 4
-
-    def make(k: int) -> Callable:
-        dk = tuple(coeffs[j] * _falling_factorial(j, k)
-                   for j in range(k, len(coeffs)))
-
-        def deriv(x, _dk=dk):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            for c in reversed(_dk):
-                out = out * x + c
-            return out
-
-        return deriv
+    depth = len(coeffs) + 3
+    # coefficients of each derivative, lowest power first
+    table = [[coeffs[j] * float(math.perm(j, k)) for j in range(k, len(coeffs))]
+             for k in range(depth + 1)]
 
     return FunctionSpec(
         label=f"poly{list(coeffs)}",
         domain=(float(domain[0]), float(domain[1])),
-        eval_fn=make(0),
-        derivatives=tuple(make(k) for k in range(1, depth + 1)),
         descriptor={"family": "polynomial", "params": {"coeffs": list(coeffs)}},
+        jet=Jet(lambda x, lo, hi: [_horner(x, table[k]) for k in range(lo, hi + 1)], depth),
     )
 
 
@@ -358,7 +376,7 @@ def polynomial(coeffs: Sequence[float],
 
 def affine_precompose(inner: FunctionSpec, scale: float, offset: float,
                       domain: tuple[float, float] | None = None) -> FunctionSpec:
-    """g(x) = inner(scale * x + offset); stack via the chain rule."""
+    """g(x) = inner(scale * x + offset); g^(k) is scale^k inner^(k)."""
     scale = float(scale)
     offset = float(offset)
     _finite("affine-precompose scale and offset", scale, offset)
@@ -377,14 +395,9 @@ def affine_precompose(inner: FunctionSpec, scale: float, offset: float,
     else:
         dom = (float(domain[0]), float(domain[1]))
 
-    def make(k: int) -> Callable:
-        base = inner.derivative(k)
-        c = scale ** k
-
-        def deriv(x, _f=base, _c=c):
-            return _c * np.asarray(_f(scale * np.asarray(x, dtype=float) + offset))
-
-        return deriv
+    def rows(x, lo, hi):
+        inner_rows = inner.derivatives_on(scale * x + offset, lo, hi)
+        return [scale ** k * r for k, r in zip(range(lo, hi + 1), inner_rows)]
 
     desc = None
     if inner.descriptor is not None:
@@ -394,17 +407,16 @@ def affine_precompose(inner: FunctionSpec, scale: float, offset: float,
     return FunctionSpec(
         label=f"{inner.label}({scale:g}x+{offset:g})",
         domain=dom,
-        eval_fn=make(0),
-        derivatives=tuple(make(k) for k in range(1, inner.analytic_depth + 1)),
         provenance=inner.provenance,
         descriptor=desc,
         eval_horizon=inner.eval_horizon,
+        jet=Jet(rows, inner.analytic_depth),
     )
 
 
 def nonneg_weighted_sum(terms: Sequence[tuple[float, FunctionSpec]],
                         domain: tuple[float, float] | None = None) -> FunctionSpec:
-    """sum_i w_i f_i with w_i >= 0; stacks add by linearity."""
+    """sum_i w_i f_i with w_i >= 0; the jets add."""
     if not terms:
         raise ConstructionError("weighted sum needs at least one term")
     weights = [float(w) for w, _ in terms]
@@ -417,22 +429,13 @@ def nonneg_weighted_sum(terms: Sequence[tuple[float, FunctionSpec]],
     dom = (lo, hi) if domain is None else (float(domain[0]), float(domain[1]))
     if not dom[0] < dom[1]:
         raise ConstructionError("weighted-sum domains do not overlap")
-    depth = min(f.analytic_depth for f in fns)
     prov = "analytic"
     if any(f.provenance != "analytic" for f in fns):
         prov = "mixed" if any(f.provenance == "analytic" for f in fns) else "numeric"
 
-    def make(k: int) -> Callable:
-        parts = [(w, f.derivative(k)) for w, f in zip(weights, fns)]
-
-        def deriv(x, _parts=parts):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            for w, fn in _parts:
-                out = out + w * np.asarray(fn(x))
-            return out
-
-        return deriv
+    def rows(x, lo, hi):
+        jets = [f.derivatives_on(x, lo, hi) for f in fns]
+        return [sum(w * jet[i] for w, jet in zip(weights, jets)) for i in range(hi - lo + 1)]
 
     desc = None
     if all(f.descriptor is not None for f in fns):
@@ -442,26 +445,23 @@ def nonneg_weighted_sum(terms: Sequence[tuple[float, FunctionSpec]],
     return FunctionSpec(
         label=" + ".join(f"{w:g}*{f.label}" for w, f in zip(weights, fns)),
         domain=dom,
-        eval_fn=make(0),
-        derivatives=tuple(make(k) for k in range(1, depth + 1)),
         provenance=prov,
         descriptor=desc,
+        jet=Jet(rows, min(f.analytic_depth for f in fns)),
     )
 
 
 def derivative_function(f: FunctionSpec, k: int = 1) -> FunctionSpec:
-    """The k-th derivative of f as a first-class FunctionSpec (stack shifts)."""
-    if k < 1:
-        raise ConstructionError("derivative order must be >= 1")
+    """The k-th derivative of f as a first-class FunctionSpec (the jet shifts)."""
+    k = _integer(k, 1, "derivative order")
     if k > f.analytic_depth:
         raise DerivativeOrderError(f"{f.label} lacks analytic order {k}")
     return FunctionSpec(
         label=f"D^{k}[{f.label}]" if k > 1 else f"D[{f.label}]",
         domain=f.domain,
-        eval_fn=f.derivatives[k - 1],
-        derivatives=f.derivatives[k:],
         provenance=f.provenance,
         eval_horizon=f.eval_horizon,
+        jet=Jet(lambda x, lo, hi: f.derivatives_on(x, lo + k, hi + k), f.analytic_depth - k),
     )
 
 
@@ -470,7 +470,8 @@ def antiderivative_from(g: FunctionSpec, base: float | None = None) -> FunctionS
 
     Raises membership one level: the construction turns a certified member at
     order p-1 (with the g(a) offset removed) into a candidate at order p.
-    Evaluation integrates numerically; every derivative is analytic.
+    Evaluation integrates numerically; every derivative is analytic, g's jet
+    shifted up by one order.
     """
     a = g.domain[0] if base is None else float(base)
     ga = float(g(a))
@@ -480,17 +481,17 @@ def antiderivative_from(g: FunctionSpec, base: float | None = None) -> FunctionS
             return 0.0
         return integrate(lambda t: np.asarray(g(t), dtype=float) - ga, a, float(x)).value
 
-    def first(x):
-        return np.asarray(g(x), dtype=float) - ga
+    def rows(x, lo, hi):
+        shifted = [d - ga if k == 1 else d for k, d in zip(
+            range(max(lo, 1), hi + 1), g.derivatives_on(x, max(lo, 1) - 1, hi - 1))]
+        return ([np.vectorize(ev, otypes=[float])(x)] if lo == 0 else []) + shifted
 
-    derivs = (first,) + tuple(g.derivatives)
     return FunctionSpec(
         label=f"int[{g.label}]",
         domain=g.domain,
-        eval_fn=np.vectorize(ev, otypes=[float]),
-        derivatives=derivs,
         provenance=g.provenance,
         eval_horizon=g.eval_horizon,
+        jet=Jet(rows, g.analytic_depth + 1),
     )
 
 
@@ -505,7 +506,6 @@ def numeric_function(fn: Callable, domain: tuple[float, float],
         label=label,
         domain=(float(domain[0]), float(domain[1])),
         eval_fn=lambda x: _eval_nodes(fn, x),
-        derivatives=(),
         provenance="numeric",
     )
 
@@ -521,54 +521,77 @@ def taylor_remainder(f: FunctionSpec, p: int) -> FunctionSpec:
     Requires analytic derivatives to order p and a domain starting at 0.
     The result has R^(k)(0) = 0 exactly for k = 0..p by construction, and
     inherits membership at order p whenever f^(p) is convex and increasing.
+    Its jet is f's minus the polynomial's.
     """
-    if p < 1 or p != int(p):
-        raise DomainError(f"taylor_remainder needs integer p >= 1, got {p}")
-    p = int(p)
+    p = _integer(p, 1, "taylor_remainder order p")
     if f.analytic_depth < p:
         raise DerivativeOrderError(
             f"{f.label} has analytic depth {f.analytic_depth} < p = {p}")
     if abs(f.domain[0]) > 1e-12:
         raise DomainError("taylor_remainder is anchored at 0; domain must start there")
 
-    coeffs = [float(f(0.0))] + [float(f.derivative(j)(0.0)) for j in range(1, p + 1)]
+    coeffs = [float(d) for d in f.derivatives_on(0.0, 0, p)]
+    # the polynomial's k-th derivative, lowest power first
+    table = [[coeffs[j] / math.factorial(j - k) for j in range(k, p + 1)]
+             for k in range(f.analytic_depth + 1)]
 
-    def make(k: int) -> Callable:
-        base = f.derivative(k)
-        # Horner coefficients of the truncated Taylor poly's k-th derivative,
-        # highest power first.
-        horner = [coeffs[j] / math.factorial(j - k) for j in range(p, k - 1, -1)]
+    def rows(x, lo, hi):
+        return [d - _horner(x, table[k])
+                for k, d in zip(range(lo, hi + 1), f.derivatives_on(x, lo, hi))]
 
-        def deriv(x, _base=base, _horner=horner):
-            x = np.asarray(x, dtype=float)
-            poly = np.zeros_like(x)
-            for c in _horner:
-                poly = poly * x + c
-            return np.asarray(_base(x), dtype=float) - poly
-
-        return deriv
-
-    depth = f.analytic_depth
     return FunctionSpec(
         label=f"taylor_tail_{p}[{f.label}]",
         domain=f.domain,
-        eval_fn=make(0),
-        derivatives=tuple(make(k) for k in range(1, depth + 1)),
         provenance=f.provenance,
         eval_horizon=f.eval_horizon,
+        jet=Jet(rows, f.analytic_depth),
     )
+
+
+def _revert_compose(l_jet: np.ndarray, f_jet: np.ndarray) -> list:
+    """Rows 0..K of the jet of l o f^(-1) at y = f(x), from the normalised
+    jets of l (orders 0..K) and f (orders 1..K) at x.
+
+    h(t) = f^(-1)(y + t) - x solves f(x + h) - f(x) = t.  P[j, n] = [t^n] h^j
+    fills order by order: h^j needs only lower orders of h, and [t^n] of
+    f(x + h) - f(x), sum_j f_j P[j, n], vanishes for n >= 2, which gives
+    P[1, n].  Then (l o f^(-1))^(n)(y) / n! = sum_j l_j P[j, n].
+    """
+    out = [l_jet[0]]
+    P = {}
+    for n in range(1, len(l_jet)):
+        for j in range(2, n + 1):
+            acc = P[1, 1] * P[j - 1, n - 1]
+            for i in range(2, n - j + 2):
+                acc = acc + P[1, i] * P[j - 1, n - i]
+            P[j, n] = acc
+        if n == 1:
+            P[1, 1] = 1.0 / f_jet[0]
+        else:
+            acc = f_jet[1] * P[2, n]
+            for j in range(3, n + 1):
+                acc = acc + f_jet[j - 1] * P[j, n]
+            P[1, n] = -acc / f_jet[0]
+        acc = l_jet[1] * P[1, n]
+        for j in range(2, n + 1):
+            acc = acc + l_jet[j] * P[j, n]
+        out.append(acc * math.factorial(n))
+    return out
 
 
 def compose_inverse(l: FunctionSpec, f: FunctionSpec,
                     tolerances: ToleranceProfile = DEFAULT_TOLERANCES) -> FunctionSpec:
-    """y -> l(f^{-1}(y)) on [f(lo), f(cap)] for strictly increasing f.
+    """y -> l(f^(-1)(y)) on [f(lo), f(cap)] for strictly increasing f.
 
-    One invert_monotone run solves all points of a call.  Orders 1-2 come
-    from the inverse-function chain rule on the analytic stacks (closed-form
-    higher inverse derivatives are too error-prone), so the result has
-    "mixed" provenance: certifiers difference the order-2 entry on their
-    grids, and an order >= 3 asked for at a point is a finite difference of
-    it, each stencil point a fresh inversion.
+    One invert_monotone run solves x = f^(-1)(y) for all points of a call;
+    the jet at y is the series reversion of f's jet at x composed with l's
+    jet there (_revert_compose), to every order both stacks reach.
+
+    The provenance stays "mixed" because of the anchor.  Where f'(lo) = 0
+    the reversion divides by 0, so y is clamped to y_lo + 1e-9 (y_hi - y_lo)
+    and a certificate's anchor conditions at y_lo are read at that interior
+    point: for x^4 o (x^2)^(-1) on [0, 50], f^(1)(y_lo) reads 5e-6, not 0,
+    which only the widened slack of a mixed spec admits.
     """
     lo = f.domain[0]
     hi = f.upper_cap
@@ -583,29 +606,17 @@ def compose_inverse(l: FunctionSpec, f: FunctionSpec,
         raise MonotonicityError(f"{f.label} values do not strictly increase on the grid")
 
     y_lo, y_hi = float(vals[0]), float(vals[-1])
-    # Interior clamp dodges 0/0 in l'(x)/f'(x) when f'(lo) = 0.
     y_eps = 1e-9 * (y_hi - y_lo)
 
-    def x_of(y):
-        return invert_monotone(f.eval_fn, np.clip(y, y_lo + y_eps, y_hi), (lo, hi), tolerances)
-
-    def d1_fn(y):
-        x = x_of(y)
-        return l.derivative(1)(x) / f.derivative(1)(x)
-
-    def d2_fn(y):
-        x = x_of(y)
-        lp, lpp = l.derivative(1)(x), l.derivative(2)(x)
-        fp, fpp = f.derivative(1)(x), f.derivative(2)(x)
-        # not fp ** 3: numpy's scalar and array powers differ in last bits
-        return (lpp * fp - lp * fpp) / (fp * fp * fp)
+    def rows(y, k_lo, k_hi):
+        x = invert_monotone(f.eval_fn, np.clip(y, y_lo + y_eps, y_hi), (lo, hi), tolerances)
+        return _revert_compose(l.taylor(x, 0, k_hi), f.taylor(x, 1, k_hi))[k_lo:]
 
     return FunctionSpec(
         label=f"{l.label} o inv[{f.label}]",
         domain=(y_lo, y_hi),
-        eval_fn=lambda y: l(x_of(y)),
-        derivatives=(d1_fn, d2_fn),
         provenance="mixed",
+        jet=Jet(rows, min(l.analytic_depth, f.analytic_depth)),
     )
 
 
@@ -620,26 +631,31 @@ def _domain_to_json(domain: tuple[float, float]) -> list:
 
 
 def _domain_from_json(raw: Any, where: str) -> tuple[float, float]:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-        raise InputFormatError(f"{where}: domain must be [lo, hi], got {raw!r}")
-    lo = float(raw[0])
-    hi = math.inf if raw[1] in ("inf", "+inf", "Infinity") else float(raw[1])
-    return (lo, hi)
+    try:
+        if isinstance(raw, (list, tuple)) and len(raw) == 2:
+            return (float(raw[0]),
+                    math.inf if raw[1] in ("inf", "+inf", "Infinity") else float(raw[1]))
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InputFormatError(f"{where}: domain must be [lo, hi], got {raw!r}")
 
 
 def make_catalog(entry: CatalogEntry) -> FunctionSpec:
-    """Build a FunctionSpec from a catalog entry (the JSON-facing path)."""
-    fam, params = entry.family, dict(entry.params)
-    dom = entry.domain
+    """Build a FunctionSpec from a catalog entry (the JSON-facing path).
+
+    A missing parameter raises ConstructionError; a parameter of the wrong
+    type or form raises InputFormatError.
+    """
+    fam, dom = entry.family, entry.domain
     try:
+        params = dict(entry.params)
         if fam == "shifted-power":
             return shifted_power(float(params["q"]), float(params.get("a", 0.0)), dom)
         if fam == "exponential":
             return exponential(float(params.get("s", 1.0)),
                                dom if dom is not None else (0.0, math.inf))
         if fam == "exp-taylor-remainder":
-            return exp_taylor_remainder(int(params["p"]),
-                                        dom if dom is not None else (0.0, math.inf))
+            return exp_taylor_remainder(params["p"], dom if dom is not None else (0.0, math.inf))
         if fam == "log-affine":
             return log_affine(float(params["b"]), dom)
         if fam == "polynomial":
@@ -654,6 +670,10 @@ def make_catalog(entry: CatalogEntry) -> FunctionSpec:
             return nonneg_weighted_sum(terms, dom)
     except KeyError as exc:
         raise ConstructionError(f"{fam}: missing parameter {exc}") from exc
+    except PconvexError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputFormatError(f"{fam}: parameter error: {exc}") from exc
     raise ConstructionError(f"unknown family {fam!r}")
 
 

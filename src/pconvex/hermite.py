@@ -23,7 +23,7 @@ import numpy as np
 from .convexity import ConvexityCertificate, _require_certificate
 from .distributions import expect, fractional_hh_density
 from .errors import DomainError, MonotonicityError
-from .functions import FunctionSpec, derivative_function, exp_taylor_remainder
+from .functions import FunctionSpec, Jet, derivative_function, exp_taylor_remainder
 from .numerics import (
     DEFAULT_PLAN,
     QuadraturePlan,
@@ -143,7 +143,8 @@ def abs_derivative(f: FunctionSpec, grid_size: int = 512) -> FunctionSpec:
     """|f'| as a FunctionSpec, requiring f' sign-definite on the domain.
 
     Sign changes would break differentiability of |f'| at the zero and are
-    rejected; with a definite sign the stack is just +-(f', f'', ...).
+    rejected; with a definite sign the jet is f's shifted by one order,
+    times that sign.
     """
     lo, hi = f.domain[0], f.upper_cap
     xs = np.linspace(lo, hi, grid_size + 1)
@@ -153,18 +154,13 @@ def abs_derivative(f: FunctionSpec, grid_size: int = 512) -> FunctionSpec:
             f"{f.label}: f' changes sign; |f'| has no usable derivative stack")
     sign = 1.0 if float(np.sum(d1)) >= 0.0 else -1.0
     base = derivative_function(f, 1)
-
-    def make(k: int):
-        g = base.derivative(k)
-        return lambda x, _g=g: sign * np.asarray(_g(x), dtype=float)
-
     return FunctionSpec(
         label=f"|D[{f.label}]|",
         domain=f.domain,
-        eval_fn=make(0),
-        derivatives=tuple(make(k) for k in range(1, base.analytic_depth + 1)),
         provenance=f.provenance,
         eval_horizon=f.eval_horizon,
+        jet=Jet(lambda x, lo, hi: [sign * d for d in base.derivatives_on(x, lo, hi)],
+                base.analytic_depth),
     )
 
 

@@ -16,15 +16,15 @@ increasing on [0, horizon].  Two instruments live here:
   each is H^d times a unit-scale member at x / H, so every class condition
   at H is a positive multiple of the same condition on [0, 1].  Membership
   is certified once at unit scale per order, grid size and tolerance
-  profile (a memo cache), and the members are solved as one stacked array
-  kernel.
+  profile (a memo cache), and the members are solved as one stacked jet
+  kernel, the product of the jets of x^a, (1 + b x)^g and e^(e x).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .convexity import (
 )
 from .distributions import RandomVariable, expect, shifted_moment, two_point
 from .errors import DomainError, DomainMismatchError
-from .functions import FunctionSpec, _falling_factorial, compose_inverse
+from .functions import FunctionSpec, Jet, _exp_rows, _power_rows, _product, compose_inverse
 from .numerics import DEFAULT_TOLERANCES, ToleranceProfile, _order, invert_monotone
 
 __all__ = [
@@ -196,32 +196,9 @@ def _sweep(p: int, horizon: float) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(labels), np.array(params, dtype=float).T
 
 
-def _sweep_kernel(k: int, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The k-th derivative of x^a (1 + b x)^g e^(e x) for params (a, b, g, e),
-    elementwise over broadcast arrays; x below 0 counts as 0.
-
-    Leibniz's rule over the three factors.  a and g are nonnegative
-    integers, so a factor differentiated past its degree has a zero
-    coefficient; x's exponent is floored at 0 there to keep x = 0 finite.
-    """
-    a, b, g, e = params
-    x = np.maximum(x, 0.0)
-    y = 1.0 + b * x
-    if k == 0:
-        return x ** a * y ** g * np.exp(e * x)
-    out = 0.0
-    for i in range(k + 1):
-        for j in range(k - i + 1):
-            c = math.comb(k, i) * math.comb(k - i, j)
-            out = out + (c * _falling_factorial(a, i) * x ** np.maximum(a - i, 0.0)
-                         * _falling_factorial(g, j) * b ** j * y ** (g - j)
-                         * e ** (k - i - j))
-    return out * np.exp(e * x)
-
-
 class _Sweep:
     """Sweep members x^a (1 + b x)^g e^(e x), one per column of params
-    (rows a, b, g, e), evaluated by one array kernel.
+    (rows a, b, g, e), evaluated by one jet kernel.
 
     Called on one point per member, it evaluates member i at point i; a
     one-member sweep evaluates at every point, and parameters with a
@@ -232,19 +209,26 @@ class _Sweep:
 
     def __init__(self, params: np.ndarray) -> None:
         self.params = params
+        self.abge = tuple(params)  # the rows a, b, g, e, unpacked once per sweep
+
+    def rows(self, x: np.ndarray, lo: int, hi: int) -> list:
+        """The jet kernel: the product of the jets of x^a, (1 + b x)^g and
+        e^(e x); x below 0 counts as 0."""
+        a, b, g, e = self.abge
+        flat = np.maximum(x.reshape(-1), 0.0)
+        power = _product(_power_rows(flat, a, 0, hi), _power_rows(1.0 + b * flat, g, 0, hi, b))
+        return [r.reshape(r.shape[:-1] + x.shape)
+                for r in _product(power, _exp_rows(flat, e, 0, hi))[lo:]]
 
     def __call__(self, x, k: int = 0):
-        x = np.asarray(x, dtype=float)
-        out = _sweep_kernel(k, self.params, np.atleast_1d(x).ravel())
-        return out.reshape(out.shape[:-1] + x.shape)
+        return self.rows(np.asarray(x, dtype=float), k, k)[0]
 
     def member(self, i: int) -> "_Sweep":
         return _Sweep(self.params[:, i:i + 1])
 
     def spec(self, label: str, depth: int) -> FunctionSpec:
-        """The sweep as a FunctionSpec with derivatives to order depth."""
-        return FunctionSpec(label=label, domain=(0.0, math.inf), eval_fn=self,
-                            derivatives=tuple(partial(self, k=k) for k in range(1, depth + 1)))
+        """The sweep as a FunctionSpec whose jet reaches order depth."""
+        return FunctionSpec(label=label, domain=(0.0, math.inf), jet=Jet(self.rows, depth))
 
 
 def _sweep_candidates(p: int, horizon: float) -> list[tuple[str, FunctionSpec]]:
@@ -311,16 +295,14 @@ def risk_measure(X: RandomVariable, p: int,
                              achiever=achiever, candidates=labels)
 
 
-def _certainty_equivalents(losses: list, X: RandomVariable,
+def _certainty_equivalents(members: list, X: RandomVariable,
                            tolerances: ToleranceProfile) -> np.ndarray:
-    """certainty_equivalent of each sweep member, in one array solve on
+    """certainty_equivalent of each one-member _Sweep, in one array solve on
     (inf X, sup X).
 
-    losses are one-member _Sweeps, bare or as the eval_fn of a FunctionSpec
-    (_sweep_candidates).  The solve stacks them, so point i is member i's,
-    and every element equals certainty_equivalent's bit for bit.
+    The solve stacks them, so point i is member i's, and every element
+    equals certainty_equivalent's on the member's spec bit for bit.
     """
-    members = [l.eval_fn if isinstance(l, FunctionSpec) else l for l in losses]
     targets = [expect(X, m)[0] for m in members]
     params = np.concatenate([np.empty((4, 0))] + [m.params for m in members], axis=1)
     return invert_monotone(_Sweep(params), np.array(targets, dtype=float),

@@ -130,6 +130,25 @@ class TestBadDistributionFiles:
         assert "ConstructionError(" not in err.getvalue()
 
 
+class TestBadFunctionFiles:
+    @pytest.mark.parametrize("raw", [
+        {"family": "shifted-power", "params": {"q": "abc"}},
+        {"family": "shifted-power", "params": {"q": 3.0}, "domain": [0.0, "x"]},
+        {"family": "shifted-power", "params": [3.0]},
+        {"family": "exp-taylor-remainder", "params": {"p": 2.5}},
+        {"family": "nonneg-weighted-sum", "params": {"terms": [5]}},
+    ], ids=["string-q", "string-domain", "list-params", "fractional-p", "bare-term"])
+    def test_exit_one_without_traceback(self, raw, tmp_path):
+        # the string q raised ValueError out of main; p = 2.5 was read as 2
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["certify", "-f", str(path), "--class", "I", "-p", "1",
+                         "-a", "0", "-b", "1"]) == 1
+        assert err.getvalue().startswith(("input error: ", "error: "))
+
+
 class TestBound:
     def test_lower_csv_row(self, fn_file, dist_file, capsys):
         assert main(["bound", "-f", fn_file, "-d", dist_file,

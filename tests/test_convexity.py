@@ -22,8 +22,10 @@ from pconvex.convexity import (
 from pconvex.distributions import discrete, expect, from_sample, uniform
 from pconvex.errors import DomainError, PconvexError
 from pconvex.functions import (
+    derivative_function,
     exp_taylor_remainder,
     exponential,
+    function_from_descriptor,
     log_affine,
     numeric_function,
     polynomial,
@@ -165,9 +167,18 @@ class TestPastTheAnalyticStack:
                                 "increasing f^(2)>=0 (2x differenced)": 2.0,
                                 "convexity f^(3)>=0 (3x differenced)": 0.0}
 
+    def test_risk_comparison_is_analytic_to_order_three(self):
+        # the inverse composition's jet reaches every order of the p = 2
+        # certificate; its f^(3) is 0 up to the rounding of its terms
+        cert = certify_p_more_risk_averse(shifted_power(4.0, domain=(0.0, 50.0)),
+                                          shifted_power(2.0, domain=(0.0, 50.0)), 2,
+                                          10.0).certificate
+        assert cert.passed and not any("differenced" in c for c in cert.margins)
+        assert abs(cert.margins["convexity f^(3)>=0"]) <= 1e-9
+
     def test_risk_comparison_solves_its_grid_once(self, monkeypatch):
-        # the anchor f^(1)(a) at one point, then f^(2) on the 257-point grid;
-        # f^(3) is differenced from that solve, not from a second one
+        # the anchor f^(1)(a) at one point, then f^(2) and f^(3) from one
+        # jet on the 257-point grid
         sizes = []
         real = functions.invert_monotone
 
@@ -213,6 +224,16 @@ class TestPastTheAnalyticStack:
 
 
 class TestLossClass:
+    def test_slack_is_relative_to_the_curvature_terms(self):
+        # x^4 at p = 3 has curvature 12 x^3 - 3 (4 x^3) = 0; at horizon 1000/3
+        # its rounding residue, -5.96e-8 against terms near 1e8, failed the
+        # absolute slack.  x^3 at p = 3 is a true non-member
+        assert certify_loss_class(shifted_power(4.0, domain=(0.0, math.inf)), 3,
+                                  1000.0 / 3.0, 256).passed
+        cert = certify_loss_class(shifted_power(3.0, domain=(0.0, math.inf)), 3,
+                                  1000.0 / 3.0, 256)
+        assert not cert.passed and cert.witness.condition.startswith("curvature")
+
     def test_power_achiever_is_tight(self):
         for p in (1, 2, 3):
             l = shifted_power(p + 1.0, domain=(0.0, 10.0))
@@ -471,8 +492,16 @@ _LOG = log_affine(0.6)
 _LOTTERY = discrete([0.5, 2.0], [0.5, 0.5])
 
 
+_MALFORMED = st.sampled_from([math.nan, "abc", None, [1.0], {"q": 1.0}, 10 ** 400])
+
+
 def _uniform_with(**plan):
     return uniform(0.5, 2.0, QuadraturePlan(**plan))
+
+
+def _descriptor_cert(family: str, params: dict, domain, p: int = 1):
+    return certify_p_convex(function_from_descriptor(
+        {"family": family, "params": params, "domain": domain}), p, 0.0, 1.0, 64)
 
 
 # input -> (call with that input replaced by v, strategy for v, a valid v)
@@ -500,6 +529,20 @@ _FAIL_CLOSED = {
                        _NON_FINITE, 1e-10),
     "plan refinements": (lambda v: risk_measure(_uniform_with(max_refinements=v), 2, 64),
                          _NON_INTEGRAL, 12),
+    "exp-tail order": (lambda v: certify_p_convex(exp_taylor_remainder(v), 2, 0.0, 3.0, 64),
+                       _NON_INTEGRAL, 2),
+    "taylor-remainder order": (
+        lambda v: certify_p_convex(taylor_remainder(exponential(1.0, (0.0, 3.0)), v),
+                                   2, 0.0, 3.0, 64), _NON_INTEGRAL, 2),
+    "derivative order": (
+        lambda v: certify_p_convex(derivative_function(shifted_power(4.0), v), 1, 0.0, 1.0, 64),
+        _NON_INTEGRAL, 1),
+    "descriptor q": (lambda v: _descriptor_cert("shifted-power", {"q": v}, [0.0, 1.0]),
+                     _MALFORMED, 3.0),
+    "descriptor p": (lambda v: _descriptor_cert("exp-taylor-remainder", {"p": v}, [0.0, 1.0], 2),
+                     st.one_of(_NON_INTEGRAL, st.sampled_from(["2", None, [2]])), 2),
+    "descriptor domain": (lambda v: _descriptor_cert("shifted-power", {"q": 3.0}, [0.0, v]),
+                          _MALFORMED, 1.0),
 }
 
 
@@ -517,7 +560,9 @@ def test_non_finite_or_non_integral_inputs_fail_closed(name, data):
     horizon, interval end or strictness, raises a PconvexError or gives a
     failing certificate, in every certifier and in risk_measure; so does a
     non-integral node count or refinement limit, or a non-finite tolerance,
-    in the quadrature plan of risk_measure's density."""
+    in the quadrature plan of risk_measure's density, a non-integral order
+    of a function constructor, and a malformed parameter or domain end in a
+    function descriptor."""
     call, values, _ = _FAIL_CLOSED[name]
     value = data.draw(values)
     try:

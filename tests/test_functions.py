@@ -7,10 +7,17 @@ random interior points.
 
 from __future__ import annotations
 
+import ast
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import pconvex
 
 from pconvex.errors import (
     ConstructionError,
@@ -37,7 +44,13 @@ from pconvex.functions import (
     shifted_power,
     taylor_remainder,
 )
-from pconvex.numerics import fd_derivative
+from pconvex.hermite import abs_derivative
+
+try:
+    import mpmath
+except ImportError:  # test-only dependency
+    mpmath = None
+from pconvex.numerics import fd_derivative, invert_monotone
 
 
 def catalog_zoo():
@@ -297,3 +310,117 @@ class TestInversionRoundtrip:
             y = float(f(float(x)))
             back = invert_monotone(f.eval_fn, y, (f.domain[0], hi))
             assert back == pytest.approx(float(x), rel=1e-9, abs=1e-9)
+
+
+def _jet_cases():
+    """name -> (spec, its mpmath expression, window of interior points)."""
+    cube_plus_exp = nonneg_weighted_sum([(1.0, exponential(1.0, domain=(0.0, 2.0))),
+                                         (1.0, polynomial([0.0, 0.0, 0.0, 1.0], (0.0, 2.0)))])
+    return {
+        "shifted-power": (shifted_power(3.5, shift=0.5), lambda t: (t - 0.5) ** 3.5, (0.7, 3.0)),
+        "exponential": (exponential(0.7), lambda t: mpmath.exp(0.7 * t), (0.0, 3.0)),
+        "exp-taylor-remainder": (exp_taylor_remainder(2),
+                                 lambda t: mpmath.exp(t) - 1 - t - t * t / 2, (0.05, 3.0)),
+        "log-affine": (log_affine(0.6), lambda t: mpmath.log(t) - t / 0.6, (0.05, 0.5)),
+        "polynomial": (polynomial([0.5, 1.0, 2.0, 3.0], (0.0, 2.0)),
+                       lambda t: 0.5 + t + 2 * t ** 2 + 3 * t ** 3, (0.1, 2.0)),
+        "affine-precompose": (affine_precompose(shifted_power(3.0), 2.0, 0.5),
+                              lambda t: (2 * t + 0.5) ** 3, (0.1, 1.5)),
+        "nonneg-weighted-sum": (cube_plus_exp, lambda t: mpmath.exp(t) + t ** 3, (0.1, 2.0)),
+        "derivative-function": (derivative_function(shifted_power(4.5), 1),
+                                lambda t: 4.5 * t ** 3.5, (0.1, 3.0)),
+        "antiderivative": (antiderivative_from(shifted_power(2.0, domain=(0.0, 2.0))),
+                           lambda t: t ** 3 / 3, (0.2, 2.0)),
+        "taylor-remainder": (taylor_remainder(exponential(1.0, domain=(0.0, 3.0)), 2),
+                             lambda t: mpmath.exp(t) - 1 - t - t * t / 2, (0.5, 3.0)),
+        "abs-derivative": (abs_derivative(polynomial([1.0, -1.0, -1.0, -0.5], (0.0, 1.0))),
+                           lambda t: 1 + 2 * t + 1.5 * t * t, (0.0, 1.0)),
+    }
+
+
+def _inverse_cases():
+    """name -> (l, f, their mpmath expressions, window of y)."""
+    return {
+        "x^4 o inv[x^2]": (shifted_power(4.0, domain=(0.0, 4.0)),
+                           shifted_power(2.0, domain=(0.0, 4.0)),
+                           lambda t: t ** 4, lambda t: t ** 2, (0.5, 16.0)),
+        "x^2 o inv[x^4]": (shifted_power(2.0, domain=(0.0, 2.0)),
+                           shifted_power(4.0, domain=(0.0, 2.0)),
+                           lambda t: t ** 2, lambda t: t ** 4, (0.5, 16.0)),
+        "(e^x + x^3) o inv[x + x^3]": (
+            _jet_cases()["nonneg-weighted-sum"][0], polynomial([0.0, 1.0, 0.0, 1.0], (0.0, 2.0)),
+            lambda t: mpmath.exp(t) + t ** 3, lambda t: t + t ** 3, (0.2, 9.5)),
+    }
+
+
+_JETS = _jet_cases()
+_INVERSES = _inverse_cases()
+_ORDERS = 6
+
+
+@pytest.mark.skipif(mpmath is None, reason="needs mpmath")
+class TestJetsAgainstMpmath:
+    """Every family and combinator, and the inverse composition, against
+    mpmath's Taylor coefficients at 40 digits, orders 0-6."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(sorted(_JETS)), u=st.floats(min_value=0.0, max_value=1.0))
+    def test_relative_error(self, name, u):
+        f, expr, (lo, hi) = _JETS[name]
+        x = lo + u * (hi - lo)
+        got = f.taylor(x, 0, _ORDERS)
+        with mpmath.workdps(40):
+            want = mpmath.taylor(expr, mpmath.mpf(x), _ORDERS)
+            for k, (g, w) in enumerate(zip(got, want)):
+                assert abs(g - w) <= 1e-12 * abs(w), (name, x, k, g, w)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(sorted(_INVERSES)), u=st.floats(min_value=0.0, max_value=1.0))
+    def test_inverse_composition(self, name, u):
+        # the reference is taken at f(x) for the solved point x, so only the
+        # jet arithmetic is measured; a coefficient that vanishes is held to
+        # 1e-12 of the jet's size at the scale of the point
+        l, f, l_expr, f_expr, (lo, hi) = _INVERSES[name]
+        y = lo + u * (hi - lo)
+        got = compose_inverse(l, f).taylor(y, 0, _ORDERS)
+        x = invert_monotone(f.eval_fn, y, (f.domain[0], f.upper_cap))
+        with mpmath.workdps(40):
+            y_solved = f_expr(mpmath.mpf(x))
+            want = mpmath.taylor(
+                lambda t: l_expr(mpmath.findroot(lambda s: f_expr(s) - t, x)), y_solved, _ORDERS)
+            size = [max(abs(w) * y ** (j - k) for j, w in enumerate(want))
+                    for k in range(_ORDERS + 1)]
+            for k, (g, w) in enumerate(zip(got, want)):
+                assert abs(g - w) <= 1e-12 * max(abs(w), size[k]), (name, y, k, g, w)
+
+
+class TestOneDerivativeMechanism:
+    def test_spec_rebuilt_from_its_callables_has_the_same_jet(self):
+        """dataclasses.replace with wrapped callables (as a tracer does)
+        evaluates through them, with the jet's values bit for bit."""
+        def wrapped(f):
+            return dataclasses.replace(f, eval_fn=lambda x: f.eval_fn(x),
+                                       derivatives=tuple(lambda x, d=d: d(x)
+                                                         for d in f.derivatives))
+
+        ys = np.linspace(0.5, 9.5, 33)
+        l, f = _INVERSES["(e^x + x^3) o inv[x + x^3]"][:2]
+        for a, b in [(l, wrapped(l)), (compose_inverse(l, f),
+                                       compose_inverse(wrapped(l), wrapped(f)))]:
+            np.testing.assert_array_equal(b.taylor(ys, 0, 6), a.taylor(ys, 0, 6))
+
+    def test_only_functions_builds_derivative_stacks(self):
+        """No module but functions.py builds a spec from per-order callables
+        or imports its derivative-coefficient helpers."""
+        found = []
+        for path in sorted(Path(pconvex.__file__).parent.glob("*.py")):
+            if path.name == "functions.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Call) and any(kw.arg == "derivatives"
+                                                      for kw in node.keywords):
+                    found.append(f"{path.name}:{node.lineno}")
+                if isinstance(node, ast.ImportFrom) and any(
+                        alias.name == "_falling_factorial" for alias in node.names):
+                    found.append(f"{path.name}:{node.lineno}")
+        assert not found
