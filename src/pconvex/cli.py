@@ -34,12 +34,12 @@ from .distributions import (
     distribution_from_descriptor,
     distribution_to_descriptor,
 )
-from .errors import CertificateError, InputFormatError, PconvexError
+from .errors import CertificateError, DomainError, InputFormatError, PconvexError
 from .functions import (
     FunctionSpec,
     function_from_descriptor,
 )
-from .numerics import DEFAULT_TOLERANCES, ToleranceProfile, _order
+from .numerics import DEFAULT_TOLERANCES, ToleranceProfile, _integer, _order
 from .svgplot import render_gap_plot
 
 __all__ = ["main", "run_problem"]
@@ -127,6 +127,8 @@ class Problem:
         task = raw.get("task")
         if task not in _TASKS:
             raise InputFormatError(f"problem file: unknown task {task!r}")
+        if not isinstance(raw.get("params", {}), Mapping):
+            raise InputFormatError("problem file: field 'params' must be an object")
         return Problem(task=task, function=raw.get("function"),
                        distribution=raw.get("distribution"),
                        params=dict(raw.get("params", {})),
@@ -147,9 +149,15 @@ class Problem:
     def tolerance_profile(self) -> ToleranceProfile:
         if not self.tolerances:
             return DEFAULT_TOLERANCES
+        if not isinstance(self.tolerances, Mapping):
+            raise InputFormatError("tolerance profile must be a JSON object")
         unknown = set(self.tolerances) - {"eq_abs", "eq_rel", "certify_slack"}
         if unknown:
             raise InputFormatError(f"tolerance profile: unknown fields {sorted(unknown)}")
+        bad = {k: v for k, v in self.tolerances.items()
+               if isinstance(v, bool) or not isinstance(v, (int, float))}
+        if bad:
+            raise InputFormatError(f"tolerance profile: values must be numbers, got {bad}")
         return ToleranceProfile(**{k: float(v) for k, v in self.tolerances.items()})
 
 
@@ -427,8 +435,11 @@ class _Task:
                     f"{list(opts['choices'])}, got {value!r}")
             elif "type" in opts:
                 try:
-                    value = opts["type"](value)
-                except (TypeError, ValueError):
+                    if isinstance(value, bool):  # float(True) is 1.0
+                        raise TypeError
+                    value = (_integer(value, -math.inf, flag.key) if opts["type"] is int
+                             else opts["type"](value))
+                except (TypeError, ValueError, DomainError):
                     raise InputFormatError(
                         f"task {problem.task}: bad value {value!r} for {flag.key!r}")
             if isinstance(value, float) and not math.isfinite(value):

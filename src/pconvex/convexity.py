@@ -13,11 +13,11 @@ Three classes are certified on evaluation grids:
 A certificate is a numerical verdict over a finite grid with explicit slack,
 not a proof; failures always carry a witness (point, condition, margin).
 Every order a certificate reads on its grid comes from one call of the
-function's jet (FunctionSpec.derivatives_on).  Only an order past the
-analytic stack, which numeric and mixed specs have, is checked on forward
-differences of the deepest analytic entry, and its condition name says so;
-anchor conditions at a single point then use the function's own
-finite-difference derivatives.  Certificates for functions without analytic
+function's jet (FunctionSpec.derivatives_on), and its anchor conditions
+from one more at the anchor; an order past the jet raises
+DerivativeOrderError.  A numeric function's jet is finite differences kept
+inside its domain, so its verdict does not depend on the grid size beyond
+the points it samples.  Certificates for functions without analytic
 derivatives widen the slack by 1e3 and record the provenance.
 """
 
@@ -168,30 +168,6 @@ def _second_differences(values: np.ndarray, h: float) -> np.ndarray:
     return (values[2:] - 2.0 * values[1:-1] + values[:-2]) / (h * h)
 
 
-def _grid_derivatives(f: FunctionSpec, xs: np.ndarray, h: float,
-                      orders: list[int]) -> list[tuple[np.ndarray, np.ndarray, str]]:
-    """f^(k) on the grid xs of step h for each k in orders: (values, their
-    points, label suffix).
-
-    Within the analytic stack it is the analytic entry on every point, all
-    such orders from one jet call; past it, the deepest analytic entry
-    differenced forward k - depth times, on the leading grid points.  Each
-    order from the least asked for (or the deepest analytic one) up is found
-    once, however many orders need it.
-    """
-    depth = f.analytic_depth
-    lo, top = min(min(orders), depth), min(max(orders), depth)
-    levels = dict(zip(range(lo, top + 1), f.derivatives_on(xs, lo, top)))
-    for k in range(top + 1, max(orders) + 1):
-        levels[k] = (levels[k - 1][1:] - levels[k - 1][:-1]) / h
-    out = []
-    for k in orders:
-        step = k - depth
-        how = "" if step <= 0 else " (differenced)" if step == 1 else f" ({step}x differenced)"
-        out.append((levels[k], xs[: len(levels[k])], how))
-    return out
-
-
 def certify_p_convex(f: FunctionSpec, p: int, a: float, b: float,
                      grid_size: int = DEFAULT_GRID,
                      tolerances: ToleranceProfile = DEFAULT_TOLERANCES) -> ConvexityCertificate:
@@ -202,19 +178,18 @@ def certify_p_convex(f: FunctionSpec, p: int, a: float, b: float,
       2. f^(p+1) >= 0 on the grid (f^(p) increasing),
       3. f^(p+2) >= 0 on the grid (f^(p) convex).
 
-    For p = 0 only plain convexity is checked.  A grid order past the
-    analytic stack is the deepest analytic entry differenced on the grid.
+    For p = 0 only plain convexity is checked.
     """
     p = _order(p, 0)
     a, b = _interval(f, a, b)
-    xs, h = _grid(a, b, grid_size)
+    xs, _ = _grid(a, b, grid_size)
 
     checks = [_point(f"boundary f^({k})(a)=0", -abs(float(d)), a)
               for k, d in zip(range(1, p + 1), f.derivatives_on(a, 1, p))]
-    orders = [("convexity", 2)] if p == 0 else [("increasing", p + 1), ("convexity", p + 2)]
-    grid = _grid_derivatives(f, xs, h, [k for _, k in orders])
-    for (name, k), (values, points, how) in zip(orders, grid):
-        checks.append((f"{name} f^({k})>=0{how}", values, points))
+    first = max(2, p + 1)
+    for k, values in enumerate(f.derivatives_on(xs, first, p + 2), start=first):
+        name = "convexity" if k == p + 2 else "increasing"
+        checks.append((f"{name} f^({k})>=0", values, xs))
     return _certify("I", p, (a, b), grid_size, *_slack_for(f, tolerances), f.label, checks)
 
 
@@ -230,14 +205,13 @@ def certify_p_concave(f: FunctionSpec, p: int, a: float, b: float,
     """
     p = _order(p, 1)
     a, b = _interval(f, a, b)
-    xs, h = _grid(a, b, grid_size)
+    xs, _ = _grid(a, b, grid_size)
 
     checks = [_point(f"boundary f^({k})(b)=0", -abs(float(d)), b)
               for k, d in zip(range(1, p + 1), f.derivatives_on(b, 1, p))]
-    orders = list(range(1, p + 3))
-    for k, (values, points, how) in zip(orders, _grid_derivatives(f, xs, h, orders)):
+    for k, values in enumerate(f.derivatives_on(xs, 1, p + 2), start=1):
         sign = 1.0 if k % 2 == 1 else -1.0
-        checks.append((f"sign (-1)^({k}+1) f^({k})>=0{how}", sign * values, points))
+        checks.append((f"sign (-1)^({k}+1) f^({k})>=0", sign * values, xs))
     return _certify("D", p, (a, b), grid_size, *_slack_for(f, tolerances), f.label, checks)
 
 

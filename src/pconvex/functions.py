@@ -5,8 +5,9 @@ a closed catalog of families (closed-form jets: f^(k) for k = lo..hi at a
 set of points, in one kernel call) plus combinators that are jet arithmetic
 (Griewank & Walther, Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 13).
 The inverse composition reverts f's series (Brent & Kung, J. ACM 25(4),
-1978).  A "numeric" escape hatch exists for arbitrary callables;
-certificates record the degraded provenance and widen their slack.
+1978).  A "numeric" escape hatch exists for arbitrary callables, its jet
+finite differences to order 4 inside its domain; certificates record the
+degraded provenance and widen their slack.
 
 Every evaluation callable accepts floats or numpy arrays: numeric_function
 wraps a scalar-only callable so that it loops over arrays itself, and the
@@ -65,6 +66,7 @@ __all__ = [
 DEFAULT_EVAL_HORIZON = 1e6
 _MONOTONICITY_GRID = 256  # points compose_inverse checks f' > 0 on
 _CATALOG_DEPTH = 8  # analytic orders of shifted-power, exponential, log-affine
+_FD_DEPTH = 4  # finite-difference orders of a numeric function
 
 _FAMILIES = (
     "shifted-power",
@@ -100,10 +102,9 @@ class FunctionSpec:
     ever evaluated up to eval_horizon.  A spec is built from a jet, which
     makes eval_fn and derivatives (orders 1..depth) its views, or from those
     callables, which it then evaluates through (as a spec that
-    dataclasses.replace rebuilds does).  An "analytic" spec has no orders
-    past its stack; a "numeric" or "mixed" one reaches up to 4 orders
-    further by finite differences of the deepest analytic entry (of the
-    function itself when the stack is empty).
+    dataclasses.replace rebuilds does).  No spec has an order past its
+    stack; a "numeric" or "mixed" provenance only widens a certificate's
+    slack.
     """
 
     label: str
@@ -144,33 +145,21 @@ class FunctionSpec:
 
     def derivative(self, k: int) -> Callable:
         """Callable for the k-th derivative (k = 0 is the function itself)."""
-        if k < 0:
-            raise DerivativeOrderError(f"derivative order must be >= 0, got {k}")
-        if k == 0:
-            return self.eval_fn
-        if k <= len(self.derivatives):
-            return self.derivatives[k - 1]
-        if self.provenance == "analytic":
-            raise DerivativeOrderError(
-                f"{self.label}: derivative order {k} exceeds the analytic stack "
-                f"({len(self.derivatives)})")
-        extra = k - len(self.derivatives)
-        if extra > 4:
-            raise DerivativeOrderError(
-                f"{self.label}: order {k} needs {extra} finite-difference levels (max 4)")
-        base = self.derivatives[-1] if self.derivatives else self.eval_fn
-        return partial(fd_derivative, base, k=extra)
+        if not 0 <= k <= len(self.derivatives):
+            raise DerivativeOrderError(f"{self.label}: derivative order {k} is outside "
+                                       f"its stack 0..{len(self.derivatives)}")
+        return self.derivatives[k - 1] if k else self.eval_fn
 
     def eval_on(self, xs: np.ndarray, order: int = 0) -> np.ndarray:
         """Evaluate a derivative on a grid in one array call."""
         return np.asarray(self.derivative(order)(np.asarray(xs, dtype=float)), dtype=float)
 
     def derivatives_on(self, xs, lo: int, hi: int) -> list:
-        """f^(k) at xs for k = lo..hi, each as eval_on gives it: the orders
-        on the jet from one kernel call, the others one call each."""
-        top = min(hi, self.analytic_depth) if self._jet is not None else lo - 1
-        out = list(self._jet.rows(np.asarray(xs, dtype=float), lo, top)) if top >= lo else []
-        return out + [self.eval_on(xs, k) for k in range(max(lo, top + 1), hi + 1)]
+        """f^(k) at xs for k = lo..hi, each as eval_on gives it: one kernel
+        call on a jet, one call per order otherwise (or to raise past it)."""
+        if self._jet is None or hi > self.analytic_depth:
+            return [self.eval_on(xs, k) for k in range(lo, hi + 1)]
+        return list(self._jet.rows(np.asarray(xs, dtype=float), lo, hi))
 
     def taylor(self, xs, lo: int, hi: int) -> np.ndarray:
         """The normalised jet at xs: f^(k)(x)/k! for k = lo..hi, orders first."""
@@ -314,8 +303,11 @@ def _exp_tail(x: np.ndarray, p: int) -> np.ndarray:
 
 def exp_taylor_remainder(p: int,
                          domain: tuple[float, float] = (0.0, math.inf)) -> FunctionSpec:
-    """T_p(x) = e^x - sum_{j<=p} x^j/j!; each derivative is the next-lower tail."""
+    """T_p(x) = e^x - sum_{j<=p} x^j/j!; each derivative is the next-lower tail.
+    p must be below 170, so that (p + 1)! is a float."""
     p = _integer(p, 0, "exp-taylor-remainder p")
+    if p >= 170:
+        raise DomainError(f"exp-taylor-remainder p must be < 170, got {p}")
     return FunctionSpec(
         label=f"exp_tail_{p}",
         domain=(float(domain[0]), float(domain[1])),
@@ -497,17 +489,16 @@ def antiderivative_from(g: FunctionSpec, base: float | None = None) -> FunctionS
 
 def numeric_function(fn: Callable, domain: tuple[float, float],
                      label: str = "numeric") -> FunctionSpec:
-    """Escape hatch: a bare callable with finite-difference derivatives only.
+    """Escape hatch: a bare callable whose jet rows 1..4 are finite
+    differences that never call fn outside its domain.
 
     fn may be scalar-only; it is called on whole arrays when it accepts them
     and looped over the points otherwise.
     """
-    return FunctionSpec(
-        label=label,
-        domain=(float(domain[0]), float(domain[1])),
-        eval_fn=lambda x: _eval_nodes(fn, x),
-        provenance="numeric",
-    )
+    dom = (float(domain[0]), float(domain[1]))
+    return FunctionSpec(label=label, domain=dom, provenance="numeric", jet=Jet(
+        lambda x, lo, hi: [_eval_nodes(fn, x) if k == 0 else fd_derivative(fn, x, k, dom)
+                           for k in range(lo, hi + 1)], _FD_DEPTH))
 
 
 # ---------------------------------------------------------------------------

@@ -545,24 +545,34 @@ def _stencil_values(f: Callable, xs: np.ndarray) -> np.ndarray:
                           f"{type(exc).__name__}: {exc}") from exc
 
 
-def _central_diff(f: Callable, x: np.ndarray, k: int, h: np.ndarray) -> np.ndarray:
-    acc = 0.0
-    for offset, coeff in _CENTRAL_STENCILS[k]:
-        acc = acc + coeff * _stencil_values(f, x + offset * h)
-    return acc / h ** k
+def _extrapolated(f: Callable, x: np.ndarray, k: int, h: np.ndarray, stencil,
+                  interval: tuple[float, float], gain: float) -> np.ndarray:
+    """(gain D(h/2) - D(h)) / (gain - 1), D(h) = sum coeff f(x + offset h) / h^k
+    over the stencil, whose error is O(h^m) for gain = 2^m; every stencil
+    point is kept in the interval (a no-op where it already lies there)."""
+    d = []
+    for step in (h, 0.5 * h):
+        acc = 0.0
+        for offset, coeff in stencil:
+            acc = acc + coeff * _stencil_values(f, np.clip(x + offset * step, *interval))
+        d.append(acc / step ** k)
+    return (gain * d[1] - d[0]) / (gain - 1.0)
 
 
-def fd_derivative(f: Callable, x, k: int, base_step: float = 1e-5):
-    """k-th derivative (k in 1..4) by central differences plus one
-    Richardson extrapolation step, giving O(h^4) truncation in the
-    (order-scaled) base step.
+def fd_derivative(f: Callable, x, k: int,
+                  interval: tuple[float, float] = (-math.inf, math.inf),
+                  base_step: float = 1e-5):
+    """k-th derivative (k in 1..4) by differences plus one Richardson step,
+    calling f only inside the closed interval (by default the whole line).
 
+    The step h grows with k to balance truncation against rounding noise.
+    Where the central stencil fits in the interval it is used, O(h^4) after
+    the step; elsewhere the one-sided sum_j (-1)^(k-j) C(k, j) f(x + j s)/s^k
+    points to the farther end, s = +-h shortened to fit, O(h^2) after it.
     x may be a float or an array; f is called once per stencil offset on
-    the whole array (a scalar-only f is looped over it).  The step grows
-    with k to balance truncation against rounding noise; accuracy degrades
-    gracefully rather than raising.  The stencil reaches past x, so f
-    raising or turning complex at a stencil point raises DomainError; a NaN
-    there is returned in the result.
+    each kind's points (a scalar-only f is looped over them).  f raising or
+    turning complex at a stencil point raises DomainError; a NaN there is
+    returned in the result.
     """
     if k not in _CENTRAL_STENCILS:
         raise DomainError(f"fd_derivative supports orders 1..4, got {k}")
@@ -570,7 +580,15 @@ def fd_derivative(f: Callable, x, k: int, base_step: float = 1e-5):
     # for bit (numpy scalars would take another power routine)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     h = base_step ** (4.0 / (k + 4.0)) * (1.0 + np.abs(xs))
-    coarse = _central_diff(f, xs, k, h)
-    fine = _central_diff(f, xs, k, 0.5 * h)
-    out = (4.0 * fine - coarse) / 3.0
+    lo, hi = interval
+    reach = _CENTRAL_STENCILS[k][-1][0] * h
+    central = (xs - reach >= lo) & (xs + reach <= hi)
+    out = np.empty_like(xs)
+    out[central] = _extrapolated(f, xs[central], k, h[central], _CENTRAL_STENCILS[k],
+                                 interval, 4.0)
+    x1 = xs[~central]
+    up = hi - x1 >= x1 - lo
+    step = np.where(up, 1.0, -1.0) * np.minimum(h[~central], np.where(up, hi - x1, x1 - lo) / k)
+    one_sided = [(j, (-1) ** (k - j) * math.comb(k, j)) for j in range(k + 1)]
+    out[~central] = _extrapolated(f, x1, k, step, one_sided, interval, 2.0)
     return out if np.ndim(x) else float(out[0])

@@ -497,6 +497,94 @@ class TestFailClosedInputs:
         assert "b must be finite" in capsys.readouterr().err
 
 
+class TestTypedProblemValues:
+    """JSON booleans and non-integral numbers ran as numbers: a boolean
+    slack as 1.0, "p": 2.5 as 2, "samples": 10.9 and "dims": true as 10
+    and 1.  Problem files and tolerance profiles now reject them (exit 1)."""
+
+    @staticmethod
+    def _run(tmp_path, task, params, function=None) -> int:
+        problem = {"version": 1, "task": task, "params": params}
+        if function is not None:
+            problem["function"] = json.loads(open(function).read())
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(problem))
+        return main(["run", str(path)])
+
+    @pytest.mark.parametrize("value", [True, False, "1e-8", None, [1e-8]])
+    def test_tolerance_profile_value_must_be_a_number(self, identity_file, tmp_path,
+                                                      value, capsys):
+        # with slack 1.0, x on [0, 1] certified as a class-I member at p = 1
+        path = tmp_path / "tol.json"
+        path.write_text(json.dumps({"certify_slack": value}))
+        assert main(["certify", "-f", identity_file, "--class", "I", "-p", "1",
+                     "--tolerance-profile", str(path)]) == 1
+        assert "values must be numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, words", [
+        ("tolerances", 5, "tolerance profile must be a JSON object"),
+        ("tolerances", [1e-8], "tolerance profile must be a JSON object"),
+        ("params", [1], "field 'params' must be an object"),
+        ("params", "p", "field 'params' must be an object")])
+    def test_problem_fields_must_be_objects(self, fn_file, tmp_path, field, value, words,
+                                            capsys):
+        # a bare TypeError escaped main with a traceback
+        problem = {"version": 1, "task": "certify", "function": json.loads(open(fn_file).read()),
+                   "params": {"class": "I", "p": 1}, field: value}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(problem))
+        assert main(["run", str(path)]) == 1
+        assert words in capsys.readouterr().err
+
+    def test_numeric_tolerance_profile_still_read(self, identity_file, tmp_path, capsys):
+        path = tmp_path / "tol.json"
+        path.write_text(json.dumps({"certify_slack": 1, "eq_abs": 1e-9}))
+        assert main(["certify", "-f", identity_file, "--class", "I", "-p", "1",
+                     "--tolerance-profile", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["slack_used"] == 1.0
+
+    @pytest.mark.parametrize("params, key", [
+        ({"p": 2.5}, "p"), ({"p": True}, "p"), ({"p": "2"}, "p"), ({"p": 2, "grid": 64.5}, "grid"),
+        ({"p": 2, "a": True}, "a"), ({"p": 2, "b": False}, "b")])
+    def test_function_task_values(self, fn_file, tmp_path, params, key, capsys):
+        assert self._run(tmp_path, "hh", params, fn_file) == 1
+        assert f"bad value {params[key]!r} for {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params, key", [
+        ({"samples": 10.9}, "samples"), ({"samples": 10, "dims": True}, "dims"),
+        ({"iters": 1.5}, "iters"), ({"seed": True}, "seed")])
+    def test_em_demo_values(self, tmp_path, params, key, capsys):
+        assert self._run(tmp_path, "em-demo", params) == 1
+        assert f"bad value {params[key]!r} for {key!r}" in capsys.readouterr().err
+
+    def test_integral_floats_are_the_integers(self, fn_file, tmp_path, capsys):
+        assert self._run(tmp_path, "hh", {"p": 2.0, "grid": 64.0}, fn_file) == 0
+        by_float = capsys.readouterr().out
+        assert self._run(tmp_path, "hh", {"p": 2, "grid": 64}, fn_file) == 0
+        assert capsys.readouterr().out == by_float
+
+
+def test_exp_taylor_remainder_past_float_factorials_exits_one(tmp_path, capsys):
+    # (p + 1)! overflowed a float at the first evaluation: a bare OverflowError
+    path = tmp_path / "tail.json"
+    path.write_text(json.dumps({"family": "exp-taylor-remainder", "params": {"p": 200},
+                                "domain": [0.0, 1.0]}))
+    assert main(["certify", "-f", str(path), "--class", "I", "-p", "1"]) == 1
+    assert "p must be < 170" in capsys.readouterr().err
+
+
+def test_risk_comparison_past_the_composed_jet_exits_one(tmp_path, capsys):
+    # p = 8 reads order 9 of a jet of depth 8; it read forward differences
+    paths = []
+    for name, q in (("l", 18.0), ("f", 2.0)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps({"family": "shifted-power", "params": {"q": q},
+                                         "domain": [0.0, 50.0]}))
+    assert main(["risk", "compare", "-f", str(paths[0]), "--baseline", str(paths[1]),
+                 "-p", "8", "--trials", "5"]) == 1
+    assert "outside its stack" in capsys.readouterr().err
+
+
 def test_parser_is_built_once_and_lazily():
     assert _build_parser() is _build_parser()
     code = "import pconvex.cli as c; print(c._build_parser.cache_info().currsize)"

@@ -20,7 +20,7 @@ from pconvex.convexity import (
     check_ratio_monotone,
 )
 from pconvex.distributions import discrete, expect, from_sample, uniform
-from pconvex.errors import DomainError, PconvexError
+from pconvex.errors import DerivativeOrderError, DomainError, PconvexError
 from pconvex.functions import (
     derivative_function,
     exp_taylor_remainder,
@@ -134,9 +134,9 @@ class TestRightAnchoredClass:
 
 
 class TestPastTheAnalyticStack:
-    """A grid order past the analytic stack is the top analytic entry
-    differenced on the grid; only an anchor condition at one point takes a
-    finite-difference derivative."""
+    """No spec has an order past its jet: a certificate that needs one
+    raises DerivativeOrderError.  A numeric function's jet is finite
+    differences kept inside its domain, one fd_derivative call per order."""
 
     @staticmethod
     def _fd_calls(monkeypatch) -> list:
@@ -158,14 +158,19 @@ class TestPastTheAnalyticStack:
                                    shifted_power(2.0, domain=(0.0, 50.0)), p, 10.0, 256)
         assert len(calls) == 0
 
-    def test_numeric_function_differences_only_its_anchor(self, monkeypatch):
+    def test_numeric_function_differences_inside_its_domain(self, monkeypatch):
+        # one call for the anchor's order 1, one per grid order, each on [0, 1]
         calls = self._fd_calls(monkeypatch)
         f = numeric_function(lambda x: x * x, (0.0, 1.0), label="sq")
         cert = certify_p_convex(f, 1, 0.0, 1.0, 64)
-        assert len(calls) == 1
-        assert cert.margins == {"boundary f^(1)(a)=0": -0.0,
-                                "increasing f^(2)>=0 (2x differenced)": 2.0,
-                                "convexity f^(3)>=0 (3x differenced)": 0.0}
+        assert [(k, interval) for _, _, k, interval in calls] == [(1, (0.0, 1.0)),
+                                                                  (2, (0.0, 1.0)),
+                                                                  (3, (0.0, 1.0))]
+        assert list(cert.margins) == ["boundary f^(1)(a)=0", "increasing f^(2)>=0",
+                                      "convexity f^(3)>=0"]
+        assert cert.passed
+        assert cert.margins["increasing f^(2)>=0"] == pytest.approx(2.0, abs=1e-8)
+        assert abs(cert.margins["convexity f^(3)>=0"]) <= 1e-6
 
     def test_risk_comparison_is_analytic_to_order_three(self):
         # the inverse composition's jet reaches every order of the p = 2
@@ -195,32 +200,48 @@ class TestPastTheAnalyticStack:
     @pytest.mark.parametrize("certify, p, orders", [
         (certify_p_convex, 0, 1), (certify_p_convex, 1, 2), (certify_p_convex, 2, 2),
         (certify_p_concave, 1, 3), (certify_p_concave, 2, 4)])
-    def test_differenced_orders_share_one_grid_evaluation(self, certify, p, orders):
+    def test_differenced_orders_share_one_grid_evaluation(self, certify, p, orders,
+                                                           monkeypatch):
+        # every grid order of a numeric spec comes from one call of its jet
         sizes = []
+        real = functions.FunctionSpec.derivatives_on
 
-        def square(x):
-            sizes.append(np.size(x))
-            return np.asarray(x, dtype=float) ** 2
+        def counting(f, xs, lo, hi):
+            sizes.append((np.size(xs), hi - lo + 1))
+            return real(f, xs, lo, hi)
 
-        cert = certify(numeric_function(square, (0.0, 1.0)), p, 0.0, 1.0, 64)
+        monkeypatch.setattr(functions.FunctionSpec, "derivatives_on", counting)
+        cert = certify(numeric_function(lambda x: np.asarray(x) ** 2, (0.0, 1.0)),
+                       p, 0.0, 1.0, 64)
         assert len(cert.margins) == p + orders
-        assert sizes.count(65) == 1  # anchors reach f one point at a time
+        assert [n for n, _ in sizes].count(65) == 1
+        assert (65, orders) in sizes
 
     def test_differenced_orders_share_their_analytic_entry(self):
-        # orders 2 and 3 of a spec with only f' on its stack difference one f' grid
-        sizes = []
-
+        # orders 2 and 3 of a spec with only f' on its stack were forward
+        # differences of f' on the grid; past its stack a spec now raises
         def d1(x):
-            sizes.append(np.size(x))
             return 3.0 * np.asarray(x, dtype=float) ** 2
 
         f = dataclasses.replace(shifted_power(3.0, domain=(0.0, 1.0)), derivatives=(d1,),
                                 provenance="mixed")
-        cert = certify_p_convex(f, 1, 0.0, 1.0, 64)
-        assert list(cert.margins) == ["boundary f^(1)(a)=0",
-                                      "increasing f^(2)>=0 (differenced)",
-                                      "convexity f^(3)>=0 (2x differenced)"]
-        assert sizes == [1, 65]
+        with pytest.raises(DerivativeOrderError, match="outside its stack 0..1"):
+            certify_p_convex(f, 1, 0.0, 1.0, 64)
+
+    def test_numeric_verdict_does_not_depend_on_the_grid(self):
+        # forward differences of a numeric spec on the grid lost accuracy as
+        # eps / h^k: this true member failed at n = 16384 with margin -224
+        f = numeric_function(lambda x: math.exp(x) - 1 - x - x * x / 2, (0.0, 1.0))
+        certs = [certify_p_convex(f, 2, 0.0, 1.0, n) for n in (1024, 4096, 16384)]
+        assert all(c.passed and c.margins == certs[0].margins for c in certs)
+        for name in ("increasing f^(3)>=0", "convexity f^(4)>=0"):  # true minimum 1, at 0
+            assert abs(certs[0].margins[name] - 1.0) <= 1e-4
+
+    def test_risk_comparison_past_the_composed_jet_raises(self):
+        # the composition's jet has depth 8 and p = 8 reads order 9
+        with pytest.raises(DerivativeOrderError):
+            certify_p_more_risk_averse(shifted_power(18.0, domain=(0.0, 50.0)),
+                                       shifted_power(2.0, domain=(0.0, 50.0)), 8, 10.0, 256)
 
 
 class TestLossClass:
@@ -421,10 +442,19 @@ class TestFailClosed:
             certify_p_convex(f, 0, 0.0, 1.0, 64)
 
     def test_stencil_outside_a_numeric_domain_rejected(self):
-        # the anchor's central stencil reaches -h, where x ** 2.5 is complex
-        f = numeric_function(lambda x: x ** 2.5, (0.0, 1.0))
-        with pytest.raises(DomainError, match=r"stencil point x = -[0-9.e-]+: TypeError"):
-            certify_p_convex(f, 1, 0.0, 1.0, 64)
+        # the anchor's central stencil reached -h, where x ** 2.5 is complex;
+        # now no stencil leaves the domain and x ** 2.5 passes as x^2.5 does
+        seen = []
+
+        def f(x):
+            seen.append(np.ravel(x))
+            return x ** 2.5
+
+        cert = certify_p_convex(numeric_function(f, (0.0, 1.0)), 1, 0.0, 1.0, 64)
+        seen = np.concatenate(seen)
+        assert 0.0 <= seen.min() and seen.max() <= 1.0
+        assert cert.passed
+        assert certify_p_convex(shifted_power(2.5, domain=(0.0, 1.0)), 1, 0.0, 1.0, 64).passed
 
     def test_inf_at_a_grid_point_stays_admissible(self):
         # f^(3) of x^2.5 is +inf at the anchor; the minimum margin is finite

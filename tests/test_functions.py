@@ -119,10 +119,73 @@ class TestDerivativeStacks:
         with pytest.raises(ConstructionError):
             polynomial([])
 
+    @pytest.mark.parametrize("p", [170, 200, 10 ** 6])
+    def test_exp_tail_order_past_float_factorials_rejected(self, p):
+        # (p + 1)! overflowed a float: a bare OverflowError at the first evaluation
+        with pytest.raises(DomainError, match="p must be < 170"):
+            exp_taylor_remainder(p)
+
+    def test_exp_tail_largest_order(self):
+        # T_169(1) = sum_{j>=170} 1/j!, about 1/170!
+        got = float(exp_taylor_remainder(169)(1.0))
+        assert got == pytest.approx(1.0 / math.factorial(170), rel=1e-2)
+
     def test_order_cap(self):
         f = numeric_function(lambda x: x * x, (0.0, 1.0))
         with pytest.raises(DerivativeOrderError):
             f.derivative(5)
+
+
+class TestNumericJet:
+    """A numeric function's jet rows 1..4 are finite differences that stay
+    inside its domain: central where the stencil fits, one-sided into the
+    domain at and near its ends."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lo=st.floats(-1e3, 1e3), width=st.floats(1e-9, 1e3),
+           inner=st.lists(st.floats(0.0, 1.0), max_size=6))
+    def test_fn_is_never_called_outside_the_domain(self, lo, width, inner):
+        hi = lo + width
+        seen = []
+
+        def fn(x):
+            seen.append(np.ravel(x))
+            return np.sin(x)
+
+        f = numeric_function(fn, (lo, hi))
+        xs = np.array([lo, hi] + [lo + u * (hi - lo) for u in inner]).clip(lo, hi)
+        rows = f.derivatives_on(xs, 1, 4)
+        for k in range(1, 5):
+            for x in (lo, hi):
+                rows.append(f.derivative(k)(x))
+        seen = np.concatenate(seen)
+        assert lo <= seen.min() and seen.max() <= hi
+        assert all(np.all(np.isfinite(r)) for r in rows)
+
+    @pytest.mark.parametrize("fn, domain, x, orders, rel", [
+        # the steps of orders 2-4 (5e-4 to 3e-3) are not small against 1e-3,
+        # so there only order 1 is accurate
+        (math.log, (1e-3, 0.6), 1e-3, (1,), 2e-3),
+        (math.log, (1e-3, 0.6), 0.6, (1, 2, 3, 4), 2e-3),
+        (math.exp, (0.0, 1.0), 0.0, (1, 2, 3, 4), 1e-4),
+    ], ids=["log-left", "log-right", "exp-left"])
+    def test_one_sided_orders_at_the_ends(self, fn, domain, x, orders, rel):
+        truth = {math.log: lambda k: (-1) ** (k - 1) * math.factorial(k - 1) * x ** -k,
+                 math.exp: lambda k: math.exp(x)}[fn]
+        f = numeric_function(fn, domain)
+        for k in orders:
+            assert float(f.derivative(k)(x)) == pytest.approx(truth(k), rel=rel), k
+
+    def test_orders_near_a_singular_end_keep_their_signs(self):
+        f = numeric_function(math.log, (1e-3, 0.6))
+        got = f.derivatives_on(np.array([1e-3]), 1, 4)
+        assert [float(np.sign(r[0])) for r in got] == [1.0, -1.0, 1.0, -1.0]
+
+    def test_rows_past_the_jet_raise(self):
+        f = numeric_function(lambda x: x * x, (0.0, 1.0))
+        assert f.analytic_depth == 4
+        with pytest.raises(DerivativeOrderError, match="outside its stack 0..4"):
+            f.derivatives_on(np.linspace(0.0, 1.0, 5), 3, 5)
 
 
 class TestTaylorRemainder:
@@ -150,9 +213,10 @@ class TestTaylorRemainder:
             assert float(r(x)) == pytest.approx(x ** 5, rel=1e-12)
 
     def test_needs_derivatives(self):
+        # a numeric function's jet stops at order 4
         f = numeric_function(lambda x: x ** 3, (0.0, 1.0))
         with pytest.raises(DerivativeOrderError):
-            taylor_remainder(f, 2)
+            taylor_remainder(f, 5)
 
     def test_needs_zero_anchor(self):
         with pytest.raises(DomainError):
@@ -198,7 +262,7 @@ class TestComposeInverse:
         comp = compose_inverse(shifted_power(4.0, domain=(0.0, 2.0)),
                                shifted_power(2.0, domain=(0.0, 2.0)))
         assert comp.provenance == "mixed"
-        # orders 3, 4 exist via finite differences of the composed map
+        # the composed jet reaches every order both stacks reach
         assert abs(float(comp.derivative(3)(1.0))) < 1e-4
 
     def test_array_evaluation_matches_scalar_calls(self):

@@ -784,3 +784,23 @@ def test_math_fsum_is_used_only_by_the_kernel():
                 node = parents[node]
             users.add(f"{path.stem}.{getattr(node, 'name', '<module>')}")
     assert users == {"numerics.fsum"}
+
+
+def test_finite_differences_are_a_numeric_functions_jet():
+    """fd_derivative has one caller in pconvex, the jet of numeric_function,
+    and no certificate condition says an order was differenced past a
+    stack: that path is gone."""
+    callers = set()
+    for path in sorted(Path(numerics.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        assert "differenced" not in text, path.name
+        tree = ast.parse(text, str(path))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and "fd_derivative" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None))):
+                continue
+            while node in parents and not isinstance(node, ast.FunctionDef):
+                node = parents[node]
+            callers.add(f"{path.stem}.{getattr(node, 'name', '<module>')}")
+    assert callers == {"functions.numeric_function"}
