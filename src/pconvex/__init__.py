@@ -34,6 +34,7 @@ from .errors import (
     BracketError,
     CertificateError,
     ConstructionError,
+    ContradictionError,
     ConvergenceError,
     DerivativeOrderError,
     DomainError,

@@ -34,7 +34,13 @@ from .distributions import (
     distribution_from_descriptor,
     distribution_to_descriptor,
 )
-from .errors import CertificateError, DomainError, InputFormatError, PconvexError
+from .errors import (
+    CertificateError,
+    ContradictionError,
+    DomainError,
+    InputFormatError,
+    PconvexError,
+)
 from .functions import (
     FunctionSpec,
     function_from_descriptor,
@@ -252,6 +258,12 @@ def _risk_compare(problem: Problem, args: argparse.Namespace) -> dict:
     hit = risk.falsify_p_more_risk_averse(l, f, args.p, args.trials, args.seed,
                                           args.horizon, directed_from=directed,
                                           tolerances=tol)
+    if comp.holds and hit is not None:
+        raise ContradictionError(
+            f"the certificate that {l.label} is {args.p}-more risk averse than {f.label} "
+            f"passes, but the falsifier found a violating lottery: atoms "
+            f"{list(hit.lottery.atoms)} with probabilities {list(hit.lottery.probs)}, "
+            f"threshold {hit.threshold!r}, margin {hit.margin!r}")
     payload: dict[str, Any] = {
         "task": "risk-compare", "p": args.p,
         "loss": l.label, "baseline": f.label,

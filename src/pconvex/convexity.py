@@ -164,6 +164,15 @@ def _point(condition: str, margin: float, x: float) -> tuple[str, np.ndarray, np
     return condition, np.array([margin]), np.array([x])
 
 
+def _anchor(f: FunctionSpec, p: int, x: float, end: str) -> list:
+    """The conditions f^(k)(x) = 0 for k = 1..p at the anchor x, from one
+    jet call; none, and no call, for p = 0."""
+    if not p:
+        return []
+    return [_point(f"boundary f^({k})({end})=0", -abs(float(d)), x)
+            for k, d in zip(range(1, p + 1), f.derivatives_on(x, 1, p))]
+
+
 def _second_differences(values: np.ndarray, h: float) -> np.ndarray:
     return (values[2:] - 2.0 * values[1:-1] + values[:-2]) / (h * h)
 
@@ -184,8 +193,7 @@ def certify_p_convex(f: FunctionSpec, p: int, a: float, b: float,
     a, b = _interval(f, a, b)
     xs, _ = _grid(a, b, grid_size)
 
-    checks = [_point(f"boundary f^({k})(a)=0", -abs(float(d)), a)
-              for k, d in zip(range(1, p + 1), f.derivatives_on(a, 1, p))]
+    checks = _anchor(f, p, a, "a")
     first = max(2, p + 1)
     for k, values in enumerate(f.derivatives_on(xs, first, p + 2), start=first):
         name = "convexity" if k == p + 2 else "increasing"
@@ -207,8 +215,7 @@ def certify_p_concave(f: FunctionSpec, p: int, a: float, b: float,
     a, b = _interval(f, a, b)
     xs, _ = _grid(a, b, grid_size)
 
-    checks = [_point(f"boundary f^({k})(b)=0", -abs(float(d)), b)
-              for k, d in zip(range(1, p + 1), f.derivatives_on(b, 1, p))]
+    checks = _anchor(f, p, b, "b")
     for k, values in enumerate(f.derivatives_on(xs, 1, p + 2), start=1):
         sign = 1.0 if k % 2 == 1 else -1.0
         checks.append((f"sign (-1)^({k}+1) f^({k})>=0", sign * values, xs))

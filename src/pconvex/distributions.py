@@ -39,6 +39,7 @@ from .numerics import (
     QuadraturePlan,
     ToleranceProfile,
     _eval_nodes,
+    _integer,
     fsum,
     gamma,
     integrate,
@@ -542,10 +543,9 @@ def sample_mc(X: RandomVariable, n: int, seed: int) -> RandomVariable:
     uniform draws are lo + (hi - lo) u, and other densities solve cdf(x) = u
     for all draws in one invert_monotone run.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    n = _integer(n, 1, "n")
     rng = np.random.default_rng(int(seed))
-    u = rng.random(int(n))
+    u = rng.random(n)
 
     if X.kind == "discrete":
         cum = np.cumsum(X._weights)
@@ -555,7 +555,7 @@ def sample_mc(X: RandomVariable, n: int, seed: int) -> RandomVariable:
         return from_sample(vals, X.declared_support)
 
     if X.kind == "sample":
-        vals = rng.choice(X.values, size=int(n), replace=True)
+        vals = rng.choice(X.values, size=n, replace=True)
         return from_sample(vals, X.declared_support)
 
     lo, hi = X.declared_support

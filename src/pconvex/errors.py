@@ -12,6 +12,11 @@ class PconvexError(Exception):
     """Base error for the package."""
 
 
+class ContradictionError(PconvexError):
+    """Two checks of one claim disagree: a risk comparison whose certificate
+    passes while its falsifier finds a violating lottery."""
+
+
 class DomainError(PconvexError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 

@@ -37,6 +37,7 @@ from .numerics import (
     ToleranceProfile,
     _eval_nodes,
     _integer,
+    _table_cell,
     fd_derivative,
     integrate,
     invert_monotone,
@@ -571,21 +572,34 @@ def _revert_compose(l_jet: np.ndarray, f_jet: np.ndarray) -> list:
 
 
 def compose_inverse(l: FunctionSpec, f: FunctionSpec,
-                    tolerances: ToleranceProfile = DEFAULT_TOLERANCES) -> FunctionSpec:
-    """y -> l(f^(-1)(y)) on [f(lo), f(cap)] for strictly increasing f.
+                    tolerances: ToleranceProfile = DEFAULT_TOLERANCES,
+                    horizon: float = math.inf) -> FunctionSpec:
+    """y -> l(f^(-1)(y)) on [f(lo), f(hi)] for strictly increasing f, where
+    hi = min(f.upper_cap, horizon): a risk comparison passes its horizon,
+    and by default the composition covers f's whole evaluation cap.
 
-    One invert_monotone run solves x = f^(-1)(y) for all points of a call;
-    the jet at y is the series reversion of f's jet at x composed with l's
-    jet there (_revert_compose), to every order both stacks reach.
+    f is tabulated once at 257 points of [lo, hi], the table on which f' > 0
+    and increasing values are checked.  One invert_monotone run solves
+    x = f^(-1)(y) for all points of a call, each in the one table cell
+    whose values bracket its y (numerics._table_cell); the jet at y is the
+    series reversion of f's jet at x composed with l's jet there
+    (_revert_compose), to every order both stacks reach.
 
     The provenance stays "mixed" because of the anchor.  Where f'(lo) = 0
     the reversion divides by 0, so y is clamped to y_lo + 1e-9 (y_hi - y_lo)
     and a certificate's anchor conditions at y_lo are read at that interior
-    point: for x^4 o (x^2)^(-1) on [0, 50], f^(1)(y_lo) reads 5e-6, not 0,
-    which only the widened slack of a mixed spec admits.
+    point: for x^4 o (x^2)^(-1) on [0, 10], f^(1)(y_lo) reads 2e-7, not 0,
+    which only the widened slack of a mixed spec admits.  The clamp stays
+    until the anchor is settled from the leading exponents of l and f.
+    Bounding the range to the horizon keeps it below every grid point past
+    y_lo: over an unbounded domain the full cap put it above the whole
+    certified range.
     """
     lo = f.domain[0]
-    hi = f.upper_cap
+    horizon = float(horizon)
+    if not lo < horizon:
+        raise DomainError(f"horizon {horizon} must exceed the domain start {lo} of {f.label}")
+    hi = min(f.upper_cap, horizon)
     xs = np.linspace(lo, hi, _MONOTONICITY_GRID + 1)
     d1 = f.eval_on(xs, 1)
     if np.any(d1 < 0.0) or np.any(d1[1:-1] <= 0.0):
@@ -600,7 +614,8 @@ def compose_inverse(l: FunctionSpec, f: FunctionSpec,
     y_eps = 1e-9 * (y_hi - y_lo)
 
     def rows(y, k_lo, k_hi):
-        x = invert_monotone(f.eval_fn, np.clip(y, y_lo + y_eps, y_hi), (lo, hi), tolerances)
+        y = np.clip(y, y_lo + y_eps, y_hi)
+        x = invert_monotone(f.eval_fn, y, _table_cell(xs, vals, y), tolerances)
         return _revert_compose(l.taylor(x, 0, k_hi), f.taylor(x, 1, k_hi))[k_lo:]
 
     return FunctionSpec(

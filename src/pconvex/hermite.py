@@ -104,8 +104,8 @@ def taylor_hh(p: int, b: float) -> tuple[float, float, float]:
     """
     p = _order(p)
     b = float(b)
-    if not b > 0.0:
-        raise DomainError(f"b must be > 0, got {b}")
+    if not 0.0 < b < math.inf:
+        raise DomainError(f"b must be finite and > 0, got {b}")
     tail_prev = exp_taylor_remainder(p - 1)
     tail = exp_taylor_remainder(p)
     lower = float(tail_prev(_interior_point(0.0, b, 1.0 / (p + 1.0), p)))

@@ -37,7 +37,7 @@ from .errors import (
     SupportViolationError,
     UnboundedSupportError,
 )
-from .numerics import DEFAULT_TOLERANCES, ToleranceProfile, _order, fsum
+from .numerics import DEFAULT_TOLERANCES, ToleranceProfile, _integer, _order, fsum
 
 __all__ = [
     "EMTrace",
@@ -248,10 +248,10 @@ def elbo_tight(inst: LikelihoodInstance, norm_order: int = 2) -> float:
     certificate of ln(x) - x/b beyond order 1, which is not established, so
     the default (2, as printed above) is the supported mode.
     """
-    if norm_order != 2:
+    order = _integer(norm_order, 1, "norm_order")
+    if order != 2:
         warnings.warn("norm orders above 2 are experimental and unsupported",
                       RuntimeWarning, stacklevel=2)
-    order = int(norm_order)
     r, b, mean = inst._ratios()
     # ||b_i - X_i|| in the scaled form of shifted_moment: the deviations are
     # divided by their largest value b_i - min r_i, and a zero scale is norm 0
@@ -323,8 +323,7 @@ def em_demo(data: np.ndarray, iters: int, seed: int) -> EMTrace:
     if data.ndim != 2 or data.size == 0:
         raise ConstructionError(
             f"em_demo needs a nonempty n x d binary matrix, got shape {data.shape}")
-    if iters < 1:
-        raise DomainError("iters must be >= 1")
+    iters = _integer(iters, 1, "iters")
     n, _d = data.shape
     rng = np.random.default_rng(int(seed))
     weights = np.asarray([0.5, 0.5])
@@ -337,7 +336,7 @@ def em_demo(data: np.ndarray, iters: int, seed: int) -> EMTrace:
     inst0 = LikelihoodInstance(joint, uniform)
     rows.append((0, loglik_exact(inst0), elbo_classical(inst0), elbo_tight(inst0)))
 
-    for it in range(1, int(iters) + 1):
+    for it in range(1, iters + 1):
         # E-step at the current parameters
         resp = joint / joint.sum(axis=1, keepdims=True)
         resp = np.clip(resp, _PROB_FLOOR, None)

@@ -430,6 +430,15 @@ _MAX_ITER = 2100
 _TINY = np.finfo(float).tiny
 
 
+def _table_cell(xs: np.ndarray, vals: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
+    """The cell [xs[j-1], xs[j]] of an increasing table (xs, vals) whose
+    values bracket each target y, vals[j-1] < y <= vals[j]; a target at or
+    below vals[0] gets the first cell and one above vals[-1] the last, so
+    invert_monotone clamps it there as it would on the whole table."""
+    j = np.clip(np.searchsorted(vals, y), 1, vals.size - 1)
+    return xs[j - 1], xs[j]
+
+
 # scipy.optimize is not used: importing it adds ~0.35 s and ~21 MB to
 # `import pconvex`, and its elementwise.find_root costs ~4 ms per target.
 def invert_monotone(f: Callable, y, bracket=None,

@@ -37,7 +37,13 @@ from .convexity import (
 from .distributions import RandomVariable, expect, shifted_moment, two_point
 from .errors import DomainError, DomainMismatchError
 from .functions import FunctionSpec, Jet, _exp_rows, _power_rows, _product, compose_inverse
-from .numerics import DEFAULT_TOLERANCES, ToleranceProfile, _order, invert_monotone
+from .numerics import (
+    DEFAULT_TOLERANCES,
+    ToleranceProfile,
+    _order,
+    _table_cell,
+    invert_monotone,
+)
 
 __all__ = [
     "Falsifier",
@@ -50,6 +56,7 @@ __all__ = [
 ]
 
 COMPARISON_GRID = 512
+_CE_TABLE = 256  # cells of the falsifier's table of l
 
 
 @dataclass(frozen=True)
@@ -98,14 +105,14 @@ def certify_p_more_risk_averse(l: FunctionSpec, f: FunctionSpec, p: int,
     """Certify the graded relation via the inverse composition.
 
     l is p-more risk averse than f exactly when l o f^{-1} is left-anchored
-    convex of order p-1 on the transformed range, so the comparison reduces
-    to one certification of the composed map.
+    convex of order p-1 on the transformed range [f(lo), f(horizon)] (f's
+    evaluation cap when that is lower), so the comparison reduces to one
+    certification of the composed map, which is composed over that range
+    alone.
     """
     p = _order(p)
-    comp = compose_inverse(l, f, tolerances)
-    y_lo, y_hi = comp.domain
-    cap = min(y_hi, float(f(horizon)))
-    cert = certify_p_convex(comp, p - 1, y_lo, cap, grid_size, tolerances)
+    comp = compose_inverse(l, f, tolerances, horizon)
+    cert = certify_p_convex(comp, p - 1, *comp.domain, grid_size, tolerances)
     return RiskComparison(l_label=l.label, f_label=f.label, p=p, certificate=cert)
 
 
@@ -122,11 +129,15 @@ def falsify_p_more_risk_averse(l: FunctionSpec, f: FunctionSpec, p: int,
     holds by construction and only the norm comparison is searched.  When
     directed_from is given (a point in f's range, e.g. a certificate
     witness), lotteries straddle its preimage; otherwise they are drawn
-    across (0, horizon].  All trials are drawn in one call, three values
-    each in seeded order, mapped as numpy's uniform maps them; a trial whose
-    two atoms tie is dropped, and its lambda value with it.  Their certainty
-    equivalents are solved in one batch, and the first violating lottery is
-    returned.
+    across (0, horizon].  A directed search centres on that preimage, raised
+    to at least 1e-3 horizon; when f there already reaches the target, the
+    centre is that floor and the preimage is not solved.  All trials are
+    drawn in one call, three values each in seeded order, mapped as numpy's
+    uniform maps them; a trial whose two atoms tie is dropped, and its
+    lambda value with it.  Their certainty equivalents are solved in one
+    batch: l is tabulated once at 257 points from the least to the largest
+    atom, and each trial is solved in the table cell that brackets its
+    budget, cut to its two atoms.  The first violating lottery is returned.
     """
     p = _order(p)
     rng = np.random.default_rng(int(seed))
@@ -136,7 +147,10 @@ def falsify_p_more_risk_averse(l: FunctionSpec, f: FunctionSpec, p: int,
     if directed_from is not None:
         lo, hi = f.domain[0], min(f.upper_cap, horizon)
         y = min(max(directed_from, float(f(lo + 1e-9 * (hi - lo)))), float(f(hi)))
-        center = max(invert_monotone(f.eval_fn, y, (lo, hi), tolerances), 1e-3 * horizon)
+        # the preimage counts only above a floor: at or below it, it is not solved
+        center = floor = 1e-3 * horizon
+        if floor < hi and (floor < lo or float(f(floor)) < y):
+            center = max(invert_monotone(f.eval_fn, y, (lo, hi), tolerances), floor)
 
     # trial i draws the row u[i]; lo + (hi - lo) * u is rng.uniform(lo, hi) bit
     # for bit, with the span hi - lo computed as numpy computes it
@@ -156,9 +170,13 @@ def falsify_p_more_risk_averse(l: FunctionSpec, f: FunctionSpec, p: int,
     if x1.min() < l.domain[0] - 1e-9 or x2.max() > l.domain[1] + 1e-9:
         raise DomainMismatchError(f"a lottery leaves the domain of {l.label}")
 
-    # every certainty equivalent in one solve; each lies between its atoms
+    # every certainty equivalent in one solve, each in the cell of one table
+    # of l that brackets its budget, cut to its atoms (which bracket it too)
     budget = lam * l.eval_on(x1) + (1.0 - lam) * l.eval_on(x2)
-    c = invert_monotone(l.eval_fn, budget, (x1, x2), tolerances)
+    table = np.linspace(x1.min(), x2.max(), _CE_TABLE + 1)
+    below, above = _table_cell(table, l.eval_on(table), budget)
+    below = np.clip(below, x1, x2)
+    c = invert_monotone(l.eval_fn, budget, (below, np.clip(above, below, x2)), tolerances)
     lhs = (lam * f.eval_on(x1) ** p + (1.0 - lam) * f.eval_on(x2) ** p) ** (1.0 / p)
     rhs = f.eval_on(c)
     margin = lhs - rhs
@@ -204,7 +222,10 @@ class _Sweep:
     one-member sweep evaluates at every point, and parameters with a
     trailing axis of length 1 evaluate every member at every point, one row
     each.  The kernel runs on 1-d points (a float as one point), so a member
-    has the same value, bit for bit, alone and stacked.
+    has the same value, bit for bit, alone and stacked one point per member.
+    Every member at every point can differ from the member alone in the
+    last bit (numpy's power picks its loop by the layout of its operands),
+    so that form serves certificates, not values that must match.
     """
 
     def __init__(self, params: np.ndarray) -> None:
@@ -301,7 +322,13 @@ def _certainty_equivalents(members: list, X: RandomVariable,
     (inf X, sup X).
 
     The solve stacks them, so point i is member i's, and every element
-    equals certainty_equivalent's on the member's spec bit for bit.
+    equals certainty_equivalent's on the member's spec bit for bit.  The
+    targets E l(X) stay one expect per member: one stacked kernel call on
+    X's points (every member at every point) is not the same bits, because
+    numpy's float64 power takes an exact x * x loop for an exponent 2
+    broadcast along the points and its vector pow for a stacked exponent
+    row; from_sample([1.0, 3.2717035105188623]) at p = 1 puts x^2's target
+    one ulp apart.
     """
     targets = [expect(X, m)[0] for m in members]
     params = np.concatenate([np.empty((4, 0))] + [m.params for m in members], axis=1)

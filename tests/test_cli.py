@@ -585,6 +585,48 @@ def test_risk_comparison_past_the_composed_jet_exits_one(tmp_path, capsys):
     assert "outside its stack" in capsys.readouterr().err
 
 
+def _risk_files(tmp_path, loss: dict, baseline: dict) -> list[str]:
+    paths = []
+    for name, desc in (("l", loss), ("f", baseline)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(desc))
+    return [str(p) for p in paths]
+
+
+def test_risk_comparison_over_unbounded_domains_agrees_with_its_falsifier(tmp_path, capsys):
+    # with no domains the composition ran to x = 1e6 and clamped every grid
+    # point of [0, 100] to y = 1000: this false pair printed "holds": true
+    # next to the falsifier's violating lottery
+    x = {"family": "shifted-power", "params": {"q": 1.0}}
+    x4 = {"family": "shifted-power", "params": {"q": 4.0}}
+    loss = {"family": "nonneg-weighted-sum",
+            "params": {"terms": [{"weight": 1.0, "function": x},
+                                 {"weight": 1.0, "function": x4}]}}
+    l, f = _risk_files(tmp_path, loss, {"family": "shifted-power", "params": {"q": 2.0}})
+    assert main(["risk", "compare", "-f", l, "--baseline", f, "-p", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["holds"] is False
+    assert payload["certificate"]["verdict"] == "fail"
+    assert payload["falsifier"]["margin"] > 0.0
+
+
+def test_risk_comparison_contradicting_its_falsifier_exits_one(tmp_path, capsys, monkeypatch):
+    from pconvex import risk
+    from pconvex.distributions import two_point
+
+    square = {"family": "shifted-power", "params": {"q": 2.0}, "domain": [0.0, 50.0]}
+    quartic = {"family": "shifted-power", "params": {"q": 4.0}, "domain": [0.0, 50.0]}
+    l, f = _risk_files(tmp_path, quartic, square)
+    hit = risk.Falsifier(lottery=two_point(1.0, 3.0, 0.5), threshold=2.0, margin=0.25)
+    monkeypatch.setattr(risk, "falsify_p_more_risk_averse", lambda *a, **k: hit)
+    assert main(["risk", "compare", "-f", l, "--baseline", f, "-p", "2",
+                 "--trials", "5", "--out", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert "certificate that x^4 is 2-more risk averse than x^2 passes" in err
+    assert "violating lottery" in err and "margin 0.25" in err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_parser_is_built_once_and_lazily():
     assert _build_parser() is _build_parser()
     code = "import pconvex.cli as c; print(c._build_parser.cache_info().currsize)"

@@ -19,7 +19,7 @@ from pconvex.convexity import (
     check_power_transform_convex,
     check_ratio_monotone,
 )
-from pconvex.distributions import discrete, expect, from_sample, uniform
+from pconvex.distributions import discrete, expect, from_sample, sample_mc, uniform
 from pconvex.errors import DerivativeOrderError, DomainError, PconvexError
 from pconvex.functions import (
     derivative_function,
@@ -32,8 +32,10 @@ from pconvex.functions import (
     shifted_power,
     taylor_remainder,
 )
+from pconvex.hermite import taylor_hh
+from pconvex.mgf import elbo_tight, em_demo, likelihood_instance
 from pconvex.numerics import QuadraturePlan, ToleranceProfile
-from pconvex.risk import certify_p_more_risk_averse, risk_measure
+from pconvex.risk import RiskMeasureReport, certify_p_more_risk_averse, risk_measure
 
 from conftest import certified_members
 
@@ -181,21 +183,49 @@ class TestPastTheAnalyticStack:
         assert cert.passed and not any("differenced" in c for c in cert.margins)
         assert abs(cert.margins["convexity f^(3)>=0"]) <= 1e-9
 
-    def test_risk_comparison_solves_its_grid_once(self, monkeypatch):
-        # the anchor f^(1)(a) at one point, then f^(2) and f^(3) from one
-        # jet on the 257-point grid
-        sizes = []
+    @staticmethod
+    def _solves(monkeypatch) -> list:
+        """(targets, evaluations of f) of each inverse-composition solve."""
+        solves = []
         real = functions.invert_monotone
 
         def counting(f, y, *args, **kwargs):
-            sizes.append(np.size(y))
-            return real(f, y, *args, **kwargs)
+            solves.append([np.size(y), 0])
+
+            def counted(x):
+                solves[-1][1] += 1
+                return f(x)
+
+            return real(counted, y, *args, **kwargs)
 
         monkeypatch.setattr(functions, "invert_monotone", counting)
-        comp = certify_p_more_risk_averse(shifted_power(4.0, domain=(0.0, 50.0)),
-                                          shifted_power(2.0, domain=(0.0, 50.0)), 2, 10.0, 256)
+        return solves
+
+    def test_risk_comparison_solves_its_grid_once(self, monkeypatch):
+        # at p = 2 the anchor f^(1)(a) at one point, then f^(2) and f^(3)
+        # from one jet on the 257-point grid; at p = 1 there is no anchor
+        # condition, so no solve for it
+        solves = self._solves(monkeypatch)
+        quartic, square = (shifted_power(q, domain=(0.0, 50.0)) for q in (4.0, 2.0))
+        comp = certify_p_more_risk_averse(quartic, square, 2, 10.0, 256)
         assert comp.holds
-        assert sizes == [1, 257]
+        assert [n for n, _ in solves] == [1, 257]
+        solves.clear()
+        comp = certify_p_more_risk_averse(square, square, 1, 10.0, 256)
+        assert comp.holds
+        assert [n for n, _ in solves] == [257]
+
+    @pytest.mark.parametrize("q_l, q_f, p, evaluations", [(4.0, 2.0, 2, 15),
+                                                          (2.0, 4.0, 1, 10)])
+    def test_criterion_six_solves_in_table_cells(self, q_l, q_f, p, evaluations, monkeypatch):
+        # each target is solved in the cell of f's 257-point table that
+        # brackets it; over the whole range [0, 10] these solves took 23
+        # (anchor and grid) and 18 evaluations of f
+        solves = self._solves(monkeypatch)
+        comp = certify_p_more_risk_averse(shifted_power(q_l, domain=(0.0, 50.0)),
+                                          shifted_power(q_f, domain=(0.0, 50.0)), p, 10.0, 256)
+        assert comp.holds == (p == 2)
+        assert solves and all(count <= evaluations for _, count in solves)
 
     @pytest.mark.parametrize("certify, p, orders", [
         (certify_p_convex, 0, 1), (certify_p_convex, 1, 2), (certify_p_convex, 2, 2),
@@ -520,6 +550,8 @@ _NON_INTEGRAL = st.one_of(_NON_FINITE, st.floats(min_value=-1e6, max_value=1e6).
 _CUBE = shifted_power(3.0, domain=(0.0, 10.0))
 _LOG = log_affine(0.6)
 _LOTTERY = discrete([0.5, 2.0], [0.5, 0.5])
+_EM_DATA = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 1.0]])
+_LIKELIHOODS = likelihood_instance([[0.2, 0.3], [0.1, 0.4]], [[0.5, 0.5], [0.25, 0.75]])
 
 
 _MALFORMED = st.sampled_from([math.nan, "abc", None, [1.0], {"q": 1.0}, 10 ** 400])
@@ -573,6 +605,10 @@ _FAIL_CLOSED = {
                      st.one_of(_NON_INTEGRAL, st.sampled_from(["2", None, [2]])), 2),
     "descriptor domain": (lambda v: _descriptor_cert("shifted-power", {"q": 3.0}, [0.0, v]),
                           _MALFORMED, 1.0),
+    "taylor-hh b": (lambda v: taylor_hh(2, v), _NON_FINITE, 1.5),
+    "sample count": (lambda v: sample_mc(_LOTTERY, v, 1).values, _NON_INTEGRAL, 3),
+    "em-demo iterations": (lambda v: em_demo(_EM_DATA, v, 1).logliks(), _NON_INTEGRAL, 2),
+    "elbo norm order": (lambda v: elbo_tight(_LIKELIHOODS, v), _NON_INTEGRAL, 2),
 }
 
 
@@ -580,7 +616,12 @@ _FAIL_CLOSED = {
 def test_fail_closed_calls_pass_with_a_valid_input(name):
     call, _, valid = _FAIL_CLOSED[name]
     out = call(valid)
-    assert out.passed if isinstance(out, ConvexityCertificate) else out.achiever == "x^3"
+    if isinstance(out, ConvexityCertificate):
+        assert out.passed
+    elif isinstance(out, RiskMeasureReport):
+        assert out.achiever == "x^3"
+    else:  # a bound, a sample or a likelihood trace: finite numbers
+        assert np.all(np.isfinite(out))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -591,8 +632,9 @@ def test_non_finite_or_non_integral_inputs_fail_closed(name, data):
     failing certificate, in every certifier and in risk_measure; so does a
     non-integral node count or refinement limit, or a non-finite tolerance,
     in the quadrature plan of risk_measure's density, a non-integral order
-    of a function constructor, and a malformed parameter or domain end in a
-    function descriptor."""
+    of a function constructor, a malformed parameter or domain end in a
+    function descriptor, a non-finite end of taylor_hh, and a non-integral
+    count of sample_mc, em_demo or elbo_tight's norm order."""
     call, values, _ = _FAIL_CLOSED[name]
     value = data.draw(values)
     try:

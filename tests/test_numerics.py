@@ -38,10 +38,12 @@ from pconvex.functions import (
     shifted_power,
 )
 from pconvex.numerics import (
+    DEFAULT_TOLERANCES,
     QuadraturePlan,
     ToleranceProfile,
     _eval_nodes,
     _order,
+    _table_cell,
     fd_derivative,
     gamma,
     integrate,
@@ -478,6 +480,34 @@ class TestInvertMonotone:
         ys = ylo + np.asarray(fractions) * (yhi - ylo)
         batch = invert_monotone(f.eval_fn, ys, (lo, hi))
         assert batch.tolist() == [invert_monotone(f.eval_fn, float(y), (lo, hi)) for y in ys]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(q=st.floats(min_value=1.0, max_value=8.0),
+           shift=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0)),
+           span=st.floats(min_value=1e-2, max_value=1e3),
+           fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8),
+           nodes=st.lists(st.integers(min_value=0, max_value=256), min_size=1, max_size=4),
+           near=st.floats(min_value=-12.0, max_value=-6.0),
+           outside=st.floats(min_value=0.0, max_value=0.9))
+    def test_one_table_cell_solves_as_the_whole_table(self, q, shift, span, fractions, nodes,
+                                                       near, outside):
+        # (x - shift)^q tabulated at 257 points, as compose_inverse tabulates
+        # f: each target solved in the one cell whose values bracket it
+        # equals the solve over the whole table to 1e-14 relative, for
+        # targets inside, on table nodes, at both ends, just above the
+        # lower end, and outside the ends by less than the clamp slack
+        f = shifted_power(q, shift, (shift, shift + span))
+        xs = np.linspace(shift, shift + span, 257)
+        vals = f.eval_on(xs)
+        y_lo, y_hi = vals[0], vals[-1]
+        slack = lambda y: outside * (DEFAULT_TOLERANCES.eq_abs + DEFAULT_TOLERANCES.eq_rel * y)
+        ys = np.concatenate([y_lo + np.asarray(fractions) * (y_hi - y_lo), vals[nodes],
+                             [y_lo, y_hi, y_lo + 10.0 ** near * (y_hi - y_lo),
+                              y_lo - slack(y_lo), y_hi + slack(y_hi)]])
+        cell = invert_monotone(f.eval_fn, ys, _table_cell(xs, vals, ys))
+        whole = invert_monotone(f.eval_fn, ys, (xs[0], xs[-1]))
+        np.testing.assert_allclose(cell, whole, rtol=1e-14, atol=0.0)
+        assert cell[len(fractions) + len(nodes) + 3] == xs[0]
 
 
 _NAN_ABOVE_HALF = lambda x: math.nan if x > 0.5 else x

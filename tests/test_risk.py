@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 from pconvex import risk
 from pconvex.convexity import certify_loss_class
-from pconvex.distributions import discrete, point_mass, shifted_moment, two_point
+from pconvex.distributions import (
+    discrete,
+    expect,
+    from_sample,
+    point_mass,
+    shifted_moment,
+    two_point,
+)
 from pconvex.errors import DomainError, DomainMismatchError
 from pconvex.functions import shifted_power
 from pconvex.numerics import DEFAULT_TOLERANCES, invert_monotone
@@ -71,6 +78,27 @@ class TestGradedComparison:
         with pytest.raises(DomainError):
             certify_p_more_risk_averse(f, f, 0, horizon=10.0)
 
+    @pytest.mark.parametrize("horizon", [math.nan, -math.inf, -1.0, 0.0])
+    def test_horizon_must_exceed_the_domain_start(self, horizon):
+        f = shifted_power(2.0, domain=(0.0, 12.0))
+        with pytest.raises(DomainError, match="horizon"):
+            certify_p_more_risk_averse(f, f, 1, horizon=horizon)
+
+    def test_true_pair_holds_on_default_domains(self):
+        # composed up to x = 1e6 (y = 1e12), the clamp sat at y = 1000, far
+        # above the certified range [0, 2500]: boundary margin -2000
+        comp = certify_p_more_risk_averse(shifted_power(4.0), shifted_power(2.0), 2, 50.0)
+        assert comp.holds, comp.certificate.witness
+        assert comp.certificate.interval == (0.0, 2500.0)
+
+    @pytest.mark.parametrize("p", range(2, 8))
+    def test_power_pairs_at_their_order_hold(self, p):
+        # x^(2(p+1)) o (x^2)^(-1) is y^(p+1), a member at order p - 1 of the
+        # left-anchored class; every p failed at its anchor on default domains
+        comp = certify_p_more_risk_averse(shifted_power(2.0 * (p + 1)), shifted_power(2.0), p,
+                                          10.0)
+        assert comp.holds, comp.certificate.witness
+
 
 class TestFalsifier:
     def test_certified_pair_survives(self):
@@ -101,6 +129,24 @@ class TestFalsifier:
     def test_equality_pair_never_falsified(self):
         f = shifted_power(2.0, domain=(0.0, 50.0))
         assert falsify_p_more_risk_averse(f, f, 1, trials=1000, seed=7) is None
+
+    @pytest.mark.parametrize("directed_from", [0.0, 1e-8])
+    def test_directed_below_the_floor_solves_once(self, directed_from, monkeypatch):
+        # f(1e-3 horizon) = 1e-8 >= y: the preimage would be raised to the
+        # floor 1e-3 horizon, so only the certainty equivalents are solved
+        runs = []
+        real = risk.invert_monotone
+
+        def counting(f, y, *args, **kwargs):
+            runs.append(np.size(y))
+            return real(f, y, *args, **kwargs)
+
+        monkeypatch.setattr(risk, "invert_monotone", counting)
+        hit = falsify_p_more_risk_averse(_SQUARE, _QUARTIC, 1, trials=300, seed=5,
+                                         directed_from=directed_from)
+        assert hit is not None and hit.margin > 0.0
+        assert runs == [300]
+        assert 0.25e-2 <= min(hit.lottery.atoms) < 1e-2 < max(hit.lottery.atoms) <= 4e-2
 
     def test_lottery_outside_the_loss_domain_rejected(self):
         l = shifted_power(2.0, domain=(0.0, 5.0))
@@ -214,6 +260,21 @@ class TestRiskMeasureIsOneSolve:
         rep = risk_measure(X, p)
         assert (rep.closed_form, rep.sweep_infimum, rep.achiever,
                 rep.candidates) == self._per_candidate(X, p)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(values=st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=1, max_size=12),
+           p=st.integers(min_value=1, max_value=3))
+    def test_sample_equals_per_candidate_loop(self, values, p):
+        # the targets of a sample come from one stacked kernel call and one
+        # mean per member, bit for bit expect's mean of each member
+        X = from_sample(values)
+        rep = risk_measure(X, p)
+        assert (rep.closed_form, rep.sweep_infimum, rep.achiever,
+                rep.candidates) == self._per_candidate(X, p)
+        sweep = _Sweep(_sweep(p, 10.0)[1])
+        members = [sweep.member(i) for i in range(7)]
+        assert _certainty_equivalents(members, X, DEFAULT_TOLERANCES).tolist() == [
+            invert_monotone(m, expect(X, m)[0], (X.inf, X.sup)) for m in members]
 
     @pytest.mark.parametrize("X", [point_mass(0.0), point_mass(2.0),
                                    discrete([0.5, 1.5, 4.0], [0.25, 0.5, 0.25])],
