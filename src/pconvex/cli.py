@@ -3,13 +3,15 @@
 JSON descriptors in, CSV/JSON/SVG reports out; no interactive mode.  Runs
 that draw random numbers are seeded (--seed, default 42) and identical
 inputs plus seed produce byte-identical artifacts, so reports are diff-able
-in CI.
+in CI.  --out, --dump-canonical and --plot rewrite the named file in place
+(links and permissions kept); a non-regular target is written, not
+truncated.
 
 Exit codes: 0 for success (a certification run that *reports* verdict=fail
 is still a successful run), 2 when a bound is invoked with a certificate
 that fails (scripts can pipeline certification before bounding), and 1 for
-malformed input, usage errors and non-finite numbers included, or numeric
-failures.
+malformed input, usage errors and non-finite numbers included, an
+unreadable input or unwritable output file, or numeric failures.
 
 Every task is one entry of a table that declares its flags, its
 certification step (if any), how it computes its report and how it renders
@@ -25,6 +27,8 @@ import functools
 import io
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
@@ -78,10 +82,24 @@ def _json_text(payload: Mapping[str, Any]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write text to path in place: the file is opened without O_TRUNC and,
+    when it is a regular file, cut at the end of the text, so an existing
+    artifact keeps its inode, links and mode, and a device or FIFO is
+    written but never truncated."""
+    try:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
+                  newline="") as fh:
+            fh.write(text)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+    except OSError as exc:
+        raise InputFormatError(f"{path}: {exc.strerror}") from None
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+        _write_text(out, text)
     else:
         sys.stdout.write(text)
 
@@ -90,8 +108,10 @@ def _load_json(path: str) -> Any:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise InputFormatError(f"{path}: no such file")
+    except OSError as exc:
+        raise InputFormatError(f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: byte {exc.start}: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise InputFormatError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
@@ -119,9 +139,7 @@ class Problem:
         return out
 
     def dump(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.canonical(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_text(path, _json_text(self.canonical()))
 
     @staticmethod
     def load(raw: Mapping[str, Any]) -> "Problem":
@@ -375,9 +393,7 @@ def _sweep(problem: Problem, args: argparse.Namespace) -> str:
     column, rows = _SUITES[args.suite]
     csv_text = _write_csv((column, "lower_gap", "upper_gap"), rows(problem, args))
     if args.plot:
-        svg = render_gap_plot(csv_text, title=f"{args.suite} sweep")
-        with open(args.plot, "w", newline="") as fh:
-            fh.write(svg)
+        _write_text(args.plot, render_gap_plot(csv_text, title=f"{args.suite} sweep"))
     return csv_text
 
 

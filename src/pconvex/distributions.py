@@ -544,7 +544,7 @@ def sample_mc(X: RandomVariable, n: int, seed: int) -> RandomVariable:
     for all draws in one invert_monotone run.
     """
     n = _integer(n, 1, "n")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(_integer(seed, 0, "seed"))
     u = rng.random(n)
 
     if X.kind == "discrete":

@@ -293,7 +293,8 @@ def generate_mixture_data(n: int, dims: int, seed: int,
                           weights: tuple[float, float] = (0.6, 0.4),
                           means: tuple[float, float] = (0.8, 0.2)) -> np.ndarray:
     """Binary design matrix from a two-component Bernoulli mixture."""
-    rng = np.random.default_rng(int(seed))
+    n, dims = _integer(n, 0, "n"), _integer(dims, 0, "dims")
+    rng = np.random.default_rng(_integer(seed, 0, "seed"))
     comp = rng.random(n) < weights[0]
     base = np.where(comp[:, None], means[0], means[1])
     return (rng.random((n, dims)) < base).astype(float)
@@ -325,7 +326,7 @@ def em_demo(data: np.ndarray, iters: int, seed: int) -> EMTrace:
             f"em_demo needs a nonempty n x d binary matrix, got shape {data.shape}")
     iters = _integer(iters, 1, "iters")
     n, _d = data.shape
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(_integer(seed, 0, "seed"))
     weights = np.asarray([0.5, 0.5])
     means = np.clip(rng.uniform(0.25, 0.75, size=(2, data.shape[1])),
                     _PROB_FLOOR, 1.0 - _PROB_FLOOR)

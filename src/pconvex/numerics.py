@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 
-def _integer(value, least: int, name: str) -> int:
+def _integer(value, least: float, name: str) -> int:
     """value as an int >= least; a non-finite, non-integral or non-numeric
     value raises DomainError (an integral float such as 2.0 is accepted)."""
     try:

@@ -40,6 +40,7 @@ from .functions import FunctionSpec, Jet, _exp_rows, _power_rows, _product, comp
 from .numerics import (
     DEFAULT_TOLERANCES,
     ToleranceProfile,
+    _integer,
     _order,
     _table_cell,
     invert_monotone,
@@ -140,7 +141,7 @@ def falsify_p_more_risk_averse(l: FunctionSpec, f: FunctionSpec, p: int,
     budget, cut to its two atoms.  The first violating lottery is returned.
     """
     p = _order(p)
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(_integer(seed, 0, "seed"))
     slack = 1e-6
 
     center = None
@@ -154,7 +155,7 @@ def falsify_p_more_risk_averse(l: FunctionSpec, f: FunctionSpec, p: int,
 
     # trial i draws the row u[i]; lo + (hi - lo) * u is rng.uniform(lo, hi) bit
     # for bit, with the span hi - lo computed as numpy computes it
-    u = rng.random((max(int(trials), 0), 3))
+    u = rng.random((max(_integer(trials, -math.inf, "trials"), 0), 3))
     if center is None:
         lo = 1e-6 * horizon
         a1, a2 = lo + (horizon - lo) * u[:, :2].T

@@ -7,9 +7,11 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -411,6 +413,94 @@ class TestProblemFiles:
         assert direct.read_bytes() == replay.read_bytes()
 
 
+class TestArtifactWriter:
+    """--out, --dump-canonical and --plot rewrite the named file in place."""
+
+    def _hh(self, fn_file, capsys):
+        assert main(["hh", "-f", fn_file, "-p", "2"]) == 0
+        return capsys.readouterr().out.encode()
+
+    def test_shorter_report_leaves_no_stale_tail(self, fn_file, tmp_path, capsys):
+        want = self._hh(fn_file, capsys)
+        out = tmp_path / "hh.csv"
+        out.write_bytes(b"x" * (10 * len(want)))
+        inode = out.stat().st_ino
+        assert main(["hh", "-f", fn_file, "-p", "2", "--out", str(out)]) == 0
+        assert out.read_bytes() == want
+        assert out.stat().st_ino == inode
+
+    def test_dev_null(self, fn_file):
+        assert main(["hh", "-f", fn_file, "-p", "2", "--out", os.devnull]) == 0
+
+    def test_fifo_is_written(self, fn_file, tmp_path, capsys):
+        want = self._hh(fn_file, capsys)
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main(["hh", "-f", fn_file, "-p", "2", "--out", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert got == [want]
+
+    def test_symlink_updates_its_target(self, fn_file, tmp_path, capsys):
+        want = self._hh(fn_file, capsys)
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"old contents, longer than nothing\n" * 40)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert main(["hh", "-f", fn_file, "-p", "2", "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == want
+
+    def test_mode_bits_are_kept(self, fn_file, tmp_path):
+        out = tmp_path / "hh.csv"
+        out.write_bytes(b"old")
+        out.chmod(0o640)
+        assert main(["hh", "-f", fn_file, "-p", "2", "--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+    def test_no_write_truncates_on_open(self, fn_file, tmp_path, monkeypatch):
+        # truncating an existing file to zero on open is the slow path the
+        # writer avoids; every artifact must go through one os.open
+        from pconvex import cli
+        opened = {}
+        real = cli.os.open
+
+        def recording(path, flags, *args, **kwargs):
+            opened[os.fspath(path)] = flags
+            return real(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(cli.os, "open", recording)
+        out, canon, plot = (str(tmp_path / n) for n in ("gaps.csv", "p.json", "gaps.svg"))
+        for _ in range(2):  # the second run rewrites existing files
+            assert main(["sweep", "--suite", "hh", "--p-max", "2", "--out", out,
+                         "--dump-canonical", canon, "--plot", plot]) == 0
+        assert set(opened) == {out, canon, plot}
+        assert not any(flags & os.O_TRUNC for flags in opened.values())
+
+    @pytest.mark.parametrize("where", ["out", "dump", "plot", "out-dir", "input-dir",
+                                       "input-bytes"])
+    def test_io_failure_is_exit_one(self, where, fn_file, tmp_path, capsys):
+        bad = str(tmp_path / "no" / "such" / "dir" / "x")
+        if where.endswith("dir"):
+            bad = str(tmp_path)
+        elif where == "input-bytes":
+            bad = str(tmp_path / "latin1.json")
+            Path(bad).write_bytes(b'{"kind": "\xe9"}')
+        argv = {"out": ["hh", "-f", fn_file, "-p", "2", "--out", bad],
+                "dump": ["hh", "-f", fn_file, "-p", "2", "--dump-canonical", bad],
+                "plot": ["sweep", "--suite", "hh", "--p-max", "2", "--plot", bad],
+                "out-dir": ["hh", "-f", fn_file, "-p", "2", "--out", bad],
+                "input-dir": ["mgf", "-d", bad, "-s", "0.5", "-p", "2"],
+                "input-bytes": ["mgf", "-d", bad, "-s", "0.5", "-p", "2"]}[where]
+        # an exception escaping main would fail the test with its traceback
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {bad}: ")
+        assert "Traceback" not in err
+
+
 class TestGapPlot:
     def test_single_row(self):
         svg = render_gap_plot("p,gap\r\n1,0.5\r\n")
@@ -474,9 +564,16 @@ class TestFailClosedInputs:
         assert main(["bound", "-f", fn_file, "-d", str(d), "-p", "1", "--kind", "lower"]) == 1
         assert "needs finite parameters" in capsys.readouterr().err
 
-    def test_em_demo_without_columns(self, capsys):
-        assert main(["em-demo", "--samples", "5", "--dims", "0"]) == 1
-        assert "nonempty n x d" in capsys.readouterr().err
+    @pytest.mark.parametrize("tail, words", [
+        (["--dims", "0"], "nonempty n x d"),
+        (["--samples", "-1"], "n must be >= 0, got -1"),
+        (["--dims", "-2"], "dims must be >= 0, got -2"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+    ], ids=["no-columns", "negative-samples", "negative-dims", "negative-seed"])
+    def test_em_demo_sizes(self, tail, words, capsys):
+        # a negative count or seed raised numpy's ValueError out of main
+        assert main(["em-demo", "--samples", "5"] + tail) == 1
+        assert words in capsys.readouterr().err
 
     def test_tolerance_profile_field_nothing_reads(self, fn_file, tmp_path, capsys):
         # fd_step was accepted and ignored

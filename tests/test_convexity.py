@@ -33,9 +33,14 @@ from pconvex.functions import (
     taylor_remainder,
 )
 from pconvex.hermite import taylor_hh
-from pconvex.mgf import elbo_tight, em_demo, likelihood_instance
+from pconvex.mgf import elbo_tight, em_demo, generate_mixture_data, likelihood_instance
 from pconvex.numerics import QuadraturePlan, ToleranceProfile
-from pconvex.risk import RiskMeasureReport, certify_p_more_risk_averse, risk_measure
+from pconvex.risk import (
+    RiskMeasureReport,
+    certify_p_more_risk_averse,
+    falsify_p_more_risk_averse,
+    risk_measure,
+)
 
 from conftest import certified_members
 
@@ -550,6 +555,8 @@ _NON_INTEGRAL = st.one_of(_NON_FINITE, st.floats(min_value=-1e6, max_value=1e6).
 _CUBE = shifted_power(3.0, domain=(0.0, 10.0))
 _LOG = log_affine(0.6)
 _LOTTERY = discrete([0.5, 2.0], [0.5, 0.5])
+_SQUARE = shifted_power(2.0, domain=(0.0, 50.0))
+_QUARTIC = shifted_power(4.0, domain=(0.0, 50.0))
 _EM_DATA = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 1.0]])
 _LIKELIHOODS = likelihood_instance([[0.2, 0.3], [0.1, 0.4]], [[0.5, 0.5], [0.25, 0.75]])
 
@@ -559,6 +566,11 @@ _MALFORMED = st.sampled_from([math.nan, "abc", None, [1.0], {"q": 1.0}, 10 ** 40
 
 def _uniform_with(**plan):
     return uniform(0.5, 2.0, QuadraturePlan(**plan))
+
+
+def _falsified(trials, seed):
+    hit = falsify_p_more_risk_averse(_SQUARE, _QUARTIC, 1, trials, seed)
+    return hit.threshold, hit.margin
 
 
 def _descriptor_cert(family: str, params: dict, domain, p: int = 1):
@@ -608,6 +620,13 @@ _FAIL_CLOSED = {
     "taylor-hh b": (lambda v: taylor_hh(2, v), _NON_FINITE, 1.5),
     "sample count": (lambda v: sample_mc(_LOTTERY, v, 1).values, _NON_INTEGRAL, 3),
     "em-demo iterations": (lambda v: em_demo(_EM_DATA, v, 1).logliks(), _NON_INTEGRAL, 2),
+    "sample seed": (lambda v: sample_mc(_LOTTERY, 3, v).values, _NON_INTEGRAL, 1),
+    "mixture size": (lambda v: generate_mixture_data(v, 2, 1), _NON_INTEGRAL, 4),
+    "mixture dims": (lambda v: generate_mixture_data(4, v, 1), _NON_INTEGRAL, 2),
+    "mixture seed": (lambda v: generate_mixture_data(4, 2, v), _NON_INTEGRAL, 1),
+    "em-demo seed": (lambda v: em_demo(_EM_DATA, 2, v).logliks(), _NON_INTEGRAL, 1),
+    "falsifier seed": (lambda v: _falsified(300, v), _NON_INTEGRAL, 1),
+    "falsifier trials": (lambda v: _falsified(v, 1), _NON_INTEGRAL, 300),
     "elbo norm order": (lambda v: elbo_tight(_LIKELIHOODS, v), _NON_INTEGRAL, 2),
 }
 
@@ -633,8 +652,10 @@ def test_non_finite_or_non_integral_inputs_fail_closed(name, data):
     non-integral node count or refinement limit, or a non-finite tolerance,
     in the quadrature plan of risk_measure's density, a non-integral order
     of a function constructor, a malformed parameter or domain end in a
-    function descriptor, a non-finite end of taylor_hh, and a non-integral
-    count of sample_mc, em_demo or elbo_tight's norm order."""
+    function descriptor, a non-finite end of taylor_hh, a non-integral
+    count of sample_mc, em_demo or elbo_tight's norm order, and a
+    non-integral seed, sample count or trial count of the seeded generators
+    and the falsifier."""
     call, values, _ = _FAIL_CLOSED[name]
     value = data.draw(values)
     try:

@@ -126,6 +126,11 @@ class TestFalsifier:
                                          directed_from=comp.certificate.witness.point)
         assert hit is not None
 
+    @pytest.mark.parametrize("trials", [0, -3, -3.0])
+    def test_no_trials_find_nothing(self, trials):
+        # a count at or below zero is no search at all
+        assert falsify_p_more_risk_averse(_SQUARE, _QUARTIC, 1, trials=trials, seed=1) is None
+
     def test_equality_pair_never_falsified(self):
         f = shifted_power(2.0, domain=(0.0, 50.0))
         assert falsify_p_more_risk_averse(f, f, 1, trials=1000, seed=7) is None
