@@ -564,12 +564,15 @@ class TestFailClosedInputs:
         assert main(["bound", "-f", fn_file, "-d", str(d), "-p", "1", "--kind", "lower"]) == 1
         assert "needs finite parameters" in capsys.readouterr().err
 
+    def test_em_demo_without_columns(self, capsys):
+        assert main(["em-demo", "--samples", "5", "--dims", "0"]) == 1
+        assert "nonempty n x d" in capsys.readouterr().err
+
     @pytest.mark.parametrize("tail, words", [
-        (["--dims", "0"], "nonempty n x d"),
         (["--samples", "-1"], "n must be >= 0, got -1"),
         (["--dims", "-2"], "dims must be >= 0, got -2"),
         (["--seed", "-1"], "seed must be >= 0, got -1"),
-    ], ids=["no-columns", "negative-samples", "negative-dims", "negative-seed"])
+    ], ids=["negative-samples", "negative-dims", "negative-seed"])
     def test_em_demo_sizes(self, tail, words, capsys):
         # a negative count or seed raised numpy's ValueError out of main
         assert main(["em-demo", "--samples", "5"] + tail) == 1
