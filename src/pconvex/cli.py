@@ -665,6 +665,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "run":
             problem = Problem.load(_load_json(args.problem))
             if args.plot:
+                if not any(flag.key == "plot" for flag in _TASKS[problem.task].flags):
+                    raise InputFormatError(f"task {problem.task} takes no --plot")
                 problem.params["plot"] = args.plot
             return run_problem(problem, args.out)
         problem = _problem_from_args(args)

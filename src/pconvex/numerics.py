@@ -434,8 +434,14 @@ def _table_cell(xs: np.ndarray, vals: np.ndarray, y) -> tuple[np.ndarray, np.nda
     """The cell [xs[j-1], xs[j]] of an increasing table (xs, vals) whose
     values bracket each target y, vals[j-1] < y <= vals[j]; a target at or
     below vals[0] gets the first cell and one above vals[-1] the last, so
-    invert_monotone clamps it there as it would on the whole table."""
-    j = np.clip(np.searchsorted(vals, y), 1, vals.size - 1)
+    invert_monotone clamps it there as it would on the whole table.  vals
+    may also hold one row per target (a stacked family tabulated at xs),
+    each row searched as a table of its own."""
+    if vals.ndim == 1:
+        j = np.searchsorted(vals, y)
+    else:
+        j = np.array([row.searchsorted(t) for row, t in zip(vals, y)], dtype=np.intp)
+    j = np.minimum(np.maximum(j, 1), xs.size - 1)
     return xs[j - 1], xs[j]
 
 

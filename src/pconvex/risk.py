@@ -18,6 +18,9 @@ increasing on [0, horizon].  Two instruments live here:
   is certified once at unit scale per order, grid size and tolerance
   profile (a memo cache), and the members are solved as one stacked jet
   kernel, the product of the jets of x^a, (1 + b x)^g and e^(e x).
+
+Every certainty equivalent is solved in the cell of a 257-point table of
+the loss function on the range of the lottery.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .convexity import (
     certify_loss_class,
     certify_p_convex,
 )
-from .distributions import RandomVariable, expect, shifted_moment, two_point
+from .distributions import RandomVariable, _finite_mean, expect, shifted_moment, two_point
 from .errors import DomainError, DomainMismatchError
 from .functions import FunctionSpec, Jet, _exp_rows, _power_rows, _product, compose_inverse
 from .numerics import (
@@ -57,7 +60,7 @@ __all__ = [
 ]
 
 COMPARISON_GRID = 512
-_CE_TABLE = 256  # cells of the falsifier's table of l
+_CE_TABLE = 256  # cells of the table of l a certainty equivalent is solved in
 
 
 @dataclass(frozen=True)
@@ -93,9 +96,29 @@ class RiskMeasureReport:
 
 def certainty_equivalent(l: FunctionSpec, X: RandomVariable,
                          tolerances: ToleranceProfile = DEFAULT_TOLERANCES) -> float:
-    """The sure amount traded for the lottery: l^{-1}(E l(X)) in [inf X, sup X]."""
+    """The sure amount traded for the lottery: l^{-1}(E l(X)) in [inf X, sup X],
+    solved in the cell of a 257-point table of l on that range that brackets
+    E l(X).  An unbounded X raises DomainError."""
+    if not X.bounded:
+        raise DomainError(f"a certainty equivalent needs a bounded lottery, sup X = {X.sup}")
     target, _ = expect(X, l)
-    return invert_monotone(l.eval_fn, target, (X.inf, X.sup), tolerances)
+    return _solve_in_table(l.eval_fn, l.eval_on, target, X.inf, X.sup, tolerances)
+
+
+def _solve_in_table(f, table_of_f, y, lo, hi, tolerances: ToleranceProfile):
+    """Solve f(c) = y for a float or an array of targets in one
+    invert_monotone run, each target in the cell of one table that brackets
+    it, cut to its own [lo, hi] (which brackets it too).
+
+    The table is f at _CE_TABLE + 1 points from the least lo to the largest
+    hi; table_of_f gives it as one row, which every target is solved in, or
+    as one row per target (a stacked family, f point i being member i).
+    """
+    table = np.linspace(np.min(lo), np.max(hi), _CE_TABLE + 1)
+    below, above = _table_cell(table, table_of_f(table), y)
+    below = np.minimum(np.maximum(below, lo), hi)
+    return invert_monotone(f, y, (below, np.minimum(np.maximum(above, below), hi)),
+                           tolerances)
 
 
 def certify_p_more_risk_averse(l: FunctionSpec, f: FunctionSpec, p: int,
@@ -138,7 +161,8 @@ def falsify_p_more_risk_averse(l: FunctionSpec, f: FunctionSpec, p: int,
     lambda value with it.  Their certainty equivalents are solved in one
     batch: l is tabulated once at 257 points from the least to the largest
     atom, and each trial is solved in the table cell that brackets its
-    budget, cut to its two atoms.  The first violating lottery is returned.
+    budget, cut to its two atoms (as certainty_equivalent solves one
+    lottery).  The first violating lottery is returned.
     """
     p = _order(p)
     rng = np.random.default_rng(_integer(seed, 0, "seed"))
@@ -171,13 +195,8 @@ def falsify_p_more_risk_averse(l: FunctionSpec, f: FunctionSpec, p: int,
     if x1.min() < l.domain[0] - 1e-9 or x2.max() > l.domain[1] + 1e-9:
         raise DomainMismatchError(f"a lottery leaves the domain of {l.label}")
 
-    # every certainty equivalent in one solve, each in the cell of one table
-    # of l that brackets its budget, cut to its atoms (which bracket it too)
     budget = lam * l.eval_on(x1) + (1.0 - lam) * l.eval_on(x2)
-    table = np.linspace(x1.min(), x2.max(), _CE_TABLE + 1)
-    below, above = _table_cell(table, l.eval_on(table), budget)
-    below = np.clip(below, x1, x2)
-    c = invert_monotone(l.eval_fn, budget, (below, np.clip(above, below, x2)), tolerances)
+    c = _solve_in_table(l.eval_fn, l.eval_on, budget, x1, x2, tolerances)
     lhs = (lam * f.eval_on(x1) ** p + (1.0 - lam) * f.eval_on(x2) ** p) ** (1.0 / p)
     rhs = f.eval_on(c)
     margin = lhs - rhs
@@ -222,11 +241,11 @@ class _Sweep:
     Called on one point per member, it evaluates member i at point i; a
     one-member sweep evaluates at every point, and parameters with a
     trailing axis of length 1 evaluate every member at every point, one row
-    each.  The kernel runs on 1-d points (a float as one point), so a member
-    has the same value, bit for bit, alone and stacked one point per member.
-    Every member at every point can differ from the member alone in the
-    last bit (numpy's power picks its loop by the layout of its operands),
-    so that form serves certificates, not values that must match.
+    each.  The kernel has one layout: the exponent rows a and g are copied
+    out to the shape of the points before any power is taken, so numpy's
+    power runs one loop for every form (an exponent broadcast along the
+    points would take an exact x * x for 2), and a member has the same
+    value, bit for bit, alone and in each stacked form.
     """
 
     def __init__(self, params: np.ndarray) -> None:
@@ -235,12 +254,19 @@ class _Sweep:
 
     def rows(self, x: np.ndarray, lo: int, hi: int) -> list:
         """The jet kernel: the product of the jets of x^a, (1 + b x)^g and
-        e^(e x); x below 0 counts as 0."""
+        e^(e x); x below 0 counts as 0.  Order 0 alone is that product of
+        values, the same operations as the jet product's row 0."""
         a, b, g, e = self.abge
         flat = np.maximum(x.reshape(-1), 0.0)
-        power = _product(_power_rows(flat, a, 0, hi), _power_rows(1.0 + b * flat, g, 0, hi, b))
-        return [r.reshape(r.shape[:-1] + x.shape)
-                for r in _product(power, _exp_rows(flat, e, 0, hi))[lo:]]
+        shape = np.broadcast(a, flat).shape
+        a, g = np.full(shape, a), np.full(shape, g)
+        if hi == 0:
+            rows = [flat ** a * (1.0 + b * flat) ** g * np.exp(e * flat)]
+        else:
+            power = _product(_power_rows(flat, a, 0, hi),
+                             _power_rows(1.0 + b * flat, g, 0, hi, b))
+            rows = _product(power, _exp_rows(flat, e, 0, hi))[lo:]
+        return [r.reshape(r.shape[:-1] + x.shape) for r in rows]
 
     def __call__(self, x, k: int = 0):
         return self.rows(np.asarray(x, dtype=float), k, k)[0]
@@ -292,8 +318,11 @@ def risk_measure(X: RandomVariable, p: int,
     membership is certified once, at unit scale, per (p, grid_size,
     tolerances) and kept in a memo cache (_unit_members; cache_clear empties
     it), with the slack taken relative to unit-scale margins.  The included
-    members' certainty equivalents are one invert_monotone run of the
-    stacked kernel, each equal to certainty_equivalent's bit for bit.
+    members' certainty equivalents come from the stacked kernel: the
+    targets of a discrete or sample X from one call on its points, the
+    257-point table on [inf X, sup X] from one more, then one
+    invert_monotone run solves each member in its table cell.  Each equals
+    certainty_equivalent's on the member's spec bit for bit.
     """
     p = _order(p)
     grid_size = _grid_size(grid_size)
@@ -305,9 +334,8 @@ def risk_measure(X: RandomVariable, p: int,
         raise DomainError(f"horizon {horizon} must be finite")
 
     labels, params = _sweep(p, horizon)
-    included = _unit_members(p, grid_size, tolerances)
-    sweep = _Sweep(params)
-    ces = _certainty_equivalents([sweep.member(i) for i in included], X, tolerances)
+    included = list(_unit_members(p, grid_size, tolerances))
+    ces = _certainty_equivalents(params[:, included], X, tolerances)
     labels = tuple(labels[i] for i in included)
     # the first candidate with the least certainty equivalent, as a strict < scan finds it
     best, achiever = min(zip(ces.tolist(), labels), key=lambda pair: pair[0],
@@ -317,21 +345,20 @@ def risk_measure(X: RandomVariable, p: int,
                              achiever=achiever, candidates=labels)
 
 
-def _certainty_equivalents(members: list, X: RandomVariable,
+def _certainty_equivalents(params: np.ndarray, X: RandomVariable,
                            tolerances: ToleranceProfile) -> np.ndarray:
-    """certainty_equivalent of each one-member _Sweep, in one array solve on
-    (inf X, sup X).
+    """certainty_equivalent of each sweep member (a column of params), in one
+    array solve; every element equals certainty_equivalent's on the
+    member's spec bit for bit, since the kernel has one layout.
 
-    The solve stacks them, so point i is member i's, and every element
-    equals certainty_equivalent's on the member's spec bit for bit.  The
-    targets E l(X) stay one expect per member: one stacked kernel call on
-    X's points (every member at every point) is not the same bits, because
-    numpy's float64 power takes an exact x * x loop for an exponent 2
-    broadcast along the points and its vector pow for a stacked exponent
-    row; from_sample([1.0, 3.2717035105188623]) at p = 1 puts x^2's target
-    one ulp apart.
+    A discrete or sample X gets its targets E l(X) from one kernel call,
+    every member at every point, and one mean per member; a density keeps
+    one expect per member, as quadrature takes one integrand.
     """
-    targets = [expect(X, m)[0] for m in members]
-    params = np.concatenate([np.empty((4, 0))] + [m.params for m in members], axis=1)
-    return invert_monotone(_Sweep(params), np.array(targets, dtype=float),
-                           (X.inf, X.sup), tolerances)
+    sweep, stacked = _Sweep(params), _Sweep(params[:, :, None])
+    if X.kind == "density":
+        targets = [expect(X, sweep.member(i))[0] for i in range(params.shape[1])]
+    else:
+        targets = [_finite_mean(X, row) for row in stacked(X._points)]
+    return _solve_in_table(sweep, stacked, np.array(targets, dtype=float),
+                           X.inf, X.sup, tolerances)

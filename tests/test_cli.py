@@ -318,6 +318,24 @@ class TestSweepAndDeterminism:
         assert outs[0] == outs[1]
         assert svgs[0] == svgs[1]
 
+    def test_run_plot_writes_the_sweep_svg(self, tmp_path):
+        canon, direct, replay = (tmp_path / n for n in ("canon.json", "direct.svg", "replay.svg"))
+        assert main(["sweep", "--suite", "hh", "--p-max", "2", "--dump-canonical",
+                     str(canon), "--out", str(tmp_path / "gaps.csv"),
+                     "--plot", str(direct)]) == 0
+        assert main(["run", str(canon), "--out", str(tmp_path / "replay.csv"),
+                     "--plot", str(replay)]) == 0
+        assert replay.read_text().startswith("<svg")
+        assert replay.read_bytes() == direct.read_bytes()
+
+    def test_run_plot_is_rejected_for_a_task_without_it(self, fn_file, tmp_path, capsys):
+        canon, svg = tmp_path / "canon.json", tmp_path / "x.svg"
+        assert main(["hh", "-f", fn_file, "-p", "2", "--dump-canonical", str(canon),
+                     "--out", str(tmp_path / "hh.csv")]) == 0
+        assert main(["run", str(canon), "--plot", str(svg)]) == 1
+        assert "takes no --plot" in capsys.readouterr().err
+        assert not svg.exists()
+
     def test_problem_file_with_seed_param_runs_unchanged(self, tmp_path):
         # sweep has no --seed any more; files written when it had one still run
         canon, want, got = (tmp_path / n for n in ("canon.json", "want.csv", "got.csv"))

@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 from pconvex import risk
 from pconvex.convexity import certify_loss_class
 from pconvex.distributions import (
+    beta_like,
+    density,
     discrete,
-    expect,
     from_sample,
     point_mass,
     shifted_moment,
     two_point,
+    uniform,
 )
 from pconvex.errors import DomainError, DomainMismatchError
 from pconvex.functions import shifted_power
@@ -52,6 +54,34 @@ class TestCertaintyEquivalent:
             l = shifted_power(p + 1.0, domain=(0.0, 40.0))
             want = (sum(a ** (p + 1) for a in X.atoms) / 3.0) ** (1.0 / (p + 1))
             assert certainty_equivalent(l, X) == pytest.approx(want, rel=1e-12)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(atoms=st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=5),
+           weights=st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=6, max_size=6),
+           with_zero=st.booleans(), q=st.floats(min_value=1.0, max_value=6.0))
+    def test_pure_power_is_the_q_norm(self, atoms, weights, with_zero, q):
+        # point masses (one atom, or zero alone) and lotteries with inf X = 0 included
+        atoms = [0.0] * with_zero + atoms
+        probs = np.array(weights[: len(atoms)]) / sum(weights[: len(atoms)])
+        X = point_mass(atoms[0]) if len(atoms) == 1 else discrete(atoms, probs)
+        want = math.fsum(w * a ** q for w, a in zip(X.probs, X.atoms)) ** (1.0 / q)
+        got = certainty_equivalent(shifted_power(q), X)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(k=st.integers(min_value=1, max_value=255), q=st.floats(min_value=1.0, max_value=6.0))
+    def test_target_on_a_table_node(self, k, q):
+        # E l(X) equals l at node k of the 257-point table on [0, 1]
+        l = shifted_power(q)
+        w = float(l.eval_on(np.linspace(0.0, 1.0, 257))[k])
+        X = discrete([0.0, 1.0], [1.0 - w, w])
+        assert certainty_equivalent(l, X) == k / 256
+        assert certainty_equivalent(l, X) == pytest.approx(w ** (1.0 / q), rel=1e-14)
+
+    def test_unbounded_lottery_fails_closed(self):
+        X = density(lambda x: np.exp(-np.asarray(x)), (0.0, math.inf))
+        with pytest.raises(DomainError, match="bounded lottery"):
+            certainty_equivalent(shifted_power(2.0), X)
 
 
 class TestGradedComparison:
@@ -276,22 +306,57 @@ class TestRiskMeasureIsOneSolve:
         rep = risk_measure(X, p)
         assert (rep.closed_form, rep.sweep_infimum, rep.achiever,
                 rep.candidates) == self._per_candidate(X, p)
-        sweep = _Sweep(_sweep(p, 10.0)[1])
-        members = [sweep.member(i) for i in range(7)]
-        assert _certainty_equivalents(members, X, DEFAULT_TOLERANCES).tolist() == [
-            invert_monotone(m, expect(X, m)[0], (X.inf, X.sup)) for m in members]
+        members = [l for _, l in _sweep_candidates(p, 10.0)[:7]]
+        assert _certainty_equivalents(_sweep(p, 10.0)[1][:, :7], X,
+                                      DEFAULT_TOLERANCES).tolist() == [
+            certainty_equivalent(l, X) for l in members]
 
     @pytest.mark.parametrize("X", [point_mass(0.0), point_mass(2.0),
                                    discrete([0.5, 1.5, 4.0], [0.25, 0.5, 0.25])],
                              ids=["zero", "point-mass", "three-atoms"])
     @pytest.mark.parametrize("count", [0, 1, 2, 10])
     def test_any_number_of_candidates(self, X, count):
-        sweep = _Sweep(_sweep(2, 40.0)[1])
-        got = _certainty_equivalents([sweep.member(i) for i in range(count)], X,
-                                     DEFAULT_TOLERANCES)
+        got = _certainty_equivalents(_sweep(2, 40.0)[1][:, :count], X, DEFAULT_TOLERANCES)
         losses = [c for _, c in _sweep_candidates(2, 40.0)][:count]
         assert isinstance(got, np.ndarray) and got.shape == (count,)
         assert got.tolist() == [certainty_equivalent(l, X) for l in losses]
+
+    @pytest.mark.parametrize("X", [uniform(0.0, 2.0), beta_like(0.5, 3.0, 1.5, 2.5)],
+                             ids=["uniform", "beta-like"])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_density_equals_per_candidate_loop(self, X, p):
+        rep = risk_measure(X, p)
+        assert (rep.closed_form, rep.sweep_infimum, rep.achiever,
+                rep.candidates) == self._per_candidate(X, p)
+        # the pure power's certainty equivalent and the norm come from two
+        # quadratures of E X^(p+1), each within the plan's absolute tolerance
+        cf = rep.closed_form
+        assert rep.achiever == f"x^{p + 1}"
+        assert abs(rep.sweep_infimum - cf) <= 2.0 * X.plan.abs_tolerance / ((p + 1) * cf ** p)
+
+    def test_uniform_closed_form(self):
+        for p in (1, 2):
+            want = 2.0 * (p + 2.0) ** (-1.0 / (p + 1))  # ||U(0, 2)||_(p+1)
+            rep = risk_measure(uniform(0.0, 2.0), p)
+            assert rep.closed_form == pytest.approx(want, rel=1e-13)
+            assert rep.sweep_infimum == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_five_atom_lottery_makes_at_most_nine_kernel_calls(self, p, monkeypatch):
+        # the targets, the table and the steps of one solve; membership is
+        # certified on the first call and cached
+        X = discrete([0.3, 1.1, 2.0, 3.7, 4.9], [0.1, 0.3, 0.2, 0.25, 0.15])
+        want = risk_measure(X, p)
+        calls = []
+        real = _Sweep.rows
+
+        def counting(self, x, lo, hi):
+            calls.append(x.shape)
+            return real(self, x, lo, hi)
+
+        monkeypatch.setattr(_Sweep, "rows", counting)
+        assert risk_measure(X, p) == want
+        assert 3 <= len(calls) <= 9
 
 
 class TestRiskMeasure:
@@ -427,6 +492,12 @@ class TestUnitScaleMembership:
         assert _unit_members.cache_info().currsize == 0
 
 
+# 0, the point where an exponent 2 once took another loop, moderate and large points
+_POINTS = st.one_of(st.just(0.0), st.just(3.2717035105188623),
+                    st.floats(min_value=0.0, max_value=10.0),
+                    st.floats(min_value=1e3, max_value=1e5))
+
+
 class TestSweepKernel:
     """One array kernel evaluates every sweep member and its derivatives."""
 
@@ -452,6 +523,32 @@ class TestSweepKernel:
                                x, k)
         got = float(_Sweep(_sweep(p, 1.0)[1]).member(i)(x, k))
         assert got == pytest.approx(float(want), rel=1e-13, abs=1e-300)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(p=st.integers(min_value=1, max_value=3), k=st.integers(min_value=0, max_value=5),
+           x=st.lists(_POINTS, min_size=10, max_size=10))
+    def test_one_layout_for_every_form(self, p, k, x):
+        # member i alone at every point, alone at one point, at point i among
+        # all members, and every member at every point: the same bits
+        x = np.array(x)
+        params = _sweep(p, max(10.0 * x.max(), 10.0))[1]
+        every = np.array(_Sweep(params[:, :, None]).rows(x, 0, k))  # order, member, point
+        alone = np.array([_Sweep(params[:, i:i + 1]).rows(x, 0, k) for i in range(10)])
+        assert every.tobytes() == alone.transpose(1, 0, 2).tobytes()
+        diagonal = every[:, range(10), range(10)]
+        assert np.array(_Sweep(params).rows(x, 0, k)).tobytes() == diagonal.tobytes()
+        single = [_Sweep(params[:, i:i + 1]).rows(np.asarray(xi), 0, k) for i, xi in enumerate(x)]
+        assert np.array(single).T.tobytes() == diagonal.tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(p=st.integers(min_value=1, max_value=3),
+           x=st.lists(_POINTS, min_size=10, max_size=10))
+    def test_order_zero_is_row_zero_of_the_jet_product(self, p, x):
+        x = np.array(x)
+        params = _sweep(p, max(10.0 * x.max(), 10.0))[1]
+        for sweep in (_Sweep(params), _Sweep(params[:, :1]), _Sweep(params[:, :, None])):
+            assert sweep.rows(x, 0, 0)[0].tobytes() == sweep.rows(x, 0, 1)[0].tobytes()
+            assert sweep(x).tobytes() == sweep.rows(x, 0, 1)[0].tobytes()
 
     def test_negative_points_count_as_zero(self):
         # a lottery may sit eq_abs below 0; the pure power stays flat there
