@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -56,6 +56,7 @@ __all__ = [
     "distribution_from_descriptor",
     "distribution_to_descriptor",
     "expect",
+    "expect_each",
     "fractional_hh_density",
     "from_sample",
     "point_mass",
@@ -473,6 +474,21 @@ def expect(X: RandomVariable, f) -> tuple[float, float]:
     except ConvergenceError as exc:
         raise MomentDivergenceError(
             f"expectation quadrature diverged: {exc}") from exc
+
+
+def expect_each(X: RandomVariable, stacked: Callable, members: Iterable) -> list[float]:
+    """E f(X) for each callable f of members, without error estimates;
+    stacked(xs) gives every member's values at an array of points, one row
+    each, with the bits of the member alone.
+
+    A discrete or sample X takes one call of stacked on its points and one
+    mean per row, the values expect gives member by member; a density takes
+    one expect per member, as quadrature takes one integrand, and only then
+    is members iterated.
+    """
+    if X.kind != "density":
+        return [_finite_mean(X, row) for row in stacked(X._points)]
+    return [expect(X, f)[0] for f in members]
 
 
 # ---------------------------------------------------------------------------

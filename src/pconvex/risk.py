@@ -37,7 +37,7 @@ from .convexity import (
     certify_loss_class,
     certify_p_convex,
 )
-from .distributions import RandomVariable, _finite_mean, expect, shifted_moment, two_point
+from .distributions import RandomVariable, expect, expect_each, shifted_moment, two_point
 from .errors import DomainError, DomainMismatchError
 from .functions import FunctionSpec, Jet, _exp_rows, _power_rows, _product, compose_inverse
 from .numerics import (
@@ -254,19 +254,14 @@ class _Sweep:
 
     def rows(self, x: np.ndarray, lo: int, hi: int) -> list:
         """The jet kernel: the product of the jets of x^a, (1 + b x)^g and
-        e^(e x); x below 0 counts as 0.  Order 0 alone is that product of
-        values, the same operations as the jet product's row 0."""
+        e^(e x); x below 0 counts as 0."""
         a, b, g, e = self.abge
         flat = np.maximum(x.reshape(-1), 0.0)
         shape = np.broadcast(a, flat).shape
         a, g = np.full(shape, a), np.full(shape, g)
-        if hi == 0:
-            rows = [flat ** a * (1.0 + b * flat) ** g * np.exp(e * flat)]
-        else:
-            power = _product(_power_rows(flat, a, 0, hi),
-                             _power_rows(1.0 + b * flat, g, 0, hi, b))
-            rows = _product(power, _exp_rows(flat, e, 0, hi))[lo:]
-        return [r.reshape(r.shape[:-1] + x.shape) for r in rows]
+        power = _product(_power_rows(flat, a, 0, hi), _power_rows(1.0 + b * flat, g, 0, hi, b))
+        return [r.reshape(r.shape[:-1] + x.shape)
+                for r in _product(power, _exp_rows(flat, e, 0, hi))[lo:]]
 
     def __call__(self, x, k: int = 0):
         return self.rows(np.asarray(x, dtype=float), k, k)[0]
@@ -351,14 +346,11 @@ def _certainty_equivalents(params: np.ndarray, X: RandomVariable,
     array solve; every element equals certainty_equivalent's on the
     member's spec bit for bit, since the kernel has one layout.
 
-    A discrete or sample X gets its targets E l(X) from one kernel call,
-    every member at every point, and one mean per member; a density keeps
-    one expect per member, as quadrature takes one integrand.
+    The targets E l(X) come from expect_each: one kernel call, every member
+    at every point, for a discrete or sample X, one expect per member for a
+    density.
     """
     sweep, stacked = _Sweep(params), _Sweep(params[:, :, None])
-    if X.kind == "density":
-        targets = [expect(X, sweep.member(i))[0] for i in range(params.shape[1])]
-    else:
-        targets = [_finite_mean(X, row) for row in stacked(X._points)]
-    return _solve_in_table(sweep, stacked, np.array(targets, dtype=float),
-                           X.inf, X.sup, tolerances)
+    members = (sweep.member(i) for i in range(params.shape[1]))
+    targets = np.array(expect_each(X, stacked, members), dtype=float)
+    return _solve_in_table(sweep, stacked, targets, X.inf, X.sup, tolerances)

@@ -31,6 +31,7 @@ from pconvex.distributions import (
     distribution_from_descriptor,
     distribution_to_descriptor,
     expect,
+    expect_each,
     fractional_hh_density,
     from_sample,
     point_mass,
@@ -147,6 +148,25 @@ class TestExpect:
         X = from_sample([1.0, 2.0, 3.0, 6.0])
         value, _ = expect(X, lambda x: x)
         assert value == pytest.approx(3.0, abs=1e-15)
+
+    @pytest.mark.parametrize("X", [discrete([0.0, 0.7, 3.1], [0.2, 0.5, 0.3]),
+                                   from_sample([0.4, 1.0, 2.5, 6.0]), uniform(0.0, 2.0)],
+                             ids=["discrete", "sample", "density"])
+    def test_each_equals_expect_member_by_member(self, X):
+        qs = np.array([1.0, 2.0, 3.5])
+
+        def stacked(x):
+            return np.asarray(x) ** qs[:, None]
+
+        members = [lambda x, q=q: np.asarray(x) ** q for q in qs]
+        assert expect_each(X, stacked, members) == [expect(X, f)[0] for f in members]
+
+    def test_each_reads_members_only_for_a_density(self):
+        def stacked(x):
+            return np.stack([np.asarray(x), np.asarray(x) ** 2])
+
+        X = discrete([1.0, 3.0], [0.5, 0.5])
+        assert expect_each(X, stacked, iter(())) == [2.0, 5.0]
 
 
 class TestExpectTolerance:

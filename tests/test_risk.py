@@ -540,16 +540,6 @@ class TestSweepKernel:
         single = [_Sweep(params[:, i:i + 1]).rows(np.asarray(xi), 0, k) for i, xi in enumerate(x)]
         assert np.array(single).T.tobytes() == diagonal.tobytes()
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(p=st.integers(min_value=1, max_value=3),
-           x=st.lists(_POINTS, min_size=10, max_size=10))
-    def test_order_zero_is_row_zero_of_the_jet_product(self, p, x):
-        x = np.array(x)
-        params = _sweep(p, max(10.0 * x.max(), 10.0))[1]
-        for sweep in (_Sweep(params), _Sweep(params[:, :1]), _Sweep(params[:, :, None])):
-            assert sweep.rows(x, 0, 0)[0].tobytes() == sweep.rows(x, 0, 1)[0].tobytes()
-            assert sweep(x).tobytes() == sweep.rows(x, 0, 1)[0].tobytes()
-
     def test_negative_points_count_as_zero(self):
         # a lottery may sit eq_abs below 0; the pure power stays flat there
         sweep = _Sweep(_sweep(2, 10.0)[1])
