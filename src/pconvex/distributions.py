@@ -276,12 +276,12 @@ def from_sample(values, support: tuple[float, float] | None = None) -> RandomVar
 def density(pdf: Callable, support: tuple[float, float],
             plan: QuadraturePlan = DEFAULT_PLAN,
             family: str | None = None,
-            params: Mapping[str, Any] | None = None,
-            validate: bool = True) -> RandomVariable:
-    """Wrap a pdf; checks normalization unless the family guarantees it."""
+            params: Mapping[str, Any] | None = None) -> RandomVariable:
+    """Wrap a pdf; checks normalization unless a family is named, whose
+    constructor guarantees it."""
     rv = RandomVariable(kind="density", declared_support=(float(support[0]), float(support[1])),
                         pdf=pdf, plan=plan, density_family=family, density_params=params)
-    if validate and family is None:
+    if family is None:
         total, _ = _density_expect(rv, lambda x: np.ones_like(np.asarray(x, dtype=float)))
         if abs(total - 1.0) > max(1e-6, 100.0 * plan.abs_tolerance):
             raise ConstructionError(f"pdf integrates to {total!r}, not 1")
@@ -373,7 +373,7 @@ def _family_density(family: str, params: dict, plan: QuadraturePlan) -> RandomVa
             total = sum(s * xa ** (left - 1.0) * bx ** (right - 1.0) for s, left, right in terms)
         return np.where(inside, total, 0.0)
 
-    return density(pdf, (a, b), plan, family=family, params=params, validate=False)
+    return density(pdf, (a, b), plan, family=family, params=params)
 
 
 def reflected(X: RandomVariable, center: float) -> RandomVariable:
@@ -500,16 +500,16 @@ def shifted_moment(X: RandomVariable, shift: float, order: int,
                    tolerances: ToleranceProfile = DEFAULT_TOLERANCES) -> MomentReport:
     """E (X - shift)^order and the norm ||X - shift||_order.
 
-    Requires the mass to sit above the shift; values are scaled by
-    (sup - shift) before powering so intermediate powers stay in [0, 1]
-    for orders up to 64.
+    Requires an integer order in 1..64, a finite shift and the mass above
+    the shift; values are scaled by (sup - shift) before powering so
+    intermediate powers stay in [0, 1] for orders up to 64.
     """
-    order = int(order)
-    if order < 1:
-        raise DomainError(f"order must be >= 1, got {order}")
+    order = _integer(order, 1, "moment order")
     if order > MAX_MOMENT_ORDER:
         raise DomainError(f"order {order} beyond double-precision usefulness (max 64)")
     shift = float(shift)
+    if not math.isfinite(shift):
+        raise DomainError(f"shift must be finite, got {shift}")
     if X.inf < shift - tolerances.eq_abs:
         raise SupportViolationError(
             f"mass below shift: inf X = {X.inf} < shift = {shift}")

@@ -64,7 +64,7 @@ __all__ = [
     "taylor_remainder",
 ]
 
-DEFAULT_EVAL_HORIZON = 1e6
+EVAL_HORIZON = 1e6  # span past lo at which an unbounded domain is capped
 _MONOTONICITY_GRID = 256  # points compose_inverse checks f' > 0 on
 _CATALOG_DEPTH = 8  # analytic orders of shifted-power, exponential, log-affine
 _FD_DEPTH = 4  # finite-difference orders of a numeric function
@@ -99,11 +99,12 @@ def _order(jet: Jet, k: int, x):
 class FunctionSpec:
     """An evaluable real function on an interval with a derivative stack.
 
-    domain is (lo, hi) with hi possibly +inf; unbounded domains are only
-    ever evaluated up to eval_horizon.  A spec is built from a jet, which
-    makes eval_fn and derivatives (orders 1..depth) its views, or from those
-    callables, which it then evaluates through (as a spec that
-    dataclasses.replace rebuilds does).  No spec has an order past its
+    domain is (lo, hi) with hi possibly +inf; an unbounded domain is only
+    ever evaluated up to the fixed cap lo + EVAL_HORIZON (upper_cap), which
+    no spec changes.  A spec is built from a jet, which makes eval_fn and
+    derivatives (orders 1..depth) its views, or from those callables, which
+    it then evaluates through (as a spec that dataclasses.replace rebuilds
+    does).  No spec has an order past its
     stack; a "numeric" or "mixed" provenance only widens a certificate's
     slack.
     """
@@ -114,7 +115,6 @@ class FunctionSpec:
     derivatives: tuple[Callable, ...] = ()
     provenance: str = "analytic"  # analytic | numeric | mixed
     descriptor: Mapping[str, Any] | None = None
-    eval_horizon: float = DEFAULT_EVAL_HORIZON
     jet: InitVar[Jet | None] = None
 
     def __post_init__(self, jet: Jet | None) -> None:
@@ -140,9 +140,9 @@ class FunctionSpec:
 
     @property
     def upper_cap(self) -> float:
-        """Finite evaluation cap: domain top, or the horizon when unbounded."""
+        """Finite evaluation cap: domain top, or lo + EVAL_HORIZON when unbounded."""
         lo, hi = self.domain
-        return hi if math.isfinite(hi) else lo + self.eval_horizon
+        return hi if math.isfinite(hi) else lo + EVAL_HORIZON
 
     def derivative(self, k: int) -> Callable:
         """Callable for the k-th derivative (k = 0 is the function itself)."""
@@ -402,7 +402,6 @@ def affine_precompose(inner: FunctionSpec, scale: float, offset: float,
         domain=dom,
         provenance=inner.provenance,
         descriptor=desc,
-        eval_horizon=inner.eval_horizon,
         jet=Jet(rows, inner.analytic_depth),
     )
 
@@ -453,7 +452,6 @@ def derivative_function(f: FunctionSpec, k: int = 1) -> FunctionSpec:
         label=f"D^{k}[{f.label}]" if k > 1 else f"D[{f.label}]",
         domain=f.domain,
         provenance=f.provenance,
-        eval_horizon=f.eval_horizon,
         jet=Jet(lambda x, lo, hi: f.derivatives_on(x, lo + k, hi + k), f.analytic_depth - k),
     )
 
@@ -483,7 +481,6 @@ def antiderivative_from(g: FunctionSpec, base: float | None = None) -> FunctionS
         label=f"int[{g.label}]",
         domain=g.domain,
         provenance=g.provenance,
-        eval_horizon=g.eval_horizon,
         jet=Jet(rows, g.analytic_depth + 1),
     )
 
@@ -535,7 +532,6 @@ def taylor_remainder(f: FunctionSpec, p: int) -> FunctionSpec:
         label=f"taylor_tail_{p}[{f.label}]",
         domain=f.domain,
         provenance=f.provenance,
-        eval_horizon=f.eval_horizon,
         jet=Jet(rows, f.analytic_depth),
     )
 
@@ -581,7 +577,8 @@ def compose_inverse(l: FunctionSpec, f: FunctionSpec,
     f is tabulated once at 257 points of [lo, hi], the table on which f' > 0
     and increasing values are checked.  One invert_monotone run solves
     x = f^(-1)(y) for all points of a call, each in the one table cell
-    whose values bracket its y (numerics._table_cell); the jet at y is the
+    whose values bracket its y (numerics._table_cell, whose end values the
+    solver takes from the table); the jet at y is the
     series reversion of f's jet at x composed with l's jet there
     (_revert_compose), to every order both stacks reach.
 

@@ -45,6 +45,8 @@ __all__ = [
     "taylor_hh",
 ]
 
+_SIGN_GRID = 512  # cells of the grid abs_derivative checks the sign of f' on
+
 
 @dataclass(frozen=True)
 class HHReport:
@@ -139,15 +141,16 @@ def derivative_hh_bound(f: FunctionSpec, cert: ConvexityCertificate, p: int,
     return lhs, rhs
 
 
-def abs_derivative(f: FunctionSpec, grid_size: int = 512) -> FunctionSpec:
+def abs_derivative(f: FunctionSpec) -> FunctionSpec:
     """|f'| as a FunctionSpec, requiring f' sign-definite on the domain.
 
     Sign changes would break differentiability of |f'| at the zero and are
-    rejected; with a definite sign the jet is f's shifted by one order,
+    rejected (f' is checked at 513 points up to upper_cap); with a definite
+    sign the jet is f's shifted by one order,
     times that sign.
     """
     lo, hi = f.domain[0], f.upper_cap
-    xs = np.linspace(lo, hi, grid_size + 1)
+    xs = np.linspace(lo, hi, _SIGN_GRID + 1)
     d1 = f.eval_on(xs, 1)
     if np.any(d1 > 1e-12) and np.any(d1 < -1e-12):
         raise MonotonicityError(
@@ -158,7 +161,6 @@ def abs_derivative(f: FunctionSpec, grid_size: int = 512) -> FunctionSpec:
         label=f"|D[{f.label}]|",
         domain=f.domain,
         provenance=f.provenance,
-        eval_horizon=f.eval_horizon,
         jet=Jet(lambda x, lo, hi: [sign * d for d in base.derivatives_on(x, lo, hi)],
                 base.analytic_depth),
     )

@@ -237,28 +237,22 @@ def elbo_classical(inst: LikelihoodInstance) -> float:
     return fsum(q * np.log(inst.likelihoods / q))
 
 
-def elbo_tight(inst: LikelihoodInstance, norm_order: int = 2) -> float:
+def elbo_tight(inst: LikelihoodInstance) -> float:
     """The tightened minorant
 
         sum_i [ ln(b_i - ||b_i - X_i||_2) - (b_i - ||b_i - X_i||_2 - E X_i)/b_i ],
 
-    sitting between the classical ELBO and the exact log-likelihood.
-
-    norm_order is experimental: orders above 2 would need the concave-class
-    certificate of ln(x) - x/b beyond order 1, which is not established, so
-    the default (2, as printed above) is the supported mode.
+    sitting between the classical ELBO and the exact log-likelihood.  The
+    norm is the 2-norm, the (p+1)-norm of order p = 1: ln(x) - x/b is
+    certified in the concave class at that order only.
     """
-    order = _integer(norm_order, 1, "norm_order")
-    if order != 2:
-        warnings.warn("norm orders above 2 are experimental and unsupported",
-                      RuntimeWarning, stacklevel=2)
     r, b, mean = inst._ratios()
     # ||b_i - X_i|| in the scaled form of shifted_moment: the deviations are
     # divided by their largest value b_i - min r_i, and a zero scale is norm 0
     scale = b - r.min(axis=1)
     dev = np.divide(b[:, None] - r, scale[:, None], out=np.zeros_like(r),
                     where=scale[:, None] > 0.0)
-    norm = scale * np.sum(inst.responsibilities * dev ** order, axis=1) ** (1.0 / order)
+    norm = scale * np.sum(inst.responsibilities * dev ** 2, axis=1) ** 0.5
     m = b - norm
     return fsum(np.log(m) - (m - mean) / b)
 

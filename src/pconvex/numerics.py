@@ -405,62 +405,60 @@ def pnorm_shifted(moment_p1: float, order: int, scale: float = 1.0) -> float:
     The caller supplies moment_p1 = E ((X - a) / scale)^order, with scale
     chosen as (sup X - a) so the averaged quantity lives in [0, 1] and no
     intermediate power can overflow for order <= 64.  The norm is then
-    scale * moment_p1^(1/order).
+    scale * moment_p1^(1/order).  A non-integral order, or a moment or
+    scale that is negative or not finite, raises DomainError.
     """
-    if order < 1 or order != int(order):
-        raise DomainError(f"order must be an integer >= 1, got {order}")
-    moment_p1 = float(moment_p1)
-    if moment_p1 < 0.0:
-        raise DomainError(f"moment must be >= 0, got {moment_p1}")
-    if scale < 0.0:
-        raise DomainError(f"scale must be >= 0, got {scale}")
+    order = _integer(order, 1, "order")
+    moment_p1, scale = float(moment_p1), float(scale)
+    if not (0.0 <= moment_p1 < math.inf and 0.0 <= scale < math.inf):
+        raise DomainError(f"moment and scale must be finite and >= 0, got {moment_p1}, {scale}")
     if moment_p1 == 0.0:
         return 0.0
-    return scale * moment_p1 ** (1.0 / int(order))
+    return scale * moment_p1 ** (1.0 / order)
 
 
 # ---------------------------------------------------------------------------
 # Monotone inversion
 # ---------------------------------------------------------------------------
 
-_BRACKET_SPAN_LIMIT = 2.0 ** 40
 # 2047 halvings take the widest finite bracket (2^1025) below the smallest
 # normal float (2^-1022): the floor is reached even where the steps bisect.
 _MAX_ITER = 2100
 _TINY = np.finfo(float).tiny
 
 
-def _table_cell(xs: np.ndarray, vals: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
-    """The cell [xs[j-1], xs[j]] of an increasing table (xs, vals) whose
-    values bracket each target y, vals[j-1] < y <= vals[j]; a target at or
-    below vals[0] gets the first cell and one above vals[-1] the last, so
-    invert_monotone clamps it there as it would on the whole table.  vals
-    may also hold one row per target (a stacked family tabulated at xs),
-    each row searched as a table of its own."""
+def _table_cell(xs: np.ndarray, vals: np.ndarray, y) -> tuple:
+    """The cell (xs[j-1], xs[j], vals[j-1], vals[j]) of an increasing table
+    (xs, vals) whose values bracket each target y, vals[j-1] < y <= vals[j];
+    a target at or below vals[0] gets the first cell and one above vals[-1]
+    the last, so invert_monotone clamps it there as it would on the whole
+    table.  vals may also hold one row per target (a stacked family
+    tabulated at xs), each row searched as a table of its own."""
     if vals.ndim == 1:
-        j = np.searchsorted(vals, y)
+        j, members = np.searchsorted(vals, y), ()
     else:
         j = np.array([row.searchsorted(t) for row, t in zip(vals, y)], dtype=np.intp)
+        members = (np.arange(j.size),)
     j = np.minimum(np.maximum(j, 1), xs.size - 1)
-    return xs[j - 1], xs[j]
+    return xs[j - 1], xs[j], vals[(*members, j - 1)], vals[(*members, j)]
 
 
 # scipy.optimize is not used: importing it adds ~0.35 s and ~21 MB to
 # `import pconvex`, and its elementwise.find_root costs ~4 ms per target.
-def invert_monotone(f: Callable, y, bracket=None,
+def invert_monotone(f: Callable, y, bracket,
                     tolerances: ToleranceProfile = DEFAULT_TOLERANCES) -> float | np.ndarray:
     """Solve f(x) = y for a strictly increasing f and a float or array y.
 
-    bracket is (lo, hi), floats or arrays that broadcast to y, or None to
-    widen [0, 1] by doubling (up to 2^40) until it covers every y.  Floats
-    give a float; arrays give an array equal to the float runs bit for bit,
-    with f called once per step on all points, in their order and shape (a
-    solved point at its bracket end, a single point as a float through
-    _eval_nodes).  Callers rely on this: given a bracket, an f that takes
-    point i through its own function solves one equation per point in one
-    run.  Targets within eq_abs + eq_rel |y| of [f(lo), f(hi)] are clamped
-    into it; any other target, a non-finite target or bracket end, or
-    lo > hi raises BracketError, f NaN where evaluated raises
+    bracket is (lo, hi), floats or arrays that broadcast to y, or a table
+    cell (lo, hi, f(lo), f(hi)) from _table_cell, whose end values are used
+    instead of two calls of f.  Floats give a float; arrays give an array
+    equal to the float runs bit for bit, with f called once per step on all
+    points, in their order and shape (a solved point at its bracket end, a
+    single point as a float through _eval_nodes).  Callers rely on this: an
+    f that takes point i through its own function solves one equation per
+    point in one run.  Targets within eq_abs + eq_rel |y| of [f(lo), f(hi)]
+    are clamped into it; any other target, a non-finite target or bracket
+    end, or lo > hi raises BracketError, f NaN where evaluated raises
     ConvergenceError, and f complex there raises DomainError naming the
     point, in the float run as in the array run.  Chandrupatla's steps
     (inverse quadratic interpolation when safe, else bisection; Adv. Eng.
@@ -469,17 +467,11 @@ def invert_monotone(f: Callable, y, bracket=None,
     smaller residual is returned.  A solve that has not stopped after 2100
     steps raises ConvergenceError carrying that end.
     """
-    if bracket is None:
-        lo, hi, span = 0.0, 1.0, 1.0
-        while float(f(lo)) > np.min(y) and span < _BRACKET_SPAN_LIMIT:
-            lo, span = lo - span, 2.0 * span
-        while float(f(hi)) < np.max(y) and span < _BRACKET_SPAN_LIMIT:
-            hi, span = hi + span, 2.0 * span
-        bracket = (lo, hi)
-    y, lo, hi = (np.asarray(v, dtype=float)[()] for v in (y, *bracket))
-    scalar = np.ndim(y) == np.ndim(lo) == np.ndim(hi) == 0
+    y, *ends = (np.asarray(v, dtype=float)[()] for v in (y, *bracket))
+    scalar = all(np.ndim(v) == 0 for v in (y, *ends))
     if not scalar:
-        y, lo, hi = np.broadcast_arrays(y, lo, hi)
+        y, *ends = np.broadcast_arrays(y, *ends)
+    lo, hi, *given = ends
     # the float run and the array run differ in these three only
     where = (lambda c, a, b: a if c else b) if scalar else np.where
     done = bool if scalar else np.all
@@ -490,7 +482,7 @@ def invert_monotone(f: Callable, y, bracket=None,
     if not done(ok):
         raise BracketError(f"targets {np.extract(~ok, y)} or brackets {np.extract(~ok, lo)}"
                            f" to {np.extract(~ok, hi)} are not finite and ordered")
-    flo, fhi = ev(lo), ev(hi)
+    flo, fhi = given or (ev(lo), ev(hi))
     slack = tolerances.eq_abs + tolerances.eq_rel * abs(y)
     ok = (flo - slack <= y) & (y <= fhi + slack)
     if not done(ok):
@@ -575,27 +567,31 @@ def _extrapolated(f: Callable, x: np.ndarray, k: int, h: np.ndarray, stencil,
 
 
 def fd_derivative(f: Callable, x, k: int,
-                  interval: tuple[float, float] = (-math.inf, math.inf),
-                  base_step: float = 1e-5):
+                  interval: tuple[float, float] = (-math.inf, math.inf)):
     """k-th derivative (k in 1..4) by differences plus one Richardson step,
     calling f only inside the closed interval (by default the whole line).
 
-    The step h grows with k to balance truncation against rounding noise.
+    The step h = 1e-5^(4/(k+4)) (1 + |x|) grows with k to balance
+    truncation against rounding noise.
     Where the central stencil fits in the interval it is used, O(h^4) after
     the step; elsewhere the one-sided sum_j (-1)^(k-j) C(k, j) f(x + j s)/s^k
     points to the farther end, s = +-h shortened to fit, O(h^2) after it.
     x may be a float or an array; f is called once per stencil offset on
     each kind's points (a scalar-only f is looped over them).  f raising or
     turning complex at a stencil point raises DomainError; a NaN there is
-    returned in the result.
+    returned in the result.  A point that is not finite, or an interval end
+    that is NaN, raises DomainError (an end may be infinite).
     """
     if k not in _CENTRAL_STENCILS:
         raise DomainError(f"fd_derivative supports orders 1..4, got {k}")
     # a float runs as a one-point array, so scalar and array calls agree bit
     # for bit (numpy scalars would take another power routine)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    h = base_step ** (4.0 / (k + 4.0)) * (1.0 + np.abs(xs))
     lo, hi = interval
+    if not np.all(np.isfinite(xs)) or math.isnan(lo) or math.isnan(hi):
+        raise DomainError(f"fd_derivative needs finite points and an interval without NaN, "
+                          f"got {_points(xs)} in [{lo!r}, {hi!r}]")
+    h = 1e-5 ** (4.0 / (k + 4.0)) * (1.0 + np.abs(xs))
     reach = _CENTRAL_STENCILS[k][-1][0] * h
     central = (xs - reach >= lo) & (xs + reach <= hi)
     out = np.empty_like(xs)

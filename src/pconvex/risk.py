@@ -105,20 +105,17 @@ def certainty_equivalent(l: FunctionSpec, X: RandomVariable,
     return _solve_in_table(l.eval_fn, l.eval_on, target, X.inf, X.sup, tolerances)
 
 
-def _solve_in_table(f, table_of_f, y, lo, hi, tolerances: ToleranceProfile):
+def _solve_in_table(f, table_of_f, y, lo: float, hi: float, tolerances: ToleranceProfile):
     """Solve f(c) = y for a float or an array of targets in one
-    invert_monotone run, each target in the cell of one table that brackets
-    it, cut to its own [lo, hi] (which brackets it too).
+    invert_monotone run, each target in the cell of one table of f on
+    [lo, hi] that brackets it, with the cell's end values from the table.
 
-    The table is f at _CE_TABLE + 1 points from the least lo to the largest
-    hi; table_of_f gives it as one row, which every target is solved in, or
-    as one row per target (a stacked family, f point i being member i).
+    The table is f at _CE_TABLE + 1 points from lo to hi; table_of_f gives
+    it as one row, which every target is solved in, or as one row per
+    target (a stacked family, f point i being member i).
     """
-    table = np.linspace(np.min(lo), np.max(hi), _CE_TABLE + 1)
-    below, above = _table_cell(table, table_of_f(table), y)
-    below = np.minimum(np.maximum(below, lo), hi)
-    return invert_monotone(f, y, (below, np.minimum(np.maximum(above, below), hi)),
-                           tolerances)
+    table = np.linspace(lo, hi, _CE_TABLE + 1)
+    return invert_monotone(f, y, _table_cell(table, table_of_f(table), y), tolerances)
 
 
 def certify_p_more_risk_averse(l: FunctionSpec, f: FunctionSpec, p: int,
@@ -153,23 +150,30 @@ def falsify_p_more_risk_averse(l: FunctionSpec, f: FunctionSpec, p: int,
     holds by construction and only the norm comparison is searched.  When
     directed_from is given (a point in f's range, e.g. a certificate
     witness), lotteries straddle its preimage; otherwise they are drawn
-    across (0, horizon].  A directed search centres on that preimage, raised
-    to at least 1e-3 horizon; when f there already reaches the target, the
-    centre is that floor and the preimage is not solved.  All trials are
-    drawn in one call, three values each in seeded order, mapped as numpy's
-    uniform maps them; a trial whose two atoms tie is dropped, and its
-    lambda value with it.  Their certainty equivalents are solved in one
-    batch: l is tabulated once at 257 points from the least to the largest
-    atom, and each trial is solved in the table cell that brackets its
-    budget, cut to its two atoms (as certainty_equivalent solves one
-    lottery).  The first violating lottery is returned.
+    across (0, horizon].  A horizon that is not positive and finite, or a
+    non-finite directed_from, raises DomainError.  A directed search
+    centres on that preimage, raised to at least 1e-3 horizon; when f there
+    already reaches the target, the centre is that floor and the preimage
+    is not solved.  All trials are drawn in one call, three values each in
+    seeded order, mapped as numpy's uniform maps them; a trial whose two
+    atoms tie is dropped, and its lambda value with it.  Their certainty
+    equivalents are solved in one batch: l is tabulated once at 257 points
+    from the least to the largest atom, and each trial is solved in the
+    whole table cell that brackets its budget, not cut to its atoms (as
+    certainty_equivalent solves in its own table).  The first violating
+    lottery is returned.
     """
     p = _order(p)
     rng = np.random.default_rng(_integer(seed, 0, "seed"))
     slack = 1e-6
+    horizon = float(horizon)
+    if not 0.0 < horizon < math.inf:
+        raise DomainError(f"the falsifier's horizon must be positive and finite, got {horizon}")
 
     center = None
     if directed_from is not None:
+        if not math.isfinite(directed_from):
+            raise DomainError(f"directed_from must be finite, got {directed_from}")
         lo, hi = f.domain[0], min(f.upper_cap, horizon)
         y = min(max(directed_from, float(f(lo + 1e-9 * (hi - lo)))), float(f(hi)))
         # the preimage counts only above a floor: at or below it, it is not solved
@@ -196,7 +200,7 @@ def falsify_p_more_risk_averse(l: FunctionSpec, f: FunctionSpec, p: int,
         raise DomainMismatchError(f"a lottery leaves the domain of {l.label}")
 
     budget = lam * l.eval_on(x1) + (1.0 - lam) * l.eval_on(x2)
-    c = _solve_in_table(l.eval_fn, l.eval_on, budget, x1, x2, tolerances)
+    c = _solve_in_table(l.eval_fn, l.eval_on, budget, x1.min(), x2.max(), tolerances)
     lhs = (lam * f.eval_on(x1) ** p + (1.0 - lam) * f.eval_on(x2) ** p) ** (1.0 / p)
     rhs = f.eval_on(c)
     margin = lhs - rhs

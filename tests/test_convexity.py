@@ -19,7 +19,14 @@ from pconvex.convexity import (
     check_power_transform_convex,
     check_ratio_monotone,
 )
-from pconvex.distributions import discrete, expect, from_sample, sample_mc, uniform
+from pconvex.distributions import (
+    discrete,
+    expect,
+    from_sample,
+    sample_mc,
+    shifted_moment,
+    uniform,
+)
 from pconvex.errors import DerivativeOrderError, DomainError, PconvexError
 from pconvex.functions import (
     derivative_function,
@@ -33,8 +40,8 @@ from pconvex.functions import (
     taylor_remainder,
 )
 from pconvex.hermite import taylor_hh
-from pconvex.mgf import elbo_tight, em_demo, generate_mixture_data, likelihood_instance
-from pconvex.numerics import QuadraturePlan, ToleranceProfile
+from pconvex.mgf import em_demo, generate_mixture_data
+from pconvex.numerics import QuadraturePlan, ToleranceProfile, fd_derivative, pnorm_shifted
 from pconvex.risk import (
     RiskMeasureReport,
     certify_p_more_risk_averse,
@@ -220,12 +227,13 @@ class TestPastTheAnalyticStack:
         assert comp.holds
         assert [n for n, _ in solves] == [257]
 
-    @pytest.mark.parametrize("q_l, q_f, p, evaluations", [(4.0, 2.0, 2, 15),
-                                                          (2.0, 4.0, 1, 10)])
+    @pytest.mark.parametrize("q_l, q_f, p, evaluations", [(4.0, 2.0, 2, 13),
+                                                          (2.0, 4.0, 1, 8)])
     def test_criterion_six_solves_in_table_cells(self, q_l, q_f, p, evaluations, monkeypatch):
         # each target is solved in the cell of f's 257-point table that
-        # brackets it; over the whole range [0, 10] these solves took 23
-        # (anchor and grid) and 18 evaluations of f
+        # brackets it, with the cell's end values from the table; over the
+        # whole range [0, 10] these solves took 23 (anchor and grid) and 18
+        # evaluations of f, and in cells whose ends were evaluated 15 and 10
         solves = self._solves(monkeypatch)
         comp = certify_p_more_risk_averse(shifted_power(q_l, domain=(0.0, 50.0)),
                                           shifted_power(q_f, domain=(0.0, 50.0)), p, 10.0, 256)
@@ -558,7 +566,6 @@ _LOTTERY = discrete([0.5, 2.0], [0.5, 0.5])
 _SQUARE = shifted_power(2.0, domain=(0.0, 50.0))
 _QUARTIC = shifted_power(4.0, domain=(0.0, 50.0))
 _EM_DATA = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 1.0]])
-_LIKELIHOODS = likelihood_instance([[0.2, 0.3], [0.1, 0.4]], [[0.5, 0.5], [0.25, 0.75]])
 
 
 _MALFORMED = st.sampled_from([math.nan, "abc", None, [1.0], {"q": 1.0}, 10 ** 400])
@@ -568,8 +575,8 @@ def _uniform_with(**plan):
     return uniform(0.5, 2.0, QuadraturePlan(**plan))
 
 
-def _falsified(trials, seed):
-    hit = falsify_p_more_risk_averse(_SQUARE, _QUARTIC, 1, trials, seed)
+def _falsified(trials, seed, **kwargs):
+    hit = falsify_p_more_risk_averse(_SQUARE, _QUARTIC, 1, trials, seed, **kwargs)
     return hit.threshold, hit.margin
 
 
@@ -627,7 +634,18 @@ _FAIL_CLOSED = {
     "em-demo seed": (lambda v: em_demo(_EM_DATA, 2, v).logliks(), _NON_INTEGRAL, 1),
     "falsifier seed": (lambda v: _falsified(300, v), _NON_INTEGRAL, 1),
     "falsifier trials": (lambda v: _falsified(v, 1), _NON_INTEGRAL, 300),
-    "elbo norm order": (lambda v: elbo_tight(_LIKELIHOODS, v), _NON_INTEGRAL, 2),
+    "falsifier horizon": (lambda v: _falsified(300, 1, horizon=v), _NON_FINITE, 10.0),
+    "falsifier direction": (lambda v: _falsified(300, 1, directed_from=v), _NON_FINITE, 4.0),
+    "moment order": (lambda v: shifted_moment(_LOTTERY, 0.0, v).norm,
+                     st.one_of(_NON_INTEGRAL, st.just(2.5)), 2),
+    "moment shift": (lambda v: shifted_moment(_LOTTERY, v, 2).norm, _NON_FINITE, 0.0),
+    "p-norm order": (lambda v: pnorm_shifted(0.25, v, 3.0), _NON_INTEGRAL, 2),
+    "p-norm moment": (lambda v: pnorm_shifted(v, 2, 3.0), _NON_FINITE, 0.25),
+    "p-norm scale": (lambda v: pnorm_shifted(0.25, 2, v), _NON_FINITE, 3.0),
+    "difference point": (lambda v: fd_derivative(np.exp, v, 2, (0.0, 1.0)), _NON_FINITE, 0.5),
+    # an infinite end is a half-line, so only NaN is an invalid end
+    "difference interval end": (lambda v: fd_derivative(np.exp, 0.5, 2, (0.0, v)),
+                                st.just(math.nan), 1.0),
 }
 
 
@@ -643,7 +661,7 @@ def test_fail_closed_calls_pass_with_a_valid_input(name):
         assert np.all(np.isfinite(out))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=190, deadline=None, derandomize=True)
 @given(name=st.sampled_from(sorted(_FAIL_CLOSED)), data=st.data())
 def test_non_finite_or_non_integral_inputs_fail_closed(name, data):
     """A non-finite or non-integral order or grid size, or a non-finite
@@ -653,9 +671,12 @@ def test_non_finite_or_non_integral_inputs_fail_closed(name, data):
     in the quadrature plan of risk_measure's density, a non-integral order
     of a function constructor, a malformed parameter or domain end in a
     function descriptor, a non-finite end of taylor_hh, a non-integral
-    count of sample_mc, em_demo or elbo_tight's norm order, and a
-    non-integral seed, sample count or trial count of the seeded generators
-    and the falsifier."""
+    count of sample_mc or em_demo, a non-integral seed, sample count or
+    trial count of the seeded generators and the falsifier, a non-finite
+    horizon or direction of the falsifier, a non-integral order or
+    non-finite shift of shifted_moment, a non-integral order or non-finite
+    moment or scale of pnorm_shifted, and a non-finite point or NaN
+    interval end of fd_derivative."""
     call, values, _ = _FAIL_CLOSED[name]
     value = data.draw(values)
     try:

@@ -381,6 +381,33 @@ class TestPnormShifted:
             pnorm_shifted(-1e-3, 2)
 
 
+# inputs of the table-cell properties: (x - shift)^q on [shift, shift + span]
+# and the targets _cell_targets draws from them
+_CELL_INPUTS = dict(
+    q=st.floats(min_value=1.0, max_value=8.0),
+    shift=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0)),
+    span=st.floats(min_value=1e-2, max_value=1e3),
+    fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8),
+    nodes=st.lists(st.integers(min_value=0, max_value=256), min_size=1, max_size=4),
+    near=st.floats(min_value=-12.0, max_value=-6.0),
+    outside=st.floats(min_value=0.0, max_value=0.9))
+
+
+def _cell_targets(q, shift, span, fractions, nodes, near, outside):
+    """f = (x - shift)^q, its 257-point table (xs, vals) and targets inside,
+    on table nodes, at both ends, just above the lower end, and outside the
+    ends by less than the clamp slack."""
+    f = shifted_power(q, shift, (shift, shift + span))
+    xs = np.linspace(shift, shift + span, 257)
+    vals = f.eval_on(xs)
+    y_lo, y_hi = vals[0], vals[-1]
+    slack = lambda y: outside * (DEFAULT_TOLERANCES.eq_abs + DEFAULT_TOLERANCES.eq_rel * y)
+    ys = np.concatenate([y_lo + np.asarray(fractions) * (y_hi - y_lo), vals[nodes],
+                         [y_lo, y_hi, y_lo + 10.0 ** near * (y_hi - y_lo),
+                          y_lo - slack(y_lo), y_hi + slack(y_hi)]])
+    return f, xs, vals, ys
+
+
 class TestInvertMonotone:
     def test_square(self):
         assert invert_monotone(lambda x: x * x, 4.0, (0.0, 10.0)) == pytest.approx(2.0, abs=1e-10)
@@ -391,10 +418,6 @@ class TestInvertMonotone:
     def test_expm1(self):
         x = invert_monotone(lambda x: math.exp(x) - 1.0, math.e - 1.0, (0.0, 2.0))
         assert x == pytest.approx(1.0, abs=1e-12)
-
-    def test_bracket_expansion(self):
-        x = invert_monotone(lambda x: x ** 3 + x, 10.0, None)
-        assert x ** 3 + x == pytest.approx(10.0, abs=1e-9)
 
     def test_bracket_error(self):
         with pytest.raises(BracketError):
@@ -466,11 +489,6 @@ class TestInvertMonotone:
         with pytest.raises(BracketError):
             invert_monotone(square, ys, ([0.0, 3.0, 0.0], [2.0, 2.5, 4.0]))
 
-    def test_array_bracket_expansion_covers_every_target(self):
-        ys = np.array([-30.0, 0.5, 10.0, 1e4])
-        xs = invert_monotone(lambda x: x ** 3 + x, ys)
-        np.testing.assert_allclose(xs ** 3 + xs, ys, rtol=1e-12, atol=1e-12)
-
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(min_value=0, max_value=5),
            st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=40))
@@ -482,13 +500,7 @@ class TestInvertMonotone:
         assert batch.tolist() == [invert_monotone(f.eval_fn, float(y), (lo, hi)) for y in ys]
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(q=st.floats(min_value=1.0, max_value=8.0),
-           shift=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0)),
-           span=st.floats(min_value=1e-2, max_value=1e3),
-           fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8),
-           nodes=st.lists(st.integers(min_value=0, max_value=256), min_size=1, max_size=4),
-           near=st.floats(min_value=-12.0, max_value=-6.0),
-           outside=st.floats(min_value=0.0, max_value=0.9))
+    @given(**_CELL_INPUTS)
     def test_one_table_cell_solves_as_the_whole_table(self, q, shift, span, fractions, nodes,
                                                        near, outside):
         # (x - shift)^q tabulated at 257 points, as compose_inverse tabulates
@@ -496,18 +508,35 @@ class TestInvertMonotone:
         # equals the solve over the whole table to 1e-14 relative, for
         # targets inside, on table nodes, at both ends, just above the
         # lower end, and outside the ends by less than the clamp slack
-        f = shifted_power(q, shift, (shift, shift + span))
-        xs = np.linspace(shift, shift + span, 257)
-        vals = f.eval_on(xs)
-        y_lo, y_hi = vals[0], vals[-1]
-        slack = lambda y: outside * (DEFAULT_TOLERANCES.eq_abs + DEFAULT_TOLERANCES.eq_rel * y)
-        ys = np.concatenate([y_lo + np.asarray(fractions) * (y_hi - y_lo), vals[nodes],
-                             [y_lo, y_hi, y_lo + 10.0 ** near * (y_hi - y_lo),
-                              y_lo - slack(y_lo), y_hi + slack(y_hi)]])
+        f, xs, vals, ys = _cell_targets(q, shift, span, fractions, nodes, near, outside)
         cell = invert_monotone(f.eval_fn, ys, _table_cell(xs, vals, ys))
         whole = invert_monotone(f.eval_fn, ys, (xs[0], xs[-1]))
         np.testing.assert_allclose(cell, whole, rtol=1e-14, atol=0.0)
         assert cell[len(fractions) + len(nodes) + 3] == xs[0]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(**_CELL_INPUTS)
+    def test_cell_end_values_save_two_calls(self, q, shift, span, fractions, nodes, near,
+                                            outside):
+        # a cell given with its table values, (lo, hi, f(lo), f(hi)), solves
+        # to the bits of the same cell given as (lo, hi) with two calls of f
+        # fewer: for each target as a float, for all targets as an array, and
+        # in a stacked table with one row per target (member i is f + i)
+        f, xs, vals, ys = _cell_targets(q, shift, span, fractions, nodes, near, outside)
+        offsets = np.arange(float(ys.size))
+        cases = [(f.eval_fn, float(y), vals) for y in ys] + [
+            (f.eval_fn, ys, vals),
+            (lambda x: f.eval_fn(x) + offsets, ys + offsets, vals + offsets[:, None])]
+        for fn, y, table in cases:
+            cell = _table_cell(xs, table, y)
+            calls = []
+            counted = lambda x: calls.append(1) or fn(x)
+            given_ends = invert_monotone(counted, y, cell)
+            given_calls = len(calls)
+            evaluated = invert_monotone(counted, y, cell[:2])
+            assert np.asarray(given_ends).tobytes() == np.asarray(evaluated).tobytes()
+            assert type(given_ends) is type(evaluated)
+            assert len(calls) - given_calls == given_calls + 2
 
 
 _NAN_ABOVE_HALF = lambda x: math.nan if x > 0.5 else x
