@@ -104,9 +104,8 @@ class FunctionSpec:
     no spec changes.  A spec is built from a jet, which makes eval_fn and
     derivatives (orders 1..depth) its views, or from those callables, which
     it then evaluates through (as a spec that dataclasses.replace rebuilds
-    does).  No spec has an order past its
-    stack; a "numeric" or "mixed" provenance only widens a certificate's
-    slack.
+    does).  No spec has an order past its stack; a "numeric" or "mixed"
+    provenance only widens a certificate's slack.
     """
 
     label: str
@@ -578,9 +577,9 @@ def compose_inverse(l: FunctionSpec, f: FunctionSpec,
     and increasing values are checked.  One invert_monotone run solves
     x = f^(-1)(y) for all points of a call, each in the one table cell
     whose values bracket its y (numerics._table_cell, whose end values the
-    solver takes from the table); the jet at y is the
-    series reversion of f's jet at x composed with l's jet there
-    (_revert_compose), to every order both stacks reach.
+    solver takes from the table); the jet at y is the series reversion of
+    f's jet at x composed with l's jet there (_revert_compose), to every
+    order both stacks reach.
 
     The provenance stays "mixed" because of the anchor.  Where f'(lo) = 0
     the reversion divides by 0, so y is clamped to y_lo + 1e-9 (y_hi - y_lo)

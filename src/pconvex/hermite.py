@@ -146,8 +146,7 @@ def abs_derivative(f: FunctionSpec) -> FunctionSpec:
 
     Sign changes would break differentiability of |f'| at the zero and are
     rejected (f' is checked at 513 points up to upper_cap); with a definite
-    sign the jet is f's shifted by one order,
-    times that sign.
+    sign the jet is f's shifted by one order, times that sign.
     """
     lo, hi = f.domain[0], f.upper_cap
     xs = np.linspace(lo, hi, _SIGN_GRID + 1)
