@@ -93,7 +93,6 @@ from .mgf import (
     mgf_upper,
 )
 from .numerics import (
-    QuadraturePlan,
     QuadratureResult,
     ToleranceProfile,
     fd_derivative,

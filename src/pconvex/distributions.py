@@ -32,11 +32,9 @@ from .errors import (
 )
 from .functions import FunctionSpec
 from .numerics import (
-    DEFAULT_PLAN,
     DEFAULT_TOLERANCES,
     GAMMA_MAX_ARG,
     ConvergenceError,
-    QuadraturePlan,
     ToleranceProfile,
     _eval_nodes,
     _integer,
@@ -79,10 +77,10 @@ class RandomVariable:
                      1e-12).
     kind "sample":   values, a nonempty read-only 1-D float64 array of
                      observations, weighted equally.
-    kind "density":  pdf + support + quadrature plan; named families carry
-                     params so they serialize and so their algebraic end
-                     weights go into the quadrature weights instead of
-                     being sampled pointwise.
+    kind "density":  pdf + support, integrated by numerics' one quadrature
+                     rule; named families carry params so they serialize
+                     and so their algebraic end weights go into the
+                     quadrature weights instead of being sampled pointwise.
 
     A finite (discrete or sample) variable converts and validates its
     points once, here: any non-numeric, non-1-D, empty or non-finite input
@@ -99,7 +97,6 @@ class RandomVariable:
     probs: tuple[float, ...] = ()
     values: np.ndarray = ()
     pdf: Callable | None = None
-    plan: QuadraturePlan = DEFAULT_PLAN
     density_family: str | None = None
     density_params: Mapping[str, Any] | None = None
     inf: float = field(init=False, repr=False, compare=False)
@@ -274,29 +271,27 @@ def from_sample(values, support: tuple[float, float] | None = None) -> RandomVar
 
 
 def density(pdf: Callable, support: tuple[float, float],
-            plan: QuadraturePlan = DEFAULT_PLAN,
             family: str | None = None,
             params: Mapping[str, Any] | None = None) -> RandomVariable:
-    """Wrap a pdf; checks normalization unless a family is named, whose
-    constructor guarantees it."""
+    """Wrap a pdf; checks that it integrates to 1 within 1e-6 unless a
+    family is named, whose constructor guarantees it."""
     rv = RandomVariable(kind="density", declared_support=(float(support[0]), float(support[1])),
-                        pdf=pdf, plan=plan, density_family=family, density_params=params)
+                        pdf=pdf, density_family=family, density_params=params)
     if family is None:
         total, _ = _density_expect(rv, lambda x: np.ones_like(np.asarray(x, dtype=float)))
-        if abs(total - 1.0) > max(1e-6, 100.0 * plan.abs_tolerance):
+        if abs(total - 1.0) > 1e-6:
             raise ConstructionError(f"pdf integrates to {total!r}, not 1")
     return rv
 
 
-def uniform(a: float, b: float, plan: QuadraturePlan = DEFAULT_PLAN) -> RandomVariable:
+def uniform(a: float, b: float) -> RandomVariable:
     a, b = float(a), float(b)
     if not a < b:
         raise ConstructionError(f"uniform needs a < b, got {a}, {b}")
-    return _family_density("uniform", {"a": a, "b": b}, plan)
+    return _family_density("uniform", {"a": a, "b": b})
 
 
-def beta_like(a: float, b: float, c: float, d: float,
-              plan: QuadraturePlan = DEFAULT_PLAN) -> RandomVariable:
+def beta_like(a: float, b: float, c: float, d: float) -> RandomVariable:
     """Density proportional to (x-a)^(c-1) (b-x)^(d-1) on [a, b], c, d >= 1.
 
     Shapes below 1 are rejected so the pdf stays bounded; the singular
@@ -307,11 +302,10 @@ def beta_like(a: float, b: float, c: float, d: float,
         raise ConstructionError("beta-like needs a < b")
     if c < 1.0 or d < 1.0:
         raise ConstructionError("beta-like needs shape parameters c, d >= 1")
-    return _family_density("beta-like", {"a": a, "b": b, "c": c, "d": d}, plan)
+    return _family_density("beta-like", {"a": a, "b": b, "c": c, "d": d})
 
 
-def fractional_hh_density(a: float, b: float, alpha: float,
-                          plan: QuadraturePlan = DEFAULT_PLAN) -> RandomVariable:
+def fractional_hh_density(a: float, b: float, alpha: float) -> RandomVariable:
     """The symmetric endpoint-weighted density
     g(x) = alpha / (2 (b-a)^alpha) * ((x-a)^(alpha-1) + (b-x)^(alpha-1)).
 
@@ -324,7 +318,7 @@ def fractional_hh_density(a: float, b: float, alpha: float,
         raise ConstructionError("fractional density needs a < b")
     if not alpha > 0.0:
         raise ConstructionError("fractional density needs alpha > 0")
-    return _family_density("fractional-hh", {"a": a, "b": b, "alpha": alpha}, plan)
+    return _family_density("fractional-hh", {"a": a, "b": b, "alpha": alpha})
 
 
 def _family_terms(family: str | None, p: Mapping[str, Any] | None) -> tuple | None:
@@ -355,7 +349,7 @@ def _family_terms(family: str | None, p: Mapping[str, Any] | None) -> tuple | No
     return None
 
 
-def _family_density(family: str, params: dict, plan: QuadraturePlan) -> RandomVariable:
+def _family_density(family: str, params: dict) -> RandomVariable:
     """A named family's variable, whose pdf (its terms on [a, b], 0 outside)
     serves sampling and callers; expectations integrate the terms.  A NaN or
     infinite parameter raises ConstructionError here, before any integral."""
@@ -373,7 +367,7 @@ def _family_density(family: str, params: dict, plan: QuadraturePlan) -> RandomVa
             total = sum(s * xa ** (left - 1.0) * bx ** (right - 1.0) for s, left, right in terms)
         return np.where(inside, total, 0.0)
 
-    return density(pdf, (a, b), plan, family=family, params=params)
+    return density(pdf, (a, b), family=family, params=params)
 
 
 def reflected(X: RandomVariable, center: float) -> RandomVariable:
@@ -391,13 +385,13 @@ def reflected(X: RandomVariable, center: float) -> RandomVariable:
         params = {**params, "a": center - params["b"], "b": center - params["a"]}
         if fam == "beta-like":
             params["c"], params["d"] = params["d"], params["c"]
-        return _family_density(fam, params, X.plan)
+        return _family_density(fam, params)
     base_pdf = X.pdf
 
     def pdf(y):
         return base_pdf(center - np.asarray(y, dtype=float))
 
-    return RandomVariable(kind="density", declared_support=support, pdf=pdf, plan=X.plan)
+    return RandomVariable(kind="density", declared_support=support, pdf=pdf)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +422,7 @@ def _truncation_horizon(X: RandomVariable) -> float:
     width = 1.0 + abs(lo)
     for _ in range(80):
         hi = lo + width
-        mass = integrate(X.pdf, lo, hi, X.plan).value
+        mass = integrate(X.pdf, lo, hi).value
         if mass >= 1.0 - _TRUNCATION_MASS:
             return hi
         width *= 2.0
@@ -439,8 +433,8 @@ def _density_expect(X: RandomVariable, fn: Callable) -> tuple[float, float]:
     lo, hi = X.declared_support
     terms = _family_terms(X.density_family, X.density_params)
     if terms is not None:
-        # each scale goes inside, so the plan's tolerance holds for E f(X)
-        parts = [integrate(lambda t: s * np.asarray(fn(t), dtype=float), lo, hi, X.plan, *ends)
+        # each scale goes inside, so the quadrature tolerance holds for E f(X)
+        parts = [integrate(lambda t: s * np.asarray(fn(t), dtype=float), lo, hi, *ends)
                  for s, *ends in terms]
         return sum(p.value for p in parts), sum(p.error_estimate for p in parts)
     tail = 0.0
@@ -449,7 +443,7 @@ def _density_expect(X: RandomVariable, fn: Callable) -> tuple[float, float]:
         # Tail mass times the boundary magnitude is the cheap truncation term.
         tail = _TRUNCATION_MASS * abs(float(fn(hi))) + _TRUNCATION_MASS
     res = integrate(lambda x: np.asarray(fn(x), dtype=float) * np.asarray(X.pdf(x), dtype=float),
-                    lo, hi, X.plan)
+                    lo, hi)
     return res.value, res.error_estimate + tail
 
 

@@ -8,9 +8,11 @@ average with the symmetric Riemann-Liouville functional and the weight
 1/(p+1) with gamma_coefficient(p, alpha); alpha = 1 collapses back to the
 plain statement.
 
-The fractional kernels (t - a)^(alpha-1) are never sampled pointwise: their
-exponent goes into the weights of the endpoint-graded quadrature, which
-handles the singular alpha < 1 the same way.
+Every integral here is numerics.integrate's one rule, to its fixed
+absolute tolerance QUADRATURE_TOLERANCE.  The fractional kernels
+(t - a)^(alpha-1) are never sampled pointwise: their exponent goes into the
+weights of the endpoint-graded quadrature, which handles the singular
+alpha < 1 the same way.
 """
 
 from __future__ import annotations
@@ -24,14 +26,7 @@ from .convexity import ConvexityCertificate, _require_certificate
 from .distributions import expect, fractional_hh_density
 from .errors import DomainError, MonotonicityError
 from .functions import FunctionSpec, Jet, derivative_function, exp_taylor_remainder
-from .numerics import (
-    DEFAULT_PLAN,
-    QuadraturePlan,
-    _order,
-    gamma,
-    integrate,
-    log_gamma,
-)
+from .numerics import _order, gamma, integrate, log_gamma
 
 __all__ = [
     "HHReport",
@@ -71,8 +66,7 @@ def _interior_point(a: float, b: float, weight: float, p: int) -> float:
     return t * b + (1.0 - t) * a
 
 
-def hh_bounds(f: FunctionSpec, cert: ConvexityCertificate, p: int,
-              plan: QuadraturePlan = DEFAULT_PLAN) -> HHReport:
+def hh_bounds(f: FunctionSpec, cert: ConvexityCertificate, p: int) -> HHReport:
     """Generalized integral-average sandwich at order p on the certified
     interval:
 
@@ -85,7 +79,7 @@ def hh_bounds(f: FunctionSpec, cert: ConvexityCertificate, p: int,
     p = _order(p)
     _require_certificate(cert, "I", "hh_bounds", p - 1)
     a, b = cert.interval
-    res = integrate(f.eval_fn, a, b, plan)
+    res = integrate(f.eval_fn, a, b)
     mid = res.value / (b - a)
     lower = float(f(_interior_point(a, b, 1.0 / (p + 1.0), p)))
     fa, fb = float(f(a)), float(f(b))
@@ -116,8 +110,8 @@ def taylor_hh(p: int, b: float) -> tuple[float, float, float]:
     return lower, mid, upper
 
 
-def derivative_hh_bound(f: FunctionSpec, cert: ConvexityCertificate, p: int,
-                        plan: QuadraturePlan = DEFAULT_PLAN) -> tuple[float, float]:
+def derivative_hh_bound(f: FunctionSpec, cert: ConvexityCertificate,
+                        p: int) -> tuple[float, float]:
     """Trapezoid-vs-average deviation bound for differentiable f whose
     |f'| is certified at order p-1:
 
@@ -132,7 +126,7 @@ def derivative_hh_bound(f: FunctionSpec, cert: ConvexityCertificate, p: int,
     p = _order(p)
     _require_certificate(cert, "I", "derivative_hh_bound", p - 1)
     a, b = cert.interval
-    avg = integrate(f.eval_fn, a, b, plan).value / (b - a)
+    avg = integrate(f.eval_fn, a, b).value / (b - a)
     lhs = abs(0.5 * (float(f(a)) + float(f(b))) - avg)
     c_p = 2.0 * (p + 0.5 ** p) / ((p + 1.0) * (p + 2.0))
     d1a = abs(float(f.derivative(1)(a)))
@@ -171,8 +165,7 @@ def abs_derivative(f: FunctionSpec) -> FunctionSpec:
 
 
 def rl_integral(f: FunctionSpec, alpha: float, side: str, x: float,
-                interval: tuple[float, float] | None = None,
-                plan: QuadraturePlan = DEFAULT_PLAN) -> float:
+                interval: tuple[float, float] | None = None) -> float:
     """Riemann-Liouville integral of order alpha > 0.
 
     side="left":  (1/Gamma(alpha)) integral_a^x (x - t)^(alpha-1) f(t) dt,
@@ -197,11 +190,11 @@ def rl_integral(f: FunctionSpec, alpha: float, side: str, x: float,
     if side == "left":
         if not a < x <= b + 1e-12:
             raise DomainError(f"left integral needs x in (a, b], got x={x}")
-        res = integrate(f.eval_fn, a, x, plan, right=alpha)
+        res = integrate(f.eval_fn, a, x, right=alpha)
     else:
         if not a - 1e-12 <= x < b:
             raise DomainError(f"right integral needs x in [a, b), got x={x}")
-        res = integrate(f.eval_fn, x, b, plan, left=alpha)
+        res = integrate(f.eval_fn, x, b, left=alpha)
     return res.value / gamma(alpha)
 
 
@@ -229,8 +222,7 @@ def gamma_coefficient(p: int, alpha: float) -> float:
 
 
 def fractional_hh_bounds(f: FunctionSpec, cert: ConvexityCertificate, p: int,
-                         alpha: float,
-                         plan: QuadraturePlan = DEFAULT_PLAN) -> HHReport:
+                         alpha: float) -> HHReport:
     """Fractional integral-average sandwich at order p and fractional order
     alpha on the certified [a, b] with 0 <= a < b:
 
@@ -249,8 +241,8 @@ def fractional_hh_bounds(f: FunctionSpec, cert: ConvexityCertificate, p: int,
     lower = float(f(_interior_point(a, b, g, p)))
     fa, fb = float(f(a)), float(f(b))
     upper = g * fb + (1.0 - g) * fa
-    left = rl_integral(f, alpha, "left", b, (a, b), plan)
-    right = rl_integral(f, alpha, "right", a, (a, b), plan)
+    left = rl_integral(f, alpha, "left", b, (a, b))
+    right = rl_integral(f, alpha, "right", a, (a, b))
     mid = gamma(alpha + 1.0) / (2.0 * (b - a) ** alpha) * (left + right)
     return HHReport(p=p, interval=(a, b), alpha=alpha,
                     lower=lower, mid=mid, upper=upper,
@@ -258,12 +250,12 @@ def fractional_hh_bounds(f: FunctionSpec, cert: ConvexityCertificate, p: int,
                     classical_upper=0.5 * (fa + fb))
 
 
-def fractional_mid_via_density(f: FunctionSpec, a: float, b: float, alpha: float,
-                               plan: QuadraturePlan = DEFAULT_PLAN) -> float:
+def fractional_mid_via_density(f: FunctionSpec, a: float, b: float,
+                               alpha: float) -> float:
     """The fractional mid term computed as an expectation under the
     symmetric endpoint-weighted density; an independent route used to
     cross-check the operator-sum evaluation.
     """
-    X = fractional_hh_density(a, b, alpha, plan)
+    X = fractional_hh_density(a, b, alpha)
     value, _err = expect(X, f)
     return value

@@ -53,10 +53,10 @@ class BoundReport:
     p: int
     interval: tuple[float, float]
     value: float
-    oracle: float | None
+    oracle: float
     oracle_error: float
     classical: float
-    gap_to_oracle: float | None
+    gap_to_oracle: float
     gap_to_classical: float
     inputs_digest: str
     # moment quadrature/truncation error propagated through f to the value
@@ -80,7 +80,7 @@ def _digest(f: FunctionSpec, X: RandomVariable, p: int, kind: str) -> str:
 def _report(where: str, kind: str, direction: str, klass: str,
             estimate: Callable[..., tuple[float, float, float]],
             f: FunctionSpec, cert: ConvexityCertificate, X: RandomVariable,
-            compute_oracle: bool, tolerances: ToleranceProfile) -> BoundReport:
+            tolerances: ToleranceProfile) -> BoundReport:
     """The skeleton shared by every Jensen bound: certificate requirement,
     support check, mean, estimate, oracle and gaps oriented by direction.
     The estimate maps (f, X, a, b, p, mean, tolerances) to the bound's value,
@@ -107,14 +107,12 @@ def _report(where: str, kind: str, direction: str, klass: str,
     p = cert.p
     mean = X.mean()
     value, classical, value_error = estimate(f, X, a, b, p, mean, tolerances)
-    oracle = oracle_err = gap = None
-    if compute_oracle:
-        oracle, oracle_err = expect(X, f)
-        gap = oracle - value if direction == "lower" else value - oracle
+    oracle, oracle_err = expect(X, f)
     return BoundReport(
         kind=kind, direction=direction, p=p, interval=(a, b),
-        value=value, oracle=oracle, oracle_error=oracle_err or 0.0,
-        classical=classical, gap_to_oracle=gap,
+        value=value, oracle=oracle, oracle_error=oracle_err,
+        classical=classical,
+        gap_to_oracle=oracle - value if direction == "lower" else value - oracle,
         gap_to_classical=value - classical if direction == "lower" else classical - value,
         inputs_digest=_digest(f, X, p, kind), value_error=value_error)
 
@@ -143,7 +141,6 @@ def _reflected_norm(f, X, a, b, p, mean, tolerances):
 
 
 def jensen_lower(f: FunctionSpec, cert: ConvexityCertificate, X: RandomVariable,
-                 compute_oracle: bool = True,
                  tolerances: ToleranceProfile = DEFAULT_TOLERANCES) -> BoundReport:
     """Lower bound E f(X) >= f(a + ||X - a||_{p+1}) for certified members.
 
@@ -152,22 +149,21 @@ def jensen_lower(f: FunctionSpec, cert: ConvexityCertificate, X: RandomVariable,
     truncation error is propagated into the report's value_error.
     """
     return _report("jensen_lower", "jensen-lower-I", "lower", "I", _shifted_norm,
-                   f, cert, X, compute_oracle, tolerances)
+                   f, cert, X, tolerances)
 
 
 def jensen_upper(f: FunctionSpec, cert: ConvexityCertificate, X: RandomVariable,
-                 compute_oracle: bool = True,
                  tolerances: ToleranceProfile = DEFAULT_TOLERANCES) -> BoundReport:
     """Upper bound E f(X) <= (1 - m) f(a) + m f(b) with the moment weight
     m = E (X-a)^{p+1} / (b-a)^{p+1}; tightens the classical secant, whose
     weight is the normalized first moment.
     """
     return _report("jensen_upper", "jensen-upper-I", "upper", "I", _moment_secant,
-                   f, cert, X, compute_oracle, tolerances)
+                   f, cert, X, tolerances)
 
 
 def jensen_lower_decreasing(f: FunctionSpec, cert: ConvexityCertificate,
-                            X: RandomVariable, compute_oracle: bool = True,
+                            X: RandomVariable,
                             tolerances: ToleranceProfile = DEFAULT_TOLERANCES) -> BoundReport:
     """Evaluate f(b - ||b - X||_{p+1}) for the right-anchored concave class.
 
@@ -178,4 +174,4 @@ def jensen_lower_decreasing(f: FunctionSpec, cert: ConvexityCertificate,
     report carries direction="upper" accordingly.
     """
     return _report("jensen_lower_decreasing", "jensen-lower-D", "upper", "D",
-                   _reflected_norm, f, cert, X, compute_oracle, tolerances)
+                   _reflected_norm, f, cert, X, tolerances)

@@ -283,14 +283,14 @@ class EMTrace:
 _PROB_FLOOR = 1e-9
 
 
-def generate_mixture_data(n: int, dims: int, seed: int,
-                          weights: tuple[float, float] = (0.6, 0.4),
-                          means: tuple[float, float] = (0.8, 0.2)) -> np.ndarray:
-    """Binary design matrix from a two-component Bernoulli mixture."""
+def generate_mixture_data(n: int, dims: int, seed: int) -> np.ndarray:
+    """Binary design matrix from a two-component Bernoulli mixture: a row
+    comes from the first component with probability 0.6, and its entries
+    are 1 with probability 0.8 there and 0.2 in the second component."""
     n, dims = _integer(n, 0, "n"), _integer(dims, 0, "dims")
     rng = np.random.default_rng(_integer(seed, 0, "seed"))
-    comp = rng.random(n) < weights[0]
-    base = np.where(comp[:, None], means[0], means[1])
+    comp = rng.random(n) < 0.6
+    base = np.where(comp[:, None], 0.8, 0.2)
     return (rng.random((n, dims)) < base).astype(float)
 
 

@@ -7,17 +7,19 @@ integrands with algebraic end weights (t - a)^(left-1) (b - t)^(right-1),
 stable shifted p-norm arithmetic, fail-closed monotone inversion of float
 or array targets, and Richardson-extrapolated finite differences.
 
-The quadrature doubles until one step changes its estimate by no more than
-the plan's threshold or the rounding of its sums; otherwise
+The quadrature has one rule with fixed constants: QUADRATURE_NODES
+Gauss-Legendre nodes per panel, doubled at most QUADRATURE_DOUBLINGS times
+until one step changes its estimate by no more than a quarter of
+QUADRATURE_TOLERANCE or the rounding of its sums; otherwise
 ConvergenceError carries the best estimate and the last step.  Its node
-sets are a pure function of (a, b, end exponents, node count, panels), and
-the small ones (at most 8 panels per base panel) are memoized as read-only
-arrays, so the several expectations of one bound share them; larger ones
-are built per call, so a non-converging integral keeps no memory after it.
+sets are a pure function of (a, b, end exponents, panels), and the small
+ones (at most 8 panels per base panel) are memoized as read-only arrays, so
+the several expectations of one bound share them; larger ones are built per
+call, so a non-converging integral keeps no memory after it.
 
-Everything here is a pure function of its inputs; plan and tolerance
-objects are immutable and the memo caches are functools' thread-safe
-lru_cache, so concurrent use needs no locking.
+Everything here is a pure function of its inputs; tolerance objects are
+immutable and the memo caches are functools' thread-safe lru_cache, so
+concurrent use needs no locking.
 """
 
 from __future__ import annotations
@@ -38,10 +40,11 @@ from .errors import (
 )
 
 __all__ = [
-    "QuadraturePlan",
+    "QUADRATURE_DOUBLINGS",
+    "QUADRATURE_NODES",
+    "QUADRATURE_TOLERANCE",
     "QuadratureResult",
     "ToleranceProfile",
-    "DEFAULT_PLAN",
     "DEFAULT_TOLERANCES",
     "fd_derivative",
     "fsum",
@@ -91,32 +94,6 @@ class ToleranceProfile:
 
 
 @dataclass(frozen=True)
-class QuadraturePlan:
-    """How to evaluate an integral.
-
-    node_count:
-        Gauss-Legendre nodes per panel, an integer >= 2.
-    abs_tolerance:
-        requested absolute error, finite and >= 0 (an infinite one would
-        accept the first doubling of any integral).
-    max_refinements:
-        panel doublings before giving up, an integer >= 0; with 0 every
-        integral raises ConvergenceError.
-    """
-
-    node_count: int = 16
-    abs_tolerance: float = 1e-10
-    max_refinements: int = 12
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "node_count", _integer(self.node_count, 2, "node_count"))
-        object.__setattr__(self, "max_refinements",
-                           _integer(self.max_refinements, 0, "max_refinements"))
-        if not 0.0 <= self.abs_tolerance < math.inf:
-            raise DomainError(f"abs_tolerance must be finite and >= 0, got {self.abs_tolerance!r}")
-
-
-@dataclass(frozen=True)
 class QuadratureResult:
     value: float
     error_estimate: float
@@ -131,7 +108,6 @@ class QuadratureResult:
 
 
 DEFAULT_TOLERANCES = ToleranceProfile()
-DEFAULT_PLAN = QuadraturePlan()
 
 
 def _order(p: int, least: int = 1) -> int:
@@ -232,6 +208,14 @@ def log_gamma(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+# The one quadrature rule: Gauss-Legendre nodes per panel, the absolute
+# error asked of every integral, and the panel doublings before
+# ConvergenceError.  integrate() reads the last two when it is called; the
+# node table is built from the first on first use.
+QUADRATURE_NODES = 16
+QUADRATURE_TOLERANCE = 1e-10
+QUADRATURE_DOUBLINGS = 12
+
 # Levels of geometric panels at a weighted end: the end panel is 2^-20 of
 # the end's span, so g varies by O(2^-20) across it.
 GRADED_LEVELS = 20
@@ -240,9 +224,10 @@ GRADED_LEVELS = 20
 _ROUNDING = 64.0 * float(np.finfo(float).eps)
 
 
-@lru_cache(maxsize=64)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+@lru_cache(maxsize=1)
+def _leggauss() -> tuple[np.ndarray, np.ndarray]:
+    """The QUADRATURE_NODES-point Gauss-Legendre table, built on first use."""
+    return np.polynomial.legendre.leggauss(QUADRATURE_NODES)
 
 
 def _points(xs: np.ndarray) -> str:
@@ -282,10 +267,10 @@ def _real(v, x: np.ndarray, where: str) -> float:
     return float(v)
 
 
-def _graded_rule(a: float, b: float, left: float, right: float, n: int,
+def _graded_rule(a: float, b: float, left: float, right: float,
                  parts: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes t and weights of integrate()'s rule, each base panel cut into
-    `parts` Gauss-Legendre panels of n nodes.
+    `parts` Gauss-Legendre panels of QUADRATURE_NODES nodes.
 
     An end with exponent e != 1 gets panels [s 2^-j, s 2^(1-j)], j = 1..20,
     over its span s (half of b - a when both ends are weighted); its end
@@ -294,7 +279,7 @@ def _graded_rule(a: float, b: float, left: float, right: float, n: int,
     end, and the far end's factor is taken at (b - a) - r, so no weight is
     computed from t.
     """
-    x, w = _leggauss(n)
+    x, w = _leggauss()
     u = ((np.arange(parts)[:, None] + 0.5 * (x + 1.0)) / parts).ravel()
     du = np.tile(w / (2.0 * parts), parts)  # u and du cover [0, 1]
     length = b - a
@@ -326,26 +311,27 @@ _SHARED_PARTS = 8
 # _SHARED_PARTS for each end-exponent pair, and a fractional-hh density
 # integrates two such pairs per expectation.
 @lru_cache(maxsize=16)
-def _shared_rule(a: float, b: float, left: float, right: float, n: int,
+def _shared_rule(a: float, b: float, left: float, right: float,
                  parts: int) -> tuple[np.ndarray, np.ndarray]:
     """_graded_rule's pair, made read-only because every caller shares it."""
-    t, w = _graded_rule(a, b, left, right, n, parts)
+    t, w = _graded_rule(a, b, left, right, parts)
     t.flags.writeable = w.flags.writeable = False
     return t, w
 
 
-def _doubled(estimate: Callable[[int], tuple[float, float]], limit: float,
-             max_refinements: int) -> QuadratureResult:
+def _doubled(estimate: Callable[[int], tuple[float, float]]) -> QuadratureResult:
     """The stopping rule of the quadrature.
 
     estimate(k) is the rule's value after k doublings and the sum of the
-    magnitudes of its terms; the first k whose step from estimate(k-1) is
-    at most limit, or within the rounding of that sum (which no doubling
-    removes), is accepted.  A NaN step never is, so the check fails closed.
+    magnitudes of its terms; the first k <= QUADRATURE_DOUBLINGS whose step
+    from estimate(k-1) is at most a quarter of QUADRATURE_TOLERANCE, or
+    within the rounding of that sum (which no doubling removes), is
+    accepted.  A NaN step never is, so the check fails closed.
     """
+    limit = 0.25 * QUADRATURE_TOLERANCE
     best, _ = estimate(0)
     step = math.inf
-    for k in range(1, max_refinements + 1):
+    for k in range(1, QUADRATURE_DOUBLINGS + 1):
         nxt, magnitude = estimate(k)
         step = abs(nxt - best)
         best = nxt
@@ -354,7 +340,7 @@ def _doubled(estimate: Callable[[int], tuple[float, float]], limit: float,
     raise ConvergenceError(f"quadrature did not converge (last step {step:.3e})", best, step)
 
 
-def integrate(f: Callable, a: float, b: float, plan: QuadraturePlan = DEFAULT_PLAN,
+def integrate(f: Callable, a: float, b: float,
               left: float = 1.0, right: float = 1.0) -> QuadratureResult:
     """Integral over [a, b] of (t - a)^(left-1) (b - t)^(right-1) f(t) dt.
 
@@ -362,12 +348,13 @@ def integrate(f: Callable, a: float, b: float, plan: QuadraturePlan = DEFAULT_PL
     inside (a, b); an end whose exponent is not 1 gets panels graded
     towards it, so (1, 1) is Gauss-Legendre on 2^k equal panels.  Each
     doubling halves every panel until one changes the estimate by at most a
-    quarter of the plan's absolute tolerance or by the rounding of its sums
-    (_doubled); error_estimate is that last step.  The nodes of the first
-    doublings (up to 8 panels per base panel) come from a small memo cache
-    shared by every call and are read-only: an f that writes into its
-    argument is called once per point instead.  Larger rules are built per
-    call and dropped, so their memory does not outlive it.
+    quarter of QUADRATURE_TOLERANCE or by the rounding of its sums
+    (_doubled), at most QUADRATURE_DOUBLINGS times; error_estimate is that
+    last step.  The nodes of the first doublings (up to 8 panels per base
+    panel) come from a small memo cache shared by every call and are
+    read-only: an f that writes into its argument is called once per point
+    instead.  Larger rules are built per call and dropped, so their memory
+    does not outlive it.
     """
     a, b, left, right = float(a), float(b), float(left), float(right)
     if not a < b:
@@ -378,20 +365,20 @@ def integrate(f: Callable, a: float, b: float, plan: QuadraturePlan = DEFAULT_PL
     def estimate(k: int) -> tuple[float, float]:
         parts = 2 ** k
         rule = _shared_rule if parts <= _SHARED_PARTS else _graded_rule
-        t, w = rule(a, b, left, right, plan.node_count, parts)
+        t, w = rule(a, b, left, right, parts)
         terms = w * _eval_nodes(f, t)
         return float(np.sum(terms)), float(np.sum(np.abs(terms)))
 
-    return _doubled(estimate, 0.25 * plan.abs_tolerance, plan.max_refinements)
+    return _doubled(estimate)
 
 
-def integrate_jacobi(g: Callable, a: float, b: float, alpha: float, side: str,
-                     plan: QuadraturePlan = DEFAULT_PLAN) -> QuadratureResult:
+def integrate_jacobi(g: Callable, a: float, b: float, alpha: float,
+                     side: str) -> QuadratureResult:
     """integrate() with the exponent alpha at one end: side="left" weights g
     by (t - a)^(alpha-1), side="right" by (b - t)^(alpha-1)."""
     if side not in ("left", "right"):
         raise DomainError(f"side must be 'left' or 'right', got {side!r}")
-    return integrate(g, a, b, plan, **{side: alpha})
+    return integrate(g, a, b, **{side: alpha})
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +566,9 @@ def fd_derivative(f: Callable, x, k: int,
     x may be a float or an array; f is called once per stencil offset on
     each kind's points (a scalar-only f is looped over them).  f raising or
     turning complex at a stencil point raises DomainError; a NaN there is
-    returned in the result.  A point that is not finite, or an interval end
-    that is NaN, raises DomainError (an end may be infinite).
+    returned in the result.  A point that is not finite or lies outside the
+    interval, an interval end that is NaN, or lo > hi raises DomainError
+    (an end may be infinite).
     """
     if k not in _CENTRAL_STENCILS:
         raise DomainError(f"fd_derivative supports orders 1..4, got {k}")
@@ -588,8 +576,8 @@ def fd_derivative(f: Callable, x, k: int,
     # for bit (numpy scalars would take another power routine)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     lo, hi = interval
-    if not np.all(np.isfinite(xs)) or math.isnan(lo) or math.isnan(hi):
-        raise DomainError(f"fd_derivative needs finite points and an interval without NaN, "
+    if not (np.all(np.isfinite(xs)) and np.all((lo <= xs) & (xs <= hi)) and lo <= hi):
+        raise DomainError(f"fd_derivative needs finite points in an ordered interval, "
                           f"got {_points(xs)} in [{lo!r}, {hi!r}]")
     h = 1e-5 ** (4.0 / (k + 4.0)) * (1.0 + np.abs(xs))
     reach = _CENTRAL_STENCILS[k][-1][0] * h

@@ -1,0 +1,88 @@
+"""The options of the public API, pinned.
+
+Every parameter with a default is a setting a caller may change, and each
+one is a path the tests must cover.  This table lists, for every callable
+named in a pconvex module's `__all__`, the parameters that have defaults
+(dataclass fields included).  A new option, or one that goes, changes the
+table, so the change shows in review.
+"""
+
+from __future__ import annotations
+
+import importlib
+import inspect
+import pkgutil
+
+import pconvex
+
+_DEFAULTED = {
+    "cli.main": ("argv",),
+    "cli.run_problem": ("out",),
+    "convexity.certify_loss_class": ("grid_size", "tolerances", "strictness"),
+    "convexity.certify_p_concave": ("grid_size", "tolerances"),
+    "convexity.certify_p_convex": ("grid_size", "tolerances"),
+    "convexity.check_power_transform_convex": ("grid_size", "tolerances"),
+    "convexity.check_ratio_monotone": ("grid_size", "tolerances"),
+    "distributions.MomentReport": ("error_estimate",),
+    "distributions.RandomVariable": ("atoms", "probs", "values", "pdf", "density_family",
+                                     "density_params"),
+    "distributions.discrete": ("support",),
+    "distributions.from_sample": ("support",),
+    "distributions.shifted_moment": ("tolerances",),
+    "functions.CatalogEntry": ("params", "domain"),
+    "functions.FunctionSpec": ("eval_fn", "derivatives", "provenance", "descriptor", "jet"),
+    "functions.affine_precompose": ("domain",),
+    "functions.antiderivative_from": ("base",),
+    "functions.compose_inverse": ("tolerances", "horizon"),
+    "functions.derivative_function": ("k",),
+    "functions.exp_taylor_remainder": ("domain",),
+    "functions.exponential": ("s", "domain"),
+    "functions.log_affine": ("domain",),
+    "functions.nonneg_weighted_sum": ("domain",),
+    "functions.numeric_function": ("label",),
+    "functions.polynomial": ("domain",),
+    "functions.shifted_power": ("shift", "domain"),
+    "hermite.HHReport": ("mid_error",),
+    "hermite.rl_integral": ("interval",),
+    "jensen.BoundReport": ("value_error",),
+    "jensen.jensen_lower": ("tolerances",),
+    "jensen.jensen_lower_decreasing": ("tolerances",),
+    "jensen.jensen_upper": ("tolerances",),
+    "mgf.am_gm_lower": ("tolerances",),
+    "mgf.mgf_lower": ("tolerances",),
+    "mgf.mgf_upper": ("tolerances",),
+    "numerics.QuadratureResult": ("refinements",),
+    "numerics.ToleranceProfile": ("eq_abs", "eq_rel", "certify_slack"),
+    "numerics.fd_derivative": ("interval",),
+    "numerics.integrate": ("left", "right"),
+    "numerics.invert_monotone": ("tolerances",),
+    "numerics.pnorm_shifted": ("scale",),
+    "risk.certainty_equivalent": ("tolerances",),
+    "risk.certify_p_more_risk_averse": ("grid_size", "tolerances"),
+    "risk.falsify_p_more_risk_averse": ("horizon", "directed_from", "tolerances"),
+    "risk.risk_measure": ("grid_size", "tolerances"),
+    "svgplot.render_gap_plot": ("title",),
+    "svgplot.render_lines": ("title",),
+}
+
+
+def _defaulted() -> dict[str, tuple[str, ...]]:
+    """'module.name' -> its defaulted parameters, for each callable in the
+    __all__ of every pconvex module that has at least one."""
+    found = {}
+    for info in pkgutil.iter_modules(pconvex.__path__):
+        module = importlib.import_module(f"pconvex.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if not callable(obj):
+                continue
+            params = inspect.signature(obj).parameters.values()
+            defaulted = tuple(p.name for p in params if p.default is not inspect.Parameter.empty)
+            if defaulted:
+                found[f"{info.name}.{name}"] = defaulted
+    return found
+
+
+def test_defaulted_parameters_of_the_public_api():
+    assert _defaulted() == _DEFAULTED
+

@@ -25,7 +25,6 @@ from pconvex.distributions import (
     from_sample,
     sample_mc,
     shifted_moment,
-    uniform,
 )
 from pconvex.errors import DerivativeOrderError, DomainError, PconvexError
 from pconvex.functions import (
@@ -41,7 +40,7 @@ from pconvex.functions import (
 )
 from pconvex.hermite import taylor_hh
 from pconvex.mgf import em_demo, generate_mixture_data
-from pconvex.numerics import QuadraturePlan, ToleranceProfile, fd_derivative, pnorm_shifted
+from pconvex.numerics import ToleranceProfile, fd_derivative, pnorm_shifted
 from pconvex.risk import (
     RiskMeasureReport,
     certify_p_more_risk_averse,
@@ -571,10 +570,6 @@ _EM_DATA = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 1.0]])
 _MALFORMED = st.sampled_from([math.nan, "abc", None, [1.0], {"q": 1.0}, 10 ** 400])
 
 
-def _uniform_with(**plan):
-    return uniform(0.5, 2.0, QuadraturePlan(**plan))
-
-
 def _falsified(trials, seed, **kwargs):
     hit = falsify_p_more_risk_averse(_SQUARE, _QUARTIC, 1, trials, seed, **kwargs)
     return hit.threshold, hit.margin
@@ -604,12 +599,6 @@ _FAIL_CLOSED = {
                       _NON_FINITE, 0.0),
     "risk order": (lambda v: risk_measure(_LOTTERY, v, 64), _NON_INTEGRAL, 2),
     "risk grid": (lambda v: risk_measure(_LOTTERY, 2, v), _NON_INTEGRAL, 64),
-    "plan nodes": (lambda v: risk_measure(_uniform_with(node_count=v), 2, 64),
-                   _NON_INTEGRAL, 16),
-    "plan tolerance": (lambda v: risk_measure(_uniform_with(abs_tolerance=v), 2, 64),
-                       _NON_FINITE, 1e-10),
-    "plan refinements": (lambda v: risk_measure(_uniform_with(max_refinements=v), 2, 64),
-                         _NON_INTEGRAL, 12),
     "exp-tail order": (lambda v: certify_p_convex(exp_taylor_remainder(v), 2, 0.0, 3.0, 64),
                        _NON_INTEGRAL, 2),
     "taylor-remainder order": (
@@ -646,6 +635,12 @@ _FAIL_CLOSED = {
     # an infinite end is a half-line, so only NaN is an invalid end
     "difference interval end": (lambda v: fd_derivative(np.exp, 0.5, 2, (0.0, v)),
                                 st.just(math.nan), 1.0),
+    "difference point outside": (
+        lambda v: fd_derivative(np.exp, v, 2, (0.0, 1.0)),
+        st.one_of(st.floats(min_value=-1e6, max_value=-1e-300),
+                  st.floats(min_value=1.0, max_value=1e6, exclude_min=True)), 0.5),
+    "difference interval order": (lambda v: fd_derivative(np.exp, 0.5, 2, (0.0, v)),
+                                  st.floats(max_value=0.0, exclude_max=True), 1.0),
 }
 
 
@@ -667,16 +662,15 @@ def test_non_finite_or_non_integral_inputs_fail_closed(name, data):
     """A non-finite or non-integral order or grid size, or a non-finite
     horizon, interval end or strictness, raises a PconvexError or gives a
     failing certificate, in every certifier and in risk_measure; so does a
-    non-integral node count or refinement limit, or a non-finite tolerance,
-    in the quadrature plan of risk_measure's density, a non-integral order
-    of a function constructor, a malformed parameter or domain end in a
-    function descriptor, a non-finite end of taylor_hh, a non-integral
-    count of sample_mc or em_demo, a non-integral seed, sample count or
-    trial count of the seeded generators and the falsifier, a non-finite
-    horizon or direction of the falsifier, a non-integral order or
-    non-finite shift of shifted_moment, a non-integral order or non-finite
-    moment or scale of pnorm_shifted, and a non-finite point or NaN
-    interval end of fd_derivative."""
+    non-integral order of a function constructor, a malformed parameter or
+    domain end in a function descriptor, a non-finite end of taylor_hh, a
+    non-integral count of sample_mc or em_demo, a non-integral seed, sample
+    count or trial count of the seeded generators and the falsifier, a
+    non-finite horizon or direction of the falsifier, a non-integral order
+    or non-finite shift of shifted_moment, a non-integral order or
+    non-finite moment or scale of pnorm_shifted, and a non-finite point, a
+    point outside the interval, a NaN interval end or an interval with
+    lo > hi of fd_derivative."""
     call, values, _ = _FAIL_CLOSED[name]
     value = data.draw(values)
     try:

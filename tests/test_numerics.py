@@ -39,7 +39,9 @@ from pconvex.functions import (
 )
 from pconvex.numerics import (
     DEFAULT_TOLERANCES,
-    QuadraturePlan,
+    QUADRATURE_DOUBLINGS,
+    QUADRATURE_NODES,
+    QUADRATURE_TOLERANCE,
     ToleranceProfile,
     _eval_nodes,
     _order,
@@ -145,16 +147,22 @@ class TestIntegrate:
             integrate(lambda x: x, 1.0, 0.0)
 
     def test_nonconvergence_carries_best_estimate(self):
-        plan = QuadraturePlan(abs_tolerance=1e-13, max_refinements=0)
         rough = lambda x: np.abs(np.sin(50.0 * x)) ** 0.3
-        with pytest.raises(ConvergenceError) as err:
-            integrate(rough, 0.0, 3.0, plan)
+        with _quadrature(tolerance=1e-13, doublings=0), \
+                pytest.raises(ConvergenceError) as err:
+            integrate(rough, 0.0, 3.0)
         assert math.isfinite(err.value.best_estimate)
 
 
+def _quadrature(tolerance=QUADRATURE_TOLERANCE, doublings=QUADRATURE_DOUBLINGS):
+    """A context in which integrate() runs with these constants."""
+    return mock.patch.multiple(numerics, QUADRATURE_TOLERANCE=tolerance,
+                               QUADRATURE_DOUBLINGS=doublings)
+
+
 _RULES = {
-    "gauss-legendre": lambda f, plan: integrate(f, 0.0, 2.0, plan),
-    "gauss-jacobi": lambda f, plan: integrate_jacobi(f, 0.0, 2.0, 0.5, "left", plan),
+    "gauss-legendre": lambda f: integrate(f, 0.0, 2.0),
+    "gauss-jacobi": lambda f: integrate_jacobi(f, 0.0, 2.0, 0.5, "left"),
 }
 
 
@@ -165,20 +173,20 @@ class TestStoppingRule:
     def test_no_refinement_always_raises(self, rule):
         # a quadratic is exact on the first estimate, yet it is not accepted
         # until a doubling step has confirmed it
-        with pytest.raises(ConvergenceError) as err:
-            _RULES[rule](lambda x: x * x, QuadraturePlan(max_refinements=0))
+        with _quadrature(doublings=0), pytest.raises(ConvergenceError) as err:
+            _RULES[rule](lambda x: x * x)
         assert math.isfinite(err.value.best_estimate)
         assert err.value.error_estimate == math.inf
 
     @pytest.mark.parametrize("rule", sorted(_RULES))
     def test_error_estimate_is_last_step(self, rule):
-        f = lambda x: np.cos(7.0 * x)
-        plan = QuadraturePlan(node_count=4)
-        res = _RULES[rule](f, plan)
-        assert res.refinements >= 1
+        f = lambda x: np.cos(40.0 * x)
+        res = _RULES[rule](f)
+        assert res.refinements >= 2
         # one doubling fewer stops short and reports the previous estimate
-        with pytest.raises(ConvergenceError) as err:
-            _RULES[rule](f, QuadraturePlan(node_count=4, max_refinements=res.refinements - 1))
+        with _quadrature(doublings=res.refinements - 1), \
+                pytest.raises(ConvergenceError) as err:
+            _RULES[rule](f)
         assert res.error_estimate == abs(res.value - err.value.best_estimate)
 
 
@@ -297,10 +305,10 @@ _INTEGRANDS = {
 }
 
 
-def _outcome(f, a, b, plan, left, right):
+def _outcome(f, a, b, left, right):
     """integrate()'s result, or the estimate a ConvergenceError carries, as hex."""
     try:
-        res = integrate(f, a, b, plan, left, right)
+        res = integrate(f, a, b, left, right)
         return res.value.hex(), res.error_estimate.hex(), res.refinements
     except ConvergenceError as exc:
         return "diverged", float(exc.best_estimate).hex(), float(exc.error_estimate).hex()
@@ -314,22 +322,23 @@ class TestSharedNodeSets:
     @given(st.sampled_from(sorted(_INTEGRANDS)), st.floats(-2.0, 2.0),
            st.floats(-3.0, 3.0), st.floats(0.05, 4.0),
            st.sampled_from([1.0, 0.5, 0.3, 1.5, 2.75]), st.sampled_from([1.0, 0.7, 3.0]),
-           st.sampled_from([4, 16]), st.integers(0, 5))
+           st.integers(0, 5))
     def test_integrals_equal_fresh_builds_bit_for_bit(self, name, c, a, length, left,
-                                                      right, nodes, refinements):
+                                                      right, refinements):
         f = _INTEGRANDS[name](c)
-        args = (a, a + length, QuadraturePlan(nodes, 1e-10, refinements), left, right)
-        warm = [_outcome(f, *args) for _ in range(2)][1]
-        numerics._shared_rule.cache_clear()
-        cold = _outcome(f, *args)
-        with mock.patch.object(numerics, "_shared_rule", numerics._graded_rule):
-            fresh = _outcome(f, *args)
+        args = (a, a + length, left, right)
+        with _quadrature(doublings=refinements):
+            warm = [_outcome(f, *args) for _ in range(2)][1]
+            numerics._shared_rule.cache_clear()
+            cold = _outcome(f, *args)
+            with mock.patch.object(numerics, "_shared_rule", numerics._graded_rule):
+                fresh = _outcome(f, *args)
         assert warm == cold == fresh
 
     def test_shared_rules_are_read_only(self):
         for parts in (1, 2, 4, 8):
-            t, w = numerics._shared_rule(0.0, 1.0, 0.5, 1.0, 16, parts)
-            assert numerics._shared_rule(0.0, 1.0, 0.5, 1.0, 16, parts)[0] is t
+            t, w = numerics._shared_rule(0.0, 1.0, 0.5, 1.0, parts)
+            assert numerics._shared_rule(0.0, 1.0, 0.5, 1.0, parts)[0] is t
             for arr in (t, w):
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
@@ -349,15 +358,14 @@ class TestSharedNodeSets:
         assert np.ndarray in kinds and float in kinds
         assert got == integrate(lambda x: 2.0 * x, 0.0, 1.0, left=0.5)
         for parts in (1, 2):
-            shared = numerics._shared_rule(0.0, 1.0, 0.5, 1.0, 16, parts)
-            fresh = numerics._graded_rule(0.0, 1.0, 0.5, 1.0, 16, parts)
+            shared = numerics._shared_rule(0.0, 1.0, 0.5, 1.0, parts)
+            fresh = numerics._graded_rule(0.0, 1.0, 0.5, 1.0, parts)
             assert all(np.array_equal(s, f) for s, f in zip(shared, fresh))
 
     def test_non_converging_integral_caches_no_rule_above_the_cap(self):
         numerics._shared_rule.cache_clear()
-        with pytest.raises(ConvergenceError):
-            integrate(lambda t: np.sign(t - 0.3337), 0.0, 1.0,
-                      QuadraturePlan(max_refinements=6), left=0.5, right=0.5)
+        with _quadrature(doublings=6), pytest.raises(ConvergenceError):
+            integrate(lambda t: np.sign(t - 0.3337), 0.0, 1.0, left=0.5, right=0.5)
         # 1, 2, 4 and 8 panels are kept; 16 to 64 were built and dropped
         info = numerics._shared_rule.cache_info()
         assert info.currsize == info.misses == 4 and info.hits == 0
@@ -688,27 +696,12 @@ class TestProfiles:
         with pytest.raises(DomainError):
             ToleranceProfile(eq_abs=0.0)
 
-    def test_plan_validation(self):
-        with pytest.raises(DomainError):
-            QuadraturePlan(node_count=1)
-
-    @pytest.mark.parametrize("field, value", [
-        ("abs_tolerance", math.inf), ("abs_tolerance", math.nan), ("abs_tolerance", -1e-12),
-        ("node_count", math.inf), ("node_count", math.nan), ("node_count", 2.5),
-        ("max_refinements", math.inf), ("max_refinements", math.nan), ("max_refinements", 2.5),
-        ("max_refinements", -1),
-    ])
-    def test_plan_fails_closed(self, field, value):
-        # an infinite tolerance accepted the first doubling of an integral
-        # that never converges, and NaN or inf counts passed the old checks
-        with pytest.raises(DomainError, match=field):
-            QuadraturePlan(**{field: value})
-
-    def test_plan_counts_become_ints(self):
-        plan = QuadraturePlan(node_count=np.float64(8.0), max_refinements=np.int64(3))
-        assert (type(plan.node_count), type(plan.max_refinements)) == (int, int)
-        assert QuadraturePlan() == QuadraturePlan(16, 1e-10, 12)
-        assert QuadraturePlan(abs_tolerance=0.0).abs_tolerance == 0.0
+    def test_quadrature_constants(self):
+        # the one rule integrate() runs: 16 nodes per panel, 1e-10 absolute,
+        # at most 12 doublings; the node table has 16 nodes
+        assert (QUADRATURE_NODES, QUADRATURE_TOLERANCE, QUADRATURE_DOUBLINGS) == (16, 1e-10, 12)
+        assert (type(QUADRATURE_NODES), type(QUADRATURE_DOUBLINGS)) == (int, int)
+        assert [v.size for v in numerics._leggauss()] == [16, 16]
 
 
 # ---------------------------------------------------------------------------

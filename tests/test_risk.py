@@ -23,7 +23,7 @@ from pconvex.distributions import (
 )
 from pconvex.errors import DomainError, DomainMismatchError
 from pconvex.functions import shifted_power
-from pconvex.numerics import DEFAULT_TOLERANCES, invert_monotone
+from pconvex.numerics import DEFAULT_TOLERANCES, QUADRATURE_TOLERANCE, invert_monotone
 from pconvex.risk import (
     _certainty_equivalents,
     _Sweep,
@@ -329,10 +329,10 @@ class TestRiskMeasureIsOneSolve:
         assert (rep.closed_form, rep.sweep_infimum, rep.achiever,
                 rep.candidates) == self._per_candidate(X, p)
         # the pure power's certainty equivalent and the norm come from two
-        # quadratures of E X^(p+1), each within the plan's absolute tolerance
+        # quadratures of E X^(p+1), each within the quadrature's absolute tolerance
         cf = rep.closed_form
         assert rep.achiever == f"x^{p + 1}"
-        assert abs(rep.sweep_infimum - cf) <= 2.0 * X.plan.abs_tolerance / ((p + 1) * cf ** p)
+        assert abs(rep.sweep_infimum - cf) <= 2.0 * QUADRATURE_TOLERANCE / ((p + 1) * cf ** p)
 
     def test_uniform_closed_form(self):
         for p in (1, 2):
