@@ -94,7 +94,6 @@ from .mgf import (
 )
 from .numerics import (
     QuadratureResult,
-    ToleranceProfile,
     fd_derivative,
     gamma,
     integrate,

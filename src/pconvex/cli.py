@@ -49,7 +49,7 @@ from .functions import (
     FunctionSpec,
     function_from_descriptor,
 )
-from .numerics import DEFAULT_TOLERANCES, ToleranceProfile, _integer, _order
+from .numerics import _integer, _order
 from .svgplot import render_gap_plot
 
 __all__ = ["main", "run_problem"]
@@ -59,6 +59,7 @@ EXIT_ERROR = 1
 EXIT_CERT_FAILED = 2
 
 PROBLEM_VERSION = 1
+_PROBLEM_FIELDS = {"version", "task", "function", "distribution", "params"}
 SWEEP_GRID = 512
 
 
@@ -125,7 +126,6 @@ class Problem:
     function: Mapping[str, Any] | None = None
     distribution: Mapping[str, Any] | None = None
     params: dict[str, Any] = field(default_factory=dict)
-    tolerances: Mapping[str, Any] | None = None
 
     def canonical(self) -> dict:
         out: dict[str, Any] = {"version": PROBLEM_VERSION, "task": self.task,
@@ -134,8 +134,6 @@ class Problem:
             out["function"] = dict(self.function)
         if self.distribution is not None:
             out["distribution"] = dict(self.distribution)
-        if self.tolerances is not None:
-            out["tolerances"] = dict(self.tolerances)
         return out
 
     def dump(self, path: str) -> None:
@@ -143,8 +141,13 @@ class Problem:
 
     @staticmethod
     def load(raw: Mapping[str, Any]) -> "Problem":
+        """The problem a file holds; a field that nothing reads is an input
+        error, not ignored."""
         if not isinstance(raw, Mapping):
             raise InputFormatError("problem file must be a JSON object")
+        unknown = sorted(set(raw) - _PROBLEM_FIELDS)
+        if unknown:
+            raise InputFormatError(f"problem file: unknown field {unknown[0]!r}")
         if raw.get("version") != PROBLEM_VERSION:
             raise InputFormatError(
                 f"problem file: field 'version' must be {PROBLEM_VERSION}")
@@ -155,8 +158,7 @@ class Problem:
             raise InputFormatError("problem file: field 'params' must be an object")
         return Problem(task=task, function=raw.get("function"),
                        distribution=raw.get("distribution"),
-                       params=dict(raw.get("params", {})),
-                       tolerances=raw.get("tolerances"))
+                       params=dict(raw.get("params", {})))
 
     # -- lazy accessors -----------------------------------------------------
 
@@ -169,20 +171,6 @@ class Problem:
         if self.distribution is None:
             raise InputFormatError(f"task {self.task}: missing distribution (-d)")
         return distribution_from_descriptor(self.distribution)
-
-    def tolerance_profile(self) -> ToleranceProfile:
-        if not self.tolerances:
-            return DEFAULT_TOLERANCES
-        if not isinstance(self.tolerances, Mapping):
-            raise InputFormatError("tolerance profile must be a JSON object")
-        unknown = set(self.tolerances) - {"eq_abs", "eq_rel", "certify_slack"}
-        if unknown:
-            raise InputFormatError(f"tolerance profile: unknown fields {sorted(unknown)}")
-        bad = {k: v for k, v in self.tolerances.items()
-               if isinstance(v, bool) or not isinstance(v, (int, float))}
-        if bad:
-            raise InputFormatError(f"tolerance profile: values must be numbers, got {bad}")
-        return ToleranceProfile(**{k: float(v) for k, v in self.tolerances.items()})
 
 
 def _interval(params: Mapping[str, Any], f: FunctionSpec) -> tuple[float, float]:
@@ -200,14 +188,13 @@ def _interval(params: Mapping[str, Any], f: FunctionSpec) -> tuple[float, float]
 
 def _certify(problem: Problem, args: argparse.Namespace, f: FunctionSpec,
              klass: str, p: int) -> convexity.ConvexityCertificate:
-    tol = problem.tolerance_profile()
     if klass == "Lp":
         horizon = 10.0 if args.horizon is None else args.horizon
-        return convexity.certify_loss_class(f, p, horizon, args.grid, tol)
+        return convexity.certify_loss_class(f, p, horizon, args.grid, args.slack)
     a, b = _interval(vars(args), f)
     if klass == "I":
-        return convexity.certify_p_convex(f, p, a, b, args.grid, tol)
-    return convexity.certify_p_concave(f, p, a, b, args.grid, tol)
+        return convexity.certify_p_convex(f, p, a, b, args.grid, args.slack)
+    return convexity.certify_p_concave(f, p, a, b, args.grid, args.slack)
 
 
 def _certify_class(args: argparse.Namespace) -> tuple[str, int]:
@@ -229,7 +216,7 @@ _BOUNDS = {"lower": "jensen_lower", "upper": "jensen_upper",
 def _bound(problem: Problem, args: argparse.Namespace, f: FunctionSpec,
            cert) -> jensen.BoundReport:
     bound = getattr(jensen, _BOUNDS[args.kind])
-    return bound(f, cert, problem.rv(), tolerances=problem.tolerance_profile())
+    return bound(f, cert, problem.rv())
 
 
 _BOUND_HEADER = ("kind", "p", "a", "b", "value", "oracle", "classical",
@@ -258,7 +245,7 @@ def _hh_row(rep: hermite.HHReport) -> tuple:
 
 
 def _risk_measure(problem: Problem, args: argparse.Namespace) -> dict:
-    rep = risk.risk_measure(problem.rv(), args.p, tolerances=problem.tolerance_profile())
+    rep = risk.risk_measure(problem.rv(), args.p)
     return {"task": "risk-measure", "p": rep.p,
             "distribution": rep.distribution,
             "closed_form": rep.closed_form,
@@ -270,12 +257,10 @@ def _risk_measure(problem: Problem, args: argparse.Namespace) -> dict:
 def _risk_compare(problem: Problem, args: argparse.Namespace) -> dict:
     l = problem.function_spec()
     f = function_from_descriptor(args.baseline)
-    tol = problem.tolerance_profile()
-    comp = risk.certify_p_more_risk_averse(l, f, args.p, args.horizon, tolerances=tol)
+    comp = risk.certify_p_more_risk_averse(l, f, args.p, args.horizon, slack=args.slack)
     directed = comp.certificate.witness.point if comp.certificate.witness else None
     hit = risk.falsify_p_more_risk_averse(l, f, args.p, args.trials, args.seed,
-                                          args.horizon, directed_from=directed,
-                                          tolerances=tol)
+                                          args.horizon, directed_from=directed)
     if comp.holds and hit is not None:
         raise ContradictionError(
             f"the certificate that {l.label} is {args.p}-more risk averse than {f.label} "
@@ -300,20 +285,19 @@ def _risk_compare(problem: Problem, args: argparse.Namespace) -> dict:
 def _mgf(problem: Problem, args: argparse.Namespace) -> list[tuple]:
     X = problem.rv()
     s, p = args.s, args.p
-    tol = problem.tolerance_profile()
     rows = []
     if args.kind in ("lower", "both"):
-        rep = mgf.mgf_lower(X, s, p, tol)
+        rep = mgf.mgf_lower(X, s, p)
         rows.append(("lower", s, p, rep.lower, rep.exact, rep.exact - rep.lower))
     if args.kind in ("upper", "both"):
-        rep = mgf.mgf_upper(X, s, p, tol)
+        rep = mgf.mgf_upper(X, s, p)
         rows.append(("upper", s, p, rep.upper, rep.exact, rep.upper - rep.exact))
     return rows
 
 
 def _amgm(problem: Problem, args: argparse.Namespace) -> list[tuple]:
     X = problem.rv()
-    value = mgf.am_gm_lower(X, args.p, problem.tolerance_profile())
+    value = mgf.am_gm_lower(X, args.p)
     mean = X.mean()
     return [(args.p, value, mean, mean - value)]
 
@@ -339,11 +323,10 @@ def _sweep_hh(problem: Problem, args: argparse.Namespace) -> list[tuple]:
     desc = problem.function or {"family": "shifted-power",
                                 "params": {"q": 8.0, "a": 0.0}, "domain": [0.0, 1.0]}
     f = function_from_descriptor(desc)
-    tol = problem.tolerance_profile()
     a, b = _interval(problem.params, f)
 
     def cell(p: int) -> tuple:
-        cert = convexity.certify_p_convex(f, p - 1, a, b, SWEEP_GRID, tol)
+        cert = convexity.certify_p_convex(f, p - 1, a, b, SWEEP_GRID, args.slack)
         rep = hermite.hh_bounds(f, cert, p)
         return (p, rep.mid - rep.lower, rep.upper - rep.mid)
 
@@ -357,13 +340,12 @@ def _sweep_jensen(problem: Problem, args: argparse.Namespace) -> list[tuple]:
     dist = problem.distribution or {"kind": "discrete", "atoms": [0.0, 0.5, 1.0],
                                     "probs": [0.25, 0.5, 0.25]}
     X = distribution_from_descriptor(dist)
-    tol = problem.tolerance_profile()
     a, b = _interval(problem.params, f)
 
     def cell(p: int) -> tuple:
-        cert = convexity.certify_p_convex(f, p, a, b, SWEEP_GRID, tol)
-        lo = jensen.jensen_lower(f, cert, X, tolerances=tol)
-        hi = jensen.jensen_upper(f, cert, X, tolerances=tol)
+        cert = convexity.certify_p_convex(f, p, a, b, SWEEP_GRID, args.slack)
+        lo = jensen.jensen_lower(f, cert, X)
+        hi = jensen.jensen_upper(f, cert, X)
         return (p, lo.gap_to_oracle, hi.gap_to_oracle)
 
     return [cell(p) for p in range(1, (args.p_max or 4) + 1)]
@@ -374,11 +356,10 @@ def _sweep_mgf(problem: Problem, args: argparse.Namespace) -> list[tuple]:
                                     "probs": [0.5, 0.5]}
     X = distribution_from_descriptor(dist)
     p = 2 if args.p is None else args.p
-    tol = problem.tolerance_profile()
 
     def cell(s: float) -> tuple:
-        lo = mgf.mgf_lower(X, s, p, tol)
-        hi = mgf.mgf_upper(X, s, p, tol)
+        lo = mgf.mgf_lower(X, s, p)
+        hi = mgf.mgf_upper(X, s, p)
         return (s, lo.exact - lo.lower, hi.upper - hi.exact)
 
     return [cell(0.25 * k) for k in range(13)]
@@ -447,7 +428,13 @@ class _Task:
     def arguments(self, problem: Problem) -> argparse.Namespace:
         """The problem's params as the parser would deliver them: typed,
         defaulted and checked against their choices (problem files do not
-        pass through the parser)."""
+        pass through the parser).  A param no flag of the task reads, or a
+        descriptor the task does not take, is an input error."""
+        unread = sorted(set(problem.params) - {flag.key for flag in self.flags})
+        unread += [name for name, letter in (("function", "f"), ("distribution", "d"))
+                   if getattr(problem, name) is not None and letter not in self.inputs]
+        if unread:
+            raise InputFormatError(f"task {problem.task}: nothing reads {unread[0]!r}")
         args = argparse.Namespace()
         for flag in self.flags:
             value = problem.params.get(flag.key)
@@ -481,6 +468,9 @@ _P = _flag("-p", type=int, required=True)
 _A = _flag("-a", type=float)
 _B = _flag("-b", type=float)
 _GRID = _flag("--grid", type=int, default=convexity.DEFAULT_GRID)
+_SLACK = _flag("--slack", type=float, default=convexity.CERTIFY_SLACK,
+               help="certificate slack: a margin >= -slack passes "
+                    "(1e3 times wider for numeric derivatives)")
 _ALPHA = _flag("--alpha", type=float, required=True)
 _SEED = _flag("--seed", type=int, default=42)
 
@@ -494,14 +484,15 @@ _TASKS: dict[str, _Task] = {
          _flag("-a", type=float, help="interval start (default: domain)"),
          _flag("-b", type=float, help="interval end (default: domain)"),
          _flag("--horizon", type=float, help="loss-class horizon (Lp only)"),
-         _GRID),
+         _GRID, _SLACK),
         lambda problem, args, f, cert: convexity.certificate_to_dict(cert),
         _json_text, certify=_certify_class),
     "bound": _Task(
         ("bound",), "tightened Jensen bound on E f(X): the norm-shifted lower "
                     "bound, the moment-weighted endpoint upper bound, or the "
                     "concave-direction variant", "fd",
-        (_P, _flag("--kind", choices=tuple(_BOUNDS), default="lower"), _A, _B, _GRID),
+        (_P, _flag("--kind", choices=tuple(_BOUNDS), default="lower"), _A, _B, _GRID,
+         _SLACK),
         _bound, _csv(_BOUND_HEADER, _bound_row),
         certify=lambda args: ("D" if args.kind == "lower-decreasing" else "I", args.p)),
     "risk-measure": _Task(
@@ -514,7 +505,7 @@ _TASKS: dict[str, _Task] = {
         (_flag("--baseline", metavar="FILE", required=True, load=_load_json,
                help="JSON descriptor of the less risk-averse loss function"),
          _P, _flag("--horizon", type=float, default=10.0),
-         _flag("--trials", type=int, default=10_000), _SEED),
+         _flag("--trials", type=int, default=10_000), _SEED, _SLACK),
         _risk_compare, _json_text),
     "mgf": _Task(
         ("mgf",), "moment-based lower/upper bounds on the "
@@ -536,14 +527,14 @@ _TASKS: dict[str, _Task] = {
     "hh": _Task(
         ("hh",), "generalized integral-average (Hermite-Hadamard "
                  "type) sandwich for certified functions", "f",
-        (_P, _A, _B, _GRID),
+        (_P, _A, _B, _GRID, _SLACK),
         lambda problem, args, f, cert: hermite.hh_bounds(f, cert, args.p),
         _csv(_HH_HEADER, _hh_row), certify=lambda args: ("I", _order(args.p) - 1)),
     "hh-fractional": _Task(
         ("hh-fractional",), "fractional-integral version of the "
                             "integral-average sandwich with the "
                             "gamma-ratio endpoint weight", "f",
-        (_P, _ALPHA, _A, _B, _GRID),
+        (_P, _ALPHA, _A, _B, _GRID, _SLACK),
         lambda problem, args, f, cert: hermite.fractional_hh_bounds(
             f, cert, args.p, args.alpha),
         _csv(_HH_HEADER, _hh_row), certify=lambda args: ("I", _order(args.p) - 1)),
@@ -559,7 +550,8 @@ _TASKS: dict[str, _Task] = {
         (_flag("--suite", choices=sorted(_SUITES), default="hh"),
          _flag("-p", type=int, help="fixed order for the mgf suite"),
          _flag("--p-max", type=int, help="top order for hh/jensen suites"),
-         _flag("--plot", metavar="FILE", help="also render the gap curves to SVG")),
+         _flag("--plot", metavar="FILE", help="also render the gap curves to SVG"),
+         _SLACK),
         _sweep, str),
 }
 
@@ -606,8 +598,6 @@ def _add_common(sub: argparse.ArgumentParser, inputs: str) -> None:
         sub.add_argument("-d", "--distribution", metavar="FILE",
                          help="JSON distribution descriptor")
     sub.add_argument("--out", metavar="FILE", help="write the report here (default stdout)")
-    sub.add_argument("--tolerance-profile", metavar="FILE",
-                     help="JSON tolerance overrides (eq_abs, eq_rel, certify_slack)")
     sub.add_argument("--dump-canonical", metavar="FILE",
                      help="also write the canonical problem file for this invocation")
 
@@ -654,9 +644,8 @@ def _problem_from_args(args: argparse.Namespace) -> Problem:
     function = _load_json(args.function) if getattr(args, "function", None) else None
     distribution = (_load_json(args.distribution)
                     if getattr(args, "distribution", None) else None)
-    tolerances = _load_json(args.tolerance_profile) if args.tolerance_profile else None
     return Problem(task=args.task, function=function, distribution=distribution,
-                   params=params, tolerances=tolerances)
+                   params=params)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -17,8 +17,11 @@ function's jet (FunctionSpec.derivatives_on), and its anchor conditions
 from one more at the anchor; an order past the jet raises
 DerivativeOrderError.  A numeric function's jet is finite differences kept
 inside its domain, so its verdict does not depend on the grid size beyond
-the points it samples.  Certificates for functions without analytic
-derivatives widen the slack by 1e3 and record the provenance.
+the points it samples.  The slack is the one tolerance a caller sets on
+the producers (CERTIFY_SLACK unless given; it must be positive and finite,
+else DomainError).  Certificates for functions without analytic
+derivatives widen it by 1e3 and record the provenance; the corroboration
+checks take the slack and provenance of the certificate they check.
 """
 
 from __future__ import annotations
@@ -31,9 +34,10 @@ import numpy as np
 
 from .errors import CertificateError, DomainError
 from .functions import FunctionSpec
-from .numerics import DEFAULT_TOLERANCES, ToleranceProfile, _integer, _order
+from .numerics import _integer, _order
 
 __all__ = [
+    "CERTIFY_SLACK",
     "ConvexityCertificate",
     "Witness",
     "NUMERIC_SLACK_FACTOR",
@@ -45,6 +49,7 @@ __all__ = [
     "check_ratio_monotone",
 ]
 
+CERTIFY_SLACK = 1e-8
 NUMERIC_SLACK_FACTOR = 1e3
 DEFAULT_GRID = 1024
 
@@ -133,10 +138,12 @@ def _rank(margin: float) -> float:
     return margin if math.isfinite(margin) else -math.inf
 
 
-def _slack_for(f: FunctionSpec, tolerances: ToleranceProfile) -> tuple[float, str]:
+def _slack_for(f: FunctionSpec, slack: float) -> tuple[float, str]:
+    if not 0.0 < slack < math.inf:
+        raise DomainError(f"slack must be positive and finite, got {slack}")
     if f.provenance == "analytic":
-        return tolerances.certify_slack, "analytic"
-    return tolerances.certify_slack * NUMERIC_SLACK_FACTOR, f.provenance
+        return slack, "analytic"
+    return slack * NUMERIC_SLACK_FACTOR, f.provenance
 
 
 def _grid_size(grid_size: int) -> int:
@@ -179,7 +186,7 @@ def _second_differences(values: np.ndarray, h: float) -> np.ndarray:
 
 def certify_p_convex(f: FunctionSpec, p: int, a: float, b: float,
                      grid_size: int = DEFAULT_GRID,
-                     tolerances: ToleranceProfile = DEFAULT_TOLERANCES) -> ConvexityCertificate:
+                     slack: float = CERTIFY_SLACK) -> ConvexityCertificate:
     """Certify membership in the left-anchored class at order p on [a, b].
 
     Conditions checked (each to within the slack):
@@ -198,12 +205,12 @@ def certify_p_convex(f: FunctionSpec, p: int, a: float, b: float,
     for k, values in enumerate(f.derivatives_on(xs, first, p + 2), start=first):
         name = "convexity" if k == p + 2 else "increasing"
         checks.append((f"{name} f^({k})>=0", values, xs))
-    return _certify("I", p, (a, b), grid_size, *_slack_for(f, tolerances), f.label, checks)
+    return _certify("I", p, (a, b), grid_size, *_slack_for(f, slack), f.label, checks)
 
 
 def certify_p_concave(f: FunctionSpec, p: int, a: float, b: float,
                       grid_size: int = DEFAULT_GRID,
-                      tolerances: ToleranceProfile = DEFAULT_TOLERANCES) -> ConvexityCertificate:
+                      slack: float = CERTIFY_SLACK) -> ConvexityCertificate:
     """Certify the right-anchored concave-increasing class at order p.
 
     Checked: f^(k)(b) = 0 for k = 1..p, and the alternating sign pattern
@@ -219,12 +226,12 @@ def certify_p_concave(f: FunctionSpec, p: int, a: float, b: float,
     for k, values in enumerate(f.derivatives_on(xs, 1, p + 2), start=1):
         sign = 1.0 if k % 2 == 1 else -1.0
         checks.append((f"sign (-1)^({k}+1) f^({k})>=0", sign * values, xs))
-    return _certify("D", p, (a, b), grid_size, *_slack_for(f, tolerances), f.label, checks)
+    return _certify("D", p, (a, b), grid_size, *_slack_for(f, slack), f.label, checks)
 
 
 def certify_loss_class(l: FunctionSpec, p: int, horizon: float,
                        grid_size: int = DEFAULT_GRID,
-                       tolerances: ToleranceProfile = DEFAULT_TOLERANCES,
+                       slack: float = CERTIFY_SLACK,
                        strictness: float = 0.0) -> ConvexityCertificate:
     """Certify the relative-curvature loss class at order p on [0, horizon].
 
@@ -258,7 +265,7 @@ def certify_loss_class(l: FunctionSpec, p: int, horizon: float,
     for k, vals in enumerate(derivs, start=1):
         checks.append((f"positivity l^({k})>={strictness:g}",
                        vals[..., interior] - strictness, xi))
-    return _certify("Lp", p, (lo, horizon), grid_size, *_slack_for(l, tolerances),
+    return _certify("Lp", p, (lo, horizon), grid_size, *_slack_for(l, slack),
                     l.label, checks)
 
 
@@ -283,9 +290,7 @@ def _require_certificate(cert: ConvexityCertificate, klass: str, where: str,
 
 
 def check_power_transform_convex(f: FunctionSpec, cert: ConvexityCertificate,
-                                 grid_size: int = DEFAULT_GRID,
-                                 tolerances: ToleranceProfile = DEFAULT_TOLERANCES
-                                 ) -> ConvexityCertificate:
+                                 grid_size: int = DEFAULT_GRID) -> ConvexityCertificate:
     """Corroborate a certificate by checking convexity of the power transform
     y -> f(a + y^(1/(p+1))) on [0, (b-a)^(p+1)] through second differences.
 
@@ -296,7 +301,7 @@ def check_power_transform_convex(f: FunctionSpec, cert: ConvexityCertificate,
     _require_passing_i(cert, "check_power_transform_convex")
     a, b = cert.interval
     p = cert.p
-    slack, provenance = _slack_for(f, tolerances)
+    slack, provenance = cert.slack_used, cert.derivative_provenance
     ys, h = _grid(0.0, (b - a) ** (p + 1), grid_size)
     vals = f.eval_on(a + ys ** (1.0 / (p + 1)), 0)
     scale = max(1.0, float(np.max(np.abs(vals))))
@@ -306,9 +311,7 @@ def check_power_transform_convex(f: FunctionSpec, cert: ConvexityCertificate,
 
 
 def check_ratio_monotone(f: FunctionSpec, cert: ConvexityCertificate,
-                         grid_size: int = DEFAULT_GRID,
-                         tolerances: ToleranceProfile = DEFAULT_TOLERANCES
-                         ) -> ConvexityCertificate:
+                         grid_size: int = DEFAULT_GRID) -> ConvexityCertificate:
     """Check that g(x) = f(x) / (x - a)^(p+1) is nondecreasing on (a, b).
 
     Requires f(a) = 0 (within slack).  Near the anchor the raw quotient is
@@ -319,7 +322,7 @@ def check_ratio_monotone(f: FunctionSpec, cert: ConvexityCertificate,
     _require_passing_i(cert, "check_ratio_monotone")
     a, b = cert.interval
     p = cert.p
-    slack, provenance = _slack_for(f, tolerances)
+    slack, provenance = cert.slack_used, cert.derivative_provenance
     xs = _grid(a, b, grid_size)[0][1:]
     fa = float(f(a))
     if not abs(fa) <= slack:

@@ -15,6 +15,7 @@ quadrature's weights), never by evaluating their pdf pointwise.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Iterable, Mapping
@@ -32,10 +33,9 @@ from .errors import (
 )
 from .functions import FunctionSpec
 from .numerics import (
-    DEFAULT_TOLERANCES,
+    EQ_ABS,
     GAMMA_MAX_ARG,
     ConvergenceError,
-    ToleranceProfile,
     _eval_nodes,
     _integer,
     fsum,
@@ -67,6 +67,9 @@ __all__ = [
 
 MAX_MOMENT_ORDER = 64
 _TRUNCATION_MASS = 1e-10
+# a custom pdf is digested by its values at the midpoints of this many equal
+# cells of its support, or of [lo, lo + 1 + |lo|] when the support is unbounded
+_DIGEST_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -172,19 +175,33 @@ class RandomVariable:
         return math.isfinite(self.sup)
 
     def digest(self) -> str:
+        """A string naming the law: the atoms and probabilities of a discrete
+        variable, the size and mean of a sample, the family and support of a
+        named density, and for a custom pdf its support and a hash of its
+        values at _digest_nodes."""
         if self.kind == "discrete":
             inner = ",".join(f"{a:.12g}:{p:.12g}" for a, p in zip(self.atoms, self.probs))
             return f"discrete[{inner}]"
         if self.kind == "sample":
             return f"sample[n={len(self.values)},mean={self.mean():.12g}]"
-        fam = self.density_family or "custom"
-        return f"density[{fam},{self.declared_support}]"
+        if self.density_family:
+            return f"density[{self.density_family},{self.declared_support}]"
+        values = _eval_nodes(self.pdf, _digest_nodes(self.declared_support))
+        pdf_hash = hashlib.sha256(values.tobytes()).hexdigest()[:16]
+        return f"density[custom,{self.declared_support},{pdf_hash}]"
 
     def mean(self) -> float:
         """E X, computed on first use and then reused."""
         if self._mean is None:
             object.__setattr__(self, "_mean", expect(self, lambda x: x)[0])
         return self._mean
+
+
+def _digest_nodes(support: tuple[float, float]) -> np.ndarray:
+    lo, hi = support
+    if not math.isfinite(hi):
+        hi = lo + 1.0 + abs(lo)
+    return lo + (hi - lo) * (np.arange(_DIGEST_NODES) + 0.5) / _DIGEST_NODES
 
 
 def _float_points(points, what: str) -> np.ndarray:
@@ -490,8 +507,7 @@ def expect_each(X: RandomVariable, stacked: Callable, members: Iterable) -> list
 # ---------------------------------------------------------------------------
 
 
-def shifted_moment(X: RandomVariable, shift: float, order: int,
-                   tolerances: ToleranceProfile = DEFAULT_TOLERANCES) -> MomentReport:
+def shifted_moment(X: RandomVariable, shift: float, order: int) -> MomentReport:
     """E (X - shift)^order and the norm ||X - shift||_order.
 
     Requires an integer order in 1..64, a finite shift and the mass above
@@ -504,7 +520,7 @@ def shifted_moment(X: RandomVariable, shift: float, order: int,
     shift = float(shift)
     if not math.isfinite(shift):
         raise DomainError(f"shift must be finite, got {shift}")
-    if X.inf < shift - tolerances.eq_abs:
+    if X.inf < shift - EQ_ABS:
         raise SupportViolationError(
             f"mass below shift: inf X = {X.inf} < shift = {shift}")
 

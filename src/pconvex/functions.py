@@ -33,8 +33,6 @@ from .errors import (
     PconvexError,
 )
 from .numerics import (
-    DEFAULT_TOLERANCES,
-    ToleranceProfile,
     _eval_nodes,
     _integer,
     _table_cell,
@@ -567,7 +565,6 @@ def _revert_compose(l_jet: np.ndarray, f_jet: np.ndarray) -> list:
 
 
 def compose_inverse(l: FunctionSpec, f: FunctionSpec,
-                    tolerances: ToleranceProfile = DEFAULT_TOLERANCES,
                     horizon: float = math.inf) -> FunctionSpec:
     """y -> l(f^(-1)(y)) on [f(lo), f(hi)] for strictly increasing f, where
     hi = min(f.upper_cap, horizon): a risk comparison passes its horizon,
@@ -611,7 +608,7 @@ def compose_inverse(l: FunctionSpec, f: FunctionSpec,
 
     def rows(y, k_lo, k_hi):
         y = np.clip(y, y_lo + y_eps, y_hi)
-        x = invert_monotone(f.eval_fn, y, _table_cell(xs, vals, y), tolerances)
+        x = invert_monotone(f.eval_fn, y, _table_cell(xs, vals, y))
         return _revert_compose(l.taylor(x, 0, k_hi), f.taylor(x, 1, k_hi))[k_lo:]
 
     return FunctionSpec(

@@ -29,7 +29,7 @@ from .convexity import ConvexityCertificate, _require_certificate
 from .distributions import RandomVariable, expect, reflected, shifted_moment
 from .errors import CertificateError, UnboundedSupportError
 from .functions import FunctionSpec
-from .numerics import DEFAULT_TOLERANCES, ToleranceProfile
+from .numerics import EQ_ABS, EQ_REL
 
 __all__ = [
     "BoundReport",
@@ -79,12 +79,11 @@ def _digest(f: FunctionSpec, X: RandomVariable, p: int, kind: str) -> str:
 
 def _report(where: str, kind: str, direction: str, klass: str,
             estimate: Callable[..., tuple[float, float, float]],
-            f: FunctionSpec, cert: ConvexityCertificate, X: RandomVariable,
-            tolerances: ToleranceProfile) -> BoundReport:
+            f: FunctionSpec, cert: ConvexityCertificate, X: RandomVariable) -> BoundReport:
     """The skeleton shared by every Jensen bound: certificate requirement,
     support check, mean, estimate, oracle and gaps oriented by direction.
-    The estimate maps (f, X, a, b, p, mean, tolerances) to the bound's value,
-    its classical comparator and the moment error propagated to the value.
+    The estimate maps (f, X, a, b, p, mean) to the bound's value, its
+    classical comparator and the moment error propagated to the value.
 
     Only the lower bound extends to [a, inf); the others evaluate at the
     right endpoint and need bounded support.
@@ -96,7 +95,7 @@ def _report(where: str, kind: str, direction: str, klass: str,
     bounded = direction == "upper"
     if bounded and not (math.isfinite(b) and X.bounded):
         raise UnboundedSupportError(f"{where} needs a bounded interval and support")
-    eps = tolerances.eq_abs + tolerances.eq_rel * max(1.0, abs(a), abs(b))
+    eps = EQ_ABS + EQ_REL * max(1.0, abs(a), abs(b))
     if X.inf < a - eps:
         raise UnboundedSupportError(
             f"{where}: mass below the certified interval ({X.inf} < {a})")
@@ -106,7 +105,7 @@ def _report(where: str, kind: str, direction: str, klass: str,
             f"{where}: mass above the certified interval ({X.sup} > {b})")
     p = cert.p
     mean = X.mean()
-    value, classical, value_error = estimate(f, X, a, b, p, mean, tolerances)
+    value, classical, value_error = estimate(f, X, a, b, p, mean)
     oracle, oracle_err = expect(X, f)
     return BoundReport(
         kind=kind, direction=direction, p=p, interval=(a, b),
@@ -117,15 +116,15 @@ def _report(where: str, kind: str, direction: str, klass: str,
         inputs_digest=_digest(f, X, p, kind), value_error=value_error)
 
 
-def _shifted_norm(f, X, a, b, p, mean, tolerances):
-    moment = shifted_moment(X, a, p + 1, tolerances)
+def _shifted_norm(f, X, a, b, p, mean):
+    moment = shifted_moment(X, a, p + 1)
     point = a + moment.norm
     return (float(f(point)), float(f(mean)),
             _value_error(f, point, moment.error_estimate))
 
 
-def _moment_secant(f, X, a, b, p, mean, tolerances):
-    moment = shifted_moment(X, a, p + 1, tolerances)
+def _moment_secant(f, X, a, b, p, mean):
+    moment = shifted_moment(X, a, p + 1)
     m = (moment.norm / (b - a)) ** (p + 1)
     fa, fb = float(f(a)), float(f(b))
     m1 = min(max((mean - a) / (b - a), 0.0), 1.0)
@@ -133,15 +132,14 @@ def _moment_secant(f, X, a, b, p, mean, tolerances):
             abs(fb - fa) * moment.error_estimate / max((b - a) ** (p + 1), 1e-300))
 
 
-def _reflected_norm(f, X, a, b, p, mean, tolerances):
-    moment = shifted_moment(reflected(X, b), 0.0, p + 1, tolerances)
+def _reflected_norm(f, X, a, b, p, mean):
+    moment = shifted_moment(reflected(X, b), 0.0, p + 1)
     point = b - moment.norm
     return (float(f(point)), float(f(mean)),
             _value_error(f, point, moment.error_estimate))
 
 
-def jensen_lower(f: FunctionSpec, cert: ConvexityCertificate, X: RandomVariable,
-                 tolerances: ToleranceProfile = DEFAULT_TOLERANCES) -> BoundReport:
+def jensen_lower(f: FunctionSpec, cert: ConvexityCertificate, X: RandomVariable) -> BoundReport:
     """Lower bound E f(X) >= f(a + ||X - a||_{p+1}) for certified members.
 
     Works for X on the certified [a, b], or on [a, inf) when f's domain is
@@ -149,22 +147,20 @@ def jensen_lower(f: FunctionSpec, cert: ConvexityCertificate, X: RandomVariable,
     truncation error is propagated into the report's value_error.
     """
     return _report("jensen_lower", "jensen-lower-I", "lower", "I", _shifted_norm,
-                   f, cert, X, tolerances)
+                   f, cert, X)
 
 
-def jensen_upper(f: FunctionSpec, cert: ConvexityCertificate, X: RandomVariable,
-                 tolerances: ToleranceProfile = DEFAULT_TOLERANCES) -> BoundReport:
+def jensen_upper(f: FunctionSpec, cert: ConvexityCertificate, X: RandomVariable) -> BoundReport:
     """Upper bound E f(X) <= (1 - m) f(a) + m f(b) with the moment weight
     m = E (X-a)^{p+1} / (b-a)^{p+1}; tightens the classical secant, whose
     weight is the normalized first moment.
     """
     return _report("jensen_upper", "jensen-upper-I", "upper", "I", _moment_secant,
-                   f, cert, X, tolerances)
+                   f, cert, X)
 
 
 def jensen_lower_decreasing(f: FunctionSpec, cert: ConvexityCertificate,
-                            X: RandomVariable,
-                            tolerances: ToleranceProfile = DEFAULT_TOLERANCES) -> BoundReport:
+                            X: RandomVariable) -> BoundReport:
     """Evaluate f(b - ||b - X||_{p+1}) for the right-anchored concave class.
 
     Under the implemented (concave increasing) sign convention this value
@@ -174,4 +170,4 @@ def jensen_lower_decreasing(f: FunctionSpec, cert: ConvexityCertificate,
     report carries direction="upper" accordingly.
     """
     return _report("jensen_lower_decreasing", "jensen-lower-D", "upper", "D",
-                   _reflected_norm, f, cert, X, tolerances)
+                   _reflected_norm, f, cert, X)

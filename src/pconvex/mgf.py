@@ -37,7 +37,7 @@ from .errors import (
     SupportViolationError,
     UnboundedSupportError,
 )
-from .numerics import DEFAULT_TOLERANCES, ToleranceProfile, _integer, _order, fsum
+from .numerics import EQ_ABS, _integer, _order, fsum
 
 __all__ = [
     "EMTrace",
@@ -83,17 +83,16 @@ def _rate(s: float) -> float:
     return s
 
 
-def mgf_lower(X: RandomVariable, s: float, p: int,
-              tolerances: ToleranceProfile = DEFAULT_TOLERANCES) -> MgfBoundReport:
+def mgf_lower(X: RandomVariable, s: float, p: int) -> MgfBoundReport:
     """Lower bound on E exp(sX) for X on [0, inf) from its first p moments:
 
         exp(s ||X||_p) - sum_{j<p} s^j ||X||_p^j / j! + E sum_{j<p} s^j X^j / j!
     """
     s = _rate(s)
     p = _order(p)
-    if X.inf < -tolerances.eq_abs:
+    if X.inf < -EQ_ABS:
         raise SupportViolationError("mgf_lower needs X on [0, inf)")
-    norm = shifted_moment(X, 0.0, p, tolerances).norm
+    norm = shifted_moment(X, 0.0, p).norm
     head_at_norm = float(_head_vec(s, norm, p))
     mean_head = expect(X, lambda x: _head_vec(s, x, p))[0]
     lower = math.exp(s * norm) - head_at_norm + mean_head
@@ -113,15 +112,14 @@ def _head_vec(s: float, x, p: int):
     return acc
 
 
-def mgf_upper(X: RandomVariable, s: float, p: int,
-              tolerances: ToleranceProfile = DEFAULT_TOLERANCES) -> MgfBoundReport:
+def mgf_upper(X: RandomVariable, s: float, p: int) -> MgfBoundReport:
     """Upper bound on E exp(sX) for X on [0, b]:
 
         (E X^p / b^p) (exp(s b) - sum_{j<p} s^j b^j / j!) + E sum_{j<p} s^j X^j / j!
     """
     s = _rate(s)
     p = _order(p)
-    if X.inf < -tolerances.eq_abs:
+    if X.inf < -EQ_ABS:
         raise SupportViolationError("mgf_upper needs X on [0, b]")
     if not X.bounded:
         raise UnboundedSupportError("mgf_upper needs bounded support")
@@ -130,7 +128,7 @@ def mgf_upper(X: RandomVariable, s: float, p: int,
         # point mass at 0: MGF is exactly 1
         return MgfBoundReport(s=s, p=p, lower=None, upper=1.0, exact=1.0,
                               exact_error=0.0, moments_used=tuple(_moments(X, p)))
-    weight = (shifted_moment(X, 0.0, p, tolerances).norm / b) ** p
+    weight = (shifted_moment(X, 0.0, p).norm / b) ** p
     tail_at_b = math.exp(s * b) - float(_head_vec(s, b, p))
     mean_head = expect(X, lambda x: _head_vec(s, x, p))[0]
     upper = weight * tail_at_b + mean_head
@@ -139,21 +137,20 @@ def mgf_upper(X: RandomVariable, s: float, p: int,
                           exact_error=err, moments_used=tuple(_moments(X, p)))
 
 
-def am_gm_lower(X: RandomVariable, p: int,
-                tolerances: ToleranceProfile = DEFAULT_TOLERANCES) -> float:
+def am_gm_lower(X: RandomVariable, p: int) -> float:
     """Lower bound on E X for X on [1, inf) through the log transform.
 
     At p = 1 this is exp(E ln X), the geometric mean, recovering classical
     AM-GM; higher p sharpens it using moments of ln X.
     """
     p = _order(p)
-    if X.inf < 1.0 - tolerances.eq_abs:
+    if X.inf < 1.0 - EQ_ABS:
         raise SupportViolationError("am_gm_lower needs X on [1, inf)")
     if X.kind == "density":
         raise DomainError("am_gm_lower supports discrete and sample lotteries")
     logs = np.log(X._points)
     Y = discrete(logs, X.probs) if X.kind == "discrete" else from_sample(logs)
-    norm = shifted_moment(Y, 0.0, p, tolerances).norm
+    norm = shifted_moment(Y, 0.0, p).norm
     mean_head = expect(Y, lambda y: _head_vec(1.0, y, p))[0]
     return math.exp(norm) - float(_head_vec(1.0, norm, p)) + mean_head
 

@@ -17,9 +17,12 @@ ones (at most 8 panels per base panel) are memoized as read-only arrays, so
 the several expectations of one bound share them; larger ones are built per
 call, so a non-converging integral keeps no memory after it.
 
-Everything here is a pure function of its inputs; tolerance objects are
-immutable and the memo caches are functools' thread-safe lru_cache, so
-concurrent use needs no locking.
+Equality-style comparisons (a root-finding target against the ends of its
+bracket, a variable's support against a bound's) allow EQ_ABS absolute
+and, where they scale, EQ_REL relative.
+
+Everything here is a pure function of its inputs and the memo caches are
+functools' thread-safe lru_cache, so concurrent use needs no locking.
 """
 
 from __future__ import annotations
@@ -40,12 +43,12 @@ from .errors import (
 )
 
 __all__ = [
+    "EQ_ABS",
+    "EQ_REL",
     "QUADRATURE_DOUBLINGS",
     "QUADRATURE_NODES",
     "QUADRATURE_TOLERANCE",
     "QuadratureResult",
-    "ToleranceProfile",
-    "DEFAULT_TOLERANCES",
     "fd_derivative",
     "fsum",
     "gamma",
@@ -55,6 +58,10 @@ __all__ = [
     "invert_monotone",
     "pnorm_shifted",
 ]
+
+
+EQ_ABS = 1e-10
+EQ_REL = 1e-9
 
 
 def _integer(value, least: float, name: str) -> int:
@@ -72,28 +79,6 @@ def _integer(value, least: float, name: str) -> int:
 
 
 @dataclass(frozen=True)
-class ToleranceProfile:
-    """Package-wide numeric tolerances.
-
-    eq_abs / eq_rel:
-        absolute / relative tolerance for equality-style comparisons
-        (root finding targets, support membership).
-    certify_slack:
-        slack granted when testing ">= 0" conditions on grids; multiplied
-        by 1e3 when a function only has finite-difference derivatives.
-    """
-
-    eq_abs: float = 1e-10
-    eq_rel: float = 1e-9
-    certify_slack: float = 1e-8
-
-    def __post_init__(self) -> None:
-        for name in ("eq_abs", "eq_rel", "certify_slack"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise DomainError(f"ToleranceProfile.{name} must be positive and finite")
-
-
-@dataclass(frozen=True)
 class QuadratureResult:
     value: float
     error_estimate: float
@@ -105,9 +90,6 @@ class QuadratureResult:
 
     def __float__(self) -> float:
         return self.value
-
-
-DEFAULT_TOLERANCES = ToleranceProfile()
 
 
 def _order(p: int, least: int = 1) -> int:
@@ -432,8 +414,7 @@ def _table_cell(xs: np.ndarray, vals: np.ndarray, y) -> tuple:
 
 # scipy.optimize is not used: importing it adds ~0.35 s and ~21 MB to
 # `import pconvex`, and its elementwise.find_root costs ~4 ms per target.
-def invert_monotone(f: Callable, y, bracket,
-                    tolerances: ToleranceProfile = DEFAULT_TOLERANCES) -> float | np.ndarray:
+def invert_monotone(f: Callable, y, bracket) -> float | np.ndarray:
     """Solve f(x) = y for a strictly increasing f and a float or array y.
 
     bracket is (lo, hi), floats or arrays that broadcast to y, or a table
@@ -443,7 +424,7 @@ def invert_monotone(f: Callable, y, bracket,
     points, in their order and shape (a solved point at its bracket end, a
     single point as a float through _eval_nodes).  Callers rely on this: an
     f that takes point i through its own function solves one equation per
-    point in one run.  Targets within eq_abs + eq_rel |y| of [f(lo), f(hi)]
+    point in one run.  Targets within EQ_ABS + EQ_REL |y| of [f(lo), f(hi)]
     are clamped into it; any other target, a non-finite target or bracket
     end, or lo > hi raises BracketError, f NaN where evaluated raises
     ConvergenceError, and f complex there raises DomainError naming the
@@ -470,7 +451,7 @@ def invert_monotone(f: Callable, y, bracket,
         raise BracketError(f"targets {np.extract(~ok, y)} or brackets {np.extract(~ok, lo)}"
                            f" to {np.extract(~ok, hi)} are not finite and ordered")
     flo, fhi = given or (ev(lo), ev(hi))
-    slack = tolerances.eq_abs + tolerances.eq_rel * abs(y)
+    slack = EQ_ABS + EQ_REL * abs(y)
     ok = (flo - slack <= y) & (y <= fhi + slack)
     if not done(ok):
         raise BracketError(f"targets {np.extract(~ok, y)} outside [f(lo), f(hi)] = "

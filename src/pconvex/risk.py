@@ -15,9 +15,9 @@ increasing on [0, horizon].  Two instruments live here:
   sweep members x^a (1 + b x)^g e^(e x) are scale covariant: at horizon H
   each is H^d times a unit-scale member at x / H, so every class condition
   at H is a positive multiple of the same condition on [0, 1].  Membership
-  is certified once at unit scale per order, grid size and tolerance
-  profile (a memo cache), and the members are solved as one stacked jet
-  kernel, the product of the jets of x^a, (1 + b x)^g and e^(e x).
+  is certified once at unit scale per order and grid size (a memo cache),
+  and the members are solved as one stacked jet kernel, the product of the
+  jets of x^a, (1 + b x)^g and e^(e x).
 
 Every certainty equivalent is solved in the cell of a 257-point table of
 the loss function on the range of the lottery.
@@ -32,6 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .convexity import (
+    CERTIFY_SLACK,
     ConvexityCertificate,
     _grid_size,
     certify_loss_class,
@@ -40,14 +41,7 @@ from .convexity import (
 from .distributions import RandomVariable, expect, expect_each, shifted_moment, two_point
 from .errors import DomainError, DomainMismatchError
 from .functions import FunctionSpec, Jet, _exp_rows, _power_rows, _product, compose_inverse
-from .numerics import (
-    DEFAULT_TOLERANCES,
-    ToleranceProfile,
-    _integer,
-    _order,
-    _table_cell,
-    invert_monotone,
-)
+from .numerics import EQ_ABS, _integer, _order, _table_cell, invert_monotone
 
 __all__ = [
     "Falsifier",
@@ -94,18 +88,17 @@ class RiskMeasureReport:
     candidates: tuple[str, ...]
 
 
-def certainty_equivalent(l: FunctionSpec, X: RandomVariable,
-                         tolerances: ToleranceProfile = DEFAULT_TOLERANCES) -> float:
+def certainty_equivalent(l: FunctionSpec, X: RandomVariable) -> float:
     """The sure amount traded for the lottery: l^{-1}(E l(X)) in [inf X, sup X],
     solved in the cell of a 257-point table of l on that range that brackets
     E l(X).  An unbounded X raises DomainError."""
     if not X.bounded:
         raise DomainError(f"a certainty equivalent needs a bounded lottery, sup X = {X.sup}")
     target, _ = expect(X, l)
-    return _solve_in_table(l.eval_fn, l.eval_on, target, X.inf, X.sup, tolerances)
+    return _solve_in_table(l.eval_fn, l.eval_on, target, X.inf, X.sup)
 
 
-def _solve_in_table(f, table_of_f, y, lo: float, hi: float, tolerances: ToleranceProfile):
+def _solve_in_table(f, table_of_f, y, lo: float, hi: float):
     """Solve f(c) = y for a float or an array of targets in one
     invert_monotone run, each target in the cell of one table of f on
     [lo, hi] that brackets it, with the cell's end values from the table.
@@ -115,34 +108,32 @@ def _solve_in_table(f, table_of_f, y, lo: float, hi: float, tolerances: Toleranc
     target (a stacked family, f point i being member i).
     """
     table = np.linspace(lo, hi, _CE_TABLE + 1)
-    return invert_monotone(f, y, _table_cell(table, table_of_f(table), y), tolerances)
+    return invert_monotone(f, y, _table_cell(table, table_of_f(table), y))
 
 
 def certify_p_more_risk_averse(l: FunctionSpec, f: FunctionSpec, p: int,
                                horizon: float,
                                grid_size: int = COMPARISON_GRID,
-                               tolerances: ToleranceProfile = DEFAULT_TOLERANCES
-                               ) -> RiskComparison:
+                               slack: float = CERTIFY_SLACK) -> RiskComparison:
     """Certify the graded relation via the inverse composition.
 
     l is p-more risk averse than f exactly when l o f^{-1} is left-anchored
     convex of order p-1 on the transformed range [f(lo), f(horizon)] (f's
     evaluation cap when that is lower), so the comparison reduces to one
     certification of the composed map, which is composed over that range
-    alone.
+    alone.  The composition's provenance is "mixed", so its certificate
+    widens the slack by convexity.NUMERIC_SLACK_FACTOR.
     """
     p = _order(p)
-    comp = compose_inverse(l, f, tolerances, horizon)
-    cert = certify_p_convex(comp, p - 1, *comp.domain, grid_size, tolerances)
+    comp = compose_inverse(l, f, horizon)
+    cert = certify_p_convex(comp, p - 1, *comp.domain, grid_size, slack)
     return RiskComparison(l_label=l.label, f_label=f.label, p=p, certificate=cert)
 
 
 def falsify_p_more_risk_averse(l: FunctionSpec, f: FunctionSpec, p: int,
                                trials: int, seed: int,
                                horizon: float = 10.0,
-                               directed_from: float | None = None,
-                               tolerances: ToleranceProfile = DEFAULT_TOLERANCES
-                               ) -> Falsifier | None:
+                               directed_from: float | None = None) -> Falsifier | None:
     """Random search for a lottery X and threshold c with E l(X) = l(c) but
     ||f(X)||_p > f(c).
 
@@ -179,7 +170,7 @@ def falsify_p_more_risk_averse(l: FunctionSpec, f: FunctionSpec, p: int,
         # the preimage counts only above a floor: at or below it, it is not solved
         center = floor = 1e-3 * horizon
         if floor < hi and (floor < lo or float(f(floor)) < y):
-            center = max(invert_monotone(f.eval_fn, y, (lo, hi), tolerances), floor)
+            center = max(invert_monotone(f.eval_fn, y, (lo, hi)), floor)
 
     # trial i draws the row u[i]; lo + (hi - lo) * u is rng.uniform(lo, hi) bit
     # for bit, with the span hi - lo computed as numpy computes it
@@ -200,7 +191,7 @@ def falsify_p_more_risk_averse(l: FunctionSpec, f: FunctionSpec, p: int,
         raise DomainMismatchError(f"a lottery leaves the domain of {l.label}")
 
     budget = lam * l.eval_on(x1) + (1.0 - lam) * l.eval_on(x2)
-    c = _solve_in_table(l.eval_fn, l.eval_on, budget, x1.min(), x2.max(), tolerances)
+    c = _solve_in_table(l.eval_fn, l.eval_on, budget, x1.min(), x2.max())
     lhs = (lam * f.eval_on(x1) ** p + (1.0 - lam) * f.eval_on(x2) ** p) ** (1.0 / p)
     rhs = f.eval_on(c)
     margin = lhs - rhs
@@ -286,24 +277,24 @@ def _sweep_candidates(p: int, horizon: float) -> list[tuple[str, FunctionSpec]]:
 
 
 @lru_cache(maxsize=64)
-def _unit_members(p: int, grid_size: int, tolerances: ToleranceProfile) -> tuple[int, ...]:
+def _unit_members(p: int, grid_size: int) -> tuple[int, ...]:
     """Positions of the order-p sweep members in the loss class, certified at
-    unit scale (risk_measure says why that holds at every horizon).
+    unit scale and CERTIFY_SLACK (risk_measure says why that holds at every
+    horizon).
 
     One certificate covers the stacked sweep on [0, 1]; only if it fails is
     each member certified alone.
     """
     labels, params = _sweep(p, 1.0)
     family = _Sweep(params[:, :, None]).spec(f"order-{p} sweep at unit scale", p + 2)
-    if certify_loss_class(family, p, 1.0, grid_size, tolerances).passed:
+    if certify_loss_class(family, p, 1.0, grid_size).passed:
         return tuple(range(len(labels)))
     return tuple(i for i, (_, l) in enumerate(_sweep_candidates(p, 1.0))
-                 if certify_loss_class(l, p, 1.0, grid_size, tolerances).passed)
+                 if certify_loss_class(l, p, 1.0, grid_size).passed)
 
 
 def risk_measure(X: RandomVariable, p: int,
-                 grid_size: int = 256,
-                 tolerances: ToleranceProfile = DEFAULT_TOLERANCES) -> RiskMeasureReport:
+                 grid_size: int = 256) -> RiskMeasureReport:
     """Worst-case certainty equivalent over the order-p loss class.
 
     closed_form is the (p+1)-norm of X; the sweep takes the minimum
@@ -314,9 +305,9 @@ def risk_measure(X: RandomVariable, p: int,
     Every member at the horizon H = max(10 sup X, 10) is H^d l(x / H) for a
     member l of the same sweep at H = 1 (beta scales as 1 / H), and each
     class condition at H is a positive multiple of l's on [0, 1].  So
-    membership is certified once, at unit scale, per (p, grid_size,
-    tolerances) and kept in a memo cache (_unit_members; cache_clear empties
-    it), with the slack taken relative to unit-scale margins.  The included
+    membership is certified once, at unit scale, per (p, grid_size) and kept
+    in a memo cache (_unit_members; cache_clear empties it), with
+    CERTIFY_SLACK taken relative to unit-scale margins.  The included
     members' certainty equivalents come from the stacked kernel: the
     targets of a discrete or sample X from one call on its points, the
     257-point table on [inf X, sup X] from one more, then one
@@ -325,16 +316,16 @@ def risk_measure(X: RandomVariable, p: int,
     """
     p = _order(p)
     grid_size = _grid_size(grid_size)
-    if X.inf < -tolerances.eq_abs:
+    if X.inf < -EQ_ABS:
         raise DomainError("risk_measure needs a loss lottery on [0, inf)")
-    closed_form = shifted_moment(X, 0.0, p + 1, tolerances).norm
+    closed_form = shifted_moment(X, 0.0, p + 1).norm
     horizon = max(10.0 * X.sup, 10.0)
     if not horizon < math.inf:
         raise DomainError(f"horizon {horizon} must be finite")
 
     labels, params = _sweep(p, horizon)
-    included = list(_unit_members(p, grid_size, tolerances))
-    ces = _certainty_equivalents(params[:, included], X, tolerances)
+    included = list(_unit_members(p, grid_size))
+    ces = _certainty_equivalents(params[:, included], X)
     labels = tuple(labels[i] for i in included)
     # the first candidate with the least certainty equivalent, as a strict < scan finds it
     best, achiever = min(zip(ces.tolist(), labels), key=lambda pair: pair[0],
@@ -344,8 +335,7 @@ def risk_measure(X: RandomVariable, p: int,
                              achiever=achiever, candidates=labels)
 
 
-def _certainty_equivalents(params: np.ndarray, X: RandomVariable,
-                           tolerances: ToleranceProfile) -> np.ndarray:
+def _certainty_equivalents(params: np.ndarray, X: RandomVariable) -> np.ndarray:
     """certainty_equivalent of each sweep member (a column of params), in one
     array solve; every element equals certainty_equivalent's on the
     member's spec bit for bit, since the kernel has one layout.
@@ -357,4 +347,4 @@ def _certainty_equivalents(params: np.ndarray, X: RandomVariable,
     sweep, stacked = _Sweep(params), _Sweep(params[:, :, None])
     members = (sweep.member(i) for i in range(params.shape[1]))
     targets = np.array(expect_each(X, stacked, members), dtype=float)
-    return _solve_in_table(sweep, stacked, targets, X.inf, X.sup, tolerances)
+    return _solve_in_table(sweep, stacked, targets, X.inf, X.sup)

@@ -18,22 +18,21 @@ import pconvex
 _DEFAULTED = {
     "cli.main": ("argv",),
     "cli.run_problem": ("out",),
-    "convexity.certify_loss_class": ("grid_size", "tolerances", "strictness"),
-    "convexity.certify_p_concave": ("grid_size", "tolerances"),
-    "convexity.certify_p_convex": ("grid_size", "tolerances"),
-    "convexity.check_power_transform_convex": ("grid_size", "tolerances"),
-    "convexity.check_ratio_monotone": ("grid_size", "tolerances"),
+    "convexity.certify_loss_class": ("grid_size", "slack", "strictness"),
+    "convexity.certify_p_concave": ("grid_size", "slack"),
+    "convexity.certify_p_convex": ("grid_size", "slack"),
+    "convexity.check_power_transform_convex": ("grid_size",),
+    "convexity.check_ratio_monotone": ("grid_size",),
     "distributions.MomentReport": ("error_estimate",),
     "distributions.RandomVariable": ("atoms", "probs", "values", "pdf", "density_family",
                                      "density_params"),
     "distributions.discrete": ("support",),
     "distributions.from_sample": ("support",),
-    "distributions.shifted_moment": ("tolerances",),
     "functions.CatalogEntry": ("params", "domain"),
     "functions.FunctionSpec": ("eval_fn", "derivatives", "provenance", "descriptor", "jet"),
     "functions.affine_precompose": ("domain",),
     "functions.antiderivative_from": ("base",),
-    "functions.compose_inverse": ("tolerances", "horizon"),
+    "functions.compose_inverse": ("horizon",),
     "functions.derivative_function": ("k",),
     "functions.exp_taylor_remainder": ("domain",),
     "functions.exponential": ("s", "domain"),
@@ -45,22 +44,13 @@ _DEFAULTED = {
     "hermite.HHReport": ("mid_error",),
     "hermite.rl_integral": ("interval",),
     "jensen.BoundReport": ("value_error",),
-    "jensen.jensen_lower": ("tolerances",),
-    "jensen.jensen_lower_decreasing": ("tolerances",),
-    "jensen.jensen_upper": ("tolerances",),
-    "mgf.am_gm_lower": ("tolerances",),
-    "mgf.mgf_lower": ("tolerances",),
-    "mgf.mgf_upper": ("tolerances",),
     "numerics.QuadratureResult": ("refinements",),
-    "numerics.ToleranceProfile": ("eq_abs", "eq_rel", "certify_slack"),
     "numerics.fd_derivative": ("interval",),
     "numerics.integrate": ("left", "right"),
-    "numerics.invert_monotone": ("tolerances",),
     "numerics.pnorm_shifted": ("scale",),
-    "risk.certainty_equivalent": ("tolerances",),
-    "risk.certify_p_more_risk_averse": ("grid_size", "tolerances"),
-    "risk.falsify_p_more_risk_averse": ("horizon", "directed_from", "tolerances"),
-    "risk.risk_measure": ("grid_size", "tolerances"),
+    "risk.certify_p_more_risk_averse": ("grid_size", "slack"),
+    "risk.falsify_p_more_risk_averse": ("horizon", "directed_from"),
+    "risk.risk_measure": ("grid_size",),
     "svgplot.render_gap_plot": ("title",),
     "svgplot.render_lines": ("title",),
 }

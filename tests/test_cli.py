@@ -18,8 +18,9 @@ import pytest
 from conftest import bad_points
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_goldens import TASK_ARGV, _run_task
 
-from pconvex.cli import _build_parser, main
+from pconvex.cli import _TASKS, _build_parser, main
 from pconvex.errors import InputFormatError
 from pconvex.svgplot import render_gap_plot
 
@@ -336,17 +337,18 @@ class TestSweepAndDeterminism:
         assert "takes no --plot" in capsys.readouterr().err
         assert not svg.exists()
 
-    def test_problem_file_with_seed_param_runs_unchanged(self, tmp_path):
-        # sweep has no --seed any more; files written when it had one still run
-        canon, want, got = (tmp_path / n for n in ("canon.json", "want.csv", "got.csv"))
+    def test_problem_file_with_seed_param_fails_closed(self, tmp_path, capsys):
+        # sweep has no --seed any more; a file written when it had one ran
+        # with the seed ignored, and now names it
+        canon, out = tmp_path / "canon.json", tmp_path / "out.csv"
         assert main(["sweep", "--suite", "hh", "--p-max", "2", "--dump-canonical",
-                     str(canon), "--out", str(want)]) == 0
+                     str(canon), "--out", str(out)]) == 0
         problem = json.loads(canon.read_text())
         assert "seed" not in problem["params"]
         problem["params"]["seed"] = 42
         canon.write_text(json.dumps(problem))
-        assert main(["run", str(canon), "--out", str(got)]) == 0
-        assert got.read_bytes() == want.read_bytes()
+        assert main(["run", str(canon), "--out", str(out)]) == 1
+        assert "nothing reads 'seed'" in capsys.readouterr().err
 
     def test_hh_sweep_gap_structure(self, tmp_path):
         csv_path = tmp_path / "gaps.csv"
@@ -420,6 +422,31 @@ class TestProblemFiles:
                                  "--out", str(direct)]) == 0
         assert main(["run", str(canon), "--out", str(replay)]) == 0
         assert direct.read_bytes() == replay.read_bytes()
+
+    @pytest.mark.parametrize("task", sorted(_TASKS))
+    def test_unread_problem_fields_fail_closed(self, task, tmp_path, capsys):
+        # a certify file with "grid_size": 64 ran at grid 1024, and a
+        # top-level field such as "tolerances" was ignored
+        canonical = json.loads(_run_task(TASK_ARGV[task], tmp_path)["canonical"])
+        path = tmp_path / "stray.json"
+        for stray, words in [
+                ({**canonical, "params": {**canonical["params"], "grid_size": 64}},
+                 "nothing reads 'grid_size'"),
+                ({**canonical, "tolerances": {"certify_slack": 1.0}},
+                 "unknown field 'tolerances'")]:
+            path.write_text(json.dumps(stray))
+            assert main(["run", str(path)]) == 1
+            assert words in capsys.readouterr().err
+
+    def test_descriptor_the_task_does_not_take_fails_closed(self, fn_file, dist_file,
+                                                            tmp_path, capsys):
+        problem = {"version": 1, "task": "amgm", "params": {"p": 1},
+                   "distribution": json.loads(open(dist_file).read()),
+                   "function": json.loads(open(fn_file).read())}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(problem))
+        assert main(["run", str(path)]) == 1
+        assert "nothing reads 'function'" in capsys.readouterr().err
 
     def test_replay_mgf_task(self, dist_file, tmp_path):
         canon = tmp_path / "p.json"
@@ -596,13 +623,22 @@ class TestFailClosedInputs:
         assert main(["em-demo", "--samples", "5"] + tail) == 1
         assert words in capsys.readouterr().err
 
-    def test_tolerance_profile_field_nothing_reads(self, fn_file, tmp_path, capsys):
-        # fd_step was accepted and ignored
+    def test_tolerance_profile_flag_is_unknown(self, fn_file, tmp_path, capsys):
+        # the slack is --slack; the profile's other two values are constants
         path = tmp_path / "tol.json"
-        path.write_text(json.dumps({"fd_step": 1e-3}))
+        path.write_text(json.dumps({"certify_slack": 1.0}))
         assert main(["certify", "-f", fn_file, "--class", "I", "-p", "1",
                      "--tolerance-profile", str(path)]) == 1
-        assert "unknown fields ['fd_step']" in capsys.readouterr().err
+        assert "unrecognized arguments: --tolerance-profile" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, words", [
+        ("tight", "invalid float value: 'tight'"), ("nan", "slack must be finite"),
+        ("inf", "slack must be finite"), ("0", "slack must be positive and finite"),
+        ("-1e-8", "slack must be positive and finite")])
+    def test_slack_must_be_positive_and_finite(self, fn_file, value, words, capsys):
+        assert main(["certify", "-f", fn_file, "--class", "I", "-p", "1",
+                     f"--slack={value}"]) == 1
+        assert words in capsys.readouterr().err
 
     def test_problem_file_with_infinite_parameter(self, fn_file, tmp_path, capsys):
         # problem files do not pass through the parser; their params are checked too
@@ -618,7 +654,7 @@ class TestFailClosedInputs:
 class TestTypedProblemValues:
     """JSON booleans and non-integral numbers ran as numbers: a boolean
     slack as 1.0, "p": 2.5 as 2, "samples": 10.9 and "dims": true as 10
-    and 1.  Problem files and tolerance profiles now reject them (exit 1)."""
+    and 1.  Problem files now reject them (exit 1)."""
 
     @staticmethod
     def _run(tmp_path, task, params, function=None) -> int:
@@ -629,19 +665,17 @@ class TestTypedProblemValues:
         path.write_text(json.dumps(problem))
         return main(["run", str(path)])
 
-    @pytest.mark.parametrize("value", [True, False, "1e-8", None, [1e-8]])
-    def test_tolerance_profile_value_must_be_a_number(self, identity_file, tmp_path,
+    @pytest.mark.parametrize("value", [True, False, [1e-8], "tight"])
+    def test_slack_in_a_problem_file_must_be_a_number(self, identity_file, tmp_path,
                                                       value, capsys):
         # with slack 1.0, x on [0, 1] certified as a class-I member at p = 1
-        path = tmp_path / "tol.json"
-        path.write_text(json.dumps({"certify_slack": value}))
-        assert main(["certify", "-f", identity_file, "--class", "I", "-p", "1",
-                     "--tolerance-profile", str(path)]) == 1
-        assert "values must be numbers" in capsys.readouterr().err
+        params = {"class": "I", "p": 1, "slack": value}
+        assert self._run(tmp_path, "certify", params, identity_file) == 1
+        assert f"bad value {value!r} for 'slack'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value, words", [
-        ("tolerances", 5, "tolerance profile must be a JSON object"),
-        ("tolerances", [1e-8], "tolerance profile must be a JSON object"),
+        ("function", 5, "function descriptor must be an object"),
+        ("function", [1e-8], "function descriptor must be an object"),
         ("params", [1], "field 'params' must be an object"),
         ("params", "p", "field 'params' must be an object")])
     def test_problem_fields_must_be_objects(self, fn_file, tmp_path, field, value, words,
@@ -654,11 +688,12 @@ class TestTypedProblemValues:
         assert main(["run", str(path)]) == 1
         assert words in capsys.readouterr().err
 
-    def test_numeric_tolerance_profile_still_read(self, identity_file, tmp_path, capsys):
-        path = tmp_path / "tol.json"
-        path.write_text(json.dumps({"certify_slack": 1, "eq_abs": 1e-9}))
+    def test_numeric_slack_still_read(self, identity_file, tmp_path, capsys):
         assert main(["certify", "-f", identity_file, "--class", "I", "-p", "1",
-                     "--tolerance-profile", str(path)]) == 0
+                     "--slack", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["slack_used"] == 1.0
+        assert self._run(tmp_path, "certify", {"class": "I", "p": 1, "slack": 1},
+                         identity_file) == 0
         assert json.loads(capsys.readouterr().out)["slack_used"] == 1.0
 
     @pytest.mark.parametrize("params, key", [

@@ -26,6 +26,9 @@ from pconvex.errors import (
     SupportViolationError,
 )
 from pconvex.distributions import (
+    _DIGEST_NODES,
+    RandomVariable,
+    _digest_nodes,
     beta_like,
     discrete,
     distribution_from_descriptor,
@@ -367,6 +370,36 @@ class TestDescriptors:
             distribution_from_descriptor({"kind": "discrete", "atoms": [0.0]})
         with pytest.raises(InputFormatError):
             distribution_from_descriptor({"kind": "density", "family": "cauchy"})
+
+
+class TestCustomPdfDigest:
+    """A custom pdf is digested by its values at fixed nodes of its support
+    (a fixed stretch from its left end when the support is unbounded); every
+    custom pdf on one support had one digest."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(lo=st.floats(min_value=-1e3, max_value=1e3),
+           width=st.one_of(st.floats(min_value=1e-3, max_value=1e3), st.just(math.inf)),
+           values=st.lists(st.floats(min_value=0.0, max_value=1e6),
+                           min_size=_DIGEST_NODES, max_size=_DIGEST_NODES),
+           changed=st.integers(min_value=0, max_value=_DIGEST_NODES - 1),
+           value=st.floats(min_value=0.0, max_value=1e6))
+    def test_values_at_the_nodes_decide_the_digest(self, lo, width, values, changed, value):
+        support = (lo, lo + width)
+        nodes = _digest_nodes(support)
+
+        def custom(vals):
+            # piecewise linear through (nodes, vals): exactly vals at the nodes
+            return RandomVariable(kind="density", declared_support=support,
+                                  pdf=lambda x: np.interp(x, nodes, vals))
+
+        first = np.array(values)
+        second = first.copy()
+        second[changed] = value
+        assert np.all(np.isfinite(nodes)) and np.all(np.diff(nodes) > 0.0)
+        assert custom(first).digest() == custom(first.copy()).digest()
+        assert (custom(first).digest() == custom(second).digest()) == \
+            (first.tobytes() == second.tobytes())
 
 
 class TestValidation:

@@ -20,6 +20,7 @@ from pconvex.convexity import certify_p_concave, certify_p_convex
 from pconvex.distributions import (
     RandomVariable,
     beta_like,
+    density,
     discrete,
     from_sample,
     point_mass,
@@ -171,6 +172,18 @@ class TestUnboundedSupport:
         assert rep.oracle == pytest.approx(2.0, abs=1e-6)
         assert rep.value <= rep.oracle + 1e-8 + rep.oracle_error + rep.value_error
         assert rep.value_error > 0.0
+
+
+class TestInputsDigest:
+    def test_custom_pdfs_on_one_support_differ(self):
+        # both reports carried the digest 23021c4a1016325b
+        f = shifted_power(3.0, domain=(0.0, 1.0))
+        cert = _cert(f, 1, 0.0, 1.0)
+        reports = [jensen_lower(f, cert, density(pdf, (0.0, 1.0)))
+                   for pdf in (lambda x: 2.0 * np.asarray(x),
+                               lambda x: 2.0 - 2.0 * np.asarray(x))]
+        assert [r.oracle for r in reports] == pytest.approx([0.4, 0.1], abs=1e-12)
+        assert reports[0].inputs_digest != reports[1].inputs_digest
 
 
 class TestSandwichProperty:

@@ -38,11 +38,11 @@ from pconvex.functions import (
     shifted_power,
 )
 from pconvex.numerics import (
-    DEFAULT_TOLERANCES,
+    EQ_ABS,
+    EQ_REL,
     QUADRATURE_DOUBLINGS,
     QUADRATURE_NODES,
     QUADRATURE_TOLERANCE,
-    ToleranceProfile,
     _eval_nodes,
     _order,
     _table_cell,
@@ -409,7 +409,7 @@ def _cell_targets(q, shift, span, fractions, nodes, near, outside):
     xs = np.linspace(shift, shift + span, 257)
     vals = f.eval_on(xs)
     y_lo, y_hi = vals[0], vals[-1]
-    slack = lambda y: outside * (DEFAULT_TOLERANCES.eq_abs + DEFAULT_TOLERANCES.eq_rel * y)
+    slack = lambda y: outside * (EQ_ABS + EQ_REL * y)
     ys = np.concatenate([y_lo + np.asarray(fractions) * (y_hi - y_lo), vals[nodes],
                          [y_lo, y_hi, y_lo + 10.0 ** near * (y_hi - y_lo),
                           y_lo - slack(y_lo), y_hi + slack(y_hi)]])
@@ -692,9 +692,9 @@ class TestEvalNodesRejectsComplex:
 
 
 class TestProfiles:
-    def test_tolerance_positivity(self):
-        with pytest.raises(DomainError):
-            ToleranceProfile(eq_abs=0.0)
+    def test_equality_tolerances(self):
+        # the clamp of invert_monotone and the support checks of the bounds
+        assert (EQ_ABS, EQ_REL) == (1e-10, 1e-9)
 
     def test_quadrature_constants(self):
         # the one rule integrate() runs: 16 nodes per panel, 1e-10 absolute,

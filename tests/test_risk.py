@@ -23,7 +23,7 @@ from pconvex.distributions import (
 )
 from pconvex.errors import DomainError, DomainMismatchError
 from pconvex.functions import shifted_power
-from pconvex.numerics import DEFAULT_TOLERANCES, QUADRATURE_TOLERANCE, invert_monotone
+from pconvex.numerics import QUADRATURE_TOLERANCE, invert_monotone
 from pconvex.risk import (
     _certainty_equivalents,
     _Sweep,
@@ -307,8 +307,7 @@ class TestRiskMeasureIsOneSolve:
         assert (rep.closed_form, rep.sweep_infimum, rep.achiever,
                 rep.candidates) == self._per_candidate(X, p)
         members = [l for _, l in _sweep_candidates(p, 10.0)[:7]]
-        assert _certainty_equivalents(_sweep(p, 10.0)[1][:, :7], X,
-                                      DEFAULT_TOLERANCES).tolist() == [
+        assert _certainty_equivalents(_sweep(p, 10.0)[1][:, :7], X).tolist() == [
             certainty_equivalent(l, X) for l in members]
 
     @pytest.mark.parametrize("X", [point_mass(0.0), point_mass(2.0),
@@ -316,7 +315,7 @@ class TestRiskMeasureIsOneSolve:
                              ids=["zero", "point-mass", "three-atoms"])
     @pytest.mark.parametrize("count", [0, 1, 2, 10])
     def test_any_number_of_candidates(self, X, count):
-        got = _certainty_equivalents(_sweep(2, 40.0)[1][:, :count], X, DEFAULT_TOLERANCES)
+        got = _certainty_equivalents(_sweep(2, 40.0)[1][:, :count], X)
         losses = [c for _, c in _sweep_candidates(2, 40.0)][:count]
         assert isinstance(got, np.ndarray) and got.shape == (count,)
         assert got.tolist() == [certainty_equivalent(l, X) for l in losses]
@@ -420,7 +419,7 @@ class TestUnitScaleMembership:
            p=st.integers(min_value=1, max_value=3),
            grid_size=st.sampled_from([64, 256, 512]))
     def test_equals_per_candidate_certificates(self, horizon, p, grid_size):
-        assert _unit_members(p, grid_size, DEFAULT_TOLERANCES) == \
+        assert _unit_members(p, grid_size) == \
             _members_at(p, horizon, grid_size)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -431,7 +430,7 @@ class TestUnitScaleMembership:
         # x^4's curvature margin at p = 3, 12 x^2 x - 3 (4 x^3), is a
         # rounding residue of terms near 12 horizon^3; it is taken relative
         # to those terms, so a difference can only be such a residue
-        unit = _unit_members(p, grid_size, DEFAULT_TOLERANCES)
+        unit = _unit_members(p, grid_size)
         at = _members_at(p, horizon, grid_size)
         assert set(at) <= set(unit)
         for i in set(unit) - set(at):
@@ -475,7 +474,7 @@ class TestUnitScaleMembership:
         monkeypatch.setattr(risk, "_sweep", with_non_member)
         _unit_members.cache_clear()
         try:
-            assert _unit_members(2, 64, DEFAULT_TOLERANCES) == tuple(range(10))
+            assert _unit_members(2, 64) == tuple(range(10))
             rep = risk_measure(discrete([0.5, 2.0], [0.5, 0.5]), 2, grid_size=64)
             assert rep.candidates == _sweep(2, 20.0)[0] and rep.achiever == "x^3"
         finally:
@@ -541,6 +540,6 @@ class TestSweepKernel:
         assert np.array(single).T.tobytes() == diagonal.tobytes()
 
     def test_negative_points_count_as_zero(self):
-        # a lottery may sit eq_abs below 0; the pure power stays flat there
+        # a lottery may sit EQ_ABS below 0; the pure power stays flat there
         sweep = _Sweep(_sweep(2, 10.0)[1])
         assert sweep(np.full(10, -1e-12)).tolist() == [0.0] * 10
