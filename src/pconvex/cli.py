@@ -60,6 +60,9 @@ EXIT_CERT_FAILED = 2
 
 PROBLEM_VERSION = 1
 _PROBLEM_FIELDS = {"version", "task", "function", "distribution", "params"}
+# fields older problem files carried, with where their value lives now
+_REMOVED_FIELD_HINTS = {
+    "tolerances": " (tolerance profiles are gone; set the slack with the params key 'slack')"}
 SWEEP_GRID = 512
 
 
@@ -147,7 +150,8 @@ class Problem:
             raise InputFormatError("problem file must be a JSON object")
         unknown = sorted(set(raw) - _PROBLEM_FIELDS)
         if unknown:
-            raise InputFormatError(f"problem file: unknown field {unknown[0]!r}")
+            hint = _REMOVED_FIELD_HINTS.get(unknown[0], "")
+            raise InputFormatError(f"problem file: unknown field {unknown[0]!r}{hint}")
         if raw.get("version") != PROBLEM_VERSION:
             raise InputFormatError(
                 f"problem file: field 'version' must be {PROBLEM_VERSION}")

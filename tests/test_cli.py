@@ -674,10 +674,12 @@ class TestTypedProblemValues:
         assert f"bad value {value!r} for 'slack'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value, words", [
-        ("function", 5, "function descriptor must be an object"),
-        ("function", [1e-8], "function descriptor must be an object"),
+        ("tolerances", 5, "tolerance profiles are gone"),
+        ("tolerances", [1e-8], "tolerance profiles are gone"),
         ("params", [1], "field 'params' must be an object"),
-        ("params", "p", "field 'params' must be an object")])
+        ("params", "p", "field 'params' must be an object"),
+        ("function", 5, "function descriptor must be an object"),
+        ("function", [1e-8], "function descriptor must be an object")])
     def test_problem_fields_must_be_objects(self, fn_file, tmp_path, field, value, words,
                                             capsys):
         # a bare TypeError escaped main with a traceback
