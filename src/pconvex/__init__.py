@@ -48,7 +48,6 @@ from .errors import (
     UnboundedSupportError,
 )
 from .functions import (
-    CatalogEntry,
     FunctionSpec,
     affine_precompose,
     antiderivative_from,
@@ -59,7 +58,6 @@ from .functions import (
     function_from_descriptor,
     function_to_descriptor,
     log_affine,
-    make_catalog,
     nonneg_weighted_sum,
     numeric_function,
     polynomial,

@@ -50,7 +50,7 @@ from .functions import (
     function_from_descriptor,
 )
 from .numerics import _integer, _order
-from .svgplot import render_gap_plot
+from .svgplot import render_lines
 
 __all__ = ["main", "run_problem"]
 
@@ -375,11 +375,13 @@ _SUITES = {"hh": ("p", _sweep_hh), "jensen": ("p", _sweep_jensen),
 
 
 def _sweep(problem: Problem, args: argparse.Namespace) -> str:
-    column, rows = _SUITES[args.suite]
-    csv_text = _write_csv((column, "lower_gap", "upper_gap"), rows(problem, args))
+    column, suite = _SUITES[args.suite]
+    header, rows = (column, "lower_gap", "upper_gap"), suite(problem, args)
     if args.plot:
-        _write_text(args.plot, render_gap_plot(csv_text, title=f"{args.suite} sweep"))
-    return csv_text
+        series = {name: [row[i] for row in rows] for i, name in enumerate(header[1:], 1)}
+        _write_text(args.plot, render_lines(column, [row[0] for row in rows], series,
+                                            f"{args.suite} sweep"))
+    return _write_csv(header, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ the points it samples.  The slack is the one tolerance a caller sets on
 the producers (CERTIFY_SLACK unless given; it must be positive and finite,
 else DomainError).  Certificates for functions without analytic
 derivatives widen it by 1e3 and record the provenance; the corroboration
-checks take the slack and provenance of the certificate they check.
+checks take the slack, provenance and grid of the certificate they check.
 """
 
 from __future__ import annotations
@@ -146,13 +146,10 @@ def _slack_for(f: FunctionSpec, slack: float) -> tuple[float, str]:
     return slack * NUMERIC_SLACK_FACTOR, f.provenance
 
 
-def _grid_size(grid_size: int) -> int:
-    """An integer grid_size >= 2; anything else raises DomainError."""
-    return _integer(grid_size, 2, "grid_size")
-
-
 def _grid(lo: float, hi: float, grid_size: int) -> tuple[np.ndarray, float]:
-    grid_size = _grid_size(grid_size)
+    """grid_size equal cells of [lo, hi]; grid_size must be an integer >= 2,
+    else DomainError."""
+    grid_size = _integer(grid_size, 2, "grid_size")
     return np.linspace(lo, hi, grid_size + 1), (hi - lo) / grid_size
 
 
@@ -231,18 +228,17 @@ def certify_p_concave(f: FunctionSpec, p: int, a: float, b: float,
 
 def certify_loss_class(l: FunctionSpec, p: int, horizon: float,
                        grid_size: int = DEFAULT_GRID,
-                       slack: float = CERTIFY_SLACK,
-                       strictness: float = 0.0) -> ConvexityCertificate:
+                       slack: float = CERTIFY_SLACK) -> ConvexityCertificate:
     """Certify the relative-curvature loss class at order p on [0, horizon].
 
-    Conditions: l''(x) x - p l'(x) >= 0 on the grid, and l^(k)(x) >= strictness
+    Conditions: l''(x) x - p l'(x) >= 0 on the grid, and l^(k)(x) >= 0
     for k = 1..p+2 at grid points x > 1e-6.  The curvature margin is taken
     relative to the size of its two terms, |l''(x) x| + |p l'(x)| (when
     that exceeds 1): they grow like horizon^(d-1) for a degree-d power, and
     their rounding alone would otherwise fail true members at large
-    horizons.  The literal class uses strict
-    positivity; the default strictness 0 admits pure powers whose top
-    derivatives vanish identically, which the closed-form achiever needs.
+    horizons.  The literal class uses strict positivity; reading it as
+    >= 0 admits pure powers whose top derivatives vanish identically, which
+    the closed-form achiever needs.
     A horizon that leaves no grid point above 1e-6 raises DomainError.
     l may be a stacked family, whose evaluations carry one row per member
     over the grid: it passes when every member does.
@@ -263,15 +259,9 @@ def certify_loss_class(l: FunctionSpec, p: int, horizon: float,
                (curvature - scale) / np.maximum(1.0, abs(curvature) + abs(scale)), xs)]
     xi = xs[interior]
     for k, vals in enumerate(derivs, start=1):
-        checks.append((f"positivity l^({k})>={strictness:g}",
-                       vals[..., interior] - strictness, xi))
+        checks.append((f"positivity l^({k})>=0", vals[..., interior], xi))
     return _certify("Lp", p, (lo, horizon), grid_size, *_slack_for(l, slack),
                     l.label, checks)
-
-
-def _require_passing_i(cert: ConvexityCertificate, where: str) -> None:
-    if cert.klass != "I" or not cert.passed:
-        raise DomainError(f"{where} needs a passing left-anchored certificate")
 
 
 def _require_certificate(cert: ConvexityCertificate, klass: str, where: str,
@@ -289,8 +279,8 @@ def _require_certificate(cert: ConvexityCertificate, klass: str, where: str,
         raise CertificateError(f"{where} needs certification order {p}, got {cert.p}")
 
 
-def check_power_transform_convex(f: FunctionSpec, cert: ConvexityCertificate,
-                                 grid_size: int = DEFAULT_GRID) -> ConvexityCertificate:
+def check_power_transform_convex(f: FunctionSpec,
+                                 cert: ConvexityCertificate) -> ConvexityCertificate:
     """Corroborate a certificate by checking convexity of the power transform
     y -> f(a + y^(1/(p+1))) on [0, (b-a)^(p+1)] through second differences.
 
@@ -298,9 +288,9 @@ def check_power_transform_convex(f: FunctionSpec, cert: ConvexityCertificate,
     Jensen, so its discrete convexity is an independent consistency check
     on the certified membership.
     """
-    _require_passing_i(cert, "check_power_transform_convex")
+    _require_certificate(cert, "I", "check_power_transform_convex")
     a, b = cert.interval
-    p = cert.p
+    p, grid_size = cert.p, cert.grid_size
     slack, provenance = cert.slack_used, cert.derivative_provenance
     ys, h = _grid(0.0, (b - a) ** (p + 1), grid_size)
     vals = f.eval_on(a + ys ** (1.0 / (p + 1)), 0)
@@ -310,8 +300,7 @@ def check_power_transform_convex(f: FunctionSpec, cert: ConvexityCertificate,
                     f"power-transform[{f.label}]", checks)
 
 
-def check_ratio_monotone(f: FunctionSpec, cert: ConvexityCertificate,
-                         grid_size: int = DEFAULT_GRID) -> ConvexityCertificate:
+def check_ratio_monotone(f: FunctionSpec, cert: ConvexityCertificate) -> ConvexityCertificate:
     """Check that g(x) = f(x) / (x - a)^(p+1) is nondecreasing on (a, b).
 
     Requires f(a) = 0 (within slack).  Near the anchor the raw quotient is
@@ -319,9 +308,9 @@ def check_ratio_monotone(f: FunctionSpec, cert: ConvexityCertificate,
     evaluated through its Taylor expansion there, otherwise the first grid
     cell is skipped.
     """
-    _require_passing_i(cert, "check_ratio_monotone")
+    _require_certificate(cert, "I", "check_ratio_monotone")
     a, b = cert.interval
-    p = cert.p
+    p, grid_size = cert.p, cert.grid_size
     slack, provenance = cert.slack_used, cert.derivative_provenance
     xs = _grid(a, b, grid_size)[0][1:]
     fa = float(f(a))

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .errors import (
     RangeOverflowError,
     SupportViolationError,
 )
-from .functions import FunctionSpec
+from .functions import FunctionSpec, _check_keys
 from .numerics import (
     EQ_ABS,
     GAMMA_MAX_ARG,
@@ -176,16 +177,18 @@ class RandomVariable:
 
     def digest(self) -> str:
         """A string naming the law: the atoms and probabilities of a discrete
-        variable, the size and mean of a sample, the family and support of a
-        named density, and for a custom pdf its support and a hash of its
-        values at _digest_nodes."""
+        variable, the size and mean of a sample, the family, support and shape
+        parameters of a named density, and for a custom pdf its support and a
+        hash of its values at _digest_nodes."""
         if self.kind == "discrete":
             inner = ",".join(f"{a:.12g}:{p:.12g}" for a, p in zip(self.atoms, self.probs))
             return f"discrete[{inner}]"
         if self.kind == "sample":
             return f"sample[n={len(self.values)},mean={self.mean():.12g}]"
         if self.density_family:
-            return f"density[{self.density_family},{self.declared_support}]"
+            shape = "".join(f",{name}={value!r}" for name, value in
+                            (self.density_params or {}).items() if name not in ("a", "b"))
+            return f"density[{self.density_family},{self.declared_support}{shape}]"
         values = _eval_nodes(self.pdf, _digest_nodes(self.declared_support))
         pdf_hash = hashlib.sha256(values.tobytes()).hexdigest()[:16]
         return f"density[custom,{self.declared_support},{pdf_hash}]"
@@ -615,39 +618,54 @@ def sample_mc(X: RandomVariable, n: int, seed: int) -> RandomVariable:
 # ---------------------------------------------------------------------------
 
 
+# kind -> the keys its descriptor reads
+_KIND_KEYS = {"discrete": ("kind", "atoms", "probs", "support"),
+              "sample": ("kind", "values", "support"),
+              "density": ("kind", "family", "params", "support")}
+# density family -> (its constructor from (a, b, *shape), its shape params)
+_DENSITY_FAMILIES = {"uniform": (uniform, ()), "beta-like": (beta_like, ("c", "d")),
+                     "fractional-hh": (fractional_hh_density, ("alpha",))}
+
+
 def distribution_from_descriptor(raw: Mapping[str, Any]) -> RandomVariable:
-    """Parse the JSON wire format for distributions."""
+    """Parse the JSON wire format for distributions.
+
+    A density's ends come from "support" or from its params "a" and "b",
+    which must equal the support when both are given.  A missing or
+    malformed field, a key that nothing reads (see _KIND_KEYS and
+    _DENSITY_FAMILIES) or ends that disagree raise InputFormatError.
+    """
     if not isinstance(raw, Mapping):
         raise InputFormatError("distribution descriptor must be an object")
     kind = raw.get("kind")
+    if not isinstance(kind, str) or kind not in _KIND_KEYS:
+        raise InputFormatError(f"distribution: unknown kind {kind!r}")
+    _check_keys(f"{kind} distribution", raw, _KIND_KEYS[kind])
     try:
+        support = tuple(raw["support"]) if "support" in raw else None
         if kind == "discrete":
-            return discrete(raw["atoms"], raw["probs"],
-                            tuple(raw["support"]) if "support" in raw else None)
+            return discrete(raw["atoms"], raw["probs"], support)
         if kind == "sample":
-            return from_sample(raw["values"],
-                               tuple(raw["support"]) if "support" in raw else None)
-        if kind == "density":
-            family = raw.get("family")
-            params = raw.get("params", {})
-            support = raw.get("support")
-            if family == "uniform":
-                a, b = (params.get("a"), params.get("b")) if params else (None, None)
-                if a is None:
-                    a, b = support
-                return uniform(a, b)
-            if family == "beta-like":
-                a, b = support if support else (params["a"], params["b"])
-                return beta_like(a, b, params["c"], params["d"])
-            if family == "fractional-hh":
-                a, b = support if support else (params["a"], params["b"])
-                return fractional_hh_density(a, b, params["alpha"])
+            return from_sample(raw["values"], support)
+        family = raw.get("family")
+        if not isinstance(family, str) or family not in _DENSITY_FAMILIES:
             raise InputFormatError(f"distribution: unknown density family {family!r}")
+        make, shape = _DENSITY_FAMILIES[family]
+        params = raw.get("params", {})
+        if not isinstance(params, Mapping):
+            raise InputFormatError(f"{family} density: params must be an object")
+        _check_keys(f"{family} density params", params, ("a", "b") + shape)
+        if support is None:
+            support = (params["a"], params["b"])
+        elif ("a" in params or "b" in params) and (params.get("a"), params.get("b")) != support:
+            raise InputFormatError(
+                f"{family} density: support {list(support)} and params a = "
+                f"{params.get('a')!r}, b = {params.get('b')!r} disagree")
+        return make(*support, *(params[key] for key in shape))
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, InputFormatError):
             raise
         raise InputFormatError(f"distribution descriptor field error: {exc}") from exc
-    raise InputFormatError(f"distribution: unknown kind {kind!r}")
 
 
 def distribution_to_descriptor(X: RandomVariable) -> dict:

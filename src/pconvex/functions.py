@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import InitVar, dataclass, field
+from collections.abc import Callable, Mapping, Sequence
+from dataclasses import InitVar, dataclass
 from functools import partial
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from .numerics import (
 )
 
 __all__ = [
-    "CatalogEntry",
     "FunctionSpec",
     "Jet",
     "affine_precompose",
@@ -54,7 +54,6 @@ __all__ = [
     "function_from_descriptor",
     "function_to_descriptor",
     "log_affine",
-    "make_catalog",
     "nonneg_weighted_sum",
     "numeric_function",
     "polynomial",
@@ -66,16 +65,6 @@ EVAL_HORIZON = 1e6  # span past lo at which an unbounded domain is capped
 _MONOTONICITY_GRID = 256  # points compose_inverse checks f' > 0 on
 _CATALOG_DEPTH = 8  # analytic orders of shifted-power, exponential, log-affine
 _FD_DEPTH = 4  # finite-difference orders of a numeric function
-
-_FAMILIES = (
-    "shifted-power",
-    "exponential",
-    "exp-taylor-remainder",
-    "log-affine",
-    "polynomial",
-    "affine-precompose",
-    "nonneg-weighted-sum",
-)
 
 
 @dataclass(frozen=True)
@@ -163,20 +152,6 @@ class FunctionSpec:
         """The normalised jet at xs: f^(k)(x)/k! for k = lo..hi, orders first."""
         return np.array([d / math.factorial(k)
                          for k, d in zip(range(lo, hi + 1), self.derivatives_on(xs, lo, hi))])
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    """Family name + parameters + domain; the JSON-facing constructor input."""
-
-    family: str
-    params: Mapping[str, Any] = field(default_factory=dict)
-    domain: tuple[float, float] | None = None
-
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ConstructionError(
-                f"unknown catalog family {self.family!r}; allowed: {_FAMILIES}")
 
 
 # ---------------------------------------------------------------------------
@@ -453,15 +428,15 @@ def derivative_function(f: FunctionSpec, k: int = 1) -> FunctionSpec:
     )
 
 
-def antiderivative_from(g: FunctionSpec, base: float | None = None) -> FunctionSpec:
-    """f(x) = integral from a to x of (g(z) - g(a)) dz.
+def antiderivative_from(g: FunctionSpec) -> FunctionSpec:
+    """f(x) = integral from a to x of (g(z) - g(a)) dz, a the start of g's domain.
 
     Raises membership one level: the construction turns a certified member at
     order p-1 (with the g(a) offset removed) into a candidate at order p.
     Evaluation integrates numerically; every derivative is analytic, g's jet
     shifted up by one order.
     """
-    a = g.domain[0] if base is None else float(base)
+    a = g.domain[0]
     ga = float(g(a))
 
     def ev(x: float) -> float:
@@ -639,55 +614,75 @@ def _domain_from_json(raw: Any, where: str) -> tuple[float, float]:
     raise InputFormatError(f"{where}: domain must be [lo, hi], got {raw!r}")
 
 
-def make_catalog(entry: CatalogEntry) -> FunctionSpec:
-    """Build a FunctionSpec from a catalog entry (the JSON-facing path).
+def _check_keys(where: str, raw: Mapping, keys: tuple[str, ...]) -> None:
+    """A descriptor key outside keys is one that nothing reads: it raises
+    InputFormatError naming it instead of being ignored."""
+    for key in raw:
+        if key not in keys:
+            raise InputFormatError(f"{where}: nothing reads {key!r} (it reads {', '.join(keys)})")
 
-    A missing parameter raises ConstructionError; a parameter of the wrong
-    type or form raises InputFormatError.
-    """
-    fam, dom = entry.family, entry.domain
-    try:
-        params = dict(entry.params)
-        if fam == "shifted-power":
-            return shifted_power(float(params["q"]), float(params.get("a", 0.0)), dom)
-        if fam == "exponential":
-            return exponential(float(params.get("s", 1.0)),
-                               dom if dom is not None else (0.0, math.inf))
-        if fam == "exp-taylor-remainder":
-            return exp_taylor_remainder(params["p"], dom if dom is not None else (0.0, math.inf))
-        if fam == "log-affine":
-            return log_affine(float(params["b"]), dom)
-        if fam == "polynomial":
-            return polynomial(params["coeffs"], dom if dom is not None else (0.0, 1.0))
-        if fam == "affine-precompose":
-            inner = function_from_descriptor(params["inner"])
-            return affine_precompose(inner, float(params["scale"]),
-                                     float(params.get("offset", 0.0)), dom)
-        if fam == "nonneg-weighted-sum":
-            terms = [(float(t["weight"]), function_from_descriptor(t["function"]))
-                     for t in params["terms"]]
-            return nonneg_weighted_sum(terms, dom)
-    except KeyError as exc:
-        raise ConstructionError(f"{fam}: missing parameter {exc}") from exc
-    except PconvexError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputFormatError(f"{fam}: parameter error: {exc}") from exc
-    raise ConstructionError(f"unknown family {fam!r}")
+
+def _params(where: str, raw: Any, required: tuple[str, ...],
+            optional: tuple[str, ...] = ()) -> Mapping:
+    """raw, an object with every required key (a missing one raises
+    ConstructionError) and no key outside required + optional."""
+    if not isinstance(raw, Mapping):
+        raise InputFormatError(f"{where} must be an object, got {type(raw).__name__}")
+    _check_keys(where, raw, required + optional)
+    for key in required:
+        if key not in raw:
+            raise ConstructionError(f"{where}: missing parameter {key!r}")
+    return raw
+
+
+def _weighted_term(raw: Any) -> tuple[float, FunctionSpec]:
+    term = _params("nonneg-weighted-sum term", raw, ("weight", "function"))
+    return float(term["weight"]), function_from_descriptor(term["function"])
+
+
+# family -> (its required params keys, its optional ones, its constructor
+# from (params, domain or None)): the catalog a descriptor names
+_FAMILIES: dict[str, tuple[tuple[str, ...], tuple[str, ...], Callable]] = {
+    "shifted-power": (("q",), ("a",), lambda p, dom: shifted_power(
+        float(p["q"]), float(p.get("a", 0.0)), dom)),
+    "exponential": ((), ("s",), lambda p, dom: exponential(
+        float(p.get("s", 1.0)), dom or (0.0, math.inf))),
+    "exp-taylor-remainder": (("p",), (), lambda p, dom: exp_taylor_remainder(
+        p["p"], dom or (0.0, math.inf))),
+    "log-affine": (("b",), (), lambda p, dom: log_affine(float(p["b"]), dom)),
+    "polynomial": (("coeffs",), (), lambda p, dom: polynomial(
+        p["coeffs"], dom or (0.0, 1.0))),
+    "affine-precompose": (("scale", "inner"), ("offset",), lambda p, dom: affine_precompose(
+        function_from_descriptor(p["inner"]), float(p["scale"]),
+        float(p.get("offset", 0.0)), dom)),
+    "nonneg-weighted-sum": (("terms",), (), lambda p, dom: nonneg_weighted_sum(
+        [_weighted_term(t) for t in p["terms"]], dom)),
+}
 
 
 def function_from_descriptor(raw: Mapping[str, Any]) -> FunctionSpec:
-    """Parse {"family": ..., "params": {...}, "domain": [lo, hi|"inf"]}."""
+    """Parse {"family": ..., "params": {...}, "domain": [lo, hi|"inf"]}.
+
+    The family's entry in _FAMILIES names the params keys it reads.  A key
+    that nothing reads, or a value of the wrong type or form, raises
+    InputFormatError; a missing parameter raises ConstructionError.
+    """
     if not isinstance(raw, Mapping):
         raise InputFormatError(f"function descriptor must be an object, got {type(raw).__name__}")
     if "family" not in raw:
         raise InputFormatError("function descriptor: missing 'family'")
     fam = raw["family"]
-    if fam not in _FAMILIES:
+    if not isinstance(fam, str) or fam not in _FAMILIES:
         raise InputFormatError(f"function descriptor: unknown family {fam!r}")
+    _check_keys(f"function descriptor ({fam})", raw, ("family", "params", "domain"))
+    required, optional, build = _FAMILIES[fam]
     dom = _domain_from_json(raw["domain"], f"family {fam}") if "domain" in raw else None
-    entry = CatalogEntry(family=fam, params=raw.get("params", {}), domain=dom)
-    return make_catalog(entry)
+    try:
+        return build(_params(f"{fam} params", raw.get("params", {}), required, optional), dom)
+    except PconvexError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputFormatError(f"{fam}: parameter error: {exc}") from exc
 
 
 def function_to_descriptor(f: FunctionSpec) -> dict:

@@ -15,9 +15,9 @@ increasing on [0, horizon].  Two instruments live here:
   sweep members x^a (1 + b x)^g e^(e x) are scale covariant: at horizon H
   each is H^d times a unit-scale member at x / H, so every class condition
   at H is a positive multiple of the same condition on [0, 1].  Membership
-  is certified once at unit scale per order and grid size (a memo cache),
-  and the members are solved as one stacked jet kernel, the product of the
-  jets of x^a, (1 + b x)^g and e^(e x).
+  is certified once at unit scale per order (a memo cache), and the
+  members are solved as one stacked jet kernel, the product of the jets of
+  x^a, (1 + b x)^g and e^(e x).
 
 Every certainty equivalent is solved in the cell of a 257-point table of
 the loss function on the range of the lottery.
@@ -34,7 +34,6 @@ import numpy as np
 from .convexity import (
     CERTIFY_SLACK,
     ConvexityCertificate,
-    _grid_size,
     certify_loss_class,
     certify_p_convex,
 )
@@ -54,6 +53,7 @@ __all__ = [
 ]
 
 COMPARISON_GRID = 512
+_MEASURE_GRID = 256  # grid risk_measure certifies its sweep members on
 _CE_TABLE = 256  # cells of the table of l a certainty equivalent is solved in
 
 
@@ -293,8 +293,7 @@ def _unit_members(p: int, grid_size: int) -> tuple[int, ...]:
                  if certify_loss_class(l, p, 1.0, grid_size).passed)
 
 
-def risk_measure(X: RandomVariable, p: int,
-                 grid_size: int = 256) -> RiskMeasureReport:
+def risk_measure(X: RandomVariable, p: int) -> RiskMeasureReport:
     """Worst-case certainty equivalent over the order-p loss class.
 
     closed_form is the (p+1)-norm of X; the sweep takes the minimum
@@ -305,8 +304,8 @@ def risk_measure(X: RandomVariable, p: int,
     Every member at the horizon H = max(10 sup X, 10) is H^d l(x / H) for a
     member l of the same sweep at H = 1 (beta scales as 1 / H), and each
     class condition at H is a positive multiple of l's on [0, 1].  So
-    membership is certified once, at unit scale, per (p, grid_size) and kept
-    in a memo cache (_unit_members; cache_clear empties it), with
+    membership is certified once, at unit scale on _MEASURE_GRID, per p and
+    kept in a memo cache (_unit_members; cache_clear empties it), with
     CERTIFY_SLACK taken relative to unit-scale margins.  The included
     members' certainty equivalents come from the stacked kernel: the
     targets of a discrete or sample X from one call on its points, the
@@ -315,7 +314,6 @@ def risk_measure(X: RandomVariable, p: int,
     certainty_equivalent's on the member's spec bit for bit.
     """
     p = _order(p)
-    grid_size = _grid_size(grid_size)
     if X.inf < -EQ_ABS:
         raise DomainError("risk_measure needs a loss lottery on [0, inf)")
     closed_form = shifted_moment(X, 0.0, p + 1).norm
@@ -324,7 +322,7 @@ def risk_measure(X: RandomVariable, p: int,
         raise DomainError(f"horizon {horizon} must be finite")
 
     labels, params = _sweep(p, horizon)
-    included = list(_unit_members(p, grid_size))
+    included = list(_unit_members(p, _MEASURE_GRID))
     ces = _certainty_equivalents(params[:, included], X)
     labels = tuple(labels[i] for i in included)
     # the first candidate with the least certainty equivalent, as a strict < scan finds it

@@ -7,13 +7,12 @@ contract of the sweep pipeline relies on.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 
 from .errors import InputFormatError
 
-__all__ = ["render_gap_plot", "render_lines"]
+__all__ = ["render_lines"]
 
 _WIDTH = 640.0
 _HEIGHT = 400.0
@@ -104,26 +103,3 @@ def render_lines(x_label: str, xs: list[float], series: dict[str, list[float]],
                   f'font-family="monospace" font-size="11">{name}</text>\n')
     out.write("</svg>\n")
     return out.getvalue()
-
-
-def render_gap_plot(csv_text: str, title: str = "") -> str:
-    """Render a sweep CSV (x column + one column per gap series) to SVG."""
-    reader = csv.reader(io.StringIO(csv_text))
-    rows = [row for row in reader if row]
-    if len(rows) < 2:
-        raise InputFormatError("gap plot needs a header row and at least one data row")
-    header = rows[0]
-    if len(header) < 2:
-        raise InputFormatError("gap plot needs an x column and at least one series")
-    xs: list[float] = []
-    series: dict[str, list[float]] = {name: [] for name in header[1:]}
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise InputFormatError(f"CSV line {line_no}: expected {len(header)} fields")
-        try:
-            xs.append(float(row[0]))
-            for name, cell in zip(header[1:], row[1:]):
-                series[name].append(float(cell))
-        except ValueError as exc:
-            raise InputFormatError(f"CSV line {line_no}: non-numeric cell ({exc})") from exc
-    return render_lines(header[0], xs, series, title)

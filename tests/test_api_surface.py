@@ -18,20 +18,16 @@ import pconvex
 _DEFAULTED = {
     "cli.main": ("argv",),
     "cli.run_problem": ("out",),
-    "convexity.certify_loss_class": ("grid_size", "slack", "strictness"),
+    "convexity.certify_loss_class": ("grid_size", "slack"),
     "convexity.certify_p_concave": ("grid_size", "slack"),
     "convexity.certify_p_convex": ("grid_size", "slack"),
-    "convexity.check_power_transform_convex": ("grid_size",),
-    "convexity.check_ratio_monotone": ("grid_size",),
     "distributions.MomentReport": ("error_estimate",),
     "distributions.RandomVariable": ("atoms", "probs", "values", "pdf", "density_family",
                                      "density_params"),
     "distributions.discrete": ("support",),
     "distributions.from_sample": ("support",),
-    "functions.CatalogEntry": ("params", "domain"),
     "functions.FunctionSpec": ("eval_fn", "derivatives", "provenance", "descriptor", "jet"),
     "functions.affine_precompose": ("domain",),
-    "functions.antiderivative_from": ("base",),
     "functions.compose_inverse": ("horizon",),
     "functions.derivative_function": ("k",),
     "functions.exp_taylor_remainder": ("domain",),
@@ -50,8 +46,6 @@ _DEFAULTED = {
     "numerics.pnorm_shifted": ("scale",),
     "risk.certify_p_more_risk_averse": ("grid_size", "slack"),
     "risk.falsify_p_more_risk_averse": ("horizon", "directed_from"),
-    "risk.risk_measure": ("grid_size",),
-    "svgplot.render_gap_plot": ("title",),
     "svgplot.render_lines": ("title",),
 }
 

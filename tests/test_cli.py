@@ -22,7 +22,7 @@ from test_goldens import TASK_ARGV, _run_task
 
 from pconvex.cli import _TASKS, _build_parser, main
 from pconvex.errors import InputFormatError
-from pconvex.svgplot import render_gap_plot
+from pconvex.svgplot import render_lines
 
 
 @pytest.fixture
@@ -150,6 +150,51 @@ class TestBadFunctionFiles:
             assert main(["certify", "-f", str(path), "--class", "I", "-p", "1",
                          "-a", "0", "-b", "1"]) == 1
         assert err.getvalue().startswith(("input error: ", "error: "))
+
+
+# descriptors with a key that nothing reads, or density ends that disagree,
+# and what the error says; each once ran (the shifted power as x^2, where
+# "a": 1 gives (x-1)^2) or was read one way for uniform, another for beta-like
+_ENDS = "support [0, 2] and params a = 0, b = 1 disagree"
+_PROBES = [
+    ("shifted-power-shift", {"family": "shifted-power", "params": {"q": 2, "shift": 1},
+                             "domain": [1, 3]}, "nothing reads 'shift'"),
+    ("exponential-rate", {"family": "exponential", "params": {"rate": 2.0},
+                          "domain": [0.0, 1.0]}, "nothing reads 'rate'"),
+    ("top-level-domian", {"family": "shifted-power", "params": {"q": 3.0},
+                          "domian": [0.0, 1.0]}, "nothing reads 'domian'"),
+    ("fractional-hh-extra", {"kind": "density", "family": "fractional-hh",
+                             "params": {"alpha": 0.5, "beta": 2.0}, "support": [0.0, 1.0]},
+     "nothing reads 'beta'"),
+    ("uniform-ends", {"kind": "density", "family": "uniform", "params": {"a": 0, "b": 1},
+                      "support": [0, 2]}, _ENDS),
+    ("beta-like-ends", {"kind": "density", "family": "beta-like",
+                        "params": {"a": 0, "b": 1, "c": 2, "d": 3}, "support": [0, 2]}, _ENDS),
+]
+
+
+class TestDescriptorKeys:
+    @pytest.mark.parametrize("route", ["flag", "problem file"])
+    @pytest.mark.parametrize("raw, words", [probe[1:] for probe in _PROBES],
+                             ids=[probe[0] for probe in _PROBES])
+    def test_unread_key_or_disagreeing_ends_exit_one(self, raw, words, route, tmp_path,
+                                                     capsys):
+        if "kind" in raw:
+            argv, problem = ["mgf", "-d", "{}", "-s", "0.5", "-p", "2"], {
+                "task": "mgf", "params": {"s": 0.5, "p": 2}, "distribution": raw}
+        else:
+            argv, problem = ["certify", "-f", "{}", "--class", "I", "-p", "1"], {
+                "task": "certify", "params": {"class": "I", "p": 1}, "function": raw}
+        path = tmp_path / "in.json"
+        if route == "flag":
+            path.write_text(json.dumps(raw))
+            argv = [str(path) if tok == "{}" else tok for tok in argv]
+        else:
+            path.write_text(json.dumps({"version": 1, **problem}))
+            argv = ["run", str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and words in err
 
 
 class TestBound:
@@ -548,21 +593,17 @@ class TestArtifactWriter:
 
 class TestGapPlot:
     def test_single_row(self):
-        svg = render_gap_plot("p,gap\r\n1,0.5\r\n")
+        svg = render_lines("p", [1.0], {"gap": [0.5]})
         assert svg.startswith("<svg")
         assert "circle" in svg
 
     def test_empty_body_rejected(self):
         with pytest.raises(InputFormatError):
-            render_gap_plot("p,gap\r\n")
-
-    def test_non_numeric_rejected(self):
-        with pytest.raises(InputFormatError):
-            render_gap_plot("p,gap\r\n1,oops\r\n")
+            render_lines("p", [], {"gap": []})
 
     def test_deterministic_bytes(self):
-        csv_text = "p,lo,hi\r\n1,0.1,0.4\r\n2,0.05,0.3\r\n3,0.02,0.2\r\n"
-        assert render_gap_plot(csv_text) == render_gap_plot(csv_text)
+        args = ("p", [1.0, 2.0, 3.0], {"lo": [0.1, 0.05, 0.02], "hi": [0.4, 0.3, 0.2]})
+        assert render_lines(*args) == render_lines(*args)
 
 
 class TestFailClosedInputs:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import copy
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -345,6 +346,36 @@ class TestSampleMc:
         np.testing.assert_allclose(cdf(draws), u, rtol=0.0, atol=1e-12)
 
 
+# the keys a distribution descriptor reads: at the top level of each kind,
+# and in the params of each density family
+_READS = {"discrete": ("kind", "atoms", "probs", "support"),
+          "sample": ("kind", "values", "support"),
+          "density": ("kind", "family", "params", "support"),
+          "uniform": ("a", "b"), "beta-like": ("a", "b", "c", "d"),
+          "fractional-hh": ("a", "b", "alpha")}
+
+_END = st.floats(min_value=-5.0, max_value=5.0)
+_WIDTH = st.floats(min_value=0.1, max_value=5.0)
+
+
+def _named_density():
+    """A density of every family that has a descriptor."""
+    shape = st.floats(min_value=1.0, max_value=6.0)
+    return st.one_of(
+        st.builds(lambda a, w: uniform(a, a + w), _END, _WIDTH),
+        st.builds(lambda a, w, c, d: beta_like(a, a + w, c, d), _END, _WIDTH, shape, shape),
+        st.builds(lambda a, w, alpha: fractional_hh_density(a, a + w, alpha), _END, _WIDTH,
+                  st.floats(min_value=0.1, max_value=4.0)))
+
+
+def _described_variable():
+    """A variable of every kind that has a descriptor."""
+    values = st.lists(_END, min_size=1, max_size=6)
+    return st.one_of(
+        st.builds(lambda v: discrete(v, [1.0 / len(v)] * len(v)), values),
+        st.builds(from_sample, values), _named_density())
+
+
 class TestDescriptors:
     @pytest.mark.parametrize("raw", [
         {"kind": "discrete", "atoms": [0.0, 1.0], "probs": [0.5, 0.5]},
@@ -362,6 +393,36 @@ class TestDescriptors:
         Y = distribution_from_descriptor(back)
         assert distribution_to_descriptor(Y) == back
         assert X.mean() == pytest.approx(Y.mean(), rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(X=_described_variable(), data=st.data())
+    def test_writer_round_trips_and_unread_keys_fail_closed(self, X, data):
+        desc = distribution_to_descriptor(X)
+        assert distribution_to_descriptor(distribution_from_descriptor(desc)) == desc
+        name = desc.get("family", desc["kind"])
+        where = data.draw(st.sampled_from(["top", "params"] if "params" in desc else ["top"]))
+        reads = _READS[desc["kind"]] if where == "top" else _READS[name]
+        key = data.draw(st.text(max_size=6).filter(lambda k: k not in reads))
+        stray = {**desc, "params": dict(desc["params"])} if "params" in desc else dict(desc)
+        (stray if where == "top" else stray["params"])[key] = 1.0
+        with pytest.raises(InputFormatError, match=re.escape(f"nothing reads {key!r}")):
+            distribution_from_descriptor(stray)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(X=_named_density(),
+           end=st.sampled_from(["a", "b"]), shift=st.floats(min_value=1e-6, max_value=1.0),
+           moved=st.sampled_from(["support", "params"]))
+    def test_density_ends_that_disagree_fail_closed(self, X, end, shift, moved):
+        # uniform took its ends from params and beta-like from the support
+        desc = distribution_to_descriptor(X)
+        params, support = dict(desc["params"]), list(desc["support"])
+        i = "ab".index(end)
+        if moved == "support":
+            support[i] += shift
+        else:
+            params[end] += shift
+        with pytest.raises(InputFormatError, match="disagree"):
+            distribution_from_descriptor({**desc, "params": params, "support": support})
 
     def test_malformed(self):
         with pytest.raises(InputFormatError):
@@ -400,6 +461,30 @@ class TestCustomPdfDigest:
         assert custom(first).digest() == custom(first.copy()).digest()
         assert (custom(first).digest() == custom(second).digest()) == \
             (first.tobytes() == second.tobytes())
+
+
+class TestNamedDensityDigest:
+    """A named density's digest names its shape parameters: beta_like(0, 1,
+    2, 3) and beta_like(0, 1, 3, 2) both digested to
+    density[beta-like,(0.0, 1.0)], and so did every fractional_hh_density
+    alpha on one interval."""
+
+    def test_uniform_keeps_its_string(self):
+        assert uniform(0.0, 1.0).digest() == "density[uniform,(0.0, 1.0)]"
+        assert beta_like(0.0, 1.0, 2.0, 3.0).digest() == \
+            "density[beta-like,(0.0, 1.0),c=2.0,d=3.0]"
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(family=st.sampled_from(["beta-like", "fractional-hh"]),
+           first=st.tuples(*[st.floats(min_value=1.0, max_value=6.0)] * 2),
+           second=st.tuples(*[st.floats(min_value=1.0, max_value=6.0)] * 2))
+    def test_distinct_shapes_give_distinct_digests(self, family, first, second):
+        def make(shape):
+            return (beta_like(0.0, 1.0, *shape) if family == "beta-like"
+                    else fractional_hh_density(0.0, 1.0, shape[0]))
+
+        same = first == second if family == "beta-like" else first[0] == second[0]
+        assert (make(first).digest() == make(second).digest()) == same
 
 
 class TestValidation:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,6 @@ from pconvex.errors import (
     MonotonicityError,
 )
 from pconvex.functions import (
-    CatalogEntry,
     affine_precompose,
     antiderivative_from,
     compose_inverse,
@@ -37,7 +37,6 @@ from pconvex.functions import (
     function_from_descriptor,
     function_to_descriptor,
     log_affine,
-    make_catalog,
     nonneg_weighted_sum,
     numeric_function,
     polynomial,
@@ -279,6 +278,34 @@ class TestComposeInverse:
             compose_inverse(shifted_power(2.0), g)
 
 
+# the keys a function descriptor reads: at the top level, and in the params
+# of each family
+_READS = {"top": ("family", "params", "domain"),
+          "shifted-power": ("q", "a"), "exponential": ("s",), "exp-taylor-remainder": ("p",),
+          "log-affine": ("b",), "polynomial": ("coeffs",),
+          "affine-precompose": ("scale", "offset", "inner"), "nonneg-weighted-sum": ("terms",)}
+
+_SMALL = st.floats(min_value=-3.0, max_value=3.0)
+
+
+def _catalog_function():
+    """A member of every catalog family, built by its constructor."""
+    power = st.builds(lambda q, a: shifted_power(q, a, (a, a + 2.0)),
+                      st.floats(min_value=1.0, max_value=6.0), _SMALL)
+    unit_power = st.builds(lambda q: shifted_power(q, domain=(0.0, 2.0)),
+                           st.floats(min_value=1.0, max_value=6.0))
+    return st.one_of(
+        power,
+        st.builds(lambda s: exponential(s, (0.0, 2.0)), _SMALL),
+        st.builds(lambda p: exp_taylor_remainder(p, (0.0, 1.0)), st.integers(0, 20)),
+        st.builds(log_affine, st.floats(min_value=0.1, max_value=5.0)),
+        st.builds(polynomial, st.lists(_SMALL, min_size=1, max_size=5)),
+        st.builds(affine_precompose, power, st.floats(min_value=0.5, max_value=2.0), _SMALL),
+        st.builds(nonneg_weighted_sum, st.lists(
+            st.tuples(st.floats(min_value=0.0, max_value=3.0), unit_power),
+            min_size=1, max_size=3)))
+
+
 class TestDescriptors:
     @pytest.mark.parametrize("descriptor", [
         {"family": "shifted-power", "params": {"q": 2.0, "a": 0.0}, "domain": [0.0, 1.0]},
@@ -310,13 +337,23 @@ class TestDescriptors:
         with pytest.raises(InputFormatError):
             function_from_descriptor({"params": {}})
 
-    def test_catalog_entry_validation(self):
-        with pytest.raises(ConstructionError):
-            CatalogEntry(family="unknown")
+    def test_missing_param(self):
+        with pytest.raises(ConstructionError, match="missing parameter 'b'"):
+            function_from_descriptor({"family": "log-affine", "params": {}})
 
-    def test_make_catalog_missing_param(self):
-        with pytest.raises(ConstructionError):
-            make_catalog(CatalogEntry(family="log-affine", params={}))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(f=_catalog_function(), data=st.data())
+    def test_writer_round_trips_and_unread_keys_fail_closed(self, f, data):
+        desc = function_to_descriptor(f)
+        assert function_to_descriptor(function_from_descriptor(desc)) == desc
+        fam = desc["family"]
+        where = data.draw(st.sampled_from(["top", "params"]))
+        reads = _READS["top"] if where == "top" else _READS[fam]
+        key = data.draw(st.text(max_size=6).filter(lambda k: k not in reads))
+        stray = {**desc, "params": dict(desc["params"])}
+        (stray if where == "top" else stray["params"])[key] = 1.0
+        with pytest.raises(InputFormatError, match=re.escape(f"nothing reads {key!r}")):
+            function_from_descriptor(stray)
 
     def test_derivative_function_view(self):
         f = shifted_power(4.0, domain=(0.0, 2.0))

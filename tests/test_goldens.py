@@ -121,10 +121,10 @@ def _certificates() -> dict:
         "p_concave/numeric-fail": certify_p_concave(num_sq, 1, 0.0, 1.0, 64),
         "loss_class/pass": certify_loss_class(loss, 1, 10.0, 64),
         "loss_class/fail": certify_loss_class(loss, 2, 10.0, 64),
-        "power_transform/pass": check_power_transform_convex(cube, cube_cert, 64),
-        "power_transform/fail": check_power_transform_convex(concave, sq_cert, 64),
-        "ratio/pass": check_ratio_monotone(cube, cube_cert, 64),
-        "ratio/fail": check_ratio_monotone(concave, sq_cert, 64),
+        "power_transform/pass": check_power_transform_convex(cube, cube_cert),
+        "power_transform/fail": check_power_transform_convex(concave, sq_cert),
+        "ratio/pass": check_ratio_monotone(cube, cube_cert),
+        "ratio/fail": check_ratio_monotone(concave, sq_cert),
     }
     return {name: certificate_to_dict(c) for name, c in certs.items()}
 

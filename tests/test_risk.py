@@ -475,7 +475,7 @@ class TestUnitScaleMembership:
         _unit_members.cache_clear()
         try:
             assert _unit_members(2, 64) == tuple(range(10))
-            rep = risk_measure(discrete([0.5, 2.0], [0.5, 0.5]), 2, grid_size=64)
+            rep = risk_measure(discrete([0.5, 2.0], [0.5, 0.5]), 2)
             assert rep.candidates == _sweep(2, 20.0)[0] and rep.achiever == "x^3"
         finally:
             _unit_members.cache_clear()
@@ -487,7 +487,7 @@ class TestUnitScaleMembership:
         with pytest.raises(DomainError, match="must be an integer"):
             risk_measure(X, value)
         with pytest.raises(DomainError, match="grid_size must be an integer"):
-            risk_measure(X, 2, grid_size=value)
+            _unit_members(2, value)
         assert _unit_members.cache_info().currsize == 0
 
 
