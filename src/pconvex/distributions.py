@@ -32,7 +32,7 @@ from .errors import (
     RangeOverflowError,
     SupportViolationError,
 )
-from .functions import FunctionSpec, _check_keys
+from .functions import FunctionSpec, _object
 from .numerics import (
     EQ_ABS,
     GAMMA_MAX_ARG,
@@ -640,7 +640,7 @@ def distribution_from_descriptor(raw: Mapping[str, Any]) -> RandomVariable:
     kind = raw.get("kind")
     if not isinstance(kind, str) or kind not in _KIND_KEYS:
         raise InputFormatError(f"distribution: unknown kind {kind!r}")
-    _check_keys(f"{kind} distribution", raw, _KIND_KEYS[kind])
+    _object(f"{kind} distribution", raw, (), _KIND_KEYS[kind])
     try:
         support = tuple(raw["support"]) if "support" in raw else None
         if kind == "discrete":
@@ -651,10 +651,7 @@ def distribution_from_descriptor(raw: Mapping[str, Any]) -> RandomVariable:
         if not isinstance(family, str) or family not in _DENSITY_FAMILIES:
             raise InputFormatError(f"distribution: unknown density family {family!r}")
         make, shape = _DENSITY_FAMILIES[family]
-        params = raw.get("params", {})
-        if not isinstance(params, Mapping):
-            raise InputFormatError(f"{family} density: params must be an object")
-        _check_keys(f"{family} density params", params, ("a", "b") + shape)
+        params = _object(f"{family} density params", raw.get("params", {}), (), ("a", "b") + shape)
         if support is None:
             support = (params["a"], params["b"])
         elif ("a" in params or "b" in params) and (params.get("a"), params.get("b")) != support:

@@ -614,21 +614,17 @@ def _domain_from_json(raw: Any, where: str) -> tuple[float, float]:
     raise InputFormatError(f"{where}: domain must be [lo, hi], got {raw!r}")
 
 
-def _check_keys(where: str, raw: Mapping, keys: tuple[str, ...]) -> None:
-    """A descriptor key outside keys is one that nothing reads: it raises
-    InputFormatError naming it instead of being ignored."""
+def _object(where: str, raw: Any, required: tuple[str, ...],
+            optional: tuple[str, ...] = ()) -> Mapping:
+    """raw, a descriptor object with every required key and no key outside
+    required + optional: a key that nothing reads raises InputFormatError
+    naming it instead of being ignored, a missing one ConstructionError."""
+    if not isinstance(raw, Mapping):
+        raise InputFormatError(f"{where} must be an object, got {type(raw).__name__}")
+    keys = required + optional
     for key in raw:
         if key not in keys:
             raise InputFormatError(f"{where}: nothing reads {key!r} (it reads {', '.join(keys)})")
-
-
-def _params(where: str, raw: Any, required: tuple[str, ...],
-            optional: tuple[str, ...] = ()) -> Mapping:
-    """raw, an object with every required key (a missing one raises
-    ConstructionError) and no key outside required + optional."""
-    if not isinstance(raw, Mapping):
-        raise InputFormatError(f"{where} must be an object, got {type(raw).__name__}")
-    _check_keys(where, raw, required + optional)
     for key in required:
         if key not in raw:
             raise ConstructionError(f"{where}: missing parameter {key!r}")
@@ -636,7 +632,7 @@ def _params(where: str, raw: Any, required: tuple[str, ...],
 
 
 def _weighted_term(raw: Any) -> tuple[float, FunctionSpec]:
-    term = _params("nonneg-weighted-sum term", raw, ("weight", "function"))
+    term = _object("nonneg-weighted-sum term", raw, ("weight", "function"))
     return float(term["weight"]), function_from_descriptor(term["function"])
 
 
@@ -674,11 +670,11 @@ def function_from_descriptor(raw: Mapping[str, Any]) -> FunctionSpec:
     fam = raw["family"]
     if not isinstance(fam, str) or fam not in _FAMILIES:
         raise InputFormatError(f"function descriptor: unknown family {fam!r}")
-    _check_keys(f"function descriptor ({fam})", raw, ("family", "params", "domain"))
+    _object(f"function descriptor ({fam})", raw, (), ("family", "params", "domain"))
     required, optional, build = _FAMILIES[fam]
     dom = _domain_from_json(raw["domain"], f"family {fam}") if "domain" in raw else None
     try:
-        return build(_params(f"{fam} params", raw.get("params", {}), required, optional), dom)
+        return build(_object(f"{fam} params", raw.get("params", {}), required, optional), dom)
     except PconvexError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:

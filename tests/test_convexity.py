@@ -314,7 +314,6 @@ class TestLossClass:
         assert cert.passed
 
 
-
 def _stacked(*members):
     """One FunctionSpec evaluating every member at every point, one row each."""
     def at(k):
@@ -670,7 +669,7 @@ def test_fail_closed_calls_pass_with_a_valid_input(name):
 @given(name=st.sampled_from(sorted(_FAIL_CLOSED)), data=st.data())
 def test_non_finite_or_non_integral_inputs_fail_closed(name, data):
     """A non-finite or non-integral order or grid size, or a non-finite
-    horizon, interval end or strictness, raises a PconvexError or gives a
+    horizon or interval end, raises a PconvexError or gives a
     failing certificate, in every certifier and in risk_measure; so does a
     non-integral order of a function constructor, a malformed parameter or
     domain end in a function descriptor, a non-finite end of taylor_hh, a

@@ -431,6 +431,10 @@ class TestDescriptors:
             distribution_from_descriptor({"kind": "discrete", "atoms": [0.0]})
         with pytest.raises(InputFormatError):
             distribution_from_descriptor({"kind": "density", "family": "cauchy"})
+        # a params list raised a bare AttributeError
+        with pytest.raises(InputFormatError, match="params must be an object"):
+            distribution_from_descriptor({"kind": "density", "family": "uniform",
+                                          "params": ["a"], "support": [0.0, 1.0]})
 
 
 class TestCustomPdfDigest:
