@@ -327,7 +327,7 @@ def _sweep_hh(problem: Problem, args: argparse.Namespace) -> list[tuple]:
     desc = problem.function or {"family": "shifted-power",
                                 "params": {"q": 8.0, "a": 0.0}, "domain": [0.0, 1.0]}
     f = function_from_descriptor(desc)
-    a, b = _interval(problem.params, f)
+    a, b = f.domain[0], f.upper_cap
 
     def cell(p: int) -> tuple:
         cert = convexity.certify_p_convex(f, p - 1, a, b, SWEEP_GRID, args.slack)
@@ -344,7 +344,7 @@ def _sweep_jensen(problem: Problem, args: argparse.Namespace) -> list[tuple]:
     dist = problem.distribution or {"kind": "discrete", "atoms": [0.0, 0.5, 1.0],
                                     "probs": [0.25, 0.5, 0.25]}
     X = distribution_from_descriptor(dist)
-    a, b = _interval(problem.params, f)
+    a, b = f.domain[0], f.upper_cap
 
     def cell(p: int) -> tuple:
         cert = convexity.certify_p_convex(f, p, a, b, SWEEP_GRID, args.slack)
@@ -369,13 +369,23 @@ def _sweep_mgf(problem: Problem, args: argparse.Namespace) -> list[tuple]:
     return [cell(0.25 * k) for k in range(13)]
 
 
-# suite -> (its first column, its rows)
-_SUITES = {"hh": ("p", _sweep_hh), "jensen": ("p", _sweep_jensen),
-           "mgf": ("s", _sweep_mgf)}
+# suite -> (its first column, its rows, the inputs it reads but --slack, --plot)
+_SUITES = {"hh": ("p", _sweep_hh, ("-f", "--p-max")),
+           "jensen": ("p", _sweep_jensen, ("-f", "-d", "--p-max")),
+           "mgf": ("s", _sweep_mgf, ("-d", "-p"))}
 
 
 def _sweep(problem: Problem, args: argparse.Namespace) -> str:
-    column, suite = _SUITES[args.suite]
+    """The suite's CSV (and plot); an input it does not read, or a --p-max
+    below 1, is an input error."""
+    column, suite, reads = _SUITES[args.suite]
+    given = {"-f": problem.function, "-d": problem.distribution, "-p": args.p,
+             "--p-max": args.p_max}
+    stray = [name for name, value in given.items() if value is not None and name not in reads]
+    if stray:
+        raise InputFormatError(f"sweep --suite {args.suite} does not take {', '.join(stray)}")
+    if args.p_max is not None:
+        _integer(args.p_max, 1, "--p-max")
     header, rows = (column, "lower_gap", "upper_gap"), suite(problem, args)
     if args.plot:
         series = {name: [row[i] for row in rows] for i, name in enumerate(header[1:], 1)}

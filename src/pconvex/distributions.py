@@ -514,8 +514,9 @@ def shifted_moment(X: RandomVariable, shift: float, order: int) -> MomentReport:
     """E (X - shift)^order and the norm ||X - shift||_order.
 
     Requires an integer order in 1..64, a finite shift and the mass above
-    the shift; values are scaled by (sup - shift) before powering so
-    intermediate powers stay in [0, 1] for orders up to 64.
+    the shift.  One expect of (max(x - shift, 0) / scale)^order, scale =
+    sup X - shift, keeps every power in [0, 1]; an unbounded density is cut
+    at _truncation_horizon first, whose term is added to the error.
     """
     order = _integer(order, 1, "moment order")
     if order > MAX_MOMENT_ORDER:
@@ -526,38 +527,20 @@ def shifted_moment(X: RandomVariable, shift: float, order: int) -> MomentReport:
     if X.inf < shift - EQ_ABS:
         raise SupportViolationError(
             f"mass below shift: inf X = {X.inf} < shift = {shift}")
-
-    if X.kind != "density":
-        scale = max(X.sup - shift, 0.0)
-        if scale == 0.0:
-            return MomentReport(order, shift, 0.0, 0.0, "exact-sum")
-        scaled = _finite_mean(X, (np.maximum(X._points - shift, 0.0) / scale) ** order)
-        norm = pnorm_shifted(scaled, order, scale)
-        return MomentReport(order, shift, _unscaled(scaled, scale, order), norm, "exact-sum")
-
-    # density
-    hi = X.declared_support[1]
-    extra_err = 0.0
+    method = "quadrature" if X.kind == "density" else "exact-sum"
+    hi, truncation = X.sup, 0.0
     if not math.isfinite(hi):
         hi = _truncation_horizon(X)
-        extra_err = _TRUNCATION_MASS * (1.0 + (hi - shift))
+        truncation = _TRUNCATION_MASS * (1.0 + (hi - shift))
+        X = replace(X, declared_support=(X.declared_support[0], hi))
     scale = hi - shift
     if scale <= 0.0:
-        return MomentReport(order, shift, 0.0, 0.0, "quadrature")
-
-    def integrand(x):
-        u = (np.asarray(x, dtype=float) - shift) / scale
-        return np.clip(u, 0.0, None) ** order
-
-    try:
-        scaled, err = _density_expect(
-            replace(X, declared_support=(X.declared_support[0], hi)), integrand)
-    except ConvergenceError as exc:
-        raise MomentDivergenceError(f"moment quadrature diverged: {exc}") from exc
+        return MomentReport(order, shift, 0.0, 0.0, method)
+    scaled, err = expect(X, lambda x: (np.maximum(x - shift, 0.0) / scale) ** order)
     scaled = max(scaled, 0.0)
     norm = pnorm_shifted(scaled, order, scale)
-    return MomentReport(order, shift, _unscaled(scaled, scale, order), norm,
-                        "quadrature", err + extra_err)
+    return MomentReport(order, shift, _unscaled(scaled, scale, order), norm, method,
+                        err + truncation)
 
 
 # ---------------------------------------------------------------------------

@@ -88,11 +88,12 @@ class FunctionSpec:
 
     domain is (lo, hi) with hi possibly +inf; an unbounded domain is only
     ever evaluated up to the fixed cap lo + EVAL_HORIZON (upper_cap), which
-    no spec changes.  A spec is built from a jet, which makes eval_fn and
-    derivatives (orders 1..depth) its views, or from those callables, which
-    it then evaluates through (as a spec that dataclasses.replace rebuilds
-    does).  No spec has an order past its stack; a "numeric" or "mixed"
-    provenance only widens a certificate's slack.
+    no spec changes.  Every spec evaluates through its jet: eval_on reads one
+    row, derivatives_on several in one call.  eval_fn and derivatives (orders
+    1..depth) are the jet's views, and dataclasses.replace rebuilds a spec
+    from them: given no jet, a spec's row k calls its k-th callable.  No
+    spec has an order past its stack; a "numeric" or "mixed" provenance only
+    widens a certificate's slack.
     """
 
     label: str
@@ -111,7 +112,11 @@ class FunctionSpec:
             raise ConstructionError(f"invalid provenance {self.provenance!r}")
         if (jet is None) == (self.eval_fn is None):
             raise ConstructionError(f"{self.label}: give either a jet or eval_fn")
-        if jet is not None:
+        if jet is None:
+            fns = (self.eval_fn, *self.derivatives)
+            jet = Jet(lambda x, lo, hi: [np.asarray(fns[k](x), dtype=float)
+                                         for k in range(lo, hi + 1)], len(fns) - 1)
+        else:
             object.__setattr__(self, "eval_fn", partial(_order, jet, 0))
             object.__setattr__(self, "derivatives", tuple(
                 partial(_order, jet, k) for k in range(1, jet.depth + 1)))
@@ -122,7 +127,7 @@ class FunctionSpec:
 
     @property
     def analytic_depth(self) -> int:
-        return len(self.derivatives)
+        return self._jet.depth
 
     @property
     def upper_cap(self) -> float:
@@ -130,22 +135,16 @@ class FunctionSpec:
         lo, hi = self.domain
         return hi if math.isfinite(hi) else lo + EVAL_HORIZON
 
-    def derivative(self, k: int) -> Callable:
-        """Callable for the k-th derivative (k = 0 is the function itself)."""
-        if not 0 <= k <= len(self.derivatives):
-            raise DerivativeOrderError(f"{self.label}: derivative order {k} is outside "
-                                       f"its stack 0..{len(self.derivatives)}")
-        return self.derivatives[k - 1] if k else self.eval_fn
-
-    def eval_on(self, xs: np.ndarray, order: int = 0) -> np.ndarray:
-        """Evaluate a derivative on a grid in one array call."""
-        return np.asarray(self.derivative(order)(np.asarray(xs, dtype=float)), dtype=float)
+    def eval_on(self, xs, order: int = 0) -> np.ndarray:
+        """f^(order) at xs (a float or an array), as a float array."""
+        return np.asarray(self.derivatives_on(xs, order, order)[0], dtype=float)
 
     def derivatives_on(self, xs, lo: int, hi: int) -> list:
-        """f^(k) at xs for k = lo..hi, each as eval_on gives it: one kernel
-        call on a jet, one call per order otherwise (or to raise past it)."""
-        if self._jet is None or hi > self.analytic_depth:
-            return [self.eval_on(xs, k) for k in range(lo, hi + 1)]
+        """f^(k) at xs for k = lo..hi in one jet call; an order outside the
+        stack 0..depth raises DerivativeOrderError."""
+        if lo < 0 or hi > self._jet.depth:
+            raise DerivativeOrderError(f"{self.label}: derivative order {lo if lo < 0 else hi} "
+                                       f"is outside its stack 0..{self._jet.depth}")
         return list(self._jet.rows(np.asarray(xs, dtype=float), lo, hi))
 
     def taylor(self, xs, lo: int, hi: int) -> np.ndarray:
@@ -618,13 +617,17 @@ def _object(where: str, raw: Any, required: tuple[str, ...],
             optional: tuple[str, ...] = ()) -> Mapping:
     """raw, a descriptor object with every required key and no key outside
     required + optional: a key that nothing reads raises InputFormatError
-    naming it instead of being ignored, a missing one ConstructionError."""
+    naming it instead of being ignored, a missing one ConstructionError; so
+    does a boolean value or list entry (no field is one; float(True) is 1)."""
     if not isinstance(raw, Mapping):
         raise InputFormatError(f"{where} must be an object, got {type(raw).__name__}")
     keys = required + optional
-    for key in raw:
+    for key, value in raw.items():
         if key not in keys:
             raise InputFormatError(f"{where}: nothing reads {key!r} (it reads {', '.join(keys)})")
+        if value is True or value is False or (
+                isinstance(value, (list, tuple)) and bool in map(type, value)):
+            raise InputFormatError(f"{where}: {key!r} holds a boolean, not a number")
     for key in required:
         if key not in raw:
             raise ConstructionError(f"{where}: missing parameter {key!r}")

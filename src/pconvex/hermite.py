@@ -129,8 +129,8 @@ def derivative_hh_bound(f: FunctionSpec, cert: ConvexityCertificate,
     avg = integrate(f.eval_fn, a, b).value / (b - a)
     lhs = abs(0.5 * (float(f(a)) + float(f(b))) - avg)
     c_p = 2.0 * (p + 0.5 ** p) / ((p + 1.0) * (p + 2.0))
-    d1a = abs(float(f.derivative(1)(a)))
-    d1b = abs(float(f.derivative(1)(b)))
+    d1a = abs(float(f.eval_on(a, 1)))
+    d1b = abs(float(f.eval_on(b, 1)))
     rhs = (b - a) / 4.0 * (c_p * d1a + (1.0 - c_p) * d1b)
     return lhs, rhs
 

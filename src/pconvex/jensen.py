@@ -68,7 +68,7 @@ def _value_error(f: FunctionSpec, point: float, moment_error: float) -> float:
     evaluation point (zero for exact discrete moments)."""
     if moment_error == 0.0:
         return 0.0
-    return abs(float(f.derivative(1)(point))) * moment_error
+    return abs(float(f.eval_on(point, 1))) * moment_error
 
 
 def _digest(f: FunctionSpec, X: RandomVariable, p: int, kind: str) -> str:

@@ -43,6 +43,21 @@ def certified_members(p: int):
     return members
 
 
+def numeric_fields(node, key=None) -> list:
+    """(container, slot, key naming it) for every number in a JSON
+    descriptor; a list entry is named by the key of its list."""
+    slots = node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+    out = []
+    for slot, value in slots:
+        name = slot if isinstance(node, dict) else key
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            out.append((node, slot, name))
+        else:
+            out += numeric_fields(value, name)
+    return out
+
+
 def random_bounded_rv(rng: np.random.Generator, a: float, b: float):
     """A random distribution supported in [a, b] (discrete, sample or density)."""
     choice = rng.integers(0, 3)

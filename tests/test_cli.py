@@ -170,6 +170,23 @@ _PROBES = [
                       "support": [0, 2]}, _ENDS),
     ("beta-like-ends", {"kind": "density", "family": "beta-like",
                         "params": {"a": 0, "b": 1, "c": 2, "d": 3}, "support": [0, 2]}, _ENDS),
+    # a JSON boolean where a number is read: each ran, true as 1 and false as 0
+    ("bool-q", {"family": "shifted-power", "params": {"q": True}}, "'q' holds a boolean"),
+    ("bool-domain", {"family": "shifted-power", "params": {"q": 2.0}, "domain": [False, True]},
+     "'domain' holds a boolean"),
+    ("bool-p", {"family": "exp-taylor-remainder", "params": {"p": True}},
+     "'p' holds a boolean"),
+    ("bool-coeff", {"family": "polynomial", "params": {"coeffs": [True, 2]}},
+     "'coeffs' holds a boolean"),
+    ("bool-weight", {"family": "nonneg-weighted-sum", "params": {"terms": [
+        {"weight": True, "function": {"family": "exponential"}}]}}, "'weight' holds a boolean"),
+    ("bool-atom", {"kind": "discrete", "atoms": [True, 2.0], "probs": [0.5, 0.5]},
+     "'atoms' holds a boolean"),
+    ("bool-value", {"kind": "sample", "values": [0.5, False, 2.0]}, "'values' holds a boolean"),
+    ("bool-support", {"kind": "density", "family": "uniform", "support": [False, 1.0]},
+     "'support' holds a boolean"),
+    ("bool-c", {"kind": "density", "family": "beta-like", "params": {"c": True, "d": 2.0},
+                "support": [0.0, 1.0]}, "'c' holds a boolean"),
 ]
 
 
@@ -409,6 +426,39 @@ class TestSweepAndDeterminism:
             out = tmp_path / f"{suite}.csv"
             assert main(["sweep", "--suite", suite, "--out", str(out)]) == 0
             assert out.read_bytes().decode().startswith(("p,", "s,"))
+
+    @pytest.mark.parametrize("route", ["flag", "problem file"])
+    @pytest.mark.parametrize("suite, given, words", [
+        ("hh", {"-p": 2}, "does not take -p"),
+        ("jensen", {"-p": 2}, "does not take -p"),
+        ("mgf", {"--p-max": 3}, "does not take --p-max"),
+        ("mgf", {"-f": "function"}, "does not take -f"),
+        ("hh", {"-d": "distribution"}, "does not take -d"),
+        ("hh", {"--p-max": 0}, "--p-max must be >= 1"),
+        ("hh", {"--p-max": -2}, "--p-max must be >= 1"),
+        ("jensen", {"--p-max": 0}, "--p-max must be >= 1"),
+    ])
+    def test_input_the_suite_does_not_read_exits_one(self, suite, given, words, route,
+                                                     fn_file, dist_file, tmp_path, capsys):
+        # each ran and exited 0: -p, -f and -d were ignored, --p-max 0 ran
+        # orders 1..6 and --p-max -2 wrote a header-only CSV
+        (flag, value), = given.items()
+        files = {"function": fn_file, "distribution": dist_file}
+        out = tmp_path / "out.csv"
+        if route == "flag":
+            argv = ["sweep", "--suite", suite, flag, files.get(value, str(value))]
+        else:
+            problem = {"version": 1, "task": "sweep", "params": {"suite": suite}}
+            if value in files:
+                problem[value] = json.loads(Path(files[value]).read_text())
+            else:
+                problem["params"][flag.lstrip("-").replace("-", "_")] = value
+            path = tmp_path / "problem.json"
+            path.write_text(json.dumps(problem))
+            argv = ["run", str(path)]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert words in capsys.readouterr().err
+        assert not out.exists()
 
     def test_threads_env_preserves_output(self, tmp_path, monkeypatch):
         base = tmp_path / "seq.csv"

@@ -7,13 +7,15 @@ makes the tightened bounds tighter than classical Jensen downstream.
 from __future__ import annotations
 
 import copy
+import json
 import math
 import pickle
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import bad_points
+from conftest import bad_points, numeric_fields
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -28,9 +30,12 @@ from pconvex.errors import (
 )
 from pconvex.distributions import (
     _DIGEST_NODES,
+    _TRUNCATION_MASS,
     RandomVariable,
     _digest_nodes,
+    _truncation_horizon,
     beta_like,
+    density,
     discrete,
     distribution_from_descriptor,
     distribution_to_descriptor,
@@ -53,7 +58,7 @@ from pconvex.functions import (
     polynomial,
     shifted_power,
 )
-from pconvex.numerics import FSUM_CROSSOVER, QUADRATURE_TOLERANCE, gamma
+from pconvex.numerics import FSUM_CROSSOVER, QUADRATURE_TOLERANCE, gamma, pnorm_shifted
 
 
 class TestShiftedMoment:
@@ -376,6 +381,47 @@ def _described_variable():
         st.builds(from_sample, values), _named_density())
 
 
+class TestMomentIsOneExpect:
+    """shifted_moment is one expect of the scaled power (max(x - a, 0) /
+    scale)^n, scale = sup X - a, for every kind of variable."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(X=_described_variable(), below=st.floats(min_value=0.0, max_value=2.0),
+           order=st.integers(min_value=1, max_value=64))
+    def test_raw_and_norm_have_the_bits_of_the_expect(self, X, below, order):
+        a = X.inf - below
+        scale = X.sup - a
+        rep = shifted_moment(X, a, order)
+        assert rep.method == ("quadrature" if X.kind == "density" else "exact-sum")
+        if scale == 0.0:
+            assert (rep.raw, rep.norm, rep.error_estimate) == (0.0, 0.0, 0.0)
+            return
+        scaled, err = expect(X, lambda x: (np.maximum(x - a, 0.0) / scale) ** order)
+        try:
+            raw = scaled * scale ** order
+        except OverflowError:
+            raw = math.inf
+        assert _bits(rep.raw) == _bits(raw)
+        assert _bits(rep.norm) == _bits(pnorm_shifted(scaled, order, scale))
+        assert rep.error_estimate == err
+
+    @pytest.mark.parametrize("shift, order, error", [
+        (0.0, 2, 3.303632832099379e-09), (-0.5, 3, None)])
+    def test_unbounded_density_keeps_its_truncation_term(self, shift, order, error):
+        X = density(lambda x: np.exp(-np.asarray(x, dtype=float)), (0.0, math.inf))
+        rep = shifted_moment(X, shift, order)
+        top = _truncation_horizon(X)
+        scaled, err = expect(replace(X, declared_support=(0.0, top)),
+                             lambda x: (np.maximum(x - shift, 0.0) / (top - shift)) ** order)
+        assert rep.error_estimate == err + _TRUNCATION_MASS * (1.0 + (top - shift))
+        assert rep.raw == scaled * (top - shift) ** order
+        # E X^2 of the unit exponential is 2, and the estimate is the one
+        # computed before the moment went through expect
+        if error is not None:
+            assert rep.raw == pytest.approx(2.0, rel=1e-9)
+            assert rep.error_estimate == pytest.approx(error, rel=1e-12)
+
+
 class TestDescriptors:
     @pytest.mark.parametrize("raw", [
         {"kind": "discrete", "atoms": [0.0, 1.0], "probs": [0.5, 0.5]},
@@ -407,6 +453,12 @@ class TestDescriptors:
         (stray if where == "top" else stray["params"])[key] = 1.0
         with pytest.raises(InputFormatError, match=re.escape(f"nothing reads {key!r}")):
             distribution_from_descriptor(stray)
+        # a JSON boolean in any numeric field (float(True) is 1.0)
+        flipped = json.loads(json.dumps(desc))
+        container, slot, name = data.draw(st.sampled_from(numeric_fields(flipped)))
+        container[slot] = data.draw(st.booleans())
+        with pytest.raises(InputFormatError, match=re.escape(f"{name!r} holds a boolean")):
+            distribution_from_descriptor(flipped)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(X=_named_density(),

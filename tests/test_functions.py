@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import json
 import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import numeric_fields
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -77,29 +79,27 @@ class TestDerivativeStacks:
         xs = rng.uniform(lo, hi, size=25)
         depth = min(f.analytic_depth, 4)
         for k in range(1, depth + 1):
-            prev = f.derivative(k - 1)
-            cur = f.derivative(k)
             for x in xs:
-                want = fd_derivative(prev, float(x), 1)
-                got = float(cur(float(x)))
+                want = fd_derivative(lambda t: f.eval_on(t, k - 1), float(x), 1)
+                got = float(f.eval_on(float(x), k))
                 assert got == pytest.approx(want, rel=1e-4, abs=1e-6), (f.label, k, x)
 
     def test_shifted_power_stack(self):
         f = shifted_power(2.0)
         assert float(f(3.0)) == pytest.approx(9.0)
-        assert float(f.derivative(1)(3.0)) == pytest.approx(6.0)
-        assert float(f.derivative(2)(3.0)) == pytest.approx(2.0)
-        assert float(f.derivative(3)(3.0)) == 0.0
+        assert float(f.eval_on(3.0, 1)) == pytest.approx(6.0)
+        assert float(f.eval_on(3.0, 2)) == pytest.approx(2.0)
+        assert float(f.eval_on(3.0, 3)) == 0.0
 
     def test_exponential_stack(self):
         f = exponential(1.0)
         for k in range(5):
-            assert float(f.derivative(k)(1.3)) == pytest.approx(math.exp(1.3), rel=1e-12)
+            assert float(f.eval_on(1.3, k)) == pytest.approx(math.exp(1.3), rel=1e-12)
 
     def test_log_affine_critical_point(self):
         f = log_affine(0.6)
         assert float(f(0.6)) == pytest.approx(math.log(0.6) - 1.0, rel=1e-12)
-        assert float(f.derivative(1)(0.6)) == pytest.approx(0.0, abs=1e-14)
+        assert float(f.eval_on(0.6, 1)) == pytest.approx(0.0, abs=1e-14)
 
     def test_vectorized_evaluation(self):
         f = exp_taylor_remainder(2)
@@ -132,7 +132,7 @@ class TestDerivativeStacks:
     def test_order_cap(self):
         f = numeric_function(lambda x: x * x, (0.0, 1.0))
         with pytest.raises(DerivativeOrderError):
-            f.derivative(5)
+            f.eval_on(0.5, 5)
 
 
 class TestNumericJet:
@@ -156,7 +156,7 @@ class TestNumericJet:
         rows = f.derivatives_on(xs, 1, 4)
         for k in range(1, 5):
             for x in (lo, hi):
-                rows.append(f.derivative(k)(x))
+                rows.append(f.eval_on(x, k))
         seen = np.concatenate(seen)
         assert lo <= seen.min() and seen.max() <= hi
         assert all(np.all(np.isfinite(r)) for r in rows)
@@ -173,7 +173,7 @@ class TestNumericJet:
                  math.exp: lambda k: math.exp(x)}[fn]
         f = numeric_function(fn, domain)
         for k in orders:
-            assert float(f.derivative(k)(x)) == pytest.approx(truth(k), rel=rel), k
+            assert float(f.eval_on(x, k)) == pytest.approx(truth(k), rel=rel), k
 
     def test_orders_near_a_singular_end_keep_their_signs(self):
         f = numeric_function(math.log, (1e-3, 0.6))
@@ -197,7 +197,7 @@ class TestTaylorRemainder:
         for p in (1, 2, 3):
             r = taylor_remainder(exponential(1.0), p)
             for k in range(p + 1):
-                assert abs(float(r.derivative(k)(0.0))) <= 1e-12, (p, k)
+                assert abs(float(r.eval_on(0.0, k))) <= 1e-12, (p, k)
 
     def test_matches_exp_tail_family(self):
         r = taylor_remainder(exponential(1.0), 2)
@@ -227,12 +227,12 @@ class TestAntiderivative:
         g = shifted_power(2.0, domain=(0.0, 2.0))  # g(z) = z^2, g(0) = 0
         f = antiderivative_from(g)
         assert float(f(1.5)) == pytest.approx(1.5 ** 3 / 3.0, rel=1e-9)
-        assert float(f.derivative(1)(1.2)) == pytest.approx(1.44, rel=1e-12)
+        assert float(f.eval_on(1.2, 1)) == pytest.approx(1.44, rel=1e-12)
 
     def test_offset_removed(self):
         g = polynomial([1.0, 0.0, 1.0], domain=(0.0, 2.0))  # 1 + z^2
         f = antiderivative_from(g)
-        assert float(f.derivative(1)(0.0)) == pytest.approx(0.0, abs=1e-14)
+        assert float(f.eval_on(0.0, 1)) == pytest.approx(0.0, abs=1e-14)
 
 
 class TestComposeInverse:
@@ -241,8 +241,8 @@ class TestComposeInverse:
                                shifted_power(2.0, domain=(0.0, 4.0)))
         for y in (0.25, 1.0, 4.0):
             assert float(comp(y)) == pytest.approx(y * y, rel=1e-9)
-        assert float(comp.derivative(1)(1.0)) == pytest.approx(2.0, rel=1e-8)
-        assert float(comp.derivative(2)(1.0)) == pytest.approx(2.0, rel=1e-8)
+        assert float(comp.eval_on(1.0, 1)) == pytest.approx(2.0, rel=1e-8)
+        assert float(comp.eval_on(1.0, 2)) == pytest.approx(2.0, rel=1e-8)
 
     def test_self_composition_is_identity(self):
         f = shifted_power(3.0, domain=(0.0, 2.0))
@@ -262,14 +262,14 @@ class TestComposeInverse:
                                shifted_power(2.0, domain=(0.0, 2.0)))
         assert comp.provenance == "mixed"
         # the composed jet reaches every order both stacks reach
-        assert abs(float(comp.derivative(3)(1.0))) < 1e-4
+        assert abs(float(comp.eval_on(1.0, 3))) < 1e-4
 
     def test_array_evaluation_matches_scalar_calls(self):
         comp = compose_inverse(shifted_power(4.0, domain=(0.0, 4.0)),
                                shifted_power(2.0, domain=(0.0, 4.0)))
         ys = np.linspace(0.1, 16.0, 9)
         for k in range(4):
-            want = [float(comp.derivative(k)(float(y))) for y in ys]
+            want = [float(comp.eval_on(float(y), k)) for y in ys]
             assert comp.eval_on(ys, k).tolist() == want, k
 
     def test_decreasing_rejected(self):
@@ -354,12 +354,18 @@ class TestDescriptors:
         (stray if where == "top" else stray["params"])[key] = 1.0
         with pytest.raises(InputFormatError, match=re.escape(f"nothing reads {key!r}")):
             function_from_descriptor(stray)
+        # a JSON boolean in any numeric field (float(True) is 1.0)
+        flipped = json.loads(json.dumps(desc))
+        container, slot, name = data.draw(st.sampled_from(numeric_fields(flipped)))
+        container[slot] = data.draw(st.booleans())
+        with pytest.raises(InputFormatError, match=re.escape(f"{name!r} holds a boolean")):
+            function_from_descriptor(flipped)
 
     def test_derivative_function_view(self):
         f = shifted_power(4.0, domain=(0.0, 2.0))
         g = derivative_function(f)
         assert float(g(1.0)) == pytest.approx(4.0)
-        assert float(g.derivative(1)(1.0)) == pytest.approx(12.0)
+        assert float(g.eval_on(1.0, 1)) == pytest.approx(12.0)
 
 
 class TestCombinatorEdges:
@@ -368,7 +374,7 @@ class TestCombinatorEdges:
         g = affine_precompose(inner, -1.0, 4.0)  # g(x) = (4 - x)^2
         assert g.domain == (0.0, 4.0)
         assert float(g(1.0)) == pytest.approx(9.0)
-        assert float(g.derivative(1)(1.0)) == pytest.approx(-6.0)
+        assert float(g.eval_on(1.0, 1)) == pytest.approx(-6.0)
 
     def test_zero_scale_rejected(self):
         with pytest.raises(ConstructionError):
@@ -390,7 +396,7 @@ class TestCombinatorEdges:
         t = exp_taylor_remainder(2)
         # third and higher derivatives of the order-2 tail are plain exp
         for k in (3, 4, 5):
-            assert float(t.derivative(k)(0.7)) == pytest.approx(math.exp(0.7), rel=1e-12)
+            assert float(t.eval_on(0.7, k)) == pytest.approx(math.exp(0.7), rel=1e-12)
 
 
 class TestInversionRoundtrip:
@@ -495,29 +501,63 @@ class TestJetsAgainstMpmath:
                 assert abs(g - w) <= 1e-12 * max(abs(w), size[k]), (name, y, k, g, w)
 
 
+def _rebuilt(f):
+    """f rebuilt by dataclasses.replace from wrapped copies of its views (as a
+    tracer rebuilds it), so that it evaluates through a jet of callables."""
+    return dataclasses.replace(f, eval_fn=lambda x: f.eval_fn(x),
+                               derivatives=tuple(lambda x, d=d: d(x) for d in f.derivatives))
+
+
 class TestOneDerivativeMechanism:
     def test_spec_rebuilt_from_its_callables_has_the_same_jet(self):
         """dataclasses.replace with wrapped callables (as a tracer does)
         evaluates through them, with the jet's values bit for bit."""
-        def wrapped(f):
-            return dataclasses.replace(f, eval_fn=lambda x: f.eval_fn(x),
-                                       derivatives=tuple(lambda x, d=d: d(x)
-                                                         for d in f.derivatives))
-
         ys = np.linspace(0.5, 9.5, 33)
         l, f = _INVERSES["(e^x + x^3) o inv[x + x^3]"][:2]
-        for a, b in [(l, wrapped(l)), (compose_inverse(l, f),
-                                       compose_inverse(wrapped(l), wrapped(f)))]:
+        for a, b in [(l, _rebuilt(l)), (compose_inverse(l, f),
+                                        compose_inverse(_rebuilt(l), _rebuilt(f)))]:
             np.testing.assert_array_equal(b.taylor(ys, 0, 6), a.taylor(ys, 0, 6))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(sorted(_JETS)), u=st.floats(min_value=0.0, max_value=1.0))
+    def test_every_view_of_a_rebuilt_spec_has_the_jets_bits(self, name, u):
+        """A rebuilt spec gives eval_on, derivatives_on and taylor the bits of
+        the jet it was rebuilt from at every order of the stack, and both
+        raise one order past it."""
+        f, _, (lo, hi) = _JETS[name]
+        g = _rebuilt(f)
+        xs = np.array([lo, lo + u * (hi - lo), hi])
+        depth = f.analytic_depth
+        assert g.analytic_depth == depth
+        for k in range(depth + 1):
+            np.testing.assert_array_equal(g.eval_on(xs, k), f.eval_on(xs, k))
+            np.testing.assert_array_equal(g.eval_on(float(xs[1]), k),
+                                          f.eval_on(float(xs[1]), k))
+        for got, want in zip(g.derivatives_on(xs, 0, depth), f.derivatives_on(xs, 0, depth),
+                             strict=True):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(g.taylor(xs, 0, depth), f.taylor(xs, 0, depth))
+        for spec in (f, g):
+            with pytest.raises(DerivativeOrderError, match="outside its stack"):
+                spec.eval_on(xs, depth + 1)
+            with pytest.raises(DerivativeOrderError, match="outside its stack"):
+                spec.derivatives_on(xs, 0, depth + 1)
 
     def test_only_functions_builds_derivative_stacks(self):
         """No module but functions.py builds a spec from per-order callables
-        or imports its derivative-coefficient helpers."""
+        or imports its derivative-coefficient helpers, and no module or test
+        calls a method named derivative (a spec reads an order through
+        eval_on)."""
         found = []
-        for path in sorted(Path(pconvex.__file__).parent.glob("*.py")):
-            if path.name == "functions.py":
-                continue
+        modules = [path for path in sorted(Path(pconvex.__file__).parent.glob("*.py"))
+                   if path.name != "functions.py"]
+        for path in modules + sorted(Path(__file__).parent.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                        and node.func.attr == "derivative":
+                    found.append(f"{path.name}:{node.lineno}")
+                if path not in modules:
+                    continue
                 if isinstance(node, ast.Call) and any(kw.arg == "derivatives"
                                                       for kw in node.keywords):
                     found.append(f"{path.name}:{node.lineno}")
