@@ -428,21 +428,20 @@ class TestSweepAndDeterminism:
             assert out.read_bytes().decode().startswith(("p,", "s,"))
 
     @pytest.mark.parametrize("route", ["flag", "problem file"])
-    @pytest.mark.parametrize("suite, given, words", [
-        ("hh", {"-p": 2}, "does not take -p"),
-        ("jensen", {"-p": 2}, "does not take -p"),
-        ("mgf", {"--p-max": 3}, "does not take --p-max"),
-        ("mgf", {"-f": "function"}, "does not take -f"),
-        ("hh", {"-d": "distribution"}, "does not take -d"),
-        ("hh", {"--p-max": 0}, "--p-max must be >= 1"),
-        ("hh", {"--p-max": -2}, "--p-max must be >= 1"),
-        ("jensen", {"--p-max": 0}, "--p-max must be >= 1"),
+    @pytest.mark.parametrize("suite, flag, value, words", [
+        ("hh", "-p", 2, "does not take -p"),
+        ("jensen", "-p", 2, "does not take -p"),
+        ("mgf", "--p-max", 3, "does not take --p-max"),
+        ("mgf", "-f", "function", "does not take -f"),
+        ("hh", "-d", "distribution", "does not take -d"),
+        ("hh", "--p-max", 0, "--p-max must be >= 1"),
+        ("hh", "--p-max", -2, "--p-max must be >= 1"),
+        ("jensen", "--p-max", 0, "--p-max must be >= 1"),
     ])
-    def test_input_the_suite_does_not_read_exits_one(self, suite, given, words, route,
+    def test_input_the_suite_does_not_read_exits_one(self, suite, flag, value, words, route,
                                                      fn_file, dist_file, tmp_path, capsys):
         # each ran and exited 0: -p, -f and -d were ignored, --p-max 0 ran
         # orders 1..6 and --p-max -2 wrote a header-only CSV
-        (flag, value), = given.items()
         files = {"function": fn_file, "distribution": dist_file}
         out = tmp_path / "out.csv"
         if route == "flag":
