@@ -32,7 +32,7 @@ from .errors import (
     RangeOverflowError,
     SupportViolationError,
 )
-from .functions import FunctionSpec, _object
+from .functions import FunctionSpec, Jet, _object
 from .numerics import (
     EQ_ABS,
     GAMMA_MAX_ARG,
@@ -89,8 +89,9 @@ class RandomVariable:
     A finite (discrete or sample) variable converts and validates its
     points once, here: any non-numeric, non-1-D, empty or non-finite input
     raises ConstructionError.  Its point and weight arrays and inf/sup are
-    computed at construction, and its mean on first use; a declared support
-    of None means the span of the points (widened by 1 for a single point).
+    computed at construction, and its mean (and an unbounded density's
+    truncation horizon) on first use; a declared support of None means the
+    span of the points (widened by 1 for a single point).
     Variables compare by value; sample variables are not hashable.  Pickle
     and deepcopy rebuild a variable through the constructor.
     """
@@ -108,6 +109,7 @@ class RandomVariable:
     _points: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
     _weights: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
     _mean: float | None = field(init=False, repr=False, compare=False, default=None)
+    _horizon: float | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if self.kind == "discrete":
@@ -437,16 +439,19 @@ def _check_domain(X: RandomVariable, f) -> None:
 
 
 def _truncation_horizon(X: RandomVariable) -> float:
-    """Upper point H with mass(X > H) <= the truncation budget."""
-    lo = X.declared_support[0]
-    width = 1.0 + abs(lo)
-    for _ in range(80):
-        hi = lo + width
-        mass = integrate(X.pdf, lo, hi).value
-        if mass >= 1.0 - _TRUNCATION_MASS:
-            return hi
-        width *= 2.0
-    raise MomentDivergenceError("density mass does not concentrate below span 2^80")
+    """Upper point H with mass(X > H) <= the truncation budget, searched on
+    first use and then reused, as the mean is."""
+    if X._horizon is None:
+        lo = X.declared_support[0]
+        width = 1.0 + abs(lo)
+        for _ in range(80):
+            if integrate(X.pdf, lo, lo + width).value >= 1.0 - _TRUNCATION_MASS:
+                break
+            width *= 2.0
+        else:
+            raise MomentDivergenceError("density mass does not concentrate below span 2^80")
+        object.__setattr__(X, "_horizon", lo + width)
+    return X._horizon
 
 
 def _density_expect(X: RandomVariable, fn: Callable) -> tuple[float, float]:
@@ -553,7 +558,8 @@ def sample_mc(X: RandomVariable, n: int, seed: int) -> RandomVariable:
 
     Discrete and empirical kinds sample by inverse CDF over the atom table;
     uniform draws are lo + (hi - lo) u, and other densities solve cdf(x) = u
-    for all draws in one invert_monotone run.
+    for all draws in one invert_monotone run, on a cdf whose slope is the
+    pdf (fractional-hh) or the slope of its trapezoid table.
     """
     n = _integer(n, 1, "n")
     rng = np.random.default_rng(_integer(seed, 0, "seed"))
@@ -580,19 +586,23 @@ def sample_mc(X: RandomVariable, n: int, seed: int) -> RandomVariable:
         params = X.density_params
         a, b, alpha = params["a"], params["b"], params["alpha"]
 
-        def cdf(x):
+        def rows(x):
             return ((x - a) ** alpha + (b - a) ** alpha - (b - x) ** alpha) / \
-                (2.0 * (b - a) ** alpha)
+                (2.0 * (b - a) ** alpha), X.pdf(x)
     else:
         grid = np.linspace(lo, hi, 4097)
         pdf_vals = _eval_nodes(X.pdf, grid)
         cum = np.concatenate([[0.0], np.cumsum(0.5 * (pdf_vals[1:] + pdf_vals[:-1])
                                                * np.diff(grid))])
         cum /= cum[-1]
+        slope = np.diff(cum) / np.diff(grid)
 
-        def cdf(x):
-            return np.interp(x, grid, cum)
+        def rows(x):
+            j = np.searchsorted(grid, x, side="right") - 1
+            return np.interp(x, grid, cum), slope[np.minimum(np.maximum(j, 0), slope.size - 1)]
 
+    cdf = FunctionSpec(label="cdf", domain=(lo, hi),
+                       jet=Jet(lambda x, k_lo, k_hi: rows(x)[k_lo:k_hi + 1], 1))
     return from_sample(invert_monotone(cdf, u, (lo, hi)), X.declared_support)
 
 

@@ -94,6 +94,12 @@ class FunctionSpec:
     from them: given no jet, a spec's row k calls its k-th callable.  No
     spec has an order past its stack; a "numeric" or "mixed" provenance only
     widens a certificate's slack.
+
+    leading is the leading term (mu, c) of f(x) - f(lo) ~ c (x - lo)^mu at
+    the left end, mu > 0 and c != 0, where a family states one its jet
+    cannot show (x^q at its shift has an infinite row for a fractional q);
+    it is a field, so a rebuilt spec keeps it.  Without it, leading_term()
+    reads the term off the jet.
     """
 
     label: str
@@ -102,6 +108,7 @@ class FunctionSpec:
     derivatives: tuple[Callable, ...] = ()
     provenance: str = "analytic"  # analytic | numeric | mixed
     descriptor: Mapping[str, Any] | None = None
+    leading: tuple[float, float] | None = None
     jet: InitVar[Jet | None] = None
 
     def __post_init__(self, jet: Jet | None) -> None:
@@ -110,6 +117,11 @@ class FunctionSpec:
             raise ConstructionError(f"invalid domain {self.domain}")
         if self.provenance not in ("analytic", "numeric", "mixed"):
             raise ConstructionError(f"invalid provenance {self.provenance!r}")
+        if self.leading is not None:
+            mu, c = map(float, self.leading)
+            if not (0.0 < mu < math.inf and c != 0.0 and math.isfinite(c)):
+                raise ConstructionError(f"{self.label}: invalid leading term {self.leading}")
+            object.__setattr__(self, "leading", (mu, c))
         if (jet is None) == (self.eval_fn is None):
             raise ConstructionError(f"{self.label}: give either a jet or eval_fn")
         if jet is None:
@@ -152,6 +164,41 @@ class FunctionSpec:
         return np.array([d / math.factorial(k)
                          for k, d in zip(range(lo, hi + 1), self.derivatives_on(xs, lo, hi))])
 
+    def leading_term(self) -> tuple[float, float] | None:
+        """The leading term (mu, c) at the left end: the stated one, else
+        (k, f^(k)(lo)/k!) for the first jet row k >= 1 at lo that is not 0;
+        None where that row is infinite or NaN, or every row is 0."""
+        return _leading_at(self, self.domain[0])
+
+
+def _leading_at(f: FunctionSpec, x: float) -> tuple[float, float] | None:
+    """f's leading term at x: the stated one at f's left end, else
+    (k, f^(k)(x)/k!) for the first row k >= 1 of f's jet at x that is not 0,
+    or None where that row is not finite or every row is 0."""
+    if f.leading is not None and x == f.domain[0]:
+        return f.leading
+    # row 1 alone first: it decides every spec whose f'(x) is not 0
+    rows = f.derivatives_on(x, 1, 1) if f.analytic_depth else []
+    if rows and float(rows[0]) == 0.0:
+        rows += f.derivatives_on(x, 2, f.analytic_depth)
+    for k, d in enumerate(map(float, rows), start=1):
+        if d != 0.0:
+            return (float(k), d / math.factorial(k)) if math.isfinite(d) else None
+    return None
+
+
+def _term(mu: float, c) -> tuple[float, float] | None:
+    """(mu, c) as a leading term, or None where c left double range."""
+    c = float(c)
+    return (mu, c) if c != 0.0 and math.isfinite(c) else None
+
+
+def _provenance(specs: Sequence[FunctionSpec]) -> str:
+    """"analytic" when every spec is, "numeric" when none is, else "mixed"."""
+    if all(f.provenance == "analytic" for f in specs):
+        return "analytic"
+    return "mixed" if any(f.provenance == "analytic" for f in specs) else "numeric"
+
 
 # ---------------------------------------------------------------------------
 # Catalog families
@@ -175,7 +222,7 @@ def _power_rows(base: np.ndarray, q, lo: int, hi: int, scale=1.0) -> list:
     for k in range(1, hi + 1):
         c = c * (q - k + 1)
         if k >= lo:
-            e = np.where(c == 0.0, 0.0, q - k) if members else q - k if c else 0.0
+            e = np.maximum(q - k, 0.0) if members else q - k if c else 0.0
             with contextlib.nullcontext() if members or e >= 0.0 else np.errstate(divide="ignore"):
                 rows.append((c + 0.0) * scale ** k * base ** e)  # + 0.0: no -0 rows
     return rows
@@ -210,7 +257,8 @@ def _horner(x: np.ndarray, coeffs: Sequence[float]) -> np.ndarray:
 
 def shifted_power(q: float, shift: float = 0.0,
                   domain: tuple[float, float] | None = None) -> FunctionSpec:
-    """(x - shift)^q with q >= 1; domain defaults to [shift, inf)."""
+    """(x - shift)^q with q >= 1; domain defaults to [shift, inf).  A domain
+    that starts at the shift states the leading term (q, 1) there."""
     _finite("shifted-power q and shift", q, shift)
     if q < 1.0:
         raise ConstructionError(f"shifted-power needs exponent q >= 1, got {q}")
@@ -226,6 +274,7 @@ def shifted_power(q: float, shift: float = 0.0,
         label=f"(x-{shift:g})^{q:g}" if shift else f"x^{q:g}",
         domain=dom,
         descriptor={"family": "shifted-power", "params": {"q": q, "a": shift}},
+        leading=(q, 1.0) if dom[0] <= shift else None,
         jet=Jet(rows, _CATALOG_DEPTH),
     )
 
@@ -340,7 +389,9 @@ def polynomial(coeffs: Sequence[float],
 
 def affine_precompose(inner: FunctionSpec, scale: float, offset: float,
                       domain: tuple[float, float] | None = None) -> FunctionSpec:
-    """g(x) = inner(scale * x + offset); g^(k) is scale^k inner^(k)."""
+    """g(x) = inner(scale * x + offset); g^(k) is scale^k inner^(k).  With
+    scale > 0 and g's domain starting where inner's does, inner's stated
+    leading term (mu, c) carries through as (mu, c scale^mu)."""
     scale = float(scale)
     offset = float(offset)
     _finite("affine-precompose scale and offset", scale, offset)
@@ -368,18 +419,28 @@ def affine_precompose(inner: FunctionSpec, scale: float, offset: float,
         desc = {"family": "affine-precompose",
                 "params": {"scale": scale, "offset": offset,
                            "inner": dict(inner.descriptor)}}
+    lead = None
+    if scale > 0.0 and inner.leading is not None and dom[0] == (ilo - offset) / scale:
+        mu, c = inner.leading
+        with np.errstate(over="ignore", under="ignore"):
+            lead = _term(mu, c * np.float64(scale) ** mu)
     return FunctionSpec(
         label=f"{inner.label}({scale:g}x+{offset:g})",
         domain=dom,
         provenance=inner.provenance,
         descriptor=desc,
+        leading=lead,
         jet=Jet(rows, inner.analytic_depth),
     )
 
 
 def nonneg_weighted_sum(terms: Sequence[tuple[float, FunctionSpec]],
                         domain: tuple[float, float] | None = None) -> FunctionSpec:
-    """sum_i w_i f_i with w_i >= 0; the jets add."""
+    """sum_i w_i f_i with w_i >= 0; the jets add.  Where a term states its
+    leading term, the sum states the least mu of its weighted terms' leading
+    terms at its left end, with their weighted c at that mu added (each
+    other term's read off its jet there); none when a term has none or the
+    coefficients cancel."""
     if not terms:
         raise ConstructionError("weighted sum needs at least one term")
     weights = [float(w) for w, _ in terms]
@@ -392,13 +453,17 @@ def nonneg_weighted_sum(terms: Sequence[tuple[float, FunctionSpec]],
     dom = (lo, hi) if domain is None else (float(domain[0]), float(domain[1]))
     if not dom[0] < dom[1]:
         raise ConstructionError("weighted-sum domains do not overlap")
-    prov = "analytic"
-    if any(f.provenance != "analytic" for f in fns):
-        prov = "mixed" if any(f.provenance == "analytic" for f in fns) else "numeric"
 
     def rows(x, lo, hi):
         jets = [f.derivatives_on(x, lo, hi) for f in fns]
         return [sum(w * jet[i] for w, jet in zip(weights, jets)) for i in range(hi - lo + 1)]
+
+    lead = None
+    if any(f.leading is not None for f in fns):
+        leads = [(w, _leading_at(f, dom[0])) for w, f in zip(weights, fns) if w > 0.0]
+        if leads and all(term is not None for _, term in leads):
+            mu = min(term[0] for _, term in leads)
+            lead = _term(mu, sum(w * term[1] for w, term in leads if term[0] == mu))
 
     desc = None
     if all(f.descriptor is not None for f in fns):
@@ -408,8 +473,9 @@ def nonneg_weighted_sum(terms: Sequence[tuple[float, FunctionSpec]],
     return FunctionSpec(
         label=" + ".join(f"{w:g}*{f.label}" for w, f in zip(weights, fns)),
         domain=dom,
-        provenance=prov,
+        provenance=_provenance(fns),
         descriptor=desc,
+        leading=lead,
         jet=Jet(rows, min(f.analytic_depth for f in fns)),
     )
 
@@ -538,6 +604,31 @@ def _revert_compose(l_jet: np.ndarray, f_jet: np.ndarray) -> list:
     return out
 
 
+def _anchor_rows(l_lead: tuple[float, float], f_lead: tuple[float, float],
+                 depth: int) -> list[float]:
+    """Rows 1..depth of l o f^(-1) at y_lo = f(lo) as one-sided limits from
+    the leading terms (mu_l, c_l) of l and (mu_f, c_f) of f at lo.
+
+    l(f^(-1)(y)) - l(lo) ~ c_l ((y - y_lo)/c_f)^r with r = mu_l/mu_f, so
+    row k is 0 where r > k or where the coefficient r (r-1)...(r-k+1)
+    vanishes, k! c_l/c_f^k where r = k, and otherwise infinite with the sign
+    of c_l times that coefficient.
+    """
+    (mu_l, c_l), (mu_f, c_f) = l_lead, f_lead
+    r = mu_l / mu_f
+    out, coeff = [], 1.0
+    for k in range(1, depth + 1):
+        coeff *= r - k + 1
+        if r > k or coeff == 0.0:
+            out.append(0.0)
+        elif r == k:
+            with np.errstate(over="ignore", divide="ignore"):
+                out.append(float(coeff * c_l / np.float64(c_f) ** k))
+        else:
+            out.append(math.copysign(math.inf, c_l * coeff))
+    return out
+
+
 def compose_inverse(l: FunctionSpec, f: FunctionSpec,
                     horizon: float = math.inf) -> FunctionSpec:
     """y -> l(f^(-1)(y)) on [f(lo), f(hi)] for strictly increasing f, where
@@ -548,19 +639,19 @@ def compose_inverse(l: FunctionSpec, f: FunctionSpec,
     and increasing values are checked.  One invert_monotone run solves
     x = f^(-1)(y) for all points of a call, each in the one table cell
     whose values bracket its y (numerics._table_cell, whose end values the
-    solver takes from the table); the jet at y is the series reversion of
-    f's jet at x composed with l's jet there (_revert_compose), to every
-    order both stacks reach.
+    solver takes from the table), and in the first cell from the
+    leading-term inverse lo + ((y - y_lo)/c_f)^(1/mu_f); the jet at y is the
+    series reversion of f's jet at x composed with l's jet there
+    (_revert_compose), to every order both stacks reach.
 
-    The provenance stays "mixed" because of the anchor.  Where f'(lo) = 0
-    the reversion divides by 0, so y is clamped to y_lo + 1e-9 (y_hi - y_lo)
-    and a certificate's anchor conditions at y_lo are read at that interior
-    point: for x^4 o (x^2)^(-1) on [0, 10], f^(1)(y_lo) reads 2e-7, not 0,
-    which only the widened slack of a mixed spec admits.  The clamp stays
-    until the anchor is settled from the leading exponents of l and f.
-    Bounding the range to the horizon keeps it below every grid point past
-    y_lo: over an unbounded domain the full cap put it above the whole
-    certified range.
+    At y_lo the rows the reversion leaves infinite or NaN (all of them past
+    order 0 where f'(lo) = 0, which it divides by) are the one-sided limits
+    of the leading terms of l and f at lo (_anchor_rows): for x^4 o
+    (x^2)^(-1) on [0, 10], f^(1)(y_lo) is 0 and f^(2)(y_lo) is 2.  Where
+    f'(lo) = 0 and l or f has no leading term, the anchor cannot be read
+    and MonotonicityError names it.  The provenance is that of l and f
+    together (analytic when both are), and the composition states its own
+    leading term (r, c_l/c_f^r).
     """
     lo = f.domain[0]
     horizon = float(horizon)
@@ -578,18 +669,42 @@ def compose_inverse(l: FunctionSpec, f: FunctionSpec,
         raise MonotonicityError(f"{f.label} values do not strictly increase on the grid")
 
     y_lo, y_hi = float(vals[0]), float(vals[-1])
-    y_eps = 1e-9 * (y_hi - y_lo)
+    depth = min(l.analytic_depth, f.analytic_depth)
+    l_lead, f_lead = l.leading_term(), f.leading_term()
+    if l_lead is None or f_lead is None:
+        if d1[0] == 0.0:
+            raise MonotonicityError(
+                f"{l.label} o inv[{f.label}]: f'({lo!r}) = 0 and "
+                f"{f.label if f_lead is None else l.label} has no leading term there, "
+                f"so the anchor at y = {y_lo!r} has no one-sided limit")
+        anchor, lead = None, None
+    else:
+        anchor = _anchor_rows(l_lead, f_lead, depth)
+        r = l_lead[0] / f_lead[0]
+        with np.errstate(over="ignore", divide="ignore", under="ignore"):
+            lead = _term(r, l_lead[1] / np.float64(f_lead[1]) ** r)
 
     def rows(y, k_lo, k_hi):
-        y = np.clip(y, y_lo + y_eps, y_hi)
-        x = invert_monotone(f.eval_fn, y, _table_cell(xs, vals, y))
-        return _revert_compose(l.taylor(x, 0, k_hi), f.taylor(x, 1, k_hi))[k_lo:]
+        cell = _table_cell(xs, vals, y)
+        if f_lead is not None:  # the first cell starts at the leading-term inverse
+            with np.errstate(invalid="ignore"):
+                start = lo + ((y - y_lo) / f_lead[1]) ** (1.0 / f_lead[0])
+            cell = (*cell, np.where(cell[0] == lo, start, np.nan))
+        x = invert_monotone(f, y, cell)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = _revert_compose(l.taylor(x, 0, k_hi), f.taylor(x, 1, k_hi))
+        if anchor is not None:
+            at = x == lo
+            out[1:] = [np.where(at & ~np.isfinite(row), a, row)
+                       for row, a in zip(out[1:], anchor)]
+        return out[k_lo:]
 
     return FunctionSpec(
         label=f"{l.label} o inv[{f.label}]",
         domain=(y_lo, y_hi),
-        provenance="mixed",
-        jet=Jet(rows, min(l.analytic_depth, f.analytic_depth)),
+        provenance=_provenance((l, f)),
+        leading=lead,
+        jet=Jet(rows, depth),
     )
 
 

@@ -5,7 +5,8 @@ speed), the gamma function (math.gamma / math.lgamma behind domain and
 overflow checks), one endpoint-graded Gauss-Legendre quadrature for
 integrands with algebraic end weights (t - a)^(left-1) (b - t)^(right-1),
 stable shifted p-norm arithmetic, fail-closed monotone inversion of float
-or array targets, and Richardson-extrapolated finite differences.
+or array targets by bracketed Newton steps from a function's jet, and
+Richardson-extrapolated finite differences.
 
 The quadrature has one rule with fixed constants: QUADRATURE_NODES
 Gauss-Legendre nodes per panel, doubled at most QUADRATURE_DOUBLINGS times
@@ -412,84 +413,148 @@ def _table_cell(xs: np.ndarray, vals: np.ndarray, y) -> tuple:
     return xs[j - 1], xs[j], vals[(*members, j - 1)], vals[(*members, j)]
 
 
+def _jet_rows(f, x: np.ndarray, k: int) -> list:
+    """Rows 0..k of the jet of the FunctionSpec f at x, from one call, as
+    float arrays; a complex row raises DomainError naming the points."""
+    rows = f.derivatives_on(x, 0, k)
+    if any(np.iscomplexobj(r) for r in rows):
+        raise DomainError(f"f has no real value at the {_points(np.asarray(x))}")
+    return [np.asarray(r, dtype=float) for r in rows]
+
+
+def _split(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The bisection point of a bracket (a, b): 0 where it straddles 0, the
+    geometric mean where its ends share a sign and span more than one
+    binade (an end at 0 counting as the smallest normal float), else the
+    midpoint; so a bracket of any width reaches a root near 0 in as many
+    steps as it has binades."""
+    ma, mb = np.maximum(abs(a), _TINY), np.maximum(abs(b), _TINY)
+    geo = np.sqrt(ma) * np.sqrt(mb)
+    mean = np.where(np.maximum(ma, mb) > 2.0 * np.minimum(ma, mb),
+                    np.where(b > 0.0, geo, -geo), a + 0.5 * (b - a))
+    return np.where((a < 0.0) & (b > 0.0), 0.0, mean)
+
+
 # scipy.optimize is not used: importing it adds ~0.35 s and ~21 MB to
 # `import pconvex`, and its elementwise.find_root costs ~4 ms per target.
-def invert_monotone(f: Callable, y, bracket) -> float | np.ndarray:
-    """Solve f(x) = y for a strictly increasing f and a float or array y.
+def invert_monotone(f, y, bracket) -> float | np.ndarray:
+    """Solve f(x) = y for a strictly increasing FunctionSpec f and a float or
+    array y.
 
     bracket is (lo, hi), floats or arrays that broadcast to y, or a table
     cell (lo, hi, f(lo), f(hi)) from _table_cell, whose end values are used
-    instead of two calls of f.  Floats give a float; arrays give an array
-    equal to the float runs bit for bit, with f called once per step on all
-    points, in their order and shape (a solved point at its bracket end, a
-    single point as a float through _eval_nodes).  Callers rely on this: an
-    f that takes point i through its own function solves one equation per
-    point in one run.  Targets within EQ_ABS + EQ_REL |y| of [f(lo), f(hi)]
-    are clamped into it; any other target, a non-finite target or bracket
-    end, or lo > hi raises BracketError, f NaN where evaluated raises
+    instead of two calls of f, optionally followed by start points (NaN
+    where the cell's secant is to be the start).  Floats give a float;
+    arrays give an array equal to the float runs bit for bit: each step is
+    one call f.derivatives_on(x, 0, 1) on all points, in their order and
+    shape (a solved point at its answer).  Callers rely on this: an f that
+    takes point i through its own function solves one equation per point
+    in one run.  Targets within EQ_ABS + EQ_REL |y| of [f(lo), f(hi)] are
+    clamped into it; any other target, a non-finite target or bracket end,
+    or lo > hi raises BracketError, f NaN where evaluated raises
     ConvergenceError, and f complex there raises DomainError naming the
-    point, in the float run as in the array run.  Chandrupatla's steps
-    (inverse quadratic interpolation when safe, else bisection; Adv. Eng.
-    Software 28(3), 1997) run until the residual is zero or the bracket is
-    below 1e-14 |x| (at least the smallest normal float); the end with the
-    smaller residual is returned.  A solve that has not stopped after 2100
-    steps raises ConvergenceError carrying that end.
+    point, in the float run as in the array run.
+
+    The steps are those of rtsafe (Press et al., Numerical Recipes, 3rd
+    ed., 2007, section 9.4).  From the start, a given one in the cell or
+    else the secant of the cell, each step is the Newton step x - r/f'(x)
+    of the residual r = f(x) - y when it lands inside the bracket left by
+    the points evaluated so far and is at most a quarter of the previous
+    step; otherwise (f' zero, infinite or NaN, a step out of the bracket, or
+    a slow one, as near a multiple root) it bisects the bracket (_split).
+    A point stops when its residual is zero; when its Newton correction is
+    at most 1e-14 |x|, with that correction applied, provided its residuals
+    have changed sign and the correction is at most a quarter of the one
+    before (so the steps converge quadratically), or the correction no
+    longer moves x; or, after a bisection, when its bracket is below
+    1e-14 |x| (at least the smallest normal float), at the end with the
+    smaller residual.  A solve that has not stopped after 2100 steps raises
+    ConvergenceError carrying those ends.
     """
-    y, *ends = (np.asarray(v, dtype=float)[()] for v in (y, *bracket))
-    scalar = all(np.ndim(v) == 0 for v in (y, *ends))
-    if not scalar:
+    y, *ends = (np.asarray(v, dtype=float) for v in (y, *bracket))
+    scalar = all(v.ndim == 0 for v in (y, *ends))
+    if len({v.shape for v in (y, *ends)}) > 1:
         y, *ends = np.broadcast_arrays(y, *ends)
     lo, hi, *given = ends
-    # the float run and the array run differ in these three only
-    where = (lambda c, a, b: a if c else b) if scalar else np.where
-    done = bool if scalar else np.all
-    ev = (lambda x: np.float64(_real(f(float(x)), x, ""))) if scalar else \
-        (lambda x: _eval_nodes(f, x))
 
     ok = np.isfinite(y) & np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)
-    if not done(ok):
+    if not ok.all():
         raise BracketError(f"targets {np.extract(~ok, y)} or brackets {np.extract(~ok, lo)}"
                            f" to {np.extract(~ok, hi)} are not finite and ordered")
-    flo, fhi = given or (ev(lo), ev(hi))
+    flo, fhi = given[:2] if given else (_jet_rows(f, v, 0)[0] for v in (lo, hi))
     slack = EQ_ABS + EQ_REL * abs(y)
     ok = (flo - slack <= y) & (y <= fhi + slack)
-    if not done(ok):
+    if not ok.all():
         raise BracketError(f"targets {np.extract(~ok, y)} outside [f(lo), f(hi)] = "
                            f"{np.extract(~ok, flo)} to {np.extract(~ok, fhi)}")
     y = np.minimum(np.maximum(y, flo), fhi)
 
-    # (x1, x2) brackets the root, x3 is the point dropped last.  A solved
-    # target is evaluated at x1 again, which leaves its bracket unchanged.
-    x1, r1, x2, r2, t = lo, flo - y, hi, fhi - y, 0.5
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for step in range(_MAX_ITER + 1):
-            dx = abs(x2 - x1)
-            tol = np.maximum(1e-14 * np.maximum(abs(x1), abs(x2)), _TINY)
-            stop = (dx <= tol) | (r1 == 0.0) | (r2 == 0.0) | np.isnan(r1)
-            if done(stop) or step == _MAX_ITER:
-                break
-            tl = 0.5 * tol / dx
-            t = np.minimum(np.maximum(t, tl), 1.0 - tl)
-            x = where(stop, x1, x1 + t * (x2 - x1))
-            r = ev(x) - y
-            flip = (r < 0.0) != (r1 < 0.0)
-            x3, r3 = where(flip, x2, x1), where(flip, r2, r1)
-            x2, r2 = where(flip, x1, x2), where(flip, r1, r2)
-            x1, r1 = x, r
-            xi = (x1 - x2) / (x3 - x2)
-            phi = (r1 - r2) / (r3 - r2)
-            alpha = (x3 - x1) / (x2 - x1)
-            iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
-            t = where(iqi, r1 / (r1 - r2) * r3 / (r3 - r2)
-                      - alpha * r1 / (r3 - r1) * r2 / (r2 - r3), 0.5)
-    if np.any(np.isnan(r1)):
-        raise ConvergenceError(f"f is NaN at x = {np.extract(np.isnan(r1), x1)}",
-                               math.nan, math.inf)
-    x = where(abs(r2) < abs(r1), x2, x1)
-    if not done(stop):
+    # (a, b) brackets the root with residuals ra <= 0 <= rb; out holds the
+    # answer of each stopped point, where it is evaluated from then on.  A
+    # nonzero target below the smallest normal float meets values of f that
+    # carry no relative precision, so it takes no Newton step and a zero
+    # residual counts as positive: it bisects to the least x with f(x) >= y.
+    a, b, ra, rb = lo, hi, flo - y, fhi - y
+    flat = abs(y) < _TINY
+    flats = bool(flat.any())
+    if flats:
+        flat = flat & (y != 0.0)
+    done = (ra == 0.0) | ((rb == 0.0) & ~flat if flats else rb == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = lo + (y - flo) / (fhi - flo) * (hi - lo)
+        if len(given) > 2:
+            x = np.where((lo <= given[2]) & (given[2] <= hi), given[2], x)
+        inside = (lo <= x) & (x <= hi)
+        if not inside.all():
+            x = np.where(inside, x, _split(lo, hi))
+        if done.any():
+            x = np.where(ra == 0.0, lo, np.where(done, hi, x))
+        out = x
+        # the last step, the last correction, the residual signs seen, and
+        # whether the last step bisected (only then can the bracket close)
+        last, prev, below, above, split = hi - lo, math.inf, done & False, done & False, None
+        for _ in range(_MAX_ITER if not done.all() else 0):
+            v, d = _jet_rows(f, x, 1)
+            r = v - y
+            if np.isnan(r).any():
+                bad = np.isnan(r) & ~done
+                if bad.any():
+                    raise ConvergenceError(f"f is NaN at x = {np.extract(bad, x)}",
+                                           math.nan, math.inf)
+            zero, neg, pos = r == 0.0, r < 0.0, r > 0.0
+            if flats:
+                zero, pos = zero & ~flat, pos | (zero & flat)
+            a, ra = np.where(neg, x, a), np.where(neg, r, ra)
+            b, rb = np.where(pos, x, b), np.where(pos, r, rb)
+            below, above = below | neg, above | pos
+            c = r / d
+            ac, newton = abs(c), x - c
+            valid = np.isfinite(c) & (c != 0.0)  # f' finite and nonzero
+            if flats:
+                valid = valid & ~flat
+            small = valid & ((below & above & (ac <= np.minimum(1e-14 * abs(x), 0.25 * prev)))
+                             | (newton == x))
+            stop = zero | small
+            if split is not None:
+                stop = stop | (split & (b - a <= np.maximum(
+                    1e-14 * np.maximum(abs(a), abs(b)), _TINY)))
+            stop = stop & ~done
+            if stop.any():
+                out = np.where(stop, np.where(zero, x, np.where(
+                    small, np.minimum(np.maximum(newton, a), b),
+                    np.where(abs(rb) < abs(ra), b, a))), out)
+                done = done | stop
+                if done.all():
+                    break
+            step = valid & (a < newton) & (newton < b) & (ac <= 0.25 * abs(last))
+            nxt, split = (newton, None) if step.all() else (
+                np.where(step, newton, _split(a, b)), ~step)
+            last, prev, x = nxt - x, ac, np.where(done, out, nxt)
+    if not done.all():
+        best = np.where(done, out, np.where(abs(rb) < abs(ra), b, a))
         raise ConvergenceError(f"no convergence in {_MAX_ITER} steps for targets "
-                               f"{np.extract(~stop, y)}", x, dx)
-    return float(x) if np.ndim(x) == 0 else x
+                               f"{np.extract(~done, y)}", float(best) if scalar else best, b - a)
+    return float(out) if scalar else out
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,10 @@ increasing on [0, horizon].  Two instruments live here:
   x^a, (1 + b x)^g and e^(e x).
 
 Every certainty equivalent is solved in the cell of a 257-point table of
-the loss function on the range of the lottery.
+the loss function on the range of the lottery, by Newton steps from the
+loss function's jet (numerics.invert_monotone).  The inverse composition a
+comparison certifies is analytic when both loss functions are: its anchor
+at f(lo) is read from their leading terms (functions.compose_inverse).
 """
 
 from __future__ import annotations
@@ -95,10 +98,10 @@ def certainty_equivalent(l: FunctionSpec, X: RandomVariable) -> float:
     if not X.bounded:
         raise DomainError(f"a certainty equivalent needs a bounded lottery, sup X = {X.sup}")
     target, _ = expect(X, l)
-    return _solve_in_table(l.eval_fn, l.eval_on, target, X.inf, X.sup)
+    return _solve_in_table(l, l.eval_on, target, X.inf, X.sup)
 
 
-def _solve_in_table(f, table_of_f, y, lo: float, hi: float):
+def _solve_in_table(f: FunctionSpec, table_of_f, y, lo: float, hi: float):
     """Solve f(c) = y for a float or an array of targets in one
     invert_monotone run, each target in the cell of one table of f on
     [lo, hi] that brackets it, with the cell's end values from the table.
@@ -121,8 +124,12 @@ def certify_p_more_risk_averse(l: FunctionSpec, f: FunctionSpec, p: int,
     convex of order p-1 on the transformed range [f(lo), f(horizon)] (f's
     evaluation cap when that is lower), so the comparison reduces to one
     certification of the composed map, which is composed over that range
-    alone.  The composition's provenance is "mixed", so its certificate
-    widens the slack by convexity.NUMERIC_SLACK_FACTOR.
+    alone.  The composition's provenance is that of l and f together: two
+    analytic loss functions give an analytic composition, certified at the
+    slack given, and its anchor conditions at f(lo) are read from their
+    leading terms, so a pure-power pair x^a against x^b holds exactly when
+    a/b >= p.  A numeric l or f makes it "mixed" or "numeric", and its
+    certificate widens the slack by convexity.NUMERIC_SLACK_FACTOR.
     """
     p = _order(p)
     comp = compose_inverse(l, f, horizon)
@@ -170,7 +177,7 @@ def falsify_p_more_risk_averse(l: FunctionSpec, f: FunctionSpec, p: int,
         # the preimage counts only above a floor: at or below it, it is not solved
         center = floor = 1e-3 * horizon
         if floor < hi and (floor < lo or float(f(floor)) < y):
-            center = max(invert_monotone(f.eval_fn, y, (lo, hi)), floor)
+            center = max(invert_monotone(f, y, (lo, hi)), floor)
 
     # trial i draws the row u[i]; lo + (hi - lo) * u is rng.uniform(lo, hi) bit
     # for bit, with the span hi - lo computed as numpy computes it
@@ -191,7 +198,7 @@ def falsify_p_more_risk_averse(l: FunctionSpec, f: FunctionSpec, p: int,
         raise DomainMismatchError(f"a lottery leaves the domain of {l.label}")
 
     budget = lam * l.eval_on(x1) + (1.0 - lam) * l.eval_on(x2)
-    c = _solve_in_table(l.eval_fn, l.eval_on, budget, x1.min(), x2.max())
+    c = _solve_in_table(l, l.eval_on, budget, x1.min(), x2.max())
     lhs = (lam * f.eval_on(x1) ** p + (1.0 - lam) * f.eval_on(x2) ** p) ** (1.0 / p)
     rhs = f.eval_on(c)
     margin = lhs - rhs
@@ -345,4 +352,4 @@ def _certainty_equivalents(params: np.ndarray, X: RandomVariable) -> np.ndarray:
     sweep, stacked = _Sweep(params), _Sweep(params[:, :, None])
     members = (sweep.member(i) for i in range(params.shape[1]))
     targets = np.array(expect_each(X, stacked, members), dtype=float)
-    return _solve_in_table(sweep, stacked, targets, X.inf, X.sup)
+    return _solve_in_table(sweep.spec("sweep members", 1), stacked, targets, X.inf, X.sup)

@@ -26,7 +26,8 @@ _DEFAULTED = {
                                      "density_params"),
     "distributions.discrete": ("support",),
     "distributions.from_sample": ("support",),
-    "functions.FunctionSpec": ("eval_fn", "derivatives", "provenance", "descriptor", "jet"),
+    "functions.FunctionSpec": ("eval_fn", "derivatives", "provenance", "descriptor", "leading",
+                               "jet"),
     "functions.affine_precompose": ("domain",),
     "functions.compose_inverse": ("horizon",),
     "functions.derivative_function": ("k",),

@@ -203,10 +203,12 @@ class TestPastTheAnalyticStack:
         def counting(f, y, *args, **kwargs):
             solves.append([np.size(y), 0])
 
-            def counted(x):
+            def rows(x, lo, hi):
                 solves[-1][1] += 1
-                return f(x)
+                return f.derivatives_on(x, lo, hi)
 
+            counted = functions.FunctionSpec(label=f.label, domain=f.domain,
+                                             jet=functions.Jet(rows, 1))
             return real(counted, y, *args, **kwargs)
 
         monkeypatch.setattr(functions, "invert_monotone", counting)
@@ -215,29 +217,35 @@ class TestPastTheAnalyticStack:
     def test_risk_comparison_solves_its_grid_once(self, monkeypatch):
         # at p = 2 the anchor f^(1)(a) at one point, then f^(2) and f^(3)
         # from one jet on the 257-point grid; at p = 1 there is no anchor
-        # condition, so no solve for it
+        # condition, so no solve for it.  The anchor's target is the first
+        # table value, so its solve evaluates nothing (it took 13 calls of f
+        # from the 1e-9 clamp point before the anchors were leading terms)
         solves = self._solves(monkeypatch)
         quartic, square = (shifted_power(q, domain=(0.0, 50.0)) for q in (4.0, 2.0))
         comp = certify_p_more_risk_averse(quartic, square, 2, 10.0, 256)
         assert comp.holds
-        assert [n for n, _ in solves] == [1, 257]
+        assert solves == [[1, 0], [257, 3]]
         solves.clear()
         comp = certify_p_more_risk_averse(square, square, 1, 10.0, 256)
         assert comp.holds
-        assert [n for n, _ in solves] == [257]
+        assert solves == [[257, 3]]
 
-    @pytest.mark.parametrize("q_l, q_f, p, evaluations", [(4.0, 2.0, 2, 13),
-                                                          (2.0, 4.0, 1, 8)])
+    @pytest.mark.parametrize("q_l, q_f, p, evaluations", [(4.0, 2.0, 2, [[1, 0], [257, 3]]),
+                                                          (2.0, 4.0, 1, [[257, 3]])],
+                             ids=["4.0-2.0-2-3", "2.0-4.0-1-3"])
     def test_criterion_six_solves_in_table_cells(self, q_l, q_f, p, evaluations, monkeypatch):
         # each target is solved in the cell of f's 257-point table that
-        # brackets it, with the cell's end values from the table; over the
-        # whole range [0, 10] these solves took 23 (anchor and grid) and 18
-        # evaluations of f, and in cells whose ends were evaluated 15 and 10
+        # brackets it, with the cell's end values from the table, by Newton
+        # steps from the jet: (targets, jet calls) of each solve.  Over the
+        # whole range [0, 10] the bracketing steps that came before took 23
+        # (anchor and grid) and 18 evaluations of f, in cells whose ends
+        # were evaluated 15 and 10, and in cells with their end values 13
+        # and 8
         solves = self._solves(monkeypatch)
         comp = certify_p_more_risk_averse(shifted_power(q_l, domain=(0.0, 50.0)),
                                           shifted_power(q_f, domain=(0.0, 50.0)), p, 10.0, 256)
         assert comp.holds == (p == 2)
-        assert solves and all(count <= evaluations for _, count in solves)
+        assert solves == evaluations
 
     @pytest.mark.parametrize("certify, p, orders", [
         (certify_p_convex, 0, 1), (certify_p_convex, 1, 2), (certify_p_convex, 2, 2),

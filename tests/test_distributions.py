@@ -381,6 +381,39 @@ def _described_variable():
         st.builds(from_sample, values), _named_density())
 
 
+class TestTruncationHorizonOnce:
+    """An unbounded density's truncation horizon is searched once per
+    variable, as its mean is computed once."""
+
+    @staticmethod
+    def _bound(monkeypatch, X):
+        from pconvex import distributions
+        from pconvex.convexity import certify_p_convex
+        from pconvex.jensen import jensen_lower
+        calls = []
+        real = distributions.integrate
+        monkeypatch.setattr(distributions, "integrate",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        f = shifted_power(3.0)
+        rep = jensen_lower(f, certify_p_convex(f, 1, 0.0, 1.0), X)
+        return rep, len(calls)
+
+    def test_jensen_lower_on_the_unit_exponential(self, monkeypatch):
+        # the search integrates the pdf over [0, 2^k] for k = 0..5; the
+        # moment, the mean and the oracle each ran it (21 integrals in all)
+        X = density(lambda x: np.exp(-np.asarray(x)), (0.0, math.inf))
+        copy_ = replace(X, pdf=X.pdf)  # a fresh variable: no search yet
+        rep, calls = self._bound(monkeypatch, copy_)
+        assert calls == 9
+        # the constructor's normalisation check found it on X already
+        again, calls = self._bound(monkeypatch, X)
+        assert calls == 3 and again == rep
+        # the bits of the three-search bound
+        assert (rep.value, rep.oracle, rep.oracle_error, rep.value_error) == (
+            2.828427124716906, 5.999999999543611, 3.276900012434498e-06,
+            1.9821796992459456e-08)
+
+
 class TestMomentIsOneExpect:
     """shifted_moment is one expect of the scaled power (max(x - a, 0) /
     scale)^n, scale = sup X - a, for every kind of variable."""

@@ -258,11 +258,24 @@ class TestComposeInverse:
             assert float(comp(float(f(x)))) == pytest.approx(float(l(x)), rel=1e-8, abs=1e-10)
 
     def test_provenance_mixed(self):
+        # an analytic l over a numeric f (or the reverse) is "mixed"; two
+        # numeric ones are "numeric"
+        square = numeric_function(lambda x: x * x, (0.5, 2.0), label="numeric-square")
+        quartic = shifted_power(4.0, domain=(0.5, 2.0))
+        assert compose_inverse(quartic, square).provenance == "mixed"
+        assert compose_inverse(square, quartic).provenance == "mixed"
+        assert compose_inverse(square, square).provenance == "numeric"
+        # the composed jet reaches every order both stacks reach
+        assert abs(float(compose_inverse(quartic, square).eval_on(1.0, 3))) < 1e-4
+
+    def test_provenance_analytic(self):
+        # two analytic specs compose to an analytic one: the anchor at
+        # y_lo is read from leading terms, not at a clamped point
         comp = compose_inverse(shifted_power(4.0, domain=(0.0, 2.0)),
                                shifted_power(2.0, domain=(0.0, 2.0)))
-        assert comp.provenance == "mixed"
-        # the composed jet reaches every order both stacks reach
-        assert abs(float(comp.eval_on(1.0, 3))) < 1e-4
+        assert comp.provenance == "analytic"
+        assert comp.derivatives_on(0.0, 0, 4) == [0.0, 0.0, 2.0, 0.0, 0.0]
+        assert abs(float(comp.eval_on(1.0, 3))) < 1e-12
 
     def test_array_evaluation_matches_scalar_calls(self):
         comp = compose_inverse(shifted_power(4.0, domain=(0.0, 4.0)),
@@ -276,6 +289,89 @@ class TestComposeInverse:
         g = polynomial([1.0, -1.0], domain=(0.0, 1.0))  # 1 - x
         with pytest.raises(MonotonicityError):
             compose_inverse(shifted_power(2.0), g)
+
+
+class TestLeadingTerms:
+    """Each family's leading term (mu, c) of f(x) - f(lo) ~ c (x - lo)^mu at
+    its left end, against its closed form; the composition reads its anchor
+    rows from them."""
+
+    @pytest.mark.parametrize("f, want", [
+        (shifted_power(2.5), (2.5, 1.0)),
+        (shifted_power(4.0, shift=1.0, domain=(1.0, 3.0)), (4.0, 1.0)),
+        (shifted_power(3.0, shift=1.0, domain=(2.0, 3.0)), (1.0, 3.0)),  # 3 (2 - 1)^2
+        (exponential(0.7), (1.0, 0.7)),
+        (exp_taylor_remainder(3), (4.0, 1.0 / 24.0)),
+        (log_affine(0.5, domain=(0.25, 0.5)), (1.0, 2.0)),  # 1/x - 1/b at 0.25
+        (polynomial([1.0, 0.0, 3.0, 1.0]), (2.0, 3.0)),
+        (affine_precompose(shifted_power(2.5), 2.0, 0.0), (2.5, 2.0 ** 2.5)),
+        (affine_precompose(shifted_power(3.0, shift=1.0), 2.0, 1.0), (3.0, 8.0)),
+        (nonneg_weighted_sum([(2.0, shifted_power(2.5)), (3.0, shifted_power(1.5))]),
+         (1.5, 3.0)),
+        (nonneg_weighted_sum([(1.0, shifted_power(2.5)), (2.0, shifted_power(2.5))]),
+         (2.5, 3.0)),
+        (nonneg_weighted_sum([(1.0, shifted_power(2.5, domain=(0.0, 1.0))),
+                              (0.5, polynomial([0.0, 0.0, 1.0]))]), (2.0, 0.5)),
+        (taylor_remainder(exponential(1.0), 2), (3.0, 1.0 / 6.0)),
+        (compose_inverse(shifted_power(4.5, domain=(0.0, 2.0)),
+                         shifted_power(1.5, domain=(0.0, 2.0))), (3.0, 1.0)),
+        (compose_inverse(shifted_power(2.0, domain=(0.0, 2.0)),
+                         affine_precompose(shifted_power(2.0), 3.0, 0.0, (0.0, 2.0))),
+         (1.0, 1.0 / 9.0)),
+    ], ids=lambda v: getattr(v, "label", None))
+    def test_closed_form(self, f, want):
+        mu, c = f.leading_term()
+        assert mu == want[0] and c == pytest.approx(want[1], rel=1e-14)
+
+    @pytest.mark.parametrize("f", [
+        derivative_function(shifted_power(4.5)),  # 4.5 x^3.5: row 4 is infinite at 0
+        taylor_remainder(shifted_power(2.5), 1),  # x^2.5: row 3 is infinite at 0
+        exponential(0.0),  # constant: every row is 0
+    ], ids=lambda f: f.label)
+    def test_none_where_the_jet_cannot_show_it(self, f):
+        assert f.leading is None and f.leading_term() is None
+
+    @pytest.mark.parametrize("f", [f for f, _, _ in catalog_zoo()]
+                             + [shifted_power(2.5, domain=(0.0, 4.0)),
+                                affine_precompose(shifted_power(2.5), 2.0, 0.0)],
+                             ids=lambda f: f.label)
+    def test_a_rebuilt_spec_keeps_it(self, f):
+        # dataclasses.replace, as a tracer rebuilds a spec from its views,
+        # carries the stated term and reads the same one off the rebuilt jet
+        copy = dataclasses.replace(f, eval_fn=f.eval_fn, derivatives=f.derivatives)
+        assert copy.leading == f.leading
+        assert copy.leading_term() == f.leading_term()
+
+    @pytest.mark.parametrize("leading", [(0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0),
+                                         (2.0, 0.0), (2.0, math.nan)])
+    def test_invalid_rejected(self, leading):
+        with pytest.raises(ConstructionError, match="invalid leading term"):
+            dataclasses.replace(shifted_power(2.0), leading=leading)
+
+    def test_anchor_without_a_leading_term_fails_closed(self):
+        # f'(0) = 0 and f's first nonzero row at 0 is infinite: the rows of
+        # the composition at y_lo have no one-sided limit to read
+        f = taylor_remainder(shifted_power(2.5, domain=(0.0, 4.0)), 1)
+        with pytest.raises(MonotonicityError, match="no leading term.*anchor at y = 0.0"):
+            compose_inverse(shifted_power(3.0), f, 2.0)
+
+    @pytest.mark.parametrize("q_l, q_f, rows", [
+        (4.0, 2.0, [0.0, 2.0, 0.0, 0.0]),  # y^2
+        (3.0, 2.0, [0.0, math.inf, -math.inf, math.inf]),  # y^1.5
+        (2.0, 2.0, [1.0, 0.0, 0.0, 0.0]),  # y
+        (2.5, 1.0, [0.0, 0.0, math.inf, -math.inf]),  # y^2.5, f'(lo) = 1
+        (7.0, 1.0, [0.0, 0.0, 0.0, 0.0]),  # y^7, the reversion at lo
+    ])
+    def test_anchor_rows_are_one_sided_limits(self, q_l, q_f, rows):
+        comp = compose_inverse(shifted_power(q_l, domain=(0.0, 3.0)),
+                               shifted_power(q_f, domain=(0.0, 3.0)))
+        assert [float(r) for r in comp.derivatives_on(0.0, 1, 4)] == rows
+        # the clamp that read them at 1e-9 of the range is gone: past y_lo
+        # the rows are the reversion's, in one array call with y_lo
+        ys = np.array([0.0, 1e-9, 0.5])
+        got = comp.derivatives_on(ys, 1, 4)
+        assert [float(r[0]) for r in got] == rows
+        assert all(np.isfinite(r[1:]).all() for r in got)
 
 
 # the keys a function descriptor reads: at the top level, and in the params
@@ -415,7 +511,7 @@ class TestInversionRoundtrip:
         from pconvex.numerics import invert_monotone
         for x in np.linspace(lo, hi, 9):
             y = float(f(float(x)))
-            back = invert_monotone(f.eval_fn, y, (f.domain[0], hi))
+            back = invert_monotone(f, y, (f.domain[0], hi))
             assert back == pytest.approx(float(x), rel=1e-9, abs=1e-9)
 
 
@@ -490,7 +586,7 @@ class TestJetsAgainstMpmath:
         l, f, l_expr, f_expr, (lo, hi) = _INVERSES[name]
         y = lo + u * (hi - lo)
         got = compose_inverse(l, f).taylor(y, 0, _ORDERS)
-        x = invert_monotone(f.eval_fn, y, (f.domain[0], f.upper_cap))
+        x = invert_monotone(f, y, (f.domain[0], f.upper_cap))
         with mpmath.workdps(40):
             y_solved = f_expr(mpmath.mpf(x))
             want = mpmath.taylor(

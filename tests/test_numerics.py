@@ -30,7 +30,10 @@ from pconvex.errors import (
     DomainError,
     RangeOverflowError,
 )
+from pconvex.distributions import fractional_hh_density
 from pconvex.functions import (
+    FunctionSpec,
+    Jet,
     exp_taylor_remainder,
     exponential,
     log_affine,
@@ -416,72 +419,104 @@ def _cell_targets(q, shift, span, fractions, nodes, near, outside):
     return f, xs, vals, ys
 
 
+def _jet_spec(f, df, label="f"):
+    """f with its exact derivative df as a two-row jet, on a domain wide
+    enough for every bracket below (the solver reads only the bracket)."""
+    return FunctionSpec(label=label, domain=(-1e300, math.inf),
+                        jet=Jet(lambda x, lo, hi: [f(x), df(x)][lo:hi + 1], 1))
+
+
+def _ssqrt(x):
+    return np.sign(x) * np.sqrt(np.abs(x))
+
+
+# sign-sqrt, whose f' is infinite at its root 0
+_SSQRT = _jet_spec(_ssqrt, lambda x: 0.5 / np.sqrt(np.abs(x)), "ssqrt")
+_CUBE = _jet_spec(lambda x: x ** 3, lambda x: 3.0 * x * x, "x^3")
+_TANH = _jet_spec(np.tanh, lambda x: 1.0 / np.cosh(x) ** 2, "tanh")
+_CBRT = _jet_spec(np.cbrt, lambda x: 1.0 / (3.0 * np.cbrt(x) ** 2), "cbrt")
+_EXPM1 = _jet_spec(np.expm1, np.exp, "expm1")
+_LOG = _jet_spec(np.log, lambda x: 1.0 / x, "log")
+
+
+def _recorded(f, points):
+    """f as a spec whose jet appends each point it is called at to points."""
+    def rows(x, lo, hi):
+        points.extend(np.ravel(x).tolist())
+        return f.derivatives_on(x, lo, hi)
+    return FunctionSpec(label=f.label, domain=f.domain, jet=Jet(rows, 1))
+
+
 class TestInvertMonotone:
     def test_square(self):
-        assert invert_monotone(lambda x: x * x, 4.0, (0.0, 10.0)) == pytest.approx(2.0, abs=1e-10)
+        f = shifted_power(2.0, domain=(0.0, 10.0))
+        assert invert_monotone(f, 4.0, (0.0, 10.0)) == pytest.approx(2.0, abs=1e-10)
 
     def test_cube(self):
-        assert invert_monotone(lambda x: x ** 3, 0.125, (0.0, 1.0)) == pytest.approx(0.5, abs=1e-12)
+        f = shifted_power(3.0, domain=(0.0, 1.0))
+        assert invert_monotone(f, 0.125, (0.0, 1.0)) == pytest.approx(0.5, abs=1e-12)
 
     def test_expm1(self):
-        x = invert_monotone(lambda x: math.exp(x) - 1.0, math.e - 1.0, (0.0, 2.0))
+        x = invert_monotone(_EXPM1, math.e - 1.0, (0.0, 2.0))
         assert x == pytest.approx(1.0, abs=1e-12)
 
     def test_bracket_error(self):
         with pytest.raises(BracketError):
-            invert_monotone(lambda x: x, 5.0, (0.0, 1.0))
+            invert_monotone(shifted_power(1.0), 5.0, (0.0, 1.0))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.floats(min_value=0.01, max_value=50.0),
            st.integers(min_value=1, max_value=6))
     def test_roundtrip_powers(self, x, q):
-        f = lambda t: t ** q
-        recovered = invert_monotone(f, f(x), (0.0, 64.0))
+        f = shifted_power(float(q))
+        recovered = invert_monotone(f, float(f(x)), (0.0, 64.0))
         assert recovered == pytest.approx(x, rel=1e-10, abs=1e-10)
 
     def test_small_root_is_relatively_accurate(self):
         # the stopping floor is relative to |x|, not absolute below |x| = 1
-        x = invert_monotone(lambda x: x * x, 1e-20, (0.0, 10.0))
+        f = shifted_power(2.0)
+        x = invert_monotone(f, 1e-20, (0.0, 10.0))
         assert abs(x - 1e-10) <= 1e-13 * 1e-10
-        assert invert_monotone(lambda x: x * x, np.array([1e-20]), (0.0, 10.0)).tolist() == [x]
+        assert invert_monotone(f, np.array([1e-20]), (0.0, 10.0)).tolist() == [x]
 
     def test_small_root_of_rough_f_is_reached(self):
-        # sign-sqrt defeats interpolation near its root 1e-200, so the steps
-        # bisect across some 660 binades before the relative floor is met
-        ssqrt = lambda x: np.sign(x) * np.sqrt(np.abs(x))
-        x = invert_monotone(ssqrt, 1e-100, (-1.0, 2.0))
+        # sign-sqrt's Newton steps leave the bracket far from its root
+        # 1e-200, so the steps bisect, at 0 and then at geometric means,
+        # before the relative floor is met
+        x = invert_monotone(_SSQRT, 1e-100, (-1.0, 2.0))
         assert abs(x - 1e-200) <= 1e-13 * 1e-200
-        assert invert_monotone(ssqrt, np.array([1e-100, 0.5]), (-1.0, 2.0))[0] == x
+        assert invert_monotone(_SSQRT, np.array([1e-100, 0.5]), (-1.0, 2.0))[0] == x
 
     def test_root_at_zero_inside_the_bracket(self):
         # no relative floor can be met across 0: the bracket closes below
         # the smallest normal float, or f reaches the target exactly
-        for f in (lambda x: x ** 3, lambda x: np.sign(x) * np.sqrt(np.abs(x))):
+        for f in (_CUBE, _SSQRT):
             x = invert_monotone(f, 0.0, (-1.0, 2.0))
             assert abs(x) <= 1e-100
             assert invert_monotone(f, np.array([0.0, 0.5]), (-1.0, 2.0))[0] == x
 
     def test_float_in_float_out(self):
-        assert type(invert_monotone(lambda x: x * x, 4.0, (0.0, 10.0))) is float
-        out = invert_monotone(lambda x: x * x, [4.0], (0.0, 10.0))
+        f = shifted_power(2.0)
+        assert type(invert_monotone(f, 4.0, (0.0, 10.0))) is float
+        out = invert_monotone(f, [4.0], (0.0, 10.0))
         assert isinstance(out, np.ndarray) and out.shape == (1,)
 
     @pytest.mark.parametrize("f,g,lo,hi", [
-        (lambda x: x * x, np.sqrt, 0.0, 10.0),
-        (lambda x: x ** 5, lambda y: y ** 0.2, 0.0, 10.0),
-        (lambda x: x ** 7, lambda y: y ** (1.0 / 7.0), 0.0, 3.0),
-        (np.exp, np.log, -5.0, 5.0),
+        (shifted_power(2.0), np.sqrt, 0.0, 10.0),
+        (shifted_power(5.0), lambda y: y ** 0.2, 0.0, 10.0),
+        (shifted_power(7.0), lambda y: y ** (1.0 / 7.0), 0.0, 3.0),
+        (exponential(1.0, domain=(-5.0, 5.0)), np.log, -5.0, 5.0),
     ], ids=["sqrt", "fifth-root", "seventh-root", "log"])
     def test_closed_form_inverses(self, f, g, lo, hi):
         xs = np.linspace(lo + 0.1 * (hi - lo), hi, 33)
-        ys = f(xs)
+        ys = f.eval_on(xs)
         want = g(ys)
         for got in (invert_monotone(f, ys, (lo, hi)),
                     [invert_monotone(f, float(y), (lo, hi)) for y in ys]):
             np.testing.assert_allclose(got, want, rtol=1e-13)
 
     def test_array_and_broadcast_brackets(self):
-        square = lambda x: x * x
+        square = shifted_power(2.0)
         ys = np.array([1.0, 4.0, 9.0])
         np.testing.assert_allclose(invert_monotone(square, ys, (0.0, [2.0, 3.0, 4.0])),
                                    [1.0, 2.0, 3.0], rtol=1e-14)
@@ -504,8 +539,8 @@ class TestInvertMonotone:
         f, lo, hi = _MONOTONE_MEMBERS[member]
         ylo, yhi = float(f(lo)), float(f(hi))
         ys = ylo + np.asarray(fractions) * (yhi - ylo)
-        batch = invert_monotone(f.eval_fn, ys, (lo, hi))
-        assert batch.tolist() == [invert_monotone(f.eval_fn, float(y), (lo, hi)) for y in ys]
+        batch = invert_monotone(f, ys, (lo, hi))
+        assert batch.tolist() == [invert_monotone(f, float(y), (lo, hi)) for y in ys]
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(**_CELL_INPUTS)
@@ -517,8 +552,8 @@ class TestInvertMonotone:
         # targets inside, on table nodes, at both ends, just above the
         # lower end, and outside the ends by less than the clamp slack
         f, xs, vals, ys = _cell_targets(q, shift, span, fractions, nodes, near, outside)
-        cell = invert_monotone(f.eval_fn, ys, _table_cell(xs, vals, ys))
-        whole = invert_monotone(f.eval_fn, ys, (xs[0], xs[-1]))
+        cell = invert_monotone(f, ys, _table_cell(xs, vals, ys))
+        whole = invert_monotone(f, ys, (xs[0], xs[-1]))
         np.testing.assert_allclose(cell, whole, rtol=1e-14, atol=0.0)
         assert cell[len(fractions) + len(nodes) + 3] == xs[0]
 
@@ -532,39 +567,115 @@ class TestInvertMonotone:
         # in a stacked table with one row per target (member i is f + i)
         f, xs, vals, ys = _cell_targets(q, shift, span, fractions, nodes, near, outside)
         offsets = np.arange(float(ys.size))
-        cases = [(f.eval_fn, float(y), vals) for y in ys] + [
-            (f.eval_fn, ys, vals),
-            (lambda x: f.eval_fn(x) + offsets, ys + offsets, vals + offsets[:, None])]
+        calls = []
+
+        def counted(shift_by):
+            def rows(x, lo, hi):
+                calls.append(1)
+                out = f.derivatives_on(x, lo, hi)
+                return [r + shift_by if k == 0 else r for k, r in zip(range(lo, hi + 1), out)]
+            return FunctionSpec(label="counted", domain=f.domain, jet=Jet(rows, 1))
+
+        cases = [(counted(0.0), float(y), vals) for y in ys] + [
+            (counted(0.0), ys, vals), (counted(offsets), ys + offsets, vals + offsets[:, None])]
         for fn, y, table in cases:
             cell = _table_cell(xs, table, y)
-            calls = []
-            counted = lambda x: calls.append(1) or fn(x)
-            given_ends = invert_monotone(counted, y, cell)
+            calls.clear()
+            given_ends = invert_monotone(fn, y, cell)
             given_calls = len(calls)
-            evaluated = invert_monotone(counted, y, cell[:2])
+            evaluated = invert_monotone(fn, y, cell[:2])
             assert np.asarray(given_ends).tobytes() == np.asarray(evaluated).tobytes()
             assert type(given_ends) is type(evaluated)
             assert len(calls) - given_calls == given_calls + 2
 
+    @pytest.mark.parametrize("f,y,bracket,root", [
+        (_TANH, 0.3, (-1e300, 1e300), math.atanh(0.3)),
+        (_CBRT, 1e-100, (-1e300, 1e300), 1e-300),
+    ], ids=["tanh", "cbrt"])
+    def test_bisection_at_zero_and_geometric_means(self, f, y, bracket, root):
+        # a bracket straddling 0 is split there, and one whose ends share a
+        # sign across binades at their geometric mean, so a root near 0 in
+        # a bracket of 2000 binades takes tens of steps, not one per binade
+        points = []
+        x = invert_monotone(_recorded(f, points), y, bracket)
+        assert len(points) < 100
+        assert abs(x - root) <= 1e-15 * root
+        assert 0.0 in points
 
-_NAN_ABOVE_HALF = lambda x: math.nan if x > 0.5 else x
-_NAN_INSIDE = lambda x: math.nan if 0.4 < x < 0.6 else x
-# the float run cast a numpy complex value to its real part: the first
-# returned 0.593774225170145
-_COMPLEX_ROOT = lambda x: np.emath.sqrt(x - 0.5) + x
-_COMPLEX_INSIDE = lambda x: np.complex128(x) if 0.4 < x < 0.6 else x
+    @pytest.mark.parametrize("q", [2.0, 3.5])
+    def test_zero_derivative_at_the_shift_bisects_on(self, q):
+        # x^q at its shift 0 has f' = 0 there, where the split of a bracket
+        # across 0 lands: the solve bisects on and reaches the root
+        points = []
+        f = _recorded(shifted_power(q), points)
+        x = invert_monotone(f, 0.3 ** q, (-1.0, 1.0))
+        assert 0.0 in points and float(shifted_power(q).eval_on(0.0, 1)) == 0.0
+        assert abs(x - 0.3) <= 1e-15 * 0.3
+
+    def test_infinite_derivative_at_a_cdf_end_bisects_on(self):
+        # the fractional-hh cdf with alpha < 1 has f' = pdf = inf at its
+        # ends; a target whose secant start rounds to the left end starts
+        # there, and the solve bisects on to the root, which rounds to it
+        X = fractional_hh_density(1.0, 3.0, 0.5)
+        cdf = _jet_spec(lambda x: ((x - 1.0) ** 0.5 + 2.0 ** 0.5 - (3.0 - x) ** 0.5)
+                        / (2.0 * 2.0 ** 0.5), X.pdf, "cdf")
+        assert float(X.pdf(1.0)) == math.inf
+        points = []
+        assert invert_monotone(_recorded(cdf, points), 1e-17, (1.0, 3.0)) == 1.0
+        # the two end values, then the start at the end and steps past it
+        assert points[:3] == [1.0, 3.0, 1.0] and max(points[3:]) > 1.0
+        x = invert_monotone(cdf, 1e-6, (1.0, 3.0))
+        assert x == pytest.approx(1.0 + (2.0 * 2.0 ** 0.5 * 1e-6) ** 2, rel=1e-9)
+
+    @pytest.mark.parametrize("q", [1.7, 2.0, 3.2, 4.0, 6.0])
+    def test_powers_invert_to_a_few_ulps(self, q):
+        # against mpmath's root at 50 digits, over 200 targets of a
+        # 257-point table as compose_inverse solves them
+        mpmath = pytest.importorskip("mpmath")
+        f = shifted_power(q, domain=(0.0, 12.0))
+        xs = np.linspace(0.0, 12.0, 257)
+        vals = f.eval_on(xs)
+        ys = np.linspace(vals[1], vals[-1], 200)
+        got = invert_monotone(f, ys, _table_cell(xs, vals, ys))
+        with mpmath.workdps(50):
+            worst = max(abs(mpmath.mpf(g) / mpmath.mpf(y) ** (1 / mpmath.mpf(q)) - 1)
+                        for g, y in zip(got.tolist(), ys.tolist()))
+        assert worst <= 3e-16
+
+
+_NAN_ABOVE_HALF = _jet_spec(lambda x: np.where(x > 0.5, math.nan, x),
+                            lambda x: np.where(x > 0.5, math.nan, 1.0))
+_NAN_INSIDE = _jet_spec(lambda x: np.where((0.4 < x) & (x < 0.6), math.nan, x),
+                        lambda x: np.where((0.4 < x) & (x < 0.6), math.nan, 1.0))
+# the float run of the callable-taking solver cast a numpy complex value to
+# its real part: the first returned 0.593774225170145
+_COMPLEX_ROOT = _jet_spec(lambda x: np.emath.sqrt(x - 0.5) + x,
+                          lambda x: 0.5 / np.emath.sqrt(x - 0.5) + 1.0)
+
+
+def _complex_inside(x, lo, hi):
+    """Rows of f = x, complex where any point lies in (0.4, 0.6)."""
+    rows = [x, np.ones_like(x)][lo:hi + 1]
+    return [r + 0j for r in rows] if np.any((0.4 < x) & (x < 0.6)) else rows
+
+
+_COMPLEX_INSIDE = FunctionSpec(label="complex inside", domain=(-1e300, math.inf),
+                               jet=Jet(_complex_inside, 1))
 
 
 class TestInvertMonotoneFailsClosed:
-    """Non-finite input, or f NaN where evaluated, raises instead of returning."""
+    """Non-finite input, or f NaN where evaluated, raises instead of returning.
+
+    f = x is NaN or complex on (0.4, 0.6) in the "inside" cases; their
+    target 0.5 is where the solve starts, the secant of a linear f."""
 
     @pytest.mark.parametrize("f,y,bracket,error", [
-        (lambda x: x * x, math.nan, (0.0, 10.0), BracketError),
-        (lambda x: x, 0.7, (0.0, math.inf), BracketError),
+        (shifted_power(2.0), math.nan, (0.0, 10.0), BracketError),
+        (shifted_power(1.0), 0.7, (0.0, math.inf), BracketError),
         (_NAN_ABOVE_HALF, 0.7, (0.0, 1.0), BracketError),
-        (_NAN_INSIDE, 0.7, (0.0, 1.0), ConvergenceError),
+        (_NAN_INSIDE, 0.5, (0.0, 1.0), ConvergenceError),
         (_COMPLEX_ROOT, 0.9, (0.0, 1.0), DomainError),
-        (_COMPLEX_INSIDE, 0.7, (0.0, 1.0), DomainError),
+        (_COMPLEX_INSIDE, 0.5, (0.0, 1.0), DomainError),
     ], ids=["nan-target", "infinite-bracket", "nan-at-bracket-end", "nan-inside",
             "complex-at-bracket-end", "complex-inside"])
     def test_float(self, f, y, bracket, error):
@@ -572,12 +683,12 @@ class TestInvertMonotoneFailsClosed:
             invert_monotone(f, y, bracket)
 
     @pytest.mark.parametrize("f,y,bracket,error", [
-        (lambda x: x * x, [1.0, math.nan], (0.0, 10.0), BracketError),
-        (lambda x: x, [0.2, 0.7], (0.0, [1.0, math.inf]), BracketError),
+        (shifted_power(2.0), [1.0, math.nan], (0.0, 10.0), BracketError),
+        (shifted_power(1.0), [0.2, 0.7], (0.0, [1.0, math.inf]), BracketError),
         (_NAN_ABOVE_HALF, [0.2, 0.7], (0.0, [0.4, 1.0]), BracketError),
-        (_NAN_INSIDE, [0.2, 0.7], (0.0, [0.3, 1.0]), ConvergenceError),
+        (_NAN_INSIDE, [0.2, 0.5], (0.0, [0.3, 1.0]), ConvergenceError),
         (_COMPLEX_ROOT, [0.9, 0.8], (0.0, 1.0), DomainError),
-        (_COMPLEX_INSIDE, [0.2, 0.7], (0.0, 1.0), DomainError),
+        (_COMPLEX_INSIDE, [0.2, 0.5], (0.0, 1.0), DomainError),
     ], ids=["nan-target", "infinite-bracket", "nan-at-bracket-end", "nan-inside",
             "complex-at-bracket-end", "complex-inside"])
     def test_array(self, f, y, bracket, error):
@@ -587,16 +698,14 @@ class TestInvertMonotoneFailsClosed:
     @pytest.mark.parametrize("y", [1e-100, np.array([1e-100, 0.5])], ids=["float", "array"])
     def test_step_limit(self, monkeypatch, y):
         # a solve still open at the step limit raises with its best end
-        monkeypatch.setattr(numerics, "_MAX_ITER", 40)
-        ssqrt = lambda x: np.sign(x) * np.sqrt(np.abs(x))
+        monkeypatch.setattr(numerics, "_MAX_ITER", 3)
         with pytest.raises(ConvergenceError) as exc:
-            invert_monotone(ssqrt, y, (-1.0, 2.0))
+            invert_monotone(_SSQRT, y, (-1.0, 2.0))
         assert -1.0 <= np.ravel(exc.value.best_estimate)[0] <= 2.0
-
 
     def test_complex_value_names_the_point(self):
         with pytest.raises(DomainError, match="no real value at the point x = 0.5"):
-            invert_monotone(_COMPLEX_INSIDE, 0.7, (0.0, 1.0))
+            invert_monotone(_COMPLEX_INSIDE, 0.5, (0.0, 1.0))
 
 
 def test_import_leaves_scipy_optimize_out():

@@ -130,6 +130,55 @@ class TestGradedComparison:
         assert comp.holds, comp.certificate.witness
 
 
+@st.composite
+def _power_pairs(draw):
+    """(a, b, p): x^a against x^b with r = a/b drawn around p, r = p and
+    r = p +- 0.05 among the draws; b is a multiple of 1/8, so a = p b is exact."""
+    p = draw(st.integers(min_value=1, max_value=7))
+    b = draw(st.integers(min_value=9, max_value=24)) / 8.0
+    r = draw(st.one_of(st.sampled_from([p - 0.05, float(p), p + 0.05]),
+                       st.floats(min_value=max(p - 1.5, 1.0 / b), max_value=p + 2.0)))
+    return max(r * b, 1.0), b, p
+
+
+class TestAnchoredVerdicts:
+    """The inverse composition's anchor is read from leading terms, so a
+    pure-power pair is decided exactly at the class boundary."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(pair=_power_pairs(), bounded=st.booleans())
+    def test_power_pairs_hold_iff_r_at_least_p(self, pair, bounded):
+        # l o f^(-1) = y^r is left-anchored convex of order p - 1 on
+        # [0, f(horizon)] exactly when r >= p
+        a, b, p = pair
+        domain = (0.0, 12.0) if bounded else None
+        l, f = shifted_power(a, domain=domain), shifted_power(b, domain=domain)
+        comp = certify_p_more_risk_averse(l, f, p, horizon=10.0)
+        assert comp.holds == (a / b >= p), (a, b, p, comp.certificate.witness)
+        assert comp.certificate.derivative_provenance == "analytic"
+
+    @pytest.mark.parametrize("p", range(1, 8))
+    def test_boundary_pairs(self, p):
+        for b in (1.0, 1.5, 2.0, 3.0):
+            for r, holds in ((p - 0.05, False), (p, True), (p + 0.05, True)):
+                if r * b < 1.0:
+                    continue
+                comp = certify_p_more_risk_averse(shifted_power(r * b), shifted_power(b), p,
+                                                  horizon=10.0)
+                assert comp.holds == holds, (r, b, p, comp.certificate.witness)
+
+    def test_seventh_power_against_identity(self):
+        # l o f^(-1) is exactly y^7: its sixth derivative at 0 is 0, which
+        # the 1e-9 clamp read as 7! 1e-8 and failed by -5.04e-5
+        comp = certify_p_more_risk_averse(shifted_power(7.0), shifted_power(1.0), 7,
+                                          horizon=10.0)
+        cert = comp.certificate
+        assert comp.holds
+        assert (cert.derivative_provenance, cert.slack_used) == ("analytic", 1e-8)
+        assert all(cert.margins[f"boundary f^({k})(a)=0"] == 0.0 for k in range(1, 7))
+        assert cert.margins["increasing f^(7)>=0"] == 5040.0
+
+
 class TestFalsifier:
     def test_certified_pair_survives(self):
         l = shifted_power(4.0, domain=(0.0, 50.0))
@@ -198,7 +247,7 @@ def _falsify_per_trial(l, f, p, trials, seed, horizon=10.0, directed_from=None):
     if directed_from is not None:
         lo, hi = f.domain[0], min(f.upper_cap, horizon)
         y = min(max(directed_from, float(f(lo + 1e-9 * (hi - lo)))), float(f(hi)))
-        center = max(invert_monotone(f.eval_fn, y, (lo, hi)), 1e-3 * horizon)
+        center = max(invert_monotone(f, y, (lo, hi)), 1e-3 * horizon)
     for _ in range(trials):
         if center is None:
             x1, x2 = np.sort(rng.uniform(1e-6 * horizon, horizon, size=2))
