@@ -670,7 +670,7 @@ def compose_inverse(l: FunctionSpec, f: FunctionSpec,
 
     y_lo, y_hi = float(vals[0]), float(vals[-1])
     depth = min(l.analytic_depth, f.analytic_depth)
-    l_lead, f_lead = l.leading_term(), f.leading_term()
+    l_lead, f_lead = _leading_at(l, lo), f.leading_term()
     if l_lead is None or f_lead is None:
         if d1[0] == 0.0:
             raise MonotonicityError(

@@ -355,6 +355,15 @@ class TestLeadingTerms:
         with pytest.raises(MonotonicityError, match="no leading term.*anchor at y = 0.0"):
             compose_inverse(shifted_power(3.0), f, 2.0)
 
+    def test_l_is_read_where_f_starts(self):
+        # l = x^2 on [0, 10] against f = (x - 1)^2 on [1, 10]: at f's start
+        # l has the term (1, 2), so l o f^(-1) = (1 + sqrt(y))^2 has an
+        # infinite first derivative at 0, not l's own (2, 1) at 0 over f's
+        comp = compose_inverse(shifted_power(2.0, domain=(0.0, 10.0)),
+                               shifted_power(2.0, 1.0, (1.0, 10.0)))
+        assert comp.leading == (0.5, 2.0)
+        assert float(comp.eval_on(0.0, 1)) == math.inf
+
     @pytest.mark.parametrize("q_l, q_f, rows", [
         (4.0, 2.0, [0.0, 2.0, 0.0, 0.0]),  # y^2
         (3.0, 2.0, [0.0, math.inf, -math.inf, math.inf]),  # y^1.5

@@ -433,7 +433,7 @@ def _ssqrt(x):
 # sign-sqrt, whose f' is infinite at its root 0
 _SSQRT = _jet_spec(_ssqrt, lambda x: 0.5 / np.sqrt(np.abs(x)), "ssqrt")
 _CUBE = _jet_spec(lambda x: x ** 3, lambda x: 3.0 * x * x, "x^3")
-_TANH = _jet_spec(np.tanh, lambda x: 1.0 / np.cosh(x) ** 2, "tanh")
+_TANH = _jet_spec(np.tanh, lambda x: 1.0 - np.tanh(x) ** 2, "tanh")
 _CBRT = _jet_spec(np.cbrt, lambda x: 1.0 / (3.0 * np.cbrt(x) ** 2), "cbrt")
 _EXPM1 = _jet_spec(np.expm1, np.exp, "expm1")
 _LOG = _jet_spec(np.log, lambda x: 1.0 / x, "log")
