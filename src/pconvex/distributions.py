@@ -109,6 +109,7 @@ class RandomVariable:
     _points: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
     _weights: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
     _mean: float | None = field(init=False, repr=False, compare=False, default=None)
+    _digest: str | None = field(init=False, repr=False, compare=False, default=None)
     _horizon: float | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
@@ -178,15 +179,23 @@ class RandomVariable:
         return math.isfinite(self.sup)
 
     def digest(self) -> str:
-        """A string naming the law: the atoms and probabilities of a discrete
-        variable, the size and mean of a sample, the family, support and shape
+        """A string naming the law, computed on first use and then reused:
+        the atoms and probabilities of a discrete variable, the size, mean
+        and a hash of the values of a sample, the family, support and shape
         parameters of a named density, and for a custom pdf its support and a
         hash of its values at _digest_nodes."""
+        if self._digest is None:
+            object.__setattr__(self, "_digest", self._law_digest())
+        return self._digest
+
+    def _law_digest(self) -> str:
         if self.kind == "discrete":
             inner = ",".join(f"{a:.12g}:{p:.12g}" for a, p in zip(self.atoms, self.probs))
             return f"discrete[{inner}]"
         if self.kind == "sample":
-            return f"sample[n={len(self.values)},mean={self.mean():.12g}]"
+            # + 0.0 turns -0.0 into 0.0: equal samples get one digest
+            values_hash = hashlib.sha256((self.values + 0.0).tobytes()).hexdigest()[:16]
+            return f"sample[n={len(self.values)},mean={self.mean():.12g},{values_hash}]"
         if self.density_family:
             shape = "".join(f",{name}={value!r}" for name, value in
                             (self.density_params or {}).items() if name not in ("a", "b"))

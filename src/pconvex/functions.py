@@ -410,9 +410,13 @@ def affine_precompose(inner: FunctionSpec, scale: float, offset: float,
     else:
         dom = (float(domain[0]), float(domain[1]))
 
+    # scale^k as floats, an overflowing one inf (a float ** raises there)
+    with np.errstate(over="ignore"):
+        powers = [float(np.float64(scale) ** k) for k in range(inner.analytic_depth + 1)]
+
     def rows(x, lo, hi):
         inner_rows = inner.derivatives_on(scale * x + offset, lo, hi)
-        return [scale ** k * r for k, r in zip(range(lo, hi + 1), inner_rows)]
+        return [powers[k] * r for k, r in zip(range(lo, hi + 1), inner_rows)]
 
     desc = None
     if inner.descriptor is not None:

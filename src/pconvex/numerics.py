@@ -15,8 +15,11 @@ QUADRATURE_TOLERANCE or the rounding of its sums; otherwise
 ConvergenceError carries the best estimate and the last step.  Its node
 sets are a pure function of (a, b, end exponents, panels), and the small
 ones (at most 8 panels per base panel) are memoized as read-only arrays, so
-the several expectations of one bound share them; larger ones are built per
-call, so a non-converging integral keeps no memory after it.
+the several expectations of one bound share them.  Each is built from a
+read-only skeleton of its panel count, the arrays that depend on neither
+the interval nor the exponents, memoized for the same four counts.  Larger
+node sets and skeletons are built per call, so a non-converging integral
+keeps no memory after it.
 
 Equality-style comparisons (a root-finding target against the ends of its
 bracket, a variable's support against a bound's) allow EQ_ABS absolute
@@ -250,6 +253,31 @@ def _real(v, x: np.ndarray, where: str) -> float:
     return float(v)
 
 
+# Rules of at most this many panels per base panel are shared: the mean,
+# moment and oracle of one bound repeat the first doublings, mostly at 1, 2
+# and 4 panels.  A larger rule is rarely asked for twice and can be large (a
+# graded rule at 4096 panels holds about 44 MB, its skeleton about 21 MB),
+# so caching it would keep that memory after a non-converging integral.
+_SHARED_PARTS = 8
+
+
+# One skeleton for each size up to _SHARED_PARTS: 1, 2, 4 and 8 panels.
+@lru_cache(maxsize=4)
+def _skeleton(parts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The arrays of _graded_rule that depend only on `parts`, read-only:
+    nodes u and weights du of `parts` Gauss-Legendre panels on [0, 1], and
+    the geometric ladder 2^-j (1 + u) and 2^-j du, j = GRADED_LEVELS..1.
+    _graded_rule takes it uncached above _SHARED_PARTS (__wrapped__)."""
+    x, w = _leggauss()
+    u = ((np.arange(parts)[:, None] + 0.5 * (x + 1.0)) / parts).ravel()
+    du = np.tile(w / (2.0 * parts), parts)
+    halves = 2.0 ** -np.arange(GRADED_LEVELS, 0.0, -1.0)[:, None]
+    arrays = (u, du, (halves * (1.0 + u)).ravel(), (halves * du).ravel())
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 def _graded_rule(a: float, b: float, left: float, right: float,
                  parts: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes t and weights of integrate()'s rule, each base panel cut into
@@ -259,12 +287,16 @@ def _graded_rule(a: float, b: float, left: float, right: float,
     over its span s (half of b - a when both ends are weighted); its end
     panel [0, r0] is taken after r = r0 v^(1/e), which turns r^(e-1) dr into
     (r0^e / e) dv.  Panels are laid out by the distance r from their own
-    end, and the far end's factor is taken at (b - a) - r, so no weight is
-    computed from t.
+    end, and the far end's factor is taken at (b - a) - r (skipped where its
+    exponent is 1), so no weight is computed from t.
+
+    The exponent-free arrays come from _skeleton(parts), memoized up to
+    _SHARED_PARTS panels and built per call above, and are scaled by s
+    here.  Scaling by a power of two is exact, so s (2^-j (1 + u)) has the
+    bits of (s 2^-j) (1 + u) while s 2^-20 stays a normal float.
     """
-    x, w = _leggauss()
-    u = ((np.arange(parts)[:, None] + 0.5 * (x + 1.0)) / parts).ravel()
-    du = np.tile(w / (2.0 * parts), parts)  # u and du cover [0, 1]
+    skeleton = _skeleton if parts <= _SHARED_PARTS else _skeleton.__wrapped__
+    u, du, ladder, ladder_du = skeleton(parts)
     length = b - a
     # (own exponent, far exponent, end point, direction into [a, b])
     graded = [g for g in ((left, right, a, 1.0), (right, left, b, -1.0)) if g[0] != 1.0]
@@ -272,22 +304,18 @@ def _graded_rule(a: float, b: float, left: float, right: float,
         return a + length * u, length * du
     span = length / len(graded)
     r0 = span * 2.0 ** -GRADED_LEVELS
-    lo = span * 2.0 ** -np.arange(GRADED_LEVELS, 0.0, -1.0)[:, None]  # panel [lo, 2 lo]
+    rungs, rung_w = span * ladder, span * ladder_du  # panels [lo, 2 lo]: lo (1 + u), lo du
     ts, ws = [], []
     for e, other, end, inward in graded:
-        r = np.concatenate([r0 * u ** (1.0 / e), (lo * (1.0 + u)).ravel()])
-        wt = np.concatenate([r0 ** e / e * du, (lo * du).ravel() * r[u.size:] ** (e - 1.0)])
+        r = np.concatenate([r0 * u ** (1.0 / e), rungs])
+        wt = np.concatenate([r0 ** e / e * du, rung_w * rungs ** (e - 1.0)])
+        if other != 1.0:
+            wt *= (length - r) ** (other - 1.0)
         ts.append(end + inward * r)
-        ws.append(wt * (length - r) ** (other - 1.0))
+        ws.append(wt)
+    if len(graded) == 1:
+        return ts[0], ws[0]
     return np.concatenate(ts), np.concatenate(ws)
-
-
-# Rules of at most this many panels per base panel are shared: the mean,
-# moment and oracle of one bound repeat the first doublings, mostly at 1, 2
-# and 4 panels.  A larger rule is rarely asked for twice and can be large (a
-# graded rule at 4096 panels holds about 44 MB), so caching it would keep
-# that memory after a non-converging integral.
-_SHARED_PARTS = 8
 
 
 # 16 rules hold every shared rule of one bound: the 4 sizes up to
@@ -336,7 +364,9 @@ def integrate(f: Callable, a: float, b: float,
     last step.  The nodes of the first doublings (up to 8 panels per base
     panel) come from a small memo cache shared by every call and are
     read-only: an f that writes into its argument is called once per point
-    instead.  Larger rules are built per call and dropped, so their memory
+    instead.  Each rule scales the skeleton of its panel count
+    (_graded_rule) and has the bits of a rule built whole.  Larger rules
+    and their skeletons are built per call and dropped, so their memory
     does not outlive it.
     """
     a, b, left, right = float(a), float(b), float(left), float(right)
@@ -350,7 +380,7 @@ def integrate(f: Callable, a: float, b: float,
         rule = _shared_rule if parts <= _SHARED_PARTS else _graded_rule
         t, w = rule(a, b, left, right, parts)
         terms = w * _eval_nodes(f, t)
-        return float(np.sum(terms)), float(np.sum(np.abs(terms)))
+        return float(terms.sum()), float(np.abs(terms).sum())
 
     return _doubled(estimate)
 

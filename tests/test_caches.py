@@ -56,7 +56,7 @@ def test_every_memo_cache_is_a_module_attribute_with_cache_clear():
     found, stray = _memoized()
     assert not stray, f"caches the per-round clearing cannot reach: {stray}"
     assert {"cli._build_parser", "numerics._leggauss", "numerics._shared_rule",
-            "risk._unit_members"} <= set(found)
+            "numerics._skeleton", "risk._unit_members"} <= set(found)
     for qualified in found:
         module, name = qualified.split(".")
         cached = vars(importlib.import_module(f"pconvex.{module}"))[name]

@@ -552,6 +552,30 @@ class TestCustomPdfDigest:
             (first.tobytes() == second.tobytes())
 
 
+class TestSampleDigest:
+    """A sample's digest hashes its values: it named only their size and
+    mean, so from_sample([0, 1]) and from_sample([0.5, 0.5]) shared one."""
+
+    def test_same_size_and_mean(self):
+        assert from_sample([0.0, 1.0]).digest() != from_sample([0.5, 0.5]).digest()
+        assert from_sample([-0.0, 1.0]).digest() == from_sample([0.0, 1.0]).digest()
+
+    def test_digest_is_computed_once(self):
+        X = from_sample(np.linspace(0.0, 1.0, 10_000))
+        assert X.digest() is X.digest()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(values=st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=20),
+           moved=st.floats(-10.0, 10.0))
+    def test_different_cube_oracles_give_different_digests(self, values, moved):
+        # moving mass between two values keeps the size and, mostly, the mean
+        other = [values[0] + moved, values[1] - moved] + values[2:]
+        X, Y = from_sample(values), from_sample(other)
+        cube = [expect(V, lambda x: x ** 3)[0] for V in (X, Y)]
+        if cube[0] != cube[1]:
+            assert X.digest() != Y.digest()
+
+
 class TestNamedDensityDigest:
     """A named density's digest names its shape parameters: beta_like(0, 1,
     2, 3) and beta_like(0, 1, 3, 2) both digested to

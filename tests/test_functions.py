@@ -29,7 +29,9 @@ from pconvex.errors import (
     InputFormatError,
     MonotonicityError,
 )
+from pconvex.convexity import certify_p_convex
 from pconvex.functions import (
+    _power_rows,
     affine_precompose,
     antiderivative_from,
     compose_inverse,
@@ -484,6 +486,22 @@ class TestCombinatorEdges:
     def test_zero_scale_rejected(self):
         with pytest.raises(ConstructionError):
             affine_precompose(shifted_power(2.0), 0.0, 1.0)
+
+    def test_overflowing_scale_fails_closed(self):
+        # scale^2 = 1e320 leaves double range: the row is inf where a float
+        # ** raised a bare OverflowError, and certification returns a failing
+        # certificate (no exception) whose margins are not all finite
+        g = affine_precompose(shifted_power(2.0), 1e160, 0.0)
+        with np.errstate(invalid="ignore"):
+            assert float(g.eval_on(1e-170, 2)) == math.inf
+            cert = certify_p_convex(g, 1, 0.0, 1e-170)
+        assert cert.verdict == "fail"
+        assert not all(map(math.isfinite, cert.margins.values()))
+        # _power_rows takes its scale as an array (the sweep's b) or 1.0, so
+        # its scale^k is numpy's power, which overflows to inf
+        with np.errstate(over="ignore"):
+            rows = _power_rows(np.array([1.0]), 2.0, 0, 2, np.array([1e160]))
+        assert rows[2][0] == math.inf
 
     def test_weighted_sum_domain_intersection(self):
         a = shifted_power(2.0, domain=(0.0, 1.0))

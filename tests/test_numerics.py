@@ -317,6 +317,32 @@ def _outcome(f, a, b, left, right):
         return "diverged", float(exc.best_estimate).hex(), float(exc.error_estimate).hex()
 
 
+def _reference_graded_rule(a, b, left, right, parts):
+    """integrate()'s rule as it was built before its exponent-free arrays
+    were cached: every array from (a, b, left, right, parts) in one pass."""
+    x, w = numerics._leggauss()
+    u = ((np.arange(parts)[:, None] + 0.5 * (x + 1.0)) / parts).ravel()
+    du = np.tile(w / (2.0 * parts), parts)
+    length = b - a
+    graded = [g for g in ((left, right, a, 1.0), (right, left, b, -1.0)) if g[0] != 1.0]
+    if not graded:
+        return a + length * u, length * du
+    span = length / len(graded)
+    r0 = span * 2.0 ** -numerics.GRADED_LEVELS
+    lo = span * 2.0 ** -np.arange(numerics.GRADED_LEVELS, 0.0, -1.0)[:, None]
+    ts, ws = [], []
+    for e, other, end, inward in graded:
+        r = np.concatenate([r0 * u ** (1.0 / e), (lo * (1.0 + u)).ravel()])
+        wt = np.concatenate([r0 ** e / e * du, (lo * du).ravel() * r[u.size:] ** (e - 1.0)])
+        ts.append(end + inward * r)
+        ws.append(wt * (length - r) ** (other - 1.0))
+    return np.concatenate(ts), np.concatenate(ws)
+
+
+# an end exponent: unweighted, or drawn from where the graded panels apply
+_END = st.one_of(st.just(1.0), st.floats(0.3, 4.0))
+
+
 class TestSharedNodeSets:
     """The node sets of the first doublings are memoized, read-only and
     shared by every integral; each is the rule _graded_rule builds."""
@@ -338,11 +364,20 @@ class TestSharedNodeSets:
                 fresh = _outcome(f, *args)
         assert warm == cold == fresh
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.floats(-3.0, 3.0), st.floats(-3.0, 2.0), _END, _END, st.integers(1, 64))
+    def test_rule_equals_the_reference_bit_for_bit(self, a, log_length, left, right, parts):
+        b = a + 10.0 ** log_length
+        got = numerics._graded_rule(a, b, left, right, parts)
+        want = _reference_graded_rule(a, b, left, right, parts)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
     def test_shared_rules_are_read_only(self):
         for parts in (1, 2, 4, 8):
             t, w = numerics._shared_rule(0.0, 1.0, 0.5, 1.0, parts)
             assert numerics._shared_rule(0.0, 1.0, 0.5, 1.0, parts)[0] is t
-            for arr in (t, w):
+            assert numerics._skeleton(parts)[0] is numerics._skeleton(parts)[0]
+            for arr in (t, w, *numerics._skeleton(parts)):
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[0] = 0.0
@@ -367,11 +402,18 @@ class TestSharedNodeSets:
 
     def test_non_converging_integral_caches_no_rule_above_the_cap(self):
         numerics._shared_rule.cache_clear()
+        numerics._skeleton.cache_clear()
         with _quadrature(doublings=6), pytest.raises(ConvergenceError):
             integrate(lambda t: np.sign(t - 0.3337), 0.0, 1.0, left=0.5, right=0.5)
         # 1, 2, 4 and 8 panels are kept; 16 to 64 were built and dropped
         info = numerics._shared_rule.cache_info()
         assert info.currsize == info.misses == 4 and info.hits == 0
+        # and so are their skeletons: asking for those four again only hits
+        info = numerics._skeleton.cache_info()
+        assert info.currsize == info.misses == 4 and info.hits == 0
+        for parts in (1, 2, 4, 8):
+            numerics._skeleton(parts)
+        assert numerics._skeleton.cache_info().misses == 4
 
 
 class TestPnormShifted:
