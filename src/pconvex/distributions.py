@@ -193,8 +193,7 @@ class RandomVariable:
             inner = ",".join(f"{a:.12g}:{p:.12g}" for a, p in zip(self.atoms, self.probs))
             return f"discrete[{inner}]"
         if self.kind == "sample":
-            # + 0.0 turns -0.0 into 0.0: equal samples get one digest
-            values_hash = hashlib.sha256((self.values + 0.0).tobytes()).hexdigest()[:16]
+            values_hash = hashlib.sha256(self.values.tobytes()).hexdigest()[:16]
             return f"sample[n={len(self.values)},mean={self.mean():.12g},{values_hash}]"
         if self.density_family:
             shape = "".join(f",{name}={value!r}" for name, value in
