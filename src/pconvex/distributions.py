@@ -109,7 +109,6 @@ class RandomVariable:
     _points: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
     _weights: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
     _mean: float | None = field(init=False, repr=False, compare=False, default=None)
-    _digest: str | None = field(init=False, repr=False, compare=False, default=None)
     _horizon: float | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
@@ -179,16 +178,11 @@ class RandomVariable:
         return math.isfinite(self.sup)
 
     def digest(self) -> str:
-        """A string naming the law, computed on first use and then reused:
-        the atoms and probabilities of a discrete variable, the size, mean
-        and a hash of the values of a sample, the family, support and shape
-        parameters of a named density, and for a custom pdf its support and a
-        hash of its values at _digest_nodes."""
-        if self._digest is None:
-            object.__setattr__(self, "_digest", self._law_digest())
-        return self._digest
-
-    def _law_digest(self) -> str:
+        """A string naming the law: the atoms and probabilities of a discrete
+        variable, the size, mean and a hash of the values of a sample (in
+        their order, so two orderings of one sample digest differently), the
+        family, support and shape parameters of a named density, and for a
+        custom pdf its support and a hash of its values at _digest_nodes."""
         if self.kind == "discrete":
             inner = ",".join(f"{a:.12g}:{p:.12g}" for a, p in zip(self.atoms, self.probs))
             return f"discrete[{inner}]"

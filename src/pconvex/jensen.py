@@ -22,7 +22,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 from .convexity import ConvexityCertificate, _require_certificate
@@ -46,6 +47,10 @@ class BoundReport:
     oracle - value for direction="lower", value - oracle for "upper".
     gap_to_classical is oriented the same way (how much the bound improves
     on its classical comparator).
+
+    inputs_digest hashes the function label, X's digest, p and kind on
+    first read, since a sample's digest hashes all its values and most
+    reports are never serialized.
     """
 
     kind: str
@@ -58,9 +63,18 @@ class BoundReport:
     classical: float
     gap_to_oracle: float
     gap_to_classical: float
-    inputs_digest: str
     # moment quadrature/truncation error propagated through f to the value
     value_error: float = 0.0
+    # the function label and variable that inputs_digest names; reports
+    # compare by them and hash without them (a sample is not hashable)
+    inputs: tuple[str, RandomVariable] = field(kw_only=True, repr=False, hash=False)
+
+    @cached_property
+    def inputs_digest(self) -> str:
+        label, X = self.inputs
+        payload = json.dumps({"f": label, "X": X.digest(), "p": self.p, "kind": self.kind},
+                             sort_keys=True)
+        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def _value_error(f: FunctionSpec, point: float, moment_error: float) -> float:
@@ -69,12 +83,6 @@ def _value_error(f: FunctionSpec, point: float, moment_error: float) -> float:
     if moment_error == 0.0:
         return 0.0
     return abs(float(f.eval_on(point, 1))) * moment_error
-
-
-def _digest(f: FunctionSpec, X: RandomVariable, p: int, kind: str) -> str:
-    payload = json.dumps({"f": f.label, "X": X.digest(), "p": p, "kind": kind},
-                         sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def _report(where: str, kind: str, direction: str, klass: str,
@@ -113,7 +121,7 @@ def _report(where: str, kind: str, direction: str, klass: str,
         classical=classical,
         gap_to_oracle=oracle - value if direction == "lower" else value - oracle,
         gap_to_classical=value - classical if direction == "lower" else classical - value,
-        inputs_digest=_digest(f, X, p, kind), value_error=value_error)
+        value_error=value_error, inputs=(f.label, X))
 
 
 def _shifted_norm(f, X, a, b, p, mean):

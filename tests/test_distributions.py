@@ -559,10 +559,6 @@ class TestSampleDigest:
     def test_same_size_and_mean(self):
         assert from_sample([0.0, 1.0]).digest() != from_sample([0.5, 0.5]).digest()
 
-    def test_digest_is_computed_once(self):
-        X = from_sample(np.linspace(0.0, 1.0, 10_000))
-        assert X.digest() is X.digest()
-
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(values=st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=20),
            moved=st.floats(-10.0, 10.0))

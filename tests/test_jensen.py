@@ -185,6 +185,34 @@ class TestInputsDigest:
         assert [r.oracle for r in reports] == pytest.approx([0.4, 0.1], abs=1e-12)
         assert reports[0].inputs_digest != reports[1].inputs_digest
 
+    def test_samples_with_one_size_and_mean_differ(self):
+        # both reports carried the digest 5fd38446b0e1adc2
+        f = shifted_power(3.0, domain=(0.0, 1.0))
+        cert = _cert(f, 1, 0.0, 1.0)
+        reports = [jensen_lower(f, cert, from_sample(values, (0.0, 1.0)))
+                   for values in ([0.0, 1.0], [0.5, 0.5])]
+        assert [r.oracle for r in reports] == [0.5, 0.125]
+        assert reports[0].inputs_digest != reports[1].inputs_digest
+        assert reports[0] != reports[1]
+
+    def test_digest_is_taken_when_read(self, monkeypatch):
+        calls = Counter()
+        digest = RandomVariable.digest
+
+        def counted(X):
+            calls["digest"] += 1
+            return digest(X)
+
+        monkeypatch.setattr(RandomVariable, "digest", counted)
+        f = shifted_power(3.0, domain=(0.0, 1.0))
+        X = from_sample(np.linspace(0.0, 1.0, 10_000))
+        rep = jensen_lower(f, _cert(f, 1, 0.0, 1.0), X)
+        assert calls["digest"] == 0
+        assert rep.inputs_digest is rep.inputs_digest
+        assert calls["digest"] == 1
+        # the report hashes by its numbers although its sample cannot hash
+        assert hash(rep) == hash(jensen_lower(f, _cert(f, 1, 0.0, 1.0), X))
+
 
 class TestSandwichProperty:
     @settings(max_examples=60, deadline=None, derandomize=True)
