@@ -49,6 +49,7 @@ from .errors import (
 )
 from .functions import (
     FunctionSpec,
+    Jet,
     affine_precompose,
     antiderivative_from,
     compose_inverse,
@@ -59,7 +60,6 @@ from .functions import (
     function_to_descriptor,
     log_affine,
     nonneg_weighted_sum,
-    numeric_function,
     polynomial,
     shifted_power,
     taylor_remainder,

@@ -485,8 +485,7 @@ _A = _flag("-a", type=float)
 _B = _flag("-b", type=float)
 _GRID = _flag("--grid", type=int, default=convexity.DEFAULT_GRID)
 _SLACK = _flag("--slack", type=float, default=convexity.CERTIFY_SLACK,
-               help="certificate slack: a margin >= -slack passes "
-                    "(1e3 times wider for numeric derivatives)")
+               help="certificate slack: a margin >= -slack passes")
 _ALPHA = _flag("--alpha", type=float, required=True)
 _SEED = _flag("--seed", type=int, default=42)
 

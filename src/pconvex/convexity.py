@@ -15,13 +15,10 @@ not a proof; failures always carry a witness (point, condition, margin).
 Every order a certificate reads on its grid comes from one call of the
 function's jet (FunctionSpec.derivatives_on), and its anchor conditions
 from one more at the anchor; an order past the jet raises
-DerivativeOrderError.  A numeric function's jet is finite differences kept
-inside its domain, so its verdict does not depend on the grid size beyond
-the points it samples.  The slack is the one tolerance a caller sets on
-the producers (CERTIFY_SLACK unless given; it must be positive and finite,
-else DomainError).  Certificates for functions without analytic
-derivatives widen it by 1e3 and record the provenance; the corroboration
-checks take the slack, provenance and grid of the certificate they check.
+DerivativeOrderError, and a complex value DomainError.  The slack is the
+one tolerance a caller sets on the producers (CERTIFY_SLACK unless given;
+it must be positive and finite, else DomainError); the corroboration checks
+take the slack and grid of the certificate they check.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ __all__ = [
     "CERTIFY_SLACK",
     "ConvexityCertificate",
     "Witness",
-    "NUMERIC_SLACK_FACTOR",
     "certificate_to_dict",
     "certify_loss_class",
     "certify_p_concave",
@@ -50,7 +46,6 @@ __all__ = [
 ]
 
 CERTIFY_SLACK = 1e-8
-NUMERIC_SLACK_FACTOR = 1e3
 DEFAULT_GRID = 1024
 
 
@@ -76,7 +71,6 @@ class ConvexityCertificate:
     grid_size: int
     verdict: str  # "pass" | "fail"
     witness: Witness | None
-    derivative_provenance: str
     slack_used: float
     margins: Mapping[str, float]
     label: str
@@ -93,7 +87,6 @@ def certificate_to_dict(cert: ConvexityCertificate) -> dict:
         "interval": list(cert.interval),
         "grid_size": cert.grid_size,
         "verdict": cert.verdict,
-        "derivative_provenance": cert.derivative_provenance,
         "slack_used": cert.slack_used,
         "margins": dict(cert.margins),
         "label": cert.label,
@@ -106,7 +99,7 @@ def certificate_to_dict(cert: ConvexityCertificate) -> dict:
 
 
 def _certify(klass: str, p: int, interval: tuple[float, float], grid_size: int,
-             slack: float, provenance: str, label: str,
+             slack: float, label: str,
              checks: list[tuple[str, np.ndarray, np.ndarray]]) -> ConvexityCertificate:
     """Decide the verdict from an ordered list of (condition, values, points).
 
@@ -130,20 +123,17 @@ def _certify(klass: str, p: int, interval: tuple[float, float], grid_size: int,
     return ConvexityCertificate(
         klass=klass, p=p, interval=interval, grid_size=int(grid_size),
         verdict="pass" if worst is None else "fail", witness=worst,
-        derivative_provenance=provenance, slack_used=slack,
-        margins=margins, label=label)
+        slack_used=slack, margins=margins, label=label)
 
 
 def _rank(margin: float) -> float:
     return margin if math.isfinite(margin) else -math.inf
 
 
-def _slack_for(f: FunctionSpec, slack: float) -> tuple[float, str]:
+def _slack(slack: float) -> float:
     if not 0.0 < slack < math.inf:
         raise DomainError(f"slack must be positive and finite, got {slack}")
-    if f.provenance == "analytic":
-        return slack, "analytic"
-    return slack * NUMERIC_SLACK_FACTOR, f.provenance
+    return slack
 
 
 def _grid(lo: float, hi: float, grid_size: int) -> tuple[np.ndarray, float]:
@@ -202,7 +192,7 @@ def certify_p_convex(f: FunctionSpec, p: int, a: float, b: float,
     for k, values in enumerate(f.derivatives_on(xs, first, p + 2), start=first):
         name = "convexity" if k == p + 2 else "increasing"
         checks.append((f"{name} f^({k})>=0", values, xs))
-    return _certify("I", p, (a, b), grid_size, *_slack_for(f, slack), f.label, checks)
+    return _certify("I", p, (a, b), grid_size, _slack(slack), f.label, checks)
 
 
 def certify_p_concave(f: FunctionSpec, p: int, a: float, b: float,
@@ -223,7 +213,7 @@ def certify_p_concave(f: FunctionSpec, p: int, a: float, b: float,
     for k, values in enumerate(f.derivatives_on(xs, 1, p + 2), start=1):
         sign = 1.0 if k % 2 == 1 else -1.0
         checks.append((f"sign (-1)^({k}+1) f^({k})>=0", sign * values, xs))
-    return _certify("D", p, (a, b), grid_size, *_slack_for(f, slack), f.label, checks)
+    return _certify("D", p, (a, b), grid_size, _slack(slack), f.label, checks)
 
 
 def certify_loss_class(l: FunctionSpec, p: int, horizon: float,
@@ -260,8 +250,7 @@ def certify_loss_class(l: FunctionSpec, p: int, horizon: float,
     xi = xs[interior]
     for k, vals in enumerate(derivs, start=1):
         checks.append((f"positivity l^({k})>=0", vals[..., interior], xi))
-    return _certify("Lp", p, (lo, horizon), grid_size, *_slack_for(l, slack),
-                    l.label, checks)
+    return _certify("Lp", p, (lo, horizon), grid_size, _slack(slack), l.label, checks)
 
 
 def _require_certificate(cert: ConvexityCertificate, klass: str, where: str,
@@ -291,12 +280,11 @@ def check_power_transform_convex(f: FunctionSpec,
     _require_certificate(cert, "I", "check_power_transform_convex")
     a, b = cert.interval
     p, grid_size = cert.p, cert.grid_size
-    slack, provenance = cert.slack_used, cert.derivative_provenance
     ys, h = _grid(0.0, (b - a) ** (p + 1), grid_size)
     vals = f.eval_on(a + ys ** (1.0 / (p + 1)), 0)
     scale = max(1.0, float(np.max(np.abs(vals))))
     checks = [("power-transform convexity d2>=0", _second_differences(vals, h), ys[1:-1])]
-    return _certify("I", p, (a, b), grid_size, slack * scale, provenance,
+    return _certify("I", p, (a, b), grid_size, cert.slack_used * scale,
                     f"power-transform[{f.label}]", checks)
 
 
@@ -311,7 +299,7 @@ def check_ratio_monotone(f: FunctionSpec, cert: ConvexityCertificate) -> Convexi
     _require_certificate(cert, "I", "check_ratio_monotone")
     a, b = cert.interval
     p, grid_size = cert.p, cert.grid_size
-    slack, provenance = cert.slack_used, cert.derivative_provenance
+    slack = cert.slack_used
     xs = _grid(a, b, grid_size)[0][1:]
     fa = float(f(a))
     if not abs(fa) <= slack:
@@ -332,5 +320,4 @@ def check_ratio_monotone(f: FunctionSpec, cert: ConvexityCertificate) -> Convexi
 
     diffs = np.diff(g) / np.maximum(1.0, np.abs(g[:-1]))
     checks = [("ratio nondecreasing", diffs, xs[:-1])] if diffs.size else []
-    return _certify("I", p, (a, b), grid_size, slack, provenance, f"ratio[{f.label}]",
-                    checks)
+    return _certify("I", p, (a, b), grid_size, slack, f"ratio[{f.label}]", checks)

@@ -5,13 +5,13 @@ a closed catalog of families (closed-form jets: f^(k) for k = lo..hi at a
 set of points, in one kernel call) plus combinators that are jet arithmetic
 (Griewank & Walther, Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 13).
 The inverse composition reverts f's series (Brent & Kung, J. ACM 25(4),
-1978).  A "numeric" escape hatch exists for arbitrary callables, its jet
-finite differences to order 4 inside its domain; certificates record the
-degraded provenance and widen their slack.
+1978).  A custom function brings its own jet, exact derivatives written
+out by the caller: FunctionSpec(label, domain, jet=Jet(rows, depth)).
 
-Every evaluation callable accepts floats or numpy arrays: numeric_function
-wraps a scalar-only callable so that it loops over arrays itself, and the
-inverse composition solves all points of a call at once.
+Every evaluation callable accepts floats or numpy arrays (a caller
+vectorizes a scalar-only callable), and the inverse composition solves all
+points of a call at once.  A complex value, which a cast to float would cut
+to its real part, raises DomainError naming the points.
 """
 
 from __future__ import annotations
@@ -33,14 +33,7 @@ from .errors import (
     MonotonicityError,
     PconvexError,
 )
-from .numerics import (
-    _eval_nodes,
-    _integer,
-    _table_cell,
-    fd_derivative,
-    integrate,
-    invert_monotone,
-)
+from .numerics import _integer, _real, _table_cell, integrate, invert_monotone
 
 __all__ = [
     "FunctionSpec",
@@ -55,7 +48,6 @@ __all__ = [
     "function_to_descriptor",
     "log_affine",
     "nonneg_weighted_sum",
-    "numeric_function",
     "polynomial",
     "shifted_power",
     "taylor_remainder",
@@ -64,7 +56,6 @@ __all__ = [
 EVAL_HORIZON = 1e6  # span past lo at which an unbounded domain is capped
 _MONOTONICITY_GRID = 256  # points compose_inverse checks f' > 0 on
 _CATALOG_DEPTH = 8  # analytic orders of shifted-power, exponential, log-affine
-_FD_DEPTH = 4  # finite-difference orders of a numeric function
 
 
 @dataclass(frozen=True)
@@ -92,8 +83,10 @@ class FunctionSpec:
     row, derivatives_on several in one call.  eval_fn and derivatives (orders
     1..depth) are the jet's views, and dataclasses.replace rebuilds a spec
     from them: given no jet, a spec's row k calls its k-th callable.  No
-    spec has an order past its stack; a "numeric" or "mixed" provenance only
-    widens a certificate's slack.
+    spec has an order past its stack.  A custom function is a jet of exact
+    derivatives, FunctionSpec(label, domain, jet=Jet(rows, depth)), or
+    eval_fn with derivatives; every callable takes a float array.  A value
+    or row that is complex raises DomainError naming the points.
 
     leading is the leading term (mu, c) of f(x) - f(lo) ~ c (x - lo)^mu at
     the left end, mu > 0 and c != 0, where a family states one its jet
@@ -106,7 +99,6 @@ class FunctionSpec:
     domain: tuple[float, float]
     eval_fn: Callable | None = None
     derivatives: tuple[Callable, ...] = ()
-    provenance: str = "analytic"  # analytic | numeric | mixed
     descriptor: Mapping[str, Any] | None = None
     leading: tuple[float, float] | None = None
     jet: InitVar[Jet | None] = None
@@ -115,8 +107,6 @@ class FunctionSpec:
         lo, hi = self.domain
         if not (math.isfinite(lo) and lo < hi):
             raise ConstructionError(f"invalid domain {self.domain}")
-        if self.provenance not in ("analytic", "numeric", "mixed"):
-            raise ConstructionError(f"invalid provenance {self.provenance!r}")
         if self.leading is not None:
             mu, c = map(float, self.leading)
             if not (0.0 < mu < math.inf and c != 0.0 and math.isfinite(c)):
@@ -125,8 +115,8 @@ class FunctionSpec:
         if (jet is None) == (self.eval_fn is None):
             raise ConstructionError(f"{self.label}: give either a jet or eval_fn")
         if jet is None:
-            fns = (self.eval_fn, *self.derivatives)
-            jet = Jet(lambda x, lo, hi: [np.asarray(fns[k](x), dtype=float)
+            fns, label = (self.eval_fn, *self.derivatives), self.label
+            jet = Jet(lambda x, lo, hi: [np.asarray(_real(fns[k](x), x, what=label), dtype=float)
                                          for k in range(lo, hi + 1)], len(fns) - 1)
         else:
             object.__setattr__(self, "eval_fn", partial(_order, jet, 0))
@@ -135,7 +125,7 @@ class FunctionSpec:
         object.__setattr__(self, "_jet", jet)
 
     def __call__(self, x):
-        return self.eval_fn(x)
+        return _real(self.eval_fn(x), x, what=self.label)
 
     @property
     def analytic_depth(self) -> int:
@@ -153,11 +143,12 @@ class FunctionSpec:
 
     def derivatives_on(self, xs, lo: int, hi: int) -> list:
         """f^(k) at xs for k = lo..hi in one jet call; an order outside the
-        stack 0..depth raises DerivativeOrderError."""
+        stack 0..depth raises DerivativeOrderError, a complex row DomainError."""
         if lo < 0 or hi > self._jet.depth:
             raise DerivativeOrderError(f"{self.label}: derivative order {lo if lo < 0 else hi} "
                                        f"is outside its stack 0..{self._jet.depth}")
-        return list(self._jet.rows(np.asarray(xs, dtype=float), lo, hi))
+        xs = np.asarray(xs, dtype=float)
+        return [_real(row, xs, what=self.label) for row in self._jet.rows(xs, lo, hi)]
 
     def taylor(self, xs, lo: int, hi: int) -> np.ndarray:
         """The normalised jet at xs: f^(k)(x)/k! for k = lo..hi, orders first."""
@@ -191,13 +182,6 @@ def _term(mu: float, c) -> tuple[float, float] | None:
     """(mu, c) as a leading term, or None where c left double range."""
     c = float(c)
     return (mu, c) if c != 0.0 and math.isfinite(c) else None
-
-
-def _provenance(specs: Sequence[FunctionSpec]) -> str:
-    """"analytic" when every spec is, "numeric" when none is, else "mixed"."""
-    if all(f.provenance == "analytic" for f in specs):
-        return "analytic"
-    return "mixed" if any(f.provenance == "analytic" for f in specs) else "numeric"
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +394,16 @@ def affine_precompose(inner: FunctionSpec, scale: float, offset: float,
     else:
         dom = (float(domain[0]), float(domain[1]))
 
-    # scale^k as floats, an overflowing one inf (a float ** raises there)
+    # scale^k as floats, an overflowing one inf (a float ** raises there),
+    # whose product with a 0 row is NaN, a failing margin, with no warning
     with np.errstate(over="ignore"):
         powers = [float(np.float64(scale) ** k) for k in range(inner.analytic_depth + 1)]
+    overflow = not all(map(math.isfinite, powers))
 
     def rows(x, lo, hi):
         inner_rows = inner.derivatives_on(scale * x + offset, lo, hi)
-        return [powers[k] * r for k, r in zip(range(lo, hi + 1), inner_rows)]
+        with np.errstate(invalid="ignore") if overflow else contextlib.nullcontext():
+            return [powers[k] * r for k, r in zip(range(lo, hi + 1), inner_rows)]
 
     desc = None
     if inner.descriptor is not None:
@@ -431,7 +418,6 @@ def affine_precompose(inner: FunctionSpec, scale: float, offset: float,
     return FunctionSpec(
         label=f"{inner.label}({scale:g}x+{offset:g})",
         domain=dom,
-        provenance=inner.provenance,
         descriptor=desc,
         leading=lead,
         jet=Jet(rows, inner.analytic_depth),
@@ -477,7 +463,6 @@ def nonneg_weighted_sum(terms: Sequence[tuple[float, FunctionSpec]],
     return FunctionSpec(
         label=" + ".join(f"{w:g}*{f.label}" for w, f in zip(weights, fns)),
         domain=dom,
-        provenance=_provenance(fns),
         descriptor=desc,
         leading=lead,
         jet=Jet(rows, min(f.analytic_depth for f in fns)),
@@ -492,7 +477,6 @@ def derivative_function(f: FunctionSpec, k: int = 1) -> FunctionSpec:
     return FunctionSpec(
         label=f"D^{k}[{f.label}]" if k > 1 else f"D[{f.label}]",
         domain=f.domain,
-        provenance=f.provenance,
         jet=Jet(lambda x, lo, hi: f.derivatives_on(x, lo + k, hi + k), f.analytic_depth - k),
     )
 
@@ -521,23 +505,8 @@ def antiderivative_from(g: FunctionSpec) -> FunctionSpec:
     return FunctionSpec(
         label=f"int[{g.label}]",
         domain=g.domain,
-        provenance=g.provenance,
         jet=Jet(rows, g.analytic_depth + 1),
     )
-
-
-def numeric_function(fn: Callable, domain: tuple[float, float],
-                     label: str = "numeric") -> FunctionSpec:
-    """Escape hatch: a bare callable whose jet rows 1..4 are finite
-    differences that never call fn outside its domain.
-
-    fn may be scalar-only; it is called on whole arrays when it accepts them
-    and looped over the points otherwise.
-    """
-    dom = (float(domain[0]), float(domain[1]))
-    return FunctionSpec(label=label, domain=dom, provenance="numeric", jet=Jet(
-        lambda x, lo, hi: [_eval_nodes(fn, x) if k == 0 else fd_derivative(fn, x, k, dom)
-                           for k in range(lo, hi + 1)], _FD_DEPTH))
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +541,6 @@ def taylor_remainder(f: FunctionSpec, p: int) -> FunctionSpec:
     return FunctionSpec(
         label=f"taylor_tail_{p}[{f.label}]",
         domain=f.domain,
-        provenance=f.provenance,
         jet=Jet(rows, f.analytic_depth),
     )
 
@@ -652,10 +620,10 @@ def compose_inverse(l: FunctionSpec, f: FunctionSpec,
     order 0 where f'(lo) = 0, which it divides by) are the one-sided limits
     of the leading terms of l and f at lo (_anchor_rows): for x^4 o
     (x^2)^(-1) on [0, 10], f^(1)(y_lo) is 0 and f^(2)(y_lo) is 2.  Where
-    f'(lo) = 0 and l or f has no leading term, the anchor cannot be read
-    and MonotonicityError names it.  The provenance is that of l and f
-    together (analytic when both are), and the composition states its own
-    leading term (r, c_l/c_f^r).
+    f'(lo) = 0 and l or f has no finite leading term (none, or one whose
+    coefficient leaves double range), the anchor cannot be read and
+    MonotonicityError names it.  The composition states its own leading
+    term (r, c_l/c_f^r).
     """
     lo = f.domain[0]
     horizon = float(horizon)
@@ -679,7 +647,7 @@ def compose_inverse(l: FunctionSpec, f: FunctionSpec,
         if d1[0] == 0.0:
             raise MonotonicityError(
                 f"{l.label} o inv[{f.label}]: f'({lo!r}) = 0 and "
-                f"{f.label if f_lead is None else l.label} has no leading term there, "
+                f"{f.label if f_lead is None else l.label} has no finite leading term there, "
                 f"so the anchor at y = {y_lo!r} has no one-sided limit")
         anchor, lead = None, None
     else:
@@ -706,7 +674,6 @@ def compose_inverse(l: FunctionSpec, f: FunctionSpec,
     return FunctionSpec(
         label=f"{l.label} o inv[{f.label}]",
         domain=(y_lo, y_hi),
-        provenance=_provenance((l, f)),
         leading=lead,
         jet=Jet(rows, depth),
     )

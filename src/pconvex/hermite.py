@@ -153,7 +153,6 @@ def abs_derivative(f: FunctionSpec) -> FunctionSpec:
     return FunctionSpec(
         label=f"|D[{f.label}]|",
         domain=f.domain,
-        provenance=f.provenance,
         jet=Jet(lambda x, lo, hi: [sign * d for d in base.derivatives_on(x, lo, hi)],
                 base.analytic_depth),
     )

@@ -230,8 +230,7 @@ def _eval_nodes(f: Callable, xs, where: str = "") -> np.ndarray:
     scalar-only f (it raises on an array or returns the wrong shape) is
     called once per point with a float, and so is any f at a single point,
     since scalar-only code can still accept a one-element array.  A complex
-    array or numpy complex scalar raises DomainError naming the points (at
-    the caller's `where`); a Python complex fails float() with TypeError.
+    value raises DomainError naming the points (at the caller's `where`).
     """
     xs = np.asarray(xs, dtype=float)
     if xs.size > 1:
@@ -240,17 +239,23 @@ def _eval_nodes(f: Callable, xs, where: str = "") -> np.ndarray:
         except (TypeError, ValueError):
             vals = None
         if vals is not None and vals.shape == xs.shape:
-            if vals.dtype.kind == "c":
-                raise DomainError(f"f has no real value at the {where}{_points(xs)}")
-            return vals.astype(float, copy=False)
-    return np.asarray([_real(f(float(x)), x, where) for x in xs.ravel()]).reshape(xs.shape)
+            return _real(vals, xs, where).astype(float, copy=False)
+    return np.asarray([float(_real(f(float(x)), x, where)) for x in xs.ravel()]).reshape(xs.shape)
 
 
-def _real(v, x: np.ndarray, where: str) -> float:
-    """f's value v at the point x as a float (float() casts a numpy complex)."""
-    if isinstance(v, np.complexfloating):
-        raise DomainError(f"f has no real value at the {where}{_points(x)}")
-    return float(v)
+_FLOAT = np.dtype(float)
+
+
+def _real(v, x, where: str = "", what: str = "f"):
+    """v, the values of `what` at the points x, unless it is complex: a cast
+    to float would keep its real part with only a ComplexWarning, so a
+    complex array or scalar raises DomainError naming the points (at the
+    caller's `where`).  The test is np.iscomplexobj's without its
+    conversions, which cost more than a jet row takes on a few points."""
+    if isinstance(v, complex) or getattr(v, "dtype", _FLOAT).kind == "c":
+        raise DomainError(f"{what} has no real value at the {where}"
+                          f"{_points(np.asarray(x, dtype=float))}")
+    return v
 
 
 # Rules of at most this many panels per base panel are shared: the mean,
@@ -445,11 +450,8 @@ def _table_cell(xs: np.ndarray, vals: np.ndarray, y) -> tuple:
 
 def _jet_rows(f, x: np.ndarray, k: int) -> list:
     """Rows 0..k of the jet of the FunctionSpec f at x, from one call, as
-    float arrays; a complex row raises DomainError naming the points."""
-    rows = f.derivatives_on(x, 0, k)
-    if any(np.iscomplexobj(r) for r in rows):
-        raise DomainError(f"f has no real value at the {_points(np.asarray(x))}")
-    return [np.asarray(r, dtype=float) for r in rows]
+    float arrays (derivatives_on rejects a complex row)."""
+    return [np.asarray(r, dtype=float) for r in f.derivatives_on(x, 0, k)]
 
 
 def _split(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -615,55 +617,31 @@ def _stencil_values(f: Callable, xs: np.ndarray) -> np.ndarray:
                           f"{type(exc).__name__}: {exc}") from exc
 
 
-def _extrapolated(f: Callable, x: np.ndarray, k: int, h: np.ndarray, stencil,
-                  interval: tuple[float, float], gain: float) -> np.ndarray:
-    """(gain D(h/2) - D(h)) / (gain - 1), D(h) = sum coeff f(x + offset h) / h^k
-    over the stencil, whose error is O(h^m) for gain = 2^m; every stencil
-    point is kept in the interval (a no-op where it already lies there)."""
-    d = []
-    for step in (h, 0.5 * h):
-        acc = 0.0
-        for offset, coeff in stencil:
-            acc = acc + coeff * _stencil_values(f, np.clip(x + offset * step, *interval))
-        d.append(acc / step ** k)
-    return (gain * d[1] - d[0]) / (gain - 1.0)
-
-
-def fd_derivative(f: Callable, x, k: int,
-                  interval: tuple[float, float] = (-math.inf, math.inf)):
-    """k-th derivative (k in 1..4) by differences plus one Richardson step,
-    calling f only inside the closed interval (by default the whole line).
+def fd_derivative(f: Callable, x, k: int):
+    """k-th derivative (k in 1..4) by central differences plus one
+    Richardson step, O(h^4) after it.
 
     The step h = 1e-5^(4/(k+4)) (1 + |x|) grows with k to balance
-    truncation against rounding noise.
-    Where the central stencil fits in the interval it is used, O(h^4) after
-    the step; elsewhere the one-sided sum_j (-1)^(k-j) C(k, j) f(x + j s)/s^k
-    points to the farther end, s = +-h shortened to fit, O(h^2) after it.
-    x may be a float or an array; f is called once per stencil offset on
-    each kind's points (a scalar-only f is looped over them).  f raising or
-    turning complex at a stencil point raises DomainError; a NaN there is
-    returned in the result.  A point that is not finite or lies outside the
-    interval, an interval end that is NaN, or lo > hi raises DomainError
-    (an end may be infinite).
+    truncation against rounding noise.  x may be a float or an array; f is
+    called once per stencil offset and step on all points (a scalar-only f
+    is looped over them).  f raising or turning complex at a stencil point
+    raises DomainError; a NaN there is returned in the result.  A point that
+    is not finite raises DomainError.  Nothing in pconvex calls it; it is
+    kept as an independent finite-difference check of the jets.
     """
     if k not in _CENTRAL_STENCILS:
         raise DomainError(f"fd_derivative supports orders 1..4, got {k}")
     # a float runs as a one-point array, so scalar and array calls agree bit
     # for bit (numpy scalars would take another power routine)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    lo, hi = interval
-    if not (np.all(np.isfinite(xs)) and np.all((lo <= xs) & (xs <= hi)) and lo <= hi):
-        raise DomainError(f"fd_derivative needs finite points in an ordered interval, "
-                          f"got {_points(xs)} in [{lo!r}, {hi!r}]")
+    if not np.all(np.isfinite(xs)):
+        raise DomainError(f"fd_derivative needs finite points, got {_points(xs)}")
     h = 1e-5 ** (4.0 / (k + 4.0)) * (1.0 + np.abs(xs))
-    reach = _CENTRAL_STENCILS[k][-1][0] * h
-    central = (xs - reach >= lo) & (xs + reach <= hi)
-    out = np.empty_like(xs)
-    out[central] = _extrapolated(f, xs[central], k, h[central], _CENTRAL_STENCILS[k],
-                                 interval, 4.0)
-    x1 = xs[~central]
-    up = hi - x1 >= x1 - lo
-    step = np.where(up, 1.0, -1.0) * np.minimum(h[~central], np.where(up, hi - x1, x1 - lo) / k)
-    one_sided = [(j, (-1) ** (k - j) * math.comb(k, j)) for j in range(k + 1)]
-    out[~central] = _extrapolated(f, x1, k, step, one_sided, interval, 2.0)
+    d = []
+    for step in (h, 0.5 * h):
+        acc = 0.0
+        for offset, coeff in _CENTRAL_STENCILS[k]:
+            acc = acc + coeff * _stencil_values(f, xs + offset * step)
+        d.append(acc / step ** k)
+    out = (4.0 * d[1] - d[0]) / 3.0
     return out if np.ndim(x) else float(out[0])

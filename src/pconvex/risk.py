@@ -124,12 +124,10 @@ def certify_p_more_risk_averse(l: FunctionSpec, f: FunctionSpec, p: int,
     convex of order p-1 on the transformed range [f(lo), f(horizon)] (f's
     evaluation cap when that is lower), so the comparison reduces to one
     certification of the composed map, which is composed over that range
-    alone.  The composition's provenance is that of l and f together: two
-    analytic loss functions give an analytic composition, certified at the
-    slack given, and its anchor conditions at f(lo) are read from their
-    leading terms, so a pure-power pair x^a against x^b holds exactly when
-    a/b >= p.  A numeric l or f makes it "mixed" or "numeric", and its
-    certificate widens the slack by convexity.NUMERIC_SLACK_FACTOR.
+    alone.  The composition's jet is composed from the jets of l and f and
+    certified at the slack given, and its anchor conditions at f(lo) are
+    read from their leading terms, so a pure-power pair x^a against x^b
+    holds exactly when a/b >= p.
     """
     p = _order(p)
     comp = compose_inverse(l, f, horizon)

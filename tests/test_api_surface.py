@@ -26,8 +26,7 @@ _DEFAULTED = {
                                      "density_params"),
     "distributions.discrete": ("support",),
     "distributions.from_sample": ("support",),
-    "functions.FunctionSpec": ("eval_fn", "derivatives", "provenance", "descriptor", "leading",
-                               "jet"),
+    "functions.FunctionSpec": ("eval_fn", "derivatives", "descriptor", "leading", "jet"),
     "functions.affine_precompose": ("domain",),
     "functions.compose_inverse": ("horizon",),
     "functions.derivative_function": ("k",),
@@ -35,14 +34,12 @@ _DEFAULTED = {
     "functions.exponential": ("s", "domain"),
     "functions.log_affine": ("domain",),
     "functions.nonneg_weighted_sum": ("domain",),
-    "functions.numeric_function": ("label",),
     "functions.polynomial": ("domain",),
     "functions.shifted_power": ("shift", "domain"),
     "hermite.HHReport": ("mid_error",),
     "hermite.rl_integral": ("interval",),
     "jensen.BoundReport": ("value_error",),
     "numerics.QuadratureResult": ("refinements",),
-    "numerics.fd_derivative": ("interval",),
     "numerics.integrate": ("left", "right"),
     "numerics.pnorm_shifted": ("scale",),
     "risk.certify_p_more_risk_averse": ("grid_size", "slack"),

@@ -780,7 +780,7 @@ class TestTypedProblemValues:
         assert main(["run", str(path)]) == 1
         assert words in capsys.readouterr().err
 
-    def test_numeric_slack_still_read(self, identity_file, tmp_path, capsys):
+    def test_slack_read_from_flag_and_problem_file(self, identity_file, tmp_path, capsys):
         assert main(["certify", "-f", identity_file, "--class", "I", "-p", "1",
                      "--slack", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["slack_used"] == 1.0

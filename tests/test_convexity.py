@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pconvex import functions
+from pconvex import functions, numerics
 from pconvex.convexity import (
     ConvexityCertificate,
     certify_loss_class,
@@ -19,21 +19,16 @@ from pconvex.convexity import (
     check_power_transform_convex,
     check_ratio_monotone,
 )
-from pconvex.distributions import (
-    discrete,
-    expect,
-    from_sample,
-    sample_mc,
-    shifted_moment,
-)
+from pconvex.distributions import discrete, sample_mc, shifted_moment
 from pconvex.errors import CertificateError, DerivativeOrderError, DomainError, PconvexError
 from pconvex.functions import (
+    FunctionSpec,
+    Jet,
     derivative_function,
     exp_taylor_remainder,
     exponential,
     function_from_descriptor,
     log_affine,
-    numeric_function,
     polynomial,
     shifted_power,
     taylor_remainder,
@@ -99,13 +94,6 @@ class TestLeftAnchoredClass:
         assert certify_p_convex(bad, 1, 0.0, 1.0, grid_size=256).verdict == \
             certify_p_convex(bad, 1, 0.0, 1.0, grid_size=4096).verdict == "fail"
 
-    def test_numeric_provenance_widens_slack(self):
-        f = numeric_function(lambda x: x * x, (0.0, 1.0), label="sq")
-        cert = certify_p_convex(f, 1, 0.0, 1.0, grid_size=128)
-        assert cert.derivative_provenance == "numeric"
-        assert cert.slack_used == pytest.approx(1e-5)
-        assert cert.passed
-
     def test_invalid_interval(self):
         with pytest.raises(DomainError):
             certify_p_convex(shifted_power(2.0), 1, 1.0, 0.0)
@@ -134,33 +122,32 @@ class TestRightAnchoredClass:
         cert = certify_p_concave(f, 1, 0.0, 1.0)
         assert not cert.passed
 
-    def test_numeric_provenance_via_differences(self):
-        import math
+    def test_custom_jets_at_the_default_slack(self):
+        # log x - x/b and x^2 as custom specs with exact jets, at 1e-8
         b = 0.6
-        f = numeric_function(lambda x: math.log(x) - x / b, (1e-3, b),
-                             label="numeric-log-affine")
+        f = _custom("log-affine", (1e-3, b), [lambda x: np.log(x) - x / b,
+                                              lambda x: 1.0 / x - 1.0 / b,
+                                              lambda x: -x ** -2.0, lambda x: 2.0 * x ** -3.0])
         cert = certify_p_concave(f, 1, 1e-3, b, grid_size=128)
-        assert cert.derivative_provenance == "numeric"
+        assert cert.slack_used == 1e-8
         assert cert.passed, cert.witness
-        g = numeric_function(lambda x: x * x, (0.0, 1.0), label="numeric-square")
-        assert not certify_p_concave(g, 1, 0.0, 1.0, grid_size=128).passed
+        assert not certify_p_concave(_JET_SQUARE, 1, 0.0, 1.0, grid_size=128).passed
 
 
 class TestPastTheAnalyticStack:
     """No spec has an order past its jet: a certificate that needs one
-    raises DerivativeOrderError.  A numeric function's jet is finite
-    differences kept inside its domain, one fd_derivative call per order."""
+    raises DerivativeOrderError.  No certificate takes finite differences."""
 
     @staticmethod
     def _fd_calls(monkeypatch) -> list:
         calls = []
-        real = functions.fd_derivative
+        real = numerics.fd_derivative
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(functions, "fd_derivative", counting)
+        monkeypatch.setattr(numerics, "fd_derivative", counting)
         return calls
 
     @pytest.mark.parametrize("p", [1, 2, 3])
@@ -170,20 +157,6 @@ class TestPastTheAnalyticStack:
         certify_p_more_risk_averse(shifted_power(4.0, domain=(0.0, 50.0)),
                                    shifted_power(2.0, domain=(0.0, 50.0)), p, 10.0, 256)
         assert len(calls) == 0
-
-    def test_numeric_function_differences_inside_its_domain(self, monkeypatch):
-        # one call for the anchor's order 1, one per grid order, each on [0, 1]
-        calls = self._fd_calls(monkeypatch)
-        f = numeric_function(lambda x: x * x, (0.0, 1.0), label="sq")
-        cert = certify_p_convex(f, 1, 0.0, 1.0, 64)
-        assert [(k, interval) for _, _, k, interval in calls] == [(1, (0.0, 1.0)),
-                                                                  (2, (0.0, 1.0)),
-                                                                  (3, (0.0, 1.0))]
-        assert list(cert.margins) == ["boundary f^(1)(a)=0", "increasing f^(2)>=0",
-                                      "convexity f^(3)>=0"]
-        assert cert.passed
-        assert cert.margins["increasing f^(2)>=0"] == pytest.approx(2.0, abs=1e-8)
-        assert abs(cert.margins["convexity f^(3)>=0"]) <= 1e-6
 
     def test_risk_comparison_is_analytic_to_order_three(self):
         # the inverse composition's jet reaches every order of the p = 2
@@ -252,7 +225,7 @@ class TestPastTheAnalyticStack:
         (certify_p_concave, 1, 3), (certify_p_concave, 2, 4)])
     def test_differenced_orders_share_one_grid_evaluation(self, certify, p, orders,
                                                            monkeypatch):
-        # every grid order of a numeric spec comes from one call of its jet
+        # every grid order of a custom spec comes from one call of its jet
         sizes = []
         real = functions.FunctionSpec.derivatives_on
 
@@ -261,8 +234,7 @@ class TestPastTheAnalyticStack:
             return real(f, xs, lo, hi)
 
         monkeypatch.setattr(functions.FunctionSpec, "derivatives_on", counting)
-        cert = certify(numeric_function(lambda x: np.asarray(x) ** 2, (0.0, 1.0)),
-                       p, 0.0, 1.0, 64)
+        cert = certify(_JET_SQUARE, p, 0.0, 1.0, 64)
         assert len(cert.margins) == p + orders
         assert [n for n, _ in sizes].count(65) == 1
         assert (65, orders) in sizes
@@ -273,15 +245,17 @@ class TestPastTheAnalyticStack:
         def d1(x):
             return 3.0 * np.asarray(x, dtype=float) ** 2
 
-        f = dataclasses.replace(shifted_power(3.0, domain=(0.0, 1.0)), derivatives=(d1,),
-                                provenance="mixed")
+        f = dataclasses.replace(shifted_power(3.0, domain=(0.0, 1.0)), derivatives=(d1,))
         with pytest.raises(DerivativeOrderError, match="outside its stack 0..1"):
             certify_p_convex(f, 1, 0.0, 1.0, 64)
 
     def test_numeric_verdict_does_not_depend_on_the_grid(self):
-        # forward differences of a numeric spec on the grid lost accuracy as
-        # eps / h^k: this true member failed at n = 16384 with margin -224
-        f = numeric_function(lambda x: math.exp(x) - 1 - x - x * x / 2, (0.0, 1.0))
+        # forward differences on the grid lost accuracy as eps / h^k: this
+        # true member failed at n = 16384 with margin -224; its exact jet
+        # reads each order at each grid point
+        f = _custom("exp-tail-2", (0.0, 1.0), [lambda x: np.expm1(x) - x - x * x / 2,
+                                               lambda x: np.expm1(x) - x, np.expm1,
+                                               np.exp, np.exp])
         certs = [certify_p_convex(f, 2, 0.0, 1.0, n) for n in (1024, 4096, 16384)]
         assert all(c.passed and c.margins == certs[0].margins for c in certs)
         for name in ("increasing f^(3)>=0", "convexity f^(4)>=0"):  # true minimum 1, at 0
@@ -400,8 +374,19 @@ class TestRatioMonotone:
             assert check_ratio_monotone(f, cert).passed, f.label
 
 
-def _half_nan(x):
-    return x ** 3 if x < 0.5 else math.nan
+def _custom(label: str, domain, rows) -> FunctionSpec:
+    """A custom spec whose jet row k is rows[k](x), the exact derivatives."""
+    return FunctionSpec(label, domain, jet=Jet(
+        lambda x, lo, hi: [rows[k](x) for k in range(lo, hi + 1)], len(rows) - 1))
+
+
+_JET_SQUARE = _custom("square", (0.0, 1.0), [lambda x: x * x, lambda x: 2.0 * x,
+                                         lambda x: np.full_like(x, 2.0), np.zeros_like,
+                                         np.zeros_like])
+# x^3 below 1/2 and NaN from there on, in every row of its jet
+_HALF_NAN = FunctionSpec("half-nan", (0.0, 1.0), jet=Jet(lambda x, lo, hi: [
+    np.where(x < 0.5, r, math.nan)
+    for r in polynomial([0.0, 0.0, 0.0, 1.0]).derivatives_on(x, lo, hi)], 4))
 
 
 def _nan_coefficient():
@@ -456,7 +441,7 @@ class TestFailClosed:
     @pytest.mark.parametrize("name", sorted(_PRODUCERS))
     @pytest.mark.parametrize("f", [
         _nan_coefficient(),
-        numeric_function(_half_nan, (0.0, 1.0), label="half-nan"),
+        _HALF_NAN,
     ], ids=["nan-coefficient", "nan-on-half"])
     def test_nan_fails_with_witness(self, name, f):
         producer, _ = _PRODUCERS[name]
@@ -497,26 +482,20 @@ class TestFailClosed:
         cert = producer(failing, grid_size=64.0)
         assert type(cert.grid_size) is int and cert == producer(failing, grid_size=64)
 
-    def test_complex_values_of_a_numeric_function_rejected(self):
-        # the grid values were cast to their real parts, and the certificate passed
-        f = numeric_function(lambda x: np.emath.sqrt(x - 0.5) ** 3, (0.0, 1.0))
-        with pytest.raises(DomainError, match="no real value"):
-            certify_p_convex(f, 0, 0.0, 1.0, 64)
-
-    def test_stencil_outside_a_numeric_domain_rejected(self):
-        # the anchor's central stencil reached -h, where x ** 2.5 is complex;
-        # now no stencil leaves the domain and x ** 2.5 passes as x^2.5 does
-        seen = []
-
-        def f(x):
-            seen.append(np.ravel(x))
-            return x ** 2.5
-
-        cert = certify_p_convex(numeric_function(f, (0.0, 1.0)), 1, 0.0, 1.0, 64)
-        seen = np.concatenate(seen)
-        assert 0.0 <= seen.min() and seen.max() <= 1.0
-        assert cert.passed
-        assert certify_p_convex(shifted_power(2.5, domain=(0.0, 1.0)), 1, 0.0, 1.0, 64).passed
+    @pytest.mark.parametrize("build", ["jet", "eval_fn"])
+    def test_complex_values_of_a_custom_spec_rejected(self, build):
+        # (x - 1/2)^2.5 and its exact derivatives are complex below 1/2:
+        # eval_on returned their real parts (with a ComplexWarning), and
+        # the certificate passed
+        rows = [lambda x: np.emath.sqrt(x - 0.5) ** 5, lambda x: 2.5 * np.emath.sqrt(x - 0.5) ** 3,
+                lambda x: 3.75 * np.emath.sqrt(x - 0.5)]
+        f = _custom("c", (0.0, 1.0), rows) if build == "jet" else \
+            FunctionSpec("c", (0.0, 1.0), eval_fn=rows[0], derivatives=tuple(rows[1:]))
+        xs = np.array([0.25, 0.75])
+        for call in (lambda: f(xs), lambda: f(0.25), lambda: f.eval_on(xs),
+                     lambda: f.eval_on(xs, 2), lambda: certify_p_convex(f, 0, 0.0, 1.0, 64)):
+            with pytest.raises(DomainError, match="c has no real value at the point"):
+                call()
 
     def test_inf_at_a_grid_point_stays_admissible(self):
         # f^(3) of x^2.5 is +inf at the anchor; the minimum margin is finite
@@ -549,31 +528,6 @@ class TestFailClosed:
     def test_non_finite_horizon_rejected(self, horizon):
         with pytest.raises(DomainError, match="horizon"):
             certify_loss_class(shifted_power(2.0, domain=(0.0, math.inf)), 1, horizon)
-
-
-@pytest.mark.parametrize("fn", [lambda x: math.log(x) - x, _half_nan],
-                         ids=["math-log", "half-nan"])
-def test_scalar_only_numeric_function_matches_per_point_calls(fn):
-    """A callable that rejects arrays is looped by the adapter, so every
-    array path gives what per-point calls give, bit for bit."""
-    f = numeric_function(fn, (0.1, 1.0))
-    xs = np.linspace(0.1, 1.0, 17)
-    for k in range(3):
-        want = [float(fn(x)) for x in xs] if k == 0 else \
-            [f.eval_on(float(x), k) for x in xs]
-        np.testing.assert_array_equal(f.eval_on(xs, k), want)
-    probs = np.full(xs.size, 1.0 / xs.size)
-    discrete_want = math.fsum(p * fn(x) for x, p in zip(xs, probs))
-    sample_want = math.fsum(fn(x) for x in xs) / xs.size
-    np.testing.assert_array_equal(
-        [expect(discrete(xs, probs), f)[0], expect(from_sample(xs), f)[0]],
-        [discrete_want, sample_want])
-    looped = numeric_function(
-        lambda x: np.asarray([fn(float(t)) for t in np.ravel(x)]).reshape(np.shape(x)),
-        (0.1, 1.0))
-    got, ref = (certify_p_convex(g, 1, 0.1, 1.0, 64) for g in (f, looped))
-    assert got.passed == ref.passed
-    np.testing.assert_array_equal(list(got.margins.values()), list(ref.margins.values()))
 
 
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -648,16 +602,7 @@ _FAIL_CLOSED = {
     "p-norm order": (lambda v: pnorm_shifted(0.25, v, 3.0), _NON_INTEGRAL, 2),
     "p-norm moment": (lambda v: pnorm_shifted(v, 2, 3.0), _NON_FINITE, 0.25),
     "p-norm scale": (lambda v: pnorm_shifted(0.25, 2, v), _NON_FINITE, 3.0),
-    "difference point": (lambda v: fd_derivative(np.exp, v, 2, (0.0, 1.0)), _NON_FINITE, 0.5),
-    # an infinite end is a half-line, so only NaN is an invalid end
-    "difference interval end": (lambda v: fd_derivative(np.exp, 0.5, 2, (0.0, v)),
-                                st.just(math.nan), 1.0),
-    "difference point outside": (
-        lambda v: fd_derivative(np.exp, v, 2, (0.0, 1.0)),
-        st.one_of(st.floats(min_value=-1e6, max_value=-1e-300),
-                  st.floats(min_value=1.0, max_value=1e6, exclude_min=True)), 0.5),
-    "difference interval order": (lambda v: fd_derivative(np.exp, 0.5, 2, (0.0, v)),
-                                  st.floats(max_value=0.0, exclude_max=True), 1.0),
+    "difference point": (lambda v: fd_derivative(np.exp, v, 2), _NON_FINITE, 0.5),
 }
 
 
@@ -685,9 +630,8 @@ def test_non_finite_or_non_integral_inputs_fail_closed(name, data):
     count or trial count of the seeded generators and the falsifier, a
     non-finite horizon or direction of the falsifier, a non-integral order
     or non-finite shift of shifted_moment, a non-integral order or
-    non-finite moment or scale of pnorm_shifted, and a non-finite point, a
-    point outside the interval, a NaN interval end or an interval with
-    lo > hi of fd_derivative."""
+    non-finite moment or scale of pnorm_shifted, and a non-finite point of
+    fd_derivative."""
     call, values, _ = _FAIL_CLOSED[name]
     value = data.draw(values)
     try:

@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,8 @@ from pconvex.errors import (
 )
 from pconvex.convexity import certify_p_convex
 from pconvex.functions import (
+    FunctionSpec,
+    Jet,
     _power_rows,
     affine_precompose,
     antiderivative_from,
@@ -42,7 +45,6 @@ from pconvex.functions import (
     function_to_descriptor,
     log_affine,
     nonneg_weighted_sum,
-    numeric_function,
     polynomial,
     shifted_power,
     taylor_remainder,
@@ -54,6 +56,13 @@ try:
 except ImportError:  # test-only dependency
     mpmath = None
 from pconvex.numerics import fd_derivative, invert_monotone
+
+
+def _square_jet(domain) -> FunctionSpec:
+    """x^2 as a custom spec: its exact jet of depth 4, rows 0 past order 2."""
+    return FunctionSpec("jet-square", domain, jet=Jet(lambda x, lo, hi: [
+        (x * x, 2.0 * x, np.full_like(x, 2.0))[k] if k <= 2 else np.zeros_like(x)
+        for k in range(lo, hi + 1)], 4))
 
 
 def catalog_zoo():
@@ -132,59 +141,10 @@ class TestDerivativeStacks:
         assert got == pytest.approx(1.0 / math.factorial(170), rel=1e-2)
 
     def test_order_cap(self):
-        f = numeric_function(lambda x: x * x, (0.0, 1.0))
+        f = _square_jet((0.0, 1.0))
+        assert f.analytic_depth == 4
         with pytest.raises(DerivativeOrderError):
             f.eval_on(0.5, 5)
-
-
-class TestNumericJet:
-    """A numeric function's jet rows 1..4 are finite differences that stay
-    inside its domain: central where the stencil fits, one-sided into the
-    domain at and near its ends."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(lo=st.floats(-1e3, 1e3), width=st.floats(1e-9, 1e3),
-           inner=st.lists(st.floats(0.0, 1.0), max_size=6))
-    def test_fn_is_never_called_outside_the_domain(self, lo, width, inner):
-        hi = lo + width
-        seen = []
-
-        def fn(x):
-            seen.append(np.ravel(x))
-            return np.sin(x)
-
-        f = numeric_function(fn, (lo, hi))
-        xs = np.array([lo, hi] + [lo + u * (hi - lo) for u in inner]).clip(lo, hi)
-        rows = f.derivatives_on(xs, 1, 4)
-        for k in range(1, 5):
-            for x in (lo, hi):
-                rows.append(f.eval_on(x, k))
-        seen = np.concatenate(seen)
-        assert lo <= seen.min() and seen.max() <= hi
-        assert all(np.all(np.isfinite(r)) for r in rows)
-
-    @pytest.mark.parametrize("fn, domain, x, orders, rel", [
-        # the steps of orders 2-4 (5e-4 to 3e-3) are not small against 1e-3,
-        # so there only order 1 is accurate
-        (math.log, (1e-3, 0.6), 1e-3, (1,), 2e-3),
-        (math.log, (1e-3, 0.6), 0.6, (1, 2, 3, 4), 2e-3),
-        (math.exp, (0.0, 1.0), 0.0, (1, 2, 3, 4), 1e-4),
-    ], ids=["log-left", "log-right", "exp-left"])
-    def test_one_sided_orders_at_the_ends(self, fn, domain, x, orders, rel):
-        truth = {math.log: lambda k: (-1) ** (k - 1) * math.factorial(k - 1) * x ** -k,
-                 math.exp: lambda k: math.exp(x)}[fn]
-        f = numeric_function(fn, domain)
-        for k in orders:
-            assert float(f.eval_on(x, k)) == pytest.approx(truth(k), rel=rel), k
-
-    def test_orders_near_a_singular_end_keep_their_signs(self):
-        f = numeric_function(math.log, (1e-3, 0.6))
-        got = f.derivatives_on(np.array([1e-3]), 1, 4)
-        assert [float(np.sign(r[0])) for r in got] == [1.0, -1.0, 1.0, -1.0]
-
-    def test_rows_past_the_jet_raise(self):
-        f = numeric_function(lambda x: x * x, (0.0, 1.0))
-        assert f.analytic_depth == 4
         with pytest.raises(DerivativeOrderError, match="outside its stack 0..4"):
             f.derivatives_on(np.linspace(0.0, 1.0, 5), 3, 5)
 
@@ -214,8 +174,8 @@ class TestTaylorRemainder:
             assert float(r(x)) == pytest.approx(x ** 5, rel=1e-12)
 
     def test_needs_derivatives(self):
-        # a numeric function's jet stops at order 4
-        f = numeric_function(lambda x: x ** 3, (0.0, 1.0))
+        # a custom jet of depth 4
+        f = _square_jet((0.0, 1.0))
         with pytest.raises(DerivativeOrderError):
             taylor_remainder(f, 5)
 
@@ -235,6 +195,22 @@ class TestAntiderivative:
         g = polynomial([1.0, 0.0, 1.0], domain=(0.0, 2.0))  # 1 + z^2
         f = antiderivative_from(g)
         assert float(f.eval_on(0.0, 1)) == pytest.approx(0.0, abs=1e-14)
+
+
+class TestCustomFunction:
+    def test_readme_example(self, capsys):
+        """The README's custom function runs as printed: its exact jet reads
+        the fourth derivative at 1e-3 as -6e12, and its class-D certificate
+        passes at the default slack."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        code = readme.split("## A custom function")[1].split("```python\n")[1].split("```")[0]
+        scope = {}
+        exec(compile(code, "README.md", "exec"), scope)
+        f, cert = scope["f"], scope["cert"]
+        d4 = float(f.eval_on(1e-3, 4))
+        assert d4 == pytest.approx(-6e12, rel=1e-15)
+        assert cert.passed and cert.slack_used == 1e-8
+        assert capsys.readouterr().out.split() == [repr(d4), "pass", "1e-08"]
 
 
 class TestComposeInverse:
@@ -259,23 +235,20 @@ class TestComposeInverse:
         for x in np.linspace(0.05, 2.0, 9):
             assert float(comp(float(f(x)))) == pytest.approx(float(l(x)), rel=1e-8, abs=1e-10)
 
-    def test_provenance_mixed(self):
-        # an analytic l over a numeric f (or the reverse) is "mixed"; two
-        # numeric ones are "numeric"
-        square = numeric_function(lambda x: x * x, (0.5, 2.0), label="numeric-square")
+    def test_composed_jet_of_a_custom_spec(self):
+        # the composed jet reaches every order both stacks reach: x^4 over
+        # a custom x^2 is y^2, whose f^(3) is 0
+        square = _square_jet((0.5, 2.0))
         quartic = shifted_power(4.0, domain=(0.5, 2.0))
-        assert compose_inverse(quartic, square).provenance == "mixed"
-        assert compose_inverse(square, quartic).provenance == "mixed"
-        assert compose_inverse(square, square).provenance == "numeric"
-        # the composed jet reaches every order both stacks reach
-        assert abs(float(compose_inverse(quartic, square).eval_on(1.0, 3))) < 1e-4
+        comp = compose_inverse(quartic, square)
+        assert comp.analytic_depth == 4
+        assert abs(float(comp.eval_on(1.0, 3))) < 1e-4
 
-    def test_provenance_analytic(self):
-        # two analytic specs compose to an analytic one: the anchor at
-        # y_lo is read from leading terms, not at a clamped point
+    def test_anchor_read_from_leading_terms(self):
+        # the anchor at y_lo is read from leading terms, not at a clamped
+        # point
         comp = compose_inverse(shifted_power(4.0, domain=(0.0, 2.0)),
                                shifted_power(2.0, domain=(0.0, 2.0)))
-        assert comp.provenance == "analytic"
         assert comp.derivatives_on(0.0, 0, 4) == [0.0, 0.0, 2.0, 0.0, 0.0]
         assert abs(float(comp.eval_on(1.0, 3))) < 1e-12
 
@@ -354,8 +327,23 @@ class TestLeadingTerms:
         # f'(0) = 0 and f's first nonzero row at 0 is infinite: the rows of
         # the composition at y_lo have no one-sided limit to read
         f = taylor_remainder(shifted_power(2.5, domain=(0.0, 4.0)), 1)
-        with pytest.raises(MonotonicityError, match="no leading term.*anchor at y = 0.0"):
+        with pytest.raises(MonotonicityError, match="no finite leading term.*anchor at y = 0.0"):
             compose_inverse(shifted_power(3.0), f, 2.0)
+
+    def test_overflowed_leading_term_fails_closed(self):
+        # g = 1e320 x^2 has a leading term whose coefficient leaves double
+        # range: the composition says no finite one exists (it said g had
+        # none), and g's certificate fails on its NaN rows (inf * 0) without
+        # numpy's warning from the product
+        g = affine_precompose(shifted_power(2.0), 1e160, 0.0, domain=(0.0, 1e-170))
+        assert g.leading is None and g.leading_term() is None
+        with pytest.raises(MonotonicityError, match=r"x\^2\(1e\+160x\+0\) has no finite "
+                                                    "leading term there"):
+            compose_inverse(shifted_power(3.0), g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = certify_p_convex(g, 1, 0.0, 1e-170)
+        assert not cert.passed and not math.isfinite(cert.witness.margin)
 
     def test_l_is_read_where_f_starts(self):
         # l = x^2 on [0, 10] against f = (x - 1)^2 on [1, 10]: at f's start

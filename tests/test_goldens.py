@@ -22,6 +22,7 @@ import os
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pconvex import cli
@@ -33,7 +34,7 @@ from pconvex.convexity import (
     check_power_transform_convex,
     check_ratio_monotone,
 )
-from pconvex.functions import log_affine, numeric_function, polynomial, shifted_power
+from pconvex.functions import FunctionSpec, Jet, log_affine, polynomial, shifted_power
 
 GOLDEN_PATH = Path(__file__).with_name("goldens") / "refactor.json"
 
@@ -104,9 +105,14 @@ def _certificates() -> dict:
     identity = shifted_power(1.0, domain=(0.0, 1.0))
     concave = polynomial([0.0, 1.0, -1.0], domain=(0.0, 1.0))  # x - x^2
     la = log_affine(0.6)
-    num_sq = numeric_function(lambda x: x * x, (0.0, 1.0), label="numeric-square")
-    num_la = numeric_function(lambda x: math.log(x) - x / 0.6, (1e-3, 0.6),
-                              label="numeric-log-affine")
+    # custom specs, each with the exact jet of a catalog member
+    jet_sq = FunctionSpec("jet-square", (0.0, 1.0), jet=Jet(
+        lambda x, lo, hi: [(x * x, 2.0 * x, np.full_like(x, 2.0))[k] if k <= 2
+                           else np.zeros_like(x) for k in range(lo, hi + 1)], 4))
+    jet_la = FunctionSpec("jet-log-affine", (1e-3, 0.6), jet=Jet(
+        lambda x, lo, hi: [np.log(x) - x / 0.6 if k == 0 else 1.0 / x - 1.0 / 0.6 if k == 1
+                           else (-1.0) ** (k - 1) * math.factorial(k - 1) * x ** -float(k)
+                           for k in range(lo, hi + 1)], 4))
     loss = shifted_power(2.0, domain=(0.0, 10.0))
     sq_cert = certify_p_convex(square, 1, 0.0, 1.0, 64)
     cube_cert = certify_p_convex(cube, 1, 0.0, 1.0, 64)
@@ -114,11 +120,11 @@ def _certificates() -> dict:
         "p_convex/pass": certify_p_convex(cube, 1, 0.0, 1.0, 64),
         "p_convex/fail": certify_p_convex(identity, 1, 0.0, 1.0, 64),
         "p_convex/order0-fail": certify_p_convex(concave, 0, 0.0, 1.0, 64),
-        "p_convex/numeric-pass": certify_p_convex(num_sq, 1, 0.0, 1.0, 64),
+        "p_convex/jet-pass": certify_p_convex(jet_sq, 1, 0.0, 1.0, 64),
         "p_concave/pass": certify_p_concave(la, 1, la.domain[0], 0.6, 64),
         "p_concave/fail": certify_p_concave(square, 1, 0.0, 1.0, 64),
-        "p_concave/numeric-pass": certify_p_concave(num_la, 1, 1e-3, 0.6, 64),
-        "p_concave/numeric-fail": certify_p_concave(num_sq, 1, 0.0, 1.0, 64),
+        "p_concave/jet-pass": certify_p_concave(jet_la, 1, 1e-3, 0.6, 64),
+        "p_concave/jet-fail": certify_p_concave(jet_sq, 1, 0.0, 1.0, 64),
         "loss_class/pass": certify_loss_class(loss, 1, 10.0, 64),
         "loss_class/fail": certify_loss_class(loss, 2, 10.0, 64),
         "power_transform/pass": check_power_transform_convex(cube, cube_cert),
@@ -189,8 +195,7 @@ def test_certificate_dicts(golden):
     assert got.keys() == golden["certificates"].keys()
     for name, want in golden["certificates"].items():
         have = got[name]
-        for key in ("class", "p", "interval", "grid_size", "verdict",
-                    "derivative_provenance", "label"):
+        for key in ("class", "p", "interval", "grid_size", "verdict", "label"):
             assert have[key] == want[key], (name, key)
         assert have["slack_used"] == pytest.approx(want["slack_used"], rel=1e-12), name
         assert list(have["margins"]) == list(want["margins"]), name

@@ -989,9 +989,9 @@ def test_math_fsum_is_used_only_by_the_kernel():
     assert users == {"numerics.fsum"}
 
 
-def test_finite_differences_are_a_numeric_functions_jet():
-    """fd_derivative has one caller in pconvex, the jet of numeric_function,
-    and no certificate condition says an order was differenced past a
+def test_nothing_in_pconvex_takes_finite_differences():
+    """fd_derivative has no caller in pconvex (every derivative comes from a
+    jet), and no certificate condition says an order was differenced past a
     stack: that path is gone."""
     callers = set()
     for path in sorted(Path(numerics.__file__).parent.glob("*.py")):
@@ -1006,4 +1006,4 @@ def test_finite_differences_are_a_numeric_functions_jet():
             while node in parents and not isinstance(node, ast.FunctionDef):
                 node = parents[node]
             callers.add(f"{path.stem}.{getattr(node, 'name', '<module>')}")
-    assert callers == {"functions.numeric_function"}
+    assert callers == set()
