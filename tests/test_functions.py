@@ -142,9 +142,17 @@ class TestDerivativeStacks:
 
     def test_order_cap(self):
         f = _square_jet((0.0, 1.0))
-        assert f.analytic_depth == 4
         with pytest.raises(DerivativeOrderError):
             f.eval_on(0.5, 5)
+
+
+class TestNumericJet:
+    """A custom spec's jet has a fixed depth: rows past it raise rather than
+    being read off anything else."""
+
+    def test_rows_past_the_jet_raise(self):
+        f = _square_jet((0.0, 1.0))
+        assert f.analytic_depth == 4
         with pytest.raises(DerivativeOrderError, match="outside its stack 0..4"):
             f.derivatives_on(np.linspace(0.0, 1.0, 5), 3, 5)
 
