@@ -100,19 +100,30 @@ def certificate_to_dict(cert: ConvexityCertificate) -> dict:
 
 def _certify(klass: str, p: int, interval: tuple[float, float], grid_size: int,
              slack: float, label: str,
-             checks: list[tuple[str, np.ndarray, np.ndarray]]) -> ConvexityCertificate:
+             checks: list[tuple[str, np.ndarray, np.ndarray]],
+             span: tuple[float, float] | None = None) -> ConvexityCertificate:
     """Decide the verdict from an ordered list of (condition, values, points).
 
     Each condition's margin is its minimum value (the first NaN, if any, and
-    the first point on ties); values may carry leading axes (one row per
-    member of a stacked family) over the points.  A condition fails when
-    its margin is below -slack or is not finite; the witness is the first
-    failure with the lowest margin, a non-finite margin ranking lowest.
+    the first point on ties), except that a +inf at a point strictly inside
+    the span the points lie in (the interval unless given) is the margin
+    (the first such point) when no value is NaN: a value that left double
+    range there decides nothing.  A +inf at an end is allowed, as f''(0) of
+    x^1.5.  Values may carry leading axes (one row per member of a stacked
+    family) over the points.  A condition fails when its margin is below
+    -slack or is not finite; the witness is the first failure with the
+    lowest margin, a non-finite margin ranking lowest.
     """
+    lo, hi = interval if span is None else span
     margins: dict[str, float] = {}
     worst: Witness | None = None
     for condition, values, points in checks:
-        idx = int(np.argmin(values))
+        # array methods: np.argmin's dispatch costs more than a grid's scan
+        idx = int(values.argmin())
+        if values.flat[values.argmax()] == math.inf:  # argmax finds a NaN first
+            inner = (values == math.inf) & (points > lo) & (points < hi)
+            if inner.any():
+                idx = int(inner.argmax())
         margin = float(values.flat[idx])
         margins[condition] = margin
         if math.isfinite(margin) and margin >= -slack:
@@ -285,7 +296,7 @@ def check_power_transform_convex(f: FunctionSpec,
     scale = max(1.0, float(np.max(np.abs(vals))))
     checks = [("power-transform convexity d2>=0", _second_differences(vals, h), ys[1:-1])]
     return _certify("I", p, (a, b), grid_size, cert.slack_used * scale,
-                    f"power-transform[{f.label}]", checks)
+                    f"power-transform[{f.label}]", checks, span=(0.0, ys[-1]))
 
 
 def check_ratio_monotone(f: FunctionSpec, cert: ConvexityCertificate) -> ConvexityCertificate:

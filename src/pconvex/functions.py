@@ -125,6 +125,8 @@ class FunctionSpec:
         object.__setattr__(self, "_jet", jet)
 
     def __call__(self, x):
+        if isinstance(x, (list, tuple)):
+            x = np.asarray(x, dtype=float)
         return _real(self.eval_fn(x), x, what=self.label)
 
     @property
@@ -213,9 +215,11 @@ def _power_rows(base: np.ndarray, q, lo: int, hi: int, scale=1.0) -> list:
 
 
 def _exp_rows(x: np.ndarray, s, lo: int, hi: int) -> list:
-    """Rows lo..hi of the jet of e^(s x): s^k e^(s x)."""
-    e = np.exp(s * x)
-    return [e if k == 0 else s ** k * e for k in range(lo, hi + 1)]
+    """Rows lo..hi of the jet of e^(s x): s^k e^(s x), +inf past double
+    range without a warning (a certificate fails on an interior +inf)."""
+    with np.errstate(over="ignore"):
+        e = np.exp(s * x)
+        return [e if k == 0 else s ** k * e for k in range(lo, hi + 1)]
 
 
 def _product(a: Sequence, b: Sequence) -> list:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from pconvex import functions, numerics
 from pconvex.convexity import (
     ConvexityCertificate,
+    Witness,
     certify_loss_class,
     certify_p_concave,
     certify_p_convex,
@@ -350,6 +351,23 @@ class TestPowerTransform:
         with pytest.raises(CertificateError):
             check_power_transform_convex(f, cert)
 
+    @pytest.mark.parametrize("c", [1.0, 2.0])
+    def test_inf_is_placed_on_the_transform_grid(self, c):
+        # x^2/(c - x) is +inf at c, an end of its certified interval, so
+        # the transform's last second difference, at y = c^2 - h, is +inf
+        # inside the transform's span [0, c^2] at every c, whether or not
+        # that point also lies in the interval [0, c]
+        def rows(x, lo, hi):
+            with np.errstate(divide="ignore"):
+                return [-x - c + c * c / (c - x), c * c / (c - x) ** 2 - 1.0,
+                        2.0 * c * c / (c - x) ** 3, 6.0 * c * c / (c - x) ** 4][lo:hi + 1]
+
+        f = FunctionSpec(f"x^2/({c}-x)", (0.0, c), jet=Jet(rows, 3))
+        cert = certify_p_convex(f, 1, 0.0, c, 64)
+        assert cert.passed
+        witness = check_power_transform_convex(f, cert).witness
+        assert (witness.point, witness.margin) == (np.linspace(0.0, c * c, 65)[-2], math.inf)
+
 
 class TestRatioMonotone:
     def test_cube_over_square(self):
@@ -501,6 +519,17 @@ class TestFailClosed:
         # f^(3) of x^2.5 is +inf at the anchor; the minimum margin is finite
         cert = certify_p_convex(shifted_power(2.5, domain=(0.0, 1.0)), 1, 0.0, 1.0)
         assert cert.passed
+
+    def test_inf_inside_the_interval_fails_at_its_first_point(self):
+        # e^x on [0, 1000] is +inf on the grid past x = 709.78: the
+        # certificate passed on its finite values, with numpy's overflow
+        # warning (which the test suite's filter turns into an error)
+        cert = certify_p_convex(exponential(1.0, (0.0, 1000.0)), 0, 0.0, 1000.0)
+        assert not cert.passed
+        assert cert.witness == Witness(1000.0 * 727 / 1024, "convexity f^(2)>=0", math.inf)
+        assert cert.margins == {"convexity f^(2)>=0": math.inf}
+        # +inf at an end stays admissible: f''(0) of x^1.5
+        assert certify_p_convex(shifted_power(1.5, domain=(0.0, 1.0)), 0, 0.0, 1.0).passed
 
     @pytest.mark.parametrize("certify", [certify_p_convex, certify_p_concave],
                              ids=["I", "D"])

@@ -220,6 +220,16 @@ class TestCustomFunction:
         assert cert.passed and cert.slack_used == 1e-8
         assert capsys.readouterr().out.split() == [repr(d4), "pass", "1e-08"]
 
+    @pytest.mark.parametrize("build", ["jet", "eval_fn"])
+    @pytest.mark.parametrize("xs", [[0.25, 0.75], (0.25, 0.75)], ids=["list", "tuple"])
+    def test_call_on_a_sequence_is_eval_on(self, build, xs):
+        # a list reached eval_fn as given, and x - 0.5 raised a bare TypeError
+        f = FunctionSpec("e", (0.0, 1.0), eval_fn=lambda x: x - 0.5) if build == "eval_fn" \
+            else FunctionSpec("e", (0.0, 1.0), jet=Jet(
+                lambda x, lo, hi: [x - 0.5, np.ones_like(x)][lo:hi + 1], 1))
+        np.testing.assert_array_equal(f(xs), f.eval_on(xs))
+        assert f(xs).tolist() == [-0.25, 0.25]
+
 
 class TestComposeInverse:
     def test_quartic_over_square_is_square(self):

@@ -9,8 +9,10 @@ MGF is (1 + e)/2 = 1.8591409142295225.
 from __future__ import annotations
 
 import copy
+import json
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +44,7 @@ from pconvex.mgf import (
 )
 
 FAIR_COIN = discrete([0.0, 1.0], [0.5, 0.5])
+EM_BITS = Path(__file__).with_name("goldens") / "em_demo_bits.json"
 
 
 class TestMgfLower:
@@ -222,6 +225,43 @@ class TestLikelihoodInstance:
         assert loglik_exact(inst) == math.fsum(np.log(ps.sum(axis=1)).tolist())
         assert elbo_classical(inst) == math.fsum((qs * np.log(ps / qs)).ravel().tolist())
 
+    def test_row_reductions_keep_the_axis1_bits(self, rng):
+        """The three quantities against an inline copy of their numpy
+        axis=1 forms: the same bits while a row sum adds in numpy's order
+        (K <= 7).  Past it (K = 8..12) each row's sums may differ in the
+        last bit, so the bound is 1e-15 times each quantity's conditioning:
+        1 per row for ln sum_z, b_i/m_i per row for the tight minorant,
+        whose m_i = b_i - ||b_i - X_i|| can cancel.  The classical ELBO
+        reduces no rows and keeps its bits at every K."""
+
+        def forms(ps, qs):
+            r = ps / qs
+            b, mean = r.max(axis=1), np.sum(qs * r, axis=1)
+            scale = b - r.min(axis=1)
+            dev = np.divide(b[:, None] - r, scale[:, None], out=np.zeros_like(r),
+                            where=scale[:, None] > 0.0)
+            m = b - scale * np.sum(qs * dev ** 2, axis=1) ** 0.5
+            return (math.fsum(np.log(ps.sum(axis=1)).tolist()),
+                    math.fsum((qs * np.log(ps / qs)).ravel().tolist()),
+                    math.fsum((np.log(m) - (m - mean) / b).tolist()),
+                    math.fsum((b / m).tolist()))
+
+        for k in range(1, 13):
+            for _ in range(20):
+                n = int(rng.integers(1, 51))
+                ps = rng.uniform(0.05, 1.0, size=(n, k))
+                qs = np.clip(rng.dirichlet(np.ones(k), size=n), 1e-3, None)
+                qs /= qs.sum(axis=1, keepdims=True)
+                inst = likelihood_instance(ps, qs)
+                loglik, classical, tight, conditioning = forms(ps, qs)
+                assert elbo_classical(inst) == classical
+                if k <= 7:
+                    assert (loglik_exact(inst), elbo_tight(inst)) == (loglik, tight)
+                else:
+                    assert loglik_exact(inst) == pytest.approx(loglik, rel=0.0, abs=1e-15 * n)
+                    assert elbo_tight(inst) == pytest.approx(
+                        tight, rel=0.0, abs=1e-15 * conditioning)
+
     def test_tight_matches_per_row_moments(self, rng):
         """The n x K array form against one ratio variable per row."""
         ps = rng.uniform(0.05, 1.0, size=(40, 4))
@@ -303,6 +343,27 @@ class TestEmDemo:
         # an n x 0 matrix ran and logged rows of zeros
         with pytest.raises(ConstructionError):
             em_demo(np.zeros((5, 0)), iters=3, seed=1)
+
+    @pytest.mark.parametrize("value", [0.7, 2.0, -1.0, math.nan])
+    def test_non_binary_entry_rejected(self, value):
+        # the E-step read such an entry as 0 or 1 and the M-step averaged it
+        # as it is; a NaN failed as "row 0: likelihood values must be finite"
+        data = generate_mixture_data(6, 4, seed=1)
+        data[2, 3] = value
+        with pytest.raises(ConstructionError, match=r"entry \(2, 3\) is"):
+            em_demo(data, iters=2, seed=1)
+
+    @pytest.mark.parametrize("shape", ["200x20", "400x20"])
+    def test_benchmark_shapes_keep_their_bits(self, shape):
+        """Rows, weights and means at the benchmark's two shapes, frozen
+        from the axis=1 reductions this layout replaced."""
+        want = json.loads(EM_BITS.read_text())[shape]
+        rows = int(shape.split("x")[0])
+        trace = em_demo(generate_mixture_data(rows, 20, seed=want["data_seed"]),
+                        iters=want["iters"], seed=want["seed"])
+        assert [list(r) for r in trace.rows] == want["rows"]
+        assert list(trace.weights) == want["weights"]
+        assert [list(m) for m in trace.means] == want["means"]
 
     def test_deterministic_given_seed(self):
         data = generate_mixture_data(30, 5, seed=9)
