@@ -143,8 +143,11 @@ class RandomVariable:
         if pts is not None:
             inf, sup = float(pts.min()), float(pts.max())
             if self.declared_support is None:
+                # a constant's support is [c, c + 1], or [c, the next float]
+                # where c + 1.0 rounds back to c (|c| >= 2^53)
+                hi = sup if sup > inf else inf + 1.0
                 object.__setattr__(self, "declared_support",
-                                   (inf, sup if sup > inf else inf + 1.0))
+                                   (inf, hi if hi > inf else math.nextafter(inf, math.inf)))
         lo, hi = self.declared_support
         if not (math.isfinite(lo) and lo < hi):
             raise ConstructionError(f"invalid declared support {self.declared_support}")
@@ -426,10 +429,14 @@ def reflected(X: RandomVariable, center: float) -> RandomVariable:
 def _finite_mean(X: RandomVariable, vals: np.ndarray) -> float:
     """E over a discrete or sample variable of values given at its points:
     the weighted terms or the values summed by numerics.fsum, correctly
-    rounded and bit for bit math.fsum's sum."""
-    if X.kind == "discrete":
-        return fsum(X._weights * vals)
-    return fsum(vals) / len(vals)
+    rounded and bit for bit math.fsum's sum.  A sum that leaves double
+    range raises RangeOverflowError."""
+    try:
+        if X.kind == "discrete":
+            return fsum(X._weights * vals)
+        return fsum(vals) / len(vals)
+    except OverflowError as exc:
+        raise RangeOverflowError(f"the sum over the points leaves double range: {exc}") from exc
 
 
 def _check_domain(X: RandomVariable, f) -> None:

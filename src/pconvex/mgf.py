@@ -34,6 +34,7 @@ from .distributions import (
 from .errors import (
     ConstructionError,
     DomainError,
+    RangeOverflowError,
     SupportViolationError,
     UnboundedSupportError,
 )
@@ -83,20 +84,42 @@ def _rate(s: float) -> float:
     return s
 
 
+def _exp(x: float, what: str) -> float:
+    """math.exp(x); RangeOverflowError names what leaves double range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise RangeOverflowError(f"{what} = exp({x!r}) leaves double range") from None
+
+
+def _exact_mgf(X: RandomVariable, s: float) -> tuple[float, float]:
+    """The oracle E exp(sX) and its error estimate; RangeOverflowError when
+    it leaves double range.  The exponentials overflow to inf without a
+    warning, and the check on the total catches them."""
+    with np.errstate(over="ignore"):
+        exact, err = expect(X, lambda x: np.exp(s * np.asarray(x, dtype=float)))
+    if not math.isfinite(exact):
+        raise RangeOverflowError(f"E exp(sX) leaves double range at s = {s!r}")
+    return exact, err
+
+
 def mgf_lower(X: RandomVariable, s: float, p: int) -> MgfBoundReport:
     """Lower bound on E exp(sX) for X on [0, inf) from its first p moments:
 
         exp(s ||X||_p) - sum_{j<p} s^j ||X||_p^j / j! + E sum_{j<p} s^j X^j / j!
+
+    RangeOverflowError when exp(s ||X||_p) or the oracle leaves double range.
     """
     s = _rate(s)
     p = _order(p)
     if X.inf < -EQ_ABS:
         raise SupportViolationError("mgf_lower needs X on [0, inf)")
     norm = shifted_moment(X, 0.0, p).norm
+    at_norm = _exp(s * norm, "exp(s ||X||_p)")
+    exact, err = _exact_mgf(X, s)
     head_at_norm = float(_head_vec(s, norm, p))
     mean_head = expect(X, lambda x: _head_vec(s, x, p))[0]
-    lower = math.exp(s * norm) - head_at_norm + mean_head
-    exact, err = expect(X, lambda x: np.exp(s * np.asarray(x, dtype=float)))
+    lower = at_norm - head_at_norm + mean_head
     return MgfBoundReport(s=s, p=p, lower=lower, upper=None, exact=exact,
                           exact_error=err, moments_used=tuple(_moments(X, p)))
 
@@ -116,6 +139,8 @@ def mgf_upper(X: RandomVariable, s: float, p: int) -> MgfBoundReport:
     """Upper bound on E exp(sX) for X on [0, b]:
 
         (E X^p / b^p) (exp(s b) - sum_{j<p} s^j b^j / j!) + E sum_{j<p} s^j X^j / j!
+
+    RangeOverflowError when exp(s b) or the oracle leaves double range.
     """
     s = _rate(s)
     p = _order(p)
@@ -128,11 +153,12 @@ def mgf_upper(X: RandomVariable, s: float, p: int) -> MgfBoundReport:
         # point mass at 0: MGF is exactly 1
         return MgfBoundReport(s=s, p=p, lower=None, upper=1.0, exact=1.0,
                               exact_error=0.0, moments_used=tuple(_moments(X, p)))
+    at_b = _exp(s * b, "exp(s b)")
+    exact, err = _exact_mgf(X, s)
     weight = (shifted_moment(X, 0.0, p).norm / b) ** p
-    tail_at_b = math.exp(s * b) - float(_head_vec(s, b, p))
+    tail_at_b = at_b - float(_head_vec(s, b, p))
     mean_head = expect(X, lambda x: _head_vec(s, x, p))[0]
     upper = weight * tail_at_b + mean_head
-    exact, err = expect(X, lambda x: np.exp(s * np.asarray(x, dtype=float)))
     return MgfBoundReport(s=s, p=p, lower=None, upper=upper, exact=exact,
                           exact_error=err, moments_used=tuple(_moments(X, p)))
 

@@ -105,13 +105,12 @@ def _order(p: int, least: int = 1) -> int:
 # Summation
 # ---------------------------------------------------------------------------
 
-# Arrays below this size go to math.fsum over a list.  Its cost is about
-# 0.045 us per value; the extraction passes (2 to 4 on sampled data) cost
-# 30 to 45 us at 1024 values and 45 to 65 us at 5000.  They break even near
-# 700 values (2-core Xeon, numpy 2.4, Python 3.11); 1024 keeps a margin, so
-# small lotteries and grids stay on fsum where the passes' fixed cost could
-# exceed the saving.
-FSUM_CROSSOVER = 1024
+# Arrays below this size go to math.fsum over a list, at about 0.033 us per
+# value.  The array path costs about 8.5 us at 256 values and 17 us at 5000
+# when its first pass is certified, as it is on sampled data; the two break
+# even near 256 values (2-core Xeon, numpy 2.4, Python 3.11).  Lotteries of
+# a few atoms and the 40 x 5 EM demo's sums stay below it.
+FSUM_CROSSOVER = 256
 
 # The passes stop at a residual below this: at or above it ulp(sigma)/2 is
 # a normal float, which the error-free argument assumes.
@@ -123,34 +122,52 @@ def fsum(values) -> float:
     float array of any size.
 
     Arrays of FSUM_CROSSOVER values or more are summed by error-free vector
-    extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1), 2008):
-    with max |v| < 2^e and 2^m >= n + 2, sigma = 2^(e+m) splits each v
-    exactly into q = (sigma + v) - sigma, a multiple of ulp(sigma)/2 of at
-    most 2^e, and v - q.  Every partial sum of the q is such a multiple
-    below sigma, so np.sum(q) is exact in any order; the passes repeat on
-    v - q until it is zero, and fsum of the pass sums is the correctly
-    rounded total.  An array whose largest magnitude is 0, NaN or infinite,
-    or too large for a finite sigma, goes to math.fsum as it is; a residual
-    near the subnormal range goes there after the pass sums, still in
+    extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1) and 31(2),
+    2008): with max |v| < 2^e and 2^m >= n + 2, sigma = 2^(e+m) splits each
+    v exactly into q = (sigma + v) - sigma, a multiple of u = ulp(sigma)/2
+    of at most 2^e, and r = v - q with |r| <= u.  Every partial sum of the q
+    is such a multiple below sigma, so tau = np.sum(q) is exact in any
     order.
+
+    The first pass stops there when the rounding is certain.  t = np.sum(r)
+    is within gamma_(n-1) * n * u <= 2 n^2 2^-53 u <= delta = 2^(e+3m-105)
+    of sum(r) in any order; s = tau + t and its exact error err (Knuth's
+    TwoSum) put the total within |err| + delta of s.  If that is less than
+    half the gap from s to its neighbour toward zero (the smaller gap), the
+    total rounds to s, which is math.fsum's answer.  Otherwise (a total that
+    cancels to far below max |v|, or one on or near a midpoint between two
+    floats) the passes repeat on r until it is zero, and fsum of the pass
+    sums is the correctly rounded total.  An array whose largest magnitude
+    is 0, NaN or infinite, or too large for a finite sigma, goes to
+    math.fsum as it is; a residual near the subnormal range goes there after
+    the pass sums, still in order.  The input is never written.
     """
     values = np.asarray(values, dtype=float).ravel()
     if values.size < FSUM_CROSSOVER:
         return math.fsum(values.tolist())
     m = (values.size + 1).bit_length()  # 2^m >= n + 2
-    v, q = values.copy(), np.empty_like(values)
-    parts = []
-    top = float(np.abs(v, out=q).max())
+    v, parts = values, []
+    top = max(float(v.max()), -float(v.min()))
     while _EXTRACT_FLOOR <= top < math.inf:
         e = math.frexp(top)[1]  # top < 2^e
         if e + m > 1023:  # sigma would overflow
             break
         sigma = math.ldexp(1.0, e + m)
-        np.add(v, sigma, out=q)
+        q = v + sigma
         q -= sigma
         parts.append(float(q.sum()))
-        v -= q
-        top = float(np.abs(v, out=q).max())
+        v = v - q
+        if len(parts) == 1:
+            tau, t = parts[0], float(v.sum())
+            s = tau + t
+            z = s - tau
+            err = (tau - (s - z)) + (t - z)
+            # delta >= 2^-1046 is exact; a zero or subnormal s has a half
+            # gap of 0, so it is never certified
+            delta = math.ldexp(1.0, e + 3 * m - 105)
+            if abs(err) + delta < (abs(s) - abs(math.nextafter(s, 0.0))) / 2:
+                return s
+        top = max(float(v.max()), -float(v.min()))
     if parts and not top:
         return math.fsum(parts)
     return math.fsum(parts + v.tolist())

@@ -264,6 +264,13 @@ class TestRisk:
         assert payload["closed_form"] == pytest.approx(math.sqrt(0.5))
         assert payload["achiever"] == "x^2"
 
+    def test_measure_of_a_large_point_mass(self, tmp_path, capsys):
+        # 1e17 + 1.0 rounds back to 1e17, which made an empty support
+        path = tmp_path / "pm.json"
+        path.write_text(json.dumps({"kind": "discrete", "atoms": [1e17], "probs": [1.0]}))
+        assert main(["risk", "measure", "-d", str(path), "-p", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["closed_form"] == 1e17
+
     def test_compare_positive(self, tmp_path, capsys):
         l = tmp_path / "l.json"
         f = tmp_path / "f.json"
@@ -297,6 +304,15 @@ class TestMgfAndFriends:
         lines = capsys.readouterr().out.strip().split("\r\n")
         assert lines[0] == "kind,s,p,value,exact,gap"
         assert len(lines) == 3
+
+    def test_mgf_past_double_range_is_exit_one(self, tmp_path, capsys):
+        # exp(800 ||X||_2) overflowed math.exp with a traceback
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"kind": "sample",
+                                    "values": [0.1 + 1.9 * k / 1999 for k in range(2000)]}))
+        assert main(["mgf", "-d", str(path), "-s", "800", "-p", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "double range" in err
 
     def test_amgm(self, tmp_path, capsys):
         d = tmp_path / "d.json"

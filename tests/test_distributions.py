@@ -746,6 +746,34 @@ class TestLargeFiniteVariables:
             assert X.mean() == expect(X, lambda x: x)[0]
 
 
+class TestConstantVariables:
+    """A constant's default support is [c, c + 1], or [c, the next float]
+    where c + 1.0 rounds back to c: from |c| = 2^53 on, a constant sample
+    or point mass raised "invalid declared support"."""
+
+    @pytest.mark.parametrize("c", [2.0 ** 53, 1e17, -1e17, 1e300])
+    def test_large_constants_build(self, c):
+        raw = {"kind": "discrete", "atoms": [c], "probs": [1.0]}
+        for X in (from_sample([c] * 10), point_mass(c), distribution_from_descriptor(raw)):
+            assert X.declared_support == (c, math.nextafter(c, math.inf))
+            assert X.inf == X.sup == c
+        assert point_mass(c).mean() == c
+
+    @pytest.mark.parametrize("c", [0.0, -3.5, 2.0 ** 52])
+    def test_other_constants_keep_c_plus_one(self, c):
+        assert from_sample([c] * 3).declared_support == point_mass(c).declared_support \
+            == (c, c + 1.0)
+
+
+@pytest.mark.parametrize("n", [20, FSUM_CROSSOVER + 20])
+def test_mean_past_double_range_raises(n):
+    # the sum of n - 1 values of 1e308 overflows; math.fsum raised a bare
+    # OverflowError out of mean()
+    X = from_sample(np.r_[np.full(n - 1, 1e308), 1.0])
+    with pytest.raises(RangeOverflowError, match="double range"):
+        X.mean()
+
+
 class TestLargeBetaShapes:
     """Shapes with c + d > 170: B(c, d) comes from log-gamma differences,
     since gamma(c + d) leaves double range (beta_like(0, 1, 100, 100) raised

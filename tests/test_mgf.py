@@ -20,6 +20,7 @@ import pytest
 from pconvex.distributions import (
     discrete,
     expect,
+    from_sample,
     point_mass,
     reflected,
     shifted_moment,
@@ -28,6 +29,7 @@ from pconvex.distributions import (
 from pconvex.errors import (
     ConstructionError,
     DomainError,
+    RangeOverflowError,
     SupportViolationError,
     UnboundedSupportError,
 )
@@ -42,6 +44,7 @@ from pconvex.mgf import (
     mgf_lower,
     mgf_upper,
 )
+from pconvex.numerics import FSUM_CROSSOVER
 
 FAIR_COIN = discrete([0.0, 1.0], [0.5, 0.5])
 EM_BITS = Path(__file__).with_name("goldens") / "em_demo_bits.json"
@@ -136,6 +139,27 @@ def test_s_must_be_finite_and_nonnegative(bound, s):
         bound(FAIR_COIN, s, 2)
 
 
+class TestMgfOverflow:
+    """exp(s ||X||_p), exp(s b) or the oracle past double range raises
+    RangeOverflowError: math.exp raised a bare OverflowError, and a
+    sample's oracle came back inf with numpy's overflow warning (which the
+    RuntimeWarning filter would turn into an error here)."""
+
+    @pytest.mark.parametrize("bound, what", [(mgf_lower, r"exp\(s \|\|X\|\|_p\)"),
+                                             (mgf_upper, r"exp\(s b\)")],
+                             ids=["lower", "upper"])
+    def test_exponential_of_the_norm_or_ceiling(self, bound, what):
+        with pytest.raises(RangeOverflowError, match=what):
+            bound(from_sample(np.linspace(0.1, 2.0, 2000)), 800.0, 2)
+
+    def test_oracle(self):
+        # exp(75 ||X||_2) is about e^15.6, but one value gives e^750
+        X = from_sample(np.r_[np.full(3000, 0.1), 10.0])
+        with pytest.raises(RangeOverflowError, match="E exp"):
+            mgf_lower(X, 75.0, 2)
+        assert math.isfinite(mgf_lower(X, 70.0, 2).exact)
+
+
 class TestAmGm:
     def test_log_transform_matches_mgf_arithmetic(self):
         X = discrete([1.0, math.e], [0.5, 0.5])
@@ -215,10 +239,12 @@ class TestLikelihoodInstance:
             hi = loglik_exact(inst)
             assert lo - 1e-10 <= mid <= hi + 1e-10
 
-    @pytest.mark.parametrize("rows", [10, 300])
+    @pytest.mark.parametrize("rows", [10, FSUM_CROSSOVER // 4 - 1, FSUM_CROSSOVER // 4,
+                                      FSUM_CROSSOVER - 1, FSUM_CROSSOVER, 300])
     def test_sums_keep_math_fsum_bits(self, rows, rng):
         """The three sums over the data against math.fsum over Python
-        floats; 300 x 4 terms take numerics.fsum's extraction path."""
+        floats, on both sides of FSUM_CROSSOVER: the classical ELBO sums
+        rows x 4 terms, the log-likelihood one term per row."""
         ps = rng.uniform(0.05, 1.0, size=(rows, 4))
         qs = rng.dirichlet(np.ones(4), size=rows)
         inst = likelihood_instance(ps, qs)

@@ -859,21 +859,38 @@ class TestProfiles:
 # Correctly rounded summation
 # ---------------------------------------------------------------------------
 
-_SUM_KINDS = ("spread", "narrow", "cancel", "zeros", "negative-zeros", "near-max", "special")
+_SUM_KINDS = ("spread", "narrow", "cancel", "zeros", "negative-zeros", "near-max", "special",
+              "tie")
 
 
 @st.composite
-def _sum_arrays(draw) -> np.ndarray:
+def _sum_arrays(draw, kinds=_SUM_KINDS) -> np.ndarray:
     """A float array of 0 to 3000 values, either side of FSUM_CROSSOVER:
     values from the subnormal range to 1e300 (spread, or all within two
     binades, which loads the pass sums most), exact cancellation in pairs
     v, -v, all 0.0 or all -0.0, values of 2^-16 to 1 times the float
-    maximum, or values with inf, -inf and NaN inserted."""
+    maximum, values with inf, -inf and NaN inserted, or values whose total
+    lies on a midpoint between two floats or d 2^j off it (tie)."""
     n = draw(st.integers(0, 3000))
-    kind = draw(st.sampled_from(_SUM_KINDS))
+    kind = draw(st.sampled_from(kinds))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if kind in ("zeros", "negative-zeros"):
         return np.full(n, 0.0 if kind == "zeros" else -0.0)
+    if kind == "tie" and n:
+        # k_i 2^(j + shift_i) with integers |k_i| < 2^52 and shift_0 = 0:
+        # the exact total is K 2^j, and k_0 moves K onto the midpoint above
+        # the float below it, plus d (up to 3 times 2^48 units of 2^j, so
+        # the first pass's rounding bound is met on both sides)
+        j = draw(st.integers(-1074, 880))
+        shifts = np.r_[0, rng.integers(0, draw(st.integers(0, 40)) + 1, n - 1)]
+        k = [int(x) for x in rng.integers(1 - 2 ** 52, 2 ** 52, n)]
+        total = sum(ki << int(si) for ki, si in zip(k, shifts))
+        unit = 1 << max(abs(total).bit_length() - 53, 0)
+        d = draw(st.integers(-3, 3)) << draw(st.integers(0, 48))
+        moved = k[0] + (total // unit) * unit + unit // 2 + d - total
+        if abs(moved) < 2 ** 53:
+            k[0] = moved
+        return rng.permutation(np.ldexp(np.array(k, dtype=float), shifts + j))
     lo = draw(st.integers(-1080, 996))
     hi = lo + (draw(st.integers(0, 1)) if kind == "narrow" else draw(st.integers(0, 996 - lo)))
     signs = draw(st.sampled_from([(1.0,), (-1.0,), (1.0, -1.0)]))
@@ -911,6 +928,12 @@ class TestFsum:
             # an independent oracle: the exact rational sum, rounded once
             assert np.float64(float(sum(map(Fraction, v.tolist())))).tobytes() == want
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_sum_arrays(kinds=("tie",)))
+    def test_totals_on_or_near_a_midpoint(self, v):
+        assert _bits_or_error(lambda: numerics.fsum(v)) == \
+            _bits_or_error(lambda: math.fsum(v.tolist()))
+
     def test_both_sides_of_the_crossover(self):
         rng = np.random.default_rng(3)
         for n in (numerics.FSUM_CROSSOVER - 1, numerics.FSUM_CROSSOVER, 5000):
@@ -931,6 +954,44 @@ class TestFsum:
         # and above that it would overflow, so math.fsum takes the array
         v = np.ldexp(np.random.default_rng(e).uniform(-1.0, 1.0, 1500), e)
         assert numerics.fsum(v) == math.fsum(v.tolist())
+
+    def test_certified_first_pass_needs_no_math_fsum(self, monkeypatch):
+        # a sample's total is certain after the first pass, so the array
+        # path returns before math.fsum; its speed rests on this exit
+        v = np.random.default_rng(7).beta(2.0, 3.0, 5000)
+        want = math.fsum(v.tolist())
+
+        def refuse(values):
+            raise AssertionError("math.fsum ran")
+
+        monkeypatch.setattr(math, "fsum", refuse)
+        assert numerics.fsum(v) == want
+
+    def test_midpoint_falls_back_to_the_passes(self, monkeypatch):
+        # 1 + 2^-53 is halfway between 1.0 and the float above, and rounds
+        # to even: the first pass cannot certify it, the pass sums decide
+        calls, real = [], math.fsum
+        monkeypatch.setattr(math, "fsum", lambda parts: calls.append(parts) or real(parts))
+        v = np.array([1.0, 2.0 ** -53] + [0.0] * 2000)
+        assert numerics.fsum(v) == 1.0
+        assert calls == [[1.0, 2.0 ** -53]]
+
+    @pytest.mark.parametrize("big, c, a, want", [
+        (1.0, -2.0 ** -54 + 2.0 ** -100, -2.0 ** -99, 1.0 - 2.0 ** -53),
+        (1.5, 2.0 ** -53 - 2.0 ** -100, 2.0 ** -99, 1.5 + 2.0 ** -52),
+    ], ids=["power-of-two", "within-binade"])
+    def test_residual_sum_rounded_across_a_midpoint(self, big, c, a, want):
+        # sigma = 2^10 extracts big whole and leaves the residual c, a, A
+        # and -A; numpy's sum adds a into A, where it is lost to rounding
+        # to even, so t = c misses 2^-99 of the residual's sum and big + t
+        # lies just on the other side of a midpoint from the total.  Only
+        # delta (and, for a power of two, the half gap toward zero) keeps
+        # the first pass from certifying big.
+        v = np.zeros(256)
+        v[[0, 1, 2, 8, 16]] = 1.5 * 2.0 ** -46, big, c, a, -1.5 * 2.0 ** -46
+        residual = np.where(v == big, 0.0, v)
+        assert residual.sum() == c != c + a  # numpy's order drops a
+        assert numerics.fsum(v) == math.fsum(v.tolist()) == want
 
     def test_input_is_left_unchanged(self):
         v = np.random.default_rng(4).uniform(-1.0, 1.0, 4000)
