@@ -145,9 +145,8 @@ class RandomVariable:
             if self.declared_support is None:
                 # a constant's support is [c, c + 1], or [c, the next float]
                 # where c + 1.0 rounds back to c (|c| >= 2^53)
-                hi = sup if sup > inf else inf + 1.0
-                object.__setattr__(self, "declared_support",
-                                   (inf, hi if hi > inf else math.nextafter(inf, math.inf)))
+                hi = sup if sup > inf else max(inf + 1.0, math.nextafter(inf, math.inf))
+                object.__setattr__(self, "declared_support", (inf, hi))
         lo, hi = self.declared_support
         if not (math.isfinite(lo) and lo < hi):
             raise ConstructionError(f"invalid declared support {self.declared_support}")
