@@ -12,14 +12,19 @@ The quadrature has one rule with fixed constants: QUADRATURE_NODES
 Gauss-Legendre nodes per panel, doubled at most QUADRATURE_DOUBLINGS times
 until one step changes its estimate by no more than a quarter of
 QUADRATURE_TOLERANCE or the rounding of its sums; otherwise
-ConvergenceError carries the best estimate and the last step.  Its node
-sets are a pure function of (a, b, end exponents, panels), and the small
-ones (at most 8 panels per base panel) are memoized as read-only arrays, so
-the several expectations of one bound share them.  Each is built from a
-read-only skeleton of its panel count, the arrays that depend on neither
-the interval nor the exponents, memoized for the same four counts.  Larger
-node sets and skeletons are built per call, so a non-converging integral
-keeps no memory after it.
+ConvergenceError carries the best estimate and the last step.  Every
+integral compares the first two levels (1 and 2 panels per base panel), so
+they are one node set, built in one pass, and one call of the integrand,
+whose terms are summed level by level; the magnitude of a level's terms is
+summed only when its step exceeds the tolerance.  Node sets are a pure
+function of (a, b, end exponents, panel counts), and the small ones (the
+pair of 1 and 2 panels, then 4 and 8) are memoized as read-only arrays, so
+the several expectations of one bound share them: one with both ends
+weighted holds 2016 nodes for the pair (about 32 KB) and 161 KB for all
+three.  Each is built from a read-only skeleton of its panel counts, the
+arrays that depend on neither the interval nor the exponents, memoized for
+the same three sets of counts.  Larger node sets and skeletons are built
+per call, so a non-converging integral keeps no memory after it.
 
 Equality-style comparisons (a root-finding target against the ends of its
 bracket, a variable's support against a bound's) allow EQ_ABS absolute
@@ -34,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -276,34 +281,38 @@ def _real(v, x, where: str = "", what: str = "f"):
 
 
 # Rules of at most this many panels per base panel are shared: the mean,
-# moment and oracle of one bound repeat the first doublings, mostly at 1, 2
-# and 4 panels.  A larger rule is rarely asked for twice and can be large (a
+# moment and oracle of one bound repeat the first doublings, mostly the
+# first two.  A larger rule is rarely asked for twice and can be large (a
 # graded rule at 4096 panels holds about 44 MB, its skeleton about 21 MB),
 # so caching it would keep that memory after a non-converging integral.
 _SHARED_PARTS = 8
 
 
-# One skeleton for each size up to _SHARED_PARTS: 1, 2, 4 and 8 panels.
-@lru_cache(maxsize=4)
-def _skeleton(parts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The arrays of _graded_rule that depend only on `parts`, read-only:
-    nodes u and weights du of `parts` Gauss-Legendre panels on [0, 1], and
-    the geometric ladder 2^-j (1 + u) and 2^-j du, j = GRADED_LEVELS..1.
-    _graded_rule takes it uncached above _SHARED_PARTS (__wrapped__)."""
+# One skeleton for each shared rule: 1 and 2 panels together, 4 and 8.
+@lru_cache(maxsize=3)
+def _skeleton(levels: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The arrays of _graded_rule that depend only on its panel counts,
+    read-only: for each count in `levels` in turn, the nodes u and weights
+    du of that many Gauss-Legendre panels on [0, 1], and the geometric
+    ladder 2^-j (1 + u) and 2^-j du, j = GRADED_LEVELS..1; each array is
+    concatenated over the counts.  _graded_rule takes it uncached above
+    _SHARED_PARTS (__wrapped__)."""
     x, w = _leggauss()
-    u = ((np.arange(parts)[:, None] + 0.5 * (x + 1.0)) / parts).ravel()
-    du = np.tile(w / (2.0 * parts), parts)
+    us = [((np.arange(parts)[:, None] + 0.5 * (x + 1.0)) / parts).ravel() for parts in levels]
+    dus = [np.tile(w / (2.0 * parts), parts) for parts in levels]
     halves = 2.0 ** -np.arange(GRADED_LEVELS, 0.0, -1.0)[:, None]
-    arrays = (u, du, (halves * (1.0 + u)).ravel(), (halves * du).ravel())
+    arrays = tuple(np.concatenate(rows) for rows in (
+        us, dus, [(halves * (1.0 + u)).ravel() for u in us], [(halves * du).ravel() for du in dus]))
     for arr in arrays:
         arr.flags.writeable = False
     return arrays
 
 
 def _graded_rule(a: float, b: float, left: float, right: float,
-                 parts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes t and weights of integrate()'s rule, each base panel cut into
-    `parts` Gauss-Legendre panels of QUADRATURE_NODES nodes.
+                 levels: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t and weights of integrate()'s rule at each panel count in
+    `levels`, one count after the other: at a count, each base panel is cut
+    into that many Gauss-Legendre panels of QUADRATURE_NODES nodes.
 
     An end with exponent e != 1 gets panels [s 2^-j, s 2^(1-j)], j = 1..20,
     over its span s (half of b - a when both ends are weighted); its end
@@ -312,13 +321,17 @@ def _graded_rule(a: float, b: float, left: float, right: float,
     end, and the far end's factor is taken at (b - a) - r (skipped where its
     exponent is 1), so no weight is computed from t.
 
-    The exponent-free arrays come from _skeleton(parts), memoized up to
-    _SHARED_PARTS panels and built per call above, and are scaled by s
-    here.  Scaling by a power of two is exact, so s (2^-j (1 + u)) has the
-    bits of (s 2^-j) (1 + u) while s 2^-20 stays a normal float.
+    The exponent-free arrays of every count come from one skeleton,
+    _skeleton(levels), memoized up to _SHARED_PARTS panels and built per
+    call above, and are scaled by s here; each end's powers and far-end
+    factor are then taken once over all the counts.  The operations are
+    elementwise, so each count's slice, put in the order of a rule of that
+    count alone, has that rule's bits.  Scaling by a power of two is exact,
+    so s (2^-j (1 + u)) has the bits of (s 2^-j) (1 + u) while s 2^-20
+    stays a normal float.
     """
-    skeleton = _skeleton if parts <= _SHARED_PARTS else _skeleton.__wrapped__
-    u, du, ladder, ladder_du = skeleton(parts)
+    skeleton = _skeleton if max(levels) <= _SHARED_PARTS else _skeleton.__wrapped__
+    u, du, ladder, ladder_du = skeleton(levels)
     length = b - a
     # (own exponent, far exponent, end point, direction into [a, b])
     graded = [g for g in ((left, right, a, 1.0), (right, left, b, -1.0)) if g[0] != 1.0]
@@ -335,40 +348,89 @@ def _graded_rule(a: float, b: float, left: float, right: float,
             wt *= (length - r) ** (other - 1.0)
         ts.append(end + inward * r)
         ws.append(wt)
-    if len(graded) == 1:
+    if len(levels) > 1:
+        order = _layout(levels, len(graded))
+        return np.concatenate(ts)[order], np.concatenate(ws)[order]
+    if len(ts) == 1:
         return ts[0], ws[0]
     return np.concatenate(ts), np.concatenate(ws)
 
 
-# 16 rules hold every shared rule of one bound: the 4 sizes up to
-# _SHARED_PARTS for each end-exponent pair, and a fractional-hh density
-# integrates two such pairs per expectation.
-@lru_cache(maxsize=16)
+# One layout for each number of graded ends of the 1- and 2-panel rule.
+@lru_cache(maxsize=2)
+def _layout(levels: tuple[int, ...], ends: int) -> np.ndarray:
+    """The order, read-only, that takes _graded_rule's nodes as it computes
+    them, end by end (each end's end panels at every count in `levels`,
+    then its ladder at every count), to its layout: count by count, the end
+    panels and then the ladder of each end in turn."""
+    heads = QUADRATURE_NODES * sum(levels)
+    index = np.arange(ends * (GRADED_LEVELS + 1) * heads).reshape(ends, -1)
+    blocks, cut = [], 0
+    for parts in levels:
+        nxt = cut + QUADRATURE_NODES * parts
+        for row in index:
+            blocks += [row[cut:nxt], row[heads + GRADED_LEVELS * cut:heads + GRADED_LEVELS * nxt]]
+        cut = nxt
+    order = np.concatenate(blocks)
+    order.flags.writeable = False
+    return order
+
+
+# 12 rules hold every shared rule of one bound: the 3 rules up to
+# _SHARED_PARTS (1 and 2 panels, 4, 8) for each end-exponent pair, and a
+# fractional-hh density integrates two such pairs per expectation.  A rule
+# weighted at both ends holds 2016 nodes at 1 and 2 panels (about 32 KB),
+# 2688 at 4 (43 KB) and 5376 at 8 (86 KB), so the cache holds at most about
+# 650 KB.
+@lru_cache(maxsize=12)
 def _shared_rule(a: float, b: float, left: float, right: float,
-                 parts: int) -> tuple[np.ndarray, np.ndarray]:
+                 levels: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """_graded_rule's pair, made read-only because every caller shares it."""
-    t, w = _graded_rule(a, b, left, right, parts)
+    t, w = _graded_rule(a, b, left, right, levels)
     t.flags.writeable = w.flags.writeable = False
     return t, w
 
 
-def _doubled(estimate: Callable[[int], tuple[float, float]]) -> QuadratureResult:
+def _level_terms(f: Callable, a: float, b: float, left: float,
+                 right: float) -> Iterator[np.ndarray]:
+    """The terms w f(t) of integrate()'s rule after 0, 1, 2, ... doublings.
+
+    Every integral needs the first two, so they come from one shared rule
+    of 1 and 2 panels (a third of its nodes, then the rest) and one call of
+    f on all its nodes.  Each later level is a rule of its own, shared up
+    to _SHARED_PARTS panels and built per call and dropped above.
+    """
+    t, w = _shared_rule(a, b, left, right, (1, 2))
+    terms = w * _eval_nodes(f, t)
+    yield terms[:terms.size // 3]
+    yield terms[terms.size // 3:]
+    parts = 4
+    while True:
+        rule = _shared_rule if parts <= _SHARED_PARTS else _graded_rule
+        t, w = rule(a, b, left, right, (parts,))
+        yield w * _eval_nodes(f, t)
+        parts *= 2
+
+
+def _doubled(levels: Iterator[np.ndarray]) -> QuadratureResult:
     """The stopping rule of the quadrature.
 
-    estimate(k) is the rule's value after k doublings and the sum of the
-    magnitudes of its terms; the first k <= QUADRATURE_DOUBLINGS whose step
-    from estimate(k-1) is at most a quarter of QUADRATURE_TOLERANCE, or
-    within the rounding of that sum (which no doubling removes), is
-    accepted.  A NaN step never is, so the check fails closed.
+    levels yields the terms of the rule after 0, 1, 2, ... doublings; the
+    first k <= QUADRATURE_DOUBLINGS whose sum steps from the sum after k-1
+    by at most a quarter of QUADRATURE_TOLERANCE, or within the rounding of
+    the sum of the magnitudes of its terms (which no doubling removes), is
+    accepted.  That magnitude is summed only when the first test fails.  A
+    NaN step is never accepted, so the check fails closed.
     """
     limit = 0.25 * QUADRATURE_TOLERANCE
-    best, _ = estimate(0)
+    best = float(next(levels).sum())
     step = math.inf
     for k in range(1, QUADRATURE_DOUBLINGS + 1):
-        nxt, magnitude = estimate(k)
+        terms = next(levels)
+        nxt = float(terms.sum())
         step = abs(nxt - best)
         best = nxt
-        if step <= max(limit, _ROUNDING * magnitude):
+        if step <= limit or step <= _ROUNDING * float(np.abs(terms).sum()):
             return QuadratureResult(best, step, k)
     raise ConvergenceError(f"quadrature did not converge (last step {step:.3e})", best, step)
 
@@ -383,28 +445,21 @@ def integrate(f: Callable, a: float, b: float,
     doubling halves every panel until one changes the estimate by at most a
     quarter of QUADRATURE_TOLERANCE or by the rounding of its sums
     (_doubled), at most QUADRATURE_DOUBLINGS times; error_estimate is that
-    last step.  The nodes of the first doublings (up to 8 panels per base
-    panel) come from a small memo cache shared by every call and are
-    read-only: an f that writes into its argument is called once per point
-    instead.  Each rule scales the skeleton of its panel count
-    (_graded_rule) and has the bits of a rule built whole.  Larger rules
-    and their skeletons are built per call and dropped, so their memory
-    does not outlive it.
+    last step.  The first two levels (1 and 2 panels per base panel) are
+    one rule and one call of f (_level_terms).  The rules up to 8 panels
+    per base panel come from a small memo cache shared by every call and
+    are read-only: an f that writes into its argument is called once per
+    point instead.  Each rule scales the skeleton of its panel counts
+    (_graded_rule) and has, count by count, the bits of a rule built whole.
+    Larger rules and their skeletons are built per call and dropped, so
+    their memory does not outlive it.
     """
     a, b, left, right = float(a), float(b), float(left), float(right)
     if not a < b:
         raise DomainError(f"integrate requires a < b, got [{a}, {b}]")
     if not (0.0 < left < math.inf and 0.0 < right < math.inf):
         raise DomainError(f"weight exponents must be positive, got {left}, {right}")
-
-    def estimate(k: int) -> tuple[float, float]:
-        parts = 2 ** k
-        rule = _shared_rule if parts <= _SHARED_PARTS else _graded_rule
-        t, w = rule(a, b, left, right, parts)
-        terms = w * _eval_nodes(f, t)
-        return float(terms.sum()), float(np.abs(terms).sum())
-
-    return _doubled(estimate)
+    return _doubled(_level_terms(f, a, b, left, right))
 
 
 def integrate_jacobi(g: Callable, a: float, b: float, alpha: float,

@@ -55,8 +55,8 @@ def _memoized() -> tuple[list[str], list[str]]:
 def test_every_memo_cache_is_a_module_attribute_with_cache_clear():
     found, stray = _memoized()
     assert not stray, f"caches the per-round clearing cannot reach: {stray}"
-    assert {"cli._build_parser", "numerics._leggauss", "numerics._shared_rule",
-            "numerics._skeleton", "risk._unit_members"} <= set(found)
+    assert {"cli._build_parser", "numerics._layout", "numerics._leggauss",
+            "numerics._shared_rule", "numerics._skeleton", "risk._unit_members"} <= set(found)
     for qualified in found:
         module, name = qualified.split(".")
         cached = vars(importlib.import_module(f"pconvex.{module}"))[name]

@@ -285,3 +285,34 @@ class TestSharedNodeSets:
         assert built == Counter(set(asked)) and min(asked.values()) == 3
         info = shared.cache_info()
         assert (info.misses, info.hits) == (len(asked), sum(asked.values()) - len(asked))
+        # every integral starts from the one rule of 1 and 2 panels
+        assert (1, 2) in {levels for *_, levels in asked}
+        assert {levels for *_, levels in asked} <= {(1, 2), (4,), (8,)}
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_first_two_levels_take_one_integrand_call(self, monkeypatch, p):
+        # an integral that stops after k doublings evaluates its integrand k
+        # times: once on the nodes of 1 and 2 panels together, then once per
+        # later level
+        calls, refinements = [], []
+        evaluate, doubled = numerics._eval_nodes, numerics._doubled
+
+        def counted(f, xs, where=""):
+            calls[-1].append(xs.size)
+            return evaluate(f, xs, where)
+
+        def stopped(levels):
+            calls.append([])
+            res = doubled(levels)
+            refinements.append(res.refinements)
+            return res
+
+        monkeypatch.setattr(numerics, "_eval_nodes", counted)
+        monkeypatch.setattr(numerics, "_doubled", stopped)
+        f = shifted_power(3.5, domain=(0.0, 1.0))
+        rep = jensen_lower(f, _cert(f, p, 0.0, 1.0), beta_like(0.0, 1.0, 2.0, 3.0))
+        assert rep.value <= rep.oracle
+        assert len(calls) >= 3 and 1 in refinements
+        assert [len(c) for c in calls] == refinements
+        # both ends weighted: 3 x 2 x 21 x 16 nodes of 1 and 2 panels
+        assert all(c[0] == 2016 for c in calls)

@@ -342,6 +342,9 @@ def _reference_graded_rule(a, b, left, right, parts):
 # an end exponent: unweighted, or drawn from where the graded panels apply
 _END = st.one_of(st.just(1.0), st.floats(0.3, 4.0))
 
+# the panel counts of each shared rule
+_SHARED_LEVELS = ((1, 2), (4,), (8,))
+
 
 class TestSharedNodeSets:
     """The node sets of the first doublings are memoized, read-only and
@@ -365,19 +368,26 @@ class TestSharedNodeSets:
         assert warm == cold == fresh
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(st.floats(-3.0, 3.0), st.floats(-3.0, 2.0), _END, _END, st.integers(1, 64))
-    def test_rule_equals_the_reference_bit_for_bit(self, a, log_length, left, right, parts):
+    @given(st.floats(-3.0, 3.0), st.floats(-3.0, 2.0), _END, _END, st.integers(1, 64),
+           st.booleans())
+    def test_rule_equals_the_reference_bit_for_bit(self, a, log_length, left, right, parts,
+                                                   doubled):
+        # a rule of `parts` and then 2 `parts` panels, built in one pass, is
+        # the two rules built alone, one after the other
         b = a + 10.0 ** log_length
-        got = numerics._graded_rule(a, b, left, right, parts)
-        want = _reference_graded_rule(a, b, left, right, parts)
+        counts = (parts, 2 * parts) if doubled else (parts,)
+        got = numerics._graded_rule(a, b, left, right, counts)
+        want = [np.concatenate(arrays) for arrays in zip(
+            *(_reference_graded_rule(a, b, left, right, n) for n in counts))]
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_shared_rules_are_read_only(self):
-        for parts in (1, 2, 4, 8):
-            t, w = numerics._shared_rule(0.0, 1.0, 0.5, 1.0, parts)
-            assert numerics._shared_rule(0.0, 1.0, 0.5, 1.0, parts)[0] is t
-            assert numerics._skeleton(parts)[0] is numerics._skeleton(parts)[0]
-            for arr in (t, w, *numerics._skeleton(parts)):
+        for levels in _SHARED_LEVELS:
+            t, w = numerics._shared_rule(0.0, 1.0, 0.5, 1.0, levels)
+            assert numerics._shared_rule(0.0, 1.0, 0.5, 1.0, levels)[0] is t
+            assert numerics._skeleton(levels)[0] is numerics._skeleton(levels)[0]
+            for arr in (t, w, *numerics._skeleton(levels), numerics._layout((1, 2), 1),
+                        numerics._layout((1, 2), 2)):
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[0] = 0.0
@@ -395,25 +405,93 @@ class TestSharedNodeSets:
         # the read-only nodes refuse the write, so each point is a float call
         assert np.ndarray in kinds and float in kinds
         assert got == integrate(lambda x: 2.0 * x, 0.0, 1.0, left=0.5)
-        for parts in (1, 2):
-            shared = numerics._shared_rule(0.0, 1.0, 0.5, 1.0, parts)
-            fresh = numerics._graded_rule(0.0, 1.0, 0.5, 1.0, parts)
-            assert all(np.array_equal(s, f) for s, f in zip(shared, fresh))
+        shared = numerics._shared_rule(0.0, 1.0, 0.5, 1.0, (1, 2))
+        fresh = numerics._graded_rule(0.0, 1.0, 0.5, 1.0, (1, 2))
+        assert all(np.array_equal(s, f) for s, f in zip(shared, fresh))
 
     def test_non_converging_integral_caches_no_rule_above_the_cap(self):
         numerics._shared_rule.cache_clear()
         numerics._skeleton.cache_clear()
+        numerics._layout.cache_clear()
         with _quadrature(doublings=6), pytest.raises(ConvergenceError):
             integrate(lambda t: np.sign(t - 0.3337), 0.0, 1.0, left=0.5, right=0.5)
-        # 1, 2, 4 and 8 panels are kept; 16 to 64 were built and dropped
+        # 1 and 2 panels (one rule), 4 and 8 are kept; 16 to 64 were built
+        # and dropped
         info = numerics._shared_rule.cache_info()
-        assert info.currsize == info.misses == 4 and info.hits == 0
-        # and so are their skeletons: asking for those four again only hits
+        assert info.currsize == info.misses == 3 and info.hits == 0
+        # and so are their skeletons: asking for those three again only hits
         info = numerics._skeleton.cache_info()
-        assert info.currsize == info.misses == 4 and info.hits == 0
-        for parts in (1, 2, 4, 8):
-            numerics._skeleton(parts)
-        assert numerics._skeleton.cache_info().misses == 4
+        assert info.currsize == info.misses == 3 and info.hits == 0
+        for levels in _SHARED_LEVELS:
+            numerics._skeleton(levels)
+        assert numerics._skeleton.cache_info().misses == 3
+        # the one layout is that of the 1- and 2-panel rule with two ends
+        info = numerics._layout.cache_info()
+        assert info.currsize == info.misses == 1 and info.hits == 0
+
+
+def _reference_outcome(f, a, b, left, right):
+    """integrate()'s stopping rule over _reference_graded_rule's rules, one
+    rule and one integrand call per level, as _outcome reports it."""
+    limit, best, step = 0.25 * numerics.QUADRATURE_TOLERANCE, None, math.inf
+    for k in range(numerics.QUADRATURE_DOUBLINGS + 1):
+        t, w = _reference_graded_rule(a, b, left, right, 2 ** k)
+        terms = w * _eval_nodes(f, t)
+        nxt = float(terms.sum())
+        if k:
+            step = abs(nxt - best)
+            if step <= max(limit, numerics._ROUNDING * float(np.abs(terms).sum())):
+                return nxt.hex(), step.hex(), k
+        best = nxt
+    return "diverged", best.hex(), float(step).hex()
+
+
+class TestFirstTwoLevels:
+    """Levels 0 and 1 (1 and 2 panels per base panel) are one rule and one
+    integrand call; the outcome is that of a rule and a call per level."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(_INTEGRANDS)), st.floats(-2.0, 2.0),
+           st.floats(-3.0, 3.0), st.floats(0.05, 4.0), _END, _END, st.integers(0, 6))
+    def test_equals_a_rule_and_a_call_per_level_bit_for_bit(self, name, c, a, length,
+                                                            left, right, doublings):
+        f = _INTEGRANDS[name](c)
+        args = (a, a + length, left, right)
+        with _quadrature(doublings=doublings):
+            assert _outcome(f, *args) == _reference_outcome(f, *args)
+
+    def _bad_node(self):
+        """A node of the 2-panel level of integrate(f, 0, 1, left=0.5) that
+        is not a node of the 1-panel level."""
+        one = numerics._graded_rule(0.0, 1.0, 0.5, 1.0, (1,))[0]
+        two = numerics._graded_rule(0.0, 1.0, 0.5, 1.0, (2,))[0]
+        return float(np.setdiff1d(two, one)[7])
+
+    @pytest.mark.parametrize("error", [ZeroDivisionError, ValueError])
+    def test_raising_only_at_the_second_level(self, error):
+        # ZeroDivisionError passes through the array call; ValueError sends
+        # _eval_nodes to the per-point floats, where it is raised again
+        bad = self._bad_node()
+
+        def f(x):
+            if np.any(np.asarray(x) == bad):
+                raise error("bad node")
+            return np.sin(x)
+
+        with pytest.raises(error, match="bad node"):
+            integrate(f, 0.0, 1.0, left=0.5)
+
+    def test_complex_only_at_the_second_level(self):
+        bad = self._bad_node()
+
+        def f(x):
+            v = np.sin(x)
+            return v.astype(complex) if np.any(np.asarray(x) == bad) else v
+
+        # the message names the nodes of both levels (336 and 672), called
+        # together
+        with pytest.raises(DomainError, match=r"no real value at the points \(1008 in "):
+            integrate(f, 0.0, 1.0, left=0.5)
 
 
 class TestPnormShifted:
