@@ -144,9 +144,11 @@ class RandomVariable:
             inf, sup = float(pts.min()), float(pts.max())
             if self.declared_support is None:
                 # a constant's support is [c, c + 1], or [c, the next float]
-                # where c + 1.0 rounds back to c (|c| >= 2^53)
+                # where c + 1.0 rounds back to c (|c| >= 2^53), or [the
+                # float below, c] at the largest float, whose next is inf
                 hi = sup if sup > inf else max(inf + 1.0, math.nextafter(inf, math.inf))
-                object.__setattr__(self, "declared_support", (inf, hi))
+                object.__setattr__(self, "declared_support", (inf, hi) if hi < math.inf
+                                   else (math.nextafter(inf, -math.inf), inf))
         lo, hi = self.declared_support
         if not (math.isfinite(lo) and lo < hi):
             raise ConstructionError(f"invalid declared support {self.declared_support}")

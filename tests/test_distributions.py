@@ -11,6 +11,7 @@ import json
 import math
 import pickle
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -749,7 +750,8 @@ class TestLargeFiniteVariables:
 class TestConstantVariables:
     """A constant's default support is [c, c + 1], or [c, the next float]
     where c + 1.0 rounds back to c: from |c| = 2^53 on, a constant sample
-    or point mass raised "invalid declared support"."""
+    or point mass raised "invalid declared support".  At the largest float
+    the next float is inf, so the support is [the float below, c]."""
 
     @pytest.mark.parametrize("c", [2.0 ** 53, 1e17, -1e17, 1e300])
     def test_large_constants_build(self, c):
@@ -763,6 +765,32 @@ class TestConstantVariables:
     def test_other_constants_keep_c_plus_one(self, c):
         assert from_sample([c] * 3).declared_support == point_mass(c).declared_support \
             == (c, c + 1.0)
+
+    def test_largest_float_is_bounded_and_reflects(self):
+        c = sys.float_info.max
+        below = math.nextafter(c, -math.inf)
+        raw = {"kind": "discrete", "atoms": [c], "probs": [1.0]}
+        for X in (from_sample([c] * 3), point_mass(c), distribution_from_descriptor(raw)):
+            assert X.declared_support == (below, c)
+            assert X.bounded and X.inf == X.sup == c
+            # it raised "cannot reflect an unbounded-above random variable"
+            Y = reflected(X, 0.0)
+            assert Y.declared_support == (-c, -below)
+            assert Y.inf == Y.sup == -c
+        assert point_mass(c).mean() == c
+
+    @pytest.mark.parametrize("c", [0.0, -3.5, 2.0 ** 52, 2.0 ** 53, 1e300, -sys.float_info.max,
+                                   math.nextafter(sys.float_info.max, 0.0)])
+    def test_every_other_constant_keeps_its_support_and_digest(self, c):
+        # the support of the rule before the largest float was special, and
+        # the digest of that support given explicitly (a one-value sample,
+        # since the mean in a sample's digest overflows for three values
+        # near the largest float)
+        support = (c, max(c + 1.0, math.nextafter(c, math.inf)))
+        for X, given_support in ((point_mass(c), discrete([c], [1.0], support)),
+                                 (from_sample([c]), from_sample([c], support))):
+            assert X.declared_support == support
+            assert X.digest() == given_support.digest()
 
 
 @pytest.mark.parametrize("n", [20, FSUM_CROSSOVER + 20])
